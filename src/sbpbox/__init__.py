@@ -11,7 +11,7 @@ gradient descent with a two-parameter retraction.
 
 Layout: ``grid`` holds the finite-difference kernels and quadrature whose
 summation-by-parts pairing makes the discrete energy identities exact;
-``solvers`` the matrix-free conjugate-gradient solves; ``dense`` small
+``solvers`` the exact DCT-I/DST-I elliptic solves; ``dense`` small
 assembled-matrix oracles; ``problem`` the coupling families, feasibility
 classification, and chi; ``reduction`` the potential map; ``functional`` the
 reduced energy and its gradient; ``manifold`` constraints, retraction, and
@@ -96,7 +96,6 @@ from .reduction import (
     solve_fourth_order_split,
 )
 from .solvers import (
-    LinearSolveOptions,
     solve_helmholtz_neumann,
     solve_poisson_dirichlet,
     solve_poisson_neumann_zeromean,
@@ -130,7 +129,6 @@ __all__ = [
     "InfeasibleRegion",
     "IterRecord",
     "LineSearchStall",
-    "LinearSolveOptions",
     "NewtonDivergence",
     "NoConvergence",
     "NonzeroBoundary",

@@ -141,10 +141,7 @@ def cmd_solve(cfg: RunConfig, out: Path, seed: int | None, quiet: bool) -> int:
     if code is not None:
         return code
     opts = cfg.optimizer_options(seed=seed)
-    mode = cfg.mode
-    if mode not in ("ground", "excited"):
-        mode = "ground"
-    if mode == "ground":
+    if cfg.mode == "ground":
         _say(quiet, "minimizing from the two-bump feasible start")
         res = minimize_on_M(problem, feasible_init(problem), opts)
         res = polish_positive(problem, res, opts)

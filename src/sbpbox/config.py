@@ -18,11 +18,10 @@ from .errors import ConfigError
 from .grid import FACE_NAMES, BoundaryData, Grid
 from .optimize import OptimizerOptions
 from .problem import CouplingSpec, Problem, build_problem
-from .solvers import LinearSolveOptions
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "CONFIG_KEYS"]
 
-_MODES = ("ground", "excited", "verify", "refine", "oracle")
+_MODES = ("ground", "excited")
 _COUPLING_PARAM_KEYS = ("a", "b", "base", "height", "radius", "center",
                         "amplitude", "cycles", "tilt", "file")
 
@@ -35,9 +34,6 @@ CONFIG_KEYS = {
     "physics.kappa": ("float", 1.0),
     "physics.p": ("float", 3.0),
     "coupling.kind": ("str", None),
-    "solver.rel_tolerance": ("float", 1e-10),
-    "solver.max_iterations": ("int", 0),
-    "solver.preconditioner": ("str", "diagonal"),
     "optimizer.metric": ("str", "h10"),
     "optimizer.grad_tol": ("float", 1e-7),
     "optimizer.max_iterations": ("int", 5000),
@@ -153,14 +149,6 @@ class RunConfig:
                 )
         return BoundaryData(grid=grid, values=values)
 
-    def solver_options(self) -> LinearSolveOptions:
-        max_it = self.get("solver.max_iterations")
-        return LinearSolveOptions(
-            rel_tolerance=self.get("solver.rel_tolerance"),
-            max_iterations=(max_it if max_it > 0 else None),
-            preconditioner=self.get("solver.preconditioner"),
-        )
-
     def optimizer_options(self, seed: int | None = None) -> OptimizerOptions:
         return OptimizerOptions(
             metric=self.get("optimizer.metric"),
@@ -183,7 +171,6 @@ class RunConfig:
         return build_problem(
             grid=grid, coupling=self.coupling(), h1=h1, h2=h2,
             kappa=self.get("physics.kappa"), p=self.get("physics.p"),
-            solver=self.solver_options(),
         )
 
 
@@ -224,8 +211,6 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
                 cfg.coupling_params[param] = raw
             elif param in ("center",):
                 cfg.coupling_params[param] = _parse_scalar("floats", key, raw)
-            elif param == "cycles":
-                cfg.coupling_params[param] = _parse_scalar("float", key, raw)
             else:
                 cfg.coupling_params[param] = _parse_scalar("float", key, raw)
         elif key.startswith("boundary.h1.") or key.startswith("boundary.h2."):

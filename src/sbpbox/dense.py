@@ -2,8 +2,8 @@
 
 Everything here is assembled from scratch with Kronecker products of 1d
 matrices and solved with LAPACK, deliberately not reusing the stencil
-application code, so that agreement between this module and the iterative
-path is evidence rather than tautology.  Grids are limited to
+application code, so that agreement between this module and the spectral
+solves is evidence rather than tautology.  Grids are limited to
 ``MAX_ORACLE_NODES`` nodes.
 """
 
@@ -163,7 +163,7 @@ def solve_fourth_order_dense(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.
     """Direct solve of the split system for homogeneous boundary data.
 
     Returns (phi, psi) with the source projected to zero mean, matching the
-    iterative path semantics.
+    spectral path semantics.
     """
     check_size(grid)
     m = grid.node_count

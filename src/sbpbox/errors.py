@@ -16,20 +16,7 @@ class NonzeroBoundary(SbpError):
 
 
 class NoConvergence(SbpError):
-    """An iterative linear solve ran out of iterations.
-
-    Attributes
-    ----------
-    iterations : int
-        Iterations performed before giving up.
-    residual : float
-        Relative residual norm at the last iterate.
-    """
-
-    def __init__(self, message: str, iterations: int, residual: float):
-        super().__init__(f"{message} (iterations={iterations}, residual={residual:.3e})")
-        self.iterations = iterations
-        self.residual = residual
+    """A linear solve produced non-finite values."""
 
 
 class IncompatibleData(SbpError):

@@ -138,7 +138,7 @@ def grad_J(problem: Problem,
         out -= problem.kappa * np.abs(u) ** (problem.p - 2.0) * u
     out[~g.interior_mask] = 0.0
     if metric == "h10":
-        out = solve_poisson_dirichlet(g, out, problem.solver)
+        out = solve_poisson_dirichlet(g, out)
     return out
 
 

@@ -317,22 +317,19 @@ def zero_boundary(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian_dirichlet(grid: Grid, f: np.ndarray, check: bool = True) -> np.ndarray:
+def laplacian_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order Laplacian of a field vanishing on the boundary.
 
     Output is zero on boundary nodes.  Raises ``NonzeroBoundary`` when the
-    input exceeds ``1e-12 * (1 + max|f|)`` on the boundary; pass
-    ``check=False`` to clamp silently (used in hot loops on fields that are
-    zero on the boundary by construction).
+    input exceeds ``1e-12 * (1 + max|f|)`` on the boundary.
     """
     f = np.asarray(f, dtype=float)
-    if check:
-        scale = 1.0 + float(np.max(np.abs(f))) if f.size else 1.0
-        worst = boundary_max(grid, f)
-        if worst > 1e-12 * scale:
-            raise NonzeroBoundary(
-                f"field has boundary magnitude {worst:.3e} (limit {1e-12 * scale:.3e})"
-            )
+    scale = 1.0 + float(np.max(np.abs(f))) if f.size else 1.0
+    worst = boundary_max(grid, f)
+    if worst > 1e-12 * scale:
+        raise NonzeroBoundary(
+            f"field has boundary magnitude {worst:.3e} (limit {1e-12 * scale:.3e})"
+        )
     g = zero_boundary(grid, f)
     out = np.zeros_like(g)
     nd = grid.dim

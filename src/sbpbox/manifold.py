@@ -124,22 +124,19 @@ def retract(problem: Problem, v: np.ndarray) -> np.ndarray:
 
 
 def constraint_representers(problem: Problem, u: np.ndarray,
-                            metric: str = "l2",
-                            x0: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+                            metric: str = "l2") -> tuple[np.ndarray, np.ndarray]:
     """Metric representers of the constraint differentials (up to factor 2).
 
     In L2 these are (u, q u); in the Sobolev metric their Dirichlet solves,
     so that the metric inner product against a tangent candidate reproduces
-    the L2 pairing with (u, q u).  ``x0`` optionally warm-starts the two
-    Sobolev solves with the representers from a nearby state.
+    the L2 pairing with (u, q u).
     """
     u = np.asarray(u, dtype=float)
     d1 = u
     d2 = problem.q * u
     if metric == "h10":
-        w1, w2 = x0 if x0 is not None else (None, None)
-        d1 = solve_poisson_dirichlet(problem.grid, d1, problem.solver, x0=w1)
-        d2 = solve_poisson_dirichlet(problem.grid, d2, problem.solver, x0=w2)
+        d1 = solve_poisson_dirichlet(problem.grid, d1)
+        d2 = solve_poisson_dirichlet(problem.grid, d2)
     elif metric != "l2":
         raise ValueError(f"unknown metric {metric!r}")
     return d1, d2

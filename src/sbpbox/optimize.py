@@ -120,23 +120,16 @@ class SolveResult:
 
 
 def _tangent_gradients(problem: Problem, u: np.ndarray, g_l2: np.ndarray,
-                       metric: str,
-                       warm: dict | None = None) -> tuple[np.ndarray, float, float]:
+                       metric: str) -> tuple[np.ndarray, float, float]:
     """Descent direction in ``metric`` plus both stationarity norms.
 
     Returns (tangent gradient in the descent metric, Sobolev tangent norm,
     L2 tangent norm).  The Sobolev norm is computed from the Dirichlet-solve
-    preconditioned gradient regardless of the descent metric.  ``warm``
-    carries the previous iteration's three Dirichlet solves as initial
-    guesses; along a descent trajectory consecutive states are close, so the
-    warm-started solves take a fraction of the cold iteration count.
+    preconditioned gradient regardless of the descent metric.
     """
     grid = problem.grid
-    warm = warm if warm is not None else {}
-    g_h = solve_poisson_dirichlet(grid, g_l2, problem.solver, x0=warm.get("g_h"))
-    reps_h = constraint_representers(problem, u, "h10", x0=warm.get("reps"))
-    warm["g_h"] = g_h
-    warm["reps"] = reps_h
+    g_h = solve_poisson_dirichlet(grid, g_l2)
+    reps_h = constraint_representers(problem, u, "h10")
     gt_h = tangent_project(problem, u, g_h, "h10", reps=reps_h)
     sob = float(np.sqrt(max(dirichlet_inner(grid, gt_h, gt_h), 0.0)))
     gt_l2 = tangent_project(problem, u, g_l2, "l2")
@@ -169,7 +162,6 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     converged = False
     reason = "max_iterations"
     iterations = 0
-    warm: dict = {}
     metric_inner = (lambda a, b: dirichlet_inner(grid, a, b)) \
         if opts.metric == "h10" else (lambda a, b: inner(grid, a, b))
     prev_u: np.ndarray | None = None
@@ -177,7 +169,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
 
     for it in range(opts.max_iterations):
         g_l2 = grad_J(problem, u, pair, metric="l2")
-        gt, sob, l2n = _tangent_gradients(problem, u, g_l2, opts.metric, warm)
+        gt, sob, l2n = _tangent_gradients(problem, u, g_l2, opts.metric)
         if opts.keep_trace:
             trace.append(IterRecord(
                 iteration=it, j=j, sobolev_grad=sob, l2_grad=l2n, step=step,
@@ -214,7 +206,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             except (NewtonDivergence, DegenerateDirection, ZeroField):
                 t *= opts.backtrack
                 continue
-            pair_try = phi_map(problem, u_try, warm=pair)
+            pair_try = phi_map(problem, u_try)
             j_try, breakdown_try = eval_J(problem, u_try, pair_try)
             if j_try <= j - opts.armijo_c * t * decrease_rate + slack:
                 u, pair, j, breakdown = u_try, pair_try, j_try, breakdown_try
@@ -231,7 +223,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
 
     if not converged and reason == "max_iterations":
         g_l2 = grad_J(problem, u, pair, metric="l2")
-        _, sob, _ = _tangent_gradients(problem, u, g_l2, opts.metric, warm)
+        _, sob, _ = _tangent_gradients(problem, u, g_l2, opts.metric)
         if sob <= opts.grad_tol:
             converged = True
             reason = "grad_tol"

@@ -32,11 +32,7 @@ from .grid import (
     norm_l2,
     read_field,
 )
-from .solvers import (
-    LinearSolveOptions,
-    solve_helmholtz_neumann,
-    solve_poisson_neumann_zeromean,
-)
+from .solvers import solve_helmholtz_neumann, solve_poisson_neumann_zeromean
 
 __all__ = [
     "CouplingSpec",
@@ -149,7 +145,6 @@ class Problem:
     p: float
     chi: np.ndarray
     theta: np.ndarray
-    solver: LinearSolveOptions = LinearSolveOptions()
 
     @cached_property
     def q_chi(self) -> np.ndarray:
@@ -168,7 +163,6 @@ def compute_alpha(grid: Grid, h1: BoundaryData, h2: BoundaryData) -> float:
 def solve_chi(grid: Grid,
               h1: BoundaryData,
               h2: BoundaryData,
-              opts: LinearSolveOptions = LinearSolveOptions(),
               check_tolerance: float = 5e-8) -> tuple[np.ndarray, np.ndarray, float]:
     """Two-step construction of the auxiliary potential.
 
@@ -179,7 +173,7 @@ def solve_chi(grid: Grid,
     """
     alpha = compute_alpha(grid, h1, h2)
     source = np.full(grid.shape, alpha / grid.volume)
-    theta = solve_helmholtz_neumann(grid, source, h2, opts)
+    theta = solve_helmholtz_neumann(grid, source, h2)
     surf_h1 = boundary_integrate(grid, h1)
     scale = 1.0 + abs(alpha) + norm_l2(grid, theta)
     defect = integrate(grid, theta) - surf_h1
@@ -188,7 +182,7 @@ def solve_chi(grid: Grid,
             f"mean of theta differs from surface integral of h1 by {defect:.3e} "
             f"(tolerance {check_tolerance * scale:.3e})"
         )
-    chi = solve_poisson_neumann_zeromean(grid, theta, h1, opts)
+    chi = solve_poisson_neumann_zeromean(grid, theta, h1)
     return chi, theta, alpha
 
 
@@ -208,8 +202,7 @@ def build_problem(grid: Grid,
                   h1: BoundaryData,
                   h2: BoundaryData,
                   kappa: float,
-                  p: float,
-                  solver: LinearSolveOptions = LinearSolveOptions()) -> Problem:
+                  p: float) -> Problem:
     """Assemble a ``Problem``: evaluate q, solve for chi, record alpha.
 
     Feasibility of alpha is *not* enforced here; call ``classify_alpha`` (the
@@ -223,9 +216,9 @@ def build_problem(grid: Grid,
         np.asarray(coupling, dtype=float).reshape(grid.shape)
     if not np.all(np.isfinite(q)):
         raise ValueError("coupling field has non-finite values")
-    chi, theta, alpha = solve_chi(grid, h1, h2, opts=solver)
+    chi, theta, alpha = solve_chi(grid, h1, h2)
     return Problem(grid=grid, q=q, h1=h1, h2=h2, alpha=alpha, kappa=float(kappa),
-                   p=float(p), chi=chi, theta=theta, solver=solver)
+                   p=float(p), chi=chi, theta=theta)
 
 
 def classify_alpha(problem: Problem,

@@ -19,7 +19,7 @@ The energy identity
 
     integrate(psi^2) + dirichlet_energy(phi) == integrate(q u^2 phi)
 
-holds to solver tolerance by the summation-by-parts exactness of the
+holds to rounding by the summation-by-parts exactness of the
 stencils; it is the discrete form of testing the potential equation with phi
 itself and is verified in the acceptance suite at 1e-7 relative.
 """
@@ -40,11 +40,7 @@ from .grid import (
     mean,
 )
 from .problem import Problem
-from .solvers import (
-    LinearSolveOptions,
-    solve_helmholtz_neumann,
-    solve_poisson_neumann_zeromean,
-)
+from .solvers import solve_helmholtz_neumann, solve_poisson_neumann_zeromean
 
 __all__ = [
     "PotentialPair",
@@ -59,9 +55,8 @@ __all__ = [
 class PotentialPair:
     """A potential phi with the intermediate psi from the split solve.
 
-    psi equals the discrete Laplacian of phi up to solver tolerance and its
-    quadrature mean vanishes at the same tolerance whenever the second flux
-    is zero.
+    psi equals the discrete Laplacian of phi up to rounding and its
+    quadrature mean vanishes to rounding whenever the second flux is zero.
     """
 
     phi: np.ndarray
@@ -83,40 +78,29 @@ class PotentialPair:
 def solve_fourth_order_split(grid: Grid,
                              f: np.ndarray,
                              g1: BoundaryData | None = None,
-                             g2: BoundaryData | None = None,
-                             opts: LinearSolveOptions = LinearSolveOptions(),
-                             warm: PotentialPair | None = None) -> PotentialPair:
+                             g2: BoundaryData | None = None) -> PotentialPair:
     """Solve the split fourth-order problem; see the module docstring.
 
     The source is always projected to zero quadrature mean (for homogeneous
     boundary data the problem is only solvable modulo constants in the
     source).  With inhomogeneous data the two surface integrals must agree,
     otherwise the second solve raises ``IncompatibleData``.
-
-    ``warm`` seeds the two conjugate-gradient solves with a nearby solution
-    pair, which shortens the tail iterations during line searches; it does
-    not change what is being solved.
     """
     f = np.asarray(f, dtype=float)
     source = f - mean(grid, f)
-    psi = solve_helmholtz_neumann(grid, source, g2, opts,
-                                  x0=None if warm is None else warm.psi)
-    phi = solve_poisson_neumann_zeromean(grid, psi, g1, opts,
-                                         x0=None if warm is None else warm.phi)
+    psi = solve_helmholtz_neumann(grid, source, g2)
+    phi = solve_poisson_neumann_zeromean(grid, psi, g1)
     return PotentialPair(phi=phi, psi=psi)
 
 
-def phi_map(problem: Problem,
-            u: np.ndarray,
-            warm: PotentialPair | None = None) -> PotentialPair:
+def phi_map(problem: Problem, u: np.ndarray) -> PotentialPair:
     """Potential generated by a state: solve the split system with f = q u^2.
 
     Even in u by construction: the source depends on u only through u^2, so
     ``phi_map(problem, u)`` and ``phi_map(problem, -u)`` are bitwise equal.
     """
     source = problem.q * u * u
-    return solve_fourth_order_split(problem.grid, source, None, None,
-                                    problem.solver, warm=warm)
+    return solve_fourth_order_split(problem.grid, source)
 
 
 def interaction_energy(problem: Problem, u: np.ndarray, pair: PotentialPair) -> float:
@@ -130,7 +114,7 @@ def biharmonic_form(grid: Grid, pair: PotentialPair,
 
     With one argument this is the squared energy norm of the potential; by
     the discrete Green identities it equals ``interaction_energy`` on pairs
-    produced by ``phi_map`` up to solver tolerance.
+    produced by ``phi_map`` up to rounding.
     """
     if other is None:
         return inner(grid, pair.psi, pair.psi) + dirichlet_energy(grid, pair.phi)

@@ -1,18 +1,27 @@
-"""Matrix-free solves for the three elliptic building blocks.
+"""Exact solves for the three elliptic building blocks on the uniform box.
 
-All operators are symmetric positive (semi)definite in the trapezoid inner
-product, so conjugate gradients runs with weighted dot products.  The pure
-Neumann Poisson problem is singular with a constant nullspace; its right-hand
-side is projected to zero quadrature mean and the iterates are kept in the
-zero-mean complement, which fixes the gauge.
+Each solve is a transform, a division by the symbol and the inverse
+transform.  With reflected ghost nodes the Neumann stencil is the periodic
+stencil applied to the even extension of a field, so the DCT-I diagonalizes
+it exactly; on interior nodes the Dirichlet stencil is the periodic stencil
+applied to the odd extension, which the DST-I diagonalizes (Strang, "The
+Discrete Cosine Transform", SIAM Rev. 41, 1999; Schumann & Sweet 1976).  Per
+axis the eigenvalue of -lap for mode k is ``4/h^2 sin^2(pi k / (2 (n - 1)))``
+with k = 0..n-1 (Neumann, all nodes) or k = 1..n-2 (Dirichlet, interior
+nodes); the box symbol is the sum over axes.  Both transforms are taken from
+``numpy.fft.rfft`` of the extended field.
 
-A dense direct path (``method="dense"``) is available for oracle testing on
-small grids; see ``sbpbox.dense``.
+The pure Neumann Poisson problem is singular with the constants as its
+nullspace.  The DCT-I mode k = 0 is proportional to the trapezoid integral,
+so dropping it projects data and solution to zero quadrature mean, which
+fixes the gauge.
+
+``sbpbox.dense`` assembles the same operators as matrices and solves them by
+LU; it is the independent oracle for these solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -23,184 +32,95 @@ from .grid import (
     Grid,
     boundary_integrate,
     integrate,
-    laplacian_dirichlet,
-    laplacian_neumann,
     neumann_flux_field,
-    zero_boundary,
 )
 
 __all__ = [
-    "LinearSolveOptions",
     "solve_helmholtz_neumann",
     "solve_poisson_neumann_zeromean",
     "solve_poisson_dirichlet",
 ]
 
 
-@dataclass(frozen=True)
-class LinearSolveOptions:
-    """Controls for the iterative solves.
-
-    rel_tolerance is on the weighted residual norm relative to the weighted
-    right-hand side norm.  max_iterations defaults to 10x the node count.
-    preconditioner is "diagonal" or "none".  method "dense" routes through
-    the direct oracle path (small grids only).
-    """
-
-    rel_tolerance: float = 1e-10
-    max_iterations: int | None = None
-    preconditioner: str = "diagonal"
-    method: str = "cg"
-
-    def __post_init__(self):
-        if self.preconditioner not in ("diagonal", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
-        if self.method not in ("cg", "dense"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if not 0 < self.rel_tolerance < 1:
-            raise ValueError("rel_tolerance must be in (0, 1)")
-
-    def iterations_for(self, grid: Grid) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 10 * grid.node_count
+def _dct1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DCT-I along ``axis``; applied twice it scales by 2 (n - 1)."""
+    x = np.moveaxis(x, axis, -1)
+    even = np.concatenate([x, x[..., -2:0:-1]], axis=-1)
+    return np.moveaxis(np.fft.rfft(even).real, -1, axis)
 
 
-def _pcg(grid: Grid,
-         apply_a: Callable[[np.ndarray], np.ndarray],
-         rhs: np.ndarray,
-         diag: np.ndarray | None,
-         opts: LinearSolveOptions,
-         x0: np.ndarray | None = None,
-         project: Callable[[np.ndarray], np.ndarray] | None = None,
-         callback: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
-    """Preconditioned CG in the quadrature inner product.
-
-    ``project`` maps onto the solution subspace (zero-mean gauge for the
-    singular Neumann solve); it is applied to the initial iterate and to every
-    preconditioned residual, which keeps the Krylov space in the complement of
-    the nullspace up to rounding.
-    """
-    w = grid.weights
-    rhs = np.asarray(rhs, dtype=float)
-    b_norm = np.sqrt(np.sum(w * rhs * rhs))
-    if b_norm == 0.0:
-        return np.zeros(grid.shape)
-    x = np.zeros(grid.shape) if x0 is None else np.array(x0, dtype=float)
-    if project is not None:
-        x = project(x)
-    r = rhs - apply_a(x)
-    tol = opts.rel_tolerance * b_norm
-    max_iter = opts.iterations_for(grid)
-
-    def precond(res):
-        z = res if diag is None else res / diag
-        return project(z) if project is not None else z
-
-    z = precond(r)
-    p = z.copy()
-    rz = np.sum(w * r * z)
-    res_norm = np.sqrt(np.sum(w * r * r))
-    k = 0
-    while res_norm > tol:
-        if k >= max_iter:
-            raise NoConvergence("linear solve did not converge",
-                                iterations=k, residual=res_norm / b_norm)
-        ap = apply_a(p)
-        pap = np.sum(w * p * ap)
-        if pap <= 0 or not np.isfinite(pap):
-            raise NoConvergence("operator lost positive definiteness",
-                                iterations=k, residual=res_norm / b_norm)
-        alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        res_norm = np.sqrt(np.sum(w * r * r))
-        if callback is not None:
-            callback(x)
-        if res_norm <= tol:
-            break
-        z = precond(r)
-        rz_new = np.sum(w * r * z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        k += 1
-    if project is not None:
-        x = project(x)
-    if not np.all(np.isfinite(x)):
-        raise NoConvergence("solution contains non-finite values",
-                            iterations=k, residual=float("nan"))
-    return x
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DST-I along ``axis``; applied twice it scales by 2 (m + 1)."""
+    x = np.moveaxis(x, axis, -1)
+    zero = np.zeros(x.shape[:-1] + (1,))
+    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    return np.moveaxis(-np.fft.rfft(odd).imag[..., 1:-1], -1, axis)
 
 
-def _neumann_diag(grid: Grid, shift: float) -> np.ndarray:
-    """Diagonal of shift*I - laplacian_neumann (all entries positive)."""
-    diag = np.full(grid.shape, shift)
+def _symbol(grid: Grid, dirichlet: bool) -> np.ndarray:
+    """Eigenvalues of -lap on the transform modes, summed over axes."""
+    total = np.zeros((1,) * grid.dim)
+    for a, (h, n) in enumerate(zip(grid.h, grid.n)):
+        k = np.arange(1, n - 1) if dirichlet else np.arange(n)
+        shape = [1] * grid.dim
+        shape[a] = k.size
+        lam = 4.0 / h**2 * np.sin(np.pi * k / (2 * (n - 1))) ** 2
+        total = total + lam.reshape(shape)
+    return total
+
+
+def _spectral_solve(grid: Grid, rhs: np.ndarray,
+                    transform: Callable[[np.ndarray, int], np.ndarray],
+                    symbol: np.ndarray) -> np.ndarray:
+    coef = rhs
     for a in range(grid.dim):
-        diag += 2.0 / grid.h[a] ** 2
-    return diag
-
-
-def _dirichlet_diag(grid: Grid) -> np.ndarray:
-    diag = np.zeros(grid.shape)
+        coef = transform(coef, a)
+    coef = coef / symbol
     for a in range(grid.dim):
-        diag += 2.0 / grid.h[a] ** 2
-    return diag
+        coef = transform(coef, a)
+    v = coef / np.prod([2.0 * (n - 1) for n in grid.n])
+    if not np.all(np.isfinite(v)):
+        raise NoConvergence("solution contains non-finite values")
+    return v
 
 
 def solve_helmholtz_neumann(grid: Grid,
                             f: np.ndarray,
-                            flux: BoundaryData | None = None,
-                            opts: LinearSolveOptions = LinearSolveOptions(),
-                            x0: np.ndarray | None = None,
-                            callback=None) -> np.ndarray:
+                            flux: BoundaryData | None = None) -> np.ndarray:
     """Solve lap(v) - v = f with dv/dn = flux.
 
     The operator I - lap is symmetric positive definite in the quadrature
     inner product, so the solve is unconditionally well posed.  Satisfies the
     discrete Gauss identity
-    ``boundary_integrate(flux) - integrate(v) == integrate(f)`` to solver
-    tolerance.
+    ``boundary_integrate(flux) - integrate(v) == integrate(f)`` to rounding.
     """
     rhs = -np.asarray(f, dtype=float)
     if flux is not None and not flux.is_zero:
         rhs = rhs + neumann_flux_field(grid, flux)
-    if opts.method == "dense":
-        from . import dense
-        return dense.solve_helmholtz_dense(grid, rhs)
-
-    def apply_a(v):
-        return v - laplacian_neumann(grid, v)
-
-    diag = _neumann_diag(grid, 1.0) if opts.preconditioner == "diagonal" else None
-    return _pcg(grid, apply_a, rhs, diag, opts, x0=x0, callback=callback)
+    return _spectral_solve(grid, rhs, _dct1, 1.0 + _symbol(grid, False))
 
 
 def solve_poisson_neumann_zeromean(grid: Grid,
                                    f: np.ndarray,
                                    flux: BoundaryData | None = None,
-                                   opts: LinearSolveOptions = LinearSolveOptions(),
-                                   compat_tolerance: float | None = None,
-                                   x0: np.ndarray | None = None,
-                                   callback=None) -> np.ndarray:
+                                   compat_tolerance: float | None = None) -> np.ndarray:
     """Solve lap(v) = f with dv/dn = flux and zero quadrature mean.
 
     The data must satisfy the Gauss compatibility condition
     ``integrate(f) == boundary_integrate(flux)``; the mismatch is checked
     against ``compat_tolerance`` (default ``1e-8 * (norm(f) + norm(flux) + 1)``)
-    and then removed by projecting the right-hand side, so the solve itself
-    sees a consistent singular system.
+    and then removed with the constant mode, so the solve itself sees a
+    consistent singular system.
     """
     f = np.asarray(f, dtype=float)
-    w = grid.weights
-    vol = grid.volume
-    rhs = f.copy()
+    rhs = f
     surf = 0.0
     if flux is not None and not flux.is_zero:
         rhs = rhs - neumann_flux_field(grid, flux)
         surf = boundary_integrate(grid, flux)
     imbalance = integrate(grid, f) - surf
     if compat_tolerance is None:
-        scale = float(np.sqrt(np.sum(w * f * f)))
+        scale = float(np.sqrt(np.sum(grid.weights * f * f)))
         if flux is not None:
             scale += max(float(np.max(np.abs(v))) for v in flux.values.values())
         compat_tolerance = 1e-8 * (scale + 1.0)
@@ -209,43 +129,19 @@ def solve_poisson_neumann_zeromean(grid: Grid,
             f"integral of f minus boundary integral of flux is {imbalance:.3e}, "
             f"tolerance {compat_tolerance:.3e}"
         )
-
-    def project(v):
-        return v - np.sum(w * v) / vol
-
-    rhs = project(-rhs)  # solve (-lap) v = -rhs, SPD on the zero-mean subspace
-    if opts.method == "dense":
-        from . import dense
-        return dense.solve_poisson_neumann_dense(grid, -rhs)
-
-    def apply_a(v):
-        return -laplacian_neumann(grid, v)
-
-    diag = _neumann_diag(grid, 0.0) if opts.preconditioner == "diagonal" else None
-    v = _pcg(grid, apply_a, rhs, diag, opts, x0=x0, project=project,
-             callback=callback)
-    return project(v)
+    symbol = _symbol(grid, False)
+    symbol[(0,) * grid.dim] = np.inf  # drop the constant mode
+    return _spectral_solve(grid, -rhs, _dct1, symbol)
 
 
-def solve_poisson_dirichlet(grid: Grid,
-                            f: np.ndarray,
-                            opts: LinearSolveOptions = LinearSolveOptions(),
-                            x0: np.ndarray | None = None,
-                            callback=None) -> np.ndarray:
+def solve_poisson_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Solve (-lap) v = f with v = 0 on the boundary.
 
     Only interior values of ``f`` enter; boundary values are ignored.  The
     result is exactly zero on boundary nodes.
     """
-    rhs = zero_boundary(grid, f)
-    if opts.method == "dense":
-        from . import dense
-        return dense.solve_poisson_dirichlet_dense(grid, rhs)
-
-    def apply_a(v):
-        return -laplacian_dirichlet(grid, v, check=False)
-
-    diag = _dirichlet_diag(grid) if opts.preconditioner == "diagonal" else None
-    x0 = None if x0 is None else zero_boundary(grid, x0)
-    v = _pcg(grid, apply_a, rhs, diag, opts, x0=x0, callback=callback)
-    return zero_boundary(grid, v)
+    interior = tuple(slice(1, -1) for _ in range(grid.dim))
+    v = np.zeros(grid.shape)
+    v[interior] = _spectral_solve(grid, np.asarray(f, dtype=float)[interior],
+                                  _dst1, _symbol(grid, True))
+    return v

@@ -8,13 +8,13 @@ that are independent of the ones used during optimization where possible:
     stencil on the deep interior (independent of the optimizer's three-point
     stencil, so agreement is evidence rather than tautology);
   * the fourth-order potential equation through the native factored stencils
-    (this one certifies the splitting plumbing and the solver tolerance);
+    (this one certifies the splitting plumbing and the exact solves);
   * both flux conditions through one-sided second-order boundary derivatives;
   * the two constraint integrals.
 
 ``refinement_study`` repeats a solve over a sequence of grids and reports
 observed convergence orders; ``dense_oracle_compare`` cross-checks every
-iterative solver against LU factorizations of explicitly assembled matrices;
+spectral solve against LU factorizations of explicitly assembled matrices;
 ``dense_kkt_polish`` runs a dense Newton iteration on the full stationarity
 system, giving an optimizer-independent value for (u, omega, mu, J).
 """
@@ -22,7 +22,7 @@ system, giving an optimizer-independent value for (u, omega, mu, J).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +53,7 @@ from .manifold import feasible_init
 from .optimize import OptimizerOptions, SolveResult, minimize_on_M, polish_positive
 from .problem import Problem
 from .reduction import PotentialPair, phi_map, solve_fourth_order_split
-from .solvers import LinearSolveOptions, solve_helmholtz_neumann, solve_poisson_dirichlet, solve_poisson_neumann_zeromean
+from .solvers import solve_helmholtz_neumann, solve_poisson_dirichlet, solve_poisson_neumann_zeromean
 
 __all__ = [
     "ResidualReport",
@@ -167,7 +167,7 @@ def residual_original_system(problem: Problem,
     eq1_res uses the wide fourth-order stencil over the deep interior (its
     own truncation error decays like h^2 times the solution regularity, so
     refinement should show second order); eq1_res_native uses the optimizer's
-    stencil and should sit at the solver tolerance.  eq2_res applies the two
+    stencil and should sit at the optimizer's stopping tolerance.  eq2_res applies the two
     factored native stencils to the reconstructed potential.  bc_res is the
     worst absolute flux mismatch over all faces for the potential itself,
     bc_res_second the same for its Laplacian field.
@@ -286,7 +286,7 @@ def refinement_study(problem_factory: Callable[[int], Problem],
 
 @dataclass(frozen=True)
 class DenseOracleReport:
-    """Worst relative discrepancies between iterative and dense solves."""
+    """Worst relative discrepancies between spectral and dense solves."""
 
     helmholtz: float
     poisson_neumann: float
@@ -307,10 +307,10 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def dense_oracle_compare(problem: Problem, seed: int = 0) -> DenseOracleReport:
-    """Cross-check every iterative solve against assembled-matrix LU solves.
+    """Cross-check every spectral solve against assembled-matrix LU solves.
 
-    Random smooth-ish data; the iterative tolerance is tightened to 1e-12 so
-    the comparison measures correctness, not stopping noise.  Also reports
+    Random data; both sides are direct solves, so the discrepancies sit at
+    rounding level.  Also reports
     the two smallest singular values of the symmetrized Neumann Laplacian:
     the first certifies the constant nullspace, the second (the spectral gap)
     certifies that projection onto mean-zero fields removes it.
@@ -318,28 +318,27 @@ def dense_oracle_compare(problem: Problem, seed: int = 0) -> DenseOracleReport:
     grid = problem.grid
     check_size(grid)
     rng = np.random.default_rng(seed)
-    tight = LinearSolveOptions(rel_tolerance=1e-12)
 
     f = rng.standard_normal(grid.shape)
     zero = BoundaryData.zero(grid)
 
-    v_it = solve_helmholtz_neumann(grid, f, zero, tight)
+    v_it = solve_helmholtz_neumann(grid, f, zero)
     v_ds = solve_helmholtz_dense(grid, -f)
     helm = _rel(v_it, v_ds)
 
     f0 = f - mean(grid, f)
-    w_it = solve_poisson_neumann_zeromean(grid, f0, zero, tight)
+    w_it = solve_poisson_neumann_zeromean(grid, f0, zero)
     w_ds = solve_poisson_neumann_dense(grid, f0)
     pois_n = _rel(w_it, w_ds)
 
     fd = rng.standard_normal(grid.shape)
     fd[~grid.interior_mask] = 0.0
-    d_it = solve_poisson_dirichlet(grid, fd, tight)
+    d_it = solve_poisson_dirichlet(grid, fd)
     d_ds = solve_poisson_dirichlet_dense(grid, fd)
     pois_d = _rel(d_it, d_ds)
 
     fs = rng.standard_normal(grid.shape)
-    pair_it = solve_fourth_order_split(grid, fs, zero, zero, tight)
+    pair_it = solve_fourth_order_split(grid, fs, zero, zero)
     phi_ds, psi_ds = solve_fourth_order_dense(grid, fs)
     split_phi = _rel(pair_it.phi, phi_ds)
     split_psi = _rel(pair_it.psi, psi_ds)
@@ -347,8 +346,7 @@ def dense_oracle_compare(problem: Problem, seed: int = 0) -> DenseOracleReport:
     u = rng.standard_normal(grid.shape)
     u[~grid.interior_mask] = 0.0
     u /= norm_l2(grid, u)
-    tight_problem = _with_solver(problem, tight)
-    pair_u = phi_map(tight_problem, u)
+    pair_u = phi_map(problem, u)
     phi_u_ds, _ = solve_fourth_order_dense(grid, problem.q * u * u)
     state_pot = _rel(pair_u.phi, phi_u_ds)
 
@@ -363,10 +361,6 @@ def dense_oracle_compare(problem: Problem, seed: int = 0) -> DenseOracleReport:
         nullspace_sigma=float(eigs[0] / max(eigs[-1], 1.0)),
         nullspace_gap=float(eigs[1]),
     )
-
-
-def _with_solver(problem: Problem, solver: LinearSolveOptions) -> Problem:
-    return replace(problem, solver=solver)
 
 
 def _potential_operator_matrix(grid: Grid) -> np.ndarray:
@@ -399,7 +393,7 @@ def dense_kkt_polish(problem: Problem,
     source-to-potential map (whose u-derivative enters the Jacobian as a
     dense block) and the two constraints.  Returns (u, omega, mu, J) with J
     evaluated through the dense potential, fully independent of the
-    iterative pipeline.  Raises ``NewtonDivergence`` if the residual fails
+    spectral pipeline.  Raises ``NewtonDivergence`` if the residual fails
     to reach ``tol`` times the initial scale.
     """
     grid = problem.grid

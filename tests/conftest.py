@@ -13,17 +13,13 @@ from sbpbox import (
     BoundaryData,
     CouplingSpec,
     Grid,
-    LinearSolveOptions,
     build_problem,
 )
 from sbpbox.manifold import feasible_init, retract
 from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
 
-TIGHT = LinearSolveOptions(rel_tolerance=1e-12)
 
-
-def line_problem(n, alpha=0.5, kappa=1.0, p=3.0, coupling=None,
-                 solver=LinearSolveOptions()):
+def line_problem(n, alpha=0.5, kappa=1.0, p=3.0, coupling=None):
     """Unit-interval problem with flux-generated alpha on the right face."""
     g = Grid(lengths=(1.0,), n=(n,))
     h1 = BoundaryData.zero(g)
@@ -31,11 +27,10 @@ def line_problem(n, alpha=0.5, kappa=1.0, p=3.0, coupling=None,
     if coupling is None:
         coupling = CouplingSpec("affine", {"a": 0.0, "b": 1.0})
     return build_problem(grid=g, coupling=coupling, h1=h1, h2=h2,
-                         kappa=kappa, p=p, solver=solver)
+                         kappa=kappa, p=p)
 
 
-def square_problem(n, alpha=0.0, kappa=1.0, p=3.0,
-                   solver=LinearSolveOptions()):
+def square_problem(n, alpha=0.0, kappa=1.0, p=3.0):
     """Unit-square problem with affine coupling q = 1 + 0.5 x."""
     g = Grid(lengths=(1.0, 1.0), n=(n, n))
     h1 = BoundaryData.zero(g)
@@ -45,7 +40,7 @@ def square_problem(n, alpha=0.0, kappa=1.0, p=3.0,
         h2 = BoundaryData.zero(g)
     return build_problem(grid=g,
                          coupling=CouplingSpec("affine", {"a": 1.0, "b": 0.5}),
-                         h1=h1, h2=h2, kappa=kappa, p=p, solver=solver)
+                         h1=h1, h2=h2, kappa=kappa, p=p)
 
 
 def oscillating_problem(n, alpha=0.35, kappa=20.0):

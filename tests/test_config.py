@@ -53,8 +53,13 @@ def test_parse_rejects_duplicates_and_junk():
         parse_config_text("coupling.sharpness = 2\n")
     with pytest.raises(ConfigError):
         parse_config_text("boundary.h1.w0 = 1\n")
-    with pytest.raises(ConfigError):
-        parse_config_text("run.mode = polish\n" + GROUND).mode
+
+
+@pytest.mark.parametrize("mode", ["polish", "verify", "refine", "oracle"])
+def test_parse_rejects_unknown_mode(mode):
+    cfg = parse_config_text(GROUND.replace("run.mode = ground", f"run.mode = {mode}"))
+    with pytest.raises(ConfigError, match="unknown mode"):
+        cfg.mode
 
 
 def test_missing_required_key():
@@ -138,8 +143,6 @@ def test_build_problem_from_config():
     opts = cfg.optimizer_options()
     assert opts.seed == 0
     assert cfg.optimizer_options(seed=11).seed == 11
-    solver = cfg.solver_options()
-    assert solver.rel_tolerance == 1e-10
 
 
 def test_load_config_roundtrip(tmp_path):

@@ -16,7 +16,6 @@ from sbpbox import (
     inner,
 )
 from sbpbox.manifold import (
-    constraint_representers,
     constraint_values,
     feasible_init,
     genus_seeds,
@@ -117,15 +116,6 @@ def test_tangent_project_degenerate_constant_q():
     u /= np.sqrt(inner(g, u, u))
     with pytest.raises(DegenerateConstraints):
         tangent_project(prob, u, np.cos(np.pi * g.coords[0]))
-
-
-def test_constraint_representers_warm_start():
-    prob = line_problem(129, alpha=0.5)
-    u = retract(prob, bump(prob.grid, 0.35, 0.25) + bump(prob.grid, 0.75, 0.2))
-    cold = constraint_representers(prob, u, metric="h10")
-    warm = constraint_representers(prob, u, metric="h10", x0=cold)
-    for a, b in zip(cold, warm):
-        assert np.abs(a - b).max() <= 1e-9
 
 
 def test_feasible_init_on_manifold():

@@ -20,7 +20,7 @@ from sbpbox import (
     solve_chi,
     write_field,
 )
-from conftest import TIGHT, line_problem, square_problem
+from conftest import line_problem, square_problem
 
 
 def test_compute_alpha_flux_gap():
@@ -125,7 +125,7 @@ def test_chi_manufactured_second_order():
     errs = []
     for n in (33, 65, 129, 257):
         g, h1, h2 = mk(n)
-        chi, theta, alpha = solve_chi(g, h1, h2, opts=TIGHT)
+        chi, theta, alpha = solve_chi(g, h1, h2)
         assert alpha == pytest.approx(0.7, abs=1e-12)
         assert abs(mean(g, chi)) <= 1e-12
         target = chi_exact(g.coords[0])
@@ -142,7 +142,7 @@ def test_chi_theta_mean_identity():
     g = Grid(lengths=(1.0, 1.0), n=(17, 17))
     h1 = BoundaryData.constant(g, {"x0": 0.2, "y1": -0.1})
     h2 = BoundaryData.constant(g, {"x1": 0.4})
-    chi, theta, alpha = solve_chi(g, h1, h2, opts=TIGHT)
+    chi, theta, alpha = solve_chi(g, h1, h2)
     surf = boundary_integrate(g, h1)
     scale = 1.0 + abs(alpha)
     assert abs(integrate(g, theta) - surf) <= 5e-8 * scale

@@ -7,7 +7,6 @@ from sbpbox import (
     BoundaryData,
     Grid,
     IncompatibleData,
-    LinearSolveOptions,
     PotentialPair,
     biharmonic_form,
     inner,
@@ -19,14 +18,14 @@ from sbpbox import (
     solve_fourth_order_split,
 )
 from sbpbox.dense import solve_fourth_order_dense
-from conftest import TIGHT, line_problem, random_m_point, square_problem
+from conftest import line_problem, random_m_point, square_problem
 
 
 def test_split_solution_properties():
     g = Grid(lengths=(1.0, 1.0), n=(17, 17))
     rng = np.random.default_rng(0)
     f = rng.standard_normal(g.shape)
-    pair = solve_fourth_order_split(g, f, None, None, TIGHT)
+    pair = solve_fourth_order_split(g, f)
     # Both components carry the zero-mean gauge when the fluxes vanish.
     assert abs(mean(g, pair.phi)) <= 1e-11
     assert abs(mean(g, pair.psi)) <= 1e-11
@@ -37,7 +36,7 @@ def test_split_matches_dense_oracle():
         g = Grid(lengths=(1.0,) * dim, n=(n,) * dim)
         rng = np.random.default_rng(1)
         f = rng.standard_normal(g.shape)
-        pair = solve_fourth_order_split(g, f, None, None, TIGHT)
+        pair = solve_fourth_order_split(g, f)
         phi_d, psi_d = solve_fourth_order_dense(g, f)
         scale = 1.0 + np.abs(phi_d).max()
         assert np.abs(pair.phi - phi_d).max() <= 1e-8 * scale
@@ -50,9 +49,9 @@ def test_split_linearity():
     f1 = rng.standard_normal(g.shape)
     f2 = rng.standard_normal(g.shape)
     a, b = 2.5, -1.25
-    p1 = solve_fourth_order_split(g, f1, None, None, TIGHT)
-    p2 = solve_fourth_order_split(g, f2, None, None, TIGHT)
-    p12 = solve_fourth_order_split(g, a * f1 + b * f2, None, None, TIGHT)
+    p1 = solve_fourth_order_split(g, f1)
+    p2 = solve_fourth_order_split(g, f2)
+    p12 = solve_fourth_order_split(g, a * f1 + b * f2)
     scale = 1.0 + np.abs(p12.phi).max()
     assert np.abs(p12.phi - (a * p1.phi + b * p2.phi)).max() <= 1e-8 * scale
     assert np.abs(p12.psi - (a * p1.psi + b * p2.psi)).max() <= 1e-8 * scale
@@ -66,7 +65,7 @@ def test_split_eigenfunction_second_order():
     for n in (33, 65, 129, 257):
         g = Grid(lengths=(1.0,), n=(n,))
         f = np.cos(np.pi * g.coords[0])
-        pair = solve_fourth_order_split(g, f, None, None, TIGHT)
+        pair = solve_fourth_order_split(g, f)
         errs.append(np.abs(pair.phi - lam * f).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) <= 0.1)
@@ -78,18 +77,7 @@ def test_split_flux_compatibility_enforced():
     g1 = BoundaryData.constant(g, {"x1": 0.5})
     g2 = BoundaryData.constant(g, {"x1": 0.25})  # surface integrals differ
     with pytest.raises(IncompatibleData):
-        solve_fourth_order_split(g, f, g1, g2, TIGHT)
-
-
-def test_split_warm_start_agrees():
-    g = Grid(lengths=(1.0,), n=(65,))
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal(g.shape)
-    cold = solve_fourth_order_split(g, f, None, None, TIGHT)
-    warm = solve_fourth_order_split(g, 1.001 * f, None, None, TIGHT,
-                                    warm=cold)
-    again = solve_fourth_order_split(g, 1.001 * f, None, None, TIGHT)
-    assert np.abs(warm.phi - again.phi).max() <= 1e-9
+        solve_fourth_order_split(g, f, g1, g2)
 
 
 def test_phi_map_even_bitwise(bench129):
@@ -137,7 +125,7 @@ def test_from_phi_matches_solver_psi():
     g = Grid(lengths=(1.0,), n=(65,))
     rng = np.random.default_rng(7)
     f = rng.standard_normal(g.shape)
-    pair = solve_fourth_order_split(g, f, None, None, TIGHT)
+    pair = solve_fourth_order_split(g, f)
     rebuilt = PotentialPair.from_phi(g, pair.phi)
     # psi is the stencil Laplacian of phi up to the solve tolerance.
     assert norm_l2(g, rebuilt.psi - pair.psi) <= 1e-7 * (1.0 + norm_l2(g, pair.psi))
@@ -151,6 +139,5 @@ def test_phi_map_source_mean_projection(bench65):
     u = rng.standard_normal(bench65.grid.shape)
     pair = phi_map(bench65, u)
     src = bench65.q * u * u
-    direct = solve_fourth_order_split(bench65.grid, src - mean(bench65.grid, src),
-                                      None, None, bench65.solver)
+    direct = solve_fourth_order_split(bench65.grid, src - mean(bench65.grid, src))
     assert np.abs(pair.phi - direct.phi).max() <= 1e-10

@@ -1,4 +1,4 @@
-"""Iterative solves: manufactured solutions, dense agreement, CG behavior."""
+"""Spectral solves: manufactured solutions, dense agreement, zero data."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,7 @@ from sbpbox import (
     BoundaryData,
     Grid,
     IncompatibleData,
-    LinearSolveOptions,
-    NoConvergence,
     boundary_integrate,
-    dirichlet_inner,
     integrate,
     mean,
     norm_l2,
@@ -25,20 +22,6 @@ from sbpbox.dense import (
 )
 from sbpbox.grid import zero_boundary
 
-TIGHT = LinearSolveOptions(rel_tolerance=1e-12)
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        LinearSolveOptions(rel_tolerance=0.0)
-    with pytest.raises(ValueError):
-        LinearSolveOptions(preconditioner="ilu")
-    with pytest.raises(ValueError):
-        LinearSolveOptions(method="gmres")
-    g = Grid(lengths=(1.0,), n=(9,))
-    assert LinearSolveOptions(max_iterations=7).iterations_for(g) == 7
-    assert LinearSolveOptions().iterations_for(g) == 90
-
 
 def test_helmholtz_manufactured_second_order():
     """lap v - v = f with v* = cos(pi x): zero flux, known right side."""
@@ -48,7 +31,7 @@ def test_helmholtz_manufactured_second_order():
         x = g.coords[0]
         v_exact = np.cos(np.pi * x)
         f = -(np.pi ** 2 + 1.0) * v_exact
-        v = solve_helmholtz_neumann(g, f, None, TIGHT)
+        v = solve_helmholtz_neumann(g, f)
         errs.append(np.abs(v - v_exact).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.1)
@@ -59,7 +42,7 @@ def test_helmholtz_gauss_identity():
     rng = np.random.default_rng(0)
     f = rng.standard_normal(g.shape)
     flux = BoundaryData.constant(g, {"x0": 0.3, "y1": -0.2})
-    v = solve_helmholtz_neumann(g, f, flux, TIGHT)
+    v = solve_helmholtz_neumann(g, f, flux)
     lhs = boundary_integrate(g, flux) - integrate(g, v)
     assert lhs == pytest.approx(integrate(g, f), abs=1e-9)
 
@@ -69,11 +52,11 @@ def test_poisson_neumann_zero_mean_and_compatibility():
     rng = np.random.default_rng(1)
     f = rng.standard_normal(g.shape)
     f -= mean(g, f)
-    v = solve_poisson_neumann_zeromean(g, f, None, TIGHT)
+    v = solve_poisson_neumann_zeromean(g, f)
     assert abs(mean(g, v)) <= 1e-12
     # Incompatible data must raise, not silently project.
     with pytest.raises(IncompatibleData):
-        solve_poisson_neumann_zeromean(g, f + 1.0, None, TIGHT)
+        solve_poisson_neumann_zeromean(g, f + 1.0)
 
 
 def test_poisson_neumann_manufactured():
@@ -85,7 +68,7 @@ def test_poisson_neumann_manufactured():
         v_exact = np.cos(2.0 * np.pi * x)
         f = -(2.0 * np.pi) ** 2 * v_exact
         f -= mean(g, f)
-        v = solve_poisson_neumann_zeromean(g, f, None, TIGHT)
+        v = solve_poisson_neumann_zeromean(g, f)
         errs.append(np.abs(v - (v_exact - mean(g, v_exact))).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.15)
@@ -98,7 +81,7 @@ def test_poisson_dirichlet_manufactured_2d():
         x, y = g.coords
         v_exact = np.sin(np.pi * x) * np.sin(np.pi * y)
         f = 2.0 * np.pi ** 2 * v_exact
-        v = solve_poisson_dirichlet(g, f, TIGHT)
+        v = solve_poisson_dirichlet(g, f)
         errs.append(np.abs(v - v_exact).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.1)
@@ -110,78 +93,23 @@ def test_dense_agreement(dim, n):
     rng = np.random.default_rng(2)
     f = rng.standard_normal(g.shape)
 
-    v_it = solve_helmholtz_neumann(g, f, None, TIGHT)
+    v_it = solve_helmholtz_neumann(g, f)
     v_ds = solve_helmholtz_dense(g, -f)  # dense form takes the moved rhs
     assert np.abs(v_it - v_ds).max() <= 1e-10 * (1.0 + np.abs(v_ds).max())
 
     f0 = f - mean(g, f)
-    w_it = solve_poisson_neumann_zeromean(g, f0, None, TIGHT)
+    w_it = solve_poisson_neumann_zeromean(g, f0)
     w_ds = solve_poisson_neumann_dense(g, f0)
     assert np.abs(w_it - w_ds).max() <= 1e-10 * (1.0 + np.abs(w_ds).max())
 
     fd = zero_boundary(g, f)
-    d_it = solve_poisson_dirichlet(g, fd, TIGHT)
+    d_it = solve_poisson_dirichlet(g, fd)
     d_ds = solve_poisson_dirichlet_dense(g, fd)
     assert np.abs(d_it - d_ds).max() <= 1e-10 * (1.0 + np.abs(d_ds).max())
 
 
-def test_dense_method_routing():
-    """method="dense" must agree with the default CG path."""
-    g = Grid(lengths=(1.0,), n=(17,))
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal(g.shape)
-    v_cg = solve_helmholtz_neumann(g, f, None, TIGHT)
-    v_lu = solve_helmholtz_neumann(g, f, None,
-                                   LinearSolveOptions(method="dense"))
-    assert np.abs(v_cg - v_lu).max() <= 1e-10
-
-
-def test_cg_error_monotone_in_energy_norm():
-    """CG minimizes the operator-norm error over growing Krylov spaces, so
-    the Dirichlet-form distance to the converged solution never increases."""
-    g = Grid(lengths=(1.0, 1.0), n=(9, 9))
-    rng = np.random.default_rng(4)
-    f = zero_boundary(g, rng.standard_normal(g.shape))
-    exact = solve_poisson_dirichlet_dense(g, f)
-    errors = []
-
-    def watch(x):
-        e = x - exact
-        errors.append(dirichlet_inner(g, e, e))
-
-    solve_poisson_dirichlet(g, f, TIGHT, callback=watch)
-    errors = np.array(errors)
-    assert len(errors) > 3
-    assert np.all(np.diff(errors) <= 1e-12 * (1.0 + errors[:-1]))
-
-
-def test_warm_start_shortens_the_solve():
-    g = Grid(lengths=(1.0, 1.0), n=(17, 17))
-    rng = np.random.default_rng(5)
-    f = zero_boundary(g, rng.standard_normal(g.shape))
-    cold_steps, warm_steps = [], []
-    sol = solve_poisson_dirichlet(g, f, TIGHT,
-                                  callback=lambda x: cold_steps.append(1))
-    x0 = sol + 1e-8 * zero_boundary(g, rng.standard_normal(g.shape))
-    warm = solve_poisson_dirichlet(g, f, TIGHT, x0=x0,
-                                   callback=lambda x: warm_steps.append(1))
-    assert np.abs(warm - sol).max() <= 1e-9
-    assert len(warm_steps) < len(cold_steps)
-
-
-def test_no_convergence_raises():
-    g = Grid(lengths=(1.0, 1.0), n=(33, 33))
-    rng = np.random.default_rng(6)
-    f = zero_boundary(g, rng.standard_normal(g.shape))
-    stingy = LinearSolveOptions(rel_tolerance=1e-12, max_iterations=3)
-    with pytest.raises(NoConvergence) as info:
-        solve_poisson_dirichlet(g, f, stingy)
-    assert info.value.iterations == 3
-    assert info.value.residual > 0
-
-
 def test_zero_rhs_returns_zero():
     g = Grid(lengths=(1.0,), n=(17,))
-    v = solve_poisson_dirichlet(g, np.zeros(g.shape), TIGHT)
+    v = solve_poisson_dirichlet(g, np.zeros(g.shape))
     assert np.all(v == 0.0)
     assert norm_l2(g, solve_helmholtz_neumann(g, np.zeros(g.shape))) == 0.0
