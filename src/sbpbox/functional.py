@@ -27,7 +27,6 @@ that does not degrade under refinement.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ from .grid import (
     norm_l2,
 )
 from .problem import Problem
-from .reduction import PotentialPair, biharmonic_form, phi_map
+from .reduction import PotentialPair, phi_map
 from .solvers import solve_poisson_dirichlet
 
 __all__ = [

@@ -19,7 +19,7 @@ seeds satisfy the constraints to rounding before any retraction.
 
 from __future__ import annotations
 
-import warnings
+import math
 
 import numpy as np
 
@@ -58,17 +58,41 @@ def constraint_values(problem: Problem, u: np.ndarray) -> tuple[float, float]:
             inner(g, problem.q * u, u) - problem.alpha)
 
 
-def _moments(problem: Problem, v: np.ndarray) -> np.ndarray:
+def _eigvals_sym2(a: float, b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues (low, high) of the symmetric matrix [[a, b], [b, c]].
+
+    The eigenvalue of larger magnitude comes from the trace and the other
+    from the determinant divided by it, as in LAPACK's ``dlaev2``, so both
+    carry an absolute error of a few ulps of the larger one.
+    """
+    s = a + c
+    r = math.hypot(a - c, 2.0 * b)
+    if s == 0.0:
+        return -0.5 * r, 0.5 * r
+    big = 0.5 * (s + math.copysign(r, s))
+    other = (a * c - b * b) / big
+    return (other, big) if s > 0.0 else (big, other)
+
+
+def _solve2(a11: float, a12: float, a21: float, a22: float,
+            r1: float, r2: float) -> tuple[float, float]:
+    """Cramer's rule for [[a11, a12], [a21, a22]] x = (r1, r2).
+
+    Raises ``ZeroDivisionError`` when the determinant is exactly zero.
+    """
+    det = a11 * a22 - a12 * a21
+    return (r1 * a22 - a12 * r2) / det, (a11 * r2 - a21 * r1) / det
+
+
+def _moments(problem: Problem, v: np.ndarray) -> tuple[float, float, float, float]:
     """Quadrature moments m_k = integrate(q^k v^2) for k = 0..3."""
-    g = problem.grid
-    v2 = v * v
     q = problem.q
-    return np.array([
-        inner(g, v2, np.ones_like(v2)),
-        inner(g, v2, q),
-        inner(g, v2, q * q),
-        inner(g, v2, q * q * q),
-    ])
+    w = problem.grid.weights * v * v
+    m = [float(np.sum(w))]
+    for _ in range(3):
+        w = w * q
+        m.append(float(np.sum(w)))
+    return tuple(m)
 
 
 def retract(problem: Problem, v: np.ndarray) -> np.ndarray:
@@ -85,14 +109,13 @@ def retract(problem: Problem, v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     m = _moments(problem, v)
-    if not np.all(np.isfinite(m)) or m[0] <= 0.0:
+    if not all(map(math.isfinite, m)) or m[0] <= 0.0:
         raise ZeroField(f"retraction input has squared mass {m[0]!r}")
-    gram = np.array([[m[0], m[1]], [m[1], m[2]]])
-    ev = np.linalg.eigvalsh(gram)
-    if ev[0] <= 0.0 or ev[1] / ev[0] > _GRAM_COND_LIMIT:
+    lo, hi = _eigvals_sym2(m[0], m[1], m[2])
+    if lo <= 0.0 or hi / lo > _GRAM_COND_LIMIT:
         raise DegenerateDirection(
-            f"Gram matrix of (v, q v) has eigenvalues {ev}; the ansatz cannot "
-            "move the two constraints independently"
+            f"Gram matrix of (v, q v) has eigenvalues {[lo, hi]}; the ansatz "
+            "cannot move the two constraints independently"
         )
     alpha = problem.alpha
     tol1 = _NEWTON_TOL
@@ -105,17 +128,16 @@ def retract(problem: Problem, v: np.ndarray) -> np.ndarray:
             if a == 1.0 and b == 0.0:
                 return v
             return (a + b * problem.q) * v
-        jac = 2.0 * np.array([
-            [a * m[0] + b * m[1], a * m[1] + b * m[2]],
-            [a * m[1] + b * m[2], a * m[2] + b * m[3]],
-        ])
+        j11 = 2.0 * (a * m[0] + b * m[1])
+        j12 = 2.0 * (a * m[1] + b * m[2])
+        j22 = 2.0 * (a * m[2] + b * m[3])
         try:
-            da, db = np.linalg.solve(jac, [-g1, -g2])
-        except np.linalg.LinAlgError as exc:
+            da, db = _solve2(j11, j12, j12, j22, -g1, -g2)
+        except ZeroDivisionError as exc:
             raise NewtonDivergence(f"singular retraction Jacobian at ({a}, {b})") from exc
         a += da
         b += db
-        if not (np.isfinite(a) and np.isfinite(b)) or abs(a) + abs(b) > 1e8:
+        if not (math.isfinite(a) and math.isfinite(b)) or abs(a) + abs(b) > 1e8:
             raise NewtonDivergence(f"retraction iterates diverged to ({a}, {b})")
     raise NewtonDivergence(
         f"retraction did not meet tolerance in {_NEWTON_MAX} steps "
@@ -169,16 +191,15 @@ def tangent_project(problem: Problem,
     g11 = _metric_inner(grid, metric, d1, d1)
     g12 = _metric_inner(grid, metric, d1, d2)
     g22 = _metric_inner(grid, metric, d2, d2)
-    gram = np.array([[g11, g12], [g12, g22]])
-    ev = np.linalg.eigvalsh(gram)
-    if ev[0] <= 0.0 or ev[1] / ev[0] > _GRAM_COND_LIMIT:
+    lo, hi = _eigvals_sym2(g11, g12, g22)
+    if lo <= 0.0 or hi / lo > _GRAM_COND_LIMIT:
         raise DegenerateConstraints(
-            f"constraint representers are dependent (Gram eigenvalues {ev}); "
-            "is q constant on the support of u?"
+            f"constraint representers are dependent (Gram eigenvalues "
+            f"{[lo, hi]}); is q constant on the support of u?"
         )
-    rhs = np.array([_metric_inner(grid, metric, g, d1),
-                    _metric_inner(grid, metric, g, d2)])
-    lam, beta = np.linalg.solve(gram, rhs)
+    lam, beta = _solve2(g11, g12, g12, g22,
+                        _metric_inner(grid, metric, g, d1),
+                        _metric_inner(grid, metric, g, d2))
     return g - lam * d1 - beta * d2
 
 

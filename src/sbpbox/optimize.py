@@ -32,6 +32,7 @@ from .errors import (
 from .functional import EnergyBreakdown, eval_J, grad_J
 from .grid import dirichlet_energy, dirichlet_inner, inner, integrate, norm_l2
 from .manifold import (
+    _solve2,
     constraint_representers,
     genus_seeds,
     retract,
@@ -255,14 +256,13 @@ def recover_multipliers(problem: Problem, u: np.ndarray,
     r2 = inner(grid, g_l2, qu)
     s = inner(grid, qu, qu)
     alpha = problem.alpha
-    mat = np.array([[1.0, -alpha], [alpha, -s]])
     det = alpha * alpha - s
     if abs(det) <= 1e-12 * (1.0 + s + alpha * alpha):
         raise SingularMultiplierSystem(
             f"multiplier system is singular (integrate(q^2 u^2)={s:.6g}, "
             f"alpha^2={alpha * alpha:.6g}); q u is parallel to u"
         )
-    omega, mu = np.linalg.solve(mat, [r1, r2])
+    omega, mu = _solve2(1.0, -alpha, alpha, -s, r1, r2)
     return float(omega), float(mu)
 
 

@@ -26,7 +26,6 @@ from .grid import (
     BoundaryData,
     Grid,
     boundary_integrate,
-    inner,
     integrate,
     laplacian_neumann,
     norm_l2,

@@ -1,19 +1,26 @@
 """Variational reduction: the solution map for the potential equation.
 
-The fourth-order problem
+The fourth-order problem with homogeneous Neumann data
 
-    lap(lap(phi)) - lap(phi) = f - mean(f),   d(phi)/dn = g1,
-    d(lap phi)/dn = g2,                        mean(phi) = 0
+    lap(lap(phi)) - lap(phi) = f - mean(f),   d(phi)/dn = 0,
+    d(lap phi)/dn = 0,                         mean(phi) = 0
 
-splits into two second-order Neumann solves through psi = lap(phi):
+splits into two second-order Neumann problems through psi = lap(phi):
 
-    (lap - 1) psi = f - mean(f),  d(psi)/dn = g2
-    lap(phi) = psi,               d(phi)/dn = g1,  mean(phi) = 0.
+    (lap - 1) psi = f - mean(f),  d(psi)/dn = 0
+    lap(phi) = psi,               d(phi)/dn = 0,  mean(phi) = 0.
 
-``phi_map`` applies this with f = q u^2 and homogeneous boundary data; the
-intermediate psi is kept alongside phi (``PotentialPair``) because every
-quadrature that involves lap(phi) is more accurate and cheaper with the
-solver's own psi than with a re-differentiated phi.
+Both operators are diagonal in the DCT-I basis of ``sbpbox.solvers``, so
+``solve_fourth_order_split`` takes one forward transform of the source and
+two inverse transforms, one for psi and one for phi; it takes no boundary
+data.  Problems with inhomogeneous fluxes (the auxiliary potential chi) go
+through ``sbpbox.problem.solve_chi``, which keeps the two separate solves
+and the compatibility check.
+
+``phi_map`` applies the split with f = q u^2; the intermediate psi is kept
+alongside phi (``PotentialPair``) because every quadrature that involves
+lap(phi) is more accurate and cheaper with the solver's own psi than with a
+re-differentiated phi.
 
 The energy identity
 
@@ -37,10 +44,9 @@ from .grid import (
     dirichlet_inner,
     inner,
     laplacian_neumann,
-    mean,
 )
 from .problem import Problem
-from .solvers import solve_helmholtz_neumann, solve_poisson_neumann_zeromean
+from .solvers import _split_solve
 
 __all__ = [
     "PotentialPair",
@@ -55,8 +61,8 @@ __all__ = [
 class PotentialPair:
     """A potential phi with the intermediate psi from the split solve.
 
-    psi equals the discrete Laplacian of phi up to rounding and its
-    quadrature mean vanishes to rounding whenever the second flux is zero.
+    psi equals the discrete Laplacian of phi up to rounding; for pairs from
+    the split solve its quadrature mean vanishes to rounding.
     """
 
     phi: np.ndarray
@@ -75,21 +81,10 @@ class PotentialPair:
                    psi=laplacian_neumann(grid, phi, flux))
 
 
-def solve_fourth_order_split(grid: Grid,
-                             f: np.ndarray,
-                             g1: BoundaryData | None = None,
-                             g2: BoundaryData | None = None) -> PotentialPair:
-    """Solve the split fourth-order problem; see the module docstring.
-
-    The source is always projected to zero quadrature mean (for homogeneous
-    boundary data the problem is only solvable modulo constants in the
-    source).  With inhomogeneous data the two surface integrals must agree,
-    otherwise the second solve raises ``IncompatibleData``.
-    """
-    f = np.asarray(f, dtype=float)
-    source = f - mean(grid, f)
-    psi = solve_helmholtz_neumann(grid, source, g2)
-    phi = solve_poisson_neumann_zeromean(grid, psi, g1)
+def solve_fourth_order_split(grid: Grid, f: np.ndarray) -> PotentialPair:
+    """Solve the split fourth-order problem with zero fluxes; see the module
+    docstring.  The source is projected to zero quadrature mean."""
+    phi, psi = _split_solve(grid, f)
     return PotentialPair(phi=phi, psi=psi)
 
 

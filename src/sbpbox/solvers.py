@@ -8,8 +8,15 @@ applied to the odd extension, which the DST-I diagonalizes (Strang, "The
 Discrete Cosine Transform", SIAM Rev. 41, 1999; Schumann & Sweet 1976).  Per
 axis the eigenvalue of -lap for mode k is ``4/h^2 sin^2(pi k / (2 (n - 1)))``
 with k = 0..n-1 (Neumann, all nodes) or k = 1..n-2 (Dirichlet, interior
-nodes); the box symbol is the sum over axes.  Both transforms are taken from
-``numpy.fft.rfft`` of the extended field.
+nodes); the box symbol sigma is the sum over axes.  Both transforms are taken from
+``numpy.fft.rfft`` of the extended field along one axis at a time.
+
+The symbols (``1 + sigma`` for Helmholtz, ``sigma`` without its constant
+mode for the zero-mean Poisson solve, the interior ``sigma`` for Dirichlet)
+and the normalization ``prod 2 (n - 1)`` depend only on the grid, so they
+are computed once per ``Grid`` and cached as read-only arrays.
+The same symbols give the zero-flux fourth-order split of
+``sbpbox.reduction`` in one forward and two inverse transforms.
 
 The pure Neumann Poisson problem is singular with the constants as its
 nullspace.  The DCT-I mode k = 0 is proportional to the trapezoid integral,
@@ -22,7 +29,8 @@ LU; it is the independent oracle for these solves.
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .errors import IncompatibleData, NoConvergence
 from .grid import (
     BoundaryData,
     Grid,
+    _axis_slice,
     boundary_integrate,
     integrate,
     neumann_flux_field,
@@ -44,20 +53,37 @@ __all__ = [
 
 def _dct1(x: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalized DCT-I along ``axis``; applied twice it scales by 2 (n - 1)."""
-    x = np.moveaxis(x, axis, -1)
-    even = np.concatenate([x, x[..., -2:0:-1]], axis=-1)
-    return np.moveaxis(np.fft.rfft(even).real, -1, axis)
+    back = x[_axis_slice(x.ndim, axis, slice(-2, 0, -1))]
+    even = np.concatenate([x, back], axis=axis)
+    return np.fft.rfft(even, axis=axis).real
 
 
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalized DST-I along ``axis``; applied twice it scales by 2 (m + 1)."""
-    x = np.moveaxis(x, axis, -1)
-    zero = np.zeros(x.shape[:-1] + (1,))
-    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
-    return np.moveaxis(-np.fft.rfft(odd).imag[..., 1:-1], -1, axis)
+    back = x[_axis_slice(x.ndim, axis, slice(None, None, -1))]
+    zero = np.zeros_like(x[_axis_slice(x.ndim, axis, slice(0, 1))])
+    odd = np.concatenate([zero, x, zero, -back], axis=axis)
+    return -np.fft.rfft(odd, axis=axis).imag[_axis_slice(x.ndim, axis, slice(1, -1))]
 
 
-def _symbol(grid: Grid, dirichlet: bool) -> np.ndarray:
+def _transform(x: np.ndarray,
+               transform: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
+    """Apply a per-axis transform along every axis."""
+    for a in range(x.ndim):
+        x = transform(x, a)
+    return x
+
+
+class _Symbols(NamedTuple):
+    """Per-grid divisors of the spectral solves (read-only arrays)."""
+
+    helmholtz: np.ndarray   # 1 + sigma on the DCT-I modes
+    zeromean: np.ndarray    # sigma on the DCT-I modes, inf at the constant mode
+    dirichlet: np.ndarray   # sigma on the DST-I modes
+    scale: float            # prod 2 (n - 1): a transform applied twice
+
+
+def _sigma(grid: Grid, dirichlet: bool) -> np.ndarray:
     """Eigenvalues of -lap on the transform modes, summed over axes."""
     total = np.zeros((1,) * grid.dim)
     for a, (h, n) in enumerate(zip(grid.h, grid.n)):
@@ -69,19 +95,45 @@ def _symbol(grid: Grid, dirichlet: bool) -> np.ndarray:
     return total
 
 
-def _spectral_solve(grid: Grid, rhs: np.ndarray,
-                    transform: Callable[[np.ndarray, int], np.ndarray],
-                    symbol: np.ndarray) -> np.ndarray:
-    coef = rhs
-    for a in range(grid.dim):
-        coef = transform(coef, a)
-    coef = coef / symbol
-    for a in range(grid.dim):
-        coef = transform(coef, a)
-    v = coef / np.prod([2.0 * (n - 1) for n in grid.n])
+@lru_cache(maxsize=8)
+def _symbols(grid: Grid) -> _Symbols:
+    sigma = _sigma(grid, False)
+    zeromean = sigma.copy()
+    zeromean[(0,) * grid.dim] = np.inf  # drop the constant mode
+    arrays = (1.0 + sigma, zeromean, _sigma(grid, True))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _Symbols(*arrays, scale=float(np.prod([2.0 * (n - 1) for n in grid.n])))
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise NoConvergence("solution contains non-finite values")
     return v
+
+
+def _spectral_solve(rhs: np.ndarray,
+                    transform: Callable[[np.ndarray, int], np.ndarray],
+                    symbol: np.ndarray, scale: float) -> np.ndarray:
+    return _finite(_transform(_transform(rhs, transform) / symbol, transform) / scale)
+
+
+def _split_solve(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, psi) with (lap - 1) psi = f - mean(f), lap(phi) = psi, zero
+    fluxes and zero mean.
+
+    With f_hat the DCT-I of the source, psi_hat = -f_hat / (1 + sigma) and
+    phi_hat = -psi_hat / sigma.  The constant mode is dropped from both: for
+    the source that is exactly the projection to zero quadrature mean, for
+    phi it fixes the gauge.
+    """
+    sym = _symbols(grid)
+    f_hat = _transform(np.asarray(f, dtype=float), _dct1)
+    f_hat[(0,) * grid.dim] = 0.0
+    psi_hat = -f_hat / sym.helmholtz
+    phi_hat = -psi_hat / sym.zeromean
+    return (_finite(_transform(phi_hat, _dct1) / sym.scale),
+            _finite(_transform(psi_hat, _dct1) / sym.scale))
 
 
 def solve_helmholtz_neumann(grid: Grid,
@@ -97,20 +149,19 @@ def solve_helmholtz_neumann(grid: Grid,
     rhs = -np.asarray(f, dtype=float)
     if flux is not None and not flux.is_zero:
         rhs = rhs + neumann_flux_field(grid, flux)
-    return _spectral_solve(grid, rhs, _dct1, 1.0 + _symbol(grid, False))
+    sym = _symbols(grid)
+    return _spectral_solve(rhs, _dct1, sym.helmholtz, sym.scale)
 
 
 def solve_poisson_neumann_zeromean(grid: Grid,
                                    f: np.ndarray,
-                                   flux: BoundaryData | None = None,
-                                   compat_tolerance: float | None = None) -> np.ndarray:
+                                   flux: BoundaryData | None = None) -> np.ndarray:
     """Solve lap(v) = f with dv/dn = flux and zero quadrature mean.
 
     The data must satisfy the Gauss compatibility condition
     ``integrate(f) == boundary_integrate(flux)``; the mismatch is checked
-    against ``compat_tolerance`` (default ``1e-8 * (norm(f) + norm(flux) + 1)``)
-    and then removed with the constant mode, so the solve itself sees a
-    consistent singular system.
+    against ``1e-8 * (norm(f) + max|flux| + 1)`` and then removed with the
+    constant mode, so the solve itself sees a consistent singular system.
     """
     f = np.asarray(f, dtype=float)
     rhs = f
@@ -119,19 +170,17 @@ def solve_poisson_neumann_zeromean(grid: Grid,
         rhs = rhs - neumann_flux_field(grid, flux)
         surf = boundary_integrate(grid, flux)
     imbalance = integrate(grid, f) - surf
-    if compat_tolerance is None:
-        scale = float(np.sqrt(np.sum(grid.weights * f * f)))
-        if flux is not None:
-            scale += max(float(np.max(np.abs(v))) for v in flux.values.values())
-        compat_tolerance = 1e-8 * (scale + 1.0)
-    if abs(imbalance) > compat_tolerance:
+    scale = float(np.sqrt(np.sum(grid.weights * f * f)))
+    if flux is not None:
+        scale += max(float(np.max(np.abs(v))) for v in flux.values.values())
+    tolerance = 1e-8 * (scale + 1.0)
+    if abs(imbalance) > tolerance:
         raise IncompatibleData(
             f"integral of f minus boundary integral of flux is {imbalance:.3e}, "
-            f"tolerance {compat_tolerance:.3e}"
+            f"tolerance {tolerance:.3e}"
         )
-    symbol = _symbol(grid, False)
-    symbol[(0,) * grid.dim] = np.inf  # drop the constant mode
-    return _spectral_solve(grid, -rhs, _dct1, symbol)
+    sym = _symbols(grid)
+    return _spectral_solve(-rhs, _dct1, sym.zeromean, sym.scale)
 
 
 def solve_poisson_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -142,6 +191,7 @@ def solve_poisson_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
     """
     interior = tuple(slice(1, -1) for _ in range(grid.dim))
     v = np.zeros(grid.shape)
-    v[interior] = _spectral_solve(grid, np.asarray(f, dtype=float)[interior],
-                                  _dst1, _symbol(grid, True))
+    sym = _symbols(grid)
+    v[interior] = _spectral_solve(np.asarray(f, dtype=float)[interior],
+                                  _dst1, sym.dirichlet, sym.scale)
     return v

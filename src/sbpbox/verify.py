@@ -338,7 +338,7 @@ def dense_oracle_compare(problem: Problem, seed: int = 0) -> DenseOracleReport:
     pois_d = _rel(d_it, d_ds)
 
     fs = rng.standard_normal(grid.shape)
-    pair_it = solve_fourth_order_split(grid, fs, zero, zero)
+    pair_it = solve_fourth_order_split(grid, fs)
     phi_ds, psi_ds = solve_fourth_order_dense(grid, fs)
     split_phi = _rel(pair_it.phi, phi_ds)
     split_psi = _rel(pair_it.psi, psi_ds)

@@ -16,6 +16,8 @@ from sbpbox import (
     inner,
 )
 from sbpbox.manifold import (
+    _eigvals_sym2,
+    _solve2,
     constraint_values,
     feasible_init,
     genus_seeds,
@@ -40,6 +42,46 @@ def bump(grid, center, width):
     w = np.clip(1.0 - r2, 0.0, None) ** 2
     w[~grid.interior_mask] = 0.0
     return w
+
+
+def sym2_cases(rng):
+    """Random symmetric 2x2 matrices: SPD, near singular SPD with condition
+    number 1e11 to 1e13, and indefinite."""
+    for _ in range(50):
+        rot, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        yield rot @ np.diag(scale * rng.uniform(0.1, 10.0, 2)) @ rot.T
+        yield rot @ np.diag([scale, scale * 10.0 ** -rng.uniform(11, 13)]) @ rot.T
+        yield rot @ np.diag([scale, -scale * rng.uniform(0.01, 100.0)]) @ rot.T
+
+
+def test_closed_form_symmetric_eigenvalues():
+    for m in sym2_cases(np.random.default_rng(10)):
+        lo, hi = _eigvals_sym2(m[0, 0], m[0, 1], m[1, 1])
+        ref = np.linalg.eigvalsh(m)
+        tol = 1e-14 * np.abs(ref).max()
+        assert lo <= hi
+        assert abs(lo - ref[0]) <= tol and abs(hi - ref[1]) <= tol
+    assert _eigvals_sym2(1.0, 2.0, -1.0) == pytest.approx((-5**0.5, 5**0.5))
+    # Diagonal entries of very different size, as in the Gram matrix of
+    # (v, q v) for large q: the small eigenvalue keeps its relative accuracy.
+    assert _eigvals_sym2(1e6, 0.0, 1e-6) == pytest.approx((1e-6, 1e6), rel=1e-15)
+
+
+def test_closed_form_solve():
+    rng = np.random.default_rng(11)
+    for m in sym2_cases(rng):
+        r = rng.standard_normal(2)
+        x = np.array(_solve2(m[0, 0], m[0, 1], m[1, 0], m[1, 1], *r))
+        ref = np.linalg.solve(m, r)
+        cond = np.linalg.cond(m)
+        assert np.abs(x - ref).max() <= 1e-14 * cond * np.abs(ref).max()
+    # Nonsymmetric, as in the multiplier system [[1, -alpha], [alpha, -s]].
+    m = np.array([[1.0, -0.5], [0.5, -0.75]])
+    assert _solve2(1.0, -0.5, 0.5, -0.75, 1.0, 2.0) == pytest.approx(
+        tuple(np.linalg.solve(m, [1.0, 2.0])), rel=1e-15)
+    with pytest.raises(ZeroDivisionError):
+        _solve2(1.0, 2.0, 2.0, 4.0, 1.0, 1.0)
 
 
 def test_retract_satisfies_both_constraints():
@@ -92,21 +134,25 @@ def test_manifold_symmetric_under_negation():
 
 @pytest.mark.parametrize("metric", ["l2", "h10"])
 def test_tangent_project_orthogonality(metric):
-    prob = line_problem(129, alpha=0.5)
+    line = line_problem(129, alpha=0.5)
+    square = square_problem(33, alpha=1.1)
     rng = np.random.default_rng(1)
-    u = retract(prob, bump(prob.grid, 0.35, 0.25) + bump(prob.grid, 0.75, 0.2))
-    g = prob.grid
-    raw = rng.standard_normal(g.shape)
-    raw[~g.interior_mask] = 0.0
-    t = tangent_project(prob, u, raw, metric=metric)
-    # The projected direction is L2-orthogonal to both constraint gradients
-    # regardless of the metric used for the projection.
-    scale = 1.0 + np.abs(raw).max()
-    assert abs(inner(g, t, u)) <= 1e-10 * scale
-    assert abs(inner(g, t, prob.q * u)) <= 1e-10 * scale
-    # Projection is idempotent.
-    t2 = tangent_project(prob, u, t, metric=metric)
-    assert np.abs(t2 - t).max() <= 1e-9 * scale
+    for prob, u in (
+        (line, retract(line, bump(line.grid, 0.35, 0.25) + bump(line.grid, 0.75, 0.2))),
+        (square, feasible_init(square)),
+    ):
+        g = prob.grid
+        raw = rng.standard_normal(g.shape)
+        raw[~g.interior_mask] = 0.0
+        t = tangent_project(prob, u, raw, metric=metric)
+        # The projected direction is L2-orthogonal to both constraint
+        # gradients regardless of the metric used for the projection.
+        scale = 1.0 + np.abs(raw).max()
+        assert abs(inner(g, t, u)) <= 1e-10 * scale
+        assert abs(inner(g, t, prob.q * u)) <= 1e-10 * scale
+        # Projection is idempotent.
+        t2 = tangent_project(prob, u, t, metric=metric)
+        assert np.abs(t2 - t).max() <= 1e-9 * scale
 
 
 def test_tangent_project_degenerate_constant_q():

@@ -16,13 +16,17 @@ from sbpbox import (
     dirichlet_inner,
     inner,
     integrate,
+    build_problem,
     laplacian_neumann,
     mean,
+    phi_map,
+    solve_fourth_order_split,
     solve_helmholtz_neumann,
     solve_poisson_dirichlet,
     solve_poisson_neumann_zeromean,
 )
 from sbpbox.dense import (
+    solve_fourth_order_dense,
     solve_helmholtz_dense,
     solve_poisson_dirichlet_dense,
     solve_poisson_neumann_dense,
@@ -65,6 +69,47 @@ def test_solves_agree_with_dense_oracle(g, seed):
     fd = zero_boundary(g, f)
     assert close(solve_poisson_dirichlet(g, fd),
                  solve_poisson_dirichlet_dense(g, fd))
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_fused_split_agrees_with_dense_oracle(g, seed):
+    f = np.random.default_rng(seed).standard_normal(g.shape)
+    pair = solve_fourth_order_split(g, f)
+    phi, psi = solve_fourth_order_dense(g, f)
+    assert close(pair.phi, phi)
+    assert close(pair.psi, psi)
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_phi_map_is_the_split_of_the_projected_source(g, seed):
+    rng = np.random.default_rng(seed)
+    zero = BoundaryData.zero(g)
+    prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
+                         h1=zero, h2=zero, kappa=1.0, p=3.0)
+    u = rng.standard_normal(g.shape)
+    src = prob.q * u * u
+    direct = solve_fourth_order_split(g, src - mean(g, src))
+    pair = phi_map(prob, u)
+    assert close(pair.phi, direct.phi)
+    assert close(pair.psi, direct.psi)
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_zero_mean_solve_leaves_the_cached_symbols_intact(g, seed):
+    """The solves share per-grid symbols; the zero-mean solve must not
+    change the ones the Helmholtz solve reads, or itself on a second call."""
+    f = np.random.default_rng(seed).standard_normal(g.shape)
+    f0 = f - mean(g, f)
+    first = solve_poisson_neumann_zeromean(g, f0)
+    helm = solve_helmholtz_neumann(g, f)
+    fresh = Grid(lengths=g.lengths, n=g.n)
+    assert np.array_equal(helm, solve_helmholtz_neumann(fresh, f))
+    assert close(helm, solve_helmholtz_dense(g, -f))
+    assert np.array_equal(first, solve_poisson_neumann_zeromean(fresh, f0))
+    assert close(first, solve_poisson_neumann_dense(g, f0))
 
 
 @PROPERTY

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from sbpbox import (
-    BoundaryData,
     Grid,
-    IncompatibleData,
     PotentialPair,
     biharmonic_form,
-    inner,
-    integrate,
     interaction_energy,
     mean,
     norm_l2,
@@ -69,15 +65,6 @@ def test_split_eigenfunction_second_order():
         errs.append(np.abs(pair.phi - lam * f).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) <= 0.1)
-
-
-def test_split_flux_compatibility_enforced():
-    g = Grid(lengths=(1.0,), n=(33,))
-    f = np.zeros(g.shape)
-    g1 = BoundaryData.constant(g, {"x1": 0.5})
-    g2 = BoundaryData.constant(g, {"x1": 0.25})  # surface integrals differ
-    with pytest.raises(IncompatibleData):
-        solve_fourth_order_split(g, f, g1, g2)
 
 
 def test_phi_map_even_bitwise(bench129):
