@@ -9,13 +9,8 @@ distinct ones survive deduplication, ordered by energy.
 
 import numpy as np
 
-from sbpbox import (
-    BoundaryData,
-    CouplingSpec,
-    Grid,
-    build_problem,
-    dirichlet_energy,
-)
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem
+from sbpbox.grid import dirichlet_energy
 from sbpbox.optimize import OptimizerOptions, excited_states
 
 n = 257

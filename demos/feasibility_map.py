@@ -9,13 +9,8 @@ makes nearby levels degenerate), printing the classification at each step.
 
 import numpy as np
 
-from sbpbox import (
-    BoundaryData,
-    CouplingSpec,
-    Grid,
-    build_problem,
-    classify_alpha,
-)
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem
+from sbpbox.problem import classify_alpha
 
 MARK = {"interior": ".", "boundary_degenerate": "o", "infeasible": "x"}
 

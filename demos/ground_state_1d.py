@@ -11,16 +11,10 @@ import os
 
 import numpy as np
 
-from sbpbox import (
-    BoundaryData,
-    CouplingSpec,
-    Grid,
-    build_problem,
-    classify_alpha,
-    write_field,
-)
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, write_field
 from sbpbox.manifold import feasible_init
 from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
+from sbpbox.problem import classify_alpha
 from sbpbox.verify import reconstruct_phi, residual_original_system
 
 n = 129

@@ -7,7 +7,7 @@ about 4x per refinement and the energy differences likewise.
 """
 
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem
-from sbpbox.verify import refinement_study
+from sbpbox.cli import refinement_study
 
 
 def factory(n):

@@ -9,6 +9,9 @@ All output files are written once, at the end of a successful run: a
 ``u_<i>.csv`` / ``phi_<i>.csv`` plus the shared ``chi.csv``, and a
 ``report.json`` with the full residual and multiplier set.  Identical
 config and seed produce byte-identical outputs.
+
+``refinement_study`` does the work of ``refine``: it repeats a solve
+over a sequence of grids and reports observed convergence orders.
 """
 
 from __future__ import annotations
@@ -17,25 +20,34 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import SbpError
 from .grid import read_field, write_field
 from .manifold import feasible_init
-from .optimize import SolveResult, excited_states, minimize_on_M, polish_positive
+from .optimize import (
+    OptimizerOptions,
+    SolveResult,
+    excited_states,
+    minimize_on_M,
+    polish_positive,
+)
 from .problem import Problem, classify_alpha
 from .reduction import phi_map
 from .verify import (
     ResidualReport,
     dense_oracle_compare,
     reconstruct_phi,
-    refinement_study,
     residual_original_system,
     write_summary,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "RefinementStudy", "refinement_study"]
 
 _DEGENERATE_LEVEL_FRACTION = 0.01
 
@@ -214,6 +226,65 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     write_summary(out / "residuals.csv", reports)
     _say(quiet, f"wrote {out}/residuals.csv")
     return 0
+
+
+def _orders(values: Sequence[float], floor: float = 1e-12) -> list[float]:
+    """log2 ratios of consecutive entries; nan when below the noise floor."""
+    out = []
+    for a, b in zip(values, values[1:]):
+        if a <= floor or b <= floor:
+            out.append(float("nan"))
+        else:
+            out.append(float(np.log2(a / b)))
+    return out
+
+
+@dataclass(frozen=True)
+class RefinementStudy:
+    reports: tuple[ResidualReport, ...]
+    results: tuple[SolveResult, ...]
+    j_values: tuple[float, ...]
+    j_diffs: tuple[float, ...]
+    j_orders: tuple[float, ...]
+    eq1_orders: tuple[float, ...]
+    bc_orders: tuple[float, ...]
+
+
+def refinement_study(problem_factory: Callable[[int], Problem],
+                     node_counts: Sequence[int],
+                     opts: OptimizerOptions | None = None,
+                     positive: bool = True) -> RefinementStudy:
+    """Solve the same continuum problem over successively refined grids.
+
+    ``problem_factory`` maps a per-axis node count to a Problem; counts are
+    expected to (roughly) double the resolution each step, since observed
+    orders are reported as plain log2 ratios.  Energies are compared through
+    consecutive differences (no exact value is available), the residuals
+    directly.
+    """
+    opts = opts or OptimizerOptions()
+    reports: list[ResidualReport] = []
+    results: list[SolveResult] = []
+    for n in node_counts:
+        prob = problem_factory(int(n))
+        res = minimize_on_M(prob, feasible_init(prob), opts)
+        if positive:
+            res = polish_positive(prob, res, opts)
+        reports.append(residual_original_system(
+            prob, res.u, res.pair, res.omega, res.mu,
+            j=res.j, iterations=res.iterations))
+        results.append(res)
+    j_values = [rep.j for rep in reports]
+    j_diffs = [abs(a - b) for a, b in zip(j_values, j_values[1:])]
+    return RefinementStudy(
+        reports=tuple(reports),
+        results=tuple(results),
+        j_values=tuple(j_values),
+        j_diffs=tuple(j_diffs),
+        j_orders=tuple(_orders(j_diffs)),
+        eq1_orders=tuple(_orders([rep.eq1_res for rep in reports])),
+        bc_orders=tuple(_orders([rep.bc_res for rep in reports])),
+    )
 
 
 def cmd_refine(cfg: RunConfig, out: Path, seed: int | None, quiet: bool) -> int:

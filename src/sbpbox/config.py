@@ -34,13 +34,8 @@ CONFIG_KEYS = {
     "physics.kappa": ("float", 1.0),
     "physics.p": ("float", 3.0),
     "coupling.kind": ("str", None),
-    "optimizer.metric": ("str", "h10"),
     "optimizer.grad_tol": ("float", 1e-7),
     "optimizer.max_iterations": ("int", 5000),
-    "optimizer.initial_step": ("float", 1.0),
-    "optimizer.dedupe_l2": ("float", 1e-3),
-    "optimizer.dedupe_j": ("float", 1e-6),
-    "optimizer.samples_per_family": ("int", 2),
     "run.mode": ("str", "ground"),
     "run.k": ("int", 3),
     "run.seed": ("int", 0),
@@ -151,13 +146,8 @@ class RunConfig:
 
     def optimizer_options(self, seed: int | None = None) -> OptimizerOptions:
         return OptimizerOptions(
-            metric=self.get("optimizer.metric"),
             grad_tol=self.get("optimizer.grad_tol"),
             max_iterations=self.get("optimizer.max_iterations"),
-            initial_step=self.get("optimizer.initial_step"),
-            dedupe_l2=self.get("optimizer.dedupe_l2"),
-            dedupe_j=self.get("optimizer.dedupe_j"),
-            samples_per_family=self.get("optimizer.samples_per_family"),
             seed=(self.get("run.seed") if seed is None else seed),
         )
 

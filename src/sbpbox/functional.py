@@ -19,41 +19,23 @@ term, the gradient of J is just the u-derivative of F at (u, phi_u):
 
     grad J(u) = -lap u + q (phi_u + chi) u - kappa |u|^(p-2) u,
 
-zero on the boundary.  The "h10" metric variant returns the representer of
-that derivative in the discrete H^1_0 inner product, i.e. the Dirichlet solve
-of the plain gradient; descent preconditioned this way converges at a rate
-that does not degrade under refinement.
+zero on the boundary.  The optimizer takes its Dirichlet solve, the
+representer of that derivative in the discrete H^1_0 inner product, as the
+descent direction; descent preconditioned this way converges at a rate that
+does not degrade under refinement.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    dirichlet_energy,
-    inner,
-    integrate,
-    laplacian_dirichlet,
-    norm_l2,
-)
+from .grid import dirichlet_energy, inner, integrate, laplacian_dirichlet
 from .problem import Problem
 from .reduction import PotentialPair, phi_map
-from .solvers import solve_poisson_dirichlet
 
-__all__ = [
-    "EnergyBreakdown",
-    "eval_F",
-    "eval_J",
-    "grad_J",
-    "gn_ratio",
-    "gn_exponent_window",
-]
-
-METRICS = ("l2", "h10")
+__all__ = ["EnergyBreakdown", "eval_J", "grad_J"]
 
 
 @dataclass(frozen=True)
@@ -66,25 +48,6 @@ class EnergyBreakdown:
     coupling_chi: float    # 1/2 int q chi u^2
     nonlinear: float       # -kappa/p int |u|^p
     total: float
-
-
-def eval_F(problem: Problem, u: np.ndarray, pair: PotentialPair) -> float:
-    """The two-field energy at (u, phi); psi stands in for lap(phi).
-
-    The linear term vanishes identically on zero-mean potentials but is kept
-    so that trial potentials with nonzero mean are scored correctly.
-    """
-    g = problem.grid
-    u = np.asarray(u, dtype=float)
-    u2 = u * u
-    value = 0.5 * dirichlet_energy(g, u)
-    value += 0.5 * inner(g, problem.q * (pair.phi + problem.chi), u2)
-    if problem.kappa != 0.0:
-        value -= problem.kappa / problem.p * integrate(g, np.abs(u) ** problem.p)
-    value -= 0.25 * inner(g, pair.psi, pair.psi)
-    value -= 0.25 * dirichlet_energy(g, pair.phi)
-    value -= 0.5 * problem.alpha / g.volume * integrate(g, pair.phi)
-    return value
 
 
 def eval_J(problem: Problem,
@@ -116,17 +79,12 @@ def eval_J(problem: Problem,
 
 def grad_J(problem: Problem,
            u: np.ndarray,
-           pair: PotentialPair | None = None,
-           metric: str = "l2") -> np.ndarray:
+           pair: PotentialPair | None = None) -> np.ndarray:
     """Gradient field of the reduced energy, zero on the boundary.
 
-    metric "l2" returns the strong form
-    ``-lap u + q (phi_u + chi) u - kappa |u|^(p-2) u``; metric "h10" returns
-    its representer in the discrete H^1_0 inner product (one Dirichlet
-    solve).  Odd in u: grad at -u is the exact negation of grad at u.
+    The strong form ``-lap u + q (phi_u + chi) u - kappa |u|^(p-2) u``.  Odd
+    in u: grad at -u is the exact negation of grad at u.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
     g = problem.grid
     u = np.asarray(u, dtype=float)
     if pair is None:
@@ -136,46 +94,4 @@ def grad_J(problem: Problem,
     if problem.kappa != 0.0:
         out -= problem.kappa * np.abs(u) ** (problem.p - 2.0) * u
     out[~g.interior_mask] = 0.0
-    if metric == "h10":
-        out = solve_poisson_dirichlet(g, out)
     return out
-
-
-def gn_exponent_window(p: float, dim: int) -> tuple[float, float]:
-    """Admissible interpolation exponents (lower, upper); may be empty.
-
-    The window comes from interpolating the p-norm between the gradient norm
-    and the L2 norm with the critical Sobolev exponent of the dimension; for
-    dim < 3 the critical exponent is infinite and the window degenerates.
-    """
-    lower = p - 2.0
-    if dim >= 3:
-        s_crit = 2.0 * dim / (dim - 2.0)
-        upper = dim * (1.0 - p / s_crit)
-    else:
-        upper = float(dim)
-    return lower, upper
-
-
-def gn_ratio(grid: Grid, u: np.ndarray, p: float, r: float) -> float:
-    """Interpolation ratio int |u|^p / (|grad u|_2^(p-r) |u|_2^r).
-
-    Scale invariant by construction (both sides are p-homogeneous).  Sampling
-    it over states gives an empirical embedding constant used by the
-    coercivity check in the tests.  A warning is issued when a nonempty
-    admissible window exists for this dimension and ``r`` falls outside it.
-    """
-    if r <= 0:
-        raise ValueError(f"exponent r must be positive, got {r}")
-    lo, hi = gn_exponent_window(p, grid.dim)
-    if lo < hi and not lo < r < hi:
-        warnings.warn(
-            f"exponent r={r} outside the admissible window ({lo:.4g}, {hi:.4g})",
-            stacklevel=2,
-        )
-    num = integrate(grid, np.abs(u) ** p)
-    de = dirichlet_energy(grid, u)
-    l2 = norm_l2(grid, u)
-    if de <= 0 or l2 <= 0:
-        raise ValueError("gn_ratio needs a nonzero field with nonzero gradient")
-    return num / (de ** ((p - r) / 2.0) * l2**r)

@@ -7,9 +7,10 @@ States live on M = S intersect N with
 Both constraints are even in u, so M is symmetric under sign flip.  The
 retraction uses the two-parameter ansatz u = (a + b q) v: its two unknowns
 are determined by a 2x2 Newton iteration on the constraint residuals, whose
-Jacobian at (1, 0) is twice the Gram matrix of {v, q v}.  The same Gram
-matrix controls the tangent projection, which removes the span of the
-constraint differentials' metric representers from a gradient.
+Jacobian at (1, 0) is twice the Gram matrix of {v, q v}.  The tangent
+projection removes from a gradient the span of representers of the
+constraint differentials: (u, q u) themselves for an L2 gradient, their
+Dirichlet solves for the H^1_0 gradient the optimizer descends along.
 
 Feasible starting points are built from pairs of compactly supported bumps
 centered where q is small and where q is large; with disjoint supports the
@@ -31,7 +32,7 @@ from .errors import (
     SlabInfeasible,
     ZeroField,
 )
-from .grid import Grid, dirichlet_inner, inner, norm_l2
+from .grid import Grid, inner, norm_l2
 from .problem import Problem
 from .solvers import solve_poisson_dirichlet
 
@@ -145,61 +146,50 @@ def retract(problem: Problem, v: np.ndarray) -> np.ndarray:
     )
 
 
-def constraint_representers(problem: Problem, u: np.ndarray,
-                            metric: str = "l2") -> tuple[np.ndarray, np.ndarray]:
-    """Metric representers of the constraint differentials (up to factor 2).
+def constraint_representers(problem: Problem,
+                            u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H^1_0 representers of the constraint differentials (up to factor 2).
 
-    In L2 these are (u, q u); in the Sobolev metric their Dirichlet solves,
-    so that the metric inner product against a tangent candidate reproduces
-    the L2 pairing with (u, q u).
+    These are the Dirichlet solves of (u, q u): their Dirichlet inner product
+    with any field vanishing on the boundary reproduces its L2 pairing with
+    (u, q u).
     """
     u = np.asarray(u, dtype=float)
-    d1 = u
-    d2 = problem.q * u
-    if metric == "h10":
-        d1 = solve_poisson_dirichlet(problem.grid, d1)
-        d2 = solve_poisson_dirichlet(problem.grid, d2)
-    elif metric != "l2":
-        raise ValueError(f"unknown metric {metric!r}")
-    return d1, d2
-
-
-def _metric_inner(grid: Grid, metric: str, a: np.ndarray, b: np.ndarray) -> float:
-    if metric == "l2":
-        return inner(grid, a, b)
-    return dirichlet_inner(grid, a, b)
+    return (solve_poisson_dirichlet(problem.grid, u),
+            solve_poisson_dirichlet(problem.grid, problem.q * u))
 
 
 def tangent_project(problem: Problem,
                     u: np.ndarray,
                     g: np.ndarray,
-                    metric: str = "l2",
                     reps: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Remove the constraint-normal component of ``g`` at ``u``.
 
-    Solves the 2x2 Gram system of the representers in the chosen metric.  For
-    either metric, the result is L2-orthogonal to u and to q u (that is what
-    tangency to both constraints means); in the Sobolev metric this follows
-    from the representer construction.  Raises ``DegenerateConstraints`` when
-    the representers are numerically dependent (constant q, or u = 0).
+    With r = (u, q u) and d = ``reps`` (r itself when None), solves the 2x2
+    system with entries inner(r_i, d_j) and right-hand side inner(r_i, g),
+    and returns g - lam d1 - beta d2.  The result is L2-orthogonal to u and
+    to q u by construction, which is what tangency to both constraints
+    means.  For the Dirichlet-solve representers the matrix is their H^1_0
+    Gram matrix, so the projection is H^1_0-orthogonal.  Raises
+    ``DegenerateConstraints`` when the symmetrised matrix is numerically
+    singular (constant q, or u = 0).
     """
     grid = problem.grid
     g = np.asarray(g, dtype=float)
-    if reps is None:
-        reps = constraint_representers(problem, u, metric)
-    d1, d2 = reps
-    g11 = _metric_inner(grid, metric, d1, d1)
-    g12 = _metric_inner(grid, metric, d1, d2)
-    g22 = _metric_inner(grid, metric, d2, d2)
-    lo, hi = _eigvals_sym2(g11, g12, g22)
+    u = np.asarray(u, dtype=float)
+    r1, r2 = u, problem.q * u
+    d1, d2 = (r1, r2) if reps is None else reps
+    g11 = inner(grid, r1, d1)
+    g12 = inner(grid, r1, d2)
+    g21 = inner(grid, r2, d1)
+    g22 = inner(grid, r2, d2)
+    lo, hi = _eigvals_sym2(g11, 0.5 * (g12 + g21), g22)
     if lo <= 0.0 or hi / lo > _GRAM_COND_LIMIT:
         raise DegenerateConstraints(
             f"constraint representers are dependent (Gram eigenvalues "
             f"{[lo, hi]}); is q constant on the support of u?"
         )
-    lam, beta = _solve2(g11, g12, g12, g22,
-                        _metric_inner(grid, metric, g, d1),
-                        _metric_inner(grid, metric, g, d2))
+    lam, beta = _solve2(g11, g12, g21, g22, inner(grid, r1, g), inner(grid, r2, g))
     return g - lam * d1 - beta * d2
 
 

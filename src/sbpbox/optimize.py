@@ -1,16 +1,17 @@
 """Projected gradient descent on the constraint manifold.
 
-Each iteration projects the chosen-metric gradient onto the tangent space of
-M, steps against it, and retracts back with the two-parameter ansatz.  An
+Descent runs in the discrete H^1_0 metric: each iteration preconditions the
+gradient by a Dirichlet solve, projects it onto the tangent space of M,
+steps against it, and retracts back with the two-parameter ansatz.  An
 Armijo backtracking line search (with a rounding slack proportional to the
 energy scale) keeps the reduced energy monotone; the step doubles after each
 accepted iterate so the search is roughly scale free.
 
-Convergence is always declared on the Sobolev-metric tangent gradient norm,
-independent of the descent metric in use.  The L2 tangent residual is kept in
-the iteration trace as a stationarity diagnostic: along a minimizing sequence
-it is the quantity whose decay certifies that the limit solves the
-Euler-Lagrange system with recoverable multipliers.
+Convergence is declared on the Sobolev tangent gradient norm, which is also
+the Armijo decrease rate.  With ``keep_trace`` the L2 tangent residual is
+recorded as a stationarity diagnostic: along a minimizing sequence it is the
+quantity whose decay certifies that the limit solves the Euler-Lagrange
+system with recoverable multipliers.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     LineSearchStall,
     NewtonDivergence,
     NoConvergence,
+    SbpError,
     SingularMultiplierSystem,
     ZeroField,
 )
@@ -54,42 +56,34 @@ __all__ = [
 ]
 
 _ARMIJO_SLACK = 1e-13
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_INITIAL_STEP = 1.0
+_MIN_STEP = 1e-14
+_MAX_STEP = 1e3
+# Two states are duplicates when their sign-aligned L2 distance and their
+# energy gap both fall below these.
+_DEDUPE_L2 = 1e-3
+_DEDUPE_J = 1e-6
+# Random sphere combinations per multi-bump genus family, used as extra
+# starts in ``excited_states``.
+_SAMPLES_PER_FAMILY = 2
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for the projected descent loop and the multi-start driver.
+    """Settings of the projected descent loop and the multi-start search.
 
-    metric: "h10" (default) preconditions the gradient by a Dirichlet solve;
-        "l2" uses the plain nodal gradient.  Stopping is metric independent.
     grad_tol: threshold on the Sobolev tangent gradient norm.
-    dedupe_l2 / dedupe_j: two states are duplicates when their sign-aligned
-        L2 distance and their energy gap both fall below these.
-    samples_per_family: extra random sphere combinations per genus family
-        used as additional starts in ``excited_states``.
+    max_iterations: descent iterations per start before giving up.
+    keep_trace: record an ``IterRecord`` per iteration in ``SolveResult``.
+    seed: seeds the random sphere starts of ``excited_states``.
     """
 
-    metric: str = "h10"
     grad_tol: float = 1e-7
     max_iterations: int = 5000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
-    min_step: float = 1e-14
-    max_step: float = 1e3
     keep_trace: bool = False
-    dedupe_l2: float = 1e-3
-    dedupe_j: float = 1e-6
-    samples_per_family: int = 2
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.metric not in ("l2", "h10"):
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack factor must be in (0, 1), got {self.backtrack}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError(f"armijo_c must be in (0, 1), got {self.armijo_c}")
 
 
 @dataclass(frozen=True)
@@ -120,23 +114,16 @@ class SolveResult:
     trace: tuple[IterRecord, ...] = field(default=())
 
 
-def _tangent_gradients(problem: Problem, u: np.ndarray, g_l2: np.ndarray,
-                       metric: str) -> tuple[np.ndarray, float, float]:
-    """Descent direction in ``metric`` plus both stationarity norms.
+def _tangent_gradient(problem: Problem, u: np.ndarray,
+                      g_l2: np.ndarray) -> tuple[np.ndarray, float]:
+    """H^1_0 tangent gradient and its squared Sobolev norm.
 
-    Returns (tangent gradient in the descent metric, Sobolev tangent norm,
-    L2 tangent norm).  The Sobolev norm is computed from the Dirichlet-solve
-    preconditioned gradient regardless of the descent metric.
+    The squared norm is the Armijo decrease rate of a step along the
+    returned direction; its square root is the stopping quantity.
     """
-    grid = problem.grid
-    g_h = solve_poisson_dirichlet(grid, g_l2)
-    reps_h = constraint_representers(problem, u, "h10")
-    gt_h = tangent_project(problem, u, g_h, "h10", reps=reps_h)
-    sob = float(np.sqrt(max(dirichlet_inner(grid, gt_h, gt_h), 0.0)))
-    gt_l2 = tangent_project(problem, u, g_l2, "l2")
-    l2n = norm_l2(grid, gt_l2)
-    gt = gt_h if metric == "h10" else gt_l2
-    return gt, sob, l2n
+    g_h = solve_poisson_dirichlet(problem.grid, g_l2)
+    gt = tangent_project(problem, u, g_h, constraint_representers(problem, u))
+    return gt, dirichlet_inner(problem.grid, gt, gt)
 
 
 def minimize_on_M(problem: Problem,
@@ -145,7 +132,7 @@ def minimize_on_M(problem: Problem,
     """Armijo projected descent from ``u0`` until the Sobolev tangent
     gradient norm drops below ``opts.grad_tol``.
 
-    Raises ``LineSearchStall`` when backtracking hits ``min_step`` without an
+    Raises ``LineSearchStall`` when backtracking hits ``_MIN_STEP`` without an
     acceptable decrease; hitting ``max_iterations`` returns the best iterate
     flagged ``converged=False`` instead of raising.
     """
@@ -157,31 +144,30 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     u = retract(problem, np.asarray(u0, dtype=float))
     pair = phi_map(problem, u)
     j, breakdown = eval_J(problem, u, pair)
-    step = opts.initial_step
+    step = _INITIAL_STEP
     trace: list[IterRecord] = []
     sob = np.inf
     converged = False
     reason = "max_iterations"
     iterations = 0
-    metric_inner = (lambda a, b: dirichlet_inner(grid, a, b)) \
-        if opts.metric == "h10" else (lambda a, b: inner(grid, a, b))
     prev_u: np.ndarray | None = None
     prev_gt: np.ndarray | None = None
 
     for it in range(opts.max_iterations):
-        g_l2 = grad_J(problem, u, pair, metric="l2")
-        gt, sob, l2n = _tangent_gradients(problem, u, g_l2, opts.metric)
+        g_l2 = grad_J(problem, u, pair)
+        gt, decrease_rate = _tangent_gradient(problem, u, g_l2)
+        sob = float(np.sqrt(decrease_rate))
         if opts.keep_trace:
             trace.append(IterRecord(
-                iteration=it, j=j, sobolev_grad=sob, l2_grad=l2n, step=step,
-                dirichlet=dirichlet_energy(grid, u),
+                iteration=it, j=j, sobolev_grad=sob,
+                l2_grad=norm_l2(grid, tangent_project(problem, u, g_l2)),
+                step=step, dirichlet=dirichlet_energy(grid, u),
                 mass_p=integrate(grid, np.abs(u) ** problem.p),
             ))
         if sob <= opts.grad_tol:
             converged = True
             reason = "grad_tol"
             break
-        decrease_rate = metric_inner(gt, gt)
         if decrease_rate <= 0.0:
             reason = "zero_tangent_direction"
             break
@@ -189,42 +175,42 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         # Spectral (Barzilai-Borwein) trial step from the last displacement
         # and gradient change; falls back to growing the accepted step.  The
         # monotone Armijo test below safeguards it.
-        t = min(2.0 * step, opts.max_step)
+        t = min(2.0 * step, _MAX_STEP)
         if prev_u is not None:
             s = u - prev_u
             y = gt - prev_gt
-            sy = metric_inner(s, y)
+            sy = dirichlet_inner(grid, s, y)
             if sy > 0.0:
-                ss = metric_inner(s, s)
-                t = min(max(ss / sy, opts.min_step), opts.max_step)
+                ss = dirichlet_inner(grid, s, s)
+                t = min(max(ss / sy, _MIN_STEP), _MAX_STEP)
         prev_u, prev_gt = u, gt
 
         slack = _ARMIJO_SLACK * (1.0 + abs(j))
         accepted = False
-        while t >= opts.min_step:
+        while t >= _MIN_STEP:
             try:
                 u_try = retract(problem, u - t * gt)
             except (NewtonDivergence, DegenerateDirection, ZeroField):
-                t *= opts.backtrack
+                t *= _BACKTRACK
                 continue
             pair_try = phi_map(problem, u_try)
             j_try, breakdown_try = eval_J(problem, u_try, pair_try)
-            if j_try <= j - opts.armijo_c * t * decrease_rate + slack:
+            if j_try <= j - _ARMIJO_C * t * decrease_rate + slack:
                 u, pair, j, breakdown = u_try, pair_try, j_try, breakdown_try
                 step = t
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= _BACKTRACK
         iterations = it + 1
         if not accepted:
             raise LineSearchStall(
-                f"no acceptable step above {opts.min_step:g} at iteration {it} "
+                f"no acceptable step above {_MIN_STEP:g} at iteration {it} "
                 f"(J={j:.12g}, sobolev grad={sob:.3e})"
             )
 
     if not converged and reason == "max_iterations":
-        g_l2 = grad_J(problem, u, pair, metric="l2")
-        _, sob, _ = _tangent_gradients(problem, u, g_l2, opts.metric)
+        _, rate = _tangent_gradient(problem, u, grad_J(problem, u, pair))
+        sob = float(np.sqrt(rate))
         if sob <= opts.grad_tol:
             converged = True
             reason = "grad_tol"
@@ -250,7 +236,7 @@ def recover_multipliers(problem: Problem, u: np.ndarray,
     grid = problem.grid
     if pair is None:
         pair = phi_map(problem, u)
-    g_l2 = grad_J(problem, u, pair, metric="l2")
+    g_l2 = grad_J(problem, u, pair)
     qu = problem.q * u
     r1 = inner(grid, g_l2, u)
     r2 = inner(grid, g_l2, qu)
@@ -291,12 +277,17 @@ def _l2_sign_distance(grid, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _dedupe(grid, results: list[SolveResult],
-            opts: OptimizerOptions) -> list[SolveResult]:
+            opts: OptimizerOptions | None = None) -> list[SolveResult]:
+    """Keep the lowest-J representative of each state up to sign.
+
+    The thresholds are ``_DEDUPE_L2`` and ``_DEDUPE_J``; ``opts`` is accepted
+    and ignored.
+    """
     kept: list[SolveResult] = []
     for res in sorted(results, key=lambda r: r.j):
         duplicate = any(
-            _l2_sign_distance(grid, res.u, other.u) <= opts.dedupe_l2
-            and abs(res.j - other.j) <= opts.dedupe_j
+            _l2_sign_distance(grid, res.u, other.u) <= _DEDUPE_L2
+            and abs(res.j - other.j) <= _DEDUPE_J
             for other in kept
         )
         if not duplicate:
@@ -311,7 +302,7 @@ def excited_states(problem: Problem, k: int,
     Starts are the slab seed families for genus 1..k plus random sphere
     combinations of each multi-bump family.  Runs that stall in the line
     search or hit the iteration cap are dropped with a warning; survivors are
-    deduplicated up to sign using the L2/energy thresholds in ``opts``.  The
+    deduplicated up to sign by their L2 distance and energy gap.  The
     returned list is non-decreasing in both J and the Dirichlet energy:
     states that would break the energy trend are dropped.
     """
@@ -321,7 +312,7 @@ def excited_states(problem: Problem, k: int,
     for genus in range(1, k + 1):
         try:
             seeds = genus_seeds(problem, genus)
-        except Exception as exc:
+        except SbpError as exc:
             if genus == 1:
                 raise
             warnings.warn(
@@ -330,8 +321,8 @@ def excited_states(problem: Problem, k: int,
             )
             break
         starts.extend(seeds)
-        if genus > 1 and opts.samples_per_family > 0:
-            starts.extend(sphere_samples(problem, seeds, opts.samples_per_family, rng))
+        if genus > 1:
+            starts.extend(sphere_samples(problem, seeds, _SAMPLES_PER_FAMILY, rng))
 
     results: list[SolveResult] = []
     failures = 0
@@ -352,7 +343,7 @@ def excited_states(problem: Problem, k: int,
             f"{failures} of {len(starts)} starts did not converge",
             stacklevel=2,
         )
-    kept = _dedupe(problem.grid, results, opts)
+    kept = _dedupe(problem.grid, results)
     trend: list[tuple[SolveResult, float]] = []
     for res in kept:
         de = dirichlet_energy(problem.grid, res.u)

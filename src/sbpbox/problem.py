@@ -27,7 +27,6 @@ from .grid import (
     Grid,
     boundary_integrate,
     integrate,
-    laplacian_neumann,
     norm_l2,
     read_field,
 )
@@ -183,17 +182,6 @@ def solve_chi(grid: Grid,
         )
     chi = solve_poisson_neumann_zeromean(grid, theta, h1)
     return chi, theta, alpha
-
-
-def fourth_order_chi_residual(grid: Grid,
-                              chi: np.ndarray,
-                              h1: BoundaryData,
-                              h2: BoundaryData,
-                              alpha: float) -> float:
-    """L2 norm of lap(lap(chi)) - lap(chi) - alpha/|box| with native stencils."""
-    z = laplacian_neumann(grid, chi, h1)
-    res = laplacian_neumann(grid, z, h2) - z - alpha / grid.volume
-    return norm_l2(grid, res)
 
 
 def build_problem(grid: Grid,

@@ -12,18 +12,17 @@ that are independent of the ones used during optimization where possible:
   * both flux conditions through one-sided second-order boundary derivatives;
   * the two constraint integrals.
 
-``refinement_study`` repeats a solve over a sequence of grids and reports
-observed convergence orders; ``dense_oracle_compare`` cross-checks every
-spectral solve against LU factorizations of explicitly assembled matrices;
-``dense_kkt_polish`` runs a dense Newton iteration on the full stationarity
-system, giving an optimizer-independent value for (u, omega, mu, J).
+``dense_oracle_compare`` cross-checks every spectral solve against LU
+factorizations of explicitly assembled matrices; ``dense_kkt_polish`` runs a
+dense Newton iteration on the full stationarity system, giving an
+optimizer-independent value for (u, omega, mu, J).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,8 +48,6 @@ from .grid import (
     mean,
     norm_l2,
 )
-from .manifold import feasible_init
-from .optimize import OptimizerOptions, SolveResult, minimize_on_M, polish_positive
 from .problem import Problem
 from .reduction import PotentialPair, phi_map, solve_fourth_order_split
 from .solvers import solve_helmholtz_neumann, solve_poisson_dirichlet, solve_poisson_neumann_zeromean
@@ -61,8 +58,6 @@ __all__ = [
     "reconstruct_phi",
     "residual_original_system",
     "write_summary",
-    "RefinementStudy",
-    "refinement_study",
     "DenseOracleReport",
     "dense_oracle_compare",
     "dense_kkt_polish",
@@ -219,65 +214,6 @@ def write_summary(path, reports: Sequence[ResidualReport]) -> None:
         writer.writeheader()
         for rep in reports:
             writer.writerow(rep.row())
-
-
-def _orders(values: Sequence[float], floor: float = 1e-12) -> list[float]:
-    """log2 ratios of consecutive entries; nan when below the noise floor."""
-    out = []
-    for a, b in zip(values, values[1:]):
-        if a <= floor or b <= floor:
-            out.append(float("nan"))
-        else:
-            out.append(float(np.log2(a / b)))
-    return out
-
-
-@dataclass(frozen=True)
-class RefinementStudy:
-    reports: tuple[ResidualReport, ...]
-    results: tuple[SolveResult, ...]
-    j_values: tuple[float, ...]
-    j_diffs: tuple[float, ...]
-    j_orders: tuple[float, ...]
-    eq1_orders: tuple[float, ...]
-    bc_orders: tuple[float, ...]
-
-
-def refinement_study(problem_factory: Callable[[int], Problem],
-                     node_counts: Sequence[int],
-                     opts: OptimizerOptions | None = None,
-                     positive: bool = True) -> RefinementStudy:
-    """Solve the same continuum problem over successively refined grids.
-
-    ``problem_factory`` maps a per-axis node count to a Problem; counts are
-    expected to (roughly) double the resolution each step, since observed
-    orders are reported as plain log2 ratios.  Energies are compared through
-    consecutive differences (no exact value is available), the residuals
-    directly.
-    """
-    opts = opts or OptimizerOptions()
-    reports: list[ResidualReport] = []
-    results: list[SolveResult] = []
-    for n in node_counts:
-        prob = problem_factory(int(n))
-        res = minimize_on_M(prob, feasible_init(prob), opts)
-        if positive:
-            res = polish_positive(prob, res, opts)
-        reports.append(residual_original_system(
-            prob, res.u, res.pair, res.omega, res.mu,
-            j=res.j, iterations=res.iterations))
-        results.append(res)
-    j_values = [rep.j for rep in reports]
-    j_diffs = [abs(a - b) for a, b in zip(j_values, j_values[1:])]
-    return RefinementStudy(
-        reports=tuple(reports),
-        results=tuple(results),
-        j_values=tuple(j_values),
-        j_diffs=tuple(j_diffs),
-        j_orders=tuple(_orders(j_diffs)),
-        eq1_orders=tuple(_orders([rep.eq1_res for rep in reports])),
-        bc_orders=tuple(_orders([rep.bc_res for rep in reports])),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from sbpbox import (
     Grid,
     build_problem,
 )
+from sbpbox.grid import dirichlet_energy, inner, integrate, laplacian_neumann, norm_l2
 from sbpbox.manifold import feasible_init, retract
 from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
 
@@ -64,6 +65,32 @@ def random_m_point(problem, rng, scale=1.0):
         window *= np.sin(np.pi * c / length)
     v = v * window + 2.0 * window
     return retract(problem, v)
+
+
+def eval_F(problem, u, pair):
+    """The two-field energy at (u, phi); psi stands in for lap(phi).
+
+    The linear term vanishes identically on zero-mean potentials but is kept
+    so that trial potentials with nonzero mean are scored correctly.
+    """
+    g = problem.grid
+    u = np.asarray(u, dtype=float)
+    u2 = u * u
+    value = 0.5 * dirichlet_energy(g, u)
+    value += 0.5 * inner(g, problem.q * (pair.phi + problem.chi), u2)
+    if problem.kappa != 0.0:
+        value -= problem.kappa / problem.p * integrate(g, np.abs(u) ** problem.p)
+    value -= 0.25 * inner(g, pair.psi, pair.psi)
+    value -= 0.25 * dirichlet_energy(g, pair.phi)
+    value -= 0.5 * problem.alpha / g.volume * integrate(g, pair.phi)
+    return value
+
+
+def fourth_order_chi_residual(grid, chi, h1, h2, alpha):
+    """L2 norm of lap(lap(chi)) - lap(chi) - alpha/|box| with native stencils."""
+    z = laplacian_neumann(grid, chi, h1)
+    res = laplacian_neumann(grid, z, h2) - z - alpha / grid.volume
+    return norm_l2(grid, res)
 
 
 @pytest.fixture(scope="session")

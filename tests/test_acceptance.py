@@ -12,23 +12,24 @@ from dataclasses import replace
 
 import numpy as np
 
-from sbpbox import (
-    Grid,
-    biharmonic_form,
+from sbpbox import Grid
+from sbpbox.functional import eval_J, grad_J
+from sbpbox.grid import (
     boundary_integrate,
     dirichlet_energy,
-    eval_J,
-    grad_J,
     inner,
     integrate,
-    interaction_energy,
     mean,
     norm_l2,
+    zero_boundary,
+)
+from sbpbox.problem import solve_chi
+from sbpbox.reduction import (
+    biharmonic_form,
+    interaction_energy,
     phi_map,
-    solve_chi,
     solve_fourth_order_split,
 )
-from sbpbox.grid import zero_boundary
 from sbpbox.manifold import constraint_values, feasible_init, retract
 from sbpbox.optimize import (
     OptimizerOptions,

@@ -1,10 +1,14 @@
 """Config parsing: grammar, validation, assembly into problems."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sbpbox import ConfigError, Grid, write_field
+from sbpbox import Grid, write_field
 from sbpbox.config import CONFIG_KEYS, load_config, parse_config_text
+from sbpbox.errors import ConfigError
 
 GROUND = """
 # benchmark setup
@@ -34,10 +38,24 @@ def test_parse_and_defaults():
     assert grid == Grid(lengths=(1.0,), n=(33,))
 
 
-def test_parse_rejects_unknown_key():
+# A typo, and the optimizer settings that are module constants.
+@pytest.mark.parametrize("key", ["gridd.n", "optimizer.metric",
+                                 "optimizer.initial_step", "optimizer.dedupe_l2",
+                                 "optimizer.dedupe_j",
+                                 "optimizer.samples_per_family"])
+def test_parse_rejects_unknown_key(key):
     with pytest.raises(ConfigError) as info:
-        parse_config_text(GROUND + "gridd.n = 65\n")
-    assert "gridd.n" in str(info.value)
+        parse_config_text(GROUND + f"{key} = 1\n")
+    assert key in str(info.value)
+
+
+def test_readme_config_table_lists_every_key():
+    """The README config table documents exactly the keys of CONFIG_KEYS,
+    besides the ``coupling.<param>`` and ``boundary.*.<face>`` pattern rows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE)
+    assert {key for key in rows if "<" not in key} == set(CONFIG_KEYS)
 
 
 def test_parse_rejects_duplicates_and_junk():

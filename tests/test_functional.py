@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from sbpbox import (
-    eval_F,
-    eval_J,
-    gn_exponent_window,
-    gn_ratio,
-    grad_J,
-    inner,
-    phi_map,
-)
-from sbpbox.grid import zero_boundary
-from conftest import line_problem, random_m_point
+from sbpbox.functional import eval_J, grad_J
+from sbpbox.grid import dirichlet_inner, inner, zero_boundary
+from sbpbox.reduction import phi_map
+from sbpbox.solvers import solve_poisson_dirichlet
+from conftest import eval_F, line_problem, random_m_point
 
 
 @pytest.fixture(scope="module")
@@ -81,44 +75,25 @@ def test_gradient_odd_bitwise(prob):
 def test_gradient_vanishes_on_boundary(prob):
     rng = np.random.default_rng(5)
     u = random_m_point(prob, rng)
-    for metric in ("l2", "h10"):
-        g = grad_J(prob, u, metric=metric)
-        assert np.all(g[~prob.grid.interior_mask] == 0.0)
-    with pytest.raises(ValueError):
-        grad_J(prob, u, metric="h2")
+    g = grad_J(prob, u)
+    assert np.all(g[~prob.grid.interior_mask] == 0.0)
+    g_h = solve_poisson_dirichlet(prob.grid, g)
+    assert np.all(g_h[~prob.grid.interior_mask] == 0.0)
 
 
 def test_metric_gradients_are_equivalent(prob):
-    """The h10 gradient is the Dirichlet-form representer of the l2 one:
+    """The Dirichlet solve of the L2 gradient is its H^1_0 representer:
     dirichlet_inner(g_h, v) == inner(g_l2, v) for interior directions."""
     rng = np.random.default_rng(6)
     u = random_m_point(prob, rng)
     pair = phi_map(prob, u)
     g_l2 = grad_J(prob, u, pair)
-    g_h = grad_J(prob, u, pair, metric="h10")
-    from sbpbox import dirichlet_inner
+    g_h = solve_poisson_dirichlet(prob.grid, g_l2)
     for _ in range(3):
         v = zero_boundary(prob.grid, rng.standard_normal(prob.grid.shape))
         a = dirichlet_inner(prob.grid, g_h, v)
         b = inner(prob.grid, g_l2, v)
         assert abs(a - b) <= 1e-7 * (1.0 + abs(b))
-
-
-def test_gn_window_and_ratio():
-    lo, hi = gn_exponent_window(3.0, 3)
-    assert lo == pytest.approx(1.0)
-    assert hi == pytest.approx(3.0 * (1.0 - 3.0 / 6.0))
-    assert lo < hi
-    prob = line_problem(65)
-    u = prob.grid.field(lambda x: np.sin(np.pi * x))
-    r = gn_ratio(prob.grid, u, 3.0, 1.0)
-    assert r > 0
-    # Scale invariance: both sides are p-homogeneous.
-    assert gn_ratio(prob.grid, 5.0 * u, 3.0, 1.0) == pytest.approx(r, rel=1e-12)
-    with pytest.raises(ValueError):
-        gn_ratio(prob.grid, u, 3.0, -1.0)
-    with pytest.raises(ValueError):
-        gn_ratio(prob.grid, np.zeros(prob.grid.shape), 3.0, 1.0)
 
 
 def test_kappa_zero_drops_nonlinear_term():

@@ -9,10 +9,9 @@ integral of lap(f) equals the surface integral of the flux data.
 import numpy as np
 import pytest
 
-from sbpbox import (
-    BoundaryData,
-    Grid,
-    NonzeroBoundary,
+from sbpbox import BoundaryData, Grid, read_field, write_field
+from sbpbox.errors import NonzeroBoundary
+from sbpbox.grid import (
     boundary_integrate,
     dirichlet_energy,
     dirichlet_inner,
@@ -21,11 +20,10 @@ from sbpbox import (
     laplacian_dirichlet,
     laplacian_neumann,
     mean,
+    neumann_flux_field,
     norm_l2,
-    read_field,
-    write_field,
+    zero_boundary,
 )
-from sbpbox.grid import neumann_flux_field, zero_boundary
 
 
 def grids():

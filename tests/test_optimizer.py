@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from sbpbox import (
-    LineSearchStall,
-    SingularMultiplierSystem,
-    dirichlet_energy,
-    norm_l2,
-    phi_map,
-)
-from sbpbox.manifold import constraint_values, feasible_init, retract
+from sbpbox import optimize
+from sbpbox.errors import LineSearchStall, SingularMultiplierSystem
+from sbpbox.grid import dirichlet_energy, norm_l2
+from sbpbox.manifold import constraint_values, feasible_init, genus_seeds
 from sbpbox.optimize import (
     OptimizerOptions,
     _dedupe,
@@ -22,15 +18,6 @@ from sbpbox.optimize import (
 from sbpbox.verify import dense_kkt_polish
 from conftest import line_problem, oscillating_problem
 from dataclasses import replace as dc_replace
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        OptimizerOptions(metric="h2")
-    with pytest.raises(ValueError):
-        OptimizerOptions(backtrack=1.0)
-    with pytest.raises(ValueError):
-        OptimizerOptions(armijo_c=0.0)
 
 
 def test_benchmark_ground_state_frozen(bench65, bench65_state):
@@ -65,8 +52,8 @@ def test_trace_is_monotone(bench65):
     slack = 1e-12 * (1.0 + np.abs(js).max())
     assert np.all(np.diff(js) <= slack)
     assert res.trace[-1].sobolev_grad <= 1e-7
-    # The trace records the step actually accepted, never below min_step.
-    assert all(rec.step >= OptimizerOptions().min_step for rec in res.trace[1:])
+    # The trace records the step actually accepted, never below the floor.
+    assert all(rec.step >= optimize._MIN_STEP for rec in res.trace[1:])
 
 
 def test_max_iterations_returns_unconverged(bench65):
@@ -77,12 +64,13 @@ def test_max_iterations_returns_unconverged(bench65):
     assert res.iterations == 2
 
 
-def test_line_search_stall_raises(bench65):
-    # First trial step 2 * initial_step already sits below min_step, so the
-    # backtracking loop cannot run at all.
-    opts = OptimizerOptions(seed=0, initial_step=1e-16)
+def test_line_search_stall_raises(bench65, monkeypatch):
+    # First trial step 2 * initial step already sits below the step floor,
+    # so the backtracking loop cannot run at all.
+    monkeypatch.setattr(optimize, "_INITIAL_STEP", 1e-16)
+    assert 2.0 * optimize._INITIAL_STEP < optimize._MIN_STEP
     with pytest.raises(LineSearchStall):
-        minimize_on_M(bench65, feasible_init(bench65), opts)
+        minimize_on_M(bench65, feasible_init(bench65), OptimizerOptions(seed=0))
 
 
 def test_multiplier_recovery_matches_result(bench65, bench65_state):
@@ -116,11 +104,11 @@ def test_polish_positive_properties(bench129):
 def test_dedupe_identifies_sign_flips(bench65, bench65_state):
     res = bench65_state
     flipped = dc_replace(res, u=-res.u)
-    kept = _dedupe(bench65.grid, [res, flipped], OptimizerOptions())
+    kept = _dedupe(bench65.grid, [res, flipped])
     assert len(kept) == 1
     # Genuinely different states survive.
     other = dc_replace(res, j=res.j + 1.0)
-    kept = _dedupe(bench65.grid, [res, other], OptimizerOptions())
+    kept = _dedupe(bench65.grid, [res, other])
     assert len(kept) == 2
 
 
@@ -167,3 +155,18 @@ def test_excited_states_deterministic():
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.u, rb.u)
         assert ra.j == rb.j
+
+
+def test_excited_states_propagates_seed_programming_errors(monkeypatch):
+    """Only package errors at genus >= 2 end seed generation with a warning;
+    anything else is a defect and must surface."""
+    prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+
+    def broken(problem, genus):
+        if genus == 2:
+            raise TypeError("broken seed generator")
+        return genus_seeds(problem, genus)
+
+    monkeypatch.setattr(optimize, "genus_seeds", broken)
+    with pytest.raises(TypeError, match="broken seed generator"):
+        excited_states(prob, 2, OptimizerOptions(seed=0))

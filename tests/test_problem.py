@@ -5,22 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sbpbox import (
-    BoundaryData,
-    ConsistencyViolation,
-    CouplingSpec,
-    Grid,
-    boundary_integrate,
-    build_problem,
-    classify_alpha,
-    compute_alpha,
-    fourth_order_chi_residual,
-    integrate,
-    mean,
-    solve_chi,
-    write_field,
-)
-from conftest import line_problem, square_problem
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, write_field
+from sbpbox.errors import ConsistencyViolation
+from sbpbox.grid import boundary_integrate, integrate, mean
+from sbpbox.problem import classify_alpha, compute_alpha, solve_chi
+from conftest import fourth_order_chi_residual, line_problem, square_problem
 
 
 def test_compute_alpha_flux_gap():

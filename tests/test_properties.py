@@ -9,29 +9,28 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbpbox import (
-    BoundaryData,
-    Grid,
-    boundary_integrate,
-    dirichlet_inner,
-    inner,
-    integrate,
-    build_problem,
-    laplacian_neumann,
-    mean,
-    phi_map,
-    solve_fourth_order_split,
-    solve_helmholtz_neumann,
-    solve_poisson_dirichlet,
-    solve_poisson_neumann_zeromean,
-)
+from sbpbox import BoundaryData, Grid, build_problem
 from sbpbox.dense import (
     solve_fourth_order_dense,
     solve_helmholtz_dense,
     solve_poisson_dirichlet_dense,
     solve_poisson_neumann_dense,
 )
-from sbpbox.grid import zero_boundary
+from sbpbox.grid import (
+    boundary_integrate,
+    dirichlet_inner,
+    inner,
+    integrate,
+    laplacian_neumann,
+    mean,
+    zero_boundary,
+)
+from sbpbox.reduction import phi_map, solve_fourth_order_split
+from sbpbox.solvers import (
+    solve_helmholtz_neumann,
+    solve_poisson_dirichlet,
+    solve_poisson_neumann_zeromean,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=20)

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from sbpbox import (
-    Grid,
+from sbpbox import Grid
+from sbpbox.grid import mean, norm_l2
+from sbpbox.reduction import (
     PotentialPair,
     biharmonic_form,
     interaction_energy,
-    mean,
-    norm_l2,
     phi_map,
     solve_fourth_order_split,
 )

@@ -3,24 +3,19 @@
 import numpy as np
 import pytest
 
-from sbpbox import (
-    BoundaryData,
-    Grid,
-    IncompatibleData,
-    boundary_integrate,
-    integrate,
-    mean,
-    norm_l2,
-    solve_helmholtz_neumann,
-    solve_poisson_dirichlet,
-    solve_poisson_neumann_zeromean,
-)
+from sbpbox import BoundaryData, Grid
 from sbpbox.dense import (
     solve_helmholtz_dense,
     solve_poisson_dirichlet_dense,
     solve_poisson_neumann_dense,
 )
-from sbpbox.grid import zero_boundary
+from sbpbox.errors import IncompatibleData
+from sbpbox.grid import boundary_integrate, integrate, mean, norm_l2, zero_boundary
+from sbpbox.solvers import (
+    solve_helmholtz_neumann,
+    solve_poisson_dirichlet,
+    solve_poisson_neumann_zeromean,
+)
 
 
 def test_helmholtz_manufactured_second_order():

@@ -5,16 +5,18 @@ import csv
 import numpy as np
 import pytest
 
-from sbpbox import Grid, OracleTooLarge, phi_map
+from sbpbox import Grid
+from sbpbox.cli import refinement_study
 from sbpbox.dense import MAX_ORACLE_NODES, check_size
+from sbpbox.errors import OracleTooLarge
 from sbpbox.manifold import feasible_init
 from sbpbox.optimize import OptimizerOptions, minimize_on_M
+from sbpbox.reduction import phi_map
 from sbpbox.verify import (
     SUMMARY_COLUMNS,
     dense_kkt_polish,
     dense_oracle_compare,
     reconstruct_phi,
-    refinement_study,
     residual_original_system,
     write_summary,
 )
