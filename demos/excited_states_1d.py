@@ -27,7 +27,7 @@ problem = build_problem(
 )
 
 states = excited_states(problem, 3,
-                        OptimizerOptions(seed=0, max_iterations=8000))
+                        OptimizerOptions(max_iterations=8000))
 
 x = grid.coords[0]
 print(f"{len(states)} distinct states (energy-ordered):")

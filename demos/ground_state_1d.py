@@ -34,7 +34,7 @@ report = classify_alpha(problem)
 print(f"alpha = {problem.alpha:.6f}, q range = "
       f"[{report.q_min:.3f}, {report.q_max:.3f}] -> {report.classification}")
 
-result = minimize_on_M(problem, feasible_init(problem), OptimizerOptions(seed=0))
+result = minimize_on_M(problem, feasible_init(problem), OptimizerOptions())
 result = polish_positive(problem, result)
 
 print(f"converged: {result.converged} in {result.iterations} iterations")

@@ -7,8 +7,9 @@ feasibility test (the report is printed and the optimizer never runs),
 All output files are written once, at the end of a successful run: a
 ``summary.csv`` table (one row per state or grid), per-state field dumps
 ``u_<i>.csv`` / ``phi_<i>.csv`` plus the shared ``chi.csv``, and a
-``report.json`` with the full residual and multiplier set.  Identical
-config and seed produce byte-identical outputs.
+``report.json`` with the full residual and multiplier set.  An identical
+config produces byte-identical outputs; ``--seed`` only reaches the random
+test data of ``oracle``.
 
 ``refinement_study`` does the work of ``refine``: it repeats a solve
 over a sequence of grids and reports observed convergence orders.
@@ -146,13 +147,13 @@ def _dump_state_fields(out: Path, problem: Problem, index: int,
     write_field(out / f"phi_{index}.csv", problem.grid, phi_full)
 
 
-def cmd_solve(cfg: RunConfig, out: Path, seed: int | None, quiet: bool) -> int:
+def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     t0 = time.perf_counter()
     problem = cfg.build_problem()
     code = _gate_feasibility(problem, quiet)
     if code is not None:
         return code
-    opts = cfg.optimizer_options(seed=seed)
+    opts = cfg.optimizer_options()
     if cfg.mode == "ground":
         _say(quiet, "minimizing from the two-bump feasible start")
         res = minimize_on_M(problem, feasible_init(problem), opts)
@@ -287,12 +288,12 @@ def refinement_study(problem_factory: Callable[[int], Problem],
     )
 
 
-def cmd_refine(cfg: RunConfig, out: Path, seed: int | None, quiet: bool) -> int:
+def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
     problem = cfg.build_problem()
     code = _gate_feasibility(problem, quiet)
     if code is not None:
         return code
-    opts = cfg.optimizer_options(seed=seed)
+    opts = cfg.optimizer_options()
     grids = cfg.get("run.grids")
     _say(quiet, f"refinement over node counts {list(grids)}")
     study = refinement_study(cfg.build_problem, grids, opts)
@@ -327,9 +328,10 @@ def cmd_refine(cfg: RunConfig, out: Path, seed: int | None, quiet: bool) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig, quiet: bool) -> int:
+def cmd_oracle(cfg: RunConfig, seed: int | None, quiet: bool) -> int:
     problem = cfg.build_problem()
-    rep = dense_oracle_compare(problem, seed=cfg.get("run.seed"))
+    rep = dense_oracle_compare(
+        problem, seed=cfg.get("run.seed") if seed is None else seed)
     lines = [
         ("helmholtz", rep.helmholtz),
         ("poisson_neumann", rep.poisson_neumann),
@@ -370,15 +372,15 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.get("output.dir"))
         if args.command == "solve":
-            return cmd_solve(cfg, out, args.seed, args.quiet)
+            return cmd_solve(cfg, out, args.quiet)
         if args.command == "feasibility":
             return cmd_feasibility(cfg, args.quiet)
         if args.command == "verify":
             return cmd_verify(cfg, out, args.quiet)
         if args.command == "refine":
-            return cmd_refine(cfg, out, args.seed, args.quiet)
+            return cmd_refine(cfg, out, args.quiet)
         if args.command == "oracle":
-            return cmd_oracle(cfg, args.quiet)
+            return cmd_oracle(cfg, args.seed, args.quiet)
         raise AssertionError(args.command)
     except SbpError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -144,11 +144,10 @@ class RunConfig:
                 )
         return BoundaryData(grid=grid, values=values)
 
-    def optimizer_options(self, seed: int | None = None) -> OptimizerOptions:
+    def optimizer_options(self) -> OptimizerOptions:
         return OptimizerOptions(
             grad_tol=self.get("optimizer.grad_tol"),
             max_iterations=self.get("optimizer.max_iterations"),
-            seed=(self.get("run.seed") if seed is None else seed),
         )
 
     def build_problem(self, n_override=None) -> Problem:

@@ -183,16 +183,6 @@ class Grid:
             for s in (0, 1):
                 yield (a, s)
 
-    def refined(self, factor: int = 2) -> "Grid":
-        """Grid with each spacing divided by ``factor`` (nested nodes)."""
-        return Grid(self.lengths, tuple((m - 1) * factor + 1 for m in self.n))
-
-    def field(self, fn: Callable[..., np.ndarray] | float) -> np.ndarray:
-        """Evaluate a callable of the coordinate fields, or fill a constant."""
-        if callable(fn):
-            return np.asarray(fn(*self.coords), dtype=float).reshape(self.shape)
-        return np.full(self.shape, float(fn))
-
 
 @dataclass(frozen=True)
 class BoundaryData:

@@ -43,7 +43,6 @@ __all__ = [
     "tangent_project",
     "feasible_init",
     "genus_seeds",
-    "sphere_samples",
 ]
 
 _GRAM_COND_LIMIT = 1e12
@@ -354,25 +353,3 @@ def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
             slab_index=len(seeds),
         )
     return seeds
-
-
-def sphere_samples(problem: Problem,
-                   seeds: list[np.ndarray],
-                   count: int,
-                   rng: np.random.Generator) -> list[np.ndarray]:
-    """Random unit combinations of disjoint-support seeds, retracted onto M.
-
-    Because the seeds have disjoint supports and each one satisfies both
-    constraints, any coefficient vector on the unit sphere lands on M up to
-    rounding; the retraction is a no-op-level cleanup.
-    """
-    out = []
-    for _ in range(count):
-        c = rng.standard_normal(len(seeds))
-        nrm = float(np.linalg.norm(c))
-        if nrm < 1e-12:
-            continue
-        c /= nrm
-        u = sum(ci * si for ci, si in zip(c, seeds))
-        out.append(retract(problem, u))
-    return out

@@ -38,7 +38,6 @@ from .manifold import (
     constraint_representers,
     genus_seeds,
     retract,
-    sphere_samples,
     tangent_project,
 )
 from .problem import Problem
@@ -65,25 +64,20 @@ _MAX_STEP = 1e3
 # energy gap both fall below these.
 _DEDUPE_L2 = 1e-3
 _DEDUPE_J = 1e-6
-# Random sphere combinations per multi-bump genus family, used as extra
-# starts in ``excited_states``.
-_SAMPLES_PER_FAMILY = 2
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Settings of the projected descent loop and the multi-start search.
+    """Settings of the projected descent loop, used for every start.
 
     grad_tol: threshold on the Sobolev tangent gradient norm.
     max_iterations: descent iterations per start before giving up.
     keep_trace: record an ``IterRecord`` per iteration in ``SolveResult``.
-    seed: seeds the random sphere starts of ``excited_states``.
     """
 
     grad_tol: float = 1e-7
     max_iterations: int = 5000
     keep_trace: bool = False
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -276,12 +270,10 @@ def _l2_sign_distance(grid, a: np.ndarray, b: np.ndarray) -> float:
     return min(norm_l2(grid, a - b), norm_l2(grid, a + b))
 
 
-def _dedupe(grid, results: list[SolveResult],
-            opts: OptimizerOptions | None = None) -> list[SolveResult]:
-    """Keep the lowest-J representative of each state up to sign.
+def _dedupe(grid, results: list[SolveResult]) -> list[SolveResult]:
+    """Keep the lowest-J representative of each state up to sign, sorted by J.
 
-    The thresholds are ``_DEDUPE_L2`` and ``_DEDUPE_J``; ``opts`` is accepted
-    and ignored.
+    The thresholds are ``_DEDUPE_L2`` and ``_DEDUPE_J``.
     """
     kept: list[SolveResult] = []
     for res in sorted(results, key=lambda r: r.j):
@@ -297,17 +289,16 @@ def _dedupe(grid, results: list[SolveResult],
 
 def excited_states(problem: Problem, k: int,
                    opts: OptimizerOptions | None = None) -> list[SolveResult]:
-    """Distinct converged states from genus-style multi-start, sorted by J.
+    """Distinct converged states from one descent per slab seed, sorted by J.
 
-    Starts are the slab seed families for genus 1..k plus random sphere
-    combinations of each multi-bump family.  Runs that stall in the line
-    search or hit the iteration cap are dropped with a warning; survivors are
-    deduplicated up to sign by their L2 distance and energy gap.  The
-    returned list is non-decreasing in both J and the Dirichlet energy:
-    states that would break the energy trend are dropped.
+    The starts are the slab seeds of ``genus_seeds`` for genus 1..k, that is
+    1 + 2 + ... + k deterministic starts; seed generation stops with a
+    warning at the first genus >= 2 whose slabs cannot bracket alpha.  Runs
+    that stall in the line search or hit the iteration cap are dropped with
+    a warning; survivors are deduplicated up to sign by their L2 distance
+    and energy gap.
     """
     opts = opts or OptimizerOptions()
-    rng = np.random.default_rng(opts.seed)
     starts: list[np.ndarray] = []
     for genus in range(1, k + 1):
         try:
@@ -321,8 +312,6 @@ def excited_states(problem: Problem, k: int,
             )
             break
         starts.extend(seeds)
-        if genus > 1:
-            starts.extend(sphere_samples(problem, seeds, _SAMPLES_PER_FAMILY, rng))
 
     results: list[SolveResult] = []
     failures = 0
@@ -344,13 +333,6 @@ def excited_states(problem: Problem, k: int,
             stacklevel=2,
         )
     kept = _dedupe(problem.grid, results)
-    trend: list[tuple[SolveResult, float]] = []
-    for res in kept:
-        de = dirichlet_energy(problem.grid, res.u)
-        if trend and de < trend[-1][1] * (1.0 - 1e-12):
-            continue
-        trend.append((res, de))
-    kept = [res for res, _ in trend]
     if len(kept) < k:
         warnings.warn(
             f"found {len(kept)} distinct states from genus targets up to {k}",

@@ -66,6 +66,11 @@ __all__ = [
 SUMMARY_COLUMNS = ("n", "h", "J", "omega", "mu", "eq1_res", "eq2_res",
                    "bc_res", "norm_res", "compat_res", "iters")
 
+# Stopping rule of ``dense_kkt_polish``: residual max-norm relative to
+# 1 + its initial value, and the Newton step cap.
+_KKT_TOL = 1e-12
+_KKT_MAX_NEWTON = 40
+
 
 def reconstruct_phi(problem: Problem, pair: PotentialPair, mu: float) -> np.ndarray:
     """Full potential: state-dependent part plus boundary lift plus gauge."""
@@ -319,9 +324,7 @@ def _potential_operator_matrix(grid: Grid) -> np.ndarray:
 def dense_kkt_polish(problem: Problem,
                      u0: np.ndarray,
                      omega0: float,
-                     mu0: float,
-                     max_newton: int = 40,
-                     tol: float = 1e-12) -> tuple[np.ndarray, float, float, float]:
+                     mu0: float) -> tuple[np.ndarray, float, float, float]:
     """Newton on the full dense stationarity system from a converged state.
 
     Unknowns are the interior nodal values of u plus (omega, mu); the
@@ -330,7 +333,8 @@ def dense_kkt_polish(problem: Problem,
     dense block) and the two constraints.  Returns (u, omega, mu, J) with J
     evaluated through the dense potential, fully independent of the
     spectral pipeline.  Raises ``NewtonDivergence`` if the residual fails
-    to reach ``tol`` times the initial scale.
+    to reach ``_KKT_TOL`` times the initial scale within ``_KKT_MAX_NEWTON``
+    steps.
     """
     grid = problem.grid
     check_size(grid)
@@ -363,8 +367,8 @@ def dense_kkt_polish(problem: Problem,
 
     r, phi = residual(u, omega, mu)
     scale = 1.0 + float(np.max(np.abs(r)))
-    for _ in range(max_newton):
-        if float(np.max(np.abs(r))) <= tol * scale:
+    for _ in range(_KKT_MAX_NEWTON):
+        if float(np.max(np.abs(r))) <= _KKT_TOL * scale:
             break
         dphi = lmat * (2.0 * q * u)[None, :]
         jac_u = (a_dir

@@ -55,7 +55,7 @@ def ground_state(n):
     if key not in _cache:
         prob = line_problem(n)
         t0 = time.perf_counter()
-        res = minimize_on_M(prob, feasible_init(prob), OptimizerOptions(seed=0))
+        res = minimize_on_M(prob, feasible_init(prob), OptimizerOptions())
         res = polish_positive(prob, res)
         _cache[key] = (prob, res, time.perf_counter() - t0)
     return _cache[key]
@@ -66,7 +66,7 @@ def excited_family():
         prob = oscillating_problem(257, alpha=0.35, kappa=20.0)
         t0 = time.perf_counter()
         states = excited_states(prob, 3,
-                                OptimizerOptions(seed=0, max_iterations=8000))
+                                OptimizerOptions(max_iterations=8000))
         _cache["excited"] = (prob, states, time.perf_counter() - t0)
     return _cache["excited"]
 
@@ -160,7 +160,7 @@ def test_05_dense_oracle_equivalence():
 
     prob = line_problem(17, kappa=0.0)
     res = minimize_on_M(prob, feasible_init(prob),
-                        OptimizerOptions(seed=0, grad_tol=1e-9))
+                        OptimizerOptions(grad_tol=1e-9))
     _, omega, mu, j = dense_kkt_polish(prob, res.u, res.omega, res.mu)
     assert abs(res.j - j) <= 1e-6
     assert abs(res.omega - omega) <= 1e-6
@@ -270,6 +270,5 @@ def test_10_sign_symmetry_suite():
     assert abs(c1) <= 1e-12 and abs(c2) <= 1e-12
 
     _, res, _ = ground_state(129)
-    kept = _dedupe(prob.grid, [res, replace(res, u=-res.u)],
-                   OptimizerOptions())
+    kept = _dedupe(prob.grid, [res, replace(res, u=-res.u)])
     assert len(kept) == 1

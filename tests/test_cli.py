@@ -191,6 +191,25 @@ def test_oracle_subcommand(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_oracle_seed_override(tmp_path, monkeypatch, capsys):
+    """--seed reaches the oracle's random test data; without it run.seed does."""
+    from sbpbox import cli
+
+    seen = []
+    real = cli.dense_oracle_compare
+
+    def spy(problem, seed=0):
+        seen.append(seed)
+        return real(problem, seed=seed)
+
+    monkeypatch.setattr(cli, "dense_oracle_compare", spy)
+    cfg = write_cfg(tmp_path, GROUND_CFG.replace("grid.n = 33", "grid.n = 17"))
+    assert cli.main(["oracle", "--config", cfg, "--seed", "7", "--quiet"]) == 0
+    assert "oracle agreement OK" in capsys.readouterr().out
+    assert cli.main(["oracle", "--config", cfg, "--quiet"]) == 0
+    assert seen == [7, 0]
+
+
 def test_config_errors_exit_one(tmp_path):
     cfg = write_cfg(tmp_path, GROUND_CFG + "grid.m = 5\n")
     proc = run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o"))

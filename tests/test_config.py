@@ -159,8 +159,9 @@ def test_build_problem_from_config():
     coarse = cfg.build_problem(n_override=17)
     assert coarse.grid.shape == (17,)
     opts = cfg.optimizer_options()
-    assert opts.seed == 0
-    assert cfg.optimizer_options(seed=11).seed == 11
+    assert (opts.grad_tol, opts.max_iterations) == (
+        CONFIG_KEYS["optimizer.grad_tol"][1],
+        CONFIG_KEYS["optimizer.max_iterations"][1])
 
 
 def test_load_config_roundtrip(tmp_path):

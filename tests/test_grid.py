@@ -42,9 +42,6 @@ def test_grid_geometry():
     assert g.volume == 2.0
     assert g.node_count == 45
     assert g.interior_mask.sum() == 3 * 7
-    fine = g.refined()
-    assert fine.shape == (9, 17)
-    assert fine.lengths == g.lengths
 
 
 def test_grid_validation():
@@ -180,13 +177,3 @@ def test_field_roundtrip(tmp_path):
         g2, f2 = read_field(path)
         assert g2 == g
         assert np.array_equal(f2, f)
-
-
-def test_grid_field_helper():
-    g = Grid(lengths=(1.0, 2.0), n=(5, 9))
-    f = g.field(lambda x, y: x + y)
-    assert f.shape == g.shape
-    assert f[0, 0] == pytest.approx(0.0)
-    assert f[-1, -1] == pytest.approx(3.0)
-    c = g.field(2.5)
-    assert np.all(c == 2.5)

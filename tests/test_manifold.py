@@ -21,7 +21,6 @@ from sbpbox.manifold import (
     feasible_init,
     genus_seeds,
     retract,
-    sphere_samples,
     tangent_project,
 )
 from conftest import line_problem, oscillating_problem, square_problem
@@ -209,16 +208,3 @@ def test_genus_seeds_too_many_slabs():
     with pytest.raises(SlabInfeasible) as info:
         genus_seeds(prob, 40)
     assert info.value.slab_index >= 0
-
-
-def test_sphere_samples_on_manifold_and_deterministic():
-    prob = oscillating_problem(129)
-    seeds = genus_seeds(prob, 3)
-    a = sphere_samples(prob, seeds, 4, np.random.default_rng(7))
-    b = sphere_samples(prob, seeds, 4, np.random.default_rng(7))
-    assert len(a) == 4
-    for ua, ub in zip(a, b):
-        assert np.array_equal(ua, ub)
-        c1, c2 = constraint_values(prob, ua)
-        assert abs(c1) <= 1e-10
-        assert abs(c2) <= 1e-8 * (1.0 + abs(prob.alpha))

@@ -22,7 +22,7 @@ from dataclasses import replace as dc_replace
 
 def test_benchmark_ground_state_frozen(bench65, bench65_state):
     """Regression anchor: values from a converged run of this solver at
-    these exact settings (n=65, q=x, alpha=0.5, kappa=1, p=3, seed=0),
+    these exact settings (n=65, q=x, alpha=0.5, kappa=1, p=3),
     frozen 2026-08-19.  The state itself is checked against the strong-form
     equations in the verification tests; here we pin the numbers."""
     res = bench65_state
@@ -45,7 +45,7 @@ def test_benchmark_energy_decreases_under_refinement_step(bench129_state):
 
 
 def test_trace_is_monotone(bench65):
-    opts = OptimizerOptions(seed=0, keep_trace=True)
+    opts = OptimizerOptions(keep_trace=True)
     res = minimize_on_M(bench65, feasible_init(bench65), opts)
     js = np.array([rec.j for rec in res.trace])
     assert len(js) == res.iterations + 1
@@ -57,7 +57,7 @@ def test_trace_is_monotone(bench65):
 
 
 def test_max_iterations_returns_unconverged(bench65):
-    opts = OptimizerOptions(seed=0, max_iterations=2)
+    opts = OptimizerOptions(max_iterations=2)
     res = minimize_on_M(bench65, feasible_init(bench65), opts)
     assert not res.converged
     assert res.stop_reason == "max_iterations"
@@ -70,7 +70,7 @@ def test_line_search_stall_raises(bench65, monkeypatch):
     monkeypatch.setattr(optimize, "_INITIAL_STEP", 1e-16)
     assert 2.0 * optimize._INITIAL_STEP < optimize._MIN_STEP
     with pytest.raises(LineSearchStall):
-        minimize_on_M(bench65, feasible_init(bench65), OptimizerOptions(seed=0))
+        minimize_on_M(bench65, feasible_init(bench65), OptimizerOptions())
 
 
 def test_multiplier_recovery_matches_result(bench65, bench65_state):
@@ -92,7 +92,7 @@ def test_multiplier_recovery_singular_for_constant_q():
 
 def test_polish_positive_properties(bench129):
     res = minimize_on_M(bench129, feasible_init(bench129),
-                        OptimizerOptions(seed=0))
+                        OptimizerOptions())
     polished = polish_positive(bench129, res)
     assert float(polished.u.min()) >= -1e-8
     assert polished.j <= res.j + 1e-10 * (1.0 + abs(res.j))
@@ -118,7 +118,7 @@ def test_kappa_zero_state_matches_dense_kkt():
     discrepancies from the run of 2026-08-19 were below 5e-12."""
     prob = line_problem(17, kappa=0.0)
     res = minimize_on_M(prob, feasible_init(prob),
-                        OptimizerOptions(seed=0, grad_tol=1e-9))
+                        OptimizerOptions(grad_tol=1e-9))
     u, omega, mu, j = dense_kkt_polish(prob, res.u, res.omega, res.mu)
     assert abs(res.j - j) <= 1e-9 * (1.0 + abs(j))
     assert abs(res.omega - omega) <= 1e-9 * (1.0 + abs(omega))
@@ -130,8 +130,7 @@ def test_excited_states_finds_separated_wells():
     values and strong focusing: the two lowest wells each hold a state.
     Frozen J values from the run of 2026-08-19 at these settings."""
     prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
-    states = excited_states(prob, 3, OptimizerOptions(seed=0,
-                                                      max_iterations=8000))
+    states = excited_states(prob, 3, OptimizerOptions(max_iterations=8000))
     assert len(states) >= 2
     js = [s.j for s in states]
     des = [dirichlet_energy(prob.grid, s.u) for s in states]
@@ -148,7 +147,7 @@ def test_excited_states_finds_separated_wells():
 
 def test_excited_states_deterministic():
     prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
-    opts = OptimizerOptions(seed=3, max_iterations=8000)
+    opts = OptimizerOptions(max_iterations=8000)
     a = excited_states(prob, 2, opts)
     b = excited_states(prob, 2, opts)
     assert len(a) == len(b)
@@ -169,4 +168,20 @@ def test_excited_states_propagates_seed_programming_errors(monkeypatch):
 
     monkeypatch.setattr(optimize, "genus_seeds", broken)
     with pytest.raises(TypeError, match="broken seed generator"):
-        excited_states(prob, 2, OptimizerOptions(seed=0))
+        excited_states(prob, 2, OptimizerOptions())
+
+
+def test_excited_states_draws_no_random_numbers(monkeypatch):
+    """The search starts only from the deterministic slab seeds: with the
+    random generator disabled it still returns both frozen states."""
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("excited_states drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+    states = excited_states(prob, 2, OptimizerOptions(max_iterations=8000))
+    assert [s.j for s in states] == [
+        pytest.approx(58.89462859454396, rel=1e-6),
+        pytest.approx(73.36864208910114, rel=1e-6),
+    ]

@@ -67,7 +67,7 @@ def test_reconstruct_phi_composition(bench65):
 
 
 def test_refinement_study_orders():
-    opts = OptimizerOptions(seed=0)
+    opts = OptimizerOptions()
     study = refinement_study(lambda n: line_problem(int(n)), (33, 65, 129),
                              opts)
     assert len(study.reports) == 3
@@ -120,7 +120,7 @@ def test_dense_kkt_polish_stationarity():
     polishing is idempotent at 1e-12."""
     prob = line_problem(17, kappa=0.0)
     res = minimize_on_M(prob, feasible_init(prob),
-                        OptimizerOptions(seed=0, grad_tol=1e-9))
+                        OptimizerOptions(grad_tol=1e-9))
     u1, o1, m1, j1 = dense_kkt_polish(prob, res.u, res.omega, res.mu)
     u2, o2, m2, j2 = dense_kkt_polish(prob, u1, o1, m1)
     assert np.abs(u2 - u1).max() <= 1e-11
