@@ -253,15 +253,15 @@ class RefinementStudy:
 
 def refinement_study(problem_factory: Callable[[int], Problem],
                      node_counts: Sequence[int],
-                     opts: OptimizerOptions | None = None,
-                     positive: bool = True) -> RefinementStudy:
+                     opts: OptimizerOptions | None = None) -> RefinementStudy:
     """Solve the same continuum problem over successively refined grids.
 
     ``problem_factory`` maps a per-axis node count to a Problem; counts are
     expected to (roughly) double the resolution each step, since observed
-    orders are reported as plain log2 ratios.  Energies are compared through
-    consecutive differences (no exact value is available), the residuals
-    directly.
+    orders are reported as plain log2 ratios.  Each state is the descent
+    result folded to a nonnegative one by ``polish_positive``.  Energies are
+    compared through consecutive differences (no exact value is available),
+    the residuals directly.
     """
     opts = opts or OptimizerOptions()
     reports: list[ResidualReport] = []
@@ -269,8 +269,7 @@ def refinement_study(problem_factory: Callable[[int], Problem],
     for n in node_counts:
         prob = problem_factory(int(n))
         res = minimize_on_M(prob, feasible_init(prob), opts)
-        if positive:
-            res = polish_positive(prob, res, opts)
+        res = polish_positive(prob, res, opts)
         reports.append(residual_original_system(
             prob, res.u, res.pair, res.omega, res.mu,
             j=res.j, iterations=res.iterations))

@@ -22,6 +22,7 @@ from .problem import CouplingSpec, Problem, build_problem
 __all__ = ["RunConfig", "load_config", "parse_config_text", "CONFIG_KEYS"]
 
 _MODES = ("ground", "excited")
+_FACE_OF = {face: name for name, face in FACE_NAMES.items()}
 _COUPLING_PARAM_KEYS = ("a", "b", "base", "height", "radius", "center",
                         "amplitude", "cycles", "tilt", "file")
 
@@ -113,14 +114,12 @@ class RunConfig:
         params = dict(self.coupling_params)
         if "file" in params:
             params["path"] = params.pop("file")
-        if "center" in params and not isinstance(params["center"], tuple):
-            params["center"] = (params["center"],)
         return CouplingSpec(kind=kind, params=params)
 
     def boundary_data(self, which: str, grid: Grid) -> BoundaryData:
         values = {}
         for (axis, side) in grid.faces():
-            face_name = _face_name(axis, side)
+            face_name = _FACE_OF[(axis, side)]
             spec = self.boundary.get((which, face_name))
             if spec is None:
                 values[(axis, side)] = np.zeros(grid.face_shape(axis))
@@ -161,13 +160,6 @@ class RunConfig:
             grid=grid, coupling=self.coupling(), h1=h1, h2=h2,
             kappa=self.get("physics.kappa"), p=self.get("physics.p"),
         )
-
-
-def _face_name(axis: int, side: int) -> str:
-    for name, (a, s) in FACE_NAMES.items():
-        if (a, s) == (axis, side):
-            return name
-    raise KeyError((axis, side))
 
 
 def _face_names_for(dim: int) -> tuple[str, ...]:

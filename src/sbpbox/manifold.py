@@ -8,9 +8,9 @@ Both constraints are even in u, so M is symmetric under sign flip.  The
 retraction uses the two-parameter ansatz u = (a + b q) v: its two unknowns
 are determined by a 2x2 Newton iteration on the constraint residuals, whose
 Jacobian at (1, 0) is twice the Gram matrix of {v, q v}.  The tangent
-projection removes from a gradient the span of representers of the
-constraint differentials: (u, q u) themselves for an L2 gradient, their
-Dirichlet solves for the H^1_0 gradient the optimizer descends along.
+projection removes from an H^1_0 gradient the span of the H^1_0
+representers of the constraint differentials, the Dirichlet solves of
+(u, q u).
 
 Feasible starting points are built from pairs of compactly supported bumps
 centered where q is small and where q is large; with disjoint supports the
@@ -158,26 +158,22 @@ def constraint_representers(problem: Problem,
             solve_poisson_dirichlet(problem.grid, problem.q * u))
 
 
-def tangent_project(problem: Problem,
-                    u: np.ndarray,
-                    g: np.ndarray,
-                    reps: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Remove the constraint-normal component of ``g`` at ``u``.
+def tangent_project(problem: Problem, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Remove the constraint-normal component of the H^1_0 gradient ``g`` at ``u``.
 
-    With r = (u, q u) and d = ``reps`` (r itself when None), solves the 2x2
-    system with entries inner(r_i, d_j) and right-hand side inner(r_i, g),
-    and returns g - lam d1 - beta d2.  The result is L2-orthogonal to u and
-    to q u by construction, which is what tangency to both constraints
-    means.  For the Dirichlet-solve representers the matrix is their H^1_0
-    Gram matrix, so the projection is H^1_0-orthogonal.  Raises
-    ``DegenerateConstraints`` when the symmetrised matrix is numerically
-    singular (constant q, or u = 0).
+    With r = (u, q u) and d = ``constraint_representers(problem, u)``, solves
+    the 2x2 system with entries inner(r_i, d_j) and right-hand side
+    inner(r_i, g), and returns g - lam d1 - beta d2.  The result is
+    L2-orthogonal to u and to q u by construction, which is what tangency to
+    both constraints means; the matrix is the H^1_0 Gram matrix of d, so the
+    projection is H^1_0-orthogonal.  Raises ``DegenerateConstraints`` when
+    the symmetrised matrix is numerically singular (constant q, or u = 0).
     """
     grid = problem.grid
     g = np.asarray(g, dtype=float)
     u = np.asarray(u, dtype=float)
     r1, r2 = u, problem.q * u
-    d1, d2 = (r1, r2) if reps is None else reps
+    d1, d2 = constraint_representers(problem, u)
     g11 = inner(grid, r1, d1)
     g12 = inner(grid, r1, d2)
     g21 = inner(grid, r2, d1)
@@ -217,14 +213,15 @@ def _bump(grid: Grid, center: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _normalized_bump(problem: Problem, center: np.ndarray,
-                     radius: float) -> tuple[np.ndarray, float] | None:
-    """Unit-mass bump and its coupling average, or None when degenerate."""
+                     radius: float) -> tuple[np.ndarray, float]:
+    """Unit-mass bump and its coupling average.
+
+    ``center`` is an interior node, where the bump equals 1, so the mass is
+    never zero.
+    """
     grid = problem.grid
     w = _bump(grid, center, radius)
-    nrm = norm_l2(grid, w)
-    if nrm == 0.0:
-        return None
-    w = w / nrm
+    w = w / norm_l2(grid, w)
     return w, inner(grid, problem.q * w, w)
 
 
@@ -279,16 +276,13 @@ def feasible_init(problem: Problem, region=None) -> np.ndarray:
                 c_hi = np.array([grid.axes[a][idx_hi[a]] for a in range(grid.dim)])
                 dist = float(np.linalg.norm(c_hi - c_lo))
                 if dist >= 2.0 * r + 3.0 * hmax:
-                    pair_lo = _normalized_bump(problem, c_lo, r)
-                    pair_hi = _normalized_bump(problem, c_hi, r)
-                    if pair_lo is not None and pair_hi is not None:
-                        w_lo, avg_lo = pair_lo
-                        w_hi, avg_hi = pair_hi
-                        if (avg_lo < alpha - tiny and avg_hi > alpha + tiny
-                                and inner(grid, w_lo, w_hi) == 0.0):
-                            s2 = (alpha - avg_lo) / (avg_hi - avg_lo)
-                            u = np.sqrt(1.0 - s2) * w_lo + np.sqrt(s2) * w_hi
-                            return retract(problem, u)
+                    w_lo, avg_lo = _normalized_bump(problem, c_lo, r)
+                    w_hi, avg_hi = _normalized_bump(problem, c_hi, r)
+                    if (avg_lo < alpha - tiny and avg_hi > alpha + tiny
+                            and inner(grid, w_lo, w_hi) == 0.0):
+                        s2 = (alpha - avg_lo) / (avg_hi - avg_lo)
+                        u = np.sqrt(1.0 - s2) * w_lo + np.sqrt(s2) * w_hi
+                        return retract(problem, u)
         r *= 0.85
     raise InfeasibleRegion(
         f"no bump radius in [{r_min:.4g}, {r_max:.4g}] gives two disjoint "

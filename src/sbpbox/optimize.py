@@ -8,10 +8,8 @@ energy scale) keeps the reduced energy monotone; the step doubles after each
 accepted iterate so the search is roughly scale free.
 
 Convergence is declared on the Sobolev tangent gradient norm, which is also
-the Armijo decrease rate.  With ``keep_trace`` the L2 tangent residual is
-recorded as a stationarity diagnostic: along a minimizing sequence it is the
-quantity whose decay certifies that the limit solves the Euler-Lagrange
-system with recoverable multipliers.
+the Armijo decrease rate.  With ``keep_trace`` each gradient evaluation
+records the energy, that norm and the step last accepted.
 """
 
 from __future__ import annotations
@@ -32,14 +30,8 @@ from .errors import (
     ZeroField,
 )
 from .functional import EnergyBreakdown, eval_J, grad_J
-from .grid import dirichlet_energy, dirichlet_inner, inner, integrate, norm_l2
-from .manifold import (
-    _solve2,
-    constraint_representers,
-    genus_seeds,
-    retract,
-    tangent_project,
-)
+from .grid import dirichlet_inner, inner, norm_l2
+from .manifold import _solve2, genus_seeds, retract, tangent_project
 from .problem import Problem
 from .reduction import PotentialPair, phi_map
 from .solvers import solve_poisson_dirichlet
@@ -60,6 +52,8 @@ _BACKTRACK = 0.5
 _INITIAL_STEP = 1.0
 _MIN_STEP = 1e-14
 _MAX_STEP = 1e3
+# ``polish_positive`` folds a state whose minimum lies below this.
+_POSITIVE_FLOOR = -1e-8
 # Two states are duplicates when their sign-aligned L2 distance and their
 # energy gap both fall below these.
 _DEDUPE_L2 = 1e-3
@@ -87,10 +81,7 @@ class IterRecord:
     iteration: int
     j: float
     sobolev_grad: float
-    l2_grad: float
     step: float
-    dirichlet: float
-    mass_p: float
 
 
 @dataclass(frozen=True)
@@ -106,18 +97,6 @@ class SolveResult:
     grad_norm: float
     pair: PotentialPair
     trace: tuple[IterRecord, ...] = field(default=())
-
-
-def _tangent_gradient(problem: Problem, u: np.ndarray,
-                      g_l2: np.ndarray) -> tuple[np.ndarray, float]:
-    """H^1_0 tangent gradient and its squared Sobolev norm.
-
-    The squared norm is the Armijo decrease rate of a step along the
-    returned direction; its square root is the stopping quantity.
-    """
-    g_h = solve_poisson_dirichlet(problem.grid, g_l2)
-    gt = tangent_project(problem, u, g_h, constraint_representers(problem, u))
-    return gt, dirichlet_inner(problem.grid, gt, gt)
 
 
 def minimize_on_M(problem: Problem,
@@ -140,27 +119,27 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     j, breakdown = eval_J(problem, u, pair)
     step = _INITIAL_STEP
     trace: list[IterRecord] = []
-    sob = np.inf
     converged = False
     reason = "max_iterations"
-    iterations = 0
     prev_u: np.ndarray | None = None
     prev_gt: np.ndarray | None = None
 
-    for it in range(opts.max_iterations):
-        g_l2 = grad_J(problem, u, pair)
-        gt, decrease_rate = _tangent_gradient(problem, u, g_l2)
+    # Pass ``it`` follows ``it`` accepted steps.  The last pass only tests
+    # convergence, so every exit reports the gradient at the returned iterate.
+    last = max(opts.max_iterations, 0)
+    for it in range(last + 1):
+        iterations = it
+        g_h = solve_poisson_dirichlet(grid, grad_J(problem, u, pair))
+        gt = tangent_project(problem, u, g_h)
+        decrease_rate = dirichlet_inner(grid, gt, gt)
         sob = float(np.sqrt(decrease_rate))
         if opts.keep_trace:
-            trace.append(IterRecord(
-                iteration=it, j=j, sobolev_grad=sob,
-                l2_grad=norm_l2(grid, tangent_project(problem, u, g_l2)),
-                step=step, dirichlet=dirichlet_energy(grid, u),
-                mass_p=integrate(grid, np.abs(u) ** problem.p),
-            ))
+            trace.append(IterRecord(iteration=it, j=j, sobolev_grad=sob, step=step))
         if sob <= opts.grad_tol:
             converged = True
             reason = "grad_tol"
+            break
+        if it == last:
             break
         if decrease_rate <= 0.0:
             reason = "zero_tangent_direction"
@@ -180,7 +159,6 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         prev_u, prev_gt = u, gt
 
         slack = _ARMIJO_SLACK * (1.0 + abs(j))
-        accepted = False
         while t >= _MIN_STEP:
             try:
                 u_try = retract(problem, u - t * gt)
@@ -192,28 +170,19 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             if j_try <= j - _ARMIJO_C * t * decrease_rate + slack:
                 u, pair, j, breakdown = u_try, pair_try, j_try, breakdown_try
                 step = t
-                accepted = True
                 break
             t *= _BACKTRACK
-        iterations = it + 1
-        if not accepted:
+        else:
             raise LineSearchStall(
                 f"no acceptable step above {_MIN_STEP:g} at iteration {it} "
                 f"(J={j:.12g}, sobolev grad={sob:.3e})"
             )
 
-    if not converged and reason == "max_iterations":
-        _, rate = _tangent_gradient(problem, u, grad_J(problem, u, pair))
-        sob = float(np.sqrt(rate))
-        if sob <= opts.grad_tol:
-            converged = True
-            reason = "grad_tol"
-
     omega, mu = recover_multipliers(problem, u, pair)
     return SolveResult(
         u=u, j=j, breakdown=breakdown, omega=omega, mu=mu,
         iterations=iterations, converged=converged, stop_reason=reason,
-        grad_norm=float(sob), pair=pair, trace=tuple(trace),
+        grad_norm=sob, pair=pair, trace=tuple(trace),
     )
 
 
@@ -247,22 +216,21 @@ def recover_multipliers(problem: Problem, u: np.ndarray,
 
 
 def polish_positive(problem: Problem, result: SolveResult,
-                    opts: OptimizerOptions | None = None,
-                    floor: float = -1e-8) -> SolveResult:
+                    opts: OptimizerOptions | None = None) -> SolveResult:
     """Replace a converged state by a signed-mass-preserving nonnegative one.
 
     |u| leaves both constraint integrals and every term of the reduced energy
     unchanged except the Dirichlet term, which cannot increase on the grid
     (the slopes of |u| are dominated nodewise).  Re-minimizing from the
     folded state therefore lands at an energy no larger than the input's.
+    A state whose minimum is at least ``_POSITIVE_FLOOR`` is returned as is.
     """
     opts = opts or OptimizerOptions()
     res = result
     for _ in range(4):
-        if float(res.u.min()) >= floor:
+        if float(res.u.min()) >= _POSITIVE_FLOOR:
             return res
-        folded = retract(problem, np.abs(res.u))
-        res = _minimize(problem, folded, opts)
+        res = _minimize(problem, np.abs(res.u), opts)
     return res
 
 

@@ -103,11 +103,11 @@ class FeasibilityReport:
     """Outcome of the necessary-condition check on alpha.
 
     classification is "interior" (strictly inside the range of q, up to
-    gap_eps), "boundary_degenerate" (within gap_eps of an endpoint), or
-    "infeasible".  level_set_fraction is the fraction of nodes with
-    ``|q - alpha| <= level_eps``; a large fraction flags a flat coupling whose
-    level set {q = alpha} carries volume, which degrades the constraint
-    geometry even when alpha is interior.
+    ``classify_alpha``'s gap_eps), "boundary_degenerate" (within gap_eps of
+    an endpoint), or "infeasible".  level_set_fraction is the fraction of
+    nodes with ``|q - alpha| <= level_eps``; a large fraction flags a flat
+    coupling whose level set {q = alpha} carries volume, which degrades the
+    constraint geometry even when alpha is interior.
     """
 
     alpha: float
@@ -115,8 +115,6 @@ class FeasibilityReport:
     q_max: float
     classification: str
     level_set_fraction: float
-    gap_eps: float
-    level_eps: float
 
     @property
     def feasible(self) -> bool:
@@ -142,7 +140,6 @@ class Problem:
     kappa: float
     p: float
     chi: np.ndarray
-    theta: np.ndarray
 
     @cached_property
     def q_chi(self) -> np.ndarray:
@@ -203,9 +200,9 @@ def build_problem(grid: Grid,
         np.asarray(coupling, dtype=float).reshape(grid.shape)
     if not np.all(np.isfinite(q)):
         raise ValueError("coupling field has non-finite values")
-    chi, theta, alpha = solve_chi(grid, h1, h2)
+    chi, _, alpha = solve_chi(grid, h1, h2)
     return Problem(grid=grid, q=q, h1=h1, h2=h2, alpha=alpha, kappa=float(kappa),
-                   p=float(p), chi=chi, theta=theta)
+                   p=float(p), chi=chi)
 
 
 def classify_alpha(problem: Problem,
@@ -232,5 +229,4 @@ def classify_alpha(problem: Problem,
     fraction = float(np.mean(np.abs(problem.q - alpha) <= level_eps))
     return FeasibilityReport(alpha=alpha, q_min=q_min, q_max=q_max,
                              classification=classification,
-                             level_set_fraction=fraction,
-                             gap_eps=gap_eps, level_eps=level_eps)
+                             level_set_fraction=fraction)

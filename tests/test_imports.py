@@ -1,9 +1,12 @@
-"""Every name a source module imports is used in it or re-exported.
+"""Every name a source module imports is used in it or re-exported, and
+every module-level private name is loaded somewhere in the package.
 
-No linter ships with the project, so this scan stands in for the
-unused-import rule: it parses each module of ``src/sbpbox`` and collects the
-names bound by ``import`` statements that are never loaded and not listed in
-``__all__``.
+No linter ships with the project, so these scans stand in for the
+unused-import and dead-code rules.  The first parses each module of
+``src/sbpbox`` and collects the names bound by ``import`` statements that are
+never loaded and not listed in ``__all__``.  The second collects the
+``_private`` functions, classes and constants defined at module level that
+no module of the package loads, by name, attribute or ``from`` import.
 """
 
 import ast
@@ -35,6 +38,30 @@ def unused_imports(path):
                   if name not in used and name not in exported)
 
 
+def unloaded_private_names(paths):
+    defined = []
+    loaded = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, node.lineno, t.id)
+                            for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded |= {alias.name for alias in node.names}
+    return sorted((file, line, name) for file, line, name in defined
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in loaded)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -45,3 +72,17 @@ def test_scan_sees_an_unused_import(tmp_path):
     mod.write_text("import math\nimport os.path\nfrom x import y as z\n"
                    "__all__ = ['z']\nprint(os.path.sep)\n")
     assert unused_imports(mod) == [(1, "math")]
+
+
+def test_every_private_name_is_loaded():
+    assert unloaded_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+def test_scan_sees_an_unloaded_private_name(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("_LIMIT = 3\n_unused: int = 0\n\ndef _helper():\n    return _LIMIT\n\n"
+                 "class _Dead:\n    pass\n\ndef _imported():\n    pass\n")
+    b = tmp_path / "b.py"
+    b.write_text("from a import _imported\nimport a\n\nprint(a._helper())\n")
+    assert unloaded_private_names([a, b]) == [("a.py", 2, "_unused"),
+                                               ("a.py", 7, "_Dead")]

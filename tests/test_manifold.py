@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sbpbox import BoundaryData, Grid, build_problem
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem
 from sbpbox.errors import (
     DegenerateConstraints,
     DegenerateDirection,
@@ -14,9 +14,9 @@ from sbpbox.errors import (
 )
 from sbpbox.grid import inner
 from sbpbox.manifold import (
+    _axis_slab_region,
     _eigvals_sym2,
     _solve2,
-    constraint_representers,
     constraint_values,
     feasible_init,
     genus_seeds,
@@ -130,8 +130,7 @@ def test_manifold_symmetric_under_negation():
     assert abs(c2) <= 1e-12
 
 
-@pytest.mark.parametrize("metric", ["l2", "h10"])
-def test_tangent_project_orthogonality(metric):
+def test_tangent_project_orthogonality():
     line = line_problem(129, alpha=0.5)
     square = square_problem(33, alpha=1.1)
     rng = np.random.default_rng(1)
@@ -142,16 +141,14 @@ def test_tangent_project_orthogonality(metric):
         g = prob.grid
         raw = rng.standard_normal(g.shape)
         raw[~g.interior_mask] = 0.0
-        # l2 projects along (u, q u) itself, h10 along their Dirichlet solves.
-        reps = constraint_representers(prob, u) if metric == "h10" else None
-        t = tangent_project(prob, u, raw, reps)
-        # The projected direction is L2-orthogonal to both constraint
-        # gradients whichever representers the projection removes.
+        t = tangent_project(prob, u, raw)
+        # The projection removes the Dirichlet solves of (u, q u), and the
+        # result is L2-orthogonal to both constraint gradients.
         scale = 1.0 + np.abs(raw).max()
         assert abs(inner(g, t, u)) <= 1e-10 * scale
         assert abs(inner(g, t, prob.q * u)) <= 1e-10 * scale
         # Projection is idempotent.
-        t2 = tangent_project(prob, u, t, reps)
+        t2 = tangent_project(prob, u, t)
         assert np.abs(t2 - t).max() <= 1e-9 * scale
 
 
@@ -188,9 +185,25 @@ def test_feasible_init_respects_region():
         feasible_init(prob, region=[(0.62, 1.0)])
 
 
+def one_well_problem(n=65):
+    """One period of the oscillating coupling: its trough sits left of the
+    middle, so the left half cannot bracket alpha."""
+    g = Grid(lengths=(1.0,), n=(n,))
+    spec = CouplingSpec("oscillating", {"base": 1.0, "amplitude": 0.9,
+                                        "cycles": 1, "tilt": 0.0})
+    return build_problem(grid=g, coupling=spec, h1=BoundaryData.zero(g),
+                         h2=BoundaryData.constant(g, {"x1": 0.35}),
+                         kappa=20.0, p=3.0)
+
+
 def test_genus_seeds_live_in_disjoint_slabs():
-    prob = oscillating_problem(129)
-    for k in (1, 2, 3):
+    one_well = one_well_problem()
+    # Equal halves fail on the one-well coupling, so k = 2 there runs the
+    # greedy re-partition.
+    with pytest.raises(InfeasibleRegion):
+        feasible_init(one_well, _axis_slab_region(one_well.grid, 0, 32))
+    osc = oscillating_problem(129)
+    for prob, k in ((osc, 1), (osc, 2), (osc, 3), (one_well, 2)):
         seeds = genus_seeds(prob, k)
         assert len(seeds) == k
         for s in seeds:

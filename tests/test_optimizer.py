@@ -5,8 +5,9 @@ import pytest
 
 from sbpbox import optimize
 from sbpbox.errors import LineSearchStall, SingularMultiplierSystem
+from sbpbox.functional import eval_J
 from sbpbox.grid import dirichlet_energy, norm_l2
-from sbpbox.manifold import constraint_values, feasible_init, genus_seeds
+from sbpbox.manifold import constraint_values, feasible_init, genus_seeds, retract
 from sbpbox.optimize import (
     OptimizerOptions,
     _dedupe,
@@ -15,6 +16,7 @@ from sbpbox.optimize import (
     polish_positive,
     recover_multipliers,
 )
+from sbpbox.reduction import phi_map
 from sbpbox.verify import dense_kkt_polish
 from conftest import line_problem, oscillating_problem
 from dataclasses import replace as dc_replace
@@ -57,11 +59,16 @@ def test_trace_is_monotone(bench65):
 
 
 def test_max_iterations_returns_unconverged(bench65):
-    opts = OptimizerOptions(max_iterations=2)
+    opts = OptimizerOptions(max_iterations=2, keep_trace=True)
     res = minimize_on_M(bench65, feasible_init(bench65), opts)
     assert not res.converged
     assert res.stop_reason == "max_iterations"
     assert res.iterations == 2
+    # The trace also records the gradient the run stopped on, as for a
+    # converged run: one record per step plus the last test.
+    assert len(res.trace) == res.iterations + 1
+    assert res.trace[-1].sobolev_grad == res.grad_norm
+    assert res.trace[-1].j == res.j
 
 
 def test_line_search_stall_raises(bench65, monkeypatch):
@@ -93,12 +100,21 @@ def test_multiplier_recovery_singular_for_constant_q():
 def test_polish_positive_properties(bench129):
     res = minimize_on_M(bench129, feasible_init(bench129),
                         OptimizerOptions())
-    polished = polish_positive(bench129, res)
-    assert float(polished.u.min()) >= -1e-8
-    assert polished.j <= res.j + 1e-10 * (1.0 + abs(res.j))
-    c1, c2 = constraint_values(bench129, polished.u)
-    assert abs(c1) <= 1e-10
-    assert abs(c2) <= 1e-8 * (1.0 + abs(bench129.alpha))
+    # A point of M with a negative lobe (min u about -0.057, J about 10.5)
+    # makes polish_positive fold and re-minimize.
+    x = bench129.grid.coords[0]
+    lobed = retract(bench129, res.u - 0.6 * np.sin(3.0 * np.pi * x))
+    assert float(lobed.min()) < -0.05
+    lobed_j = eval_J(bench129, lobed, phi_map(bench129, lobed))[0]
+    for start in (res, dc_replace(res, u=lobed, j=lobed_j)):
+        polished = polish_positive(bench129, start)
+        assert float(polished.u.min()) >= -1e-8
+        assert polished.j <= start.j + 1e-10 * (1.0 + abs(start.j))
+        c1, c2 = constraint_values(bench129, polished.u)
+        assert abs(c1) <= 1e-10
+        assert abs(c2) <= 1e-8 * (1.0 + abs(bench129.alpha))
+    # The folded run lands on the frozen benchmark state.
+    assert polished.j == pytest.approx(4.53376773961271, rel=1e-8)
 
 
 def test_dedupe_identifies_sign_flips(bench65, bench65_state):

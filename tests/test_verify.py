@@ -126,3 +126,18 @@ def test_dense_kkt_polish_stationarity():
     assert np.abs(u2 - u1).max() <= 1e-11
     assert abs(o2 - o1) <= 1e-11 * (1.0 + abs(o1))
     assert abs(j2 - j1) <= 1e-12 * (1.0 + abs(j1))
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_dense_kkt_polish_certifies_benchmark_state(n, request):
+    """The residual of an already converged state sits at a rounding floor
+    that grows like 1/h^2; the Newton stopping test must sit above it, so
+    polishing the descent state converges, moves J only at rounding level
+    and leaves its own output unchanged."""
+    prob = request.getfixturevalue(f"bench{n}")
+    res = request.getfixturevalue(f"bench{n}_state")
+    u1, o1, m1, j1 = dense_kkt_polish(prob, res.u, res.omega, res.mu)
+    assert abs(j1 - res.j) <= 1e-12 * (1.0 + abs(res.j))
+    u2, o2, m2, j2 = dense_kkt_polish(prob, u1, o1, m1)
+    assert np.array_equal(u2, u1)
+    assert (o2, m2, j2) == (o1, m1, j1)
