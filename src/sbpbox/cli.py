@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 2 when the compatibility value alpha fails the
 feasibility test (the report is printed and the optimizer never runs),
-1 on configuration or solver failures.
+1 on invalid input, I/O or solver failures, reported as one ``error:`` line
+(or when no excited start converges).  A ground descent that stops short
+of ``grad_tol`` still exits 0; its ``stop_reason`` in ``report.json`` says
+why.
 
 All output files are written once, at the end of a successful run: a
 ``summary.csv`` table (one row per state or grid), per-state field dumps
@@ -29,7 +32,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import SbpError
-from .grid import read_field, write_field
+from .grid import dirichlet_energy, read_field, write_field
 from .manifold import feasible_init
 from .optimize import (
     OptimizerOptions,
@@ -51,6 +54,8 @@ from .verify import (
 __all__ = ["main", "RefinementStudy", "refinement_study"]
 
 _DEGENERATE_LEVEL_FRACTION = 0.01
+# Observed orders are nan where a value falls to this noise floor.
+_ORDER_FLOOR = 1e-12
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -106,7 +111,7 @@ def _state_entry(problem: Problem, index: int, res: SolveResult,
         "bc_res_second": rep.bc_res_second,
         "norm_res": rep.norm_res,
         "compat_res": rep.compat_res,
-        "dirichlet_energy": res.breakdown.dirichlet,
+        "dirichlet_energy": 0.5 * dirichlet_energy(problem.grid, res.u),
         "min_u": float(res.u.min()),
     }
 
@@ -229,11 +234,11 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     return 0
 
 
-def _orders(values: Sequence[float], floor: float = 1e-12) -> list[float]:
-    """log2 ratios of consecutive entries; nan when below the noise floor."""
+def _orders(values: Sequence[float]) -> list[float]:
+    """log2 ratios of consecutive entries; nan at or below ``_ORDER_FLOOR``."""
     out = []
     for a, b in zip(values, values[1:]):
-        if a <= floor or b <= floor:
+        if a <= _ORDER_FLOOR or b <= _ORDER_FLOOR:
             out.append(float("nan"))
         else:
             out.append(float(np.log2(a / b)))
@@ -381,10 +386,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, args.seed, args.quiet)
         raise AssertionError(args.command)
-    except SbpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SbpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,10 +61,6 @@ class SlabInfeasible(SbpError):
         self.slab_index = slab_index
 
 
-class LineSearchStall(SbpError):
-    """Backtracking reduced the step below the minimum without descent."""
-
-
 class SingularMultiplierSystem(SbpError):
     """The 2x2 multiplier recovery system is numerically singular."""
 

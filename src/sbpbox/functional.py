@@ -23,11 +23,12 @@ zero on the boundary.  The optimizer takes its Dirichlet solve, the
 representer of that derivative in the discrete H^1_0 inner product, as the
 descent direction; descent preconditioned this way converges at a rate that
 does not degrade under refinement.
+
+``eval_J`` returns J as a single float; a caller that needs one term, such
+as the Dirichlet energy in the run report, evaluates it from ``grid``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +36,14 @@ from .grid import dirichlet_energy, inner, integrate, laplacian_dirichlet
 from .problem import Problem
 from .reduction import PotentialPair, phi_map
 
-__all__ = ["EnergyBreakdown", "eval_J", "grad_J"]
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Additive pieces of the reduced energy; ``total`` is their exact sum."""
-
-    dirichlet: float       # 1/2 int |grad u|^2
-    biharm: float          # 1/4 int psi^2
-    grad_phi: float        # 1/4 int |grad phi|^2
-    coupling_chi: float    # 1/2 int q chi u^2
-    nonlinear: float       # -kappa/p int |u|^p
-    total: float
+__all__ = ["eval_J", "grad_J"]
 
 
 def eval_J(problem: Problem,
            u: np.ndarray,
-           pair: PotentialPair | None = None) -> tuple[float, EnergyBreakdown]:
-    """Reduced energy and its term-by-term breakdown.
+           pair: PotentialPair | None = None) -> float:
+    """Reduced energy J(u), summed term by term in the order of the formula
+    above, with b(phi, phi) split as int psi^2 + int |grad phi|^2.
 
     ``pair`` may be passed when the potential of u is already known (the
     optimizer reuses the line-search solve); otherwise it is computed here.
@@ -63,18 +53,14 @@ def eval_J(problem: Problem,
     u = np.asarray(u, dtype=float)
     if pair is None:
         pair = phi_map(problem, u)
-    u2 = u * u
-    dirichlet = 0.5 * dirichlet_energy(g, u)
-    biharm = 0.25 * inner(g, pair.psi, pair.psi)
-    grad_phi = 0.25 * dirichlet_energy(g, pair.phi)
-    coupling_chi = 0.5 * inner(g, problem.q_chi, u2)
     nonlinear = 0.0
     if problem.kappa != 0.0:
         nonlinear = -problem.kappa / problem.p * integrate(g, np.abs(u) ** problem.p)
-    total = dirichlet + biharm + grad_phi + coupling_chi + nonlinear
-    return total, EnergyBreakdown(dirichlet=dirichlet, biharm=biharm,
-                                  grad_phi=grad_phi, coupling_chi=coupling_chi,
-                                  nonlinear=nonlinear, total=total)
+    return (0.5 * dirichlet_energy(g, u)
+            + 0.25 * inner(g, pair.psi, pair.psi)
+            + 0.25 * dirichlet_energy(g, pair.phi)
+            + 0.5 * inner(g, problem.q_chi, u * u)
+            + nonlinear)
 
 
 def grad_J(problem: Problem,

@@ -8,28 +8,29 @@ energy scale) keeps the reduced energy monotone; the step doubles after each
 accepted iterate so the search is roughly scale free.
 
 Convergence is declared on the Sobolev tangent gradient norm, which is also
-the Armijo decrease rate.  With ``keep_trace`` each gradient evaluation
-records the energy, that norm and the step last accepted.
+the Armijo decrease rate.  Every run returns a ``SolveResult``; its
+``stop_reason`` is ``grad_tol`` (converged), ``max_iterations`` (the cap was
+reached) or ``line_search_stall`` (backtracking fell below ``_MIN_STEP``).
+With ``keep_trace`` each gradient evaluation records the energy, that norm
+and the step last accepted.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    DegenerateConstraints,
     DegenerateDirection,
-    LineSearchStall,
     NewtonDivergence,
-    NoConvergence,
     SbpError,
     SingularMultiplierSystem,
     ZeroField,
 )
-from .functional import EnergyBreakdown, eval_J, grad_J
+from .functional import eval_J, grad_J
 from .grid import dirichlet_inner, inner, norm_l2
 from .manifold import _solve2, genus_seeds, retract, tangent_project
 from .problem import Problem
@@ -64,14 +65,20 @@ _DEDUPE_J = 1e-6
 class OptimizerOptions:
     """Settings of the projected descent loop, used for every start.
 
-    grad_tol: threshold on the Sobolev tangent gradient norm.
-    max_iterations: descent iterations per start before giving up.
+    grad_tol: threshold on the Sobolev tangent gradient norm, in (0, inf).
+    max_iterations: descent iterations per start before giving up, >= 0.
     keep_trace: record an ``IterRecord`` per iteration in ``SolveResult``.
     """
 
     grad_tol: float = 1e-7
     max_iterations: int = 5000
     keep_trace: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must lie in (0, inf), got {self.grad_tol}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,6 @@ class IterRecord:
 class SolveResult:
     u: np.ndarray
     j: float
-    breakdown: EnergyBreakdown
     omega: float
     mu: float
     iterations: int
@@ -105,9 +111,9 @@ def minimize_on_M(problem: Problem,
     """Armijo projected descent from ``u0`` until the Sobolev tangent
     gradient norm drops below ``opts.grad_tol``.
 
-    Raises ``LineSearchStall`` when backtracking hits ``_MIN_STEP`` without an
-    acceptable decrease; hitting ``max_iterations`` returns the best iterate
-    flagged ``converged=False`` instead of raising.
+    Hitting ``max_iterations``, or backtracking below ``_MIN_STEP`` without an
+    acceptable decrease, returns the current iterate and its gradient norm
+    flagged ``converged=False``; ``stop_reason`` says which.
     """
     return _minimize(problem, u0, opts or OptimizerOptions())
 
@@ -116,7 +122,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     grid = problem.grid
     u = retract(problem, np.asarray(u0, dtype=float))
     pair = phi_map(problem, u)
-    j, breakdown = eval_J(problem, u, pair)
+    j = eval_J(problem, u, pair)
     step = _INITIAL_STEP
     trace: list[IterRecord] = []
     converged = False
@@ -126,8 +132,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
 
     # Pass ``it`` follows ``it`` accepted steps.  The last pass only tests
     # convergence, so every exit reports the gradient at the returned iterate.
-    last = max(opts.max_iterations, 0)
-    for it in range(last + 1):
+    for it in range(opts.max_iterations + 1):
         iterations = it
         g_h = solve_poisson_dirichlet(grid, grad_J(problem, u, pair))
         gt = tangent_project(problem, u, g_h)
@@ -139,10 +144,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             converged = True
             reason = "grad_tol"
             break
-        if it == last:
-            break
-        if decrease_rate <= 0.0:
-            reason = "zero_tangent_direction"
+        if it == opts.max_iterations:
             break
 
         # Spectral (Barzilai-Borwein) trial step from the last displacement
@@ -166,21 +168,19 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
                 t *= _BACKTRACK
                 continue
             pair_try = phi_map(problem, u_try)
-            j_try, breakdown_try = eval_J(problem, u_try, pair_try)
+            j_try = eval_J(problem, u_try, pair_try)
             if j_try <= j - _ARMIJO_C * t * decrease_rate + slack:
-                u, pair, j, breakdown = u_try, pair_try, j_try, breakdown_try
+                u, pair, j = u_try, pair_try, j_try
                 step = t
                 break
             t *= _BACKTRACK
         else:
-            raise LineSearchStall(
-                f"no acceptable step above {_MIN_STEP:g} at iteration {it} "
-                f"(J={j:.12g}, sobolev grad={sob:.3e})"
-            )
+            reason = "line_search_stall"
+            break
 
     omega, mu = recover_multipliers(problem, u, pair)
     return SolveResult(
-        u=u, j=j, breakdown=breakdown, omega=omega, mu=mu,
+        u=u, j=j, omega=omega, mu=mu,
         iterations=iterations, converged=converged, stop_reason=reason,
         grad_norm=sob, pair=pair, trace=tuple(trace),
     )
@@ -262,9 +262,9 @@ def excited_states(problem: Problem, k: int,
     The starts are the slab seeds of ``genus_seeds`` for genus 1..k, that is
     1 + 2 + ... + k deterministic starts; seed generation stops with a
     warning at the first genus >= 2 whose slabs cannot bracket alpha.  Runs
-    that stall in the line search or hit the iteration cap are dropped with
-    a warning; survivors are deduplicated up to sign by their L2 distance
-    and energy gap.
+    that do not converge, or raise an ``SbpError``, are dropped; one warning
+    gives the outcome of each.  Survivors are deduplicated up to sign by
+    their L2 distance and energy gap.
     """
     opts = opts or OptimizerOptions()
     starts: list[np.ndarray] = []
@@ -282,22 +282,24 @@ def excited_states(problem: Problem, k: int,
         starts.extend(seeds)
 
     results: list[SolveResult] = []
-    failures = 0
+    failures: list[str] = []
     for u0 in starts:
         try:
             res = _minimize(problem, u0, opts)
-        except (LineSearchStall, DegenerateConstraints, DegenerateDirection,
-                NewtonDivergence, SingularMultiplierSystem, NoConvergence) as exc:
-            failures += 1
-            warnings.warn(f"start discarded: {exc}", stacklevel=2)
+        except SbpError as exc:
+            failures.append(f"{type(exc).__name__}: {exc}")
             continue
         if res.converged:
             results.append(res)
         else:
-            failures += 1
+            failures.append(
+                f"{res.stop_reason} at iteration {res.iterations} "
+                f"(J={res.j:.12g}, sobolev grad={res.grad_norm:.3e})"
+            )
     if failures:
         warnings.warn(
-            f"{failures} of {len(starts)} starts did not converge",
+            f"{len(failures)} of {len(starts)} starts did not converge: "
+            + "; ".join(failures),
             stacklevel=2,
         )
     kept = _dedupe(problem.grid, results)

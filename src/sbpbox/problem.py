@@ -44,6 +44,12 @@ __all__ = [
 
 P_LOWER = 2.0
 P_UPPER = 10.0 / 3.0
+# ``solve_chi`` tolerance on the mean identity, relative to the data scale.
+_CHI_CHECK_TOL = 5e-8
+# ``classify_alpha`` bands, relative to q_max - q_min: the edge gap that
+# counts as degenerate, and the level-set half-width.
+_GAP_REL = 1e-9
+_LEVEL_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -157,13 +163,12 @@ def compute_alpha(grid: Grid, h1: BoundaryData, h2: BoundaryData) -> float:
 
 def solve_chi(grid: Grid,
               h1: BoundaryData,
-              h2: BoundaryData,
-              check_tolerance: float = 5e-8) -> tuple[np.ndarray, np.ndarray, float]:
+              h2: BoundaryData) -> tuple[np.ndarray, np.ndarray, float]:
     """Two-step construction of the auxiliary potential.
 
     Returns (chi, theta, alpha).  Raises ``ConsistencyViolation`` when the
     mean identity ``integrate(theta) == surface(h1)`` fails beyond
-    ``check_tolerance`` times the data scale, which would indicate a broken
+    ``_CHI_CHECK_TOL`` times the data scale, which would indicate a broken
     solver rather than bad data (the identity holds by construction).
     """
     alpha = compute_alpha(grid, h1, h2)
@@ -172,10 +177,10 @@ def solve_chi(grid: Grid,
     surf_h1 = boundary_integrate(grid, h1)
     scale = 1.0 + abs(alpha) + norm_l2(grid, theta)
     defect = integrate(grid, theta) - surf_h1
-    if abs(defect) > check_tolerance * scale:
+    if abs(defect) > _CHI_CHECK_TOL * scale:
         raise ConsistencyViolation(
             f"mean of theta differs from surface integral of h1 by {defect:.3e} "
-            f"(tolerance {check_tolerance * scale:.3e})"
+            f"(tolerance {_CHI_CHECK_TOL * scale:.3e})"
         )
     chi = solve_poisson_neumann_zeromean(grid, theta, h1)
     return chi, theta, alpha
@@ -205,21 +210,19 @@ def build_problem(grid: Grid,
                    p=float(p), chi=chi)
 
 
-def classify_alpha(problem: Problem,
-                   gap_rel: float = 1e-9,
-                   level_rel: float = 1e-3) -> FeasibilityReport:
+def classify_alpha(problem: Problem) -> FeasibilityReport:
     """Check the necessary condition q_min < alpha < q_max on nodal values.
 
-    gap_eps = gap_rel * (q_max - q_min) separates "interior" from
-    "boundary_degenerate"; level_eps = level_rel * (q_max - q_min) drives the
+    gap_eps = _GAP_REL * (q_max - q_min) separates "interior" from
+    "boundary_degenerate"; level_eps = _LEVEL_REL * (q_max - q_min) drives the
     level-set fraction (for constant q both collapse to 0 and the comparison
     is by equality).
     """
     q_min, q_max = problem.q_range
     alpha = problem.alpha
     spread = q_max - q_min
-    gap_eps = gap_rel * spread
-    level_eps = level_rel * spread
+    gap_eps = _GAP_REL * spread
+    level_eps = _LEVEL_REL * spread
     if min(abs(alpha - q_min), abs(alpha - q_max)) <= gap_eps:
         classification = "boundary_degenerate"
     elif q_min < alpha < q_max:

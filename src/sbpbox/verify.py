@@ -202,7 +202,7 @@ def residual_original_system(problem: Problem,
     norm_res = abs(inner(grid, u, u) - 1.0)
     compat_res = abs(inner(grid, q * u, u) - problem.alpha)
     if j is None:
-        j = eval_J(problem, u, pair)[0]
+        j = eval_J(problem, u, pair)
     return ResidualReport(
         n=grid.n, h=float(max(grid.h)), j=float(j), omega=float(omega),
         mu=float(mu), eq1_res=float(eq1), eq1_res_native=float(eq1_native),
@@ -400,5 +400,5 @@ def dense_kkt_polish(problem: Problem,
     u_grid = u.reshape(grid.shape)
     phi_grid = phi.reshape(grid.shape)
     psi_grid = laplacian_neumann(grid, phi_grid, BoundaryData.zero(grid))
-    j_dense = eval_J(problem, u_grid, PotentialPair(phi=phi_grid, psi=psi_grid))[0]
+    j_dense = eval_J(problem, u_grid, PotentialPair(phi=phi_grid, psi=psi_grid))
     return u_grid, omega, mu, float(j_dense)

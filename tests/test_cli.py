@@ -1,12 +1,16 @@
-"""End-to-end runs of the command line front end in a subprocess."""
+"""End-to-end runs of the command line front end, in a subprocess or, where
+a test patches the program, in process through ``cli.main``."""
 
 import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 GROUND_CFG = """
 domain.dim = 1
@@ -228,3 +232,42 @@ def test_seed_override_recorded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["run.seed"] == 0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid.n = 2", "nodes per axis"),
+    ("physics.p = 5", "exponent p"),
+    ("optimizer.max_iterations = -4", "max_iterations"),
+    ("optimizer.grad_tol = -1", "grad_tol"),
+])
+def test_invalid_input_is_one_error_line(tmp_path, capsys, line, message):
+    """Out-of-range values exit 1 with an ``error:`` line, not a traceback,
+    and write nothing."""
+    from sbpbox import cli
+
+    key = line.split(" = ")[0]
+    text = "".join(f"{ln}\n" for ln in GROUND_CFG.splitlines()
+                   if not ln.startswith(key + " ")) + line + "\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert not out.exists()
+
+
+def test_ground_stall_is_reported(tmp_path, monkeypatch):
+    """A ground descent whose line search stalls still writes its state,
+    with the stop reason in report.json."""
+    from sbpbox import cli, optimize
+
+    monkeypatch.setattr(optimize, "_INITIAL_STEP", 1e-16)
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", str(DEMO_CONFIGS / "ground.cfg"),
+                   "--out", str(out), "--quiet"])
+    assert rc == 0
+    state = json.loads((out / "report.json").read_text())["states"][0]
+    assert state["stop_reason"] == "line_search_stall"
+    assert state["optimizer_converged"] is False
+    assert state["converged"] is False

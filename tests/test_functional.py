@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbpbox.functional import eval_J, grad_J
-from sbpbox.grid import dirichlet_inner, inner, zero_boundary
+from sbpbox.grid import dirichlet_energy, dirichlet_inner, inner, zero_boundary
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import solve_poisson_dirichlet
 from conftest import eval_F, line_problem, random_m_point
@@ -15,17 +15,6 @@ def prob():
     return line_problem(129)
 
 
-def test_breakdown_sums_to_total(prob):
-    rng = np.random.default_rng(0)
-    u = random_m_point(prob, rng)
-    j, bd = eval_J(prob, u)
-    assert j == bd.total
-    parts = bd.dirichlet + bd.biharm + bd.grad_phi + bd.coupling_chi + bd.nonlinear
-    assert j == pytest.approx(parts, rel=1e-14)
-    assert bd.dirichlet > 0.0
-    assert bd.biharm >= 0.0 and bd.grad_phi >= 0.0
-
-
 def test_reduction_identity_j_equals_f(prob):
     """Evaluating the two-field energy at the generated potential gives back
     the reduced energy: the potential terms flip sign against the coupling
@@ -34,7 +23,7 @@ def test_reduction_identity_j_equals_f(prob):
     for _ in range(4):
         u = random_m_point(prob, rng)
         pair = phi_map(prob, u)
-        j, _ = eval_J(prob, u, pair)
+        j = eval_J(prob, u, pair)
         f = eval_F(prob, u, pair)
         assert abs(j - f) <= 1e-8 * (1.0 + abs(j))
 
@@ -49,8 +38,8 @@ def test_gradient_matches_directional_derivative(prob):
         v = zero_boundary(prob.grid, rng.standard_normal(prob.grid.shape))
         g = grad_J(prob, u)
         predicted = inner(prob.grid, g, v)
-        jp, _ = eval_J(prob, u + eps * v)
-        jm, _ = eval_J(prob, u - eps * v)
+        jp = eval_J(prob, u + eps * v)
+        jm = eval_J(prob, u - eps * v)
         observed = (jp - jm) / (2.0 * eps)
         assert abs(observed - predicted) <= 1e-5 * (1.0 + abs(observed))
 
@@ -58,10 +47,9 @@ def test_gradient_matches_directional_derivative(prob):
 def test_energy_even_bitwise(prob):
     rng = np.random.default_rng(3)
     u = random_m_point(prob, rng)
-    jp, bp = eval_J(prob, u)
-    jm, bm = eval_J(prob, -u)
+    jp = eval_J(prob, u)
+    jm = eval_J(prob, -u)
     assert jp == jm  # no tolerance: every term is built from u*u and |u|
-    assert bp == bm
 
 
 def test_gradient_odd_bitwise(prob):
@@ -97,10 +85,14 @@ def test_metric_gradients_are_equivalent(prob):
 
 
 def test_kappa_zero_drops_nonlinear_term():
+    """With kappa = 0, J is exactly its four quadratic terms."""
     prob = line_problem(65, kappa=0.0)
+    g = prob.grid
     rng = np.random.default_rng(7)
     u = random_m_point(prob, rng)
-    j, bd = eval_J(prob, u)
-    assert bd.nonlinear == 0.0
-    assert j == pytest.approx(bd.dirichlet + bd.biharm + bd.grad_phi
-                              + bd.coupling_chi, rel=1e-14)
+    pair = phi_map(prob, u)
+    terms = (0.5 * dirichlet_energy(g, u)
+             + 0.25 * inner(g, pair.psi, pair.psi)
+             + 0.25 * dirichlet_energy(g, pair.phi)
+             + 0.5 * inner(g, prob.q * prob.chi, u * u))
+    assert eval_J(prob, u) == pytest.approx(terms, rel=1e-14)

@@ -1,12 +1,15 @@
-"""Every name a source module imports is used in it or re-exported, and
-every module-level private name is loaded somewhere in the package.
+"""Every name a source module imports is used in it or re-exported, every
+module-level private name is loaded somewhere in the package, and every
+exception class is raised somewhere in it.
 
 No linter ships with the project, so these scans stand in for the
 unused-import and dead-code rules.  The first parses each module of
 ``src/sbpbox`` and collects the names bound by ``import`` statements that are
 never loaded and not listed in ``__all__``.  The second collects the
 ``_private`` functions, classes and constants defined at module level that
-no module of the package loads, by name, attribute or ``from`` import.
+no module of the package loads, by name, attribute or ``from`` import.  The
+third collects the classes of ``errors.py`` that no ``raise`` statement of
+the package names; the base class ``SbpError`` is exempt.
 """
 
 import ast
@@ -62,6 +65,22 @@ def unloaded_private_names(paths):
                   and name not in loaded)
 
 
+def unraised_exceptions(errors_path, paths, exempt=("SbpError",)):
+    tree = ast.parse(errors_path.read_text(), filename=str(errors_path))
+    defined = [(node.lineno, node.name) for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name not in exempt]
+    raised = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return sorted((line, name) for line, name in defined if name not in raised)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -86,3 +105,21 @@ def test_scan_sees_an_unloaded_private_name(tmp_path):
     b.write_text("from a import _imported\nimport a\n\nprint(a._helper())\n")
     assert unloaded_private_names([a, b]) == [("a.py", 2, "_unused"),
                                                ("a.py", 7, "_Dead")]
+
+
+def test_every_exception_is_raised():
+    assert unraised_exceptions(SRC / "errors.py", sorted(SRC.glob("*.py"))) == []
+
+
+def test_scan_sees_an_unraised_exception(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text("class SbpError(Exception):\n    pass\n\n"
+                      "class Raised(SbpError):\n    pass\n\n"
+                      "class ByAttribute(SbpError):\n    pass\n\n"
+                      "class Caught(SbpError):\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("import errors\nfrom errors import Caught, Raised\n\n"
+                    "def f(x):\n    try:\n        raise Raised('x')\n"
+                    "    except Caught:\n        raise\n"
+                    "    raise errors.ByAttribute\n")
+    assert unraised_exceptions(errors, [errors, user]) == [(10, "Caught")]

@@ -1,10 +1,13 @@
 """Projected descent: frozen benchmark values, multipliers, multi-start."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from sbpbox import optimize
-from sbpbox.errors import LineSearchStall, SingularMultiplierSystem
+from sbpbox.errors import SingularMultiplierSystem
 from sbpbox.functional import eval_J
 from sbpbox.grid import dirichlet_energy, norm_l2
 from sbpbox.manifold import constraint_values, feasible_init, genus_seeds, retract
@@ -71,13 +74,31 @@ def test_max_iterations_returns_unconverged(bench65):
     assert res.trace[-1].j == res.j
 
 
-def test_line_search_stall_raises(bench65, monkeypatch):
+def test_line_search_stall_is_a_stop_reason(bench65, monkeypatch):
     # First trial step 2 * initial step already sits below the step floor,
     # so the backtracking loop cannot run at all.
     monkeypatch.setattr(optimize, "_INITIAL_STEP", 1e-16)
     assert 2.0 * optimize._INITIAL_STEP < optimize._MIN_STEP
-    with pytest.raises(LineSearchStall):
-        minimize_on_M(bench65, feasible_init(bench65), OptimizerOptions())
+    res = minimize_on_M(bench65, feasible_init(bench65),
+                        OptimizerOptions(keep_trace=True))
+    assert not res.converged
+    assert res.stop_reason == "line_search_stall"
+    assert res.iterations == 0
+    # The run returns the iterate it stalled at, with its gradient.
+    assert len(res.trace) == res.iterations + 1
+    assert res.trace[-1].sobolev_grad == res.grad_norm > 1e-7
+    assert res.trace[-1].j == res.j
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grad_tol": 0.0},
+    {"grad_tol": math.inf},
+    {"grad_tol": math.nan},
+    {"max_iterations": -1},
+], ids=["grad_tol=0", "grad_tol=inf", "grad_tol=nan", "max_iterations=-1"])
+def test_optimizer_options_reject_out_of_range(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        OptimizerOptions(**kwargs)
 
 
 def test_multiplier_recovery_matches_result(bench65, bench65_state):
@@ -105,7 +126,7 @@ def test_polish_positive_properties(bench129):
     x = bench129.grid.coords[0]
     lobed = retract(bench129, res.u - 0.6 * np.sin(3.0 * np.pi * x))
     assert float(lobed.min()) < -0.05
-    lobed_j = eval_J(bench129, lobed, phi_map(bench129, lobed))[0]
+    lobed_j = eval_J(bench129, lobed, phi_map(bench129, lobed))
     for start in (res, dc_replace(res, u=lobed, j=lobed_j)):
         polished = polish_positive(bench129, start)
         assert float(polished.u.min()) >= -1e-8
@@ -185,6 +206,22 @@ def test_excited_states_propagates_seed_programming_errors(monkeypatch):
     monkeypatch.setattr(optimize, "genus_seeds", broken)
     with pytest.raises(TypeError, match="broken seed generator"):
         excited_states(prob, 2, OptimizerOptions())
+
+
+def test_excited_states_reports_stalled_starts_in_one_warning(monkeypatch):
+    """A stalled start is dropped like any unconverged one: the search
+    returns nothing and says why in a single warning."""
+    monkeypatch.setattr(optimize, "_INITIAL_STEP", 1e-16)
+    prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        states = excited_states(prob, 2, OptimizerOptions())
+    assert states == []
+    failed = [str(w.message) for w in caught
+              if "did not converge" in str(w.message)]
+    assert len(failed) == 1
+    assert failed[0].startswith("3 of 3 starts did not converge: ")
+    assert failed[0].count("line_search_stall at iteration 0") == 3
 
 
 def test_excited_states_draws_no_random_numbers(monkeypatch):

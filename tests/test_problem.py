@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, write_field
+from sbpbox import problem
 from sbpbox.errors import ConsistencyViolation
 from sbpbox.grid import boundary_integrate, integrate, mean
 from sbpbox.problem import classify_alpha, compute_alpha, solve_chi
@@ -138,14 +139,15 @@ def test_chi_theta_mean_identity():
     assert abs(mean(g, chi)) <= 1e-12
 
 
-def test_chi_consistency_violation_detected():
+def test_chi_consistency_violation_detected(monkeypatch):
     """A doctored check tolerance turns the benign solver residual into an
     error; guards that the identity really is being measured."""
     g = Grid(lengths=(1.0,), n=(33,))
     h1 = BoundaryData.constant(g, {"x1": 0.3})
     h2 = BoundaryData.constant(g, {"x1": 0.5})
+    monkeypatch.setattr(problem, "_CHI_CHECK_TOL", 1e-18)
     with pytest.raises(ConsistencyViolation):
-        solve_chi(g, h1, h2, check_tolerance=1e-18)
+        solve_chi(g, h1, h2)
 
 
 def test_chi_native_residual_small():
@@ -178,12 +180,14 @@ def test_classify_alpha_constant_coupling():
     assert rep.level_set_fraction == pytest.approx(1.0)
 
 
-def test_classify_level_set_fraction_scales():
+def test_classify_level_set_fraction_scales(monkeypatch):
     """For affine q the measure of {|q - alpha| <= eps} grows linearly in
-    eps, so the reported fraction roughly doubles when level_rel doubles."""
+    eps, so the reported fraction roughly doubles when _LEVEL_REL doubles."""
     prob = line_problem(257, alpha=0.5)
-    f1 = classify_alpha(prob, level_rel=1e-2).level_set_fraction
-    f2 = classify_alpha(prob, level_rel=2e-2).level_set_fraction
+    monkeypatch.setattr(problem, "_LEVEL_REL", 1e-2)
+    f1 = classify_alpha(prob).level_set_fraction
+    monkeypatch.setattr(problem, "_LEVEL_REL", 2e-2)
+    f2 = classify_alpha(prob).level_set_fraction
     assert 0.0 < f1 < f2 <= 1.0
     assert f2 == pytest.approx(2.0 * f1, rel=0.35)
 
