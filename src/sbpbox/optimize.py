@@ -2,10 +2,13 @@
 
 Descent runs in the discrete H^1_0 metric: each iteration preconditions the
 gradient by a Dirichlet solve, projects it onto the tangent space of M,
-steps against it, and retracts back with the two-parameter ansatz.  An
-Armijo backtracking line search (with a rounding slack proportional to the
-energy scale) keeps the reduced energy monotone; the step doubles after each
-accepted iterate so the search is roughly scale free.
+steps against it, and retracts back with the two-parameter ansatz.  The
+trial step is the Barzilai-Borwein step (twice the last accepted step when
+that is undefined), and a nonmonotone Armijo backtracking line search
+safeguards it: a trial is tested against the Zhang-Hager reference value C,
+a weighted mean of the energies accepted so far, instead of the current
+energy.  Every accepted energy lies at or below the C before it, and C never
+exceeds the starting energy, so no iterate ends above the start.
 
 Convergence is declared on the Sobolev tangent gradient norm, which is also
 the Armijo decrease rate.  Every run returns a ``SolveResult``; its
@@ -47,8 +50,9 @@ __all__ = [
     "excited_states",
 ]
 
-_ARMIJO_SLACK = 1e-13
 _ARMIJO_C = 1e-4
+# Weight of the past in the Zhang-Hager reference value; 0 is monotone Armijo.
+_ZH_ETA = 0.85
 _BACKTRACK = 0.5
 _INITIAL_STEP = 1.0
 _MIN_STEP = 1e-14
@@ -108,8 +112,10 @@ class SolveResult:
 def minimize_on_M(problem: Problem,
                   u0: np.ndarray,
                   opts: OptimizerOptions | None = None) -> SolveResult:
-    """Armijo projected descent from ``u0`` until the Sobolev tangent
-    gradient norm drops below ``opts.grad_tol``.
+    """Projected BB descent with a nonmonotone (Zhang-Hager) Armijo line
+    search from ``u0`` until the Sobolev tangent gradient norm drops below
+    ``opts.grad_tol``.  The energy may rise between iterates, but never
+    above the energy of the retracted start.
 
     Hitting ``max_iterations``, or backtracking below ``_MIN_STEP`` without an
     acceptable decrease, returns the current iterate and its gradient norm
@@ -123,6 +129,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     u = retract(problem, np.asarray(u0, dtype=float))
     pair = phi_map(problem, u)
     j = eval_J(problem, u, pair)
+    ref_c, ref_q = j, 1.0
     step = _INITIAL_STEP
     trace: list[IterRecord] = []
     converged = False
@@ -149,7 +156,8 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
 
         # Spectral (Barzilai-Borwein) trial step from the last displacement
         # and gradient change; falls back to growing the accepted step.  The
-        # monotone Armijo test below safeguards it.
+        # nonmonotone Armijo test below, against the Zhang-Hager reference
+        # value ref_c, safeguards it.
         t = min(2.0 * step, _MAX_STEP)
         if prev_u is not None:
             s = u - prev_u
@@ -160,7 +168,6 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
                 t = min(max(ss / sy, _MIN_STEP), _MAX_STEP)
         prev_u, prev_gt = u, gt
 
-        slack = _ARMIJO_SLACK * (1.0 + abs(j))
         while t >= _MIN_STEP:
             try:
                 u_try = retract(problem, u - t * gt)
@@ -169,9 +176,11 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
                 continue
             pair_try = phi_map(problem, u_try)
             j_try = eval_J(problem, u_try, pair_try)
-            if j_try <= j - _ARMIJO_C * t * decrease_rate + slack:
+            if j_try <= ref_c - _ARMIJO_C * t * decrease_rate:
                 u, pair, j = u_try, pair_try, j_try
                 step = t
+                q_old, ref_q = ref_q, _ZH_ETA * ref_q + 1.0
+                ref_c = (_ZH_ETA * q_old * ref_c + j) / ref_q
                 break
             t *= _BACKTRACK
         else:
@@ -222,7 +231,10 @@ def polish_positive(problem: Problem, result: SolveResult,
     |u| leaves both constraint integrals and every term of the reduced energy
     unchanged except the Dirichlet term, which cannot increase on the grid
     (the slopes of |u| are dominated nodewise).  Re-minimizing from the
-    folded state therefore lands at an energy no larger than the input's.
+    folded state therefore lands at an energy no larger than the input's:
+    the line search is nonmonotone, but each accepted J_k lies at or below
+    the reference value C_{k-1}, a weighted mean of J_0..J_{k-1}, so by
+    induction every J_k <= C_{k-1} <= J_0, the folded energy.
     A state whose minimum is at least ``_POSITIVE_FLOOR`` is returned as is.
     """
     opts = opts or OptimizerOptions()

@@ -61,6 +61,54 @@ def test_trace_is_monotone(bench65):
     assert all(rec.step >= optimize._MIN_STEP for rec in res.trace[1:])
 
 
+@pytest.fixture(scope="module")
+def slab_runs():
+    """Traced descents from the genus-1 and genus-2 slab seeds of the
+    excited-search problem, with the number of retractions they made."""
+    prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+    starts = [u0 for genus in (1, 2) for u0 in genus_seeds(prob, genus)]
+    calls = [0]
+
+    def counting_retract(*args, **kwargs):
+        calls[0] += 1
+        return retract(*args, **kwargs)
+
+    opts = OptimizerOptions(max_iterations=8000, keep_trace=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "retract", counting_retract)
+        runs = [minimize_on_M(prob, u0, opts) for u0 in starts]
+    return runs, calls[0]
+
+
+def test_trace_obeys_zhang_hager_rule(slab_runs):
+    """Each accepted energy satisfies the Armijo test against the reference
+    value C rebuilt from the trace, no iterate rises above the start, and
+    the energy does rise somewhere, so the rule is really nonmonotone."""
+    runs, _ = slab_runs
+    rose = False
+    for res in runs:
+        assert res.converged
+        js = np.array([rec.j for rec in res.trace])
+        tol = 1e-14 * np.abs(js).max()
+        c, q = js[0], 1.0
+        for prev, rec in zip(res.trace, res.trace[1:]):
+            rate = prev.sobolev_grad ** 2
+            assert rec.j <= c - optimize._ARMIJO_C * rec.step * rate + tol
+            q_old, q = q, optimize._ZH_ETA * q + 1.0
+            c = (optimize._ZH_ETA * q_old * c + rec.j) / q
+        assert js.max() <= js[0]
+        rose = rose or bool(np.any(np.diff(js) > 1e-6 * np.abs(js).max()))
+    assert rose
+
+
+def test_line_search_trials_per_iteration(slab_runs):
+    """One retraction per start, the rest one per line-search trial: BB
+    steps should pass on the first trial most of the time."""
+    runs, retractions = slab_runs
+    iterations = sum(res.iterations for res in runs)
+    assert (retractions - len(runs)) / iterations <= 1.5
+
+
 def test_max_iterations_returns_unconverged(bench65):
     opts = OptimizerOptions(max_iterations=2, keep_trace=True)
     res = minimize_on_M(bench65, feasible_init(bench65), opts)
