@@ -27,6 +27,7 @@ from sbpbox.grid import (
 )
 from sbpbox.reduction import phi_map, solve_fourth_order_split
 from sbpbox.solvers import (
+    _symbols,
     solve_helmholtz_neumann,
     solve_poisson_dirichlet,
     solve_poisson_neumann_zeromean,
@@ -98,17 +99,23 @@ def test_phi_map_is_the_split_of_the_projected_source(g, seed):
 @PROPERTY
 @given(grids(), SEEDS)
 def test_zero_mean_solve_leaves_the_cached_symbols_intact(g, seed):
-    """The solves share per-grid symbols; the zero-mean solve must not
-    change the ones the Helmholtz solve reads, or itself on a second call."""
+    """The solves share per-grid symbols and transform matrices; the
+    zero-mean solve must not change the ones the Helmholtz solve reads, or
+    itself on a second call, and no cached array may be written."""
     f = np.random.default_rng(seed).standard_normal(g.shape)
     f0 = f - mean(g, f)
     first = solve_poisson_neumann_zeromean(g, f0)
     helm = solve_helmholtz_neumann(g, f)
+    dirichlet = solve_poisson_dirichlet(g, f)
     fresh = Grid(lengths=g.lengths, n=g.n)
     assert np.array_equal(helm, solve_helmholtz_neumann(fresh, f))
     assert close(helm, solve_helmholtz_dense(g, -f))
     assert np.array_equal(first, solve_poisson_neumann_zeromean(fresh, f0))
     assert close(first, solve_poisson_neumann_dense(g, f0))
+    assert np.array_equal(dirichlet, solve_poisson_dirichlet(fresh, f))
+    sym = _symbols(g)
+    cached = (sym.helmholtz, sym.zeromean, sym.dirichlet, *sym.dct, *sym.dst)
+    assert all(arr.flags.writeable is False for arr in cached if arr is not None)
 
 
 @PROPERTY

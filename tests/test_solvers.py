@@ -12,6 +12,12 @@ from sbpbox.dense import (
 from sbpbox.errors import IncompatibleData
 from sbpbox.grid import boundary_integrate, integrate, mean, norm_l2, zero_boundary
 from sbpbox.solvers import (
+    _MATRIX_MAX_NODES,
+    _dct1,
+    _dct1_matrix,
+    _dst1,
+    _dst1_matrix,
+    _symbols,
     solve_helmholtz_neumann,
     solve_poisson_dirichlet,
     solve_poisson_neumann_zeromean,
@@ -21,7 +27,7 @@ from sbpbox.solvers import (
 def test_helmholtz_manufactured_second_order():
     """lap v - v = f with v* = cos(pi x): zero flux, known right side."""
     errs = []
-    for n in (17, 33, 65, 129):
+    for n in (17, 33, 65, 129, 257, 513):
         g = Grid(lengths=(1.0,), n=(n,))
         x = g.coords[0]
         v_exact = np.cos(np.pi * x)
@@ -57,7 +63,7 @@ def test_poisson_neumann_zero_mean_and_compatibility():
 def test_poisson_neumann_manufactured():
     """lap v = f with v* = cos(2 pi x) (zero flux, zero mean)."""
     errs = []
-    for n in (33, 65, 129):
+    for n in (33, 65, 129, 257, 513):
         g = Grid(lengths=(1.0,), n=(n,))
         x = g.coords[0]
         v_exact = np.cos(2.0 * np.pi * x)
@@ -82,9 +88,24 @@ def test_poisson_dirichlet_manufactured_2d():
     assert np.all(np.abs(orders - 2.0) < 0.1)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 17), (2, 9)])
+def test_poisson_dirichlet_manufactured_1d():
+    """The sizes cross from matrix to FFT transforms at 257 nodes."""
+    errs = []
+    for n in (129, 257, 513, 1025):
+        g = Grid(lengths=(1.0,), n=(n,))
+        x = g.coords[0]
+        v_exact = np.sin(np.pi * x)
+        v = solve_poisson_dirichlet(g, np.pi ** 2 * v_exact)
+        errs.append(np.abs(v - v_exact).max())
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(orders - 2.0) < 0.1)
+
+
+# (5, 261) has a matrix axis and an FFT axis.
+@pytest.mark.parametrize("dim,n", [(1, 17), (2, 9),
+                                   pytest.param(2, (5, 261), id="2-5x261")])
 def test_dense_agreement(dim, n):
-    g = Grid(lengths=(1.0,) * dim, n=(n,) * dim)
+    g = Grid(lengths=(1.0,) * dim, n=(n,) * dim if np.isscalar(n) else n)
     rng = np.random.default_rng(2)
     f = rng.standard_normal(g.shape)
 
@@ -101,6 +122,25 @@ def test_dense_agreement(dim, n):
     d_it = solve_poisson_dirichlet(g, fd)
     d_ds = solve_poisson_dirichlet_dense(g, fd)
     assert np.abs(d_it - d_ds).max() <= 1e-10 * (1.0 + np.abs(d_ds).max())
+
+
+@pytest.mark.parametrize("n", [_MATRIX_MAX_NODES - 1, _MATRIX_MAX_NODES,
+                               _MATRIX_MAX_NODES + 1])
+def test_matrix_and_fft_transforms_agree(n):
+    """Either side of the selection: each DCT-I/DST-I matrix equals its FFT
+    form, and each form applied twice scales by 2 (n - 1) (DCT-I, n nodes)
+    or 2 (m + 1) (DST-I, m = n - 2 interior nodes)."""
+    x = np.random.default_rng(3).standard_normal((n, 2))
+    for mat, fft, y in ((_dct1_matrix(n), _dct1, x),
+                        (_dst1_matrix(n - 2), _dst1, x[1:-1])):
+        assert np.abs(mat @ y - fft(y, 0)).max() <= 1e-13 * np.abs(mat @ y).max()
+        for once in (lambda v: mat @ v, lambda v: fft(v, 0)):
+            twice = once(once(y)) / (2.0 * (n - 1))
+            assert np.abs(twice - y).max() <= 1e-13 * np.abs(y).max()
+    sym = _symbols(Grid(lengths=(1.0,), n=(n,)))
+    on_matrix = n <= _MATRIX_MAX_NODES
+    assert (sym.dct[0] is not None) == on_matrix
+    assert (sym.dst[0] is not None) == on_matrix
 
 
 def test_zero_rhs_returns_zero():
