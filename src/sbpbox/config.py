@@ -17,14 +17,14 @@ import numpy as np
 from .errors import ConfigError
 from .grid import FACE_NAMES, BoundaryData, Grid
 from .optimize import OptimizerOptions
-from .problem import CouplingSpec, Problem, build_problem
+from .problem import COUPLING_PARAMS, CouplingSpec, Problem, build_problem
 
 __all__ = ["RunConfig", "load_config", "parse_config_text", "CONFIG_KEYS"]
 
 _MODES = ("ground", "excited")
 _FACE_OF = {face: name for name, face in FACE_NAMES.items()}
-_COUPLING_PARAM_KEYS = ("a", "b", "base", "height", "radius", "center",
-                        "amplitude", "cycles", "tilt", "file")
+_COUPLING_PARAM_KEYS = {key for required, optional in COUPLING_PARAMS.values()
+                        for key in required + optional}
 
 # key -> (parser, default); None default means "required" for the few keys
 # that have no sensible fallback.
@@ -110,11 +110,7 @@ class RunConfig:
         return Grid(lengths=tuple(lengths), n=tuple(n))
 
     def coupling(self) -> CouplingSpec:
-        kind = self.get("coupling.kind")
-        params = dict(self.coupling_params)
-        if "file" in params:
-            params["path"] = params.pop("file")
-        return CouplingSpec(kind=kind, params=params)
+        return CouplingSpec(self.get("coupling.kind"), dict(self.coupling_params))
 
     def boundary_data(self, which: str, grid: Grid) -> BoundaryData:
         values = {}

@@ -19,10 +19,10 @@ term, the gradient of J is just the u-derivative of F at (u, phi_u):
 
     grad J(u) = -lap u + q (phi_u + chi) u - kappa |u|^(p-2) u,
 
-zero on the boundary.  The optimizer takes its Dirichlet solve, the
-representer of that derivative in the discrete H^1_0 inner product, as the
-descent direction; descent preconditioned this way converges at a rate that
-does not degrade under refinement.
+zero on the boundary.  The optimizer descends along its H^1_0 representer,
+the Dirichlet solve S of grad J, at a rate that does not degrade under
+refinement.  S inverts the three-point stencil exactly, so the optimizer
+forms it as u + S(w), w = ``zeroth_order_grad``, and applies no stencil.
 
 ``eval_J`` returns J as a single float; a caller that needs one term, such
 as the Dirichlet energy in the run report, evaluates it from ``grid``.
@@ -36,7 +36,7 @@ from .grid import dirichlet_energy, inner, integrate, laplacian_dirichlet
 from .problem import Problem
 from .reduction import PotentialPair, phi_map
 
-__all__ = ["eval_J", "grad_J"]
+__all__ = ["eval_J", "grad_J", "zeroth_order_grad"]
 
 
 def eval_J(problem: Problem,
@@ -63,6 +63,13 @@ def eval_J(problem: Problem,
             + nonlinear)
 
 
+def zeroth_order_grad(problem: Problem, u: np.ndarray,
+                      pair: PotentialPair) -> np.ndarray:
+    """w = q (phi_u + chi) u - kappa |u|^(p-2) u, that is grad J + lap u."""
+    return (problem.q * (pair.phi + problem.chi) * u
+            - problem.kappa * np.abs(u) ** (problem.p - 2.0) * u)
+
+
 def grad_J(problem: Problem,
            u: np.ndarray,
            pair: PotentialPair | None = None) -> np.ndarray:
@@ -75,9 +82,6 @@ def grad_J(problem: Problem,
     u = np.asarray(u, dtype=float)
     if pair is None:
         pair = phi_map(problem, u)
-    out = -laplacian_dirichlet(g, u)
-    out += problem.q * (pair.phi + problem.chi) * u
-    if problem.kappa != 0.0:
-        out -= problem.kappa * np.abs(u) ** (problem.p - 2.0) * u
+    out = zeroth_order_grad(problem, u, pair) - laplacian_dirichlet(g, u)
     out[~g.interior_mask] = 0.0
     return out

@@ -292,14 +292,6 @@ def _axis_slice(ndim: int, axis: int, s) -> tuple:
     return tuple(idx)
 
 
-def boundary_max(grid: Grid, f: np.ndarray) -> float:
-    """Largest absolute value of a field on the boundary nodes."""
-    worst = 0.0
-    for axis, side in grid.faces():
-        worst = max(worst, float(np.max(np.abs(f[grid.face_index(axis, side)]))))
-    return worst
-
-
 def zero_boundary(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Copy of ``f`` with boundary nodes set exactly to zero."""
     out = np.array(f, dtype=float)
@@ -307,28 +299,23 @@ def zero_boundary(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Second-order Laplacian of a field vanishing on the boundary.
-
-    Output is zero on boundary nodes.  Raises ``NonzeroBoundary`` when the
-    input exceeds ``1e-12 * (1 + max|f|)`` on the boundary.
-    """
+def require_zero_boundary(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """``zero_boundary(grid, f)``, or ``NonzeroBoundary`` when ``f`` exceeds
+    ``1e-12 * (1 + max|f|)`` on a boundary node."""
     f = np.asarray(f, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(f))) if f.size else 1.0
-    worst = boundary_max(grid, f)
-    if worst > 1e-12 * scale:
-        raise NonzeroBoundary(
-            f"field has boundary magnitude {worst:.3e} (limit {1e-12 * scale:.3e})"
-        )
-    g = zero_boundary(grid, f)
-    out = np.zeros_like(g)
-    nd = grid.dim
-    for a in range(nd):
-        h2 = grid.h[a] ** 2
-        lo = _axis_slice(nd, a, slice(0, -2))
-        mid = _axis_slice(nd, a, slice(1, -1))
-        hi = _axis_slice(nd, a, slice(2, None))
-        out[mid] += (g[lo] - 2.0 * g[mid] + g[hi]) / h2
+    worst = float(np.max(np.abs(f[~grid.interior_mask])))
+    limit = 1e-12 * (1.0 + float(np.max(np.abs(f))))
+    if worst > limit:
+        raise NonzeroBoundary(f"field has boundary magnitude {worst:.3e} "
+                              f"(limit {limit:.3e})")
+    return zero_boundary(grid, f)
+
+
+def laplacian_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Second-order Laplacian of a field vanishing on the boundary
+    (``require_zero_boundary``): the interior rows of ``laplacian_neumann``,
+    and zero on boundary nodes."""
+    out = laplacian_neumann(grid, require_zero_boundary(grid, f))
     out[~grid.interior_mask] = 0.0
     return out
 

@@ -1,14 +1,15 @@
 """Projected gradient descent on the constraint manifold.
 
-Descent runs in the discrete H^1_0 metric: each iteration preconditions the
-gradient by a Dirichlet solve, projects it onto the tangent space of M,
-steps against it, and retracts back with the two-parameter ansatz.  The
-trial step is the Barzilai-Borwein step (twice the last accepted step when
-that is undefined), and a nonmonotone Armijo backtracking line search
-safeguards it: a trial is tested against the Zhang-Hager reference value C,
-a weighted mean of the energies accepted so far, instead of the current
-energy.  Every accepted energy lies at or below the C before it, and C never
-exceeds the starting energy, so no iterate ends above the start.
+Descent runs in the discrete H^1_0 metric: each iteration takes the gradient
+u + S(w), with S the Dirichlet solve and w the derivative-free terms of grad J
+(no stencil), projects it onto the tangent space of M, steps against it, and
+retracts back with the two-parameter ansatz.  The trial step is the
+Barzilai-Borwein step (twice the last accepted step when that is undefined),
+and a nonmonotone Armijo backtracking line search safeguards it: a trial is
+tested against the Zhang-Hager reference value C, a weighted mean of the
+energies accepted so far, instead of the current energy.  Every accepted
+energy lies at or below the C before it, and C never exceeds the starting
+energy, so no iterate ends above the start.
 
 Convergence is declared on the Sobolev tangent gradient norm, which is also
 the Armijo decrease rate.  Every run returns a ``SolveResult``; its
@@ -33,8 +34,8 @@ from .errors import (
     SingularMultiplierSystem,
     ZeroField,
 )
-from .functional import eval_J, grad_J
-from .grid import dirichlet_inner, inner, norm_l2
+from .functional import eval_J, grad_J, zeroth_order_grad
+from .grid import dirichlet_inner, inner, norm_l2, require_zero_boundary
 from .manifold import _solve2, genus_seeds, retract, tangent_project
 from .problem import Problem
 from .reduction import PotentialPair, phi_map
@@ -126,7 +127,7 @@ def minimize_on_M(problem: Problem,
 
 def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> SolveResult:
     grid = problem.grid
-    u = retract(problem, np.asarray(u0, dtype=float))
+    u = retract(problem, require_zero_boundary(grid, u0))
     pair = phi_map(problem, u)
     j = eval_J(problem, u, pair)
     ref_c, ref_q = j, 1.0
@@ -141,7 +142,8 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     # convergence, so every exit reports the gradient at the returned iterate.
     for it in range(opts.max_iterations + 1):
         iterations = it
-        g_h = solve_poisson_dirichlet(grid, grad_J(problem, u, pair))
+        # S(grad J) = u + S(w): S inverts the stencil of -lap exactly.
+        g_h = u + solve_poisson_dirichlet(grid, zeroth_order_grad(problem, u, pair))
         gt = tangent_project(problem, u, g_h)
         decrease_rate = dirichlet_inner(grid, gt, gt)
         sob = float(np.sqrt(decrease_rate))

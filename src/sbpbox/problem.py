@@ -50,6 +50,11 @@ _CHI_CHECK_TOL = 5e-8
 # counts as degenerate, and the level-set half-width.
 _GAP_REL = 1e-9
 _LEVEL_REL = 1e-3
+# Parameters each coupling kind takes: (required, optional).
+COUPLING_PARAMS = {"affine": ((), ("a", "b")),
+                   "radial_bump": (("radius",), ("base", "height", "center")),
+                   "oscillating": ((), ("base", "amplitude", "cycles", "tilt")),
+                   "tabulated": (("file",), ())}
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class CouplingSpec:
       along the first axis sees a full period, so any interior level is
       bracketed inside every slab
     * ``"tabulated"``: nodal values from a field file (see ``grid.read_field``),
-      params (path,)
+      params (file,)
     """
 
     kind: str
@@ -74,10 +79,21 @@ class CouplingSpec:
 
     def evaluate(self, grid: Grid) -> np.ndarray:
         p = self.params
+        if self.kind not in COUPLING_PARAMS:
+            raise ValueError(f"unknown coupling kind {self.kind!r}")
+        required, optional = COUPLING_PARAMS[self.kind]
+        for key in required:
+            if key not in p:
+                raise ValueError(f"coupling kind {self.kind!r} needs parameter {key!r}")
+        for key in p:
+            if key not in required + optional:
+                raise ValueError(f"coupling kind {self.kind!r} takes no parameter {key!r}")
         if self.kind == "affine":
             q = float(p.get("a", 0.0)) + float(p.get("b", 0.0)) * grid.coords[0]
         elif self.kind == "radial_bump":
             center = np.atleast_1d(np.asarray(p.get("center", [L / 2 for L in grid.lengths]), dtype=float))
+            if center.shape != (grid.dim,):
+                raise ValueError(f"coupling parameter 'center' needs {grid.dim} entries")
             radius = float(p["radius"])
             r2 = sum((c - ci) ** 2 for c, ci in zip(grid.coords, center))
             q = float(p.get("base", 0.0)) + float(p.get("height", 1.0)) * np.clip(
@@ -89,19 +105,14 @@ class CouplingSpec:
                  + float(p.get("amplitude", 1.0))
                  * np.sin(2.0 * math.pi * float(p.get("cycles", 3)) * x)
                  + float(p.get("tilt", 0.0)) * x)
-        elif self.kind == "tabulated":
-            tab_grid, values = read_field(p["path"])
+        else:
+            tab_grid, values = read_field(p["file"])
             if tab_grid != grid:
                 raise ValueError(
                     f"tabulated coupling grid {tab_grid} does not match {grid}"
                 )
             q = values
-        else:
-            raise ValueError(f"unknown coupling kind {self.kind!r}")
-        q = np.asarray(q, dtype=float) + np.zeros(grid.shape)
-        if not np.all(np.isfinite(q)):
-            raise ValueError("coupling field has non-finite values")
-        return q
+        return np.asarray(q, dtype=float) + np.zeros(grid.shape)
 
 
 @dataclass(frozen=True)

@@ -166,10 +166,11 @@ def residual_original_system(problem: Problem,
 
     eq1_res uses the wide fourth-order stencil over the deep interior (its
     own truncation error decays like h^2 times the solution regularity, so
-    refinement should show second order); eq1_res_native uses the optimizer's
-    stencil and should sit at the optimizer's stopping tolerance.  eq2_res applies the two
-    factored native stencils to the reconstructed potential.  bc_res is the
-    worst absolute flux mismatch over all faces for the potential itself,
+    refinement should show second order); eq1_res_native uses the three-point
+    stencil that the optimizer's Dirichlet solve inverts, and should sit at
+    the optimizer's stopping tolerance.  eq2_res applies the two factored
+    native stencils to the reconstructed potential.  bc_res is the worst
+    absolute flux mismatch over all faces for the potential itself,
     bc_res_second the same for its Laplacian field.
     """
     grid = problem.grid
@@ -182,8 +183,7 @@ def residual_original_system(problem: Problem,
     eq1_field[~mask] = 0.0
     eq1 = norm_l2(grid, eq1_field)
 
-    lap_u = laplacian_dirichlet(grid, u)
-    native_field = -lap_u + (q * phi_full - omega) * u - nonlin
+    native_field = -laplacian_dirichlet(grid, u) + (q * phi_full - omega) * u - nonlin
     native_field[~grid.interior_mask] = 0.0
     eq1_native = norm_l2(grid, native_field)
 

@@ -89,6 +89,10 @@ def test_dirichlet_form_is_negative_adjoint_of_laplacian(g):
     assert dirichlet_energy(g, f) >= 0.0
     assert dirichlet_energy(g, f) == pytest.approx(dirichlet_inner(g, f, f),
                                                    rel=1e-13)
+    # On zero-boundary fields the Dirichlet stencil is the masked Neumann
+    # stencil, bit for bit.
+    assert np.array_equal(laplacian_dirichlet(g, f),
+                          zero_boundary(g, laplacian_neumann(g, f)))
 
 
 def test_laplacian_dirichlet_rejects_nonzero_boundary():

@@ -9,7 +9,10 @@ never loaded and not listed in ``__all__``.  The second collects the
 ``_private`` functions, classes and constants defined at module level that
 no module of the package loads, by name, attribute or ``from`` import.  The
 third collects the classes of ``errors.py`` that no ``raise`` statement of
-the package names; the base class ``SbpError`` is exempt.
+the package names; the base class ``SbpError`` is exempt.  The fourth reads
+the ``LAYERS`` table of the benchmark's tracer and lists each traced
+``module:function`` that no module of ``src/sbpbox`` defines at top level,
+so a rename fails here and not only under ``perfbench/run.py --trace 1``.
 """
 
 import ast
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sbpbox"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 
 
 def unused_imports(path):
@@ -123,3 +127,30 @@ def test_scan_sees_an_unraised_exception(tmp_path):
                     "    except Caught:\n        raise\n"
                     "    raise errors.ByAttribute\n")
     assert unraised_exceptions(errors, [errors, user]) == [(10, "Caught")]
+
+
+def unresolved_traced_names(tracer_path):
+    tree = ast.parse(tracer_path.read_text(), filename=str(tracer_path))
+    layers = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    missing = []
+    for specs in ast.literal_eval(layers).values():
+        for spec in specs:
+            module, name = spec.split(":")
+            path = SRC / (module.removeprefix("sbpbox.") + ".py")
+            defined = {node.name for node in ast.parse(path.read_text()).body
+                       if isinstance(node, ast.FunctionDef)} if path.exists() else set()
+            if name not in defined:
+                missing.append(spec)
+    return missing
+
+
+def test_every_traced_name_is_defined():
+    assert unresolved_traced_names(TRACER) == []
+
+
+def test_scan_sees_an_unresolved_traced_name(tmp_path):
+    tracer = tmp_path / "tracer.py"
+    tracer.write_text('LAYERS = {"a": ("sbpbox.grid:laplacian_neumann", "sbpbox.grid:gone"),\n'
+                      '          "b": ("sbpbox.nope:f",)}\n')
+    assert unresolved_traced_names(tracer) == ["sbpbox.grid:gone", "sbpbox.nope:f"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sbpbox import optimize
-from sbpbox.errors import SingularMultiplierSystem
+from sbpbox.errors import NonzeroBoundary, SingularMultiplierSystem
 from sbpbox.functional import eval_J
 from sbpbox.grid import dirichlet_energy, norm_l2
 from sbpbox.manifold import constraint_values, feasible_init, genus_seeds, retract
@@ -136,6 +136,20 @@ def test_line_search_stall_is_a_stop_reason(bench65, monkeypatch):
     assert len(res.trace) == res.iterations + 1
     assert res.trace[-1].sobolev_grad == res.grad_norm > 1e-7
     assert res.trace[-1].j == res.j
+
+
+def test_start_must_vanish_on_the_boundary(bench65):
+    """The boundary check runs once, on the start: a boundary value raises,
+    and a residue within rounding is zeroed, so no iterate carries it."""
+    u0 = feasible_init(bench65)
+    bad = u0.copy()
+    bad[0] = 1e-6
+    with pytest.raises(NonzeroBoundary):
+        minimize_on_M(bench65, bad)
+    tiny = u0.copy()
+    tiny[-1] = 1e-14
+    res = minimize_on_M(bench65, tiny, OptimizerOptions(max_iterations=3))
+    assert res.u[0] == res.u[-1] == 0.0
 
 
 @pytest.mark.parametrize("kwargs", [

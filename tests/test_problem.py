@@ -53,11 +53,25 @@ def test_coupling_tabulated_roundtrip(tmp_path):
     values = 1.0 + np.linspace(0.0, 1.0, 17) ** 2
     path = tmp_path / "q.csv"
     write_field(path, g, values)
-    q = CouplingSpec("tabulated", {"path": str(path)}).evaluate(g)
+    q = CouplingSpec("tabulated", {"file": str(path)}).evaluate(g)
     assert np.array_equal(q, values)
     other = Grid(lengths=(1.0,), n=(33,))
     with pytest.raises(ValueError):
-        CouplingSpec("tabulated", {"path": str(path)}).evaluate(other)
+        CouplingSpec("tabulated", {"file": str(path)}).evaluate(other)
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("radial_bump", {"base": 0.5}, "radius"),
+    ("tabulated", {}, "file"),
+    ("affine", {"a": 1.0, "radius": 0.2}, "radius"),
+    ("radial_bump", {"center": (0.5,), "radius": 0.25}, "center"),
+])
+def test_coupling_parameters_are_checked(kind, params, key):
+    """A missing parameter, one the kind does not take, and a center with
+    fewer entries than axes each raise a ValueError naming the key."""
+    g = Grid(lengths=(1.0, 1.0), n=(9, 9))
+    with pytest.raises(ValueError, match=key):
+        CouplingSpec(kind, params).evaluate(g)
 
 
 def test_coupling_unknown_kind():

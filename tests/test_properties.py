@@ -16,6 +16,7 @@ from sbpbox.dense import (
     solve_poisson_dirichlet_dense,
     solve_poisson_neumann_dense,
 )
+from sbpbox.functional import grad_J, zeroth_order_grad
 from sbpbox.grid import (
     boundary_integrate,
     dirichlet_inner,
@@ -94,6 +95,31 @@ def test_phi_map_is_the_split_of_the_projected_source(g, seed):
     pair = phi_map(prob, u)
     assert close(pair.phi, direct.phi)
     assert close(pair.psi, direct.psi)
+
+
+def sobolev_identity_holds(g, seed):
+    rng = np.random.default_rng(seed)
+    prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
+                         h1=random_flux(g, rng), h2=random_flux(g, rng),
+                         kappa=1.0, p=3.0)
+    u = zero_boundary(g, rng.standard_normal(g.shape))
+    pair = phi_map(prob, u)
+    w = zeroth_order_grad(prob, u, pair)
+    return close(u + solve_poisson_dirichlet(g, w),
+                 solve_poisson_dirichlet(g, grad_J(prob, u, pair)))
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_sobolev_gradient_is_u_plus_solve_of_w(g, seed):
+    """S(grad J) = S(-lap u + w) = u + S(w): the Dirichlet solve inverts the
+    three-point stencil exactly, so the descent needs no stencil."""
+    assert sobolev_identity_holds(g, seed)
+
+
+def test_sobolev_gradient_is_u_plus_solve_of_w_on_an_fft_axis():
+    """The same identity where the solve transforms the long axis by rfft."""
+    assert sobolev_identity_holds(Grid(lengths=(1.0, 2.0), n=(5, 261)), seed=7)
 
 
 @PROPERTY
