@@ -43,7 +43,7 @@ print(f"omega = {result.omega:.12f}")
 print(f"mu    = {result.mu:.12f}")
 print(f"min u = {result.u.min():.3e}  (nonnegative representative)")
 
-res = residual_original_system(problem, result.u, result.pair,
+res = residual_original_system(problem, result.u, result.phi,
                                result.omega, result.mu, j=result.j)
 print(f"eq1 residual (wide stencil)   = {res.eq1_res:.3e}")
 print(f"eq1 residual (native stencil) = {res.eq1_res_native:.3e}")
@@ -53,5 +53,5 @@ print(f"flux mismatch                 = {res.bc_res:.3e}")
 here = os.path.dirname(os.path.abspath(__file__))
 write_field(os.path.join(here, "ground_u.csv"), grid, result.u)
 write_field(os.path.join(here, "ground_phi.csv"), grid,
-            reconstruct_phi(problem, result.pair, result.mu))
+            reconstruct_phi(problem, result.phi, result.mu))
 print("wrote ground_u.csv and ground_phi.csv")

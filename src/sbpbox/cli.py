@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -148,7 +148,7 @@ def _jsonable(v):
 def _dump_state_fields(out: Path, problem: Problem, index: int,
                        res: SolveResult) -> None:
     write_field(out / f"u_{index}.csv", problem.grid, res.u)
-    phi_full = reconstruct_phi(problem, res.pair, res.mu)
+    phi_full = reconstruct_phi(problem, res.phi, res.mu)
     write_field(out / f"phi_{index}.csv", problem.grid, phi_full)
 
 
@@ -166,8 +166,6 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
         states = [res]
     else:
         k = cfg.get("run.k")
-        if k < 1:
-            raise SbpError(f"run.k must be >= 1, got {k}")
         _say(quiet, f"multi-start search for {k} families of states")
         states = excited_states(problem, k, opts)
         if not states:
@@ -179,7 +177,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     entries = []
     for i, res in enumerate(states):
         rep = residual_original_system(
-            problem, res.u, res.pair, res.omega, res.mu,
+            problem, res.u, res.phi, res.omega, res.mu,
             j=res.j, iterations=res.iterations)
         reports.append(rep)
         entries.append(_state_entry(problem, i, res, rep))
@@ -220,9 +218,8 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
         if grid_read != problem.grid:
             print(f"u_{i}.csv grid does not match the config grid", file=sys.stderr)
             return 1
-        pair = phi_map(problem, u)
         rep = residual_original_system(
-            problem, u, pair, entry["omega"], entry["mu"],
+            problem, u, phi_map(problem, u), entry["omega"], entry["mu"],
             iterations=entry.get("iterations", 0))
         reports.append(rep)
         _say(quiet,
@@ -276,7 +273,7 @@ def refinement_study(problem_factory: Callable[[int], Problem],
         res = minimize_on_M(prob, feasible_init(prob), opts)
         res = polish_positive(prob, res, opts)
         reports.append(residual_original_system(
-            prob, res.u, res.pair, res.omega, res.mu,
+            prob, res.u, res.phi, res.omega, res.mu,
             j=res.j, iterations=res.iterations))
         results.append(res)
     j_values = [rep.j for rep in reports]
@@ -336,18 +333,8 @@ def cmd_oracle(cfg: RunConfig, seed: int | None, quiet: bool) -> int:
     problem = cfg.build_problem()
     rep = dense_oracle_compare(
         problem, seed=cfg.get("run.seed") if seed is None else seed)
-    lines = [
-        ("helmholtz", rep.helmholtz),
-        ("poisson_neumann", rep.poisson_neumann),
-        ("poisson_dirichlet", rep.poisson_dirichlet),
-        ("split_phi", rep.split_phi),
-        ("split_psi", rep.split_psi),
-        ("state_potential", rep.state_potential),
-        ("nullspace_sigma", rep.nullspace_sigma),
-        ("nullspace_gap", rep.nullspace_gap),
-    ]
-    for name, val in lines:
-        _say(quiet, f"{name:18s} {val:.3e}")
+    for f in fields(rep):
+        _say(quiet, f"{f.name:18s} {getattr(rep, f.name):.3e}")
     ok = rep.max_discrepancy() <= 1e-9 and rep.nullspace_sigma <= 1e-12
     print("oracle agreement OK" if ok else "ORACLE MISMATCH")
     return 0 if ok else 1

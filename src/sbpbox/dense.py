@@ -159,11 +159,11 @@ def fourth_order_matrix_dense(grid: Grid) -> np.ndarray:
     return big
 
 
-def solve_fourth_order_dense(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def solve_fourth_order_dense(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Direct solve of the split system for homogeneous boundary data.
 
-    Returns (phi, psi) with the source projected to zero mean, matching the
-    spectral path semantics.
+    Returns phi with the source projected to zero mean, matching the
+    spectral path semantics; psi stays inside the bordered system.
     """
     check_size(grid)
     m = grid.node_count
@@ -174,6 +174,4 @@ def solve_fourth_order_dense(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.
     b = np.zeros(2 * m + 1)
     b[:m] = fvec
     sol = np.linalg.solve(big, b)
-    psi = sol[:m].reshape(grid.shape)
-    phi = sol[m:2 * m].reshape(grid.shape)
-    return phi, psi
+    return sol[m:2 * m].reshape(grid.shape)

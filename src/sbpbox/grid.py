@@ -228,7 +228,7 @@ class BoundaryData:
         else:
             table = {face: 0.0 for face in grid.faces()}
             for key, v in value.items():
-                face = FACE_NAMES[key] if isinstance(key, str) else tuple(key)
+                face = FACE_NAMES.get(key) if isinstance(key, str) else tuple(key)
                 if face not in table:
                     raise ValueError(f"unknown face {key} for dim={grid.dim}")
                 table[face] = float(v)

@@ -38,7 +38,7 @@ from .functional import eval_J, grad_J, zeroth_order_grad
 from .grid import dirichlet_inner, inner, norm_l2, require_zero_boundary
 from .manifold import _solve2, genus_seeds, retract, tangent_project
 from .problem import Problem
-from .reduction import PotentialPair, phi_map
+from .reduction import phi_map
 from .solvers import solve_poisson_dirichlet
 
 __all__ = [
@@ -103,11 +103,14 @@ class SolveResult:
     omega: float
     mu: float
     iterations: int
-    converged: bool
     stop_reason: str
     grad_norm: float
-    pair: PotentialPair
+    phi: np.ndarray
     trace: tuple[IterRecord, ...] = field(default=())
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
 
 
 def minimize_on_M(problem: Problem,
@@ -128,12 +131,11 @@ def minimize_on_M(problem: Problem,
 def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> SolveResult:
     grid = problem.grid
     u = retract(problem, require_zero_boundary(grid, u0))
-    pair = phi_map(problem, u)
-    j = eval_J(problem, u, pair)
+    phi = phi_map(problem, u)
+    j = eval_J(problem, u, phi)
     ref_c, ref_q = j, 1.0
     step = _INITIAL_STEP
     trace: list[IterRecord] = []
-    converged = False
     reason = "max_iterations"
     prev_u: np.ndarray | None = None
     prev_gt: np.ndarray | None = None
@@ -143,14 +145,13 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     for it in range(opts.max_iterations + 1):
         iterations = it
         # S(grad J) = u + S(w): S inverts the stencil of -lap exactly.
-        g_h = u + solve_poisson_dirichlet(grid, zeroth_order_grad(problem, u, pair))
+        g_h = u + solve_poisson_dirichlet(grid, zeroth_order_grad(problem, u, phi))
         gt = tangent_project(problem, u, g_h)
         decrease_rate = dirichlet_inner(grid, gt, gt)
         sob = float(np.sqrt(decrease_rate))
         if opts.keep_trace:
             trace.append(IterRecord(iteration=it, j=j, sobolev_grad=sob, step=step))
         if sob <= opts.grad_tol:
-            converged = True
             reason = "grad_tol"
             break
         if it == opts.max_iterations:
@@ -176,10 +177,10 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             except (NewtonDivergence, DegenerateDirection, ZeroField):
                 t *= _BACKTRACK
                 continue
-            pair_try = phi_map(problem, u_try)
-            j_try = eval_J(problem, u_try, pair_try)
+            phi_try = phi_map(problem, u_try)
+            j_try = eval_J(problem, u_try, phi_try)
             if j_try <= ref_c - _ARMIJO_C * t * decrease_rate:
-                u, pair, j = u_try, pair_try, j_try
+                u, phi, j = u_try, phi_try, j_try
                 step = t
                 q_old, ref_q = ref_q, _ZH_ETA * ref_q + 1.0
                 ref_c = (_ZH_ETA * q_old * ref_c + j) / ref_q
@@ -189,16 +190,16 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             reason = "line_search_stall"
             break
 
-    omega, mu = recover_multipliers(problem, u, pair)
+    omega, mu = recover_multipliers(problem, u, phi)
     return SolveResult(
         u=u, j=j, omega=omega, mu=mu,
-        iterations=iterations, converged=converged, stop_reason=reason,
-        grad_norm=sob, pair=pair, trace=tuple(trace),
+        iterations=iterations, stop_reason=reason,
+        grad_norm=sob, phi=phi, trace=tuple(trace),
     )
 
 
 def recover_multipliers(problem: Problem, u: np.ndarray,
-                        pair: PotentialPair | None = None) -> tuple[float, float]:
+                        phi: np.ndarray | None = None) -> tuple[float, float]:
     """Lagrange multipliers (omega, mu) from the stationarity system.
 
     Pairing the unconstrained gradient with u and with q u gives a 2x2 system
@@ -208,9 +209,9 @@ def recover_multipliers(problem: Problem, u: np.ndarray,
     ``SingularMultiplierSystem``.
     """
     grid = problem.grid
-    if pair is None:
-        pair = phi_map(problem, u)
-    g_l2 = grad_J(problem, u, pair)
+    if phi is None:
+        phi = phi_map(problem, u)
+    g_l2 = grad_J(problem, u, phi)
     qu = problem.q * u
     r1 = inner(grid, g_l2, u)
     r2 = inner(grid, g_l2, qu)
@@ -274,12 +275,15 @@ def excited_states(problem: Problem, k: int,
     """Distinct converged states from one descent per slab seed, sorted by J.
 
     The starts are the slab seeds of ``genus_seeds`` for genus 1..k, that is
-    1 + 2 + ... + k deterministic starts; seed generation stops with a
-    warning at the first genus >= 2 whose slabs cannot bracket alpha.  Runs
-    that do not converge, or raise an ``SbpError``, are dropped; one warning
-    gives the outcome of each.  Survivors are deduplicated up to sign by
-    their L2 distance and energy gap.
+    1 + 2 + ... + k deterministic starts; k < 1 raises ``ValueError``.  Seed
+    generation stops with a warning at the first genus >= 2 whose slabs
+    cannot bracket alpha.  Runs that do not converge, or raise an
+    ``SbpError``, are dropped; one warning gives the outcome of each.
+    Survivors are deduplicated up to sign by their L2 distance and energy
+    gap.
     """
+    if k < 1:
+        raise ValueError(f"excited_states needs k >= 1, got {k}")
     opts = opts or OptimizerOptions()
     starts: list[np.ndarray] = []
     for genus in range(1, k + 1):

@@ -1,4 +1,4 @@
-"""Exact solves for the three elliptic building blocks on the uniform box.
+"""Exact solves for the elliptic building blocks on the uniform box.
 
 Each solve is a transform, a division by the symbol and the inverse
 transform.  With reflected ghost nodes the Neumann stencil is the periodic
@@ -20,8 +20,9 @@ mode for the zero-mean Poisson solve, the interior ``sigma`` for Dirichlet),
 the transform matrices and the normalization ``prod 2 (n - 1)`` depend only
 on the grid, so they are computed once per ``Grid`` and cached as read-only
 arrays.
-The same symbols give the zero-flux fourth-order split of
-``sbpbox.reduction`` in one forward and two inverse transforms.
+``solve_fourth_order_split``, the zero-flux fourth-order solve behind
+``sbpbox.reduction.phi_map``, divides by the Helmholtz and the zero-mean
+symbols in turn, in one forward and one inverse transform.
 
 The pure Neumann Poisson problem is singular with the constants as its
 nullspace.  The DCT-I mode k = 0 is proportional to the trapezoid integral,
@@ -50,6 +51,7 @@ from .grid import (
 )
 
 __all__ = [
+    "solve_fourth_order_split",
     "solve_helmholtz_neumann",
     "solve_poisson_neumann_zeromean",
     "solve_poisson_dirichlet",
@@ -167,22 +169,22 @@ def _spectral_solve(rhs: np.ndarray, mats: tuple[np.ndarray | None, ...],
     return _finite(_transform(_transform(rhs, mats, fft) / symbol, mats, fft) / scale)
 
 
-def _split_solve(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, psi) with (lap - 1) psi = f - mean(f), lap(phi) = psi, zero
-    fluxes and zero mean.
+def solve_fourth_order_split(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """phi with lap(lap(phi)) - lap(phi) = f - mean(f), zero fluxes of phi
+    and lap(phi), and zero mean.
 
-    With f_hat the DCT-I of the source, psi_hat = -f_hat / (1 + sigma) and
-    phi_hat = -psi_hat / sigma.  The constant mode is dropped from both: for
-    the source that is exactly the projection to zero quadrature mean, for
-    phi it fixes the gauge.
+    Through psi = lap(phi) the problem splits into (lap - 1) psi = f - mean(f)
+    and lap(phi) = psi.  With f_hat the DCT-I of the source, psi_hat =
+    -f_hat / (1 + sigma) and phi_hat = -psi_hat / sigma, so phi takes one
+    forward and one inverse transform and psi is never formed.  The constant
+    mode is dropped: for the source that is exactly the projection to zero
+    quadrature mean, for phi it fixes the gauge.
     """
     sym = _symbols(grid)
     f_hat = _transform(np.asarray(f, dtype=float), sym.dct, _dct1)
     f_hat[(0,) * grid.dim] = 0.0
-    psi_hat = -f_hat / sym.helmholtz
-    phi_hat = -psi_hat / sym.zeromean
-    return (_finite(_transform(phi_hat, sym.dct, _dct1) / sym.scale),
-            _finite(_transform(psi_hat, sym.dct, _dct1) / sym.scale))
+    phi_hat = f_hat / sym.helmholtz / sym.zeromean
+    return _finite(_transform(phi_hat, sym.dct, _dct1) / sym.scale)
 
 
 def solve_helmholtz_neumann(grid: Grid,

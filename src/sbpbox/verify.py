@@ -49,8 +49,13 @@ from .grid import (
     norm_l2,
 )
 from .problem import Problem
-from .reduction import PotentialPair, phi_map, solve_fourth_order_split
-from .solvers import solve_helmholtz_neumann, solve_poisson_dirichlet, solve_poisson_neumann_zeromean
+from .reduction import phi_map
+from .solvers import (
+    solve_fourth_order_split,
+    solve_helmholtz_neumann,
+    solve_poisson_dirichlet,
+    solve_poisson_neumann_zeromean,
+)
 
 __all__ = [
     "ResidualReport",
@@ -72,9 +77,9 @@ _KKT_TOL = 1e-12
 _KKT_MAX_NEWTON = 40
 
 
-def reconstruct_phi(problem: Problem, pair: PotentialPair, mu: float) -> np.ndarray:
+def reconstruct_phi(problem: Problem, phi: np.ndarray, mu: float) -> np.ndarray:
     """Full potential: state-dependent part plus boundary lift plus gauge."""
-    return pair.phi + problem.chi + mu
+    return phi + problem.chi + mu
 
 
 def _laplacian4(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +162,7 @@ class ResidualReport:
 
 def residual_original_system(problem: Problem,
                              u: np.ndarray,
-                             pair: PotentialPair,
+                             phi: np.ndarray,
                              omega: float,
                              mu: float,
                              j: float | None = None,
@@ -175,7 +180,7 @@ def residual_original_system(problem: Problem,
     """
     grid = problem.grid
     q = problem.q
-    phi_full = reconstruct_phi(problem, pair, mu)
+    phi_full = reconstruct_phi(problem, phi, mu)
     nonlin = problem.kappa * np.abs(u) ** (problem.p - 2.0) * u
 
     lap4, mask = _laplacian4(grid, u)
@@ -202,7 +207,7 @@ def residual_original_system(problem: Problem,
     norm_res = abs(inner(grid, u, u) - 1.0)
     compat_res = abs(inner(grid, q * u, u) - problem.alpha)
     if j is None:
-        j = eval_J(problem, u, pair)
+        j = eval_J(problem, u, phi)
     return ResidualReport(
         n=grid.n, h=float(max(grid.h)), j=float(j), omega=float(omega),
         mu=float(mu), eq1_res=float(eq1), eq1_res_native=float(eq1_native),
@@ -233,14 +238,13 @@ class DenseOracleReport:
     poisson_neumann: float
     poisson_dirichlet: float
     split_phi: float
-    split_psi: float
     state_potential: float
     nullspace_sigma: float
     nullspace_gap: float
 
     def max_discrepancy(self) -> float:
         return max(self.helmholtz, self.poisson_neumann, self.poisson_dirichlet,
-                   self.split_phi, self.split_psi, self.state_potential)
+                   self.split_phi, self.state_potential)
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
@@ -279,17 +283,14 @@ def dense_oracle_compare(problem: Problem, seed: int = 0) -> DenseOracleReport:
     pois_d = _rel(d_it, d_ds)
 
     fs = rng.standard_normal(grid.shape)
-    pair_it = solve_fourth_order_split(grid, fs)
-    phi_ds, psi_ds = solve_fourth_order_dense(grid, fs)
-    split_phi = _rel(pair_it.phi, phi_ds)
-    split_psi = _rel(pair_it.psi, psi_ds)
+    split_phi = _rel(solve_fourth_order_split(grid, fs),
+                     solve_fourth_order_dense(grid, fs))
 
     u = rng.standard_normal(grid.shape)
     u[~grid.interior_mask] = 0.0
     u /= norm_l2(grid, u)
-    pair_u = phi_map(problem, u)
-    phi_u_ds, _ = solve_fourth_order_dense(grid, problem.q * u * u)
-    state_pot = _rel(pair_u.phi, phi_u_ds)
+    state_pot = _rel(phi_map(problem, u),
+                     solve_fourth_order_dense(grid, problem.q * u * u))
 
     a_neu = neumann_laplacian_matrix(grid)
     w_vec = weight_vector(grid)
@@ -298,7 +299,7 @@ def dense_oracle_compare(problem: Problem, seed: int = 0) -> DenseOracleReport:
     eigs = np.sort(np.abs(np.linalg.eigvalsh(sym)))
     return DenseOracleReport(
         helmholtz=helm, poisson_neumann=pois_n, poisson_dirichlet=pois_d,
-        split_phi=split_phi, split_psi=split_psi, state_potential=state_pot,
+        split_phi=split_phi, state_potential=state_pot,
         nullspace_sigma=float(eigs[0] / max(eigs[-1], 1.0)),
         nullspace_gap=float(eigs[1]),
     )
@@ -398,7 +399,5 @@ def dense_kkt_polish(problem: Problem,
         )
 
     u_grid = u.reshape(grid.shape)
-    phi_grid = phi.reshape(grid.shape)
-    psi_grid = laplacian_neumann(grid, phi_grid, BoundaryData.zero(grid))
-    j_dense = eval_J(problem, u_grid, PotentialPair(phi=phi_grid, psi=psi_grid))
+    j_dense = eval_J(problem, u_grid, phi.reshape(grid.shape))
     return u_grid, omega, mu, float(j_dense)

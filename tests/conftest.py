@@ -94,8 +94,8 @@ def random_m_point(problem, rng, scale=1.0):
     return retract(problem, v)
 
 
-def eval_F(problem, u, pair):
-    """The two-field energy at (u, phi); psi stands in for lap(phi).
+def eval_F(problem, u, phi):
+    """The two-field energy at (u, phi), with the Neumann stencil for lap(phi).
 
     The linear term vanishes identically on zero-mean potentials but is kept
     so that trial potentials with nonzero mean are scored correctly.
@@ -104,12 +104,13 @@ def eval_F(problem, u, pair):
     u = np.asarray(u, dtype=float)
     u2 = u * u
     value = 0.5 * dirichlet_energy(g, u)
-    value += 0.5 * inner(g, problem.q * (pair.phi + problem.chi), u2)
+    value += 0.5 * inner(g, problem.q * (phi + problem.chi), u2)
     if problem.kappa != 0.0:
         value -= problem.kappa / problem.p * integrate(g, np.abs(u) ** problem.p)
-    value -= 0.25 * inner(g, pair.psi, pair.psi)
-    value -= 0.25 * dirichlet_energy(g, pair.phi)
-    value -= 0.5 * problem.alpha / g.volume * integrate(g, pair.phi)
+    psi = laplacian_neumann(g, phi)
+    value -= 0.25 * inner(g, psi, psi)
+    value -= 0.25 * dirichlet_energy(g, phi)
+    value -= 0.5 * problem.alpha / g.volume * integrate(g, phi)
     return value
 
 

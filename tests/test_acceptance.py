@@ -19,17 +19,14 @@ from sbpbox.grid import (
     dirichlet_energy,
     inner,
     integrate,
+    laplacian_neumann,
     mean,
     norm_l2,
     zero_boundary,
 )
 from sbpbox.problem import solve_chi
-from sbpbox.reduction import (
-    biharmonic_form,
-    interaction_energy,
-    phi_map,
-    solve_fourth_order_split,
-)
+from sbpbox.reduction import interaction_energy, phi_map
+from sbpbox.solvers import solve_fourth_order_split
 from sbpbox.manifold import constraint_values, feasible_init, retract
 from sbpbox.optimize import (
     OptimizerOptions,
@@ -72,17 +69,19 @@ def excited_family():
 
 
 def test_01_interaction_energy_identity():
-    """b(phi_u, phi_u) == integrate(q u^2 phi_u) to 1e-7 relative for 50
-    random states on the 1d n=129 and 2d 33x33 problems, under 30 s."""
+    """integrate(lap(phi_u)^2) + integrate(|grad phi_u|^2) ==
+    integrate(q u^2 phi_u) to 1e-7 relative, lap the Neumann stencil, for
+    50 random states on the 1d n=129 and 2d 33x33 problems, under 30 s."""
     t0 = time.perf_counter()
     cases = [(line_problem(129), 50), (square_problem(33), 50)]
     rng = np.random.default_rng(0)
     for prob, count in cases:
         for _ in range(count):
             u = rng.standard_normal(prob.grid.shape)
-            pair = phi_map(prob, u)
-            lhs = biharmonic_form(prob.grid, pair)
-            rhs = interaction_energy(prob, u, pair)
+            phi = phi_map(prob, u)
+            psi = laplacian_neumann(prob.grid, phi)
+            lhs = inner(prob.grid, psi, psi) + dirichlet_energy(prob.grid, phi)
+            rhs = interaction_energy(prob, u, phi)
             assert abs(lhs - rhs) <= 1e-7 * abs(rhs)
     assert time.perf_counter() - t0 < 30.0
 
@@ -97,8 +96,8 @@ def test_02_potential_map_eigenfunction_and_linearity():
     for n in (33, 65, 129, 257):
         g = Grid(lengths=(1.0,), n=(n,))
         f = np.cos(np.pi * g.coords[0])
-        pair = solve_fourth_order_split(g, f)
-        errs.append(np.abs(pair.phi - lam * f).max())
+        phi = solve_fourth_order_split(g, f)
+        errs.append(np.abs(phi - lam * f).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) <= 0.1)
 
@@ -109,8 +108,8 @@ def test_02_potential_map_eigenfunction_and_linearity():
     p1 = solve_fourth_order_split(g, f1)
     p2 = solve_fourth_order_split(g, f2)
     p12 = solve_fourth_order_split(g, a * f1 + b * f2)
-    scale = 1.0 + np.abs(p12.phi).max()
-    assert np.abs(p12.phi - (a * p1.phi + b * p2.phi)).max() <= 1e-8 * scale
+    scale = 1.0 + np.abs(p12).max()
+    assert np.abs(p12 - (a * p1 + b * p2)).max() <= 1e-8 * scale
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -210,7 +209,7 @@ def test_07_benchmark_ground_state():
     eq1 = []
     for n in (65, 129, 257):
         p_n, r_n, _ = ground_state(n)
-        rep = residual_original_system(p_n, r_n.u, r_n.pair, r_n.omega,
+        rep = residual_original_system(p_n, r_n.u, r_n.phi, r_n.omega,
                                        r_n.mu, j=r_n.j)
         eq1.append(rep.eq1_res)
     orders = np.log2(np.array(eq1[:-1]) / np.array(eq1[1:]))
@@ -259,8 +258,7 @@ def test_10_sign_symmetry_suite():
     u = random_m_point(prob, rng)
 
     pp, pm = phi_map(prob, u), phi_map(prob, -u)
-    assert np.array_equal(pp.phi, pm.phi)
-    assert np.array_equal(pp.psi, pm.psi)
+    assert np.array_equal(pp, pm)
 
     jp = eval_J(prob, u, pp)
     jm = eval_J(prob, -u, pm)

@@ -240,6 +240,7 @@ def test_seed_override_recorded(tmp_path):
     ("optimizer.max_iterations = -4", "max_iterations"),
     ("optimizer.grad_tol = -1", "grad_tol"),
     ("coupling.radius = 0.2", "radius"),
+    ("run.mode = excited\nrun.k = 0", "k >= 1"),
 ])
 def test_invalid_input_is_one_error_line(tmp_path, capsys, line, message):
     """Out-of-range values exit 1 with an ``error:`` line, not a traceback,

@@ -167,6 +167,8 @@ def test_boundary_data_validation():
         BoundaryData(grid=g, values=bad)
     with pytest.raises(ValueError):
         BoundaryData.constant(g, {"z0": 1.0})  # no z faces in 2d
+    with pytest.raises(ValueError, match="unknown face w0"):
+        BoundaryData.constant(g, {"w0": 1.0})  # not a face name
     zero = BoundaryData.zero(g)
     assert zero.is_zero
     assert not BoundaryData.constant(g, {"x1": 0.5}).is_zero

@@ -165,7 +165,7 @@ def test_optimizer_options_reject_out_of_range(kwargs):
 
 def test_multiplier_recovery_matches_result(bench65, bench65_state):
     res = bench65_state
-    omega, mu = recover_multipliers(bench65, res.u, res.pair)
+    omega, mu = recover_multipliers(bench65, res.u, res.phi)
     assert omega == pytest.approx(res.omega, rel=1e-10)
     assert mu == pytest.approx(res.mu, rel=1e-8)
 
@@ -268,6 +268,12 @@ def test_excited_states_propagates_seed_programming_errors(monkeypatch):
     monkeypatch.setattr(optimize, "genus_seeds", broken)
     with pytest.raises(TypeError, match="broken seed generator"):
         excited_states(prob, 2, OptimizerOptions())
+
+
+def test_excited_states_rejects_k_below_one():
+    prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+    with pytest.raises(ValueError, match="k >= 1"):
+        excited_states(prob, 0)
 
 
 def test_excited_states_reports_stalled_starts_in_one_warning(monkeypatch):

@@ -1,17 +1,12 @@
-"""The source-to-potential map: split solve, linearity, energy identity."""
+"""The source-to-potential map: fourth-order solve, linearity, energy identity."""
 
 import numpy as np
 import pytest
 
 from sbpbox import Grid
-from sbpbox.grid import mean, norm_l2
-from sbpbox.reduction import (
-    PotentialPair,
-    biharmonic_form,
-    interaction_energy,
-    phi_map,
-    solve_fourth_order_split,
-)
+from sbpbox.grid import dirichlet_energy, inner, laplacian_neumann, mean
+from sbpbox.reduction import interaction_energy, phi_map
+from sbpbox.solvers import solve_fourth_order_split
 from sbpbox.dense import solve_fourth_order_dense
 from conftest import line_problem, random_m_point, square_problem
 
@@ -20,10 +15,8 @@ def test_split_solution_properties():
     g = Grid(lengths=(1.0, 1.0), n=(17, 17))
     rng = np.random.default_rng(0)
     f = rng.standard_normal(g.shape)
-    pair = solve_fourth_order_split(g, f)
-    # Both components carry the zero-mean gauge when the fluxes vanish.
-    assert abs(mean(g, pair.phi)) <= 1e-11
-    assert abs(mean(g, pair.psi)) <= 1e-11
+    # The potential carries the zero-mean gauge when the fluxes vanish.
+    assert abs(mean(g, solve_fourth_order_split(g, f))) <= 1e-11
 
 
 def test_split_matches_dense_oracle():
@@ -31,11 +24,10 @@ def test_split_matches_dense_oracle():
         g = Grid(lengths=(1.0,) * dim, n=(n,) * dim)
         rng = np.random.default_rng(1)
         f = rng.standard_normal(g.shape)
-        pair = solve_fourth_order_split(g, f)
-        phi_d, psi_d = solve_fourth_order_dense(g, f)
+        phi = solve_fourth_order_split(g, f)
+        phi_d = solve_fourth_order_dense(g, f)
         scale = 1.0 + np.abs(phi_d).max()
-        assert np.abs(pair.phi - phi_d).max() <= 1e-8 * scale
-        assert np.abs(pair.psi - psi_d).max() <= 1e-8 * scale
+        assert np.abs(phi - phi_d).max() <= 1e-8 * scale
 
 
 def test_split_linearity():
@@ -47,9 +39,8 @@ def test_split_linearity():
     p1 = solve_fourth_order_split(g, f1)
     p2 = solve_fourth_order_split(g, f2)
     p12 = solve_fourth_order_split(g, a * f1 + b * f2)
-    scale = 1.0 + np.abs(p12.phi).max()
-    assert np.abs(p12.phi - (a * p1.phi + b * p2.phi)).max() <= 1e-8 * scale
-    assert np.abs(p12.psi - (a * p1.psi + b * p2.psi)).max() <= 1e-8 * scale
+    scale = 1.0 + np.abs(p12).max()
+    assert np.abs(p12 - (a * p1 + b * p2)).max() <= 1e-8 * scale
 
 
 def test_split_eigenfunction_second_order():
@@ -60,8 +51,8 @@ def test_split_eigenfunction_second_order():
     for n in (33, 65, 129, 257):
         g = Grid(lengths=(1.0,), n=(n,))
         f = np.cos(np.pi * g.coords[0])
-        pair = solve_fourth_order_split(g, f)
-        errs.append(np.abs(pair.phi - lam * f).max())
+        phi = solve_fourth_order_split(g, f)
+        errs.append(np.abs(phi - lam * f).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(orders - 2.0) <= 0.1)
 
@@ -69,10 +60,7 @@ def test_split_eigenfunction_second_order():
 def test_phi_map_even_bitwise(bench129):
     rng = np.random.default_rng(4)
     u = random_m_point(bench129, rng)
-    a = phi_map(bench129, u)
-    b = phi_map(bench129, -u)
-    assert np.array_equal(a.phi, b.phi)
-    assert np.array_equal(a.psi, b.psi)
+    assert np.array_equal(phi_map(bench129, u), phi_map(bench129, -u))
 
 
 @pytest.mark.parametrize("make,n_samples", [
@@ -81,40 +69,18 @@ def test_phi_map_even_bitwise(bench129):
 ])
 def test_interaction_energy_identity(make, n_samples):
     """The energy of the generated potential equals its source pairing:
-    b(phi_u, phi_u) == integrate(q u^2 phi_u) by the discrete Green
-    identities, up to solver tolerance only."""
+    integrate(lap(phi_u)^2) + integrate(|grad phi_u|^2) ==
+    integrate(q u^2 phi_u) by the discrete Green identities, up to solver
+    tolerance only."""
     prob = make()
     rng = np.random.default_rng(5)
     for _ in range(n_samples):
         u = rng.standard_normal(prob.grid.shape)
-        pair = phi_map(prob, u)
-        lhs = biharmonic_form(prob.grid, pair)
-        rhs = interaction_energy(prob, u, pair)
+        phi = phi_map(prob, u)
+        psi = laplacian_neumann(prob.grid, phi)
+        lhs = inner(prob.grid, psi, psi) + dirichlet_energy(prob.grid, phi)
+        rhs = interaction_energy(prob, u, phi)
         assert abs(lhs - rhs) <= 1e-7 * abs(rhs)
-
-
-def test_biharmonic_form_symmetric_bilinear():
-    prob = line_problem(65)
-    rng = np.random.default_rng(6)
-    u = rng.standard_normal(prob.grid.shape)
-    v = rng.standard_normal(prob.grid.shape)
-    pu, pv = phi_map(prob, u), phi_map(prob, v)
-    ab = biharmonic_form(prob.grid, pu, pv)
-    ba = biharmonic_form(prob.grid, pv, pu)
-    assert ab == pytest.approx(ba, rel=1e-12)
-    aa = biharmonic_form(prob.grid, pu)
-    assert aa == pytest.approx(biharmonic_form(prob.grid, pu, pu), rel=1e-12)
-    assert aa >= 0.0
-
-
-def test_from_phi_matches_solver_psi():
-    g = Grid(lengths=(1.0,), n=(65,))
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal(g.shape)
-    pair = solve_fourth_order_split(g, f)
-    rebuilt = PotentialPair.from_phi(g, pair.phi)
-    # psi is the stencil Laplacian of phi up to the solve tolerance.
-    assert norm_l2(g, rebuilt.psi - pair.psi) <= 1e-7 * (1.0 + norm_l2(g, pair.psi))
 
 
 def test_phi_map_source_mean_projection(bench65):
@@ -123,7 +89,6 @@ def test_phi_map_source_mean_projection(bench65):
     of u and of the explicitly projected source agree."""
     rng = np.random.default_rng(8)
     u = rng.standard_normal(bench65.grid.shape)
-    pair = phi_map(bench65, u)
     src = bench65.q * u * u
     direct = solve_fourth_order_split(bench65.grid, src - mean(bench65.grid, src))
-    assert np.abs(pair.phi - direct.phi).max() <= 1e-10
+    assert np.abs(phi_map(bench65, u) - direct).max() <= 1e-10
