@@ -13,7 +13,9 @@ truncation order:
 * ``integrate(grid, laplacian_neumann(grid, f, flux)) == boundary_integrate(grid, flux)``.
 
 The downstream energy identities (interaction energy, gradient consistency)
-rely on these exact relations, so any change here must preserve them.
+rely on these exact relations, so any change here must preserve them.  Every
+reduction is one dot product of a weighted field, so the SBP and Gauss
+identities hold to rounding in the summation order of the dot, not bitwise.
 """
 
 from __future__ import annotations
@@ -151,9 +153,16 @@ class Grid:
         return tuple(out)
 
     @cached_property
+    def diff_slices(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Per axis, the index pair (upper, lower) of a forward difference."""
+        return tuple((_axis_slice(self.dim, a, slice(1, None)),
+                      _axis_slice(self.dim, a, slice(None, -1)))
+                     for a in range(self.dim))
+
+    @cached_property
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.shape, dtype=bool)
-        mask[tuple(slice(1, -1) for _ in range(self.dim))] = True
+        mask[(slice(1, -1),) * self.dim] = True
         return mask
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
@@ -228,7 +237,7 @@ class BoundaryData:
         else:
             table = {face: 0.0 for face in grid.faces()}
             for key, v in value.items():
-                face = FACE_NAMES.get(key) if isinstance(key, str) else tuple(key)
+                face = FACE_NAMES.get(key) if isinstance(key, str) else key
                 if face not in table:
                     raise ValueError(f"unknown face {key} for dim={grid.dim}")
                 table[face] = float(v)
@@ -258,12 +267,12 @@ class BoundaryData:
 
 def integrate(grid: Grid, f: np.ndarray) -> float:
     """Trapezoid quadrature of a nodal field over the box."""
-    return float(np.sum(grid.weights * f))
+    return float(np.vdot(grid.weights, f))
 
 
 def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     """Quadrature inner product <f, g> = integral of f*g."""
-    return float(np.sum(grid.weights * f * g))
+    return float(np.vdot(grid.weights * f, g))
 
 
 def mean(grid: Grid, f: np.ndarray) -> float:
@@ -282,7 +291,7 @@ def boundary_integrate(grid: Grid, data: BoundaryData) -> float:
     """
     total = 0.0
     for axis, side in grid.faces():
-        total += float(np.sum(grid.face_weights[axis] * data.face(axis, side)))
+        total += float(np.vdot(grid.face_weights[axis], data.face(axis, side)))
     return total
 
 
@@ -378,12 +387,11 @@ def dirichlet_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     total = 0.0
-    nd = grid.dim
-    for a in range(nd):
-        h = grid.h[a]
-        df = np.diff(f, axis=a) / h
-        dg = df if g is f else np.diff(g, axis=a) / h
-        total += float(np.sum(grid.cell_weights[a] * df * dg))
+    for h, weights, (upper, lower) in zip(grid.h, grid.cell_weights,
+                                          grid.diff_slices):
+        df = f[upper] - f[lower]
+        dg = df if g is f else g[upper] - g[lower]
+        total += float(np.vdot(weights * df, dg)) / (h * h)
     return total
 
 

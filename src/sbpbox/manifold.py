@@ -85,14 +85,12 @@ def _solve2(a11: float, a12: float, a21: float, a22: float,
 
 
 def _moments(problem: Problem, v: np.ndarray) -> tuple[float, float, float, float]:
-    """Quadrature moments m_k = integrate(q^k v^2) for k = 0..3."""
+    """Quadrature moments m_k = integrate(q^k v^2), k = 0..3: a sum, 3 dots."""
     q = problem.q
     w = problem.grid.weights * v * v
-    m = [float(np.sum(w))]
-    for _ in range(3):
-        w = w * q
-        m.append(float(np.sum(w)))
-    return tuple(m)
+    qw = q * w
+    return (float(w.sum()), float(np.vdot(w, q)), float(np.vdot(qw, q)),
+            float(np.vdot(qw * q, q)))
 
 
 def retract(problem: Problem, v: np.ndarray) -> np.ndarray:
@@ -163,28 +161,27 @@ def tangent_project(problem: Problem, u: np.ndarray, g: np.ndarray) -> np.ndarra
 
     With r = (u, q u) and d = ``constraint_representers(problem, u)``, solves
     the 2x2 system with entries inner(r_i, d_j) and right-hand side
-    inner(r_i, g), and returns g - lam d1 - beta d2.  The result is
-    L2-orthogonal to u and to q u by construction, which is what tangency to
-    both constraints means; the matrix is the H^1_0 Gram matrix of d, so the
-    projection is H^1_0-orthogonal.  Raises ``DegenerateConstraints`` when
-    the symmetrised matrix is numerically singular (constant q, or u = 0).
+    inner(r_i, g), and returns g - lam d1 - beta d2; with the weighted r
+    stacked once, each column of the matrix and the right-hand side is one
+    matrix-vector product.  The result is L2-orthogonal to u and to q u by
+    construction, which is what tangency to both constraints means; the
+    matrix is the H^1_0 Gram matrix of d, so the projection is
+    H^1_0-orthogonal.  Raises ``DegenerateConstraints`` when the symmetrised
+    matrix is numerically singular (constant q, or u = 0).
     """
-    grid = problem.grid
     g = np.asarray(g, dtype=float)
     u = np.asarray(u, dtype=float)
-    r1, r2 = u, problem.q * u
     d1, d2 = constraint_representers(problem, u)
-    g11 = inner(grid, r1, d1)
-    g12 = inner(grid, r1, d2)
-    g21 = inner(grid, r2, d1)
-    g22 = inner(grid, r2, d2)
+    wu = (problem.grid.weights * u).ravel()
+    r = np.array((wu, problem.q.ravel() * wu))
+    (g11, g21), (g12, g22) = (r @ d1.ravel()).tolist(), (r @ d2.ravel()).tolist()
     lo, hi = _eigvals_sym2(g11, 0.5 * (g12 + g21), g22)
     if lo <= 0.0 or hi / lo > _GRAM_COND_LIMIT:
         raise DegenerateConstraints(
             f"constraint representers are dependent (Gram eigenvalues "
             f"{[lo, hi]}); is q constant on the support of u?"
         )
-    lam, beta = _solve2(g11, g12, g21, g22, inner(grid, r1, g), inner(grid, r2, g))
+    lam, beta = _solve2(g11, g12, g21, g22, *(r @ g.ravel()).tolist())
     return g - lam * d1 - beta * d2
 
 

@@ -148,7 +148,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         g_h = u + solve_poisson_dirichlet(grid, zeroth_order_grad(problem, u, phi))
         gt = tangent_project(problem, u, g_h)
         decrease_rate = dirichlet_inner(grid, gt, gt)
-        sob = float(np.sqrt(decrease_rate))
+        sob = math.sqrt(decrease_rate)
         if opts.keep_trace:
             trace.append(IterRecord(iteration=it, j=j, sobolev_grad=sob, step=step))
         if sob <= opts.grad_tol:

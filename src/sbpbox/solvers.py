@@ -48,6 +48,7 @@ from .grid import (
     boundary_integrate,
     integrate,
     neumann_flux_field,
+    norm_l2,
 )
 
 __all__ = [
@@ -140,8 +141,16 @@ def _sigma(grid: Grid, dirichlet: bool) -> np.ndarray:
     return total
 
 
-@lru_cache(maxsize=8)
 def _symbols(grid: Grid) -> _Symbols:
+    """Kept on the grid object: a lookup is one dict access, not a hash."""
+    sym = grid.__dict__.get("_symbols")
+    if sym is None:
+        sym = grid.__dict__["_symbols"] = _build_symbols(grid)
+    return sym
+
+
+@lru_cache(maxsize=8)  # equal Grid objects share one build
+def _build_symbols(grid: Grid) -> _Symbols:
     sigma = _sigma(grid, False)
     zeromean = sigma.copy()
     zeromean[(0,) * grid.dim] = np.inf  # drop the constant mode
@@ -158,7 +167,7 @@ def _symbols(grid: Grid) -> _Symbols:
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NoConvergence("solution contains non-finite values")
     return v
 
@@ -221,7 +230,7 @@ def solve_poisson_neumann_zeromean(grid: Grid,
         rhs = rhs - neumann_flux_field(grid, flux)
         surf = boundary_integrate(grid, flux)
     imbalance = integrate(grid, f) - surf
-    scale = float(np.sqrt(np.sum(grid.weights * f * f)))
+    scale = norm_l2(grid, f)
     if flux is not None:
         scale += max(float(np.max(np.abs(v))) for v in flux.values.values())
     tolerance = 1e-8 * (scale + 1.0)
@@ -240,7 +249,7 @@ def solve_poisson_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
     Only interior values of ``f`` enter; boundary values are ignored.  The
     result is exactly zero on boundary nodes.
     """
-    interior = tuple(slice(1, -1) for _ in range(grid.dim))
+    interior = (slice(1, -1),) * grid.dim
     v = np.zeros(grid.shape)
     sym = _symbols(grid)
     v[interior] = _spectral_solve(np.asarray(f, dtype=float)[interior],

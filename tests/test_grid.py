@@ -169,6 +169,8 @@ def test_boundary_data_validation():
         BoundaryData.constant(g, {"z0": 1.0})  # no z faces in 2d
     with pytest.raises(ValueError, match="unknown face w0"):
         BoundaryData.constant(g, {"w0": 1.0})  # not a face name
+    with pytest.raises(ValueError, match="unknown face 0"):
+        BoundaryData.constant(g, {0: 1.0})  # neither a name nor an (axis, side) pair
     zero = BoundaryData.zero(g)
     assert zero.is_zero
     assert not BoundaryData.constant(g, {"x1": 0.5}).is_zero

@@ -13,6 +13,10 @@ the package names; the base class ``SbpError`` is exempt.  The fourth reads
 the ``LAYERS`` table of the benchmark's tracer and lists each traced
 ``module:function`` that no module of ``src/sbpbox`` defines at top level,
 so a rename fails here and not only under ``perfbench/run.py --trace 1``.
+The fifth lists the ``np.sum`` calls of the descent modules: their
+quadrature goes through the dot-product reductions of ``sbpbox.grid``, and
+the ``np.sum`` wrapper costs more per call than the arithmetic on the small
+grids where the descent loop spends its time.
 """
 
 import ast
@@ -154,3 +158,32 @@ def test_scan_sees_an_unresolved_traced_name(tmp_path):
     tracer.write_text('LAYERS = {"a": ("sbpbox.grid:laplacian_neumann", "sbpbox.grid:gone"),\n'
                       '          "b": ("sbpbox.nope:f",)}\n')
     assert unresolved_traced_names(tracer) == ["sbpbox.grid:gone", "sbpbox.nope:f"]
+
+
+DESCENT_MODULES = ("optimize.py", "manifold.py", "functional.py", "reduction.py")
+
+
+def numpy_sum_calls(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "numpy"}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "sum"
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in aliases)
+
+
+@pytest.mark.parametrize("name", DESCENT_MODULES)
+def test_descent_modules_do_not_call_np_sum(name):
+    assert numpy_sum_calls(SRC / name) == []
+
+
+def test_scan_sees_a_numpy_sum_call(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import numpy as np\nimport numpy\n\n"
+                   "def f(x):\n    a = np.sum(x)\n    b = x.sum()\n"
+                   "    return a + b + numpy.sum(x * x) + np.vdot(x, x)\n")
+    assert numpy_sum_calls(mod) == [5, 7]

@@ -16,6 +16,7 @@ from sbpbox.dense import (
     solve_poisson_dirichlet_dense,
     solve_poisson_neumann_dense,
 )
+from sbpbox.errors import DegenerateConstraints
 from sbpbox.functional import grad_J, zeroth_order_grad
 from sbpbox.grid import (
     boundary_integrate,
@@ -26,6 +27,7 @@ from sbpbox.grid import (
     mean,
     zero_boundary,
 )
+from sbpbox.manifold import _moments, constraint_representers, tangent_project
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import (
     _symbols,
@@ -116,6 +118,56 @@ def test_sobolev_gradient_is_u_plus_solve_of_w(g, seed):
 def test_sobolev_gradient_is_u_plus_solve_of_w_on_an_fft_axis():
     """The same identity where the solve transforms the long axis by rfft."""
     assert sobolev_identity_holds(Grid(lengths=(1.0, 2.0), n=(5, 261)), seed=7)
+
+
+def check_reductions_against_sums(g, seed):
+    """The dot-product reductions against their plain ``np.sum`` forms, each
+    within 1e-13 times the sum of the magnitudes of its terms.  The
+    projection solves a 2x2 system, which magnifies rounding in its entries
+    by up to the condition number, so that enters its bound."""
+    rng = np.random.default_rng(seed)
+    zero = BoundaryData.zero(g)
+    prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
+                         h1=zero, h2=zero, kappa=1.0, p=3.0)
+    f, k = rng.standard_normal((2,) + g.shape)
+    w = g.weights
+
+    def agree(value, terms):
+        return abs(value - np.sum(terms)) <= 1e-13 * np.sum(np.abs(terms))
+
+    assert agree(integrate(g, f), w * f)
+    assert agree(inner(g, f, k), w * f * k)
+    grad_terms = [cw * (np.diff(f, axis=a) / h) * (np.diff(k, axis=a) / h)
+                  for a, (h, cw) in enumerate(zip(g.h, g.cell_weights))]
+    assert agree(dirichlet_inner(g, f, k),
+                 np.concatenate([t.ravel() for t in grad_terms]))
+    for power, m in enumerate(_moments(prob, f)):
+        assert agree(m, w * prob.q**power * f * f)
+
+    u = zero_boundary(g, f)
+    try:
+        projected = tangent_project(prob, u, k)
+    except DegenerateConstraints:
+        return  # too few interior nodes for two independent constraints
+    d = constraint_representers(prob, u)
+    gram = np.array([[np.sum(w * r * dj) for dj in d] for r in (u, prob.q * u)])
+    rhs = np.array([np.sum(w * r * k) for r in (u, prob.q * u)])
+    lam, beta = np.linalg.solve(gram, rhs)
+    reference = k - lam * d[0] - beta * d[1]
+    scale = np.linalg.cond(gram) * (np.abs(k).max() + np.abs(lam * d[0]).max()
+                                    + np.abs(beta * d[1]).max())
+    assert np.abs(projected - reference).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_reductions_agree_with_their_sum_forms(g, seed):
+    check_reductions_against_sums(g, seed)
+
+
+def test_reductions_agree_with_their_sum_forms_on_an_fft_axis():
+    """The same, where the constraint representers transform by rfft."""
+    check_reductions_against_sums(Grid(lengths=(1.0, 2.0), n=(5, 261)), seed=7)
 
 
 @PROPERTY

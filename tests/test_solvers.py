@@ -9,7 +9,7 @@ from sbpbox.dense import (
     solve_poisson_dirichlet_dense,
     solve_poisson_neumann_dense,
 )
-from sbpbox.errors import IncompatibleData
+from sbpbox.errors import IncompatibleData, NoConvergence
 from sbpbox.grid import boundary_integrate, integrate, mean, norm_l2, zero_boundary
 from sbpbox.solvers import (
     _MATRIX_MAX_NODES,
@@ -18,6 +18,7 @@ from sbpbox.solvers import (
     _dst1,
     _dst1_matrix,
     _symbols,
+    solve_fourth_order_split,
     solve_helmholtz_neumann,
     solve_poisson_dirichlet,
     solve_poisson_neumann_zeromean,
@@ -148,3 +149,21 @@ def test_zero_rhs_returns_zero():
     v = solve_poisson_dirichlet(g, np.zeros(g.shape))
     assert np.all(v == 0.0)
     assert norm_l2(g, solve_helmholtz_neumann(g, np.zeros(g.shape))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("n", [(9,), (5, 6, 7)], ids=["1d", "3d"])
+@pytest.mark.parametrize("solve", [
+    solve_poisson_dirichlet,
+    solve_helmholtz_neumann,
+    solve_poisson_neumann_zeromean,
+    solve_fourth_order_split,
+], ids=lambda f: f.__name__)
+def test_non_finite_data_raises(solve, n, bad):
+    """A non-finite value at an interior node spreads through the transforms,
+    and every solve reports it as ``NoConvergence``."""
+    g = Grid(lengths=(1.0,) * len(n), n=n)
+    f = np.zeros(g.shape)
+    f[(2,) * g.dim] = bad
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="non-finite"):
+        solve(g, f)
