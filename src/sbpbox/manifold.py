@@ -10,7 +10,8 @@ are determined by a 2x2 Newton iteration on the constraint residuals, whose
 Jacobian at (1, 0) is twice the Gram matrix of {v, q v}.  The tangent
 projection removes from an H^1_0 gradient the span of the H^1_0
 representers of the constraint differentials, the Dirichlet solves of
-(u, q u).
+(u, q u); it works on DST-I coefficients, where those solves are divisions
+by the symbol.
 
 Feasible starting points are built from pairs of compactly supported bumps
 centered where q is small and where q is large; with disjoint supports the
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .grid import Grid, inner, norm_l2
 from .problem import Problem
-from .solvers import solve_poisson_dirichlet
+from .solvers import _dst_interior, _from_dst_interior, _symbols, solve_poisson_dirichlet
 
 __all__ = [
     "constraint_values",
@@ -161,28 +162,46 @@ def tangent_project(problem: Problem, u: np.ndarray, g: np.ndarray) -> np.ndarra
 
     With r = (u, q u) and d = ``constraint_representers(problem, u)``, solves
     the 2x2 system with entries inner(r_i, d_j) and right-hand side
-    inner(r_i, g), and returns g - lam d1 - beta d2; with the weighted r
-    stacked once, each column of the matrix and the right-hand side is one
-    matrix-vector product.  The result is L2-orthogonal to u and to q u by
-    construction, which is what tangency to both constraints means; the
-    matrix is the H^1_0 Gram matrix of d, so the projection is
-    H^1_0-orthogonal.  Raises ``DegenerateConstraints`` when the symmetrised
-    matrix is numerically singular (constant q, or u = 0).
+    inner(r_i, g), and returns g - lam d1 - beta d2.  The result is
+    L2-orthogonal to u and to q u by construction, which is what tangency to
+    both constraints means; the matrix is the H^1_0 Gram matrix of d, so the
+    projection is H^1_0-orthogonal.  Only interior nodes change, and the
+    work is done on DST-I coefficients (see ``_project_dst``).  Raises
+    ``DegenerateConstraints`` when the matrix is numerically singular
+    (constant q, or u = 0).
     """
-    g = np.asarray(g, dtype=float)
+    grid = problem.grid
     u = np.asarray(u, dtype=float)
-    d1, d2 = constraint_representers(problem, u)
-    wu = (problem.grid.weights * u).ravel()
-    r = np.array((wu, problem.q.ravel() * wu))
-    (g11, g21), (g12, g22) = (r @ d1.ravel()).tolist(), (r @ d2.ravel()).tolist()
-    lo, hi = _eigvals_sym2(g11, 0.5 * (g12 + g21), g22)
+    g = np.array(g, dtype=float)  # a copy: boundary values pass through
+    return _project_dst(problem, _dst_interior(grid, u),
+                        _dst_interior(grid, problem.q * u), _dst_interior(grid, g), g)
+
+
+def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
+                 g_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``tangent_project`` from the DST-I coefficients of u, q u and g.
+
+    The transform T is symmetric and T T = scale, and the representers have
+    coefficients r_hat / sigma, so with the interior weight prod h every
+    entry is a sum over modes times prod h / scale: inner(r_i, d_j) =
+    sum r_i_hat r_j_hat / sigma and inner(r_i, g) = sum r_i_hat g_hat.  The
+    common factor cancels, the matrix is symmetric, and the result takes
+    one inverse transform of g_hat - lam u_hat / sigma - beta qu_hat /
+    sigma, written into the interior of ``out``.
+    """
+    sigma = _symbols(problem.grid).dirichlet
+    d1, d2 = u_hat / sigma, qu_hat / sigma
+    g11, g12, g22 = (float(np.vdot(u_hat, d1)), float(np.vdot(u_hat, d2)),
+                     float(np.vdot(qu_hat, d2)))
+    lo, hi = _eigvals_sym2(g11, g12, g22)
     if lo <= 0.0 or hi / lo > _GRAM_COND_LIMIT:
         raise DegenerateConstraints(
             f"constraint representers are dependent (Gram eigenvalues "
             f"{[lo, hi]}); is q constant on the support of u?"
         )
-    lam, beta = _solve2(g11, g12, g21, g22, *(r @ g.ravel()).tolist())
-    return g - lam * d1 - beta * d2
+    lam, beta = _solve2(g11, g12, g12, g22,
+                        float(np.vdot(u_hat, g_hat)), float(np.vdot(qu_hat, g_hat)))
+    return _from_dst_interior(problem.grid, g_hat - lam * d1 - beta * d2, out)
 
 
 # ---------------------------------------------------------------------------

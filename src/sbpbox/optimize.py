@@ -3,13 +3,15 @@
 Descent runs in the discrete H^1_0 metric: each iteration takes the gradient
 u + S(w), with S the Dirichlet solve and w the derivative-free terms of grad J
 (no stencil), projects it onto the tangent space of M, steps against it, and
-retracts back with the two-parameter ansatz.  The trial step is the
-Barzilai-Borwein step (twice the last accepted step when that is undefined),
-and a nonmonotone Armijo backtracking line search safeguards it: a trial is
-tested against the Zhang-Hager reference value C, a weighted mean of the
-energies accepted so far, instead of the current energy.  Every accepted
-energy lies at or below the C before it, and C never exceeds the starting
-energy, so no iterate ends above the start.
+retracts back with the two-parameter ansatz.  Gradient and projection work
+on the DST-I coefficients of u, q u and w and take one inverse transform.
+The trial step is the short Barzilai-Borwein step sy / yy (Barzilai &
+Borwein, IMA J. Numer. Anal. 8, 1988; twice the last accepted step when it
+is undefined), and a nonmonotone Armijo backtracking line search safeguards
+it: a trial is tested against the Zhang-Hager reference value C, a weighted
+mean of the energies accepted so far, instead of the current energy.  Every
+accepted energy lies at or below the C before it, and C never exceeds the
+starting energy, so no iterate ends above the start.
 
 Convergence is declared on the Sobolev tangent gradient norm, which is also
 the Armijo decrease rate.  Every run returns a ``SolveResult``; its
@@ -36,10 +38,10 @@ from .errors import (
 )
 from .functional import eval_J, grad_J, zeroth_order_grad
 from .grid import dirichlet_inner, inner, norm_l2, require_zero_boundary
-from .manifold import _solve2, genus_seeds, retract, tangent_project
+from .manifold import _project_dst, _solve2, genus_seeds, retract
 from .problem import Problem
 from .reduction import phi_map
-from .solvers import solve_poisson_dirichlet
+from .solvers import _dst_interior, _symbols
 
 __all__ = [
     "OptimizerOptions",
@@ -144,9 +146,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     # convergence, so every exit reports the gradient at the returned iterate.
     for it in range(opts.max_iterations + 1):
         iterations = it
-        # S(grad J) = u + S(w): S inverts the stencil of -lap exactly.
-        g_h = u + solve_poisson_dirichlet(grid, zeroth_order_grad(problem, u, phi))
-        gt = tangent_project(problem, u, g_h)
+        gt = _tangent_gradient(problem, u, phi)
         decrease_rate = dirichlet_inner(grid, gt, gt)
         sob = math.sqrt(decrease_rate)
         if opts.keep_trace:
@@ -157,18 +157,17 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         if it == opts.max_iterations:
             break
 
-        # Spectral (Barzilai-Borwein) trial step from the last displacement
-        # and gradient change; falls back to growing the accepted step.  The
-        # nonmonotone Armijo test below, against the Zhang-Hager reference
-        # value ref_c, safeguards it.
+        # Short Barzilai-Borwein trial step sy / yy from the last
+        # displacement s and gradient change y; the long step ss / sy
+        # overshoots here and takes about a quarter more iterations.  Falls
+        # back to growing the accepted step.  The nonmonotone Armijo test
+        # below, against the Zhang-Hager reference value ref_c, safeguards it.
         t = min(2.0 * step, _MAX_STEP)
         if prev_u is not None:
-            s = u - prev_u
             y = gt - prev_gt
-            sy = dirichlet_inner(grid, s, y)
+            sy = dirichlet_inner(grid, u - prev_u, y)
             if sy > 0.0:
-                ss = dirichlet_inner(grid, s, s)
-                t = min(max(ss / sy, _MIN_STEP), _MAX_STEP)
+                t = min(max(sy / dirichlet_inner(grid, y, y), _MIN_STEP), _MAX_STEP)
         prev_u, prev_gt = u, gt
 
         while t >= _MIN_STEP:
@@ -196,6 +195,21 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         iterations=iterations, stop_reason=reason,
         grad_norm=sob, phi=phi, trace=tuple(trace),
     )
+
+
+def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The descent direction ``tangent_project(problem, u, u + S(w))``, with S
+    the Dirichlet solve and w = ``zeroth_order_grad``: u + S(w) = S(grad J),
+    since S inverts the stencil of -lap exactly.
+
+    Its DST-I coefficients are u_hat + w_hat / sigma, so the gradient and the
+    projection take the transforms of u, q u and w and one inverse.
+    """
+    grid = problem.grid
+    u_hat = _dst_interior(grid, u)
+    w_hat = _dst_interior(grid, zeroth_order_grad(problem, u, phi))
+    return _project_dst(problem, u_hat, _dst_interior(grid, problem.q * u),
+                        u_hat + w_hat / _symbols(grid).dirichlet, np.zeros(grid.shape))
 
 
 def recover_multipliers(problem: Problem, u: np.ndarray,

@@ -20,6 +20,9 @@ mode for the zero-mean Poisson solve, the interior ``sigma`` for Dirichlet),
 the transform matrices and the normalization ``prod 2 (n - 1)`` depend only
 on the grid, so they are computed once per ``Grid`` and cached as read-only
 arrays.
+The descent gradient and its tangent projection work on the DST-I
+coefficients of interior values directly (``_dst_interior`` and its inverse
+``_from_dst_interior``).
 ``solve_fourth_order_split``, the zero-flux fourth-order solve behind
 ``sbpbox.reduction.phi_map``, divides by the Helmholtz and the zero-mean
 symbols in turn, in one forward and one inverse transform.
@@ -35,6 +38,7 @@ LU; it is the independent oracle for these solves.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -222,25 +226,45 @@ def solve_poisson_neumann_zeromean(grid: Grid,
     ``integrate(f) == boundary_integrate(flux)``; the mismatch is checked
     against ``1e-8 * (norm(f) + max|flux| + 1)`` and then removed with the
     constant mode, so the solve itself sees a consistent singular system.
+    Non-finite data raise ``NoConvergence`` before the check and before any
+    transform.
     """
     f = np.asarray(f, dtype=float)
-    rhs = f
-    surf = 0.0
-    if flux is not None and not flux.is_zero:
-        rhs = rhs - neumann_flux_field(grid, flux)
-        surf = boundary_integrate(grid, flux)
+    surf = 0.0 if flux is None else boundary_integrate(grid, flux)
     imbalance = integrate(grid, f) - surf
     scale = norm_l2(grid, f)
     if flux is not None:
         scale += max(float(np.max(np.abs(v))) for v in flux.values.values())
     tolerance = 1e-8 * (scale + 1.0)
+    # A NaN imbalance passes the gate below, and an infinite one meets an
+    # infinite tolerance, so non-finite data are stopped here.
+    if not (math.isfinite(imbalance) and math.isfinite(tolerance)):
+        raise NoConvergence(f"non-finite data: integral of f minus boundary "
+                            f"integral of flux is {imbalance}, data scale {scale}")
     if abs(imbalance) > tolerance:
         raise IncompatibleData(
             f"integral of f minus boundary integral of flux is {imbalance:.3e}, "
             f"tolerance {tolerance:.3e}"
         )
+    rhs = f
+    if flux is not None and not flux.is_zero:
+        rhs = f - neumann_flux_field(grid, flux)
     sym = _symbols(grid)
     return _spectral_solve(-rhs, sym.dct, _dct1, sym.zeromean, sym.scale)
+
+
+def _dst_interior(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """DST-I coefficients of the interior values of ``f``."""
+    interior = (slice(1, -1),) * grid.dim
+    return _transform(np.asarray(f, dtype=float)[interior], _symbols(grid).dst, _dst1)
+
+
+def _from_dst_interior(grid: Grid, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the field with DST-I coefficients ``coef`` into the interior of
+    ``out`` and return ``out``; its boundary values are left as they are."""
+    sym = _symbols(grid)
+    out[(slice(1, -1),) * grid.dim] = _finite(_transform(coef, sym.dst, _dst1) / sym.scale)
+    return out
 
 
 def solve_poisson_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -249,9 +273,5 @@ def solve_poisson_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
     Only interior values of ``f`` enter; boundary values are ignored.  The
     result is exactly zero on boundary nodes.
     """
-    interior = (slice(1, -1),) * grid.dim
-    v = np.zeros(grid.shape)
-    sym = _symbols(grid)
-    v[interior] = _spectral_solve(np.asarray(f, dtype=float)[interior],
-                                  sym.dst, _dst1, sym.dirichlet, sym.scale)
-    return v
+    coef = _dst_interior(grid, f) / _symbols(grid).dirichlet
+    return _from_dst_interior(grid, coef, np.zeros(grid.shape))

@@ -109,6 +109,14 @@ def test_line_search_trials_per_iteration(slab_runs):
     assert (retractions - len(runs)) / iterations <= 1.5
 
 
+def test_slab_starts_take_few_iterations(slab_runs):
+    """The short Barzilai-Borwein step: the genus-1 and genus-2 starts
+    converge in about 300 iterations together, where the long step ss / sy
+    takes about 400."""
+    runs, _ = slab_runs
+    assert sum(res.iterations for res in runs) <= 340
+
+
 def test_max_iterations_returns_unconverged(bench65):
     opts = OptimizerOptions(max_iterations=2, keep_trace=True)
     res = minimize_on_M(bench65, feasible_init(bench65), opts)

@@ -6,6 +6,7 @@ database is off, so every run checks the same grids.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +26,11 @@ from sbpbox.grid import (
     integrate,
     laplacian_neumann,
     mean,
+    norm_l2,
     zero_boundary,
 )
 from sbpbox.manifold import _moments, constraint_representers, tangent_project
+from sbpbox.optimize import _tangent_gradient
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import (
     _symbols,
@@ -168,6 +171,43 @@ def test_reductions_agree_with_their_sum_forms(g, seed):
 def test_reductions_agree_with_their_sum_forms_on_an_fft_axis():
     """The same, where the constraint representers transform by rfft."""
     check_reductions_against_sums(Grid(lengths=(1.0, 2.0), n=(5, 261)), seed=7)
+
+
+def check_descent_gradient(g, seed):
+    """The descent's tangent gradient, built from the DST-I coefficients of
+    u, q u and w with one inverse transform, equals ``tangent_project`` of
+    u + S(w) formed field by field, and is L2-orthogonal to u and q u.  The
+    two differ by rounding in the coefficients of the gradient, which the
+    2x2 solve magnifies by up to the condition number of its matrix."""
+    rng = np.random.default_rng(seed)
+    prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
+                         h1=random_flux(g, rng), h2=random_flux(g, rng),
+                         kappa=1.0, p=3.0)
+    u = zero_boundary(g, rng.standard_normal(g.shape))
+    phi = phi_map(prob, u)
+    try:
+        descent = _tangent_gradient(prob, u, phi)
+    except DegenerateConstraints:
+        return  # too few interior nodes for two independent constraints
+    g_h = u + solve_poisson_dirichlet(g, zeroth_order_grad(prob, u, phi))
+    d = constraint_representers(prob, u)
+    gram = np.array([[inner(g, r, dj) for dj in d] for r in (u, prob.q * u)])
+    scale = np.linalg.cond(gram) * np.abs(g_h).max()
+    assert np.abs(descent - tangent_project(prob, u, g_h)).max() <= 1e-13 * scale
+    for r in (u, prob.q * u):
+        assert abs(inner(g, descent, r)) <= 1e-13 * scale * norm_l2(g, r)
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_descent_gradient_is_the_projected_sobolev_gradient(g, seed):
+    check_descent_gradient(g, seed)
+
+
+@pytest.mark.parametrize("n", [(261,), (5, 261), (4, 5, 261)], ids=["1d", "2d", "3d"])
+def test_descent_gradient_is_the_projected_sobolev_gradient_on_an_fft_axis(n):
+    """The same, where the long axis transforms by rfft."""
+    check_descent_gradient(Grid(lengths=(1.0, 2.0, 1.5)[:len(n)], n=n), seed=7)
 
 
 @PROPERTY

@@ -1,5 +1,7 @@
 """Spectral solves: manufactured solutions, dense agreement, zero data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,17 @@ def test_non_finite_data_raises(solve, n, bad):
     f[(2,) * g.dim] = bad
     with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="non-finite"):
         solve(g, f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_zero_mean_solve_rejects_non_finite_data_before_transforming(bad):
+    """A NaN imbalance passes the compatibility test and an infinite one meets
+    an infinite tolerance, so the check for non-finite data comes first: no
+    transform runs, and numpy emits no ``RuntimeWarning``."""
+    g = Grid(lengths=(1.0, 1.0), n=(5, 6))
+    f = np.zeros(g.shape)
+    f[2, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match="non-finite data"):
+            solve_poisson_neumann_zeromean(g, f)
