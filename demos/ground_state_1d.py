@@ -3,8 +3,8 @@
 Sets up q(x) = x with a right-face flux that pins the weighted mass at
 alpha = 0.5, minimizes the reduced energy over the two-constraint manifold,
 and prints the converged energy, multipliers, and strong-form residuals.
-The state and its potential are written next to this script as plain text
-fields that read_field() can load back.
+The state and its potential are written next to this script as binary
+field dumps (a grid header, then raw float64) that read_field() loads back.
 """
 
 import os
@@ -51,7 +51,7 @@ print(f"eq2 residual                  = {res.eq2_res:.3e}")
 print(f"flux mismatch                 = {res.bc_res:.3e}")
 
 here = os.path.dirname(os.path.abspath(__file__))
-write_field(os.path.join(here, "ground_u.csv"), grid, result.u)
-write_field(os.path.join(here, "ground_phi.csv"), grid,
+write_field(os.path.join(here, "ground_u.bin"), grid, result.u)
+write_field(os.path.join(here, "ground_phi.bin"), grid,
             reconstruct_phi(problem, result.phi, result.mu))
-print("wrote ground_u.csv and ground_phi.csv")
+print("wrote ground_u.bin and ground_phi.bin")

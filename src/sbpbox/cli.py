@@ -9,8 +9,9 @@ why.
 
 All output files are written once, at the end of a successful run: a
 ``summary.csv`` table (one row per state or grid), per-state field dumps
-``u_<i>.csv`` / ``phi_<i>.csv`` plus the shared ``chi.csv``, and a
-``report.json`` with the full residual and multiplier set.  An identical
+``u_<i>.bin`` / ``phi_<i>.bin`` plus the shared ``chi.bin`` (binary float64
+behind a grid header, see ``grid.write_field``), and a ``report.json`` with
+the full residual and multiplier set.  An identical
 config produces byte-identical outputs; ``--seed`` only reaches the random
 test data of ``oracle``.
 
@@ -147,9 +148,9 @@ def _jsonable(v):
 
 def _dump_state_fields(out: Path, problem: Problem, index: int,
                        res: SolveResult) -> None:
-    write_field(out / f"u_{index}.csv", problem.grid, res.u)
+    write_field(out / f"u_{index}.bin", problem.grid, res.u)
     phi_full = reconstruct_phi(problem, res.phi, res.mu)
-    write_field(out / f"phi_{index}.csv", problem.grid, phi_full)
+    write_field(out / f"phi_{index}.bin", problem.grid, phi_full)
 
 
 def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
@@ -189,7 +190,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
              f"iters={res.iterations} converged={res.converged}")
     write_summary(out / "summary.csv", reports)
     if cfg.get("output.dump_fields"):
-        write_field(out / "chi.csv", problem.grid, problem.chi)
+        write_field(out / "chi.bin", problem.grid, problem.chi)
     _write_report(out, cfg, problem, entries)
     _say(quiet, f"wrote {out}/summary.csv ({len(states)} states, "
                 f"{time.perf_counter() - t0:.1f}s)")
@@ -214,9 +215,9 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     reports = []
     for entry in prior["states"]:
         i = entry["index"]
-        grid_read, u = read_field(out / f"u_{i}.csv")
+        grid_read, u = read_field(out / f"u_{i}.bin")
         if grid_read != problem.grid:
-            print(f"u_{i}.csv grid does not match the config grid", file=sys.stderr)
+            print(f"u_{i}.bin grid does not match the config grid", file=sys.stderr)
             return 1
         rep = residual_original_system(
             problem, u, phi_map(problem, u), entry["omega"], entry["mu"],

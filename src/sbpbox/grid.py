@@ -20,6 +20,7 @@ identities hold to rounding in the summation order of the dot, not bitwise.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -108,7 +109,7 @@ class Grid:
 
     @cached_property
     def node_count(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
@@ -401,47 +402,62 @@ def dirichlet_energy(grid: Grid, f: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Field dumps: plain CSV with a shape header, one value per line, row-major
-# (last axis fastest).
+# Field dumps: one ASCII grid header line, then the values as raw
+# little-endian float64 in row-major order (last axis fastest).
 
 
 def write_field(path, grid: Grid, values: np.ndarray) -> None:
     """Write a nodal field with its grid header.
 
-    Format: ``# dim=<d> n=<n1,...> L=<L1,...>`` then one value per line in
-    row-major order.  Values are written with ``repr`` so the round trip is
-    bit exact.
+    Format: the line ``# dim=<d> n=<n1,...> L=<L1,...> dtype=<f8`` then
+    ``grid.node_count`` values as raw little-endian float64 in row-major
+    order, so the round trip is bit exact (nan payloads and the sign of zero
+    included).  The array's own buffer is written, with no copy when it is
+    already C-ordered float64.
     """
-    values = np.asarray(values, dtype=float).reshape(grid.shape)
-    with open(path, "w") as fh:
-        fh.write("# dim=%d n=%s L=%s\n" % (
+    values = np.ascontiguousarray(np.reshape(values, grid.shape), dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(("# dim=%d n=%s L=%s dtype=<f8\n" % (
             grid.dim,
             ",".join(str(m) for m in grid.n),
             ",".join(repr(L) for L in grid.lengths),
-        ))
-        for v in values.ravel(order="C"):
-            fh.write(repr(float(v)) + "\n")
+        )).encode("ascii"))
+        fh.write(values.data)
 
 
-_HEADER_RE = re.compile(r"#\s*dim=(\d+)\s+n=([\d,]+)\s+L=([^\s]+)")
+_HEADER_RE = re.compile(r"#\s*dim=(\d+)\s+n=([\d,]+)\s+L=(\S+)\s+dtype=<f8\n")
 
 
 def read_field(path) -> tuple[Grid, np.ndarray]:
-    """Read a field written by ``write_field``; returns (grid, values)."""
-    with open(path) as fh:
-        header = fh.readline()
-        m = _HEADER_RE.match(header)
-        if m is None:
-            raise ValueError(f"{path}: missing or malformed field header: {header!r}")
+    """Read a field written by ``write_field``; returns (grid, values).
+
+    Raises ``ValueError``, naming ``path``, when the header is missing or
+    malformed (a text dump without the ``dtype=<f8`` token included), when
+    its axis counts disagree or describe no valid grid, and when the data is
+    not exactly one float64 per node.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("latin-1")
+        payload = bytearray(fh.read())  # a mutable buffer: the result is writable
+    m = _HEADER_RE.fullmatch(header)
+    if m is None:
+        raise ValueError(
+            f"{path}: not a binary field file; header {header[:80]!r} does not "
+            "match '# dim=<d> n=<n1,...> L=<L1,...> dtype=<f8'")
+    try:
         dim = int(m.group(1))
         n = tuple(int(v) for v in m.group(2).split(","))
         lengths = tuple(float(v) for v in m.group(3).split(","))
         if len(n) != dim or len(lengths) != dim:
-            raise ValueError(f"{path}: header axis counts disagree")
-        data = np.array([float(line) for line in fh if line.strip()])
-    grid = Grid(lengths, n)
+            raise ValueError("header axis counts disagree")
+        grid = Grid(lengths, n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if len(payload) % 8:
+        raise ValueError(f"{path}: {len(payload)} data bytes end in a partial float64")
+    data = np.frombuffer(payload, dtype="<f8")
     if data.size != grid.node_count:
         raise ValueError(
             f"{path}: expected {grid.node_count} values, found {data.size}"
         )
-    return grid, data.reshape(grid.shape, order="C")
+    return grid, data.reshape(grid.shape)

@@ -80,7 +80,7 @@ def solved_dir(tmp_path_factory):
 
 def test_solve_ground_artifacts(solved_dir):
     cfg, out, proc = solved_dir
-    for name in ("summary.csv", "u_0.csv", "phi_0.csv", "chi.csv",
+    for name in ("summary.csv", "u_0.bin", "phi_0.bin", "chi.bin",
                  "report.json"):
         assert (out / name).exists(), name
     with open(out / "summary.csv", newline="") as fh:
@@ -101,7 +101,8 @@ def test_solve_deterministic_outputs(tmp_path, solved_dir):
     rerun = tmp_path / "again"
     proc = run_cli("solve", "--config", cfg, "--out", str(rerun))
     assert proc.returncode == 0, proc.stderr
-    for name in ("summary.csv", "u_0.csv", "phi_0.csv", "report.json"):
+    for name in ("summary.csv", "u_0.bin", "phi_0.bin", "chi.bin",
+                 "report.json"):
         assert (rerun / name).read_bytes() == (out / name).read_bytes(), name
 
 
@@ -121,6 +122,16 @@ def test_verify_recomputes_residuals(solved_dir):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert float(rows[0]["eq2_res"]) <= 1e-6
+
+
+def test_verify_rejects_other_grid(tmp_path, solved_dir):
+    """verify on an n = 33 solve with an n = 17 config exits 1 and names
+    the dump whose grid disagrees."""
+    _, out, _ = solved_dir
+    cfg = write_cfg(tmp_path, GROUND_CFG.replace("grid.n = 33", "grid.n = 17"))
+    proc = run_cli("verify", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 1
+    assert "u_0.bin" in proc.stderr
 
 
 def test_verify_needs_prior_solve(tmp_path):
@@ -166,7 +177,7 @@ def test_excited_mode_two_states(tmp_path):
     assert len(js) == 2
     assert js[0] < js[1]
     assert des[0] < des[1]
-    assert (out / "u_1.csv").exists()
+    assert (out / "u_1.bin").exists()
 
 
 def test_refine_reports_orders(tmp_path):

@@ -142,7 +142,7 @@ def test_coupling_assembly(tmp_path):
     assert q.max() == pytest.approx(2.5)
 
     g = Grid(lengths=(1.0,), n=(17,))
-    path = tmp_path / "q.csv"
+    path = tmp_path / "q.bin"
     write_field(path, g, np.full(g.shape, 1.5) + g.coords[0])
     cfg2 = parse_config_text(
         f"domain.dim = 1\ngrid.n = 17\ncoupling.kind = tabulated\n"

@@ -177,11 +177,43 @@ def test_boundary_data_validation():
 
 
 def test_field_roundtrip(tmp_path):
-    for g in grids():
-        rng = np.random.default_rng(11)
-        f = rng.standard_normal(g.shape)
-        path = tmp_path / f"field{g.dim}.csv"
+    rng = np.random.default_rng(11)
+    cases = [(g, rng.standard_normal(g.shape)) for g in grids()]
+    # Values a decimal text dump could lose: nan, infinities, the sign of
+    # zero, a subnormal and the largest finite doubles.
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                        1.7976931348623157e308, -1.7976931348623157e308,
+                        0.0, 1.0])
+    cases.append((Grid(lengths=(1.0,), n=(special.size,)), special))
+    for k, (g, f) in enumerate(cases):
+        path = tmp_path / f"field{k}.bin"
         write_field(path, g, f)
         g2, f2 = read_field(path)
         assert g2 == g
-        assert np.array_equal(f2, f)
+        assert np.array_equal(f2, f, equal_nan=True)
+        assert f2.flags.writeable
+    assert np.signbit(f2[3]) and not np.signbit(f2[7])
+
+
+_HEADER_1D = b"# dim=1 n=5 L=1.0 dtype=<f8\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"# dim=1 n=5 L=1.0\n" + b"0.0\n" * 5, "not a binary field file"),
+    (_HEADER_1D + np.zeros(5).tobytes() + b"\0\0\0", "partial float64"),
+    (_HEADER_1D + np.zeros(4).tobytes(), "expected 5 values, found 4"),
+    (_HEADER_1D + np.zeros(6).tobytes(), "expected 5 values, found 6"),
+    (b"# dim=3 n=3000000,3000000,3000000 L=1.0,1.0,1.0 dtype=<f8\n",
+     "expected 27000000000000000000 values, found 0"),
+    (b"# dim=2 n=5 L=1.0 dtype=<f8\n" + np.zeros(5).tobytes(),
+     "axis counts disagree"),
+], ids=["text-era", "partial-value", "too-few", "too-many", "count-past-int64",
+        "axis-counts"])
+def test_read_field_rejects_malformed_files(tmp_path, content, reason):
+    """Each malformed dump raises a ValueError that names the file and the
+    defect; a text dump is rejected by its header, never read as numbers."""
+    path = tmp_path / "bad.bin"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=reason) as info:
+        read_field(path)
+    assert str(path) in str(info.value)

@@ -51,13 +51,18 @@ def test_coupling_radial_bump_support():
 def test_coupling_tabulated_roundtrip(tmp_path):
     g = Grid(lengths=(1.0,), n=(17,))
     values = 1.0 + np.linspace(0.0, 1.0, 17) ** 2
-    path = tmp_path / "q.csv"
+    path = tmp_path / "q.bin"
     write_field(path, g, values)
     q = CouplingSpec("tabulated", {"file": str(path)}).evaluate(g)
     assert np.array_equal(q, values)
     other = Grid(lengths=(1.0,), n=(33,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match"):
         CouplingSpec("tabulated", {"file": str(path)}).evaluate(other)
+    # The right node count on another box length is rejected too.
+    long_path = tmp_path / "q_long.bin"
+    write_field(long_path, Grid(lengths=(2.0,), n=(17,)), values)
+    with pytest.raises(ValueError, match="does not match"):
+        CouplingSpec("tabulated", {"file": str(long_path)}).evaluate(g)
 
 
 @pytest.mark.parametrize("kind, params, key", [
