@@ -87,21 +87,23 @@ def _gate_feasibility(problem: Problem, quiet: bool) -> int | None:
     return None
 
 
+def _converged(problem: Problem, res: SolveResult, rep: ResidualReport) -> bool:
+    """A state counts as converged when the optimizer converged and both
+    constraints hold within the bounds of the acceptance tests."""
+    return bool(res.converged
+                and rep.norm_res <= 1e-10
+                and rep.compat_res <= 1e-8 * (1.0 + abs(problem.alpha)))
+
+
 def _state_entry(problem: Problem, index: int, res: SolveResult,
                  rep: ResidualReport) -> dict:
-    alpha = problem.alpha
-    fully_converged = bool(
-        res.converged
-        and rep.norm_res <= 1e-10
-        and rep.compat_res <= 1e-8 * (1.0 + abs(alpha))
-    )
     return {
         "index": index,
         "J": rep.j,
         "omega": rep.omega,
         "mu": rep.mu,
         "iterations": res.iterations,
-        "converged": fully_converged,
+        "converged": _converged(problem, res, rep),
         "optimizer_converged": res.converged,
         "stop_reason": res.stop_reason,
         "grad_norm": res.grad_norm,
@@ -314,7 +316,7 @@ def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
             "bc_res": rep.bc_res,
             "norm_res": rep.norm_res,
             "compat_res": rep.compat_res,
-            "converged": res.converged,
+            "converged": _converged(problem, res, rep),
         })
     extra = {
         "j_values": list(study.j_values),
@@ -347,9 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=__doc__.splitlines()[0],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_out in (("solve", True), ("feasibility", False),
-                            ("verify", True), ("refine", True),
-                            ("oracle", False)):
+    for name in ("solve", "feasibility", "verify", "refine", "oracle"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to key=value config")
         sp.add_argument("--out", default=None, help="output directory (default: output.dir)")

@@ -61,10 +61,6 @@ class SlabInfeasible(SbpError):
         self.slab_index = slab_index
 
 
-class SingularMultiplierSystem(SbpError):
-    """The 2x2 multiplier recovery system is numerically singular."""
-
-
 class OracleTooLarge(SbpError):
     """A dense oracle was requested on a grid above its size limit."""
 

@@ -52,11 +52,11 @@ _NEWTON_MAX = 60
 
 
 def constraint_values(problem: Problem, u: np.ndarray) -> tuple[float, float]:
-    """Residuals (integrate(u^2) - 1, integrate(q u^2) - alpha)."""
-    g = problem.grid
+    """Residuals (integrate(u^2) - 1, integrate(q u^2) - alpha): one weighted
+    square, a sum and a dot, as in ``_moments``."""
     u = np.asarray(u, dtype=float)
-    return (inner(g, u, u) - 1.0,
-            inner(g, problem.q * u, u) - problem.alpha)
+    w = problem.grid.weights * u * u
+    return float(w.sum()) - 1.0, float(np.vdot(w, problem.q)) - problem.alpha
 
 
 def _eigvals_sym2(a: float, b: float, c: float) -> tuple[float, float]:
@@ -174,12 +174,14 @@ def tangent_project(problem: Problem, u: np.ndarray, g: np.ndarray) -> np.ndarra
     u = np.asarray(u, dtype=float)
     g = np.array(g, dtype=float)  # a copy: boundary values pass through
     return _project_dst(problem, _dst_interior(grid, u),
-                        _dst_interior(grid, problem.q * u), _dst_interior(grid, g), g)
+                        _dst_interior(grid, problem.q * u), _dst_interior(grid, g), g)[0]
 
 
 def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
-                 g_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``tangent_project`` from the DST-I coefficients of u, q u and g.
+                 g_hat: np.ndarray,
+                 out: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``tangent_project`` from the DST-I coefficients of u, q u and g, with
+    its coefficients: returns (projected field, lam, beta).
 
     The transform T is symmetric and T T = scale, and the representers have
     coefficients r_hat / sigma, so with the interior weight prod h every
@@ -188,6 +190,10 @@ def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
     common factor cancels, the matrix is symmetric, and the result takes
     one inverse transform of g_hat - lam u_hat / sigma - beta qu_hat /
     sigma, written into the interior of ``out``.
+
+    When g is S(grad J), (lam, beta) are the Galerkin multipliers of
+    grad J = lam u + beta q u in the H^1_0 pairing, so at a critical point
+    of J on M they are (omega, -mu).
     """
     sigma = _symbols(problem.grid).dirichlet
     d1, d2 = u_hat / sigma, qu_hat / sigma
@@ -201,7 +207,7 @@ def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
         )
     lam, beta = _solve2(g11, g12, g12, g22,
                         float(np.vdot(u_hat, g_hat)), float(np.vdot(qu_hat, g_hat)))
-    return _from_dst_interior(problem.grid, g_hat - lam * d1 - beta * d2, out)
+    return _from_dst_interior(problem.grid, g_hat - lam * d1 - beta * d2, out), lam, beta
 
 
 # ---------------------------------------------------------------------------

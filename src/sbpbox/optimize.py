@@ -9,9 +9,17 @@ The trial step is the short Barzilai-Borwein step sy / yy (Barzilai &
 Borwein, IMA J. Numer. Anal. 8, 1988; twice the last accepted step when it
 is undefined), and a nonmonotone Armijo backtracking line search safeguards
 it: a trial is tested against the Zhang-Hager reference value C, a weighted
-mean of the energies accepted so far, instead of the current energy.  Every
-accepted energy lies at or below the C before it, and C never exceeds the
-starting energy, so no iterate ends above the start.
+mean of the merits accepted so far, instead of the current merit.
+
+The merit is the Lagrangian m = J - (lam c1 + beta c2) / 2, with (c1, c2)
+the constraint residuals of the trial and (lam, beta) the coefficients of
+the current tangent projection.  The retraction leaves residuals up to
+about 1e-13, which move J off the Armijo model by up to (|lam| + |beta|)
+times that, so a test on J alone stalls once the squared gradient falls
+below that level; the merit cancels the error to first order.  Every
+accepted merit lies at or below the C before it, and C never exceeds the
+starting merit.  The multipliers of the returned state are the
+coefficients of its last projection: omega = lam, mu = -beta.
 
 Convergence is declared on the Sobolev tangent gradient norm, which is also
 the Armijo decrease rate.  Every run returns a ``SolveResult``; its
@@ -29,16 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirection,
-    NewtonDivergence,
-    SbpError,
-    SingularMultiplierSystem,
-    ZeroField,
-)
-from .functional import eval_J, grad_J, zeroth_order_grad
-from .grid import dirichlet_inner, inner, norm_l2, require_zero_boundary
-from .manifold import _project_dst, _solve2, genus_seeds, retract
+from .errors import DegenerateDirection, NewtonDivergence, SbpError, ZeroField
+from .functional import eval_J, zeroth_order_grad
+from .grid import dirichlet_inner, norm_l2, require_zero_boundary
+from .manifold import _project_dst, constraint_values, genus_seeds, retract
 from .problem import Problem
 from .reduction import phi_map
 from .solvers import _dst_interior, _symbols
@@ -48,7 +50,6 @@ __all__ = [
     "IterRecord",
     "SolveResult",
     "minimize_on_M",
-    "recover_multipliers",
     "polish_positive",
     "excited_states",
 ]
@@ -119,9 +120,10 @@ def minimize_on_M(problem: Problem,
                   u0: np.ndarray,
                   opts: OptimizerOptions | None = None) -> SolveResult:
     """Projected BB descent with a nonmonotone (Zhang-Hager) Armijo line
-    search from ``u0`` until the Sobolev tangent gradient norm drops below
-    ``opts.grad_tol``.  The energy may rise between iterates, but never
-    above the energy of the retracted start.
+    search on the merit from ``u0`` until the Sobolev tangent gradient norm
+    drops below ``opts.grad_tol``.  The merit may rise between iterates, but
+    never above the merit of the retracted start.  ``omega`` and ``mu`` are
+    the multipliers of the last tangent projection, at the returned iterate.
 
     Hitting ``max_iterations``, or backtracking below ``_MIN_STEP`` without an
     acceptable decrease, returns the current iterate and its gradient norm
@@ -135,7 +137,6 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     u = retract(problem, require_zero_boundary(grid, u0))
     phi = phi_map(problem, u)
     j = eval_J(problem, u, phi)
-    ref_c, ref_q = j, 1.0
     step = _INITIAL_STEP
     trace: list[IterRecord] = []
     reason = "max_iterations"
@@ -143,10 +144,11 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     prev_gt: np.ndarray | None = None
 
     # Pass ``it`` follows ``it`` accepted steps.  The last pass only tests
-    # convergence, so every exit reports the gradient at the returned iterate.
+    # convergence, so every exit reports the gradient and the multipliers at
+    # the returned iterate.
     for it in range(opts.max_iterations + 1):
         iterations = it
-        gt = _tangent_gradient(problem, u, phi)
+        gt, lam, beta = _tangent_gradient(problem, u, phi)
         decrease_rate = dirichlet_inner(grid, gt, gt)
         sob = math.sqrt(decrease_rate)
         if opts.keep_trace:
@@ -156,6 +158,8 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             break
         if it == opts.max_iterations:
             break
+        if it == 0:
+            ref_c, ref_q = _merit(problem, u, j, lam, beta), 1.0
 
         # Short Barzilai-Borwein trial step sy / yy from the last
         # displacement s and gradient change y; the long step ss / sy
@@ -178,29 +182,39 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
                 continue
             phi_try = phi_map(problem, u_try)
             j_try = eval_J(problem, u_try, phi_try)
-            if j_try <= ref_c - _ARMIJO_C * t * decrease_rate:
+            m_try = _merit(problem, u_try, j_try, lam, beta)
+            if m_try <= ref_c - _ARMIJO_C * t * decrease_rate:
                 u, phi, j = u_try, phi_try, j_try
                 step = t
                 q_old, ref_q = ref_q, _ZH_ETA * ref_q + 1.0
-                ref_c = (_ZH_ETA * q_old * ref_c + j) / ref_q
+                ref_c = (_ZH_ETA * q_old * ref_c + m_try) / ref_q
                 break
             t *= _BACKTRACK
         else:
             reason = "line_search_stall"
             break
 
-    omega, mu = recover_multipliers(problem, u, phi)
     return SolveResult(
-        u=u, j=j, omega=omega, mu=mu,
+        u=u, j=j, omega=lam, mu=-beta,
         iterations=iterations, stop_reason=reason,
         grad_norm=sob, phi=phi, trace=tuple(trace),
     )
 
 
-def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _merit(problem: Problem, u: np.ndarray, j: float,
+           lam: float, beta: float) -> float:
+    """The Lagrangian J - (lam c1 + beta c2) / 2 at u, whose energy is j."""
+    c1, c2 = constraint_values(problem, u)
+    return j - 0.5 * (lam * c1 + beta * c2)
+
+
+def _tangent_gradient(problem: Problem, u: np.ndarray,
+                      phi: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The descent direction ``tangent_project(problem, u, u + S(w))``, with S
     the Dirichlet solve and w = ``zeroth_order_grad``: u + S(w) = S(grad J),
-    since S inverts the stencil of -lap exactly.
+    since S inverts the stencil of -lap exactly.  Also returns the
+    projection's coefficients (lam, beta), the multipliers of grad J on
+    (u, q u) (see ``_project_dst``).
 
     Its DST-I coefficients are u_hat + w_hat / sigma, so the gradient and the
     projection take the transforms of u, q u and w and one inverse.
@@ -212,35 +226,6 @@ def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray) -> np.nd
                         u_hat + w_hat / _symbols(grid).dirichlet, np.zeros(grid.shape))
 
 
-def recover_multipliers(problem: Problem, u: np.ndarray,
-                        phi: np.ndarray | None = None) -> tuple[float, float]:
-    """Lagrange multipliers (omega, mu) from the stationarity system.
-
-    Pairing the unconstrained gradient with u and with q u gives a 2x2 system
-    with matrix [[1, -alpha], [alpha, -s]], s = integrate(q^2 u^2).  The
-    system is singular exactly when q u is proportional to u on the support
-    of u (Cauchy-Schwarz equality), e.g. for constant coupling; that raises
-    ``SingularMultiplierSystem``.
-    """
-    grid = problem.grid
-    if phi is None:
-        phi = phi_map(problem, u)
-    g_l2 = grad_J(problem, u, phi)
-    qu = problem.q * u
-    r1 = inner(grid, g_l2, u)
-    r2 = inner(grid, g_l2, qu)
-    s = inner(grid, qu, qu)
-    alpha = problem.alpha
-    det = alpha * alpha - s
-    if abs(det) <= 1e-12 * (1.0 + s + alpha * alpha):
-        raise SingularMultiplierSystem(
-            f"multiplier system is singular (integrate(q^2 u^2)={s:.6g}, "
-            f"alpha^2={alpha * alpha:.6g}); q u is parallel to u"
-        )
-    omega, mu = _solve2(1.0, -alpha, alpha, -s, r1, r2)
-    return float(omega), float(mu)
-
-
 def polish_positive(problem: Problem, result: SolveResult,
                     opts: OptimizerOptions | None = None) -> SolveResult:
     """Replace a converged state by a signed-mass-preserving nonnegative one.
@@ -248,10 +233,12 @@ def polish_positive(problem: Problem, result: SolveResult,
     |u| leaves both constraint integrals and every term of the reduced energy
     unchanged except the Dirichlet term, which cannot increase on the grid
     (the slopes of |u| are dominated nodewise).  Re-minimizing from the
-    folded state therefore lands at an energy no larger than the input's:
-    the line search is nonmonotone, but each accepted J_k lies at or below
-    the reference value C_{k-1}, a weighted mean of J_0..J_{k-1}, so by
-    induction every J_k <= C_{k-1} <= J_0, the folded energy.
+    folded state therefore lands at an energy no larger than the input's,
+    up to rounding: the line search is nonmonotone, but each accepted merit
+    m_k lies at or below the reference value C_{k-1}, a weighted mean of
+    m_0..m_{k-1}, so by induction every m_k <= C_{k-1} <= m_0, and the merit
+    differs from J only by the multipliers times constraint residuals at
+    rounding level.
     A state whose minimum is at least ``_POSITIVE_FLOOR`` is returned as is.
     """
     opts = opts or OptimizerOptions()

@@ -42,12 +42,12 @@ from .functional import eval_J
 from .grid import (
     BoundaryData,
     Grid,
-    inner,
     laplacian_dirichlet,
     laplacian_neumann,
     mean,
     norm_l2,
 )
+from .manifold import constraint_values
 from .problem import Problem
 from .reduction import phi_map
 from .solvers import (
@@ -204,15 +204,14 @@ def residual_original_system(problem: Problem,
         bc1 = max(bc1, float(np.max(np.abs(d_phi - problem.h1.face(axis, side)))))
         bc2 = max(bc2, float(np.max(np.abs(d_z - problem.h2.face(axis, side)))))
 
-    norm_res = abs(inner(grid, u, u) - 1.0)
-    compat_res = abs(inner(grid, q * u, u) - problem.alpha)
+    c1, c2 = constraint_values(problem, u)
     if j is None:
         j = eval_J(problem, u, phi)
     return ResidualReport(
         n=grid.n, h=float(max(grid.h)), j=float(j), omega=float(omega),
         mu=float(mu), eq1_res=float(eq1), eq1_res_native=float(eq1_native),
         eq2_res=float(eq2), bc_res=float(bc1), bc_res_second=float(bc2),
-        norm_res=float(norm_res), compat_res=float(compat_res),
+        norm_res=abs(c1), compat_res=abs(c2),
         iters=int(iterations),
     )
 

@@ -71,10 +71,11 @@ def square_problem(n, alpha=0.0, kappa=1.0, p=3.0):
                          h1=h1, h2=h2, kappa=kappa, p=p)
 
 
-def oscillating_problem(n, alpha=0.35, kappa=20.0):
+def oscillating_problem(n, alpha=0.35, kappa=20.0, dim=1):
     """Multi-well coupling whose troughs sit below alpha: traps distinct
-    single-lump states in separate wells."""
-    g = Grid(lengths=(1.0,), n=(n,))
+    single-lump states in separate wells.  The problem of
+    ``demos/configs/excited.cfg`` on the unit box with n nodes per axis."""
+    g = Grid(lengths=(1.0,) * dim, n=(n,) * dim)
     h1 = BoundaryData.zero(g)
     h2 = BoundaryData.constant(g, {"x1": alpha})
     spec = CouplingSpec("oscillating", {"base": 1.0, "amplitude": 0.9,

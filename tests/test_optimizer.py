@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from sbpbox import optimize
-from sbpbox.errors import NonzeroBoundary, SingularMultiplierSystem
-from sbpbox.functional import eval_J
-from sbpbox.grid import dirichlet_energy, norm_l2
+from sbpbox.errors import NonzeroBoundary
+from sbpbox.functional import eval_J, grad_J
+from sbpbox.grid import dirichlet_energy, inner
 from sbpbox.manifold import constraint_values, feasible_init, genus_seeds, retract
 from sbpbox.optimize import (
     OptimizerOptions,
     _dedupe,
+    _tangent_gradient,
     excited_states,
     minimize_on_M,
     polish_positive,
-    recover_multipliers,
 )
 from sbpbox.reduction import phi_map
 from sbpbox.verify import dense_kkt_polish
@@ -128,6 +128,18 @@ def test_max_iterations_returns_unconverged(bench65):
     assert len(res.trace) == res.iterations + 1
     assert res.trace[-1].sobolev_grad == res.grad_norm
     assert res.trace[-1].j == res.j
+    assert_multipliers_at_iterate(bench65, res)
+    res = minimize_on_M(bench65, feasible_init(bench65),
+                        OptimizerOptions(max_iterations=0))
+    assert (res.stop_reason, res.iterations) == ("max_iterations", 0)
+    assert_multipliers_at_iterate(bench65, res)
+
+
+def assert_multipliers_at_iterate(problem, res):
+    """(omega, mu) are the coefficients (lam, -beta) of the tangent
+    projection at the returned iterate."""
+    _, lam, beta = _tangent_gradient(problem, res.u, res.phi)
+    assert (res.omega, res.mu) == (lam, -beta)
 
 
 def test_line_search_stall_is_a_stop_reason(bench65, monkeypatch):
@@ -144,6 +156,7 @@ def test_line_search_stall_is_a_stop_reason(bench65, monkeypatch):
     assert len(res.trace) == res.iterations + 1
     assert res.trace[-1].sobolev_grad == res.grad_norm > 1e-7
     assert res.trace[-1].j == res.j
+    assert_multipliers_at_iterate(bench65, res)
 
 
 def test_start_must_vanish_on_the_boundary(bench65):
@@ -172,20 +185,17 @@ def test_optimizer_options_reject_out_of_range(kwargs):
 
 
 def test_multiplier_recovery_matches_result(bench65, bench65_state):
+    """The result's (omega, mu), the coefficients of the last tangent
+    projection in the H^1_0 pairing, also solve the L2 stationarity pairing
+    grad J = omega u - mu q u against u and q u."""
     res = bench65_state
-    omega, mu = recover_multipliers(bench65, res.u, res.phi)
-    assert omega == pytest.approx(res.omega, rel=1e-10)
-    assert mu == pytest.approx(res.mu, rel=1e-8)
-
-
-def test_multiplier_recovery_singular_for_constant_q():
-    from test_manifold import constant_q_problem
-    prob = constant_q_problem()
-    g = prob.grid
-    u = np.sin(np.pi * g.coords[0])
-    u /= norm_l2(g, u)
-    with pytest.raises(SingularMultiplierSystem):
-        recover_multipliers(prob, u)
+    g = bench65.grid
+    grad = grad_J(bench65, res.u, res.phi)
+    basis = (res.u, bench65.q * res.u)
+    gram = np.array([[inner(g, a, b) for b in basis] for a in basis])
+    omega, minus_mu = np.linalg.solve(gram, [inner(g, grad, a) for a in basis])
+    assert res.omega == pytest.approx(omega, rel=1e-10)
+    assert res.mu == pytest.approx(-minus_mu, rel=1e-8)
 
 
 def test_polish_positive_properties(bench129):
@@ -250,6 +260,32 @@ def test_excited_states_finds_separated_wells():
         c1, c2 = constraint_values(prob, s.u)
         assert abs(c1) <= 1e-10
         assert abs(c2) <= 1e-8 * (1.0 + abs(prob.alpha))
+
+
+def test_merit_line_search_converges_past_the_rounding_floor_of_J():
+    """The 2d 49 x 49 genus-3 start in slab 1 (of 0..2) of ``excited.cfg``.
+    Retraction leaves constraint residuals near 1e-14, which move J by
+    about (|omega| + |mu|) 1e-14; with the Armijo test on J this start ran
+    to the cap with its gradient stuck near 2.1e-7.  The test on the merit
+    (the Lagrangian) converges in about 465 iterations."""
+    prob = oscillating_problem(49, dim=2)
+    res = minimize_on_M(prob, genus_seeds(prob, 3)[1],
+                        OptimizerOptions(max_iterations=2000))
+    assert res.converged
+    assert res.j == pytest.approx(72.196185319, rel=1e-9)
+
+
+def test_excited_search_at_low_alpha_converges_from_every_start():
+    """At alpha = 0.2 the genus-1 and genus-2 starts all reach grad_tol (in
+    at most about 700 iterations) and meet in one state; with the Armijo
+    test on J, two of the three stalled at the cap."""
+    prob = oscillating_problem(65, alpha=0.2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        states = excited_states(prob, 2, OptimizerOptions(max_iterations=2000))
+    assert not [w for w in caught if "did not converge" in str(w.message)]
+    assert len(states) == 1
+    assert states[0].j == pytest.approx(223.97273838, rel=1e-9)
 
 
 def test_excited_states_deterministic():

@@ -29,7 +29,12 @@ from sbpbox.grid import (
     norm_l2,
     zero_boundary,
 )
-from sbpbox.manifold import _moments, constraint_representers, tangent_project
+from sbpbox.manifold import (
+    _moments,
+    constraint_representers,
+    constraint_values,
+    tangent_project,
+)
 from sbpbox.optimize import _tangent_gradient
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import (
@@ -146,6 +151,11 @@ def check_reductions_against_sums(g, seed):
                  np.concatenate([t.ravel() for t in grad_terms]))
     for power, m in enumerate(_moments(prob, f)):
         assert agree(m, w * prob.q**power * f * f)
+    # alpha = 0 here; only the mass residual carries a constant.
+    c1, c2 = constraint_values(prob, f)
+    mass = np.sum(w * f * f)
+    assert abs(c1 - (mass - 1.0)) <= 1e-13 * (mass + 1.0)
+    assert agree(c2, w * prob.q * f * f)
 
     u = zero_boundary(g, f)
     try:
@@ -176,8 +186,9 @@ def test_reductions_agree_with_their_sum_forms_on_an_fft_axis():
 def check_descent_gradient(g, seed):
     """The descent's tangent gradient, built from the DST-I coefficients of
     u, q u and w with one inverse transform, equals ``tangent_project`` of
-    u + S(w) formed field by field, and is L2-orthogonal to u and q u.  The
-    two differ by rounding in the coefficients of the gradient, which the
+    u + S(w) formed field by field, and is L2-orthogonal to u and q u; its
+    coefficients (lam, beta) solve the projection's 2x2 system.  The two
+    sides differ by rounding in the coefficients of the gradient, which the
     2x2 solve magnifies by up to the condition number of its matrix."""
     rng = np.random.default_rng(seed)
     prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
@@ -186,16 +197,19 @@ def check_descent_gradient(g, seed):
     u = zero_boundary(g, rng.standard_normal(g.shape))
     phi = phi_map(prob, u)
     try:
-        descent = _tangent_gradient(prob, u, phi)
+        descent, lam, beta = _tangent_gradient(prob, u, phi)
     except DegenerateConstraints:
         return  # too few interior nodes for two independent constraints
     g_h = u + solve_poisson_dirichlet(g, zeroth_order_grad(prob, u, phi))
     d = constraint_representers(prob, u)
     gram = np.array([[inner(g, r, dj) for dj in d] for r in (u, prob.q * u)])
-    scale = np.linalg.cond(gram) * np.abs(g_h).max()
+    cond = np.linalg.cond(gram)
+    scale = cond * np.abs(g_h).max()
     assert np.abs(descent - tangent_project(prob, u, g_h)).max() <= 1e-13 * scale
     for r in (u, prob.q * u):
         assert abs(inner(g, descent, r)) <= 1e-13 * scale * norm_l2(g, r)
+    coeffs = np.linalg.solve(gram, [inner(g, r, g_h) for r in (u, prob.q * u)])
+    assert np.abs([lam, beta] - coeffs).max() <= 1e-13 * cond * np.abs(coeffs).max()
 
 
 @PROPERTY
