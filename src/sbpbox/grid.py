@@ -383,7 +383,9 @@ def dirichlet_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
 
     for all fields, and the analogous identity with ``laplacian_dirichlet``
     for fields vanishing on the boundary.  The energy identities downstream
-    depend on this exactness.
+    depend on this exactness.  The descent takes its products in the
+    equal form of a sum over DST-I modes; this one stays because the energy
+    identities check it.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)

@@ -173,23 +173,23 @@ def tangent_project(problem: Problem, u: np.ndarray, g: np.ndarray) -> np.ndarra
     grid = problem.grid
     u = np.asarray(u, dtype=float)
     g = np.array(g, dtype=float)  # a copy: boundary values pass through
-    return _project_dst(problem, _dst_interior(grid, u),
-                        _dst_interior(grid, problem.q * u), _dst_interior(grid, g), g)[0]
+    coef, _, _ = _project_dst(problem, _dst_interior(grid, u),
+                              _dst_interior(grid, problem.q * u), _dst_interior(grid, g))
+    return _from_dst_interior(grid, coef, g)
 
 
 def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
-                 g_hat: np.ndarray,
-                 out: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """``tangent_project`` from the DST-I coefficients of u, q u and g, with
-    its coefficients: returns (projected field, lam, beta).
+                 g_hat: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``tangent_project`` on DST-I coefficients: from those of u, q u and g,
+    returns the coefficients g_hat - lam u_hat / sigma - beta qu_hat / sigma
+    of the projected field, written over ``g_hat``, and (lam, beta).  Its
+    interior values are one inverse transform away (``_from_dst_interior``).
 
     The transform T is symmetric and T T = scale, and the representers have
     coefficients r_hat / sigma, so with the interior weight prod h every
     entry is a sum over modes times prod h / scale: inner(r_i, d_j) =
     sum r_i_hat r_j_hat / sigma and inner(r_i, g) = sum r_i_hat g_hat.  The
-    common factor cancels, the matrix is symmetric, and the result takes
-    one inverse transform of g_hat - lam u_hat / sigma - beta qu_hat /
-    sigma, written into the interior of ``out``.
+    common factor cancels and the matrix is symmetric.
 
     When g is S(grad J), (lam, beta) are the Galerkin multipliers of
     grad J = lam u + beta q u in the H^1_0 pairing, so at a critical point
@@ -207,7 +207,11 @@ def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
         )
     lam, beta = _solve2(g11, g12, g12, g22,
                         float(np.vdot(u_hat, g_hat)), float(np.vdot(qu_hat, g_hat)))
-    return _from_dst_interior(problem.grid, g_hat - lam * d1 - beta * d2, out), lam, beta
+    d1 *= lam
+    d2 *= beta
+    g_hat -= d1
+    g_hat -= d2
+    return g_hat, lam, beta
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,12 @@ def solve_fourth_order_split(grid: Grid, f: np.ndarray) -> np.ndarray:
     sym = _symbols(grid)
     f_hat = _transform(np.asarray(f, dtype=float), sym.dct, _dct1)
     f_hat[(0,) * grid.dim] = 0.0
-    phi_hat = f_hat / sym.helmholtz / sym.zeromean
-    return _finite(_transform(phi_hat, sym.dct, _dct1) / sym.scale)
+    # In place: this solve sets the descent's peak memory.
+    f_hat /= sym.helmholtz
+    f_hat /= sym.zeromean
+    phi = _transform(f_hat, sym.dct, _dct1)
+    phi /= sym.scale
+    return _finite(phi)
 
 
 def solve_helmholtz_neumann(grid: Grid,
@@ -263,7 +267,9 @@ def _from_dst_interior(grid: Grid, coef: np.ndarray, out: np.ndarray) -> np.ndar
     """Write the field with DST-I coefficients ``coef`` into the interior of
     ``out`` and return ``out``; its boundary values are left as they are."""
     sym = _symbols(grid)
-    out[(slice(1, -1),) * grid.dim] = _finite(_transform(coef, sym.dst, _dst1) / sym.scale)
+    values = _transform(coef, sym.dst, _dst1)
+    values /= sym.scale
+    out[(slice(1, -1),) * grid.dim] = _finite(values)
     return out
 
 

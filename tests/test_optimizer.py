@@ -6,11 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from sbpbox import optimize
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, optimize
 from sbpbox.errors import NonzeroBoundary
-from sbpbox.functional import eval_J, grad_J
-from sbpbox.grid import dirichlet_energy, inner
-from sbpbox.manifold import constraint_values, feasible_init, genus_seeds, retract
+from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
+from sbpbox.grid import dirichlet_energy, dirichlet_inner, inner
+from sbpbox.manifold import (
+    constraint_values,
+    feasible_init,
+    genus_seeds,
+    retract,
+    tangent_project,
+)
 from sbpbox.optimize import (
     OptimizerOptions,
     _dedupe,
@@ -20,6 +26,7 @@ from sbpbox.optimize import (
     polish_positive,
 )
 from sbpbox.reduction import phi_map
+from sbpbox.solvers import solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
 from conftest import line_problem, oscillating_problem
 from dataclasses import replace as dc_replace
@@ -135,10 +142,36 @@ def test_max_iterations_returns_unconverged(bench65):
     assert_multipliers_at_iterate(bench65, res)
 
 
+def ground_box_problem(n):
+    """The ground-state problem of the 3d benchmark (q = x, alpha = 0.5,
+    kappa = 1, p = 3) on the unit cube with n nodes per axis."""
+    g = Grid(lengths=(1.0,) * 3, n=(n,) * 3)
+    return build_problem(grid=g, coupling=CouplingSpec("affine", {"a": 0.0, "b": 1.0}),
+                         h1=BoundaryData.zero(g), h2=BoundaryData.constant(g, {"x1": 0.5}),
+                         kappa=1.0, p=3.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("max_iterations", [3, 5000], ids=["capped", "converged"])
+def test_grad_norm_is_the_sobolev_norm_of_the_projected_gradient(dim, max_iterations):
+    """``grad_norm`` (and the ``grad_norm`` of report.json) is the H^1_0 norm
+    sqrt(dirichlet_inner(gt, gt)) of the tangent projection gt of
+    u + S(w) at the returned iterate, formed field by field; the descent
+    takes it as a sum over DST-I modes."""
+    prob = line_problem(65) if dim == 1 else ground_box_problem(17)
+    res = minimize_on_M(prob, feasible_init(prob),
+                        OptimizerOptions(max_iterations=max_iterations))
+    assert res.converged == (max_iterations > 3)
+    g = prob.grid
+    w = zeroth_order_grad(prob, res.u, res.phi)
+    gt = tangent_project(prob, res.u, res.u + solve_poisson_dirichlet(g, w))
+    assert res.grad_norm == pytest.approx(math.sqrt(dirichlet_inner(g, gt, gt)), rel=1e-10)
+
+
 def assert_multipliers_at_iterate(problem, res):
     """(omega, mu) are the coefficients (lam, -beta) of the tangent
     projection at the returned iterate."""
-    _, lam, beta = _tangent_gradient(problem, res.u, res.phi)
+    _, lam, beta, _, _ = _tangent_gradient(problem, res.u, res.phi)
     assert (res.omega, res.mu) == (lam, -beta)
 
 
@@ -273,6 +306,18 @@ def test_merit_line_search_converges_past_the_rounding_floor_of_J():
                         OptimizerOptions(max_iterations=2000))
     assert res.converged
     assert res.j == pytest.approx(72.196185319, rel=1e-9)
+
+
+def test_3d_excited_start_reaches_grad_tol():
+    """The genus-1 slab start of ``excited.cfg`` on the 25^3 box.  With the
+    short BB step and the Armijo test on J it once stalled at the cap; it
+    now converges in about 1,000 to 1,500 iterations, a count that moves
+    with rounding."""
+    prob = oscillating_problem(25, dim=3)
+    res = minimize_on_M(prob, genus_seeds(prob, 1)[0],
+                        OptimizerOptions(max_iterations=4000))
+    assert res.converged
+    assert res.j == pytest.approx(49.752265733, rel=1e-9)
 
 
 def test_excited_search_at_low_alpha_converges_from_every_start():

@@ -21,6 +21,7 @@ from sbpbox.errors import DegenerateConstraints
 from sbpbox.functional import grad_J, zeroth_order_grad
 from sbpbox.grid import (
     boundary_integrate,
+    dirichlet_energy,
     dirichlet_inner,
     inner,
     integrate,
@@ -38,6 +39,8 @@ from sbpbox.manifold import (
 from sbpbox.optimize import _tangent_gradient
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import (
+    _dst_interior,
+    _from_dst_interior,
     _symbols,
     solve_fourth_order_split,
     solve_helmholtz_neumann,
@@ -183,13 +186,41 @@ def test_reductions_agree_with_their_sum_forms_on_an_fft_axis():
     check_reductions_against_sums(Grid(lengths=(1.0, 2.0), n=(5, 261)), seed=7)
 
 
+def check_dirichlet_inner_on_modes(g, seed):
+    """For fields a, b that vanish on the boundary, dirichlet_inner(a, b) =
+    sum(sigma a_hat b_hat) * prod h / scale, the form in which the descent
+    takes its decrease rate, sy and yy: the DST-I T is symmetric with
+    T T = scale and diagonalizes the stencil of -lap with symbol sigma."""
+    rng = np.random.default_rng(seed)
+    a, b = (zero_boundary(g, f) for f in rng.standard_normal((2,) + g.shape))
+    sym = _symbols(g)
+    on_modes = (float(np.sum(sym.dirichlet * _dst_interior(g, a) * _dst_interior(g, b)))
+                * np.prod(g.h) / sym.scale)
+    bound = 1e-13 * (np.sqrt(dirichlet_energy(g, a) * dirichlet_energy(g, b)) + 1.0)
+    assert abs(on_modes - dirichlet_inner(g, a, b)) <= bound
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_dirichlet_inner_is_a_sum_over_dst_modes(g, seed):
+    check_dirichlet_inner_on_modes(g, seed)
+
+
+@pytest.mark.parametrize("n", [(261,), (5, 261), (4, 5, 261)], ids=["1d", "2d", "3d"])
+def test_dirichlet_inner_is_a_sum_over_dst_modes_on_an_fft_axis(n):
+    """The same, where the long axis transforms by rfft."""
+    check_dirichlet_inner_on_modes(Grid(lengths=(1.0, 2.0, 1.5)[:len(n)], n=n), seed=7)
+
+
 def check_descent_gradient(g, seed):
     """The descent's tangent gradient, built from the DST-I coefficients of
-    u, q u and w with one inverse transform, equals ``tangent_project`` of
-    u + S(w) formed field by field, and is L2-orthogonal to u and q u; its
-    coefficients (lam, beta) solve the projection's 2x2 system.  The two
-    sides differ by rounding in the coefficients of the gradient, which the
-    2x2 solve magnifies by up to the condition number of its matrix."""
+    u, q u and w, is the inverse transform of the coefficients it returns
+    with it; that field equals ``tangent_project`` of u + S(w) formed field
+    by field, and is L2-orthogonal to u and q u; its coefficients (lam,
+    beta) solve the projection's 2x2 system.  The two sides differ by
+    rounding in the coefficients of the gradient, which the 2x2 solve
+    magnifies by up to the condition number of its matrix.  The returned
+    u_hat are the coefficients of u."""
     rng = np.random.default_rng(seed)
     prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
                          h1=random_flux(g, rng), h2=random_flux(g, rng),
@@ -197,9 +228,12 @@ def check_descent_gradient(g, seed):
     u = zero_boundary(g, rng.standard_normal(g.shape))
     phi = phi_map(prob, u)
     try:
-        descent, lam, beta = _tangent_gradient(prob, u, phi)
+        gt, lam, beta, u_hat, gt_hat = _tangent_gradient(prob, u, phi)
     except DegenerateConstraints:
         return  # too few interior nodes for two independent constraints
+    assert np.array_equal(u_hat, _dst_interior(g, u))
+    descent = _from_dst_interior(g, gt_hat, np.zeros(g.shape))
+    assert np.array_equal(gt, descent)
     g_h = u + solve_poisson_dirichlet(g, zeroth_order_grad(prob, u, phi))
     d = constraint_representers(prob, u)
     gram = np.array([[inner(g, r, dj) for dj in d] for r in (u, prob.q * u)])
