@@ -36,7 +36,8 @@ class DegenerateDirection(SbpError):
 
 
 class NewtonDivergence(SbpError):
-    """The retraction Newton iteration failed to converge."""
+    """A constraint solve has no solution: the retraction's quadratic for
+    b/a has no real root, or ``dense_kkt_polish``'s Newton iteration stalls."""
 
 
 class DegenerateConstraints(SbpError):

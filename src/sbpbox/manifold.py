@@ -5,9 +5,10 @@ States live on M = S intersect N with
     S = { u : integrate(u^2) = 1 },    N = { u : integrate(q u^2) = alpha }.
 
 Both constraints are even in u, so M is symmetric under sign flip.  The
-retraction uses the two-parameter ansatz u = (a + b q) v: its two unknowns
-are determined by a 2x2 Newton iteration on the constraint residuals, whose
-Jacobian at (1, 0) is twice the Gram matrix of {v, q v}.  The tangent
+retraction uses the two-parameter ansatz u = (a + b q) v.  Subtracting
+alpha times the mass constraint from the coupling constraint leaves a
+homogeneous quadratic in (a, b), so b/a is a root of one quadratic and a
+follows from the mass: the retraction is in closed form.  The tangent
 projection removes from an H^1_0 gradient the span of the H^1_0
 representers of the constraint differentials, the Dirichlet solves of
 (u, q u); it works on DST-I coefficients, where those solves are divisions
@@ -47,8 +48,7 @@ __all__ = [
 ]
 
 _GRAM_COND_LIMIT = 1e12
-_NEWTON_TOL = 1e-13
-_NEWTON_MAX = 60
+_ON_M_TOL = 1e-13
 
 
 def constraint_values(problem: Problem, u: np.ndarray) -> tuple[float, float]:
@@ -95,53 +95,48 @@ def _moments(problem: Problem, v: np.ndarray) -> tuple[float, float, float, floa
 
 
 def retract(problem: Problem, v: np.ndarray) -> np.ndarray:
-    """Map a nearby field onto M via u = (a + b q) v.
+    """Map a nearby field onto M via u = (a + b q) v, in closed form.
 
-    Newton on (a, b) from (1, 0); the four moments integrate(q^k v^2) make
-    both the residuals and the Jacobian closed-form, so no linear solves are
-    involved.  A field already on M is returned unchanged (the initial
-    residual check fires before any step).
+    With the moments m_k = integrate(q^k v^2), r = b/a solves
+    A r^2 + 2 B r + C = 0, where A = m3 - alpha m2, B = m2 - alpha m1 and
+    C = m1 - alpha m0: the coupling constraint minus alpha times the mass
+    constraint.  The root of smaller magnitude, taken in cancellation-free
+    form, is 0 when v meets the coupling constraint; then
+    a = (m0 + 2 r m1 + r^2 m2)^(-1/2) > 0 and b = r a.  A field whose
+    residuals are both within ``_ON_M_TOL`` is returned unchanged, as the
+    input array itself.
 
     Raises ``ZeroField`` for vanishing input, ``DegenerateDirection`` when
     {v, q v} is numerically dependent, ``NewtonDivergence`` when the
-    iteration leaves its basin.
+    quadratic has no real root, so that no point of the ansatz lies on M.
     """
     v = np.asarray(v, dtype=float)
-    m = _moments(problem, v)
-    if not all(map(math.isfinite, m)) or m[0] <= 0.0:
-        raise ZeroField(f"retraction input has squared mass {m[0]!r}")
-    lo, hi = _eigvals_sym2(m[0], m[1], m[2])
+    m0, m1, m2, m3 = _moments(problem, v)
+    if not all(map(math.isfinite, (m0, m1, m2, m3))) or m0 <= 0.0:
+        raise ZeroField(f"retraction input has squared mass {m0!r}")
+    lo, hi = _eigvals_sym2(m0, m1, m2)
     if lo <= 0.0 or hi / lo > _GRAM_COND_LIMIT:
         raise DegenerateDirection(
             f"Gram matrix of (v, q v) has eigenvalues {[lo, hi]}; the ansatz "
             "cannot move the two constraints independently"
         )
     alpha = problem.alpha
-    tol1 = _NEWTON_TOL
-    tol2 = _NEWTON_TOL * (1.0 + abs(alpha))
-    a, b = 1.0, 0.0
-    for _ in range(_NEWTON_MAX):
-        g1 = a * a * m[0] + 2 * a * b * m[1] + b * b * m[2] - 1.0
-        g2 = a * a * m[1] + 2 * a * b * m[2] + b * b * m[3] - alpha
-        if abs(g1) <= tol1 and abs(g2) <= tol2:
-            if a == 1.0 and b == 0.0:
-                return v
-            return (a + b * problem.q) * v
-        j11 = 2.0 * (a * m[0] + b * m[1])
-        j12 = 2.0 * (a * m[1] + b * m[2])
-        j22 = 2.0 * (a * m[2] + b * m[3])
-        try:
-            da, db = _solve2(j11, j12, j12, j22, -g1, -g2)
-        except ZeroDivisionError as exc:
-            raise NewtonDivergence(f"singular retraction Jacobian at ({a}, {b})") from exc
-        a += da
-        b += db
-        if not (math.isfinite(a) and math.isfinite(b)) or abs(a) + abs(b) > 1e8:
-            raise NewtonDivergence(f"retraction iterates diverged to ({a}, {b})")
-    raise NewtonDivergence(
-        f"retraction did not meet tolerance in {_NEWTON_MAX} steps "
-        f"(residuals {g1:.3e}, {g2:.3e})"
-    )
+    if abs(m0 - 1.0) <= _ON_M_TOL and abs(m1 - alpha) <= _ON_M_TOL * (1.0 + abs(alpha)):
+        return v
+    A, B, C = m3 - alpha * m2, m2 - alpha * m1, m1 - alpha * m0
+    disc = B * B - A * C
+    if disc < 0.0:
+        raise NewtonDivergence(
+            f"no point of (a + b q) v lies on M: the quadratic for b/a has "
+            f"discriminant {disc:.3e}"
+        )
+    den = B + math.copysign(math.sqrt(disc), B)
+    if den == 0.0 and C != 0.0:
+        raise NewtonDivergence("no point of (a + b q) v lies on M: the quadratic "
+                               "for b/a is a nonzero constant")
+    r = -C / den if den != 0.0 else 0.0
+    a = 1.0 / math.sqrt(m0 + r * (2.0 * m1 + r * m2))
+    return (a + r * a * problem.q) * v
 
 
 def constraint_representers(problem: Problem,

@@ -8,6 +8,7 @@ are session-scoped so the suite pays for each of them once.
 
 import faulthandler
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ from sbpbox import (
 from sbpbox.grid import dirichlet_energy, inner, integrate, laplacian_neumann, norm_l2
 from sbpbox.manifold import feasible_init, retract
 from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
+
+# The command-line tests run ``python -m sbpbox`` in a subprocess; it imports
+# the package from this checkout, as the test process does through the
+# ``pythonpath`` setting in pyproject.toml.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 # Per-test wall-clock bound.  The slowest test takes about a second; a hang
 # (say, a descent that stopped converging) ends the run with the traceback of

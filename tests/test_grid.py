@@ -22,6 +22,7 @@ from sbpbox.grid import (
     mean,
     neumann_flux_field,
     norm_l2,
+    require_zero_boundary,
     zero_boundary,
 )
 
@@ -105,6 +106,28 @@ def test_laplacian_dirichlet_rejects_nonzero_boundary():
     assert np.all(out[~g.interior_mask] == 0.0)
     assert out[1] != 0.0
 
+
+
+@pytest.mark.parametrize("edit", [
+    {0: np.nan},                 # nan > limit is False
+    {-1: np.inf},                # the limit 1e-12 (1 + inf) is infinite
+    {0: -np.inf},
+    {0: 1.0, 4: np.inf},         # an infinite interior value
+    {-1: 1.0, 4: np.nan},        # a NaN interior value
+], ids=["nan", "inf", "-inf", "inf-interior", "nan-interior"])
+def test_require_zero_boundary_rejects_non_finite_values(edit):
+    g = Grid(lengths=(1.0,), n=(9,))
+    f = np.zeros(g.shape)
+    f[4] = 1.0
+    for i, value in edit.items():
+        f[i] = value
+    with pytest.raises(NonzeroBoundary):
+        require_zero_boundary(g, f)
+    with pytest.raises(NonzeroBoundary):
+        laplacian_dirichlet(g, f)
+    # A non-finite interior value alone is no boundary violation.
+    f[[0, -1]] = 0.0
+    np.testing.assert_array_equal(require_zero_boundary(g, f), f)
 
 def test_laplacian_dirichlet_second_order():
     errs = []

@@ -16,6 +16,7 @@ from sbpbox.grid import inner
 from sbpbox.manifold import (
     _axis_slab_region,
     _eigvals_sym2,
+    _moments,
     _solve2,
     constraint_values,
     feasible_init,
@@ -23,7 +24,7 @@ from sbpbox.manifold import (
     retract,
     tangent_project,
 )
-from conftest import line_problem, oscillating_problem, square_problem
+from conftest import line_problem, oscillating_problem, random_m_point, square_problem
 
 
 def constant_q_problem(n=65):
@@ -32,6 +33,20 @@ def constant_q_problem(n=65):
     h2 = BoundaryData.constant(g, {"x1": 2.0})
     return build_problem(grid=g, coupling=np.full(g.shape, 2.0),
                          h1=h1, h2=h2, kappa=1.0, p=3.0)
+
+
+def cube_problem(n, alpha):
+    """Unit-cube problem with affine coupling q = 1 + 0.5 x, as
+    ``square_problem`` one dimension up."""
+    g = Grid(lengths=(1.0,) * 3, n=(n,) * 3)
+    return build_problem(grid=g, coupling=CouplingSpec("affine", {"a": 1.0, "b": 0.5}),
+                         h1=BoundaryData.zero(g),
+                         h2=BoundaryData.constant(g, {"x1": alpha}), kappa=1.0, p=3.0)
+
+
+def problems_1d_to_3d():
+    return [line_problem(129, alpha=0.5), square_problem(33, alpha=1.25),
+            cube_problem(17, alpha=1.25)]
 
 
 def bump(grid, center, width):
@@ -83,16 +98,76 @@ def test_closed_form_solve():
 
 
 def test_retract_satisfies_both_constraints():
-    prob = line_problem(129, alpha=0.5)
-    rng = np.random.default_rng(0)
+    for prob in problems_1d_to_3d():
+        g = prob.grid
+        rng = np.random.default_rng(0)
+        mid = (0.5,) * (g.dim - 1)  # bumps centred transversally
+        for _ in range(5):
+            v = bump(g, (0.3, *mid), 0.2) + bump(g, (0.75, *mid), 0.18) \
+                + 0.05 * rng.standard_normal(g.shape) \
+                * bump(g, (0.5, *mid), 0.45)
+            u = retract(prob, v)
+            c1, c2 = constraint_values(prob, u)
+            assert abs(c1) <= 1e-12
+            assert abs(c2) <= 1e-12 * (1.0 + abs(prob.alpha))
+
+
+def newton_retract(problem, v):
+    """Reference for the closed form: the retraction as a 2x2 Newton
+    iteration on (a, b) from (1, 0), with the residuals and Jacobian taken
+    from the moments of v."""
+    m = _moments(problem, v)
+    alpha = problem.alpha
+    a, b = 1.0, 0.0
+    for _ in range(60):
+        g1 = a * a * m[0] + 2 * a * b * m[1] + b * b * m[2] - 1.0
+        g2 = a * a * m[1] + 2 * a * b * m[2] + b * b * m[3] - alpha
+        if abs(g1) <= 1e-13 and abs(g2) <= 1e-13 * (1.0 + abs(alpha)):
+            return (a + b * problem.q) * v
+        j11 = 2.0 * (a * m[0] + b * m[1])
+        j12 = 2.0 * (a * m[1] + b * m[2])
+        j22 = 2.0 * (a * m[2] + b * m[3])
+        da, db = _solve2(j11, j12, j12, j22, -g1, -g2)
+        a += da
+        b += db
+    raise AssertionError("reference Newton did not meet tolerance in 60 steps")
+
+
+def interior_noise(grid, rng):
+    """A random field vanishing on the boundary, with max norm 1."""
+    d = rng.standard_normal(grid.shape)
+    d[~grid.interior_mask] = 0.0
+    return d / np.abs(d).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_retract_closed_form_matches_newton(dim):
+    prob = problems_1d_to_3d()[dim - 1]
+    rng = np.random.default_rng(20 + dim)
     for _ in range(5):
-        v = bump(prob.grid, 0.3, 0.2) + bump(prob.grid, 0.75, 0.18) \
-            + 0.05 * rng.standard_normal(prob.grid.shape) \
-            * bump(prob.grid, 0.5, 0.45)
-        u = retract(prob, v)
-        c1, c2 = constraint_values(prob, u)
-        assert abs(c1) <= 1e-12
-        assert abs(c2) <= 1e-12 * (1.0 + abs(prob.alpha))
+        u = random_m_point(prob, rng)
+        for scale in (1e-6, 1e-3, 1e-1):
+            v = u + scale * np.abs(u).max() * interior_noise(prob.grid, rng)
+            ref = newton_retract(prob, v)
+            assert np.abs(retract(prob, v) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_retract_moves_a_perturbation_by_order_epsilon(dim):
+    # The small root of the quadratic for b/a is the one that tends to
+    # (a, b) = (1, 0) as the input approaches M; the other root would move
+    # the field by order one.
+    prob = problems_1d_to_3d()[dim - 1]
+    rng = np.random.default_rng(30 + dim)
+    u = random_m_point(prob, rng)
+    d = np.abs(u).max() * interior_noise(prob.grid, rng)
+    moved = []
+    for eps in (1e-1, 1e-2, 1e-3):
+        v = u + eps * d
+        moved.append(np.abs(retract(prob, v) - v).max())
+    assert moved[0] <= 0.5 * np.abs(u).max()
+    assert moved[1] <= 0.15 * moved[0]
+    assert moved[2] <= 0.15 * moved[1]
 
 
 def test_retract_idempotent():
