@@ -305,26 +305,12 @@ def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
     write_summary(out / "summary.csv", study.reports)
     entries = []
     for i, (res, rep) in enumerate(zip(study.results, study.reports)):
-        entries.append({
-            "index": i,
-            "n": list(rep.n),
-            "J": rep.j,
-            "omega": rep.omega,
-            "mu": rep.mu,
-            "eq1_res": rep.eq1_res,
-            "eq2_res": rep.eq2_res,
-            "bc_res": rep.bc_res,
-            "norm_res": rep.norm_res,
-            "compat_res": rep.compat_res,
-            "converged": _converged(problem, res, rep),
-        })
-    extra = {
-        "j_values": list(study.j_values),
-        "j_diffs": list(study.j_diffs),
-        "j_orders": list(study.j_orders),
-        "eq1_orders": list(study.eq1_orders),
-        "bc_orders": list(study.bc_orders),
-    }
+        values = {k: getattr(rep, k) for k in ("omega", "mu", "eq1_res", "eq2_res",
+                                               "bc_res", "norm_res", "compat_res")}
+        entries.append({"index": i, "n": list(rep.n), "J": rep.j, **values,
+                        "converged": _converged(problem, res, rep)})
+    extra = {k: list(getattr(study, k))
+             for k in ("j_values", "j_diffs", "j_orders", "eq1_orders", "bc_orders")}
     _write_report(out, cfg, problem, entries, extra=extra)
     _say(quiet, f"observed eq1 orders: {['%.2f' % o for o in study.eq1_orders]}")
     _say(quiet, f"observed J orders:   {['%.2f' % o for o in study.j_orders]}")
@@ -348,18 +334,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sbpbox",
         description=__doc__.splitlines()[0],
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "feasibility", "verify", "refine", "oracle"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="path to key=value config")
-        sp.add_argument("--out", default=None, help="output directory (default: output.dir)")
-        sp.add_argument("--seed", type=int, default=None, help="override run.seed")
-        sp.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    parser.add_argument("command",
+                        choices=("solve", "feasibility", "verify", "refine", "oracle"))
+    parser.add_argument("--config", required=True, help="path to key=value config")
+    parser.add_argument("--out", default=None, help="output directory (default: output.dir)")
+    parser.add_argument("--seed", type=int, default=None, help="override run.seed")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         cfg = load_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.get("output.dir"))

@@ -48,8 +48,9 @@ def eval_J(problem: Problem,
     """Reduced energy J(u), summed term by term in the order of the formula
     above.
 
-    ``phi`` may be passed when the potential of u is already known (the
-    optimizer reuses the line-search solve); otherwise it is computed here.
+    ``phi`` may be passed when the potential of u is already known;
+    otherwise it is computed here.  The descent takes the Dirichlet term as
+    a sum over DST-I modes instead (``optimize._evaluate``).
     Even in u: flipping the sign of u changes no term.
     """
     g = problem.grid

@@ -7,8 +7,10 @@ retracts back with the two-parameter ansatz.  Gradient and projection work
 on the DST-I coefficients of u, q u and w and take one inverse transform,
 which gives the physical gradient for the trial step.  The loop's H^1_0
 products, the decrease rate |g|^2 and the BB terms sy and yy, are sums over
-modes of sigma a_hat b_hat (see ``_tangent_gradient``); ``eval_J`` keeps
-the finite-difference Dirichlet energy.
+modes of sigma a_hat b_hat (see ``_tangent_gradient``), and so is the
+Dirichlet term of J (``eval_J`` keeps the finite-difference form).  Each
+trial point is evaluated once, and the next pass reuses its coefficients
+of u (``_evaluate``).
 The trial step is the short Barzilai-Borwein step sy / yy (Barzilai &
 Borwein, IMA J. Numer. Anal. 8, 1988; twice the last accepted step when it
 is undefined), and a nonmonotone Armijo backtracking line search safeguards
@@ -42,9 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDirection, NewtonDivergence, SbpError, ZeroField
-from .functional import eval_J, zeroth_order_grad
 from .grid import norm_l2, require_zero_boundary
-from .manifold import _project_dst, constraint_values, genus_seeds, retract
+from .manifold import _project_dst, genus_seeds, retract
 from .problem import Problem
 from .reduction import phi_map
 from .solvers import _dst_interior, _from_dst_interior, _symbols
@@ -139,8 +140,7 @@ def minimize_on_M(problem: Problem,
 def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> SolveResult:
     grid = problem.grid
     u = retract(problem, require_zero_boundary(grid, u0))
-    phi = phi_map(problem, u)
-    j = eval_J(problem, u, phi)
+    phi, u_hat, j, c1, c2 = _evaluate(problem, u)
     step = _INITIAL_STEP
     trace: list[IterRecord] = []
     reason = "max_iterations"
@@ -154,13 +154,14 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     # fragment the heap, which raised peak RSS by up to 0.2 MB on refine-2d.
     prev_u_hat = np.empty(sigma.shape)
     prev_gt_hat = np.empty(sigma.shape)
+    gt = np.zeros(grid.shape)  # the physical gradient, zero on the boundary
 
     # Pass ``it`` follows ``it`` accepted steps.  The last pass only tests
     # convergence, so every exit reports the gradient and the multipliers at
     # the returned iterate.
     for it in range(opts.max_iterations + 1):
         iterations = it
-        gt, lam, beta, u_hat, gt_hat = _tangent_gradient(problem, u, phi)
+        lam, beta, gt_hat = _tangent_gradient(problem, u, phi, u_hat, gt)
         decrease_rate = metric * float(np.vdot(sigma * gt_hat, gt_hat))
         sob = math.sqrt(decrease_rate)
         if opts.keep_trace:
@@ -171,7 +172,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         if it == opts.max_iterations:
             break
         if it == 0:
-            ref_c, ref_q = _merit(problem, u, j, lam, beta), 1.0
+            ref_c, ref_q = j - 0.5 * (lam * c1 + beta * c2), 1.0
 
         # Short Barzilai-Borwein trial step sy / yy from the last
         # displacement s and gradient change y; the long step ss / sy
@@ -198,11 +199,10 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             except (NewtonDivergence, DegenerateDirection, ZeroField):
                 t *= _BACKTRACK
                 continue
-            phi_try = phi_map(problem, u_try)
-            j_try = eval_J(problem, u_try, phi_try)
-            m_try = _merit(problem, u_try, j_try, lam, beta)
+            phi_try, u_hat_try, j_try, c1, c2 = _evaluate(problem, u_try)
+            m_try = j_try - 0.5 * (lam * c1 + beta * c2)
             if m_try <= ref_c - _ARMIJO_C * t * decrease_rate:
-                u, phi, j = u_try, phi_try, j_try
+                u, phi, j, u_hat = u_try, phi_try, j_try, u_hat_try
                 step = t
                 q_old, ref_q = ref_q, _ZH_ETA * ref_q + 1.0
                 ref_c = (_ZH_ETA * q_old * ref_c + m_try) / ref_q
@@ -219,24 +219,41 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     )
 
 
-def _merit(problem: Problem, u: np.ndarray, j: float,
-           lam: float, beta: float) -> float:
-    """The Lagrangian J - (lam c1 + beta c2) / 2 at u, whose energy is j."""
-    c1, c2 = constraint_values(problem, u)
-    return j - 0.5 * (lam * c1 + beta * c2)
+def _evaluate(problem: Problem, u: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """(phi, u_hat, J, c1, c2) at a trial point u: ``phi_map(problem, u)``,
+    the DST-I coefficients of u, the reduced energy and the residuals of
+    ``constraint_values``.  J's other terms and the residuals are dots of
+    one weighted square w = weights u^2; its Dirichlet term is the mode sum
+    sum(sigma u_hat^2) * prod h / scale (see ``_tangent_gradient``), which
+    equals the finite-difference form of ``eval_J`` to rounding.
+    """
+    grid = problem.grid
+    sym = _symbols(grid)
+    phi = phi_map(problem, u)
+    u_hat = _dst_interior(grid, u)
+    w = grid.weights * u * u
+    j = (0.5 * float(np.vdot(sym.dirichlet * u_hat, u_hat)) * math.prod(grid.h) / sym.scale
+         + 0.25 * float(np.vdot(w * problem.q, phi))
+         + 0.5 * float(np.vdot(w, problem.q_chi)))
+    if problem.kappa != 0.0:
+        j -= problem.kappa / problem.p * float(np.vdot(w, np.abs(u) ** (problem.p - 2.0)))
+    return phi, u_hat, j, float(w.sum()) - 1.0, float(np.vdot(w, problem.q)) - problem.alpha
 
 
-def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray
-                      ) -> tuple[np.ndarray, float, float, np.ndarray, np.ndarray]:
+def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray,
+                      u_hat: np.ndarray, out: np.ndarray
+                      ) -> tuple[float, float, np.ndarray]:
     """The descent direction ``tangent_project(problem, u, u + S(w))``, with S
     the Dirichlet solve and w = ``zeroth_order_grad``: u + S(w) = S(grad J),
-    since S inverts the stencil of -lap exactly.  Returns (gt, lam, beta,
-    u_hat, gt_hat): the direction, the projection's coefficients (lam,
-    beta), the multipliers of grad J on (u, q u) (see ``_project_dst``),
-    and the DST-I coefficients of u and of the direction.
+    since S inverts the stencil of -lap exactly.  ``u_hat`` are the DST-I
+    coefficients of u.  Writes the direction into the interior of ``out``
+    and returns (lam, beta, gt_hat): the projection's coefficients, the
+    multipliers of grad J on (u, q u) (see ``_project_dst``), and the
+    DST-I coefficients of the direction.
 
     The gradient's coefficients are u_hat + w_hat / sigma, so the gradient
-    and the projection take the transforms of u, q u and w and one inverse.
+    and the projection take the transforms of q u and w and one inverse.
     With the coefficients the descent forms its H^1_0 products as sums over
     modes: the transform T is symmetric with T T = scale and diagonalizes
     the stencil of -lap with symbol sigma, so for fields a, b that vanish on
@@ -244,13 +261,15 @@ def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray
     scale.
     """
     grid = problem.grid
-    u_hat = _dst_interior(grid, u)
-    g_hat = _dst_interior(grid, zeroth_order_grad(problem, u, phi))
+    qu = problem.q * u  # shared by w and the projection
+    w = qu * (phi + problem.chi)
+    w -= problem.kappa * np.abs(u) ** (problem.p - 2.0) * u
+    g_hat = _dst_interior(grid, w)
     g_hat /= _symbols(grid).dirichlet
     g_hat += u_hat
-    gt_hat, lam, beta = _project_dst(problem, u_hat, _dst_interior(grid, problem.q * u), g_hat)
-    return (_from_dst_interior(grid, gt_hat, np.zeros(grid.shape)), lam, beta,
-            u_hat, gt_hat)
+    gt_hat, lam, beta = _project_dst(problem, u_hat, _dst_interior(grid, qu), g_hat)
+    _from_dst_interior(grid, gt_hat, out)
+    return lam, beta, gt_hat
 
 
 def polish_positive(problem: Problem, result: SolveResult,

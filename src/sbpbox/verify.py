@@ -145,19 +145,9 @@ class ResidualReport:
     iters: int
 
     def row(self) -> dict[str, object]:
-        return {
-            "n": "x".join(str(m) for m in self.n),
-            "h": repr(self.h),
-            "J": repr(self.j),
-            "omega": repr(self.omega),
-            "mu": repr(self.mu),
-            "eq1_res": repr(self.eq1_res),
-            "eq2_res": repr(self.eq2_res),
-            "bc_res": repr(self.bc_res),
-            "norm_res": repr(self.norm_res),
-            "compat_res": repr(self.compat_res),
-            "iters": str(self.iters),
-        }
+        """The ``SUMMARY_COLUMNS`` of this state: floats as their repr."""
+        row = {col: repr(getattr(self, col.lower())) for col in SUMMARY_COLUMNS[1:-1]}
+        return {"n": "x".join(str(m) for m in self.n), **row, "iters": str(self.iters)}
 
 
 def residual_original_system(problem: Problem,

@@ -235,6 +235,26 @@ def test_config_errors_exit_one(tmp_path):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("solve",),
+    ("bogus", "--config", "x.cfg"),
+    ("solve", "--config", "x.cfg", "--seed", "one"),
+], ids=["no-config", "unknown-command", "bad-seed"])
+def test_usage_errors_exit_one(args):
+    """Usage errors are invalid input: exit 1, not argparse's 2, which is
+    reserved for infeasible alpha."""
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert "usage: sbpbox" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [("--help",), ("solve", "--help")])
+def test_help_exits_zero(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+    assert "--config" in proc.stdout
+
+
 def test_seed_override_recorded(tmp_path):
     """--seed changes only the run, never the echoed config."""
     cfg = write_cfg(tmp_path, EXCITED_CFG)

@@ -26,7 +26,7 @@ from sbpbox.optimize import (
     polish_positive,
 )
 from sbpbox.reduction import phi_map
-from sbpbox.solvers import solve_poisson_dirichlet
+from sbpbox.solvers import _dst_interior, solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
 from conftest import line_problem, oscillating_problem
 from dataclasses import replace as dc_replace
@@ -168,10 +168,41 @@ def test_grad_norm_is_the_sobolev_norm_of_the_projected_gradient(dim, max_iterat
     assert res.grad_norm == pytest.approx(math.sqrt(dirichlet_inner(g, gt, gt)), rel=1e-10)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_one_evaluation_per_trial_point(dim, bench65, monkeypatch):
+    """Each trial point that retracts is evaluated once, with one potential
+    solve and one forward DST-I of u, and each gradient pass reuses the
+    accepted point's coefficients, adding the transforms of w and q u.  An
+    Armijo constant of 0.9 makes the line search reject evaluated trials,
+    so the count tells a pass that transforms u again from one that reuses
+    the trial's coefficients."""
+    prob = bench65 if dim == 1 else ground_box_problem(17)
+    monkeypatch.setattr(optimize, "_ARMIJO_C", 0.9)
+    calls = {"retract": 0, "phi_map": 0, "dst": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name] += 1  # a retraction that raises is not counted
+            return out
+        return wrapper
+
+    monkeypatch.setattr(optimize, "retract", counting("retract", optimize.retract))
+    monkeypatch.setattr(optimize, "phi_map", counting("phi_map", optimize.phi_map))
+    monkeypatch.setattr(optimize, "_dst_interior", counting("dst", optimize._dst_interior))
+    res = minimize_on_M(prob, feasible_init(prob))
+    assert res.converged and res.iterations > 5
+    assert calls["phi_map"] == calls["retract"] > res.iterations + 1
+    assert calls["dst"] == calls["phi_map"] + 2 * (res.iterations + 1)
+    assert res.j == pytest.approx(eval_J(prob, res.u, res.phi), rel=1e-13)
+
+
 def assert_multipliers_at_iterate(problem, res):
     """(omega, mu) are the coefficients (lam, -beta) of the tangent
     projection at the returned iterate."""
-    _, lam, beta, _, _ = _tangent_gradient(problem, res.u, res.phi)
+    u_hat = _dst_interior(problem.grid, res.u)
+    lam, beta, _ = _tangent_gradient(problem, res.u, res.phi, u_hat,
+                                     np.zeros(problem.grid.shape))
     assert (res.omega, res.mu) == (lam, -beta)
 
 

@@ -18,7 +18,7 @@ from sbpbox.dense import (
     solve_poisson_neumann_dense,
 )
 from sbpbox.errors import DegenerateConstraints
-from sbpbox.functional import grad_J, zeroth_order_grad
+from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
 from sbpbox.grid import (
     boundary_integrate,
     dirichlet_energy,
@@ -36,7 +36,7 @@ from sbpbox.manifold import (
     constraint_values,
     tangent_project,
 )
-from sbpbox.optimize import _tangent_gradient
+from sbpbox.optimize import _evaluate, _tangent_gradient
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import (
     _dst_interior,
@@ -219,19 +219,19 @@ def check_descent_gradient(g, seed):
     by field, and is L2-orthogonal to u and q u; its coefficients (lam,
     beta) solve the projection's 2x2 system.  The two sides differ by
     rounding in the coefficients of the gradient, which the 2x2 solve
-    magnifies by up to the condition number of its matrix.  The returned
-    u_hat are the coefficients of u."""
+    magnifies by up to the condition number of its matrix.  The direction
+    is written into the buffer passed in."""
     rng = np.random.default_rng(seed)
     prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
                          h1=random_flux(g, rng), h2=random_flux(g, rng),
                          kappa=1.0, p=3.0)
     u = zero_boundary(g, rng.standard_normal(g.shape))
     phi = phi_map(prob, u)
+    gt = np.zeros(g.shape)
     try:
-        gt, lam, beta, u_hat, gt_hat = _tangent_gradient(prob, u, phi)
+        lam, beta, gt_hat = _tangent_gradient(prob, u, phi, _dst_interior(g, u), gt)
     except DegenerateConstraints:
         return  # too few interior nodes for two independent constraints
-    assert np.array_equal(u_hat, _dst_interior(g, u))
     descent = _from_dst_interior(g, gt_hat, np.zeros(g.shape))
     assert np.array_equal(gt, descent)
     g_h = u + solve_poisson_dirichlet(g, zeroth_order_grad(prob, u, phi))
@@ -256,6 +256,34 @@ def test_descent_gradient_is_the_projected_sobolev_gradient(g, seed):
 def test_descent_gradient_is_the_projected_sobolev_gradient_on_an_fft_axis(n):
     """The same, where the long axis transforms by rfft."""
     check_descent_gradient(Grid(lengths=(1.0, 2.0, 1.5)[:len(n)], n=n), seed=7)
+
+
+def check_trial_evaluation(g, seed):
+    """The descent evaluates a trial point once: its potential, DST-I
+    coefficients and constraint residuals are bitwise those of
+    ``phi_map``, ``_dst_interior`` and ``constraint_values``, and its J,
+    whose Dirichlet term is a sum over modes, is ``eval_J`` to rounding."""
+    rng = np.random.default_rng(seed)
+    prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
+                         h1=random_flux(g, rng), h2=random_flux(g, rng),
+                         kappa=float(rng.integers(0, 2)), p=rng.uniform(2.1, 3.3))
+    u = zero_boundary(g, rng.standard_normal(g.shape))
+    phi, u_hat, j, c1, c2 = _evaluate(prob, u)
+    assert np.array_equal(phi, phi_map(prob, u))
+    assert np.array_equal(u_hat, _dst_interior(g, u))
+    assert (c1, c2) == constraint_values(prob, u)
+    assert j == pytest.approx(eval_J(prob, u, phi), rel=1e-13)
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_trial_evaluation_matches_its_parts(g, seed):
+    check_trial_evaluation(g, seed)
+
+
+def test_trial_evaluation_matches_its_parts_on_an_fft_axis():
+    """The same, where the long axis transforms by rfft."""
+    check_trial_evaluation(Grid(lengths=(1.0, 2.0), n=(5, 261)), seed=7)
 
 
 @PROPERTY
