@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success, 2 when the compatibility value alpha fails the
 feasibility test (the report is printed and the optimizer never runs),
-1 on invalid input, I/O or solver failures, reported as one ``error:`` line
-(or when no excited start converges).  A ground descent that stops short
-of ``grad_tol`` still exits 0; its ``stop_reason`` in ``report.json`` says
-why.
+1 on invalid input, I/O or solver failures and when no excited start
+converges, each reported as one ``error:`` line.  ``refine`` computes
+ground states only.  A ground descent that stops short of ``grad_tol``
+still exits 0; its ``stop_reason`` in ``report.json`` says why.
 
 All output files are written once, at the end of a successful run: a
 ``summary.csv`` table (one row per state or grid), per-state field dumps
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import RunConfig, load_config
-from .errors import SbpError
+from .errors import ConfigError, SbpError
 from .grid import dirichlet_energy, read_field, write_field
 from .manifold import feasible_init
 from .optimize import (
@@ -130,8 +130,8 @@ def _write_report(out: Path, cfg: RunConfig, problem: Problem,
             "q_max": report.q_max,
             "level_set_fraction": report.level_set_fraction,
         },
-        "config": {k: _jsonable(v) for k, v in sorted(cfg.values.items())},
-        "coupling_params": {k: _jsonable(v) for k, v in sorted(cfg.coupling_params.items())},
+        "config": cfg.values,
+        "coupling_params": cfg.coupling_params,
         "mode": cfg.mode,
         "states": entries,
     }
@@ -140,12 +140,6 @@ def _write_report(out: Path, cfg: RunConfig, problem: Problem,
     with open(out / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def _dump_state_fields(out: Path, problem: Problem, index: int,
@@ -172,8 +166,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
         _say(quiet, f"multi-start search for {k} families of states")
         states = excited_states(problem, k, opts)
         if not states:
-            print("no start converged; nothing to report", file=sys.stderr)
-            return 1
+            raise SbpError("no start converged; nothing to report")
 
     out.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -209,8 +202,7 @@ def cmd_feasibility(cfg: RunConfig, quiet: bool) -> int:
 def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     report_path = out / "report.json"
     if not report_path.exists():
-        print(f"no report.json under {out}; run solve first", file=sys.stderr)
-        return 1
+        raise SbpError(f"no report.json under {out}; run solve first")
     with open(report_path) as fh:
         prior = json.load(fh)
     problem = cfg.build_problem()
@@ -219,8 +211,7 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
         i = entry["index"]
         grid_read, u = read_field(out / f"u_{i}.bin")
         if grid_read != problem.grid:
-            print(f"u_{i}.bin grid does not match the config grid", file=sys.stderr)
-            return 1
+            raise SbpError(f"{out / f'u_{i}.bin'} grid does not match the config grid")
         rep = residual_original_system(
             problem, u, phi_map(problem, u), entry["omega"], entry["mu"],
             iterations=entry.get("iterations", 0))
@@ -293,6 +284,9 @@ def refinement_study(problem_factory: Callable[[int], Problem],
 
 
 def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
+    if cfg.mode != "ground":
+        raise ConfigError(f"key 'run.mode': refine computes ground states only, "
+                          f"got {cfg.mode!r}")
     problem = cfg.build_problem()
     code = _gate_feasibility(problem, quiet)
     if code is not None:

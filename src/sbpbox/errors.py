@@ -31,17 +31,16 @@ class ZeroField(SbpError):
     """An operation received a field with vanishing norm."""
 
 
-class DegenerateDirection(SbpError):
-    """The retraction ansatz has a singular 2x2 Gram matrix."""
-
-
 class NewtonDivergence(SbpError):
     """A constraint solve has no solution: the retraction's quadratic for
     b/a has no real root, or ``dense_kkt_polish``'s Newton iteration stalls."""
 
 
 class DegenerateConstraints(SbpError):
-    """The two constraint differentials are linearly dependent at this point."""
+    """The constraint differentials 2v and 2q v are numerically dependent at
+    v (q is constant on the support of v, or v vanishes): the Gram matrix of
+    (v, q v) in ``retract``, or of their H^1_0 representers in the tangent
+    projection, is singular or too ill-conditioned."""
 
 
 class InfeasibleRegion(SbpError):

@@ -4,8 +4,11 @@ States live on M = S intersect N with
 
     S = { u : integrate(u^2) = 1 },    N = { u : integrate(q u^2) = alpha }.
 
-Both constraints are even in u, so M is symmetric under sign flip.  The
-retraction uses the two-parameter ansatz u = (a + b q) v.  Subtracting
+Both constraints are even in u, so M is symmetric under sign flip.  Their
+differentials 2u and 2q u are independent exactly when q is not constant on
+the support of u; the retraction and the tangent projection both ask this
+of a 2x2 Gram matrix (``_gram_det``), raising ``DegenerateConstraints``.
+The retraction uses the two-parameter ansatz u = (a + b q) v.  Subtracting
 alpha times the mass constraint from the coupling constraint leaves a
 homogeneous quadratic in (a, b), so b/a is a root of one quadratic and a
 follows from the mass: the retraction is in closed form.  The tangent
@@ -28,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DegenerateConstraints,
-    DegenerateDirection,
     InfeasibleRegion,
     NewtonDivergence,
     SlabInfeasible,
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 _GRAM_COND_LIMIT = 1e12
+_GRAM_TRACE_BOUND = _GRAM_COND_LIMIT + 2.0 + 1.0 / _GRAM_COND_LIMIT
 _ON_M_TOL = 1e-13
 
 
@@ -59,30 +62,24 @@ def constraint_values(problem: Problem, u: np.ndarray) -> tuple[float, float]:
     return float(w.sum()) - 1.0, float(np.vdot(w, problem.q)) - problem.alpha
 
 
-def _eigvals_sym2(a: float, b: float, c: float) -> tuple[float, float]:
-    """Eigenvalues (low, high) of the symmetric matrix [[a, b], [b, c]].
+def _gram_det(a: float, b: float, c: float) -> float:
+    """Determinant a c - b^2 of the Gram matrix [[a, b], [b, c]] of two
+    fields, which must be independent to working precision.
 
-    The eigenvalue of larger magnitude comes from the trace and the other
-    from the determinant divided by it, as in LAPACK's ``dlaev2``, so both
-    carry an absolute error of a few ulps of the larger one.
+    A Gram matrix has a, c >= 0, so det > 0 means both eigenvalues are
+    positive, and with their ratio kappa, (a + c)^2 / det = kappa + 2 +
+    1/kappa: the test below passes exactly when kappa <=
+    ``_GRAM_COND_LIMIT``.  A NaN entry fails it.  Raises
+    ``DegenerateConstraints`` otherwise.
     """
-    s = a + c
-    r = math.hypot(a - c, 2.0 * b)
-    if s == 0.0:
-        return -0.5 * r, 0.5 * r
-    big = 0.5 * (s + math.copysign(r, s))
-    other = (a * c - b * b) / big
-    return (other, big) if s > 0.0 else (big, other)
-
-
-def _solve2(a11: float, a12: float, a21: float, a22: float,
-            r1: float, r2: float) -> tuple[float, float]:
-    """Cramer's rule for [[a11, a12], [a21, a22]] x = (r1, r2).
-
-    Raises ``ZeroDivisionError`` when the determinant is exactly zero.
-    """
-    det = a11 * a22 - a12 * a21
-    return (r1 * a22 - a12 * r2) / det, (a11 * r2 - a21 * r1) / det
+    det = a * c - b * b
+    if not (det > 0.0 and (a + c) ** 2 <= _GRAM_TRACE_BOUND * det):
+        raise DegenerateConstraints(
+            f"Gram matrix [[{a!r}, {b!r}], [{b!r}, {c!r}]] is singular or has "
+            f"condition number above {_GRAM_COND_LIMIT:.0e}; is q constant on "
+            "the support of the field?"
+        )
+    return det
 
 
 def _moments(problem: Problem, v: np.ndarray) -> tuple[float, float, float, float]:
@@ -106,20 +103,16 @@ def retract(problem: Problem, v: np.ndarray) -> np.ndarray:
     residuals are both within ``_ON_M_TOL`` is returned unchanged, as the
     input array itself.
 
-    Raises ``ZeroField`` for vanishing input, ``DegenerateDirection`` when
-    {v, q v} is numerically dependent, ``NewtonDivergence`` when the
-    quadratic has no real root, so that no point of the ansatz lies on M.
+    Raises ``ZeroField`` for vanishing input, ``DegenerateConstraints`` when
+    the Gram matrix of (v, q v), [[m0, m1], [m1, m2]], fails ``_gram_det``,
+    ``NewtonDivergence`` when the quadratic has no real root, so that no
+    point of the ansatz lies on M.
     """
     v = np.asarray(v, dtype=float)
     m0, m1, m2, m3 = _moments(problem, v)
     if not all(map(math.isfinite, (m0, m1, m2, m3))) or m0 <= 0.0:
         raise ZeroField(f"retraction input has squared mass {m0!r}")
-    lo, hi = _eigvals_sym2(m0, m1, m2)
-    if lo <= 0.0 or hi / lo > _GRAM_COND_LIMIT:
-        raise DegenerateDirection(
-            f"Gram matrix of (v, q v) has eigenvalues {[lo, hi]}; the ansatz "
-            "cannot move the two constraints independently"
-        )
+    _gram_det(m0, m1, m2)
     alpha = problem.alpha
     if abs(m0 - 1.0) <= _ON_M_TOL and abs(m1 - alpha) <= _ON_M_TOL * (1.0 + abs(alpha)):
         return v
@@ -162,8 +155,8 @@ def tangent_project(problem: Problem, u: np.ndarray, g: np.ndarray) -> np.ndarra
     both constraints means; the matrix is the H^1_0 Gram matrix of d, so the
     projection is H^1_0-orthogonal.  Only interior nodes change, and the
     work is done on DST-I coefficients (see ``_project_dst``).  Raises
-    ``DegenerateConstraints`` when the matrix is numerically singular
-    (constant q, or u = 0).
+    ``DegenerateConstraints`` when the matrix fails ``_gram_det`` (constant
+    q on the support of u, or u = 0).
     """
     grid = problem.grid
     u = np.asarray(u, dtype=float)
@@ -184,7 +177,8 @@ def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
     coefficients r_hat / sigma, so with the interior weight prod h every
     entry is a sum over modes times prod h / scale: inner(r_i, d_j) =
     sum r_i_hat r_j_hat / sigma and inner(r_i, g) = sum r_i_hat g_hat.  The
-    common factor cancels and the matrix is symmetric.
+    common factor cancels and the matrix is symmetric; ``_gram_det`` checks
+    it and gives the determinant of Cramer's rule for (lam, beta).
 
     When g is S(grad J), (lam, beta) are the Galerkin multipliers of
     grad J = lam u + beta q u in the H^1_0 pairing, so at a critical point
@@ -194,14 +188,9 @@ def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
     d1, d2 = u_hat / sigma, qu_hat / sigma
     g11, g12, g22 = (float(np.vdot(u_hat, d1)), float(np.vdot(u_hat, d2)),
                      float(np.vdot(qu_hat, d2)))
-    lo, hi = _eigvals_sym2(g11, g12, g22)
-    if lo <= 0.0 or hi / lo > _GRAM_COND_LIMIT:
-        raise DegenerateConstraints(
-            f"constraint representers are dependent (Gram eigenvalues "
-            f"{[lo, hi]}); is q constant on the support of u?"
-        )
-    lam, beta = _solve2(g11, g12, g12, g22,
-                        float(np.vdot(u_hat, g_hat)), float(np.vdot(qu_hat, g_hat)))
+    det = _gram_det(g11, g12, g22)
+    r1, r2 = float(np.vdot(u_hat, g_hat)), float(np.vdot(qu_hat, g_hat))
+    lam, beta = (r1 * g22 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
     d1 *= lam
     d2 *= beta
     g_hat -= d1
@@ -296,11 +285,11 @@ def feasible_init(problem: Problem, region=None) -> np.ndarray:
                 c_lo = np.array([grid.axes[a][idx_lo[a]] for a in range(grid.dim)])
                 c_hi = np.array([grid.axes[a][idx_hi[a]] for a in range(grid.dim)])
                 dist = float(np.linalg.norm(c_hi - c_lo))
+                # Each bump vanishes beyond r of its center: disjoint supports.
                 if dist >= 2.0 * r + 3.0 * hmax:
                     w_lo, avg_lo = _normalized_bump(problem, c_lo, r)
                     w_hi, avg_hi = _normalized_bump(problem, c_hi, r)
-                    if (avg_lo < alpha - tiny and avg_hi > alpha + tiny
-                            and inner(grid, w_lo, w_hi) == 0.0):
+                    if avg_lo < alpha - tiny and avg_hi > alpha + tiny:
                         s2 = (alpha - avg_lo) / (avg_hi - avg_lo)
                         u = np.sqrt(1.0 - s2) * w_lo + np.sqrt(s2) * w_hi
                         return retract(problem, u)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDirection, NewtonDivergence, SbpError, ZeroField
+from .errors import DegenerateConstraints, NewtonDivergence, SbpError, ZeroField
 from .grid import norm_l2, require_zero_boundary
 from .manifold import _project_dst, genus_seeds, retract
 from .problem import Problem
@@ -196,7 +196,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         while t >= _MIN_STEP:
             try:
                 u_try = retract(problem, u - t * gt)
-            except (NewtonDivergence, DegenerateDirection, ZeroField):
+            except (NewtonDivergence, DegenerateConstraints, ZeroField):
                 t *= _BACKTRACK
                 continue
             phi_try, u_hat_try, j_try, c1, c2 = _evaluate(problem, u_try)

@@ -131,6 +131,7 @@ def test_verify_rejects_other_grid(tmp_path, solved_dir):
     cfg = write_cfg(tmp_path, GROUND_CFG.replace("grid.n = 33", "grid.n = 17"))
     proc = run_cli("verify", "--config", cfg, "--out", str(out))
     assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
     assert "u_0.bin" in proc.stderr
 
 
@@ -138,6 +139,7 @@ def test_verify_needs_prior_solve(tmp_path):
     cfg = write_cfg(tmp_path, GROUND_CFG)
     proc = run_cli("verify", "--config", cfg, "--out", str(tmp_path / "none"))
     assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
     assert "report.json" in proc.stderr
 
 
@@ -192,6 +194,26 @@ def test_refine_reports_orders(tmp_path):
     assert "eq1 orders" in proc.stdout
     with open(out / "summary.csv", newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 3
+
+
+@pytest.mark.parametrize("mode", ["excited", "polish"])
+def test_refine_accepts_ground_mode_only(tmp_path, capsys, monkeypatch, mode):
+    """refine computes ground states only: any other run.mode is one
+    ``error:`` line and exit 1 before any solve, with no output directory."""
+    from sbpbox import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("refine solved before checking run.mode")
+
+    monkeypatch.setattr(cli, "minimize_on_M", no_solve)
+    cfg = write_cfg(tmp_path, GROUND_CFG.replace("run.mode = ground", f"run.mode = {mode}")
+                    + "run.grids = 17,33\n")
+    out = tmp_path / "out"
+    assert cli.main(["refine", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "run.mode" in err and repr(mode) in err
+    assert not out.exists()
 
 
 def test_oracle_subcommand(tmp_path):
@@ -287,6 +309,20 @@ def test_invalid_input_is_one_error_line(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+    assert not out.exists()
+
+
+def test_excited_search_without_states_is_an_error(tmp_path, capsys, monkeypatch):
+    """An excited search in which no start converges exits 1 with one
+    ``error:`` line and writes nothing."""
+    from sbpbox import cli
+
+    monkeypatch.setattr(cli, "excited_states", lambda problem, k, opts: [])
+    cfg = write_cfg(tmp_path, EXCITED_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no start converged" in err
     assert not out.exists()
 
 

@@ -12,7 +12,9 @@ third collects the classes of ``errors.py`` that no ``raise`` statement of
 the package names; the base class ``SbpError`` is exempt.  The fourth reads
 the ``LAYERS`` table of the benchmark's tracer and lists each traced
 ``module:function`` that no module of ``src/sbpbox`` defines at top level,
-so a rename fails here and not only under ``perfbench/run.py --trace 1``.
+then resolves each one as ``Tracer.install`` does, after ``import
+sbpbox.cli``, so a rename or deletion fails here and not only under
+``perfbench/run.py --trace 1``.
 The fifth lists the ``np.sum`` calls of the descent modules: their
 quadrature goes through the dot-product reductions of ``sbpbox.grid``, and
 the ``np.sum`` wrapper costs more per call than the arithmetic on the small
@@ -20,6 +22,7 @@ grids where the descent loop spends its time.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,24 +136,42 @@ def test_scan_sees_an_unraised_exception(tmp_path):
     assert unraised_exceptions(errors, [errors, user]) == [(10, "Caught")]
 
 
-def unresolved_traced_names(tracer_path):
+def traced_targets(tracer_path):
+    """The ``module:function`` entries of the tracer's ``LAYERS`` table, read
+    from its source without importing it."""
     tree = ast.parse(tracer_path.read_text(), filename=str(tracer_path))
     layers = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                   and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    return [spec for specs in ast.literal_eval(layers).values() for spec in specs]
+
+
+def unresolved_traced_names(tracer_path):
     missing = []
-    for specs in ast.literal_eval(layers).values():
-        for spec in specs:
-            module, name = spec.split(":")
-            path = SRC / (module.removeprefix("sbpbox.") + ".py")
-            defined = {node.name for node in ast.parse(path.read_text()).body
-                       if isinstance(node, ast.FunctionDef)} if path.exists() else set()
-            if name not in defined:
-                missing.append(spec)
+    for spec in traced_targets(tracer_path):
+        module, name = spec.split(":")
+        path = SRC / (module.removeprefix("sbpbox.") + ".py")
+        defined = {node.name for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.FunctionDef)} if path.exists() else set()
+        if name not in defined:
+            missing.append(spec)
     return missing
 
 
 def test_every_traced_name_is_defined():
     assert unresolved_traced_names(TRACER) == []
+
+
+def test_every_traced_target_resolves_after_importing_the_cli():
+    """``Tracer.install`` looks each target up in ``sys.modules`` once the
+    command line is imported; every one of the 18 must be a function there."""
+    import sbpbox.cli  # noqa: F401  (loads every module the tracer wraps)
+
+    specs = traced_targets(TRACER)
+    assert len(specs) == 18
+    unresolved = [spec for spec in specs
+                  if not callable(getattr(sys.modules.get(spec.split(":")[0]),
+                                          spec.split(":")[1], None))]
+    assert unresolved == []
 
 
 def test_scan_sees_an_unresolved_traced_name(tmp_path):

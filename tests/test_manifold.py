@@ -6,7 +6,6 @@ import pytest
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem
 from sbpbox.errors import (
     DegenerateConstraints,
-    DegenerateDirection,
     InfeasibleRegion,
     NewtonDivergence,
     SlabInfeasible,
@@ -15,9 +14,8 @@ from sbpbox.errors import (
 from sbpbox.grid import inner
 from sbpbox.manifold import (
     _axis_slab_region,
-    _eigvals_sym2,
+    _gram_det,
     _moments,
-    _solve2,
     constraint_values,
     feasible_init,
     genus_seeds,
@@ -57,44 +55,40 @@ def bump(grid, center, width):
     return w
 
 
-def sym2_cases(rng):
-    """Random symmetric 2x2 matrices: SPD, near singular SPD with condition
-    number 1e11 to 1e13, and indefinite."""
-    for _ in range(50):
+def gram_cases(rng):
+    """Random symmetric 2x2 matrices, rotated and scaled by 10^-6 to 10^6:
+    positive definite with eigenvalue ratio 1e10 to 1e14, indefinite and
+    exactly singular (rank one, or zero)."""
+    for _ in range(100):
         rot, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         scale = 10.0 ** rng.uniform(-6, 6)
-        yield rot @ np.diag(scale * rng.uniform(0.1, 10.0, 2)) @ rot.T
-        yield rot @ np.diag([scale, scale * 10.0 ** -rng.uniform(11, 13)]) @ rot.T
+        yield rot @ np.diag([scale, scale * 10.0 ** -rng.uniform(10, 14)]) @ rot.T
         yield rot @ np.diag([scale, -scale * rng.uniform(0.01, 100.0)]) @ rot.T
+        # Power-of-two multiples make a c - b^2 exactly zero.
+        a, t = scale * rng.uniform(0.1, 10.0), 2.0 ** int(rng.integers(-20, 20))
+        yield np.array([[a, t * a], [t * a, t * t * a]])
+    yield np.zeros((2, 2))
 
 
-def test_closed_form_symmetric_eigenvalues():
-    for m in sym2_cases(np.random.default_rng(10)):
-        lo, hi = _eigvals_sym2(m[0, 0], m[0, 1], m[1, 1])
-        ref = np.linalg.eigvalsh(m)
-        tol = 1e-14 * np.abs(ref).max()
-        assert lo <= hi
-        assert abs(lo - ref[0]) <= tol and abs(hi - ref[1]) <= tol
-    assert _eigvals_sym2(1.0, 2.0, -1.0) == pytest.approx((-5**0.5, 5**0.5))
-    # Diagonal entries of very different size, as in the Gram matrix of
-    # (v, q v) for large q: the small eigenvalue keeps its relative accuracy.
-    assert _eigvals_sym2(1e6, 0.0, 1e-6) == pytest.approx((1e-6, 1e6), rel=1e-15)
-
-
-def test_closed_form_solve():
-    rng = np.random.default_rng(11)
-    for m in sym2_cases(rng):
-        r = rng.standard_normal(2)
-        x = np.array(_solve2(m[0, 0], m[0, 1], m[1, 0], m[1, 1], *r))
-        ref = np.linalg.solve(m, r)
-        cond = np.linalg.cond(m)
-        assert np.abs(x - ref).max() <= 1e-14 * cond * np.abs(ref).max()
-    # Nonsymmetric, as in the multiplier system [[1, -alpha], [alpha, -s]].
-    m = np.array([[1.0, -0.5], [0.5, -0.75]])
-    assert _solve2(1.0, -0.5, 0.5, -0.75, 1.0, 2.0) == pytest.approx(
-        tuple(np.linalg.solve(m, [1.0, 2.0])), rel=1e-15)
-    with pytest.raises(ZeroDivisionError):
-        _solve2(1.0, 2.0, 2.0, 4.0, 1.0, 1.0)
+def test_gram_det_rule_is_the_condition_number_rule():
+    """``_gram_det`` raises exactly when the eigenvalues (lo, hi) have
+    lo <= 0 or hi / lo > 1e12, and returns a c - b^2 otherwise."""
+    checked = 0
+    for m in gram_cases(np.random.default_rng(10)):
+        a, b, c = m[0, 0], m[0, 1], m[1, 1]
+        lo, hi = np.linalg.eigvalsh(m)
+        if lo > 0.0 and abs(hi / lo / 1e12 - 1.0) <= 1e-6:
+            continue  # too close to the limit for either method to decide
+        checked += 1
+        if lo <= 0.0 or hi / lo > 1e12:
+            with pytest.raises(DegenerateConstraints):
+                _gram_det(a, b, c)
+        else:
+            assert _gram_det(a, b, c) == a * c - b * b
+    assert checked >= 300
+    for entries in ((np.nan, 0.0, 1.0), (1.0, np.nan, 1.0), (1.0, 0.0, np.nan)):
+        with pytest.raises(DegenerateConstraints):
+            _gram_det(*entries)
 
 
 def test_retract_satisfies_both_constraints():
@@ -127,7 +121,7 @@ def newton_retract(problem, v):
         j11 = 2.0 * (a * m[0] + b * m[1])
         j12 = 2.0 * (a * m[1] + b * m[2])
         j22 = 2.0 * (a * m[2] + b * m[3])
-        da, db = _solve2(j11, j12, j12, j22, -g1, -g2)
+        da, db = np.linalg.solve([[j11, j12], [j12, j22]], [-g1, -g2])
         a += da
         b += db
     raise AssertionError("reference Newton did not meet tolerance in 60 steps")
@@ -191,7 +185,7 @@ def test_retract_error_modes():
         retract(hard, bump(hard.grid, 0.1, 0.05))
     # Constant coupling makes (v, q v) collinear: the ansatz is rank one.
     cq = constant_q_problem()
-    with pytest.raises(DegenerateDirection):
+    with pytest.raises(DegenerateConstraints):
         retract(cq, bump(cq.grid, 0.5, 0.2))
 
 
