@@ -35,8 +35,8 @@ CONFIG_KEYS = {
     "physics.kappa": ("float", 1.0),
     "physics.p": ("float", 3.0),
     "coupling.kind": ("str", None),
-    "optimizer.grad_tol": ("float", 1e-7),
-    "optimizer.max_iterations": ("int", 5000),
+    "optimizer.grad_tol": ("float", OptimizerOptions.grad_tol),
+    "optimizer.max_iterations": ("int", OptimizerOptions.max_iterations),
     "run.mode": ("str", "ground"),
     "run.k": ("int", 3),
     "run.seed": ("int", 0),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OracleTooLarge
+from .errors import SbpError
 from .grid import Grid
 
 MAX_ORACLE_NODES = 5000
@@ -32,7 +32,7 @@ __all__ = [
 
 def check_size(grid: Grid) -> None:
     if grid.node_count > MAX_ORACLE_NODES:
-        raise OracleTooLarge(
+        raise SbpError(
             f"grid has {grid.node_count} nodes, dense oracle limit is "
             f"{MAX_ORACLE_NODES}"
         )

@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NonzeroBoundary
+from .errors import SbpError
 
 __all__ = [
     "Grid",
@@ -310,15 +310,15 @@ def zero_boundary(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 def require_zero_boundary(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """``zero_boundary(grid, f)``, or ``NonzeroBoundary`` when ``f`` exceeds
+    """``zero_boundary(grid, f)``, or ``SbpError`` when ``f`` exceeds
     ``1e-12 * (1 + max|f|)`` on a boundary node, the maximum taken over the
     finite values, or is not finite there."""
     f = np.asarray(f, dtype=float)
     worst = float(np.max(np.abs(f[~grid.interior_mask])))
     limit = 1e-12 * (1.0 + float(np.max(np.abs(f), where=np.isfinite(f), initial=0.0)))
     if not worst <= limit:
-        raise NonzeroBoundary(f"field has boundary magnitude {worst:.3e} "
-                              f"(limit {limit:.3e})")
+        raise SbpError(f"field has boundary magnitude {worst:.3e} "
+                       f"(limit {limit:.3e})")
     return zero_boundary(grid, f)
 
 

@@ -7,7 +7,7 @@ States live on M = S intersect N with
 Both constraints are even in u, so M is symmetric under sign flip.  Their
 differentials 2u and 2q u are independent exactly when q is not constant on
 the support of u; the retraction and the tangent projection both ask this
-of a 2x2 Gram matrix (``_gram_det``), raising ``DegenerateConstraints``.
+of a 2x2 Gram matrix (``_gram_det``).
 The retraction uses the two-parameter ansatz u = (a + b q) v.  Subtracting
 alpha times the mass constraint from the coupling constraint leaves a
 homogeneous quadratic in (a, b), so b/a is a root of one quadratic and a
@@ -15,7 +15,9 @@ follows from the mass: the retraction is in closed form.  The tangent
 projection removes from an H^1_0 gradient the span of the H^1_0
 representers of the constraint differentials, the Dirichlet solves of
 (u, q u); it works on DST-I coefficients, where those solves are divisions
-by the symbol.
+by the symbol.  Either the ansatz reaches M or it does not: every failure
+of the retraction, and a failed Gram test of the projection, is one
+``ManifoldError``.
 
 Feasible starting points are built from pairs of compactly supported bumps
 centered where q is small and where q is large; with disjoint supports the
@@ -29,13 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DegenerateConstraints,
-    InfeasibleRegion,
-    NewtonDivergence,
-    SlabInfeasible,
-    ZeroField,
-)
+from .errors import InfeasibleRegion, ManifoldError
 from .grid import Grid, inner, norm_l2
 from .problem import Problem
 from .solvers import _dst_interior, _from_dst_interior, _symbols, solve_poisson_dirichlet
@@ -69,12 +65,13 @@ def _gram_det(a: float, b: float, c: float) -> float:
     A Gram matrix has a, c >= 0, so det > 0 means both eigenvalues are
     positive, and with their ratio kappa, (a + c)^2 / det = kappa + 2 +
     1/kappa: the test below passes exactly when kappa <=
-    ``_GRAM_COND_LIMIT``.  A NaN entry fails it.  Raises
-    ``DegenerateConstraints`` otherwise.
+    ``_GRAM_COND_LIMIT``.  A NaN entry fails it, and so does an infinite
+    one, which makes det NaN or infinite; entries too large to square in
+    float64 fail it too.  Raises ``ManifoldError`` otherwise.
     """
     det = a * c - b * b
-    if not (det > 0.0 and (a + c) ** 2 <= _GRAM_TRACE_BOUND * det):
-        raise DegenerateConstraints(
+    if not (0.0 < det < math.inf and (a + c) * (a + c) <= _GRAM_TRACE_BOUND * det):
+        raise ManifoldError(
             f"Gram matrix [[{a!r}, {b!r}], [{b!r}, {c!r}]] is singular or has "
             f"condition number above {_GRAM_COND_LIMIT:.0e}; is q constant on "
             "the support of the field?"
@@ -103,30 +100,28 @@ def retract(problem: Problem, v: np.ndarray) -> np.ndarray:
     residuals are both within ``_ON_M_TOL`` is returned unchanged, as the
     input array itself.
 
-    Raises ``ZeroField`` for vanishing input, ``DegenerateConstraints`` when
-    the Gram matrix of (v, q v), [[m0, m1], [m1, m2]], fails ``_gram_det``,
-    ``NewtonDivergence`` when the quadratic has no real root, so that no
-    point of the ansatz lies on M.
+    Raises ``ManifoldError`` when the Gram matrix of (v, q v),
+    [[m0, m1], [m1, m2]], fails ``_gram_det`` (which covers a vanishing or
+    non-finite v), or when the quadratic has no real root, so that no point
+    of the ansatz lies on M.
     """
     v = np.asarray(v, dtype=float)
     m0, m1, m2, m3 = _moments(problem, v)
-    if not all(map(math.isfinite, (m0, m1, m2, m3))) or m0 <= 0.0:
-        raise ZeroField(f"retraction input has squared mass {m0!r}")
     _gram_det(m0, m1, m2)
     alpha = problem.alpha
     if abs(m0 - 1.0) <= _ON_M_TOL and abs(m1 - alpha) <= _ON_M_TOL * (1.0 + abs(alpha)):
         return v
     A, B, C = m3 - alpha * m2, m2 - alpha * m1, m1 - alpha * m0
     disc = B * B - A * C
-    if disc < 0.0:
-        raise NewtonDivergence(
+    if not disc >= 0.0:  # negative, or NaN after an overflow in m3
+        raise ManifoldError(
             f"no point of (a + b q) v lies on M: the quadratic for b/a has "
             f"discriminant {disc:.3e}"
         )
     den = B + math.copysign(math.sqrt(disc), B)
     if den == 0.0 and C != 0.0:
-        raise NewtonDivergence("no point of (a + b q) v lies on M: the quadratic "
-                               "for b/a is a nonzero constant")
+        raise ManifoldError("no point of (a + b q) v lies on M: the quadratic "
+                            "for b/a is a nonzero constant")
     r = -C / den if den != 0.0 else 0.0
     a = 1.0 / math.sqrt(m0 + r * (2.0 * m1 + r * m2))
     return (a + r * a * problem.q) * v
@@ -155,8 +150,8 @@ def tangent_project(problem: Problem, u: np.ndarray, g: np.ndarray) -> np.ndarra
     both constraints means; the matrix is the H^1_0 Gram matrix of d, so the
     projection is H^1_0-orthogonal.  Only interior nodes change, and the
     work is done on DST-I coefficients (see ``_project_dst``).  Raises
-    ``DegenerateConstraints`` when the matrix fails ``_gram_det`` (constant
-    q on the support of u, or u = 0).
+    ``ManifoldError`` when the matrix fails ``_gram_det`` (constant q on the
+    support of u, or u = 0).
     """
     grid = problem.grid
     u = np.asarray(u, dtype=float)
@@ -313,8 +308,9 @@ def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
 
     Equal-width slabs are tried first; if any slab cannot bracket alpha, a
     greedy sweep re-partitions the axis into the shortest feasible slabs from
-    the left.  Raises ``SlabInfeasible`` (with the first failing slab index)
-    when no partition works.  Supports of seeds in adjacent slabs are
+    the left.  Raises ``InfeasibleRegion`` when no partition works: for
+    k = 1 the one ``feasible_init`` raised, otherwise one that names how
+    many slabs could be placed.  Supports of seeds in adjacent slabs are
     separated by at least one zero node because each seed is inset from its
     slab faces.
     """
@@ -328,9 +324,9 @@ def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
             feasible_init(problem, _axis_slab_region(grid, edges[j], edges[j + 1]))
             for j in range(k)
         ]
-    except InfeasibleRegion as first_failure:
+    except InfeasibleRegion:
         if k == 1:
-            raise SlabInfeasible(str(first_failure), slab_index=0) from first_failure
+            raise
 
     # Greedy fallback: cut the shortest slab from the left that brackets alpha.
     min_width = max(8, int(2 * (2 * _MIN_RADIUS_CELLS + 2 * _EDGE_MARGIN_CELLS)) + 2)
@@ -351,9 +347,6 @@ def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
         if not placed:
             break
     if len(seeds) < k:
-        raise SlabInfeasible(
-            f"only {len(seeds)} of {k} slabs along axis 0 can bracket "
-            f"alpha={problem.alpha:.6g}",
-            slab_index=len(seeds),
-        )
+        raise InfeasibleRegion(f"only {len(seeds)} of {k} slabs along axis 0 "
+                               f"can bracket alpha={problem.alpha:.6g}")
     return seeds

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateConstraints, NewtonDivergence, SbpError, ZeroField
+from .errors import ManifoldError, SbpError
 from .grid import norm_l2, require_zero_boundary
 from .manifold import _project_dst, genus_seeds, retract
 from .problem import Problem
@@ -196,7 +196,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         while t >= _MIN_STEP:
             try:
                 u_try = retract(problem, u - t * gt)
-            except (NewtonDivergence, DegenerateConstraints, ZeroField):
+            except ManifoldError:
                 t *= _BACKTRACK
                 continue
             phi_try, u_hat_try, j_try, c1, c2 = _evaluate(problem, u_try)
@@ -274,26 +274,24 @@ def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray,
 
 def polish_positive(problem: Problem, result: SolveResult,
                     opts: OptimizerOptions | None = None) -> SolveResult:
-    """Replace a converged state by a signed-mass-preserving nonnegative one.
+    """Replace a converged state by a nonnegative one of no larger energy.
 
-    |u| leaves both constraint integrals and every term of the reduced energy
+    A state whose minimum is at least ``_POSITIVE_FLOOR`` is returned as is.
+    Otherwise one descent runs from |u|, and its result is returned.  |u|
+    leaves both constraint integrals and every term of the reduced energy
     unchanged except the Dirichlet term, which cannot increase on the grid
-    (the slopes of |u| are dominated nodewise).  Re-minimizing from the
-    folded state therefore lands at an energy no larger than the input's,
-    up to rounding: the line search is nonmonotone, but each accepted merit
-    m_k lies at or below the reference value C_{k-1}, a weighted mean of
+    (the slopes of |u| are dominated nodewise).  The descent from the folded
+    state therefore lands at an energy no larger than the input's, up to
+    rounding: the line search is nonmonotone, but each accepted merit m_k
+    lies at or below the reference value C_{k-1}, a weighted mean of
     m_0..m_{k-1}, so by induction every m_k <= C_{k-1} <= m_0, and the merit
     differs from J only by the multipliers times constraint residuals at
-    rounding level.
-    A state whose minimum is at least ``_POSITIVE_FLOOR`` is returned as is.
+    rounding level.  The descent is not repeated: a result that still dips
+    below the floor shows in ``min_u`` of the command line's report.
     """
-    opts = opts or OptimizerOptions()
-    res = result
-    for _ in range(4):
-        if float(res.u.min()) >= _POSITIVE_FLOOR:
-            return res
-        res = _minimize(problem, np.abs(res.u), opts)
-    return res
+    if float(result.u.min()) >= _POSITIVE_FLOOR:
+        return result
+    return _minimize(problem, np.abs(result.u), opts or OptimizerOptions())
 
 
 def _l2_sign_distance(grid, a: np.ndarray, b: np.ndarray) -> float:

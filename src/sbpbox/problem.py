@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyViolation
+from .errors import SbpError
 from .grid import (
     BoundaryData,
     Grid,
@@ -177,7 +177,7 @@ def solve_chi(grid: Grid,
               h2: BoundaryData) -> tuple[np.ndarray, np.ndarray, float]:
     """Two-step construction of the auxiliary potential.
 
-    Returns (chi, theta, alpha).  Raises ``ConsistencyViolation`` when the
+    Returns (chi, theta, alpha).  Raises ``SbpError`` when the
     mean identity ``integrate(theta) == surface(h1)`` fails beyond
     ``_CHI_CHECK_TOL`` times the data scale, which would indicate a broken
     solver rather than bad data (the identity holds by construction).
@@ -189,7 +189,7 @@ def solve_chi(grid: Grid,
     scale = 1.0 + abs(alpha) + norm_l2(grid, theta)
     defect = integrate(grid, theta) - surf_h1
     if abs(defect) > _CHI_CHECK_TOL * scale:
-        raise ConsistencyViolation(
+        raise SbpError(
             f"mean of theta differs from surface integral of h1 by {defect:.3e} "
             f"(tolerance {_CHI_CHECK_TOL * scale:.3e})"
         )

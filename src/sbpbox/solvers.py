@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import IncompatibleData, NoConvergence
+from .errors import SbpError
 from .grid import (
     BoundaryData,
     Grid,
@@ -172,7 +172,7 @@ def _build_symbols(grid: Grid) -> _Symbols:
 
 def _finite(v: np.ndarray) -> np.ndarray:
     if not np.isfinite(v).all():
-        raise NoConvergence("solution contains non-finite values")
+        raise SbpError("solution contains non-finite values")
     return v
 
 
@@ -230,8 +230,8 @@ def solve_poisson_neumann_zeromean(grid: Grid,
     ``integrate(f) == boundary_integrate(flux)``; the mismatch is checked
     against ``1e-8 * (norm(f) + max|flux| + 1)`` and then removed with the
     constant mode, so the solve itself sees a consistent singular system.
-    Non-finite data raise ``NoConvergence`` before the check and before any
-    transform.
+    Raises ``SbpError`` when the mismatch exceeds that tolerance, and for
+    non-finite data, which are stopped before the check and any transform.
     """
     f = np.asarray(f, dtype=float)
     surf = 0.0 if flux is None else boundary_integrate(grid, flux)
@@ -243,10 +243,10 @@ def solve_poisson_neumann_zeromean(grid: Grid,
     # A NaN imbalance passes the gate below, and an infinite one meets an
     # infinite tolerance, so non-finite data are stopped here.
     if not (math.isfinite(imbalance) and math.isfinite(tolerance)):
-        raise NoConvergence(f"non-finite data: integral of f minus boundary "
-                            f"integral of flux is {imbalance}, data scale {scale}")
+        raise SbpError(f"non-finite data: integral of f minus boundary "
+                       f"integral of flux is {imbalance}, data scale {scale}")
     if abs(imbalance) > tolerance:
-        raise IncompatibleData(
+        raise SbpError(
             f"integral of f minus boundary integral of flux is {imbalance:.3e}, "
             f"tolerance {tolerance:.3e}"
         )

@@ -37,7 +37,7 @@ from .dense import (
     solve_poisson_neumann_dense,
     weight_vector,
 )
-from .errors import NewtonDivergence
+from .errors import SbpError
 from .functional import eval_J
 from .grid import (
     BoundaryData,
@@ -322,7 +322,7 @@ def dense_kkt_polish(problem: Problem,
     source-to-potential map (whose u-derivative enters the Jacobian as a
     dense block) and the two constraints.  Returns (u, omega, mu, J) with J
     evaluated through the dense potential, fully independent of the
-    spectral pipeline.  Raises ``NewtonDivergence`` if the residual fails
+    spectral pipeline.  Raises ``SbpError`` if the residual fails
     to reach ``_KKT_TOL`` times 1 + |a_dir|_inf |u0|_inf within
     ``_KKT_MAX_NEWTON`` steps.
     """
@@ -377,13 +377,13 @@ def dense_kkt_polish(problem: Problem,
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence("singular dense stationarity Jacobian") from exc
+            raise SbpError("singular dense stationarity Jacobian") from exc
         u[idx] += delta[:ni]
         omega += float(delta[ni])
         mu += float(delta[ni + 1])
         r, phi = residual(u, omega, mu)
     else:
-        raise NewtonDivergence(
+        raise SbpError(
             f"dense stationarity Newton stalled at residual {np.max(np.abs(r)):.3e}"
         )
 

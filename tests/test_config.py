@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from sbpbox import Grid, write_field
-from sbpbox.config import CONFIG_KEYS, load_config, parse_config_text
+from sbpbox.config import CONFIG_KEYS, RunConfig, load_config, parse_config_text
 from sbpbox.errors import ConfigError
+from sbpbox.optimize import OptimizerOptions
 
 GROUND = """
 # benchmark setup
@@ -36,6 +37,11 @@ def test_parse_and_defaults():
     assert cfg.get("output.dir") == "out"
     grid = cfg.grid()
     assert grid == Grid(lengths=(1.0,), n=(33,))
+
+
+def test_optimizer_defaults_are_the_options_defaults():
+    """The config table takes its optimizer defaults from ``OptimizerOptions``."""
+    assert RunConfig().optimizer_options() == OptimizerOptions()
 
 
 # A typo, and the optimizer settings that are module constants.

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sbpbox import BoundaryData, Grid, read_field, write_field
-from sbpbox.errors import NonzeroBoundary
+from sbpbox.errors import SbpError
 from sbpbox.grid import (
     boundary_integrate,
     dirichlet_energy,
@@ -99,7 +99,7 @@ def test_dirichlet_form_is_negative_adjoint_of_laplacian(g):
 def test_laplacian_dirichlet_rejects_nonzero_boundary():
     g = Grid(lengths=(1.0,), n=(9,))
     f = np.ones(g.shape)
-    with pytest.raises(NonzeroBoundary):
+    with pytest.raises(SbpError, match="boundary magnitude"):
         laplacian_dirichlet(g, f)
     # A zero-boundary input passes, and the output vanishes on the boundary.
     out = laplacian_dirichlet(g, zero_boundary(g, f))
@@ -121,9 +121,9 @@ def test_require_zero_boundary_rejects_non_finite_values(edit):
     f[4] = 1.0
     for i, value in edit.items():
         f[i] = value
-    with pytest.raises(NonzeroBoundary):
+    with pytest.raises(SbpError, match="boundary magnitude"):
         require_zero_boundary(g, f)
-    with pytest.raises(NonzeroBoundary):
+    with pytest.raises(SbpError, match="boundary magnitude"):
         laplacian_dirichlet(g, f)
     # A non-finite interior value alone is no boundary violation.
     f[[0, -1]] = 0.0

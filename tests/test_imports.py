@@ -1,6 +1,6 @@
 """Every name a source module imports is used in it or re-exported, every
 module-level private name is loaded somewhere in the package, and every
-exception class is raised somewhere in it.
+exception class is raised somewhere in it and caught where it must be.
 
 No linter ships with the project, so these scans stand in for the
 unused-import and dead-code rules.  The first parses each module of
@@ -9,7 +9,11 @@ never loaded and not listed in ``__all__``.  The second collects the
 ``_private`` functions, classes and constants defined at module level that
 no module of the package loads, by name, attribute or ``from`` import.  The
 third collects the classes of ``errors.py`` that no ``raise`` statement of
-the package names; the base class ``SbpError`` is exempt.  The fourth reads
+the package names; the base class ``SbpError`` is exempt.  With it goes the
+rule that a class exists only where a caller tells it apart: every class of
+``errors.py`` besides ``SbpError`` and ``ConfigError`` (which the command
+line reports) must be named in an ``except`` clause of the package; any
+other failure is a plain ``SbpError``.  The fourth reads
 the ``LAYERS`` table of the benchmark's tracer and lists each traced
 ``module:function`` that no module of ``src/sbpbox`` defines at top level,
 then resolves each one as ``Tracer.install`` does, after ``import
@@ -76,20 +80,36 @@ def unloaded_private_names(paths):
                   and name not in loaded)
 
 
-def unraised_exceptions(errors_path, paths, exempt=("SbpError",)):
+def defined_classes(errors_path, exempt):
     tree = ast.parse(errors_path.read_text(), filename=str(errors_path))
-    defined = [(node.lineno, node.name) for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name not in exempt]
+    return [(node.lineno, node.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name not in exempt]
+
+
+def exception_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def unraised_exceptions(errors_path, paths, exempt=("SbpError",)):
+    defined = defined_classes(errors_path, exempt)
     raised = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name):
-                    raised.add(exc.id)
-                elif isinstance(exc, ast.Attribute):
-                    raised.add(exc.attr)
+                raised.add(exception_name(
+                    node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
     return sorted((line, name) for line, name in defined if name not in raised)
+
+
+def uncaught_exceptions(errors_path, paths, exempt=("SbpError", "ConfigError")):
+    caught = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {exception_name(t) for t in types}
+    return sorted((line, name) for line, name in defined_classes(errors_path, exempt)
+                  if name not in caught)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -134,6 +154,27 @@ def test_scan_sees_an_unraised_exception(tmp_path):
                     "    except Caught:\n        raise\n"
                     "    raise errors.ByAttribute\n")
     assert unraised_exceptions(errors, [errors, user]) == [(10, "Caught")]
+
+
+def test_every_exception_is_caught():
+    assert uncaught_exceptions(SRC / "errors.py", sorted(SRC.glob("*.py"))) == []
+
+
+def test_scan_sees_an_uncaught_exception(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text("class SbpError(Exception):\n    pass\n\n"
+                      "class ConfigError(SbpError):\n    pass\n\n"
+                      "class Alone(SbpError):\n    pass\n\n"
+                      "class InTuple(SbpError):\n    pass\n\n"
+                      "class ByAttribute(SbpError):\n    pass\n\n"
+                      "class OnlyRaised(SbpError):\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("import errors\nfrom errors import Alone, InTuple, OnlyRaised\n\n"
+                    "def f(g):\n    try:\n        g()\n    except Alone:\n        pass\n"
+                    "    except (ValueError, InTuple):\n        pass\n"
+                    "    except errors.ByAttribute:\n        raise OnlyRaised('x')\n"
+                    "    except:\n        pass\n")
+    assert uncaught_exceptions(errors, [errors, user]) == [(16, "OnlyRaised")]
 
 
 def traced_targets(tracer_path):

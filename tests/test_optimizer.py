@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, optimize
-from sbpbox.errors import NonzeroBoundary
+from sbpbox.errors import SbpError
 from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
 from sbpbox.grid import dirichlet_energy, dirichlet_inner, inner
 from sbpbox.manifold import (
@@ -229,7 +229,7 @@ def test_start_must_vanish_on_the_boundary(bench65):
     u0 = feasible_init(bench65)
     bad = u0.copy()
     bad[0] = 1e-6
-    with pytest.raises(NonzeroBoundary):
+    with pytest.raises(SbpError, match="boundary magnitude"):
         minimize_on_M(bench65, bad)
     tiny = u0.copy()
     tiny[-1] = 1e-14
@@ -280,6 +280,26 @@ def test_polish_positive_properties(bench129):
         assert abs(c2) <= 1e-8 * (1.0 + abs(bench129.alpha))
     # The folded run lands on the frozen benchmark state.
     assert polished.j == pytest.approx(4.53376773961271, rel=1e-8)
+
+
+def test_polish_positive_runs_at_most_one_descent(bench129, bench129_state, monkeypatch):
+    """A nonnegative state is returned as the same object without a descent;
+    a sign-changing one takes exactly one descent, from |u|."""
+    starts = []
+
+    def counting(problem, u0, opts):
+        starts.append(u0)
+        return minimize(problem, u0, opts)
+
+    minimize = optimize._minimize
+    monkeypatch.setattr(optimize, "_minimize", counting)
+    assert polish_positive(bench129, bench129_state) is bench129_state
+    assert starts == []
+    x = bench129.grid.coords[0]
+    lobed = retract(bench129, bench129_state.u - 0.6 * np.sin(3.0 * np.pi * x))
+    polish_positive(bench129, dc_replace(bench129_state, u=lobed))
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], np.abs(lobed))
 
 
 def test_dedupe_identifies_sign_flips(bench65, bench65_state):

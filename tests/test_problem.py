@@ -7,7 +7,7 @@ import pytest
 
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, write_field
 from sbpbox import problem
-from sbpbox.errors import ConsistencyViolation
+from sbpbox.errors import SbpError
 from sbpbox.grid import boundary_integrate, integrate, mean
 from sbpbox.problem import classify_alpha, compute_alpha, solve_chi
 from conftest import fourth_order_chi_residual, line_problem, square_problem
@@ -165,7 +165,7 @@ def test_chi_consistency_violation_detected(monkeypatch):
     h1 = BoundaryData.constant(g, {"x1": 0.3})
     h2 = BoundaryData.constant(g, {"x1": 0.5})
     monkeypatch.setattr(problem, "_CHI_CHECK_TOL", 1e-18)
-    with pytest.raises(ConsistencyViolation):
+    with pytest.raises(SbpError, match="mean of theta differs"):
         solve_chi(g, h1, h2)
 
 

@@ -17,7 +17,7 @@ from sbpbox.dense import (
     solve_poisson_dirichlet_dense,
     solve_poisson_neumann_dense,
 )
-from sbpbox.errors import DegenerateConstraints
+from sbpbox.errors import ManifoldError
 from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
 from sbpbox.grid import (
     boundary_integrate,
@@ -163,7 +163,9 @@ def check_reductions_against_sums(g, seed):
     u = zero_boundary(g, f)
     try:
         projected = tangent_project(prob, u, k)
-    except DegenerateConstraints:
+    except ManifoldError as exc:
+        if "Gram matrix" not in str(exc):
+            raise
         return  # too few interior nodes for two independent constraints
     d = constraint_representers(prob, u)
     gram = np.array([[np.sum(w * r * dj) for dj in d] for r in (u, prob.q * u)])
@@ -230,7 +232,9 @@ def check_descent_gradient(g, seed):
     gt = np.zeros(g.shape)
     try:
         lam, beta, gt_hat = _tangent_gradient(prob, u, phi, _dst_interior(g, u), gt)
-    except DegenerateConstraints:
+    except ManifoldError as exc:
+        if "Gram matrix" not in str(exc):
+            raise
         return  # too few interior nodes for two independent constraints
     descent = _from_dst_interior(g, gt_hat, np.zeros(g.shape))
     assert np.array_equal(gt, descent)
