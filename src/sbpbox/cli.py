@@ -15,8 +15,9 @@ the full residual and multiplier set.  An identical
 config produces byte-identical outputs; ``--seed`` only reaches the random
 test data of ``oracle``.
 
-``refinement_study`` does the work of ``refine``: it repeats a solve
-over a sequence of grids and reports observed convergence orders.
+``refinement_study`` does the work of ``refine``: it solves on a sequence
+of grids, each level starting from the previous level's state interpolated
+onto the new grid, and reports observed convergence orders.
 """
 
 from __future__ import annotations
@@ -247,24 +248,47 @@ class RefinementStudy:
     bc_orders: tuple[float, ...]
 
 
+def _interpolate(u: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Multilinear interpolation of a nodal field onto the same box with
+    ``shape`` nodes, one axis at a time.
+
+    Node j of an axis with m nodes sits at t = j (n - 1) / (m - 1) in the
+    index units of the n source nodes.  On nested grids (m = 2(n - 1) + 1)
+    t is exact, so shared nodes are copied and midpoints are the average of
+    their two neighbours; boundary values are copied.
+    """
+    for axis, m in enumerate(shape):
+        n = u.shape[axis]
+        t = np.arange(m) * (n - 1) / (m - 1)
+        i = np.minimum(t.astype(int), n - 2)
+        w = (t - i).reshape((m,) + (1,) * (u.ndim - axis - 1))
+        u = (1.0 - w) * np.take(u, i, axis) + w * np.take(u, i + 1, axis)
+    return u
+
+
 def refinement_study(problem_factory: Callable[[int], Problem],
                      node_counts: Sequence[int],
                      opts: OptimizerOptions | None = None) -> RefinementStudy:
-    """Solve the same continuum problem over successively refined grids.
+    """Solve the same continuum problem over a sequence of grids.
 
-    ``problem_factory`` maps a per-axis node count to a Problem; counts are
-    expected to (roughly) double the resolution each step, since observed
-    orders are reported as plain log2 ratios.  Each state is the descent
-    result folded to a nonnegative one by ``polish_positive``.  Energies are
-    compared through consecutive differences (no exact value is available),
-    the residuals directly.
+    ``problem_factory`` maps a per-axis node count to a Problem.  The first
+    level starts from ``feasible_init``; each later level starts from the
+    previous level's state interpolated onto its grid (``_interpolate``),
+    which the descent retracts onto the constraint manifold.  Observed
+    orders are reported as plain log2 ratios, so the counts should double
+    the resolution each step.  Each state is the descent result folded to a
+    nonnegative one by ``polish_positive``.  Energies are compared through
+    consecutive differences (no exact value is available), the residuals
+    directly.
     """
     opts = opts or OptimizerOptions()
     reports: list[ResidualReport] = []
     results: list[SolveResult] = []
     for n in node_counts:
         prob = problem_factory(int(n))
-        res = minimize_on_M(prob, feasible_init(prob), opts)
+        u0 = (_interpolate(results[-1].u, prob.grid.shape) if results
+              else feasible_init(prob))
+        res = minimize_on_M(prob, u0, opts)
         res = polish_positive(prob, res, opts)
         reports.append(residual_original_system(
             prob, res.u, res.phi, res.omega, res.mu,
@@ -294,7 +318,11 @@ def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.optimizer_options()
     grids = cfg.get("run.grids")
     _say(quiet, f"refinement over node counts {list(grids)}")
-    study = refinement_study(cfg.build_problem, grids, opts)
+    # The gate's problem serves the level on its own grid.
+    study = refinement_study(
+        lambda n: problem if problem.grid.n == (n,) * problem.grid.dim
+        else cfg.build_problem(n),
+        grids, opts)
     out.mkdir(parents=True, exist_ok=True)
     write_summary(out / "summary.csv", study.reports)
     entries = []
@@ -302,6 +330,7 @@ def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
         values = {k: getattr(rep, k) for k in ("omega", "mu", "eq1_res", "eq2_res",
                                                "bc_res", "norm_res", "compat_res")}
         entries.append({"index": i, "n": list(rep.n), "J": rep.j, **values,
+                        "iterations": res.iterations,
                         "converged": _converged(problem, res, rep)})
     extra = {k: list(getattr(study, k))
              for k in ("j_values", "j_diffs", "j_orders", "eq1_orders", "bc_orders")}

@@ -196,6 +196,35 @@ def test_refine_reports_orders(tmp_path):
         assert len(list(csv.DictReader(fh))) == 3
 
 
+def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
+    """Each refine entry carries its descent's iterations, which match the
+    ``iters`` column; the gate's problem serves the level on ``grid.n``, so
+    every grid is built once; a rerun writes the same bytes."""
+    from sbpbox import cli
+    from sbpbox.config import RunConfig
+
+    built = []
+    build = RunConfig.build_problem
+
+    def counting_build(self, n_override=None):
+        built.append(n_override)
+        return build(self, n_override)
+
+    monkeypatch.setattr(RunConfig, "build_problem", counting_build)
+    cfg = write_cfg(tmp_path, GROUND_CFG + "run.grids = 17,33,65\n")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["refine", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert built == [None, 17, 65] * 2
+    report = json.loads((outs[0] / "report.json").read_text())
+    with open(outs[0] / "summary.csv", newline="") as fh:
+        iters = [int(row["iters"]) for row in csv.DictReader(fh)]
+    assert [s["iterations"] for s in report["states"]] == iters
+    assert iters[1] < iters[0] and iters[2] < iters[0]
+    for name in ("report.json", "summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("mode", ["excited", "polish"])
 def test_refine_accepts_ground_mode_only(tmp_path, capsys, monkeypatch, mode):
     """refine computes ground states only: any other run.mode is one

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from sbpbox import Grid
-from sbpbox.cli import refinement_study
+from sbpbox.cli import _interpolate, refinement_study
 from sbpbox.dense import MAX_ORACLE_NODES, check_size
 from sbpbox.errors import SbpError
 from sbpbox.manifold import feasible_init
-from sbpbox.optimize import OptimizerOptions, minimize_on_M
+from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
 from sbpbox.reduction import phi_map
 from sbpbox.verify import (
     SUMMARY_COLUMNS,
@@ -78,6 +78,77 @@ def test_refinement_study_orders():
     assert abs(study.j_orders[0] - 2.0) <= 0.3
     js = study.j_values
     assert abs(js[2] - js[1]) < abs(js[1] - js[0])
+
+
+@pytest.mark.parametrize("make,counts", [
+    (lambda n: line_problem(n), (33, 65, 129)),
+    (lambda n: square_problem(n, alpha=1.25), (17, 33, 65)),
+    (lambda n: square_problem(n, alpha=1.25), (17, 25, 33)),
+    (lambda n: square_problem(n, alpha=1.25), (65, 33, 17)),
+], ids=["1d", "2d", "2d-non-nested", "2d-descending"])
+def test_refinement_study_warm_starts_match_cold_solves(make, counts):
+    """Each level after the first starts from the previous state, reaches
+    the energy of a solve from ``feasible_init`` on the same grid, and takes
+    fewer iterations to get there."""
+    opts = OptimizerOptions()
+    study = refinement_study(make, counts, opts)
+    for level, (n, res) in enumerate(zip(counts, study.results)):
+        prob = make(n)
+        cold = polish_positive(prob, minimize_on_M(prob, feasible_init(prob), opts),
+                               opts)
+        assert res.u.shape == prob.grid.shape
+        assert abs(res.j - cold.j) <= 1e-9 * abs(cold.j)
+        if level == 0:
+            assert res.iterations == cold.iterations
+        else:
+            assert res.iterations < cold.iterations
+
+
+def test_interpolate_nested_copies_and_midpoints():
+    rng = np.random.default_rng(3)
+    for shape in [(9,), (5, 7), (3, 5, 4)]:
+        u = rng.standard_normal(shape)
+        fine = _interpolate(u, tuple(2 * (m - 1) + 1 for m in shape))
+        even = [slice(None, None, 2)] * len(shape)
+        assert np.array_equal(fine[tuple(even)], u)
+        # A node odd along one axis and even along the others is the average
+        # of its two coarse neighbours on that axis.
+        for axis in range(len(shape)):
+            odd = list(even)
+            odd[axis] = slice(1, None, 2)
+            lo = np.take(u, range(shape[axis] - 1), axis)
+            hi = np.take(u, range(1, shape[axis]), axis)
+            assert np.array_equal(fine[tuple(odd)], 0.5 * lo + 0.5 * hi)
+        assert np.array_equal(_interpolate(u, shape), u)
+
+
+@pytest.mark.parametrize("src,dst", [((9,), (17,)), ((17,), (7,)),
+                                     ((5, 9), (12, 6)), ((4, 5, 6), (7, 3, 9))])
+def test_interpolate_reproduces_multilinear_fields(src, dst):
+    coeffs = np.arange(1.0, 2.0 ** len(src) + 1)
+
+    def multilinear(shape):
+        xs = np.meshgrid(*(np.linspace(0.0, 1.0, m) for m in shape), indexing="ij")
+        field = np.zeros(shape)
+        for mask, c in enumerate(coeffs):
+            term = np.full(shape, c)
+            for a, x in enumerate(xs):
+                if mask >> a & 1:
+                    term = term * x
+            field += term
+        return field
+
+    assert np.allclose(_interpolate(multilinear(src), dst), multilinear(dst),
+                       rtol=0.0, atol=1e-13)
+
+
+def test_interpolate_keeps_boundary_zeros():
+    prob = square_problem(17, alpha=1.25)
+    u = feasible_init(prob)
+    fine = _interpolate(u, (25, 33))
+    for axis in range(2):
+        for face in (0, -1):
+            assert np.all(np.take(fine, face, axis) == 0.0)
 
 
 def test_write_summary_roundtrip(tmp_path, bench129_report):
