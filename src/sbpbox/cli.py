@@ -158,7 +158,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
         return code
     opts = cfg.optimizer_options()
     if cfg.mode == "ground":
-        _say(quiet, "minimizing from the two-bump feasible start")
+        _say(quiet, "minimizing from the tilted principal-mode start")
         res = minimize_on_M(problem, feasible_init(problem), opts)
         res = polish_positive(problem, res, opts)
         states = [res]

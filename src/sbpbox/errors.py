@@ -29,8 +29,10 @@ class ManifoldError(SbpError):
 
 
 class InfeasibleRegion(SbpError):
-    """No feasible bump pair exists in the requested region, or no slab
-    partition along axis 0 brackets alpha."""
+    """No seed exists in the requested region: q does not strictly bracket
+    alpha on its interior nodes, or the tilted seed is so concentrated that
+    its retraction fails; or no slab partition along axis 0 brackets
+    alpha."""
 
 
 class ConfigError(SbpError):

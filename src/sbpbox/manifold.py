@@ -19,20 +19,22 @@ by the symbol.  Either the ansatz reaches M or it does not: every failure
 of the retraction, and a failed Gram test of the projection, is one
 ``ManifoldError``.
 
-Feasible starting points are built from pairs of compactly supported bumps
-centered where q is small and where q is large; with disjoint supports the
-mixing angle that matches both constraints exists in closed form, so the
-seeds satisfy the constraints to rounding before any retraction.
+Feasible starting points tilt the principal sine mode v of a box by
+e^(s (q - alpha)/2): the mass constraint is a normalization, and the
+coupling constraint is one strictly increasing scalar equation in s, so a
+seed exists exactly when q brackets alpha on the box's interior nodes and
+meets both constraints to rounding before its retraction.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
 from .errors import InfeasibleRegion, ManifoldError
-from .grid import Grid, inner, norm_l2
+from .grid import Grid, norm_l2
 from .problem import Problem
 from .solvers import _dst_interior, _from_dst_interior, _symbols, solve_poisson_dirichlet
 
@@ -196,8 +198,8 @@ def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
 # ---------------------------------------------------------------------------
 # Feasible seeds.
 
-_MIN_RADIUS_CELLS = 2.05
-_EDGE_MARGIN_CELLS = 1.5
+_TILT_MAX_STEPS = 100
+_GREEDY_MIN_SLAB_CELLS = 16
 
 
 def _region_box(grid: Grid, region) -> list[tuple[float, float]]:
@@ -209,90 +211,92 @@ def _region_box(grid: Grid, region) -> list[tuple[float, float]]:
     return box
 
 
-def _bump(grid: Grid, center: np.ndarray, radius: float) -> np.ndarray:
-    """C^1 compact bump max(0, 1 - r^2/R^2)^2, clipped to zero on the boundary."""
-    r2 = sum((c - ci) ** 2 for c, ci in zip(grid.coords, center))
-    w = np.clip(1.0 - r2 / radius**2, 0.0, None) ** 2
-    w[~grid.interior_mask] = 0.0
-    return w
+def _principal_mode(grid: Grid, box: list[tuple[float, float]]) -> np.ndarray:
+    """prod_a sin(pi (x_a - lo_a) / (hi_a - lo_a)) on the interior nodes of
+    the open box, zero elsewhere: DST-I mode 1 of the box, positive exactly
+    on its interior nodes that are interior nodes of the grid."""
+    factors = []
+    for x, (lo, hi) in zip(grid.axes, box):
+        inside = (x > lo) & (x < hi)
+        inside[[0, -1]] = False
+        factors.append(np.where(inside, np.sin(np.pi * (x - lo) / (hi - lo)), 0.0))
+    return reduce(np.multiply.outer, factors)
 
 
-def _normalized_bump(problem: Problem, center: np.ndarray,
-                     radius: float) -> tuple[np.ndarray, float]:
-    """Unit-mass bump and its coupling average.
+def _tilt_root(rho: np.ndarray, d: np.ndarray) -> float:
+    """The root s of g(s) = sum rho e^(s d) d, for rho > 0 and min d < 0 <
+    max d.
 
-    ``center`` is an interior node, where the bump equals 1, so the mass is
-    never zero.
+    g' = sum rho e^(s d) d^2 > 0, so the root is unique.  The bracket starts
+    at [-1, 1] / max|d| and doubles until g changes sign.  Newton steps
+    s - g/g' are taken inside it, and replaced by bisection when they would
+    leave it or shrink slower than bisection, until a Newton step is below
+    1e-15 of |s| + 1 / max|d|.  Both sums carry the factor e^(-max s d),
+    which cancels in g/g' and keeps every exponential at most 1.
     """
-    grid = problem.grid
-    w = _bump(grid, center, radius)
-    w = w / norm_l2(grid, w)
-    return w, inner(grid, problem.q * w, w)
+    def g_and_slope(s: float) -> tuple[float, float]:
+        t = s * d
+        ed = rho * np.exp(t - t.max()) * d
+        return float(ed.sum()), float(np.vdot(ed, d))
+
+    scale = 1.0 / float(np.abs(d).max())
+    lo, hi = -scale, scale
+    while g_and_slope(lo)[0] > 0.0:
+        lo *= 2.0
+    while g_and_slope(hi)[0] < 0.0:
+        hi *= 2.0
+    s, width = 0.0, hi - lo
+    for _ in range(_TILT_MAX_STEPS):
+        g, slope = g_and_slope(s)
+        if g < 0.0:
+            lo = s
+        elif g > 0.0:
+            hi = s
+        else:
+            return s
+        step = g / slope
+        if abs(step) <= 1e-15 * (abs(s) + scale):
+            return s - step
+        if not lo < s - step < hi or abs(step) > 0.5 * width:
+            step = s - 0.5 * (lo + hi)
+        width = abs(step)
+        s -= step
+    return s
 
 
 def feasible_init(problem: Problem, region=None) -> np.ndarray:
-    """A point of M supported by two disjoint bumps inside ``region``.
+    """The tilted principal mode of ``region``: a point of M that is
+    positive on the region's interior nodes and zero elsewhere.
 
-    The radius is chosen first, sweeping from the fattest bump the region can
-    hold downward: for each trial radius the admissible centers are the nodes
-    whose distance to every region face leaves a one-node inset around the
-    support, the candidate centers are the argmin/argmax of q over them, and
-    the pair is accepted once the two coupling averages strictly bracket
-    alpha with disjoint supports.  Preferring fat bumps keeps the gradient
-    energy of the seed moderate, which matters downstream: the optimizer
-    starts near the right energy scale instead of at a spike.
+    With v = ``_principal_mode`` and d = q - alpha, the seed is
+    u = v e^(s d/2), normalized and retracted, where s is the root of the
+    coupling constraint g(s) = sum w v^2 e^(s d) d over the support
+    (``_tilt_root``).  Seeds of adjacent slabs vanish on their shared face
+    nodes, so their supports are disjoint.
 
-    The mixing weights against the two averages then satisfy both constraints
-    in closed form (the cross terms vanish identically on disjoint supports),
-    so the final retraction only cleans up rounding.
-
-    ``region`` is an optional list of per-axis (lo, hi) coordinate bounds.
-    Raises ``InfeasibleRegion`` when no radius admits a bracketing pair.
+    ``region`` is an optional list of per-axis (lo, hi) coordinate bounds,
+    by default the whole box.  Raises ``InfeasibleRegion`` exactly when q
+    does not strictly bracket alpha on the region's interior nodes, and
+    also when the tilt is so extreme that the seed fails its retraction.
     """
     grid = problem.grid
     box = _region_box(grid, region)
-    hmax = max(grid.h)
-    margin_len = _EDGE_MARGIN_CELLS * hmax
-    alpha = problem.alpha
-    tiny = 1e-12 * (1.0 + abs(alpha))
-
-    reach = np.full(grid.shape, np.inf)
-    for a in range(grid.dim):
-        lo, hi = box[a]
-        x = grid.coords[a]
-        reach = np.minimum(reach, np.minimum(x - lo, hi - x))
-    r_min = _MIN_RADIUS_CELLS * hmax
-    r_max = float(np.max(reach)) - margin_len
-    if r_max < r_min:
-        raise InfeasibleRegion(
-            f"region {box} is too thin for a compactly supported bump"
-        )
-
-    r = r_max
-    while r >= r_min * 0.999:
-        admissible = reach >= (r + margin_len) * 0.999
-        if np.any(admissible):
-            qm = np.where(admissible, problem.q, np.inf)
-            qM = np.where(admissible, problem.q, -np.inf)
-            idx_lo = np.unravel_index(int(np.argmin(qm)), grid.shape)
-            idx_hi = np.unravel_index(int(np.argmax(qM)), grid.shape)
-            if problem.q[idx_lo] < alpha < problem.q[idx_hi]:
-                c_lo = np.array([grid.axes[a][idx_lo[a]] for a in range(grid.dim)])
-                c_hi = np.array([grid.axes[a][idx_hi[a]] for a in range(grid.dim)])
-                dist = float(np.linalg.norm(c_hi - c_lo))
-                # Each bump vanishes beyond r of its center: disjoint supports.
-                if dist >= 2.0 * r + 3.0 * hmax:
-                    w_lo, avg_lo = _normalized_bump(problem, c_lo, r)
-                    w_hi, avg_hi = _normalized_bump(problem, c_hi, r)
-                    if avg_lo < alpha - tiny and avg_hi > alpha + tiny:
-                        s2 = (alpha - avg_lo) / (avg_hi - avg_lo)
-                        u = np.sqrt(1.0 - s2) * w_lo + np.sqrt(s2) * w_hi
-                        return retract(problem, u)
-        r *= 0.85
-    raise InfeasibleRegion(
-        f"no bump radius in [{r_min:.4g}, {r_max:.4g}] gives two disjoint "
-        f"bumps whose coupling averages bracket alpha={alpha:.6g} in region {box}"
-    )
+    v = _principal_mode(grid, box)
+    support = v > 0.0
+    d = problem.q[support] - problem.alpha
+    if not (d.size and d.min() < 0.0 < d.max()):
+        raise InfeasibleRegion(f"q does not bracket alpha={problem.alpha:.6g} "
+                               f"on the interior nodes of region {box}")
+    rho = grid.weights[support] * v[support] ** 2
+    t = _tilt_root(rho, d) * d
+    u = np.zeros(grid.shape)
+    u[support] = v[support] * np.exp(0.5 * (t - t.max()))
+    u /= norm_l2(grid, u)
+    try:
+        return retract(problem, u)
+    except ManifoldError as exc:
+        raise InfeasibleRegion(f"the tilted principal mode of region {box} "
+                               f"fails its retraction: {exc}") from exc
 
 
 def _axis_slab_region(grid: Grid, i0: int, i1: int) -> list[tuple[float, float]]:
@@ -306,13 +310,14 @@ def _axis_slab_region(grid: Grid, i0: int, i1: int) -> list[tuple[float, float]]
 def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
     """k members of M with pairwise disjoint supports in slabs along axis 0.
 
-    Equal-width slabs are tried first; if any slab cannot bracket alpha, a
-    greedy sweep re-partitions the axis into the shortest feasible slabs from
-    the left.  Raises ``InfeasibleRegion`` when no partition works: for
-    k = 1 the one ``feasible_init`` raised, otherwise one that names how
-    many slabs could be placed.  Supports of seeds in adjacent slabs are
-    separated by at least one zero node because each seed is inset from its
-    slab faces.
+    Each seed is ``feasible_init`` of its slab.  Equal-width slabs are tried
+    first; if q fails to bracket alpha inside any of them, a greedy sweep
+    re-partitions the axis from the left, each slab the shortest of at
+    least ``_GREEDY_MIN_SLAB_CELLS`` cells that brackets alpha.  Raises
+    ``InfeasibleRegion`` when no partition works: for k = 1 the one
+    ``feasible_init`` raised, otherwise one that names how many slabs could
+    be placed.  Adjacent slabs share a face node, where both seeds vanish,
+    so the supports are disjoint.
     """
     if k < 1:
         raise ValueError(f"need k >= 1 families, got {k}")
@@ -329,12 +334,11 @@ def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
             raise
 
     # Greedy fallback: cut the shortest slab from the left that brackets alpha.
-    min_width = max(8, int(2 * (2 * _MIN_RADIUS_CELLS + 2 * _EDGE_MARGIN_CELLS)) + 2)
     seeds: list[np.ndarray] = []
     i0 = 0
     while len(seeds) < k and i0 < n0 - 1:
         placed = False
-        for i1 in range(min(i0 + min_width, n0 - 1), n0):
+        for i1 in range(min(i0 + _GREEDY_MIN_SLAB_CELLS, n0 - 1), n0):
             try:
                 seeds.append(
                     feasible_init(problem, _axis_slab_region(grid, i0, i1))

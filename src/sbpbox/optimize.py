@@ -321,9 +321,10 @@ def excited_states(problem: Problem, k: int,
 
     The starts are the slab seeds of ``genus_seeds`` for genus 1..k, that is
     1 + 2 + ... + k deterministic starts; k < 1 raises ``ValueError``.  Seed
-    generation stops with a warning at the first genus >= 2 whose slabs
-    cannot bracket alpha.  Runs that do not converge, or raise an
-    ``SbpError``, are dropped; one warning gives the outcome of each.
+    generation stops with a warning at the first genus >= 2 for which no
+    slab partition has q bracketing alpha in every slab.  Runs that do not
+    converge, or raise an ``SbpError``, are dropped; one warning gives the
+    outcome of each.
     Survivors are deduplicated up to sign by their L2 distance and energy
     gap.
     """

@@ -7,6 +7,7 @@ are session-scoped so the suite pays for each of them once.
 """
 
 import faulthandler
+import math
 import os
 from pathlib import Path
 
@@ -100,6 +101,51 @@ def random_m_point(problem, rng, scale=1.0):
         window *= np.sin(np.pi * c / length)
     v = v * window + 2.0 * window
     return retract(problem, v)
+
+
+def two_bump_start(problem, region):
+    """Reference start data: the two-bump point of M that ``feasible_init``
+    built before it took the tilted principal mode.  The long-tail descent
+    tests were written for these spiky starts and keep them.
+
+    The radius sweeps down by factors of 0.85 from the fattest bump the
+    region holds with a 1.5-cell inset, to 2.05 cells.  Per radius the
+    centers are the argmin and argmax of q over the admissible nodes; the
+    first pair whose unit-mass bumps C^1 max(0, 1 - r^2/R^2)^2 are disjoint
+    and whose coupling averages bracket alpha is mixed to meet both
+    constraints and retracted.  ``region`` is per-axis (lo, hi) bounds.
+    """
+    grid, q, alpha = problem.grid, problem.q, problem.alpha
+    hmax = max(grid.h)
+    margin = 1.5 * hmax
+    reach = np.full(grid.shape, np.inf)
+    for x, (lo, hi) in zip(grid.coords, region):
+        reach = np.minimum(reach, np.minimum(x - lo, hi - x))
+
+    def unit_bump(idx, r):
+        center = [axis[i] for axis, i in zip(grid.axes, idx)]
+        r2 = sum((c - ci) ** 2 for c, ci in zip(grid.coords, center))
+        w = np.clip(1.0 - r2 / r**2, 0.0, None) ** 2
+        w[~grid.interior_mask] = 0.0
+        w = w / norm_l2(grid, w)
+        return w, inner(grid, q * w, w)
+
+    r_min, r = 2.05 * hmax, float(np.max(reach)) - margin
+    while r >= r_min * 0.999:
+        admissible = reach >= (r + margin) * 0.999
+        idx_lo = np.unravel_index(int(np.argmin(np.where(admissible, q, np.inf))), grid.shape)
+        idx_hi = np.unravel_index(int(np.argmax(np.where(admissible, q, -np.inf))), grid.shape)
+        dist = math.dist([a[i] for a, i in zip(grid.axes, idx_lo)],
+                         [a[i] for a, i in zip(grid.axes, idx_hi)])
+        if (np.any(admissible) and q[idx_lo] < alpha < q[idx_hi]
+                and dist >= 2.0 * r + 3.0 * hmax):
+            (w_lo, avg_lo), (w_hi, avg_hi) = unit_bump(idx_lo, r), unit_bump(idx_hi, r)
+            tiny = 1e-12 * (1.0 + abs(alpha))
+            if avg_lo < alpha - tiny and avg_hi > alpha + tiny:
+                s2 = (alpha - avg_lo) / (avg_hi - avg_lo)
+                return retract(problem, np.sqrt(1.0 - s2) * w_lo + np.sqrt(s2) * w_hi)
+        r *= 0.85
+    raise AssertionError(f"no two-bump start in region {region}")
 
 
 def eval_F(problem, u, phi):

@@ -182,6 +182,22 @@ def test_excited_mode_two_states(tmp_path):
     assert (out / "u_1.bin").exists()
 
 
+def test_excited_cfg_in_2d_finds_two_audited_states(tmp_path):
+    """``excited.cfg`` on the 33^2 square: the genus-2 slab seeds exist, so
+    the search finds both wells' states, each converged and passing the
+    residual audit."""
+    text = (DEMO_CONFIGS / "excited.cfg").read_text()
+    text = text.replace("domain.dim = 1", "domain.dim = 2").replace("grid.n = 257", "grid.n = 33")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    proc = run_cli("solve", "--config", cfg, "--out", str(out), "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    states = json.loads((out / "report.json").read_text())["states"]
+    assert len(states) == 2
+    assert all(s["converged"] for s in states)
+    assert states[0]["J"] < states[1]["J"]
+
+
 def test_refine_reports_orders(tmp_path):
     cfg = write_cfg(tmp_path, GROUND_CFG + "run.grids = 17,33,65\n")
     out = tmp_path / "out"
@@ -199,9 +215,12 @@ def test_refine_reports_orders(tmp_path):
 def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
     """Each refine entry carries its descent's iterations, which match the
     ``iters`` column; the gate's problem serves the level on ``grid.n``, so
-    every grid is built once; a rerun writes the same bytes."""
+    every grid is built once; the first level starts from ``feasible_init``
+    and each later one from the previous level's state, interpolated; a
+    rerun writes the same bytes."""
     from sbpbox import cli
     from sbpbox.config import RunConfig
+    from sbpbox.manifold import feasible_init
 
     built = []
     build = RunConfig.build_problem
@@ -210,7 +229,20 @@ def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
         built.append(n_override)
         return build(self, n_override)
 
+    starts, states = [], []
+    minimize, polish = cli.minimize_on_M, cli.polish_positive
+
+    def spying_minimize(problem, u0, opts):
+        starts.append((problem, u0))
+        return minimize(problem, u0, opts)
+
+    def spying_polish(problem, res, opts):
+        states.append(polish(problem, res, opts))
+        return states[-1]
+
     monkeypatch.setattr(RunConfig, "build_problem", counting_build)
+    monkeypatch.setattr(cli, "minimize_on_M", spying_minimize)
+    monkeypatch.setattr(cli, "polish_positive", spying_polish)
     cfg = write_cfg(tmp_path, GROUND_CFG + "run.grids = 17,33,65\n")
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -220,7 +252,11 @@ def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
     with open(outs[0] / "summary.csv", newline="") as fh:
         iters = [int(row["iters"]) for row in csv.DictReader(fh)]
     assert [s["iterations"] for s in report["states"]] == iters
-    assert iters[1] < iters[0] and iters[2] < iters[0]
+    assert len(starts) == len(states) == 6
+    for i, (problem, u0) in enumerate(starts):
+        expected = (feasible_init(problem) if i % 3 == 0
+                    else cli._interpolate(states[i - 1].u, problem.grid.shape))
+        assert np.array_equal(u0, expected), i
     for name in ("report.json", "summary.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 

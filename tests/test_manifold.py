@@ -278,14 +278,93 @@ def test_feasible_init_respects_region():
     assert np.all(u0[x > 0.6] == 0.0)
     c1, c2 = constraint_values(prob, u0)
     assert abs(c1) <= 1e-10 and abs(c2) <= 1e-8
-    # In the right half q = x > 0.3 everywhere: alpha cannot be an average.
-    with pytest.raises(InfeasibleRegion):
+    # In the right half q = x > 0.3 on every node: q does not bracket alpha.
+    with pytest.raises(InfeasibleRegion, match="does not bracket"):
         feasible_init(prob, region=[(0.62, 1.0)])
 
 
+def x_coupling_problem(dim, n, alpha):
+    """Unit box with q = x1 and alpha on the right face: the coupling of the
+    ground-3d benchmark in any dimension."""
+    g = Grid(lengths=(1.0,) * dim, n=(n,) * dim)
+    return build_problem(grid=g, coupling=CouplingSpec("affine", {"a": 0.0, "b": 1.0}),
+                         h1=BoundaryData.zero(g),
+                         h2=BoundaryData.constant(g, {"x1": alpha}), kappa=1.0, p=3.0)
+
+
+def inside(grid, region):
+    """Nodes strictly inside ``region`` that are interior nodes of the grid."""
+    mask = grid.interior_mask.copy()
+    for x, (lo, hi) in zip(grid.coords, region):
+        mask &= (x > lo) & (x < hi)
+    return mask
+
+
+def assert_seed(prob, u, region):
+    c1, c2 = constraint_values(prob, u)
+    assert abs(c1) <= 1e-12
+    assert abs(c2) <= 1e-12 * (1.0 + abs(prob.alpha))
+    mask = inside(prob.grid, region)
+    assert np.all(u[mask] > 0.0)
+    assert np.all(u[~mask] == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 0.9])
+@pytest.mark.parametrize("dim,n", [(2, 33), (3, 17)])
+def test_feasible_init_is_a_positive_point_of_M_inside_its_region(dim, n, alpha):
+    """With q = x the tilt reaches alpha near either face, where a pair of
+    disjoint bumps did not fit; the seed is positive on the region's
+    interior nodes and exactly zero elsewhere."""
+    prob = x_coupling_problem(dim, n, alpha)
+    whole = [(0.0, 1.0)] * dim
+    sub = [(max(0.0, alpha - 0.3), min(1.0, alpha + 0.3))] + [(0.2, 0.8)] * (dim - 1)
+    assert_seed(prob, feasible_init(prob), whole)
+    assert_seed(prob, feasible_init(prob, sub), sub)
+
+
+def test_feasible_init_on_the_coarsest_ground_3d_grid():
+    """The ground-3d problem at 13^3, where two disjoint bumps did not fit."""
+    prob = x_coupling_problem(3, 13, 0.5)
+    assert_seed(prob, feasible_init(prob), [(0.0, 1.0)] * 3)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5])
+def test_feasible_init_raises_exactly_when_q_fails_to_bracket_alpha(alpha):
+    """Over every slab [x_i0, x_i1] of a 17-node line, and of a 17^2 square
+    with the full transverse range and with one that holds no node,
+    ``feasible_init`` raises exactly when q does not strictly bracket alpha
+    on the interior nodes.
+    alpha = 0.25 and 0.5 are node values of q = x, so slabs that end with
+    alpha as their largest or smallest interior value must raise."""
+    for prob, transverses in ((x_coupling_problem(1, 17, alpha), [[]]),
+                              (x_coupling_problem(2, 17, alpha), [[(0.0, 1.0)], [(0.5, 0.55)]])):
+        x = prob.grid.axes[0]
+        for i0 in range(17):
+            for i1 in range(i0 + 1, 17):
+                for transverse in transverses:
+                    region = [(x[i0], x[i1])] + transverse
+                    d = prob.q[inside(prob.grid, region)] - prob.alpha
+                    if d.size and d.min() < 0.0 < d.max():
+                        assert_seed(prob, feasible_init(prob, region), region)
+                    else:
+                        with pytest.raises(InfeasibleRegion, match="does not bracket"):
+                            feasible_init(prob, region)
+
+
+def test_feasible_init_raises_when_the_tilt_is_extreme():
+    """One interior node has q just below alpha and every other one lies
+    above it: the seed exists on paper but concentrates on that node, where
+    q is nearly constant, and its retraction fails."""
+    x = line_problem(17).grid.axes[0]
+    prob = line_problem(17, alpha=x[1] + 1e-12)
+    assert prob.q[1] < prob.alpha
+    with pytest.raises(InfeasibleRegion, match="fails its retraction"):
+        feasible_init(prob)
+
+
 def one_well_problem(n=65):
-    """One period of the oscillating coupling: its trough sits left of the
-    middle, so the left half cannot bracket alpha."""
+    """One period of the oscillating coupling: its trough sits right of the
+    middle, so q does not bracket alpha in the left half."""
     g = Grid(lengths=(1.0,), n=(n,))
     spec = CouplingSpec("oscillating", {"base": 1.0, "amplitude": 0.9,
                                         "cycles": 1, "tilt": 0.0})
@@ -312,6 +391,18 @@ def test_genus_seeds_live_in_disjoint_slabs():
         for i in range(k):
             for j in range(i + 1, k):
                 assert inner(prob.grid, seeds[i], seeds[j]) == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_genus_seeds_at_3d_25(k):
+    """``excited.cfg`` on the 25^3 box: equal slabs, one seed each, where the
+    two-bump seeds found only 1 of 2 slabs."""
+    prob = oscillating_problem(25, dim=3)
+    seeds = genus_seeds(prob, k)
+    assert len(seeds) == k
+    edges = [round(j * 24 / k) for j in range(k + 1)]
+    for j, s in enumerate(seeds):
+        assert_seed(prob, s, _axis_slab_region(prob.grid, edges[j], edges[j + 1]))
 
 
 def test_genus_seeds_too_many_slabs():

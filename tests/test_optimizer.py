@@ -11,6 +11,7 @@ from sbpbox.errors import SbpError
 from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
 from sbpbox.grid import dirichlet_energy, dirichlet_inner, inner
 from sbpbox.manifold import (
+    _axis_slab_region,
     constraint_values,
     feasible_init,
     genus_seeds,
@@ -28,7 +29,7 @@ from sbpbox.optimize import (
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import _dst_interior, solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
-from conftest import line_problem, oscillating_problem
+from conftest import line_problem, oscillating_problem, two_bump_start
 from dataclasses import replace as dc_replace
 
 
@@ -351,9 +352,11 @@ def test_merit_line_search_converges_past_the_rounding_floor_of_J():
     Retraction leaves constraint residuals near 1e-14, which move J by
     about (|omega| + |mu|) 1e-14; with the Armijo test on J this start ran
     to the cap with its gradient stuck near 2.1e-7.  The test on the merit
-    (the Lagrangian) converges in about 465 iterations."""
+    (the Lagrangian) converges in about 465 iterations.  The start is the
+    two-bump seed of that slab (``two_bump_start``), as the test was written
+    for it."""
     prob = oscillating_problem(49, dim=2)
-    res = minimize_on_M(prob, genus_seeds(prob, 3)[1],
+    res = minimize_on_M(prob, two_bump_start(prob, _axis_slab_region(prob.grid, 16, 32)),
                         OptimizerOptions(max_iterations=2000))
     assert res.converged
     assert res.j == pytest.approx(72.196185319, rel=1e-9)
@@ -363,9 +366,10 @@ def test_3d_excited_start_reaches_grad_tol():
     """The genus-1 slab start of ``excited.cfg`` on the 25^3 box.  With the
     short BB step and the Armijo test on J it once stalled at the cap; it
     now converges in about 1,000 to 1,500 iterations, a count that moves
-    with rounding."""
+    with rounding.  The start is the two-bump seed of the whole box
+    (``two_bump_start``), the long tail the test was written for."""
     prob = oscillating_problem(25, dim=3)
-    res = minimize_on_M(prob, genus_seeds(prob, 1)[0],
+    res = minimize_on_M(prob, two_bump_start(prob, _axis_slab_region(prob.grid, 0, 24)),
                         OptimizerOptions(max_iterations=4000))
     assert res.converged
     assert res.j == pytest.approx(49.752265733, rel=1e-9)
