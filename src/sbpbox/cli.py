@@ -164,7 +164,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
         states = [res]
     else:
         k = cfg.get("run.k")
-        _say(quiet, f"multi-start search for {k} families of states")
+        _say(quiet, f"search for {k} states from the slab seeds of genus {k}")
         states = excited_states(problem, k, opts)
         if not states:
             raise SbpError("no start converged; nothing to report")

@@ -5,7 +5,9 @@ A class exists only where a caller tells it apart:
 - ``ManifoldError``: the line search of ``optimize._minimize`` catches it
   from ``retract`` and halves the step.
 - ``InfeasibleRegion``: ``manifold.genus_seeds`` catches it from
-  ``feasible_init`` and tries another slab partition.
+  ``feasible_init`` and tries another slab partition;
+  ``optimize.excited_states`` catches it from ``genus_seeds`` and tries the
+  next lower genus.
 - ``ConfigError``: a bad run configuration, reported by the command line.
 - ``SbpError``: the base class, which the command line prints as one
   ``error:`` line and ``excited_states`` catches per start.

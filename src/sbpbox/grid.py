@@ -154,13 +154,6 @@ class Grid:
         return tuple(out)
 
     @cached_property
-    def diff_slices(self) -> tuple[tuple[tuple, tuple], ...]:
-        """Per axis, the index pair (upper, lower) of a forward difference."""
-        return tuple((_axis_slice(self.dim, a, slice(1, None)),
-                      _axis_slice(self.dim, a, slice(None, -1)))
-                     for a in range(self.dim))
-
-    @cached_property
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.shape, dtype=bool)
         mask[(slice(1, -1),) * self.dim] = True
@@ -391,10 +384,9 @@ def dirichlet_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     total = 0.0
-    for h, weights, (upper, lower) in zip(grid.h, grid.cell_weights,
-                                          grid.diff_slices):
-        df = f[upper] - f[lower]
-        dg = df if g is f else g[upper] - g[lower]
+    for a, (h, weights) in enumerate(zip(grid.h, grid.cell_weights)):
+        df = np.diff(f, axis=a)
+        dg = df if g is f else np.diff(g, axis=a)
         total += float(np.vdot(weights * df, dg)) / (h * h)
     return total
 

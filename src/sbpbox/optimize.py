@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ManifoldError, SbpError
+from .errors import InfeasibleRegion, ManifoldError, SbpError
 from .grid import norm_l2, require_zero_boundary
 from .manifold import _project_dst, genus_seeds, retract
 from .problem import Problem
@@ -319,31 +319,31 @@ def excited_states(problem: Problem, k: int,
                    opts: OptimizerOptions | None = None) -> list[SolveResult]:
     """Distinct converged states from one descent per slab seed, sorted by J.
 
-    The starts are the slab seeds of ``genus_seeds`` for genus 1..k, that is
-    1 + 2 + ... + k deterministic starts; k < 1 raises ``ValueError``.  Seed
-    generation stops with a warning at the first genus >= 2 for which no
-    slab partition has q bracketing alpha in every slab.  Runs that do not
-    converge, or raise an ``SbpError``, are dropped; one warning gives the
-    outcome of each.
+    The starts are the k slab seeds of ``genus_seeds(problem, k)``, whose
+    disjoint supports span a set of genus k; k < 1 raises ``ValueError``.
+    When no partition into k slabs has q bracketing alpha in every slab
+    (``InfeasibleRegion``), the search warns once and takes the largest
+    genus g < k that has seeds; at g = 1 the error propagates.  Runs that do
+    not converge, or raise an ``SbpError``, are dropped; one warning gives
+    the outcome of each.
     Survivors are deduplicated up to sign by their L2 distance and energy
     gap.
     """
     if k < 1:
         raise ValueError(f"excited_states needs k >= 1, got {k}")
     opts = opts or OptimizerOptions()
-    starts: list[np.ndarray] = []
-    for genus in range(1, k + 1):
+    reason = None
+    for genus in range(k, 0, -1):
         try:
-            seeds = genus_seeds(problem, genus)
-        except SbpError as exc:
+            starts = genus_seeds(problem, genus)
+            break
+        except InfeasibleRegion as exc:
             if genus == 1:
                 raise
-            warnings.warn(
-                f"stopping seed generation at genus {genus}: {exc}",
-                stacklevel=2,
-            )
-            break
-        starts.extend(seeds)
+            reason = reason or exc
+    if genus < k:
+        warnings.warn(f"descending from the slab seeds of genus {genus}, as "
+                      f"genus {k} has none: {reason}", stacklevel=2)
 
     results: list[SolveResult] = []
     failures: list[str] = []
@@ -369,7 +369,8 @@ def excited_states(problem: Problem, k: int,
     kept = _dedupe(problem.grid, results)
     if len(kept) < k:
         warnings.warn(
-            f"found {len(kept)} distinct states from genus targets up to {k}",
+            f"found {len(kept)} distinct states of {k} sought from the slab "
+            f"seeds of genus {genus}",
             stacklevel=2,
         )
     return kept

@@ -133,10 +133,6 @@ class FeasibilityReport:
     classification: str
     level_set_fraction: float
 
-    @property
-    def feasible(self) -> bool:
-        return self.classification == "interior"
-
     def describe(self) -> str:
         return (
             f"alpha={self.alpha:.6g} against q range [{self.q_min:.6g}, "

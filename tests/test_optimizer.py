@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, optimize
-from sbpbox.errors import SbpError
+from sbpbox.errors import InfeasibleRegion, SbpError
 from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
 from sbpbox.grid import dirichlet_energy, dirichlet_inner, inner
 from sbpbox.manifold import (
@@ -376,9 +376,9 @@ def test_3d_excited_start_reaches_grad_tol():
 
 
 def test_excited_search_at_low_alpha_converges_from_every_start():
-    """At alpha = 0.2 the genus-1 and genus-2 starts all reach grad_tol (in
-    at most about 700 iterations) and meet in one state; with the Armijo
-    test on J, two of the three stalled at the cap."""
+    """At alpha = 0.2 both genus-2 starts reach grad_tol (in at most about
+    700 iterations) and meet in one state; with the Armijo test on J, two
+    of the three genus-1 and genus-2 starts stalled at the cap."""
     prob = oscillating_problem(65, alpha=0.2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -400,24 +400,98 @@ def test_excited_states_deterministic():
 
 
 def test_excited_states_propagates_seed_programming_errors(monkeypatch):
-    """Only package errors at genus >= 2 end seed generation with a warning;
-    anything else is a defect and must surface."""
+    """Only ``InfeasibleRegion`` moves the search to a lower genus; any other
+    error at genus k, a defect or another package error, must surface."""
     prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+    for error in (TypeError("broken seed generator"),
+                  SbpError("seed construction failed")):
 
-    def broken(problem, genus):
-        if genus == 2:
-            raise TypeError("broken seed generator")
-        return genus_seeds(problem, genus)
+        def broken(problem, genus):
+            if genus == 2:
+                raise error
+            return genus_seeds(problem, genus)
 
-    monkeypatch.setattr(optimize, "genus_seeds", broken)
-    with pytest.raises(TypeError, match="broken seed generator"):
-        excited_states(prob, 2, OptimizerOptions())
+        monkeypatch.setattr(optimize, "genus_seeds", broken)
+        with pytest.raises(type(error), match=str(error)):
+            excited_states(prob, 2, OptimizerOptions())
 
 
 def test_excited_states_rejects_k_below_one():
     prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
     with pytest.raises(ValueError, match="k >= 1"):
         excited_states(prob, 0)
+
+
+def _spy_on_starts(monkeypatch):
+    """Record the start of every descent ``excited_states`` makes."""
+    starts = []
+    real = optimize._minimize
+
+    def spy(problem, u0, opts):
+        starts.append(u0)
+        return real(problem, u0, opts)
+
+    monkeypatch.setattr(optimize, "_minimize", spy)
+    return starts
+
+
+def test_excited_states_descends_only_from_the_genus_k_seeds(monkeypatch):
+    prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+    seeds = genus_seeds(prob, 3)
+    starts = _spy_on_starts(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        excited_states(prob, 3, OptimizerOptions(max_iterations=8000))
+    assert len(starts) == 3
+    for u0, seed in zip(starts, seeds):
+        assert np.array_equal(u0, seed)
+
+
+def test_excited_states_falls_back_to_the_largest_genus_with_seeds(monkeypatch):
+    """The three-well q has no partition into 5 bracketing slabs: the
+    search warns once and descends from the 4 seeds of genus 4."""
+    prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+    seeds = genus_seeds(prob, 4)
+    starts = _spy_on_starts(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        states = excited_states(prob, 5, OptimizerOptions(max_iterations=8000))
+    fallback = [str(w.message) for w in caught
+                if "slab seeds of genus 4, as" in str(w.message)]
+    assert len(fallback) == 1
+    assert "genus 5 has none" in fallback[0]
+    assert len(starts) == 4
+    for u0, seed in zip(starts, seeds):
+        assert np.array_equal(u0, seed)
+    assert [s.j for s in states] == [
+        pytest.approx(58.89462859454396, rel=1e-6),
+        pytest.approx(73.36864208910114, rel=1e-6),
+    ]
+
+
+def test_excited_states_propagates_infeasible_region_at_genus_one():
+    prob = oscillating_problem(65, alpha=0.1)  # below the range of q
+    with pytest.raises(InfeasibleRegion, match="does not bracket"):
+        excited_states(prob, 2, OptimizerOptions())
+
+
+@pytest.mark.parametrize("n, alpha, dim", [(65, 0.35, 1), (65, 1.4, 1),
+                                           (33, 0.35, 2)])
+def test_excited_states_matches_the_nested_genus_start_set(n, alpha, dim):
+    """Reference check: descending from every slab seed of genus 1..k, the
+    start set the search once used, finds the same states as the genus-k
+    seeds alone."""
+    prob = oscillating_problem(n, alpha=alpha, dim=dim)
+    opts = OptimizerOptions(max_iterations=8000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        states = excited_states(prob, 3, opts)
+    nested = [minimize_on_M(prob, u0, opts)
+              for genus in (1, 2, 3) for u0 in genus_seeds(prob, genus)]
+    reference = _dedupe(prob.grid, [r for r in nested if r.converged])
+    assert len(states) == len(reference)
+    for s, r in zip(states, reference):
+        assert abs(s.j - r.j) <= 1e-9 * abs(r.j)
 
 
 def test_excited_states_reports_stalled_starts_in_one_warning(monkeypatch):
@@ -432,8 +506,8 @@ def test_excited_states_reports_stalled_starts_in_one_warning(monkeypatch):
     failed = [str(w.message) for w in caught
               if "did not converge" in str(w.message)]
     assert len(failed) == 1
-    assert failed[0].startswith("3 of 3 starts did not converge: ")
-    assert failed[0].count("line_search_stall at iteration 0") == 3
+    assert failed[0].startswith("2 of 2 starts did not converge: ")
+    assert failed[0].count("line_search_stall at iteration 0") == 2
 
 
 def test_excited_states_draws_no_random_numbers(monkeypatch):

@@ -184,7 +184,6 @@ def test_classify_alpha_regimes():
     assert classify_alpha(line_problem(33, alpha=-0.2)).classification == "infeasible"
     rep = classify_alpha(line_problem(33, alpha=1.0 - 1e-12))
     assert rep.classification == "boundary_degenerate"
-    assert rep.feasible is (rep.classification == "interior")
 
 
 def test_classify_alpha_constant_coupling():
