@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -238,18 +238,6 @@ class BoundaryData:
         return cls(grid, {
             face: np.full(grid.face_shape(face[0]), c) for face, c in table.items()
         })
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable) -> "BoundaryData":
-        """Evaluate ``fn(x1, ..., xd)`` at the nodes of every face."""
-        vals = {}
-        for axis, side in grid.faces():
-            idx = grid.face_index(axis, side)
-            coords = [c[idx] for c in grid.coords]
-            vals[(axis, side)] = np.asarray(fn(*coords), dtype=float).reshape(
-                grid.face_shape(axis)
-            )
-        return cls(grid, vals)
 
     def face(self, axis: int, side: int) -> np.ndarray:
         return self.values[(axis, side)]

@@ -15,8 +15,9 @@ follows from the mass: the retraction is in closed form.  The tangent
 projection removes from an H^1_0 gradient the span of the H^1_0
 representers of the constraint differentials, the Dirichlet solves of
 (u, q u); it works on DST-I coefficients, where those solves are divisions
-by the symbol.  Either the ansatz reaches M or it does not: every failure
-of the retraction, and a failed Gram test of the projection, is one
+by the symbol, and the descent's metric -lap + s only shifts the symbol
+(``_project_dst``).  Either the ansatz reaches M or it does not: every
+failure of the retraction, and a failed Gram test of the projection, is one
 ``ManifoldError``.
 
 Feasible starting points tilt the principal sine mode v of a box by
@@ -159,30 +160,37 @@ def tangent_project(problem: Problem, u: np.ndarray, g: np.ndarray) -> np.ndarra
     u = np.asarray(u, dtype=float)
     g = np.array(g, dtype=float)  # a copy: boundary values pass through
     coef, _, _ = _project_dst(problem, _dst_interior(grid, u),
-                              _dst_interior(grid, problem.q * u), _dst_interior(grid, g))
+                              _dst_interior(grid, problem.q * u), _dst_interior(grid, g),
+                              _symbols(grid).dirichlet)
     return _from_dst_interior(grid, coef, g)
 
 
 def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
-                 g_hat: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """``tangent_project`` on DST-I coefficients: from those of u, q u and g,
-    returns the coefficients g_hat - lam u_hat / sigma - beta qu_hat / sigma
-    of the projected field, written over ``g_hat``, and (lam, beta).  Its
-    interior values are one inverse transform away (``_from_dst_interior``).
+                 g_hat: np.ndarray, symbol: np.ndarray
+                 ) -> tuple[np.ndarray, float, float]:
+    """The projection of ``tangent_project`` on DST-I coefficients, in the
+    metric sum(symbol a_hat b_hat) * prod h / scale: from the coefficients
+    of u, q u and g, returns g_hat - lam u_hat / symbol - beta qu_hat /
+    symbol, written over ``g_hat``, and (lam, beta).  Its interior values
+    are one inverse transform away (``_from_dst_interior``).  The symbol
+    sigma of the Dirichlet stencil gives the H^1_0 metric of
+    ``tangent_project``; the descent also passes sigma + s, the metric of
+    -lap + s.
 
-    The transform T is symmetric and T T = scale, and the representers have
-    coefficients r_hat / sigma, so with the interior weight prod h every
-    entry is a sum over modes times prod h / scale: inner(r_i, d_j) =
-    sum r_i_hat r_j_hat / sigma and inner(r_i, g) = sum r_i_hat g_hat.  The
-    common factor cancels and the matrix is symmetric; ``_gram_det`` checks
-    it and gives the determinant of Cramer's rule for (lam, beta).
+    The transform T is symmetric and T T = scale, and in this metric the
+    representers of (u, q u) have coefficients r_hat / symbol, so with the
+    interior weight prod h every entry is a sum over modes times prod h /
+    scale: inner(r_i, d_j) = sum r_i_hat r_j_hat / symbol and inner(r_i, g)
+    = sum r_i_hat g_hat.  The common factor cancels and the matrix is
+    symmetric; ``_gram_det`` checks it and gives the determinant of
+    Cramer's rule for (lam, beta).  The result is L2-orthogonal to u and
+    q u, whatever the symbol: the tangent space is the same in every metric.
 
-    When g is S(grad J), (lam, beta) are the Galerkin multipliers of
-    grad J = lam u + beta q u in the H^1_0 pairing, so at a critical point
-    of J on M they are (omega, -mu).
+    When g is the gradient of J in the metric, (lam, beta) are the Galerkin
+    multipliers of grad J = lam u + beta q u in its pairing, so at a
+    critical point of J on M they are (omega, -mu) in every metric.
     """
-    sigma = _symbols(problem.grid).dirichlet
-    d1, d2 = u_hat / sigma, qu_hat / sigma
+    d1, d2 = u_hat / symbol, qu_hat / symbol
     g11, g12, g22 = (float(np.vdot(u_hat, d1)), float(np.vdot(u_hat, d2)),
                      float(np.vdot(qu_hat, d2)))
     det = _gram_det(g11, g12, g22)

@@ -1,16 +1,32 @@
 """Projected gradient descent on the constraint manifold.
 
-Descent runs in the discrete H^1_0 metric: each iteration takes the gradient
-u + S(w), with S the Dirichlet solve and w the derivative-free terms of grad J
-(no stencil), projects it onto the tangent space of M, steps against it, and
-retracts back with the two-parameter ansatz.  Gradient and projection work
-on the DST-I coefficients of u, q u and w and take one inverse transform,
-which gives the physical gradient for the trial step.  The loop's H^1_0
+Descent runs in the discrete metric of -lap + s, a shifted H^1_0 metric:
+each iteration takes the gradient of J in that metric, projects it onto the
+tangent space of M, steps against it, and retracts back with the
+two-parameter ansatz.  At s = 0 the gradient is u + S(w), with S the
+Dirichlet solve and w the derivative-free terms of grad J (no stencil).
+Gradient and projection work on the DST-I coefficients of u, q u and w,
+where the metric is the symbol sigma + s, and take one inverse transform,
+which gives the physical gradient for the trial step.  The loop's
 products, the decrease rate |g|^2 and the BB terms sy and yy, are sums over
-modes of sigma a_hat b_hat (see ``_tangent_gradient``), and so is the
-Dirichlet term of J (``eval_J`` keeps the finite-difference form).  Each
-trial point is evaluated once, and the next pass reuses its coefficients
-of u (``_evaluate``).
+modes of (sigma + s) a_hat b_hat (see ``_tangent_gradient``), and so is the
+Dirichlet energy D = integral of |grad u|^2, half of which is J's Dirichlet
+term (``eval_J`` keeps the finite-difference form).  Each trial point is
+evaluated once, and the next pass reuses its coefficients of u
+(``_evaluate``).
+
+The shift of a pass is s = max(lam - D, 0), with lam the first multiplier
+of the previous pass's projection and D that of the current iterate; the
+first pass has s = 0.  At a critical point -lap u + W u = lam u + beta q u,
+with W u = w, so testing with u gives lam - D = integral of (W - beta q)
+u^2: the u^2-mean of the potential of the linearized eigenproblem.  The
+metric -lap + s takes that mean into account, a constant-coefficient form
+of the metrics that include the potential (Danaila & Kazemi, SIAM J. Sci.
+Comput. 32(5), 2010; the energy-adaptive metric of Henning & Peterseim,
+SIAM J. Numer. Anal. 58, 2020), and costs nothing on DST-I coefficients.
+Clamping at 0 keeps the metric at or above H^1_0; where omega lies below
+D, as for the ground states of the benchmark, every pass runs in H^1_0.
+
 The trial step is the short Barzilai-Borwein step sy / yy (Barzilai &
 Borwein, IMA J. Numer. Anal. 8, 1988; twice the last accepted step when it
 is undefined), and a nonmonotone Armijo backtracking line search safeguards
@@ -24,22 +40,29 @@ about 1e-13, which move J off the Armijo model by up to (|lam| + |beta|)
 times that, so a test on J alone stalls once the squared gradient falls
 below that level; the merit cancels the error to first order.  Every
 accepted merit lies at or below the C before it, and C never exceeds the
-starting merit.  The multipliers of the returned state are the
-coefficients of its last projection: omega = lam, mu = -beta.
+starting merit.
 
-Convergence is declared on the Sobolev tangent gradient norm, whose square is
-the Armijo decrease rate.  Every run returns a ``SolveResult``; its
-``stop_reason`` is ``grad_tol`` (converged), ``max_iterations`` (the cap was
-reached) or ``line_search_stall`` (backtracking fell below ``_MIN_STEP``).
-With ``keep_trace`` each gradient evaluation records the energy, that norm
-and the step last accepted.
+Convergence is declared on the H^1_0 tangent gradient norm.  For s >= 0 the
+shifted tangent norm, whose square is the Armijo decrease rate, is at most
+the H^1_0 norm: both are the sup of <grad J, v> / |v| over tangent v, and
+the shifted |v| is the larger.  So the H^1_0 projection is formed, from
+the coefficients the pass already transformed (``_h1_projection``), only
+when the shifted norm passes ``grad_tol``, and at every exit.  The
+multipliers of the returned state are the coefficients of its H^1_0
+projection: omega = lam, mu = -beta.  Every run returns a
+``SolveResult``; its ``stop_reason`` is ``grad_tol`` (converged),
+``max_iterations`` (the cap was reached) or ``line_search_stall``
+(backtracking fell below ``_MIN_STEP``).  With ``keep_trace`` each
+gradient evaluation records the energy, the norm whose square was its
+Armijo rate, and the step last accepted; the last record holds the H^1_0
+norm the run stopped on.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +101,7 @@ _DEDUPE_J = 1e-6
 class OptimizerOptions:
     """Settings of the projected descent loop, used for every start.
 
-    grad_tol: threshold on the Sobolev tangent gradient norm, in (0, inf).
+    grad_tol: threshold on the H^1_0 tangent gradient norm, in (0, inf).
     max_iterations: descent iterations per start before giving up, >= 0.
     keep_trace: record an ``IterRecord`` per iteration in ``SolveResult``.
     """
@@ -96,7 +119,11 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class IterRecord:
-    """One line of the iteration trace."""
+    """One line of the iteration trace: the pass's energy, its tangent
+    gradient norm and the step last accepted.  ``sobolev_grad`` is the
+    norm in the pass's metric, whose square was its Armijo decrease rate;
+    on the last record it is the H^1_0 norm the run stopped on, the
+    ``grad_norm`` of the result."""
 
     iteration: int
     j: float
@@ -125,10 +152,11 @@ def minimize_on_M(problem: Problem,
                   u0: np.ndarray,
                   opts: OptimizerOptions | None = None) -> SolveResult:
     """Projected BB descent with a nonmonotone (Zhang-Hager) Armijo line
-    search on the merit from ``u0`` until the Sobolev tangent gradient norm
-    drops below ``opts.grad_tol``.  The merit may rise between iterates, but
-    never above the merit of the retracted start.  ``omega`` and ``mu`` are
-    the multipliers of the last tangent projection, at the returned iterate.
+    search on the merit, in the shifted metric of the module docstring, from
+    ``u0`` until the H^1_0 tangent gradient norm drops below
+    ``opts.grad_tol``.  The merit may rise between iterates, but never above
+    the merit of the retracted start.  ``omega`` and ``mu`` are the
+    multipliers of the H^1_0 tangent projection at the returned iterate.
 
     Hitting ``max_iterations``, or backtracking below ``_MIN_STEP`` without an
     acceptable decrease, returns the current iterate and its gradient norm
@@ -140,14 +168,14 @@ def minimize_on_M(problem: Problem,
 def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> SolveResult:
     grid = problem.grid
     u = retract(problem, require_zero_boundary(grid, u0))
-    phi, u_hat, j, c1, c2 = _evaluate(problem, u)
+    phi, u_hat, j, dirichlet, c1, c2 = _evaluate(problem, u)
     step = _INITIAL_STEP
     trace: list[IterRecord] = []
-    reason = "max_iterations"
     sym = _symbols(grid)
     sigma = sym.dirichlet
-    # dirichlet_inner(a, b) = sum(sigma a_hat b_hat) * prod h / scale for
-    # fields that vanish on the boundary (see ``_tangent_gradient``).
+    # dirichlet_inner(a, b) + s inner(a, b) = sum((sigma + s) a_hat b_hat)
+    # * prod h / scale for fields that vanish on the boundary (see
+    # ``_tangent_gradient``).
     metric = math.prod(grid.h) / sym.scale
     # The coefficients of the last pass, kept for the BB step in two buffers
     # allocated once: arrays that outlive the line search's temporaries
@@ -161,15 +189,26 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     # the returned iterate.
     for it in range(opts.max_iterations + 1):
         iterations = it
-        lam, beta, gt_hat = _tangent_gradient(problem, u, phi, u_hat, gt)
-        decrease_rate = metric * float(np.vdot(sigma * gt_hat, gt_hat))
+        # The shift: the last pass's multiplier less the Dirichlet energy,
+        # the u^2-mean of the potential at a critical point.
+        shift = max(lam - dirichlet, 0.0) if it else 0.0
+        symbol = sigma + shift if shift else sigma
+        lam, beta, gt_hat, w_hat, qu_hat = _tangent_gradient(
+            problem, u, phi, u_hat, shift, symbol, gt)
+        decrease_rate = metric * float(np.vdot(symbol * gt_hat, gt_hat))
         sob = math.sqrt(decrease_rate)
+        # The shifted tangent norm is at most the H^1_0 one, so only a pass
+        # that it lets through, or the last, needs the H^1_0 projection.
+        h1 = lam, beta, sob
+        if shift and (sob <= opts.grad_tol or it == opts.max_iterations):
+            h1 = _h1_projection(problem, u_hat, w_hat, qu_hat)
+        converged = h1[2] <= opts.grad_tol
+        stop = converged or it == opts.max_iterations
         if opts.keep_trace:
-            trace.append(IterRecord(iteration=it, j=j, sobolev_grad=sob, step=step))
-        if sob <= opts.grad_tol:
-            reason = "grad_tol"
-            break
-        if it == opts.max_iterations:
+            trace.append(IterRecord(iteration=it, j=j, step=step,
+                                    sobolev_grad=h1[2] if stop else sob))
+        if stop:
+            reason = "grad_tol" if converged else "max_iterations"
             break
         if it == 0:
             ref_c, ref_q = j - 0.5 * (lam * c1 + beta * c2), 1.0
@@ -179,19 +218,22 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         # overshoots here and takes about a quarter more iterations.  Falls
         # back to growing the accepted step.  The nonmonotone Armijo test
         # below, against the Zhang-Hager reference value ref_c, safeguards it.
-        # Both products are sums over modes, formed in place in the buffers
-        # of the last pass; their common factor metric cancels.
+        # Both products are sums over modes in the current metric, formed in
+        # place in the buffers of the last pass; their common factor metric
+        # cancels.
         t = min(2.0 * step, _MAX_STEP)
         if it > 0:
             s_hat = np.subtract(u_hat, prev_u_hat, out=prev_u_hat)
             y_hat = np.subtract(gt_hat, prev_gt_hat, out=prev_gt_hat)
-            sy = float(np.vdot(np.multiply(s_hat, sigma, out=s_hat), y_hat))
+            sy = float(np.vdot(np.multiply(s_hat, symbol, out=s_hat), y_hat))
             if sy > 0.0:
-                yy = float(np.vdot(np.multiply(y_hat, sigma, out=s_hat), y_hat))
+                yy = float(np.vdot(np.multiply(y_hat, symbol, out=s_hat), y_hat))
                 t = min(max(sy / yy, _MIN_STEP), _MAX_STEP)
         np.copyto(prev_u_hat, u_hat)
         np.copyto(prev_gt_hat, gt_hat)
-        del u_hat, gt_hat  # only the buffers live through the line search
+        # Only the buffers live through the line search, and at s > 0 the
+        # coefficients of w and q u that a stall needs.
+        del u_hat, gt_hat
 
         while t >= _MIN_STEP:
             try:
@@ -199,10 +241,10 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             except ManifoldError:
                 t *= _BACKTRACK
                 continue
-            phi_try, u_hat_try, j_try, c1, c2 = _evaluate(problem, u_try)
+            phi_try, u_hat_try, j_try, d_try, c1, c2 = _evaluate(problem, u_try)
             m_try = j_try - 0.5 * (lam * c1 + beta * c2)
             if m_try <= ref_c - _ARMIJO_C * t * decrease_rate:
-                u, phi, j, u_hat = u_try, phi_try, j_try, u_hat_try
+                u, phi, j, u_hat, dirichlet = u_try, phi_try, j_try, u_hat_try, d_try
                 step = t
                 q_old, ref_q = ref_q, _ZH_ETA * ref_q + 1.0
                 ref_c = (_ZH_ETA * q_old * ref_c + m_try) / ref_q
@@ -210,8 +252,13 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             t *= _BACKTRACK
         else:
             reason = "line_search_stall"
+            if shift:
+                h1 = _h1_projection(problem, prev_u_hat, w_hat, qu_hat)
+                if opts.keep_trace:
+                    trace[-1] = replace(trace[-1], sobolev_grad=h1[2])
             break
 
+    lam, beta, sob = h1
     return SolveResult(
         u=u, j=j, omega=lam, mu=-beta,
         iterations=iterations, stop_reason=reason,
@@ -220,56 +267,88 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
 
 
 def _evaluate(problem: Problem, u: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """(phi, u_hat, J, c1, c2) at a trial point u: ``phi_map(problem, u)``,
-    the DST-I coefficients of u, the reduced energy and the residuals of
-    ``constraint_values``.  J's other terms and the residuals are dots of
-    one weighted square w = weights u^2; its Dirichlet term is the mode sum
-    sum(sigma u_hat^2) * prod h / scale (see ``_tangent_gradient``), which
-    equals the finite-difference form of ``eval_J`` to rounding.
+              ) -> tuple[np.ndarray, np.ndarray, float, float, float, float]:
+    """(phi, u_hat, J, D, c1, c2) at a trial point u: ``phi_map(problem, u)``,
+    the DST-I coefficients of u, the reduced energy, D = integral of
+    |grad u|^2, and the residuals of ``constraint_values``.  J's other
+    terms and the residuals are dots of one weighted square w = weights
+    u^2; D is the mode sum sum(sigma u_hat^2) * prod h / scale (see
+    ``_tangent_gradient``), which equals ``dirichlet_energy`` to rounding,
+    and J takes D / 2 as its Dirichlet term.
     """
     grid = problem.grid
     sym = _symbols(grid)
     phi = phi_map(problem, u)
     u_hat = _dst_interior(grid, u)
     w = grid.weights * u * u
-    j = (0.5 * float(np.vdot(sym.dirichlet * u_hat, u_hat)) * math.prod(grid.h) / sym.scale
+    dirichlet = float(np.vdot(sym.dirichlet * u_hat, u_hat)) * math.prod(grid.h) / sym.scale
+    j = (0.5 * dirichlet
          + 0.25 * float(np.vdot(w * problem.q, phi))
          + 0.5 * float(np.vdot(w, problem.q_chi)))
     if problem.kappa != 0.0:
         j -= problem.kappa / problem.p * float(np.vdot(w, np.abs(u) ** (problem.p - 2.0)))
-    return phi, u_hat, j, float(w.sum()) - 1.0, float(np.vdot(w, problem.q)) - problem.alpha
+    return (phi, u_hat, j, dirichlet,
+            float(w.sum()) - 1.0, float(np.vdot(w, problem.q)) - problem.alpha)
 
 
 def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray,
-                      u_hat: np.ndarray, out: np.ndarray
-                      ) -> tuple[float, float, np.ndarray]:
-    """The descent direction ``tangent_project(problem, u, u + S(w))``, with S
-    the Dirichlet solve and w = ``zeroth_order_grad``: u + S(w) = S(grad J),
-    since S inverts the stencil of -lap exactly.  ``u_hat`` are the DST-I
-    coefficients of u.  Writes the direction into the interior of ``out``
-    and returns (lam, beta, gt_hat): the projection's coefficients, the
-    multipliers of grad J on (u, q u) (see ``_project_dst``), and the
-    DST-I coefficients of the direction.
+                      u_hat: np.ndarray, shift: float, symbol: np.ndarray,
+                      out: np.ndarray):
+    """The descent direction: the tangent projection of the gradient of J in
+    the metric of -lap + s, for the shift s = ``shift`` >= 0, whose symbol
+    sigma + s the caller passes as ``symbol`` (sigma itself at s = 0).
+    ``u_hat`` are the DST-I coefficients of u.  Writes the direction into
+    the interior of ``out`` and returns (lam, beta, gt_hat, w_hat, qu_hat):
+    the projection's coefficients, the multipliers of grad J on (u, q u) in
+    this metric (see ``_project_dst``), the DST-I coefficients of the
+    direction, and for s > 0 those of w and q u, from which
+    ``_h1_projection`` forms the H^1_0 projection without a transform (None
+    at s = 0, where the metric is H^1_0).
 
-    The gradient's coefficients are u_hat + w_hat / sigma, so the gradient
-    and the projection take the transforms of q u and w and one inverse.
-    With the coefficients the descent forms its H^1_0 products as sums over
-    modes: the transform T is symmetric with T T = scale and diagonalizes
-    the stencil of -lap with symbol sigma, so for fields a, b that vanish on
-    the boundary dirichlet_inner(a, b) = sum(sigma a_hat b_hat) * prod h /
-    scale.
+    With w = ``zeroth_order_grad``, the L2 gradient of J is -lap u + w,
+    whose coefficients are sigma u_hat + w_hat, so the gradient in the
+    shifted metric has the coefficients u_hat + (w_hat - s u_hat) / (sigma
+    + s).  At s = 0 this is u_hat + w_hat / sigma, the coefficients of
+    u + S(w) = S(grad J), with S the Dirichlet solve, which inverts the
+    stencil of -lap exactly: ``tangent_project(problem, u, u + S(w))``.
+    The gradient and the projection take the transforms of w and q u and
+    one inverse.  With the coefficients the descent forms its products as
+    sums over modes: the transform T is symmetric with T T = scale and
+    diagonalizes the stencil of -lap with symbol sigma, so for fields a, b
+    that vanish on the boundary dirichlet_inner(a, b) + s inner(a, b) =
+    sum((sigma + s) a_hat b_hat) * prod h / scale.
     """
     grid = problem.grid
     qu = problem.q * u  # shared by w and the projection
     w = qu * (phi + problem.chi)
     w -= problem.kappa * np.abs(u) ** (problem.p - 2.0) * u
-    g_hat = _dst_interior(grid, w)
-    g_hat /= _symbols(grid).dirichlet
+    w_hat = _dst_interior(grid, w)
+    if shift:
+        g_hat = w_hat - shift * u_hat
+    else:
+        g_hat, w_hat = w_hat, None  # formed in place
+    g_hat /= symbol
     g_hat += u_hat
-    gt_hat, lam, beta = _project_dst(problem, u_hat, _dst_interior(grid, qu), g_hat)
+    qu_hat = _dst_interior(grid, qu)
+    gt_hat, lam, beta = _project_dst(problem, u_hat, qu_hat, g_hat, symbol)
+    if not shift:
+        qu_hat = None  # freed before the inverse transform
     _from_dst_interior(grid, gt_hat, out)
-    return lam, beta, gt_hat
+    return lam, beta, gt_hat, w_hat, qu_hat
+
+
+def _h1_projection(problem: Problem, u_hat: np.ndarray, w_hat: np.ndarray,
+                   qu_hat: np.ndarray) -> tuple[float, float, float]:
+    """(lam, beta, norm) of the H^1_0 tangent gradient u + S(w), from the
+    coefficients of u, w and q u that a shifted pass of
+    ``_tangent_gradient`` transformed: the projection's coefficients and the
+    H^1_0 norm of the projected field.  Takes no transform."""
+    sym = _symbols(problem.grid)
+    g_hat = w_hat / sym.dirichlet
+    g_hat += u_hat
+    gt_hat, lam, beta = _project_dst(problem, u_hat, qu_hat, g_hat, sym.dirichlet)
+    metric = math.prod(problem.grid.h) / sym.scale
+    return lam, beta, math.sqrt(metric * float(np.vdot(sym.dirichlet * gt_hat, gt_hat)))
 
 
 def polish_positive(problem: Problem, result: SolveResult,

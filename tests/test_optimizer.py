@@ -27,7 +27,7 @@ from sbpbox.optimize import (
     polish_positive,
 )
 from sbpbox.reduction import phi_map
-from sbpbox.solvers import _dst_interior, solve_poisson_dirichlet
+from sbpbox.solvers import _dst_interior, _symbols, solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
 from conftest import line_problem, oscillating_problem, two_bump_start
 from dataclasses import replace as dc_replace
@@ -119,8 +119,9 @@ def test_line_search_trials_per_iteration(slab_runs):
 
 def test_slab_starts_take_few_iterations(slab_runs):
     """The short Barzilai-Borwein step: the genus-1 and genus-2 starts
-    converge in about 300 iterations together, where the long step ss / sy
-    takes about 400."""
+    converge in about 200 iterations together (about 300 in the H^1_0
+    metric), where the long step ss / sy took about 400 in the H^1_0
+    metric."""
     runs, _ = slab_runs
     assert sum(res.iterations for res in runs) <= 340
 
@@ -163,10 +164,7 @@ def test_grad_norm_is_the_sobolev_norm_of_the_projected_gradient(dim, max_iterat
     res = minimize_on_M(prob, feasible_init(prob),
                         OptimizerOptions(max_iterations=max_iterations))
     assert res.converged == (max_iterations > 3)
-    g = prob.grid
-    w = zeroth_order_grad(prob, res.u, res.phi)
-    gt = tangent_project(prob, res.u, res.u + solve_poisson_dirichlet(g, w))
-    assert res.grad_norm == pytest.approx(math.sqrt(dirichlet_inner(g, gt, gt)), rel=1e-10)
+    assert res.grad_norm == pytest.approx(h1_tangent_norm(prob, res), rel=1e-10)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -202,8 +200,9 @@ def assert_multipliers_at_iterate(problem, res):
     """(omega, mu) are the coefficients (lam, -beta) of the tangent
     projection at the returned iterate."""
     u_hat = _dst_interior(problem.grid, res.u)
-    lam, beta, _ = _tangent_gradient(problem, res.u, res.phi, u_hat,
-                                     np.zeros(problem.grid.shape))
+    lam, beta, *_ = _tangent_gradient(problem, res.u, res.phi, u_hat, 0.0,
+                                      _symbols(problem.grid).dirichlet,
+                                      np.zeros(problem.grid.shape))
     assert (res.omega, res.mu) == (lam, -beta)
 
 
@@ -222,6 +221,113 @@ def test_line_search_stall_is_a_stop_reason(bench65, monkeypatch):
     assert res.trace[-1].sobolev_grad == res.grad_norm > 1e-7
     assert res.trace[-1].j == res.j
     assert_multipliers_at_iterate(bench65, res)
+
+
+def h1_tangent_norm(problem, res):
+    """sqrt(dirichlet_inner(gt, gt)) of the H^1_0 tangent projection gt of
+    u + S(w) at the returned iterate, formed field by field."""
+    g = problem.grid
+    w = zeroth_order_grad(problem, res.u, res.phi)
+    gt = tangent_project(problem, res.u, res.u + solve_poisson_dirichlet(g, w))
+    return math.sqrt(dirichlet_inner(g, gt, gt))
+
+
+@pytest.mark.parametrize("exit_", ["grad_tol", "max_iterations", "line_search_stall"])
+def test_shifted_descent_reports_the_h1_gradient_on_every_exit(exit_, monkeypatch):
+    """On the excited-search problem the metric is shifted from the second
+    pass on.  Whichever way the run stops, ``grad_norm`` is the H^1_0
+    tangent norm at the returned iterate, the last trace record holds it,
+    and (omega, mu) are the H^1_0 projection's multipliers there.  A stall
+    is forced by failing every retraction after the twentieth."""
+    prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+    shifts = []
+    real_tangent_gradient = optimize._tangent_gradient
+
+    def spy(problem, u, phi, u_hat, shift, symbol, out):
+        shifts.append(shift)
+        return real_tangent_gradient(problem, u, phi, u_hat, shift, symbol, out)
+
+    monkeypatch.setattr(optimize, "_tangent_gradient", spy)
+    if exit_ == "line_search_stall":
+        real_retract, calls = optimize.retract, [0]
+
+        def failing_retract(problem, v):
+            calls[0] += 1
+            if calls[0] > 20:
+                raise optimize.ManifoldError("forced failure")
+            return real_retract(problem, v)
+
+        monkeypatch.setattr(optimize, "retract", failing_retract)
+    opts = OptimizerOptions(max_iterations=10 if exit_ == "max_iterations" else 8000,
+                            keep_trace=True)
+    res = minimize_on_M(prob, feasible_init(prob), opts)
+    assert res.stop_reason == exit_
+    assert res.iterations > 5
+    assert shifts[0] == 0.0 and min(shifts[1:]) > 0.0
+    assert res.grad_norm == pytest.approx(h1_tangent_norm(prob, res), rel=1e-10)
+    assert res.trace[-1].sobolev_grad == res.grad_norm
+    assert_multipliers_at_iterate(prob, res)
+
+
+def test_excited_search_takes_at_most_260_iterations(monkeypatch):
+    """The three genus-3 starts of the excited-search problem find the two
+    frozen states in about 210 descent iterations together (340 in the
+    H^1_0 metric), at the same cost per iteration."""
+    runs = []
+    real = optimize._minimize
+
+    def spy(problem, u0, opts):
+        runs.append(real(problem, u0, opts))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "_minimize", spy)
+    prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        states = excited_states(prob, 3, OptimizerOptions(max_iterations=8000))
+    assert [s.j for s in states] == [
+        pytest.approx(58.89462859454396, rel=1e-6),
+        pytest.approx(73.36864208910114, rel=1e-6),
+    ]
+    assert len(runs) == 3 and all(r.converged for r in runs)
+    assert sum(r.iterations for r in runs) <= 260
+
+
+def test_1d_ground_descent_at_low_alpha_takes_few_iterations():
+    """The 1d ground solve with the oscillating coupling at alpha = 0.2 from
+    the tilted principal mode: about 110 iterations, where the H^1_0 metric
+    took 353."""
+    prob = oscillating_problem(65, alpha=0.2)
+    res = minimize_on_M(prob, feasible_init(prob), OptimizerOptions(max_iterations=8000))
+    assert res.converged
+    assert res.iterations <= 200
+    assert res.j == pytest.approx(223.97273838, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, dim", [(65, 1), (17, 2), (13, 3), (261, 1)],
+                         ids=["1d", "2d", "3d", "1d-fft-axis"])
+def test_both_metrics_give_the_same_multipliers_at_a_converged_state(n, dim):
+    """At a critical point grad J = lam u + beta q u, so the projection
+    gives the same (lam, beta) in every metric; at a state converged to
+    ``grad_tol`` they agree to 1e-6 relative, for the shift the descent
+    takes there (lam - |grad u|^2, when positive) and for 1 and 1e3."""
+    prob = oscillating_problem(n, dim=dim)
+    res = minimize_on_M(prob, feasible_init(prob), OptimizerOptions(max_iterations=8000))
+    assert res.converged
+    g = prob.grid
+    sigma = _symbols(g).dirichlet
+    u_hat = _dst_interior(g, res.u)
+    lam, beta, *_ = _tangent_gradient(prob, res.u, res.phi, u_hat, 0.0, sigma,
+                                      np.zeros(g.shape))
+    assert (lam, -beta) == (res.omega, res.mu)
+    shifts = [1.0, 1e3]
+    if lam > dirichlet_energy(g, res.u):
+        shifts.append(lam - dirichlet_energy(g, res.u))
+    for shift in shifts:
+        lam_s, beta_s, *_ = _tangent_gradient(prob, res.u, res.phi, u_hat, shift,
+                                              sigma + shift, np.zeros(g.shape))
+        assert lam_s == pytest.approx(lam, rel=1e-6)
+        assert beta_s == pytest.approx(beta, rel=1e-6)
 
 
 def test_start_must_vanish_on_the_boundary(bench65):
@@ -352,7 +458,8 @@ def test_merit_line_search_converges_past_the_rounding_floor_of_J():
     Retraction leaves constraint residuals near 1e-14, which move J by
     about (|omega| + |mu|) 1e-14; with the Armijo test on J this start ran
     to the cap with its gradient stuck near 2.1e-7.  The test on the merit
-    (the Lagrangian) converges in about 465 iterations.  The start is the
+    (the Lagrangian) converges, in about 320 iterations in the shifted
+    metric (530 in the H^1_0 metric).  The start is the
     two-bump seed of that slab (``two_bump_start``), as the test was written
     for it."""
     prob = oscillating_problem(49, dim=2)
@@ -365,8 +472,8 @@ def test_merit_line_search_converges_past_the_rounding_floor_of_J():
 def test_3d_excited_start_reaches_grad_tol():
     """The genus-1 slab start of ``excited.cfg`` on the 25^3 box.  With the
     short BB step and the Armijo test on J it once stalled at the cap; it
-    now converges in about 1,000 to 1,500 iterations, a count that moves
-    with rounding.  The start is the two-bump seed of the whole box
+    now converges in about 870 iterations (about 1,500 in the H^1_0
+    metric), a count that moves with rounding.  The start is the two-bump seed of the whole box
     (``two_bump_start``), the long tail the test was written for."""
     prob = oscillating_problem(25, dim=3)
     res = minimize_on_M(prob, two_bump_start(prob, _axis_slab_region(prob.grid, 0, 24)),
@@ -376,8 +483,8 @@ def test_3d_excited_start_reaches_grad_tol():
 
 
 def test_excited_search_at_low_alpha_converges_from_every_start():
-    """At alpha = 0.2 both genus-2 starts reach grad_tol (in at most about
-    700 iterations) and meet in one state; with the Armijo test on J, two
+    """At alpha = 0.2 both genus-2 starts reach grad_tol (in 80 and 133
+    iterations; 192 and 695 in the H^1_0 metric) and meet in one state; with the Armijo test on J, two
     of the three genus-1 and genus-2 starts stalled at the cap."""
     prob = oscillating_problem(65, alpha=0.2)
     with warnings.catch_warnings(record=True) as caught:

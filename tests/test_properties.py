@@ -36,7 +36,7 @@ from sbpbox.manifold import (
     constraint_values,
     tangent_project,
 )
-from sbpbox.optimize import _evaluate, _tangent_gradient
+from sbpbox.optimize import _evaluate, _h1_projection, _tangent_gradient
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import (
     _dst_interior,
@@ -231,7 +231,8 @@ def check_descent_gradient(g, seed):
     phi = phi_map(prob, u)
     gt = np.zeros(g.shape)
     try:
-        lam, beta, gt_hat = _tangent_gradient(prob, u, phi, _dst_interior(g, u), gt)
+        lam, beta, gt_hat, _, _ = _tangent_gradient(prob, u, phi, _dst_interior(g, u), 0.0,
+                                                    _symbols(g).dirichlet, gt)
     except ManifoldError as exc:
         if "Gram matrix" not in str(exc):
             raise
@@ -262,21 +263,100 @@ def test_descent_gradient_is_the_projected_sobolev_gradient_on_an_fft_axis(n):
     check_descent_gradient(Grid(lengths=(1.0, 2.0, 1.5)[:len(n)], n=n), seed=7)
 
 
+def h1_tangent_gradient_reference(prob, u, phi, u_hat):
+    """The H^1_0 descent direction written out step by step: coefficients
+    u_hat + w_hat / sigma, projected by Cramer's rule on the Gram matrix
+    sum(r_i_hat r_j_hat / sigma) of (u, q u).  Returns (lam, beta, gt_hat)."""
+    g = prob.grid
+    sigma = _symbols(g).dirichlet
+    qu = prob.q * u
+    w = qu * (phi + prob.chi)
+    w -= prob.kappa * np.abs(u) ** (prob.p - 2.0) * u
+    g_hat = _dst_interior(g, w)
+    g_hat /= sigma
+    g_hat += u_hat
+    qu_hat = _dst_interior(g, qu)
+    d1, d2 = u_hat / sigma, qu_hat / sigma
+    g11, g12, g22 = (float(np.vdot(u_hat, d1)), float(np.vdot(u_hat, d2)),
+                     float(np.vdot(qu_hat, d2)))
+    det = g11 * g22 - g12 * g12
+    r1, r2 = float(np.vdot(u_hat, g_hat)), float(np.vdot(qu_hat, g_hat))
+    lam, beta = (r1 * g22 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
+    return lam, beta, g_hat - lam * d1 - beta * d2
+
+
+def check_shifted_metric(g, seed):
+    """The descent's metric -lap + s.  At s = 0 its direction and
+    multipliers are bitwise the H^1_0 ones written out above.  For s in {1,
+    sigma_1, 1e3}, with sigma_1 the smallest eigenvalue of the stencil of
+    -lap, the shifted tangent norm is at most the H^1_0 one: both are sups
+    of <grad J, v> / |v| over the same tangent space, and |v| grows with s.
+    The H^1_0 projection that ``_h1_projection`` forms from a shifted
+    pass's coefficients is bitwise the unshifted pass."""
+    rng = np.random.default_rng(seed)
+    prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
+                         h1=random_flux(g, rng), h2=random_flux(g, rng),
+                         kappa=1.0, p=3.0)
+    u = zero_boundary(g, rng.standard_normal(g.shape))
+    phi = phi_map(prob, u)
+    u_hat = _dst_interior(g, u)
+    sym = _symbols(g)
+    sigma, metric = sym.dirichlet, np.prod(g.h) / sym.scale
+    gt = np.zeros(g.shape)
+    try:
+        lam, beta, gt_hat, w_hat, qu_hat = _tangent_gradient(prob, u, phi, u_hat, 0.0, sigma, gt)
+    except ManifoldError as exc:
+        if "Gram matrix" not in str(exc):
+            raise
+        return  # too few interior nodes for two independent constraints
+    ref_lam, ref_beta, ref_hat = h1_tangent_gradient_reference(prob, u, phi, u_hat)
+    assert (lam, beta) == (ref_lam, ref_beta)
+    assert np.array_equal(gt_hat, ref_hat)
+    assert np.array_equal(gt, _from_dst_interior(g, ref_hat, np.zeros(g.shape)))
+    assert w_hat is None and qu_hat is None
+    norm = np.sqrt(metric * float(np.vdot(sigma * gt_hat, gt_hat)))
+    for s in (1.0, float(sigma.flat[0]), 1e3):
+        symbol = sigma + s
+        _, _, gs_hat, w_hat, qu_hat = _tangent_gradient(prob, u, phi, u_hat, s, symbol,
+                                                        np.zeros(g.shape))
+        shifted = np.sqrt(metric * float(np.vdot(symbol * gs_hat, gs_hat)))
+        # Where the tangent space is {0} (two interior nodes) both norms are
+        # rounding in the projection of the whole gradient u + S(w).
+        g_hat = u_hat + w_hat / sigma
+        floor = 1e-13 * np.sqrt(metric * float(np.vdot(sigma * g_hat, g_hat)))
+        assert shifted <= norm * (1.0 + 1e-12) + floor
+        assert _h1_projection(prob, u_hat, w_hat, qu_hat) == (lam, beta, norm)
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_shifted_metric_bounds_the_h1_tangent_norm(g, seed):
+    check_shifted_metric(g, seed)
+
+
+@pytest.mark.parametrize("n", [(261,), (5, 261), (4, 5, 261)], ids=["1d", "2d", "3d"])
+def test_shifted_metric_bounds_the_h1_tangent_norm_on_an_fft_axis(n):
+    """The same, where the long axis transforms by rfft."""
+    check_shifted_metric(Grid(lengths=(1.0, 2.0, 1.5)[:len(n)], n=n), seed=7)
+
+
 def check_trial_evaluation(g, seed):
     """The descent evaluates a trial point once: its potential, DST-I
     coefficients and constraint residuals are bitwise those of
-    ``phi_map``, ``_dst_interior`` and ``constraint_values``, and its J,
-    whose Dirichlet term is a sum over modes, is ``eval_J`` to rounding."""
+    ``phi_map``, ``_dst_interior`` and ``constraint_values``, and its J
+    and integral of |grad u|^2, both formed with a sum over modes, are
+    ``eval_J`` and ``dirichlet_energy`` to rounding."""
     rng = np.random.default_rng(seed)
     prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
                          h1=random_flux(g, rng), h2=random_flux(g, rng),
                          kappa=float(rng.integers(0, 2)), p=rng.uniform(2.1, 3.3))
     u = zero_boundary(g, rng.standard_normal(g.shape))
-    phi, u_hat, j, c1, c2 = _evaluate(prob, u)
+    phi, u_hat, j, dirichlet, c1, c2 = _evaluate(prob, u)
     assert np.array_equal(phi, phi_map(prob, u))
     assert np.array_equal(u_hat, _dst_interior(g, u))
     assert (c1, c2) == constraint_values(prob, u)
     assert j == pytest.approx(eval_J(prob, u, phi), rel=1e-13)
+    assert dirichlet == pytest.approx(dirichlet_energy(g, u), rel=1e-13)
 
 
 @PROPERTY
