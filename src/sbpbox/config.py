@@ -148,8 +148,7 @@ class RunConfig:
     def build_problem(self, n_override=None) -> Problem:
         grid = self.grid()
         if n_override is not None:
-            n = (int(n_override),) * grid.dim if np.isscalar(n_override) else tuple(n_override)
-            grid = Grid(lengths=grid.lengths, n=n)
+            grid = Grid(lengths=grid.lengths, n=(int(n_override),) * grid.dim)
         h1 = self.boundary_data("h1", grid)
         h2 = self.boundary_data("h2", grid)
         return build_problem(

@@ -22,10 +22,10 @@ u-derivative of F at (u, phi_u):
 
     grad J(u) = -lap u + q (phi_u + chi) u - kappa |u|^(p-2) u,
 
-zero on the boundary.  The optimizer descends along its H^1_0 representer,
-the Dirichlet solve S of grad J, at a rate that does not degrade under
-refinement.  S inverts the three-point stencil exactly, so the optimizer
-forms it as u + S(w), w = ``zeroth_order_grad``, and applies no stencil.
+zero on the boundary.  The optimizer descends along its representer in the
+metric -lap + s, u + (-lap + s)^(-1) (w - s u) with w = ``zeroth_order_grad``
+(u + S(w) at s = 0, S the Dirichlet solve), at a rate that does not degrade
+under refinement, by dividing DST-I coefficients by the symbol of -lap + s.
 
 ``eval_J`` returns J as a single float; a caller that needs one term, such
 as the Dirichlet energy in the run report, evaluates it from ``grid``.

@@ -52,9 +52,7 @@ multipliers of the returned state are the coefficients of its H^1_0
 projection: omega = lam, mu = -beta.  Every run returns a
 ``SolveResult``; its ``stop_reason`` is ``grad_tol`` (converged),
 ``max_iterations`` (the cap was reached) or ``line_search_stall``
-(backtracking fell below ``_MIN_STEP``).  With ``keep_trace`` each
-gradient evaluation records the energy, the norm whose square was its
-Armijo rate, and the step last accepted; the last record holds the H^1_0
+(backtracking fell below ``_MIN_STEP``), and its ``grad_norm`` is the H^1_0
 norm the run stopped on.
 """
 
@@ -62,7 +60,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +73,6 @@ from .solvers import _dst_interior, _from_dst_interior, _symbols
 
 __all__ = [
     "OptimizerOptions",
-    "IterRecord",
     "SolveResult",
     "minimize_on_M",
     "polish_positive",
@@ -99,36 +96,21 @@ _DEDUPE_J = 1e-6
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Settings of the projected descent loop, used for every start.
+    """Settings of the projected descent loop, used for every start.  Each
+    field is set by the config key ``optimizer.<field>``.
 
     grad_tol: threshold on the H^1_0 tangent gradient norm, in (0, inf).
     max_iterations: descent iterations per start before giving up, >= 0.
-    keep_trace: record an ``IterRecord`` per iteration in ``SolveResult``.
     """
 
     grad_tol: float = 1e-7
     max_iterations: int = 5000
-    keep_trace: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must lie in (0, inf), got {self.grad_tol}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
-
-
-@dataclass(frozen=True)
-class IterRecord:
-    """One line of the iteration trace: the pass's energy, its tangent
-    gradient norm and the step last accepted.  ``sobolev_grad`` is the
-    norm in the pass's metric, whose square was its Armijo decrease rate;
-    on the last record it is the H^1_0 norm the run stopped on, the
-    ``grad_norm`` of the result."""
-
-    iteration: int
-    j: float
-    sobolev_grad: float
-    step: float
 
 
 @dataclass(frozen=True)
@@ -141,7 +123,6 @@ class SolveResult:
     stop_reason: str
     grad_norm: float
     phi: np.ndarray
-    trace: tuple[IterRecord, ...] = field(default=())
 
     @property
     def converged(self) -> bool:
@@ -170,7 +151,6 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     u = retract(problem, require_zero_boundary(grid, u0))
     phi, u_hat, j, dirichlet, c1, c2 = _evaluate(problem, u)
     step = _INITIAL_STEP
-    trace: list[IterRecord] = []
     sym = _symbols(grid)
     sigma = sym.dirichlet
     # dirichlet_inner(a, b) + s inner(a, b) = sum((sigma + s) a_hat b_hat)
@@ -203,11 +183,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         if shift and (sob <= opts.grad_tol or it == opts.max_iterations):
             h1 = _h1_projection(problem, u_hat, w_hat, qu_hat)
         converged = h1[2] <= opts.grad_tol
-        stop = converged or it == opts.max_iterations
-        if opts.keep_trace:
-            trace.append(IterRecord(iteration=it, j=j, step=step,
-                                    sobolev_grad=h1[2] if stop else sob))
-        if stop:
+        if converged or it == opts.max_iterations:
             reason = "grad_tol" if converged else "max_iterations"
             break
         if it == 0:
@@ -254,15 +230,13 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
             reason = "line_search_stall"
             if shift:
                 h1 = _h1_projection(problem, prev_u_hat, w_hat, qu_hat)
-                if opts.keep_trace:
-                    trace[-1] = replace(trace[-1], sobolev_grad=h1[2])
             break
 
     lam, beta, sob = h1
     return SolveResult(
         u=u, j=j, omega=lam, mu=-beta,
         iterations=iterations, stop_reason=reason,
-        grad_norm=sob, phi=phi, trace=tuple(trace),
+        grad_norm=sob, phi=phi,
     )
 
 

@@ -9,6 +9,7 @@ are session-scoped so the suite pays for each of them once.
 import faulthandler
 import math
 import os
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,12 @@ from sbpbox import (
     CouplingSpec,
     Grid,
     build_problem,
+    optimize,
 )
 from sbpbox.grid import dirichlet_energy, inner, integrate, laplacian_neumann, norm_l2
 from sbpbox.manifold import feasible_init, retract
 from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
+from sbpbox.solvers import _symbols
 
 # The command-line tests run ``python -m sbpbox`` in a subprocess; it imports
 # the package from this checkout, as the test process does through the
@@ -146,6 +149,94 @@ def two_bump_start(problem, region):
                 return retract(problem, np.sqrt(1.0 - s2) * w_lo + np.sqrt(s2) * w_hi)
         r *= 0.85
     raise AssertionError(f"no two-bump start in region {region}")
+
+
+@dataclass
+class Pass:
+    """One pass of the descent loop, that is one ``_tangent_gradient`` call:
+    its iterate u, the energy J that ``_evaluate`` gave u, the shift s, the
+    Armijo decrease rate metric * sum((sigma + s) gt_hat^2) and the
+    direction gt."""
+
+    u: np.ndarray
+    j: float
+    shift: float
+    rate: float
+    gt: np.ndarray
+
+
+@dataclass
+class Descent:
+    """What one call of ``optimize._minimize`` did: its ``result``, each
+    ``retract`` call's (argument, result), with None for a retraction that
+    raised, each ``_evaluate`` call's (point, J) and each ``Pass``."""
+
+    result: object = None
+    retractions: list = field(default_factory=list)
+    energies: list = field(default_factory=list)
+    passes: list = field(default_factory=list)
+
+    @property
+    def js(self):
+        return np.array([p.j for p in self.passes])
+
+    def steps(self):
+        """The step t that reached each pass after the first, read from the
+        argument u - t gt of the retraction that returned the pass's iterate."""
+        steps = []
+        for prev, cur in zip(self.passes, self.passes[1:]):
+            v = next(v for v, out in self.retractions if out is cur.u)
+            steps.append(float(np.vdot(prev.u - v, prev.gt) / np.vdot(prev.gt, prev.gt)))
+        return np.array(steps)
+
+
+class DescentSpy:
+    """Observes the descent through the functions it calls: wraps
+    ``_minimize``, ``_evaluate``, ``_tangent_gradient`` and ``retract`` of
+    ``sbpbox.optimize`` with the monkeypatch ``mp`` and appends a ``Descent``
+    to ``descents`` per call of ``_minimize``."""
+
+    def __init__(self, mp):
+        self.descents = []
+        minimize, evaluate = optimize._minimize, optimize._evaluate
+        tangent_gradient, retract = optimize._tangent_gradient, optimize.retract
+
+        def spy_minimize(problem, u0, opts):
+            self.descents.append(Descent())
+            self.descents[-1].result = minimize(problem, u0, opts)
+            return self.descents[-1].result
+
+        def spy_retract(problem, v):
+            out = None
+            try:
+                out = retract(problem, v)
+                return out
+            finally:
+                self.descents[-1].retractions.append((v, out))
+
+        def spy_evaluate(problem, u):
+            out = evaluate(problem, u)
+            self.descents[-1].energies.append((u, out[2]))
+            return out
+
+        def spy_tangent_gradient(problem, u, phi, u_hat, shift, symbol, out):
+            res = tangent_gradient(problem, u, phi, u_hat, shift, symbol, out)
+            run = self.descents[-1]
+            j = next(j for v, j in reversed(run.energies) if v is u)
+            metric = math.prod(problem.grid.h) / _symbols(problem.grid).scale
+            rate = metric * float(np.vdot(symbol * res[2], res[2]))
+            run.passes.append(Pass(u, j, shift, rate, out.copy()))
+            return res
+
+        mp.setattr(optimize, "_minimize", spy_minimize)
+        mp.setattr(optimize, "retract", spy_retract)
+        mp.setattr(optimize, "_evaluate", spy_evaluate)
+        mp.setattr(optimize, "_tangent_gradient", spy_tangent_gradient)
+
+
+@pytest.fixture
+def descent_spy(monkeypatch):
+    return DescentSpy(monkeypatch)
 
 
 def eval_F(problem, u, phi):

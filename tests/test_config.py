@@ -1,5 +1,6 @@
 """Config parsing: grammar, validation, assembly into problems."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -42,6 +43,20 @@ def test_parse_and_defaults():
 def test_optimizer_defaults_are_the_options_defaults():
     """The config table takes its optimizer defaults from ``OptimizerOptions``."""
     assert RunConfig().optimizer_options() == OptimizerOptions()
+
+
+def test_every_optimizer_option_is_set_by_its_config_key():
+    """Each field of ``OptimizerOptions`` has the key ``optimizer.<field>``,
+    and ``optimizer_options`` passes its value on: no option is left that
+    a run cannot set, and no optimizer key sets nothing."""
+    fields = dataclasses.fields(OptimizerOptions)
+    assert {f"optimizer.{f.name}" for f in fields} == {
+        key for key in CONFIG_KEYS if key.startswith("optimizer.")}
+    cfg = parse_config_text(GROUND + "".join(
+        f"optimizer.{f.name} = {2 * f.default + 1}\n" for f in fields))
+    opts = cfg.optimizer_options()
+    for f in fields:
+        assert getattr(opts, f.name) == 2 * f.default + 1
 
 
 # A typo, and the optimizer settings that are module constants.

@@ -29,7 +29,7 @@ from sbpbox.optimize import (
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import _dst_interior, _symbols, solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
-from conftest import line_problem, oscillating_problem, two_bump_start
+from conftest import DescentSpy, line_problem, oscillating_problem, two_bump_start
 from dataclasses import replace as dc_replace
 
 
@@ -57,53 +57,50 @@ def test_benchmark_energy_decreases_under_refinement_step(bench129_state):
     assert bench129_state.j == pytest.approx(4.53376773961271, rel=1e-8)
 
 
-def test_trace_is_monotone(bench65):
-    opts = OptimizerOptions(keep_trace=True)
-    res = minimize_on_M(bench65, feasible_init(bench65), opts)
-    js = np.array([rec.j for rec in res.trace])
+def test_trace_is_monotone(bench65, descent_spy):
+    """On the benchmark the energies of the passes never rise, and every
+    step taken is at least the step floor."""
+    res = minimize_on_M(bench65, feasible_init(bench65))
+    (run,) = descent_spy.descents
+    js = run.js
     assert len(js) == res.iterations + 1
+    assert js[-1] == res.j
     slack = 1e-12 * (1.0 + np.abs(js).max())
     assert np.all(np.diff(js) <= slack)
-    assert res.trace[-1].sobolev_grad <= 1e-7
-    # The trace records the step actually accepted, never below the floor.
-    assert all(rec.step >= optimize._MIN_STEP for rec in res.trace[1:])
+    assert res.grad_norm <= 1e-7
+    assert np.all(run.steps() >= optimize._MIN_STEP)
 
 
 @pytest.fixture(scope="module")
 def slab_runs():
-    """Traced descents from the genus-1 and genus-2 slab seeds of the
-    excited-search problem, with the number of retractions they made."""
+    """The observed descents (``Descent``) from the genus-1 and genus-2 slab
+    seeds of the excited-search problem."""
     prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
     starts = [u0 for genus in (1, 2) for u0 in genus_seeds(prob, genus)]
-    calls = [0]
-
-    def counting_retract(*args, **kwargs):
-        calls[0] += 1
-        return retract(*args, **kwargs)
-
-    opts = OptimizerOptions(max_iterations=8000, keep_trace=True)
+    opts = OptimizerOptions(max_iterations=8000)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "retract", counting_retract)
-        runs = [minimize_on_M(prob, u0, opts) for u0 in starts]
-    return runs, calls[0]
+        spy = DescentSpy(mp)
+        for u0 in starts:
+            minimize_on_M(prob, u0, opts)
+    return spy.descents
 
 
 def test_trace_obeys_zhang_hager_rule(slab_runs):
-    """Each accepted energy satisfies the Armijo test against the reference
-    value C rebuilt from the trace, no iterate rises above the start, and
-    the energy does rise somewhere, so the rule is really nonmonotone."""
-    runs, _ = slab_runs
+    """Each accepted energy satisfies the Armijo test, at the rate of the
+    pass before it, against the reference value C rebuilt from the energies
+    of the passes; no iterate rises above the start, and the energy does
+    rise somewhere, so the rule is really nonmonotone."""
     rose = False
-    for res in runs:
-        assert res.converged
-        js = np.array([rec.j for rec in res.trace])
+    for run in slab_runs:
+        assert run.result.converged
+        js = run.js
+        assert len(js) == run.result.iterations + 1
         tol = 1e-14 * np.abs(js).max()
         c, q = js[0], 1.0
-        for prev, rec in zip(res.trace, res.trace[1:]):
-            rate = prev.sobolev_grad ** 2
-            assert rec.j <= c - optimize._ARMIJO_C * rec.step * rate + tol
+        for prev, j, step in zip(run.passes, js[1:], run.steps()):
+            assert j <= c - optimize._ARMIJO_C * step * prev.rate + tol
             q_old, q = q, optimize._ZH_ETA * q + 1.0
-            c = (optimize._ZH_ETA * q_old * c + rec.j) / q
+            c = (optimize._ZH_ETA * q_old * c + j) / q
         assert js.max() <= js[0]
         rose = rose or bool(np.any(np.diff(js) > 1e-6 * np.abs(js).max()))
     assert rose
@@ -112,9 +109,9 @@ def test_trace_obeys_zhang_hager_rule(slab_runs):
 def test_line_search_trials_per_iteration(slab_runs):
     """One retraction per start, the rest one per line-search trial: BB
     steps should pass on the first trial most of the time."""
-    runs, retractions = slab_runs
-    iterations = sum(res.iterations for res in runs)
-    assert (retractions - len(runs)) / iterations <= 1.5
+    retractions = sum(len(run.retractions) for run in slab_runs)
+    iterations = sum(run.result.iterations for run in slab_runs)
+    assert (retractions - len(slab_runs)) / iterations <= 1.5
 
 
 def test_slab_starts_take_few_iterations(slab_runs):
@@ -122,21 +119,24 @@ def test_slab_starts_take_few_iterations(slab_runs):
     converge in about 200 iterations together (about 300 in the H^1_0
     metric), where the long step ss / sy took about 400 in the H^1_0
     metric."""
-    runs, _ = slab_runs
-    assert sum(res.iterations for res in runs) <= 340
+    assert sum(run.result.iterations for run in slab_runs) <= 340
 
 
-def test_max_iterations_returns_unconverged(bench65):
-    opts = OptimizerOptions(max_iterations=2, keep_trace=True)
+def test_max_iterations_returns_unconverged(bench65, descent_spy):
+    opts = OptimizerOptions(max_iterations=2)
     res = minimize_on_M(bench65, feasible_init(bench65), opts)
     assert not res.converged
     assert res.stop_reason == "max_iterations"
     assert res.iterations == 2
-    # The trace also records the gradient the run stopped on, as for a
-    # converged run: one record per step plus the last test.
-    assert len(res.trace) == res.iterations + 1
-    assert res.trace[-1].sobolev_grad == res.grad_norm
-    assert res.trace[-1].j == res.j
+    # The last pass tests the gradient at the returned iterate, as for a
+    # converged run: one pass per step plus the last test.  On the
+    # benchmark every pass runs in the H^1_0 metric.
+    (run,) = descent_spy.descents
+    assert len(run.passes) == res.iterations + 1
+    assert run.passes[-1].u is res.u
+    assert run.passes[-1].shift == 0.0
+    assert math.sqrt(run.passes[-1].rate) == res.grad_norm
+    assert run.passes[-1].j == res.j
     assert_multipliers_at_iterate(bench65, res)
     res = minimize_on_M(bench65, feasible_init(bench65),
                         OptimizerOptions(max_iterations=0))
@@ -206,20 +206,22 @@ def assert_multipliers_at_iterate(problem, res):
     assert (res.omega, res.mu) == (lam, -beta)
 
 
-def test_line_search_stall_is_a_stop_reason(bench65, monkeypatch):
+def test_line_search_stall_is_a_stop_reason(bench65, monkeypatch, descent_spy):
     # First trial step 2 * initial step already sits below the step floor,
     # so the backtracking loop cannot run at all.
     monkeypatch.setattr(optimize, "_INITIAL_STEP", 1e-16)
     assert 2.0 * optimize._INITIAL_STEP < optimize._MIN_STEP
-    res = minimize_on_M(bench65, feasible_init(bench65),
-                        OptimizerOptions(keep_trace=True))
+    res = minimize_on_M(bench65, feasible_init(bench65), OptimizerOptions())
     assert not res.converged
     assert res.stop_reason == "line_search_stall"
     assert res.iterations == 0
-    # The run returns the iterate it stalled at, with its gradient.
-    assert len(res.trace) == res.iterations + 1
-    assert res.trace[-1].sobolev_grad == res.grad_norm > 1e-7
-    assert res.trace[-1].j == res.j
+    # The run returns the iterate it stalled at, with the gradient of its
+    # one pass, which runs in the H^1_0 metric, and retracts only the start.
+    (run,) = descent_spy.descents
+    assert len(run.passes) == res.iterations + 1 == len(run.retractions)
+    assert run.passes[-1].u is res.u
+    assert math.sqrt(run.passes[-1].rate) == res.grad_norm > 1e-7
+    assert run.passes[-1].j == res.j
     assert_multipliers_at_iterate(bench65, res)
 
 
@@ -233,21 +235,14 @@ def h1_tangent_norm(problem, res):
 
 
 @pytest.mark.parametrize("exit_", ["grad_tol", "max_iterations", "line_search_stall"])
-def test_shifted_descent_reports_the_h1_gradient_on_every_exit(exit_, monkeypatch):
+def test_shifted_descent_reports_the_h1_gradient_on_every_exit(exit_, monkeypatch,
+                                                                descent_spy):
     """On the excited-search problem the metric is shifted from the second
-    pass on.  Whichever way the run stops, ``grad_norm`` is the H^1_0
-    tangent norm at the returned iterate, the last trace record holds it,
-    and (omega, mu) are the H^1_0 projection's multipliers there.  A stall
-    is forced by failing every retraction after the twentieth."""
+    pass on.  Whichever way the run stops, it returns the iterate of its
+    last pass, ``grad_norm`` is the H^1_0 tangent norm there, and (omega,
+    mu) are the H^1_0 projection's multipliers there.  A stall is forced by
+    failing every retraction after the twentieth."""
     prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
-    shifts = []
-    real_tangent_gradient = optimize._tangent_gradient
-
-    def spy(problem, u, phi, u_hat, shift, symbol, out):
-        shifts.append(shift)
-        return real_tangent_gradient(problem, u, phi, u_hat, shift, symbol, out)
-
-    monkeypatch.setattr(optimize, "_tangent_gradient", spy)
     if exit_ == "line_search_stall":
         real_retract, calls = optimize.retract, [0]
 
@@ -258,14 +253,16 @@ def test_shifted_descent_reports_the_h1_gradient_on_every_exit(exit_, monkeypatc
             return real_retract(problem, v)
 
         monkeypatch.setattr(optimize, "retract", failing_retract)
-    opts = OptimizerOptions(max_iterations=10 if exit_ == "max_iterations" else 8000,
-                            keep_trace=True)
+    opts = OptimizerOptions(max_iterations=10 if exit_ == "max_iterations" else 8000)
     res = minimize_on_M(prob, feasible_init(prob), opts)
     assert res.stop_reason == exit_
     assert res.iterations > 5
+    (run,) = descent_spy.descents
+    assert len(run.passes) == res.iterations + 1
+    assert run.passes[-1].u is res.u
+    shifts = [p.shift for p in run.passes]
     assert shifts[0] == 0.0 and min(shifts[1:]) > 0.0
     assert res.grad_norm == pytest.approx(h1_tangent_norm(prob, res), rel=1e-10)
-    assert res.trace[-1].sobolev_grad == res.grad_norm
     assert_multipliers_at_iterate(prob, res)
 
 
