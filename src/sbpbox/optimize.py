@@ -2,18 +2,16 @@
 
 Descent runs in the discrete metric of -lap + s, a shifted H^1_0 metric:
 each iteration takes the gradient of J in that metric, projects it onto the
-tangent space of M, steps against it, and retracts back with the
-two-parameter ansatz.  At s = 0 the gradient is u + S(w), with S the
-Dirichlet solve and w the derivative-free terms of grad J (no stencil).
-Gradient and projection work on the DST-I coefficients of u, q u and w,
-where the metric is the symbol sigma + s, and take one inverse transform,
-which gives the physical gradient for the trial step.  The loop's
-products, the decrease rate |g|^2 and the BB terms sy and yy, are sums over
-modes of (sigma + s) a_hat b_hat (see ``_tangent_gradient``), and so is the
-Dirichlet energy D = integral of |grad u|^2, half of which is J's Dirichlet
-term (``eval_J`` keeps the finite-difference form).  Each trial point is
-evaluated once, and the next pass reuses its coefficients of u
-(``_evaluate``).
+tangent space of M, steps against it (or its L-BFGS direction), and
+retracts back with the two-parameter ansatz.  At s = 0 the gradient is
+u + S(w), with S the Dirichlet solve and w the derivative-free terms of
+grad J (no stencil).  The loop works on the DST-I coefficients of u, q u
+and w, where the metric is the symbol sigma + s; one inverse transform
+gives the trial direction.  Its products are sums over modes of (sigma + s)
+a_hat b_hat (see ``_tangent_gradient``), and so is the Dirichlet energy D =
+integral of |grad u|^2, half of which is J's Dirichlet term (``eval_J``
+keeps the finite-difference form).  Each trial point is evaluated once,
+and the next pass reuses its coefficients of u (``_evaluate``).
 
 The shift of a pass is s = max(lam - D, 0), with lam the first multiplier
 of the previous pass's projection and D that of the current iterate; the
@@ -27,11 +25,16 @@ SIAM J. Numer. Anal. 58, 2020), and costs nothing on DST-I coefficients.
 Clamping at 0 keeps the metric at or above H^1_0; where omega lies below
 D, as for the ground states of the benchmark, every pass runs in H^1_0.
 
-The trial step is the short Barzilai-Borwein step sy / yy (Barzilai &
-Borwein, IMA J. Numer. Anal. 8, 1988; twice the last accepted step when it
-is undefined), and a nonmonotone Armijo backtracking line search safeguards
-it: a trial is tested against the Zhang-Hager reference value C, a weighted
-mean of the merits accepted so far, instead of the current merit.
+Two phases.  The first ``_QN_START`` passes take the short
+Barzilai-Borwein step sy / yy (Barzilai & Borwein, IMA J. Numer. Anal. 8,
+1988), whose tail converges only linearly; later ones the L-BFGS direction
+(Liu & Nocedal, Math. Program. 45, 1989) in the pass's metric, projected
+as in Riemannian L-BFGS (Huang, Gallivan & Absil, SIAM J. Optim. 25(3),
+2015; ``lbfgs``).  The switch is a pass count: the ground solves end
+before it, and L-BFGS from the first pass loses a genus-2 state.  A
+nonmonotone Armijo line search safeguards both at the merit's slope: a
+trial is tested against the Zhang-Hager reference value C, a weighted mean
+of the merits accepted so far.
 
 The merit is the Lagrangian m = J - (lam c1 + beta c2) / 2, with (c1, c2)
 the constraint residuals of the trial and (lam, beta) the coefficients of
@@ -66,6 +69,7 @@ import numpy as np
 
 from .errors import InfeasibleRegion, ManifoldError, SbpError
 from .grid import norm_l2, require_zero_boundary
+from .lbfgs import _Pairs, _quasi_newton_direction
 from .manifold import _project_dst, genus_seeds, retract
 from .problem import Problem
 from .reduction import phi_map
@@ -86,6 +90,8 @@ _BACKTRACK = 0.5
 _INITIAL_STEP = 1.0
 _MIN_STEP = 1e-14
 _MAX_STEP = 1e3
+# The first pass of the L-BFGS tail (``lbfgs``).
+_QN_START = 8
 # ``polish_positive`` folds a state whose minimum lies below this.
 _POSITIVE_FLOOR = -1e-8
 # Two states are duplicates when their sign-aligned L2 distance and their
@@ -132,12 +138,13 @@ class SolveResult:
 def minimize_on_M(problem: Problem,
                   u0: np.ndarray,
                   opts: OptimizerOptions | None = None) -> SolveResult:
-    """Projected BB descent with a nonmonotone (Zhang-Hager) Armijo line
-    search on the merit, in the shifted metric of the module docstring, from
+    """Projected descent, BB steps for ``_QN_START`` passes and L-BFGS steps
+    after (a pass count: short descents never reach them), with a
+    nonmonotone Armijo line search on the merit, in the shifted metric, from
     ``u0`` until the H^1_0 tangent gradient norm drops below
-    ``opts.grad_tol``.  The merit may rise between iterates, but never above
-    the merit of the retracted start.  ``omega`` and ``mu`` are the
-    multipliers of the H^1_0 tangent projection at the returned iterate.
+    ``opts.grad_tol``.  The merit never rises above that of the retracted
+    start.  ``omega`` and ``mu`` are the multipliers of the H^1_0 tangent
+    projection at the returned iterate.
 
     Hitting ``max_iterations``, or backtracking below ``_MIN_STEP`` without an
     acceptable decrease, returns the current iterate and its gradient norm
@@ -162,7 +169,8 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     # fragment the heap, which raised peak RSS by up to 0.2 MB on refine-2d.
     prev_u_hat = np.empty(sigma.shape)
     prev_gt_hat = np.empty(sigma.shape)
-    gt = np.zeros(grid.shape)  # the physical gradient, zero on the boundary
+    pairs = None  # the L-BFGS memory, allocated on the first tail pass
+    direction = np.zeros(grid.shape)  # the physical d_hat, zero on the boundary
 
     # Pass ``it`` follows ``it`` accepted steps.  The last pass only tests
     # convergence, so every exit reports the gradient and the multipliers at
@@ -173,8 +181,10 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         # the u^2-mean of the potential at a critical point.
         shift = max(lam - dirichlet, 0.0) if it else 0.0
         symbol = sigma + shift if shift else sigma
+        # A pass of the L-BFGS tail transforms its direction itself.
+        tail = it > 0 and it >= _QN_START
         lam, beta, gt_hat, w_hat, qu_hat = _tangent_gradient(
-            problem, u, phi, u_hat, shift, symbol, gt)
+            problem, u, phi, u_hat, shift, symbol, None if tail else direction)
         decrease_rate = metric * float(np.vdot(symbol * gt_hat, gt_hat))
         sob = math.sqrt(decrease_rate)
         # The shifted tangent norm is at most the H^1_0 one, so only a pass
@@ -189,16 +199,23 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         if it == 0:
             ref_c, ref_q = j - 0.5 * (lam * c1 + beta * c2), 1.0
 
-        # Short Barzilai-Borwein trial step sy / yy from the last
-        # displacement s and gradient change y; the long step ss / sy
-        # overshoots here and takes about a quarter more iterations.  Falls
-        # back to growing the accepted step.  The nonmonotone Armijo test
-        # below, against the Zhang-Hager reference value ref_c, safeguards it.
-        # Both products are sums over modes in the current metric, formed in
-        # place in the buffers of the last pass; their common factor metric
-        # cancels.
+        # The direction d_hat and the merit's slope along it: from pass
+        # ``_QN_START`` on, the L-BFGS direction tried at t = 1 while its
+        # slope is positive; otherwise the tangent gradient with the short
+        # BB trial step sy / yy (the long step ss / sy overshoots here and
+        # takes about a quarter more iterations), or twice the accepted step.
+        # sy and yy are sums over modes in the current metric, formed in
+        # place in the buffers of the last pass; their factor metric cancels.
         t = min(2.0 * step, _MAX_STEP)
-        if it > 0:
+        d_hat, slope = gt_hat, decrease_rate
+        if tail:
+            pairs = pairs or _Pairs(sigma)
+            pairs.push(u_hat, gt_hat, prev_u_hat, prev_gt_hat, shift)
+            qn = _quasi_newton_direction(
+                problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs)
+            if qn:
+                (d_hat, slope), t = qn, 1.0
+        if it > 0 and d_hat is gt_hat:
             s_hat = np.subtract(u_hat, prev_u_hat, out=prev_u_hat)
             y_hat = np.subtract(gt_hat, prev_gt_hat, out=prev_gt_hat)
             sy = float(np.vdot(np.multiply(s_hat, symbol, out=s_hat), y_hat))
@@ -209,17 +226,21 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         np.copyto(prev_gt_hat, gt_hat)
         # Only the buffers live through the line search, and at s > 0 the
         # coefficients of w and q u that a stall needs.
-        del u_hat, gt_hat
+        if tail:
+            if not shift:
+                qu_hat = None  # freed before the inverse transform
+            _from_dst_interior(grid, d_hat, direction)
+        del u_hat, gt_hat, d_hat
 
         while t >= _MIN_STEP:
             try:
-                u_try = retract(problem, u - t * gt)
+                u_try = retract(problem, u - t * direction)
             except ManifoldError:
                 t *= _BACKTRACK
                 continue
             phi_try, u_hat_try, j_try, d_try, c1, c2 = _evaluate(problem, u_try)
             m_try = j_try - 0.5 * (lam * c1 + beta * c2)
-            if m_try <= ref_c - _ARMIJO_C * t * decrease_rate:
+            if m_try <= ref_c - _ARMIJO_C * t * slope:
                 u, phi, j, u_hat, dirichlet = u_try, phi_try, j_try, u_hat_try, d_try
                 step = t
                 q_old, ref_q = ref_q, _ZH_ETA * ref_q + 1.0
@@ -267,17 +288,18 @@ def _evaluate(problem: Problem, u: np.ndarray
 
 def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray,
                       u_hat: np.ndarray, shift: float, symbol: np.ndarray,
-                      out: np.ndarray):
-    """The descent direction: the tangent projection of the gradient of J in
+                      out: np.ndarray | None = None):
+    """The descent's gradient: the tangent projection of the gradient of J in
     the metric of -lap + s, for the shift s = ``shift`` >= 0, whose symbol
     sigma + s the caller passes as ``symbol`` (sigma itself at s = 0).
     ``u_hat`` are the DST-I coefficients of u.  Writes the direction into
-    the interior of ``out`` and returns (lam, beta, gt_hat, w_hat, qu_hat):
-    the projection's coefficients, the multipliers of grad J on (u, q u) in
-    this metric (see ``_project_dst``), the DST-I coefficients of the
-    direction, and for s > 0 those of w and q u, from which
-    ``_h1_projection`` forms the H^1_0 projection without a transform (None
-    at s = 0, where the metric is H^1_0).
+    the interior of ``out``, if given, and returns (lam, beta, gt_hat,
+    w_hat, qu_hat): the projection's coefficients, the multipliers of grad J
+    on (u, q u) in this metric (see ``_project_dst``), the DST-I
+    coefficients of the direction, and those of w and q u, from which
+    ``_h1_projection`` forms the H^1_0 projection without a transform.  At
+    s = 0 w_hat is None, and so is qu_hat if ``out`` is given; else an
+    L-BFGS pass projects with it.
 
     With w = ``zeroth_order_grad``, the L2 gradient of J is -lap u + w,
     whose coefficients are sigma u_hat + w_hat, so the gradient in the
@@ -305,9 +327,10 @@ def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray,
     g_hat += u_hat
     qu_hat = _dst_interior(grid, qu)
     gt_hat, lam, beta = _project_dst(problem, u_hat, qu_hat, g_hat, symbol)
-    if not shift:
-        qu_hat = None  # freed before the inverse transform
-    _from_dst_interior(grid, gt_hat, out)
+    if out is not None:
+        if not shift:
+            qu_hat = None  # freed before the inverse transform
+        _from_dst_interior(grid, gt_hat, out)
     return lam, beta, gt_hat, w_hat, qu_hat
 
 

@@ -25,7 +25,7 @@ from sbpbox import (
 from sbpbox.grid import dirichlet_energy, inner, integrate, laplacian_neumann, norm_l2
 from sbpbox.manifold import feasible_init, retract
 from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
-from sbpbox.solvers import _symbols
+from sbpbox.solvers import _from_dst_interior, _symbols
 
 # The command-line tests run ``python -m sbpbox`` in a subprocess; it imports
 # the package from this checkout, as the test process does through the
@@ -155,51 +155,74 @@ def two_bump_start(problem, region):
 class Pass:
     """One pass of the descent loop, that is one ``_tangent_gradient`` call:
     its iterate u, the energy J that ``_evaluate`` gave u, the shift s, the
-    Armijo decrease rate metric * sum((sigma + s) gt_hat^2) and the
-    direction gt."""
+    Armijo decrease rate metric * sum((sigma + s) gt_hat^2) of the tangent
+    gradient gt (and its coefficients gt_hat), and the direction the pass
+    stepped along with the slope of the merit along it: gt and the rate for
+    a Barzilai-Borwein pass, the result of ``_quasi_newton_direction`` for
+    an L-BFGS pass.  For every pass that called that helper, ``pairs``
+    holds the (s_hat, y_hat) of the memory, oldest first, and ``symbol``
+    the metric sigma + s, as the helper saw them."""
 
     u: np.ndarray
     j: float
     shift: float
     rate: float
     gt: np.ndarray
+    gt_hat: np.ndarray
+    direction: np.ndarray
+    slope: float
+    pairs: list = None
+    symbol: np.ndarray = None
 
 
 @dataclass
 class Descent:
     """What one call of ``optimize._minimize`` did: its ``result``, each
     ``retract`` call's (argument, result), with None for a retraction that
-    raised, each ``_evaluate`` call's (point, J) and each ``Pass``."""
+    raised, each ``_evaluate`` call's (point, J), each ``Pass`` and the
+    number of L-BFGS memories (``_Pairs``) it allocated."""
 
     result: object = None
     retractions: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     passes: list = field(default_factory=list)
+    memories: int = 0
 
     @property
     def js(self):
         return np.array([p.j for p in self.passes])
 
+    @property
+    def tail(self):
+        """The passes that called ``_quasi_newton_direction``."""
+        return [p for p in self.passes if p.pairs is not None]
+
     def steps(self):
         """The step t that reached each pass after the first, read from the
-        argument u - t gt of the retraction that returned the pass's iterate."""
+        argument u - t d of the retraction that returned the pass's iterate,
+        with d the direction of the pass before."""
         steps = []
         for prev, cur in zip(self.passes, self.passes[1:]):
             v = next(v for v, out in self.retractions if out is cur.u)
-            steps.append(float(np.vdot(prev.u - v, prev.gt) / np.vdot(prev.gt, prev.gt)))
+            d = prev.direction
+            steps.append(float(np.vdot(prev.u - v, d) / np.vdot(d, d)))
         return np.array(steps)
 
 
 class DescentSpy:
     """Observes the descent through the functions it calls: wraps
-    ``_minimize``, ``_evaluate``, ``_tangent_gradient`` and ``retract`` of
-    ``sbpbox.optimize`` with the monkeypatch ``mp`` and appends a ``Descent``
-    to ``descents`` per call of ``_minimize``."""
+    ``_minimize``, ``_evaluate``, ``_tangent_gradient``,
+    ``_quasi_newton_direction``, ``_Pairs`` and ``retract`` of
+    ``sbpbox.optimize`` with the monkeypatch ``mp`` and appends a
+    ``Descent`` to ``descents`` per call of ``_minimize``.  A pass for
+    which ``_quasi_newton_direction`` returns None steps along its
+    gradient, as the descent does."""
 
     def __init__(self, mp):
         self.descents = []
         minimize, evaluate = optimize._minimize, optimize._evaluate
         tangent_gradient, retract = optimize._tangent_gradient, optimize.retract
+        qn_direction, pairs_class = optimize._quasi_newton_direction, optimize._Pairs
 
         def spy_minimize(problem, u0, opts):
             self.descents.append(Descent())
@@ -219,19 +242,40 @@ class DescentSpy:
             self.descents[-1].energies.append((u, out[2]))
             return out
 
-        def spy_tangent_gradient(problem, u, phi, u_hat, shift, symbol, out):
+        def physical(grid, coef):
+            return _from_dst_interior(grid, coef, np.zeros(grid.shape))
+
+        def spy_tangent_gradient(problem, u, phi, u_hat, shift, symbol, out=None):
             res = tangent_gradient(problem, u, phi, u_hat, shift, symbol, out)
             run = self.descents[-1]
             j = next(j for v, j in reversed(run.energies) if v is u)
             metric = math.prod(problem.grid.h) / _symbols(problem.grid).scale
             rate = metric * float(np.vdot(symbol * res[2], res[2]))
-            run.passes.append(Pass(u, j, shift, rate, out.copy()))
+            gt = physical(problem.grid, res[2])
+            run.passes.append(Pass(u, j, shift, rate, gt, res[2].copy(), gt, rate))
             return res
+
+        def spy_qn_direction(problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs):
+            cur = self.descents[-1].passes[-1]
+            # Slot k of the memory holds s in row 2 k and y in row 2 k + 1.
+            cur.pairs = [tuple(pairs.ring[row].reshape(gt_hat.shape).copy()
+                               for row in (2 * k, 2 * k + 1)) for k in pairs.order]
+            cur.symbol = np.array(symbol)
+            tail = qn_direction(problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs)
+            if tail:
+                cur.direction, cur.slope = physical(problem.grid, tail[0]), tail[1]
+            return tail
+
+        def spy_pairs(sigma):
+            self.descents[-1].memories += 1
+            return pairs_class(sigma)
 
         mp.setattr(optimize, "_minimize", spy_minimize)
         mp.setattr(optimize, "retract", spy_retract)
         mp.setattr(optimize, "_evaluate", spy_evaluate)
         mp.setattr(optimize, "_tangent_gradient", spy_tangent_gradient)
+        mp.setattr(optimize, "_quasi_newton_direction", spy_qn_direction)
+        mp.setattr(optimize, "_Pairs", spy_pairs)
 
 
 @pytest.fixture

@@ -2,11 +2,14 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, optimize
+from sbpbox.config import load_config
+from sbpbox.lbfgs import _QN_MEMORY, _Pairs
 from sbpbox.errors import InfeasibleRegion, SbpError
 from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
 from sbpbox.grid import dirichlet_energy, dirichlet_inner, inner
@@ -31,6 +34,8 @@ from sbpbox.solvers import _dst_interior, _symbols, solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
 from conftest import DescentSpy, line_problem, oscillating_problem, two_bump_start
 from dataclasses import replace as dc_replace
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def test_benchmark_ground_state_frozen(bench65, bench65_state):
@@ -86,19 +91,25 @@ def slab_runs():
 
 
 def test_trace_obeys_zhang_hager_rule(slab_runs):
-    """Each accepted energy satisfies the Armijo test, at the rate of the
-    pass before it, against the reference value C rebuilt from the energies
-    of the passes; no iterate rises above the start, and the energy does
-    rise somewhere, so the rule is really nonmonotone."""
+    """Each accepted energy satisfies the Armijo test, at the slope of the
+    direction the pass before it stepped along (the rate of its gradient for
+    a Barzilai-Borwein pass, the slope ``_quasi_newton_direction`` returned
+    for an L-BFGS pass), against the reference value C rebuilt from the
+    energies of the passes; an L-BFGS step is 1 or a backtrack of it.  No
+    iterate rises above the start, and the energy does rise somewhere, so
+    the rule is really nonmonotone."""
     rose = False
     for run in slab_runs:
         assert run.result.converged
         js = run.js
         assert len(js) == run.result.iterations + 1
+        assert any(p.direction is not p.gt for p in run.tail)
         tol = 1e-14 * np.abs(js).max()
         c, q = js[0], 1.0
         for prev, j, step in zip(run.passes, js[1:], run.steps()):
-            assert j <= c - optimize._ARMIJO_C * step * prev.rate + tol
+            assert j <= c - optimize._ARMIJO_C * step * prev.slope + tol
+            if prev.direction is not prev.gt:  # read from u - t d to eps |u| / |t d|
+                assert step == pytest.approx(2.0 ** min(round(math.log2(step)), 0), rel=1e-6)
             q_old, q = q, optimize._ZH_ETA * q + 1.0
             c = (optimize._ZH_ETA * q_old * c + j) / q
         assert js.max() <= js[0]
@@ -115,10 +126,10 @@ def test_line_search_trials_per_iteration(slab_runs):
 
 
 def test_slab_starts_take_few_iterations(slab_runs):
-    """The short Barzilai-Borwein step: the genus-1 and genus-2 starts
-    converge in about 200 iterations together (about 300 in the H^1_0
-    metric), where the long step ss / sy took about 400 in the H^1_0
-    metric."""
+    """The genus-1 and genus-2 starts converge in about 110 iterations
+    together with the L-BFGS tail, and in about 200 with short
+    Barzilai-Borwein steps throughout (about 300 in the H^1_0 metric), where
+    the long step ss / sy took about 400 in the H^1_0 metric."""
     assert sum(run.result.iterations for run in slab_runs) <= 340
 
 
@@ -151,6 +162,39 @@ def ground_box_problem(n):
     return build_problem(grid=g, coupling=CouplingSpec("affine", {"a": 0.0, "b": 1.0}),
                          h1=BoundaryData.zero(g), h2=BoundaryData.constant(g, {"x1": 0.5}),
                          kappa=1.0, p=3.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3], ids=["bench65", "ground-3d"])
+def test_short_descents_never_reach_the_tail(dim, bench65, descent_spy):
+    """The ground descents of the benchmark (n = 65) and of the 3d ground
+    workload (25^3) converge before pass ``_QN_START``: they never call the
+    L-BFGS direction and allocate no pair memory, so they run the same
+    arithmetic as Barzilai-Borwein steps throughout."""
+    prob = bench65 if dim == 1 else ground_box_problem(25)
+    res = minimize_on_M(prob, feasible_init(prob))
+    (run,) = descent_spy.descents
+    assert res.converged and res.iterations < optimize._QN_START
+    assert run.memories == 0 and not run.tail
+
+
+def test_pair_memory_keeps_the_newest_pairs_with_positive_sy():
+    """``_Pairs.push`` stores a pair only when its sy in the pass's metric
+    sigma + s is positive, and keeps the ``_QN_MEMORY`` newest, oldest
+    first: a pair with sum(sigma s y) > 0 > sum(s y) is stored at s = 0 and
+    not at a shift past their ratio."""
+    sigma = _symbols(Grid(lengths=(1.0,), n=(9,))).dirichlet
+    s_hat, y_hat, zero = np.zeros((3,) + sigma.shape)
+    s_hat[[0, -1]] = 1.0
+    y_hat[[0, -1]] = -1.0, 0.5  # sum(sigma s y) > 0 > sum(s y) = -0.5
+    shift = float(np.vdot(sigma * s_hat, y_hat)) / 0.5
+    pairs = _Pairs(sigma)
+    pairs.push(s_hat, y_hat, zero, zero, 1.01 * shift)
+    pairs.push(s_hat, -s_hat, zero, zero, 0.0)
+    assert pairs.order == []
+    for k in range(_QN_MEMORY + 2):
+        pairs.push((k + 1) * s_hat, y_hat, zero, zero, 0.99 * shift)
+    assert len(pairs.order) == _QN_MEMORY
+    assert [pairs.ring[2 * k, 0] for k in pairs.order] == list(range(3, _QN_MEMORY + 3))
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -201,8 +245,7 @@ def assert_multipliers_at_iterate(problem, res):
     projection at the returned iterate."""
     u_hat = _dst_interior(problem.grid, res.u)
     lam, beta, *_ = _tangent_gradient(problem, res.u, res.phi, u_hat, 0.0,
-                                      _symbols(problem.grid).dirichlet,
-                                      np.zeros(problem.grid.shape))
+                                      _symbols(problem.grid).dirichlet)
     assert (res.omega, res.mu) == (lam, -beta)
 
 
@@ -266,18 +309,25 @@ def test_shifted_descent_reports_the_h1_gradient_on_every_exit(exit_, monkeypatc
     assert_multipliers_at_iterate(prob, res)
 
 
-def test_excited_search_takes_at_most_260_iterations(monkeypatch):
-    """The three genus-3 starts of the excited-search problem find the two
-    frozen states in about 210 descent iterations together (340 in the
-    H^1_0 metric), at the same cost per iteration."""
-    runs = []
+def descent_iterations(monkeypatch):
+    """A list that collects the iterations of each descent from now on."""
+    iterations = []
     real = optimize._minimize
 
     def spy(problem, u0, opts):
-        runs.append(real(problem, u0, opts))
-        return runs[-1]
+        res = real(problem, u0, opts)
+        iterations.append(res.iterations if res.converged else None)
+        return res
 
     monkeypatch.setattr(optimize, "_minimize", spy)
+    return iterations
+
+
+def genus3_search_iterations(monkeypatch):
+    """The iterations of the three descents of the excited search on the
+    excited-search problem, from its genus-3 slab seeds, which find the two
+    frozen states."""
+    iterations = descent_iterations(monkeypatch)
     prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -286,14 +336,56 @@ def test_excited_search_takes_at_most_260_iterations(monkeypatch):
         pytest.approx(58.89462859454396, rel=1e-6),
         pytest.approx(73.36864208910114, rel=1e-6),
     ]
-    assert len(runs) == 3 and all(r.converged for r in runs)
-    assert sum(r.iterations for r in runs) <= 260
+    assert len(iterations) == 3 and None not in iterations
+    return iterations
+
+
+def test_excited_search_takes_at_most_260_iterations(monkeypatch):
+    """The three genus-3 starts of the excited-search problem find the two
+    frozen states within 260 descent iterations together: about 210 with
+    Barzilai-Borwein steps throughout in the shifted metric (340 in the
+    H^1_0 metric), about 114 with the L-BFGS tail."""
+    assert sum(genus3_search_iterations(monkeypatch)) <= 260
+
+
+def test_excited_search_takes_at_most_130_iterations(monkeypatch):
+    """The L-BFGS tail: from pass ``_QN_START`` on, the same three starts
+    step along the L-BFGS direction and take about 114 iterations together,
+    where Barzilai-Borwein steps throughout took 210."""
+    assert sum(genus3_search_iterations(monkeypatch)) <= 130
+
+
+@pytest.mark.parametrize("alpha, js", [
+    (0.2, [223.97273838]),
+    (0.6, [14.7558975918, 17.0252218828]),
+    (1.0, [-3.0237906037]),
+    (1.4, [7.6574830380, 8.3389338848]),
+    (1.8, [82.6572933439]),
+])
+def test_excited_cfg_finds_the_same_states_across_alpha(alpha, js, monkeypatch):
+    """``demos/configs/excited.cfg`` at n = 65, with its k = 3, for alpha
+    from 0.2 to 1.8: the states and their J, to 1e-9 relative, are those
+    that Barzilai-Borwein steps throughout found.  At alpha = 1.8 the shift
+    stays 0 and the descents cross plateaus near saddles: there the three
+    starts took 1,343 iterations with BB steps throughout, and take about
+    310 with the L-BFGS tail."""
+    cfg = load_config(DEMO_CONFIGS / "excited.cfg")
+    cfg.boundary[("h2", "x1")] = alpha
+    iterations = descent_iterations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        states = excited_states(cfg.build_problem(65), cfg.get("run.k"),
+                                cfg.optimizer_options())
+    assert [s.j for s in states] == [pytest.approx(j, rel=1e-9) for j in js]
+    assert len(iterations) == 3 and None not in iterations
+    if alpha == 1.8:
+        assert sum(iterations) <= 450
 
 
 def test_1d_ground_descent_at_low_alpha_takes_few_iterations():
     """The 1d ground solve with the oscillating coupling at alpha = 0.2 from
-    the tilted principal mode: about 110 iterations, where the H^1_0 metric
-    took 353."""
+    the tilted principal mode: about 70 iterations with the L-BFGS tail,
+    109 with BB steps throughout, where the H^1_0 metric took 353."""
     prob = oscillating_problem(65, alpha=0.2)
     res = minimize_on_M(prob, feasible_init(prob), OptimizerOptions(max_iterations=8000))
     assert res.converged
@@ -314,15 +406,14 @@ def test_both_metrics_give_the_same_multipliers_at_a_converged_state(n, dim):
     g = prob.grid
     sigma = _symbols(g).dirichlet
     u_hat = _dst_interior(g, res.u)
-    lam, beta, *_ = _tangent_gradient(prob, res.u, res.phi, u_hat, 0.0, sigma,
-                                      np.zeros(g.shape))
+    lam, beta, *_ = _tangent_gradient(prob, res.u, res.phi, u_hat, 0.0, sigma)
     assert (lam, -beta) == (res.omega, res.mu)
     shifts = [1.0, 1e3]
     if lam > dirichlet_energy(g, res.u):
         shifts.append(lam - dirichlet_energy(g, res.u))
     for shift in shifts:
         lam_s, beta_s, *_ = _tangent_gradient(prob, res.u, res.phi, u_hat, shift,
-                                              sigma + shift, np.zeros(g.shape))
+                                              sigma + shift)
         assert lam_s == pytest.approx(lam, rel=1e-6)
         assert beta_s == pytest.approx(beta, rel=1e-6)
 
@@ -455,8 +546,9 @@ def test_merit_line_search_converges_past_the_rounding_floor_of_J():
     Retraction leaves constraint residuals near 1e-14, which move J by
     about (|omega| + |mu|) 1e-14; with the Armijo test on J this start ran
     to the cap with its gradient stuck near 2.1e-7.  The test on the merit
-    (the Lagrangian) converges, in about 320 iterations in the shifted
-    metric (530 in the H^1_0 metric).  The start is the
+    (the Lagrangian) converges, in about 110 iterations with the L-BFGS
+    tail (320 with Barzilai-Borwein steps throughout, 530 of them in the
+    H^1_0 metric).  The start is the
     two-bump seed of that slab (``two_bump_start``), as the test was written
     for it."""
     prob = oscillating_problem(49, dim=2)
@@ -469,8 +561,9 @@ def test_merit_line_search_converges_past_the_rounding_floor_of_J():
 def test_3d_excited_start_reaches_grad_tol():
     """The genus-1 slab start of ``excited.cfg`` on the 25^3 box.  With the
     short BB step and the Armijo test on J it once stalled at the cap; it
-    now converges in about 870 iterations (about 1,500 in the H^1_0
-    metric), a count that moves with rounding.  The start is the two-bump seed of the whole box
+    now converges in about 120 iterations with the L-BFGS tail (900 to
+    1,300 with BB steps throughout, a count that moved with rounding, and
+    about 1,500 in the H^1_0 metric).  The start is the two-bump seed of the whole box
     (``two_bump_start``), the long tail the test was written for."""
     prob = oscillating_problem(25, dim=3)
     res = minimize_on_M(prob, two_bump_start(prob, _axis_slab_region(prob.grid, 0, 24)),
@@ -480,8 +573,9 @@ def test_3d_excited_start_reaches_grad_tol():
 
 
 def test_excited_search_at_low_alpha_converges_from_every_start():
-    """At alpha = 0.2 both genus-2 starts reach grad_tol (in 80 and 133
-    iterations; 192 and 695 in the H^1_0 metric) and meet in one state; with the Armijo test on J, two
+    """At alpha = 0.2 both genus-2 starts reach grad_tol (in 48 and 79
+    iterations with the L-BFGS tail; 80 and 133 with BB steps throughout,
+    192 and 695 in the H^1_0 metric) and meet in one state; with the Armijo test on J, two
     of the three genus-1 and genus-2 starts stalled at the cap."""
     prob = oscillating_problem(65, alpha=0.2)
     with warnings.catch_warnings(record=True) as caught:

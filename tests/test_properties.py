@@ -5,19 +5,21 @@ and a seed for the random data.  The examples are derandomized and the
 database is off, so every run checks the same grids.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbpbox import BoundaryData, Grid, build_problem
+from sbpbox import BoundaryData, Grid, build_problem, optimize
 from sbpbox.dense import (
     solve_fourth_order_dense,
     solve_helmholtz_dense,
     solve_poisson_dirichlet_dense,
     solve_poisson_neumann_dense,
 )
-from sbpbox.errors import ManifoldError
+from sbpbox.errors import InfeasibleRegion, ManifoldError
 from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
 from sbpbox.grid import (
     boundary_integrate,
@@ -34,9 +36,10 @@ from sbpbox.manifold import (
     _moments,
     constraint_representers,
     constraint_values,
+    feasible_init,
     tangent_project,
 )
-from sbpbox.optimize import _evaluate, _h1_projection, _tangent_gradient
+from sbpbox.optimize import OptimizerOptions, _evaluate, _h1_projection, _tangent_gradient
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import (
     _dst_interior,
@@ -47,6 +50,7 @@ from sbpbox.solvers import (
     solve_poisson_dirichlet,
     solve_poisson_neumann_zeromean,
 )
+from conftest import DescentSpy
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=20)
@@ -292,7 +296,8 @@ def check_shifted_metric(g, seed):
     -lap, the shifted tangent norm is at most the H^1_0 one: both are sups
     of <grad J, v> / |v| over the same tangent space, and |v| grows with s.
     The H^1_0 projection that ``_h1_projection`` forms from a shifted
-    pass's coefficients is bitwise the unshifted pass."""
+    pass's coefficients is bitwise the unshifted pass.  At s = 0 the pass
+    keeps the coefficients of q u only when it writes no direction."""
     rng = np.random.default_rng(seed)
     prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
                          h1=random_flux(g, rng), h2=random_flux(g, rng),
@@ -314,6 +319,10 @@ def check_shifted_metric(g, seed):
     assert np.array_equal(gt_hat, ref_hat)
     assert np.array_equal(gt, _from_dst_interior(g, ref_hat, np.zeros(g.shape)))
     assert w_hat is None and qu_hat is None
+    # Without a buffer to write (an L-BFGS pass) the coefficients of q u are kept.
+    res = _tangent_gradient(prob, u, phi, u_hat, 0.0, sigma)
+    assert res[:2] == (lam, beta) and np.array_equal(res[2], gt_hat) and res[3] is None
+    assert np.array_equal(res[4], _dst_interior(g, prob.q * u))
     norm = np.sqrt(metric * float(np.vdot(sigma * gt_hat, gt_hat)))
     for s in (1.0, float(sigma.flat[0]), 1e3):
         symbol = sigma + s
@@ -338,6 +347,60 @@ def test_shifted_metric_bounds_the_h1_tangent_norm(g, seed):
 def test_shifted_metric_bounds_the_h1_tangent_norm_on_an_fft_axis(n):
     """The same, where the long axis transforms by rfft."""
     check_shifted_metric(Grid(lengths=(1.0, 2.0, 1.5)[:len(n)], n=n), seed=7)
+
+
+def check_tail_directions(g, seed):
+    """The L-BFGS tail, started at pass 1 on a random problem with q in
+    [1, 2] and alpha = 1.5.  Every direction it steps along is
+    L2-orthogonal to u and q u at its iterate, to 1e-12 relative, and has
+    a positive slope, the product sum((sigma + s) gt_hat d_hat) * prod h /
+    scale of the metric to rounding.  A pair enters the memory when its sy
+    in the pass's metric is positive, and never when it is negative, beyond
+    rounding of 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
+                         h1=BoundaryData.zero(g),
+                         h2=BoundaryData.constant(g, {"x1": 1.5 / math.prod(g.lengths[1:])}),
+                         kappa=1.0, p=3.0)
+    assert prob.alpha == pytest.approx(1.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_QN_START", 1)
+        spy = DescentSpy(mp)
+        try:
+            optimize.minimize_on_M(prob, feasible_init(prob), OptimizerOptions(max_iterations=15))
+        except (InfeasibleRegion, ManifoldError):
+            return  # q does not bracket alpha, or too few interior nodes
+    (run,) = spy.descents
+    sym = _symbols(g)
+    metric = math.prod(g.h) / sym.scale
+    for prev, cur in zip(run.passes, run.passes[1:]):
+        if cur.pairs is None:
+            continue
+        s_hat = _dst_interior(g, cur.u) - _dst_interior(g, prev.u)
+        y_hat = cur.gt_hat - prev.gt_hat
+        sy = float(np.vdot(cur.symbol * s_hat, y_hat))
+        floor = 1e-12 * math.sqrt(np.vdot(cur.symbol * s_hat, s_hat)
+                                  * np.vdot(cur.symbol * y_hat, y_hat))
+        stored = any(np.array_equal(s_hat, a) and np.array_equal(y_hat, b)
+                     for a, b in cur.pairs)
+        assert stored if sy > floor else not stored if sy < -floor else True
+        if cur.direction is cur.gt:
+            continue  # the memory was cleared and the pass took the gradient
+        d = cur.direction
+        for r in (cur.u, prob.q * cur.u):
+            assert abs(inner(g, d, r)) <= 1e-12 * norm_l2(g, d) * norm_l2(g, r)
+        d_hat = _dst_interior(g, d)
+        norms = metric * math.sqrt(np.vdot(cur.symbol * d_hat, d_hat)
+                                   * np.vdot(cur.symbol * cur.gt_hat, cur.gt_hat))
+        assert cur.slope > 0.0
+        assert cur.slope == pytest.approx(
+            metric * float(np.vdot(cur.symbol * cur.gt_hat, d_hat)), abs=1e-12 * norms)
+
+
+@PROPERTY
+@given(grids(), SEEDS)
+def test_tail_directions_are_tangent_descent_directions(g, seed):
+    check_tail_directions(g, seed)
 
 
 def check_trial_evaluation(g, seed):
