@@ -8,13 +8,10 @@ space of M, as in Riemannian L-BFGS (see ``optimize``).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .manifold import _project_dst
 from .problem import Problem
-from .solvers import _symbols
 
 _QN_MEMORY = 5
 
@@ -67,10 +64,10 @@ class _Pairs:
 
 def _quasi_newton_direction(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
                             gt_hat: np.ndarray, symbol: np.ndarray, shift: float,
-                            pairs: _Pairs) -> tuple[np.ndarray, float] | None:
-    """The L-BFGS direction at g = ``gt_hat`` and the merit's slope metric *
-    sum(symbol gt_hat d_hat) along it, or None, clearing the memory, when
-    the slope is not positive.  The two-loop recursion runs on d's
+                            pairs: _Pairs) -> np.ndarray | None:
+    """The L-BFGS direction at g = ``gt_hat``, or None, clearing the memory,
+    when the merit's slope along it, a positive multiple of sum(symbol
+    gt_hat d_hat), is not positive.  The two-loop recursion runs on d's
     coefficients in the ring's rows, with the scale sy / yy of the newest
     pair, in the metric sigma + s, where a pair whose sy is not positive is
     left out.  d is projected with ``_project_dst``: the pairs were taken at
@@ -78,7 +75,6 @@ def _quasi_newton_direction(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndar
     gram = (pairs.gram[0] + shift * pairs.gram[1]).tolist()
     prod = gram[-1]
     ys = [2 * k + 1 for k in pairs.order if gram[2 * k][2 * k + 1] > 0.0]  # y rows
-    slope = 0.0
     if ys:
         n = len(ys)
         rho = [1.0 / gram[j - 1][j] for j in ys]
@@ -103,9 +99,7 @@ def _quasi_newton_direction(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndar
             coef[j - 1], coef[j] = alpha[p] - rho[p] * acc, -gamma * alpha[p]
         d_hat = (np.array(coef) @ pairs.ring).reshape(gt_hat.shape)
         d_hat, _, _ = _project_dst(problem, u_hat, qu_hat, d_hat, symbol)
-        metric = math.prod(problem.grid.h) / _symbols(problem.grid).scale
-        slope = metric * float(np.vdot(symbol * gt_hat, d_hat))
-    if not slope > 0.0:
-        pairs.order.clear()
-        return None
-    return d_hat, slope
+        if float(np.vdot(symbol * gt_hat, d_hat)) > 0.0:
+            return d_hat
+    pairs.order.clear()
+    return None

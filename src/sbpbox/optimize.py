@@ -48,11 +48,11 @@ starting merit.
 Convergence is declared on the H^1_0 tangent gradient norm.  For s >= 0 the
 shifted tangent norm, whose square is the Armijo decrease rate, is at most
 the H^1_0 norm: both are the sup of <grad J, v> / |v| over tangent v, and
-the shifted |v| is the larger.  So the H^1_0 projection is formed, from
-the coefficients the pass already transformed (``_h1_projection``), only
-when the shifted norm passes ``grad_tol``, and at every exit.  The
-multipliers of the returned state are the coefficients of its H^1_0
-projection: omega = lam, mu = -beta.  Every run returns a
+the shifted |v| is the larger.  So the H^1_0 check, the pass at s = 0
+with its two forward transforms (``_h1_check``), runs only when the
+shifted norm passes ``grad_tol``, and at every exit.  The multipliers of
+the returned state are the coefficients of its H^1_0 projection:
+omega = lam, mu = -beta.  Every run returns a
 ``SolveResult``; its ``stop_reason`` is ``grad_tol`` (converged),
 ``max_iterations`` (the cap was reached) or ``line_search_stall``
 (backtracking fell below ``_MIN_STEP``), and its ``grad_norm`` is the H^1_0
@@ -160,10 +160,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
     step = _INITIAL_STEP
     sym = _symbols(grid)
     sigma = sym.dirichlet
-    # dirichlet_inner(a, b) + s inner(a, b) = sum((sigma + s) a_hat b_hat)
-    # * prod h / scale for fields that vanish on the boundary (see
-    # ``_tangent_gradient``).
-    metric = math.prod(grid.h) / sym.scale
+    metric = math.prod(grid.h) / sym.scale  # the factor of ``_slope``
     # The coefficients of the last pass, kept for the BB step in two buffers
     # allocated once: arrays that outlive the line search's temporaries
     # fragment the heap, which raised peak RSS by up to 0.2 MB on refine-2d.
@@ -181,17 +178,14 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         # the u^2-mean of the potential at a critical point.
         shift = max(lam - dirichlet, 0.0) if it else 0.0
         symbol = sigma + shift if shift else sigma
-        # A pass of the L-BFGS tail transforms its direction itself.
-        tail = it > 0 and it >= _QN_START
-        lam, beta, gt_hat, w_hat, qu_hat = _tangent_gradient(
-            problem, u, phi, u_hat, shift, symbol, None if tail else direction)
-        decrease_rate = metric * float(np.vdot(symbol * gt_hat, gt_hat))
-        sob = math.sqrt(decrease_rate)
-        # The shifted tangent norm is at most the H^1_0 one, so only a pass
-        # that it lets through, or the last, needs the H^1_0 projection.
-        h1 = lam, beta, sob
-        if shift and (sob <= opts.grad_tol or it == opts.max_iterations):
-            h1 = _h1_projection(problem, u_hat, w_hat, qu_hat)
+        lam, beta, gt_hat, qu_hat = _tangent_gradient(problem, u, phi, u_hat, shift, symbol)
+        # The merit's slope along the tangent gradient is the square of the
+        # shifted tangent norm, at most the H^1_0 one, so only a pass that it
+        # lets through, or the last, needs the H^1_0 check.
+        d_hat, slope = gt_hat, _slope(metric, symbol, gt_hat, gt_hat)
+        h1 = lam, beta, math.sqrt(slope)
+        if shift and (h1[2] <= opts.grad_tol or it == opts.max_iterations):
+            h1 = _h1_check(problem, u, phi, u_hat)
         converged = h1[2] <= opts.grad_tol
         if converged or it == opts.max_iterations:
             reason = "grad_tol" if converged else "max_iterations"
@@ -207,14 +201,13 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         # sy and yy are sums over modes in the current metric, formed in
         # place in the buffers of the last pass; their factor metric cancels.
         t = min(2.0 * step, _MAX_STEP)
-        d_hat, slope = gt_hat, decrease_rate
-        if tail:
+        if it > 0 and it >= _QN_START:
             pairs = pairs or _Pairs(sigma)
             pairs.push(u_hat, gt_hat, prev_u_hat, prev_gt_hat, shift)
-            qn = _quasi_newton_direction(
+            qn_hat = _quasi_newton_direction(
                 problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs)
-            if qn:
-                (d_hat, slope), t = qn, 1.0
+            if qn_hat is not None:
+                d_hat, slope, t = qn_hat, _slope(metric, symbol, gt_hat, qn_hat), 1.0
         if it > 0 and d_hat is gt_hat:
             s_hat = np.subtract(u_hat, prev_u_hat, out=prev_u_hat)
             y_hat = np.subtract(gt_hat, prev_gt_hat, out=prev_gt_hat)
@@ -224,13 +217,8 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
                 t = min(max(sy / yy, _MIN_STEP), _MAX_STEP)
         np.copyto(prev_u_hat, u_hat)
         np.copyto(prev_gt_hat, gt_hat)
-        # Only the buffers live through the line search, and at s > 0 the
-        # coefficients of w and q u that a stall needs.
-        if tail:
-            if not shift:
-                qu_hat = None  # freed before the inverse transform
-            _from_dst_interior(grid, d_hat, direction)
-        del u_hat, gt_hat, d_hat
+        _from_dst_interior(grid, d_hat, direction)
+        del u_hat, gt_hat, qu_hat, d_hat  # only the buffers live through the line search
 
         while t >= _MIN_STEP:
             try:
@@ -250,7 +238,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         else:
             reason = "line_search_stall"
             if shift:
-                h1 = _h1_projection(problem, prev_u_hat, w_hat, qu_hat)
+                h1 = _h1_check(problem, u, phi, prev_u_hat)
             break
 
     lam, beta, sob = h1
@@ -287,19 +275,15 @@ def _evaluate(problem: Problem, u: np.ndarray
 
 
 def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray,
-                      u_hat: np.ndarray, shift: float, symbol: np.ndarray,
-                      out: np.ndarray | None = None):
+                      u_hat: np.ndarray, shift: float, symbol: np.ndarray):
     """The descent's gradient: the tangent projection of the gradient of J in
     the metric of -lap + s, for the shift s = ``shift`` >= 0, whose symbol
     sigma + s the caller passes as ``symbol`` (sigma itself at s = 0).
-    ``u_hat`` are the DST-I coefficients of u.  Writes the direction into
-    the interior of ``out``, if given, and returns (lam, beta, gt_hat,
-    w_hat, qu_hat): the projection's coefficients, the multipliers of grad J
-    on (u, q u) in this metric (see ``_project_dst``), the DST-I
-    coefficients of the direction, and those of w and q u, from which
-    ``_h1_projection`` forms the H^1_0 projection without a transform.  At
-    s = 0 w_hat is None, and so is qu_hat if ``out`` is given; else an
-    L-BFGS pass projects with it.
+    ``u_hat`` are the DST-I coefficients of u.  Returns (lam, beta, gt_hat,
+    qu_hat): the projection's coefficients, the multipliers of grad J on
+    (u, q u) in this metric (see ``_project_dst``), the DST-I coefficients
+    of the direction, and those of q u, with which an L-BFGS pass projects
+    its direction.
 
     With w = ``zeroth_order_grad``, the L2 gradient of J is -lap u + w,
     whose coefficients are sigma u_hat + w_hat, so the gradient in the
@@ -307,45 +291,42 @@ def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray,
     + s).  At s = 0 this is u_hat + w_hat / sigma, the coefficients of
     u + S(w) = S(grad J), with S the Dirichlet solve, which inverts the
     stencil of -lap exactly: ``tangent_project(problem, u, u + S(w))``.
-    The gradient and the projection take the transforms of w and q u and
-    one inverse.  With the coefficients the descent forms its products as
-    sums over modes: the transform T is symmetric with T T = scale and
-    diagonalizes the stencil of -lap with symbol sigma, so for fields a, b
-    that vanish on the boundary dirichlet_inner(a, b) + s inner(a, b) =
-    sum((sigma + s) a_hat b_hat) * prod h / scale.
+    The gradient and the projection take the transforms of w and q u.  With
+    the coefficients the descent forms its products as sums over modes: the
+    transform T is symmetric with T T = scale and diagonalizes the stencil
+    of -lap with symbol sigma, so for fields a, b that vanish on the
+    boundary dirichlet_inner(a, b) + s inner(a, b) = sum((sigma + s) a_hat
+    b_hat) * prod h / scale.
     """
     grid = problem.grid
     qu = problem.q * u  # shared by w and the projection
     w = qu * (phi + problem.chi)
     w -= problem.kappa * np.abs(u) ** (problem.p - 2.0) * u
-    w_hat = _dst_interior(grid, w)
+    g_hat = _dst_interior(grid, w)  # the gradient, formed in place
     if shift:
-        g_hat = w_hat - shift * u_hat
-    else:
-        g_hat, w_hat = w_hat, None  # formed in place
+        g_hat -= shift * u_hat
     g_hat /= symbol
     g_hat += u_hat
     qu_hat = _dst_interior(grid, qu)
     gt_hat, lam, beta = _project_dst(problem, u_hat, qu_hat, g_hat, symbol)
-    if out is not None:
-        if not shift:
-            qu_hat = None  # freed before the inverse transform
-        _from_dst_interior(grid, gt_hat, out)
-    return lam, beta, gt_hat, w_hat, qu_hat
+    return lam, beta, gt_hat, qu_hat
 
 
-def _h1_projection(problem: Problem, u_hat: np.ndarray, w_hat: np.ndarray,
-                   qu_hat: np.ndarray) -> tuple[float, float, float]:
-    """(lam, beta, norm) of the H^1_0 tangent gradient u + S(w), from the
-    coefficients of u, w and q u that a shifted pass of
-    ``_tangent_gradient`` transformed: the projection's coefficients and the
-    H^1_0 norm of the projected field.  Takes no transform."""
+def _slope(metric: float, symbol: np.ndarray, gt_hat: np.ndarray,
+           d_hat: np.ndarray) -> float:
+    """The merit's slope along d: the product of gt and d in the pass's
+    metric, sum(symbol gt_hat d_hat) * ``metric``, with ``metric`` = prod h
+    / scale.  At d = gt it is the Armijo decrease rate."""
+    return metric * float(np.vdot(symbol * gt_hat, d_hat))
+
+
+def _h1_check(problem: Problem, u: np.ndarray, phi: np.ndarray,
+              u_hat: np.ndarray) -> tuple[float, float, float]:
+    """(lam, beta, norm) of the H^1_0 tangent gradient: the pass at s = 0."""
     sym = _symbols(problem.grid)
-    g_hat = w_hat / sym.dirichlet
-    g_hat += u_hat
-    gt_hat, lam, beta = _project_dst(problem, u_hat, qu_hat, g_hat, sym.dirichlet)
+    lam, beta, gt_hat, _ = _tangent_gradient(problem, u, phi, u_hat, 0.0, sym.dirichlet)
     metric = math.prod(problem.grid.h) / sym.scale
-    return lam, beta, math.sqrt(metric * float(np.vdot(sym.dirichlet * gt_hat, gt_hat)))
+    return lam, beta, math.sqrt(_slope(metric, sym.dirichlet, gt_hat, gt_hat))
 
 
 def polish_positive(problem: Problem, result: SolveResult,

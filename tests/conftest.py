@@ -153,15 +153,16 @@ def two_bump_start(problem, region):
 
 @dataclass
 class Pass:
-    """One pass of the descent loop, that is one ``_tangent_gradient`` call:
-    its iterate u, the energy J that ``_evaluate`` gave u, the shift s, the
-    Armijo decrease rate metric * sum((sigma + s) gt_hat^2) of the tangent
-    gradient gt (and its coefficients gt_hat), and the direction the pass
-    stepped along with the slope of the merit along it: gt and the rate for
-    a Barzilai-Borwein pass, the result of ``_quasi_newton_direction`` for
-    an L-BFGS pass.  For every pass that called that helper, ``pairs``
-    holds the (s_hat, y_hat) of the memory, oldest first, and ``symbol``
-    the metric sigma + s, as the helper saw them."""
+    """One pass of the descent loop, that is one ``_tangent_gradient`` call
+    at a new iterate: its iterate u, the energy J that ``_evaluate`` gave u,
+    the shift s, the Armijo decrease rate metric * sum((sigma + s) gt_hat^2)
+    of the tangent gradient gt (and its coefficients gt_hat), and the
+    direction the pass stepped along with the slope of the merit along it,
+    both slopes from ``optimize._slope``: gt and the rate for a
+    Barzilai-Borwein pass, the direction ``_quasi_newton_direction``
+    returned for an L-BFGS pass.  For every pass that called that helper,
+    ``pairs`` holds the (s_hat, y_hat) of the memory, oldest first, and
+    ``symbol`` the metric sigma + s, as the helper saw them."""
 
     u: np.ndarray
     j: float
@@ -216,7 +217,8 @@ class DescentSpy:
     ``sbpbox.optimize`` with the monkeypatch ``mp`` and appends a
     ``Descent`` to ``descents`` per call of ``_minimize``.  A pass for
     which ``_quasi_newton_direction`` returns None steps along its
-    gradient, as the descent does."""
+    gradient, as the descent does.  A second ``_tangent_gradient`` call at
+    the iterate of the last pass is the descent's H^1_0 check, not a pass."""
 
     def __init__(self, mp):
         self.descents = []
@@ -245,12 +247,17 @@ class DescentSpy:
         def physical(grid, coef):
             return _from_dst_interior(grid, coef, np.zeros(grid.shape))
 
-        def spy_tangent_gradient(problem, u, phi, u_hat, shift, symbol, out=None):
-            res = tangent_gradient(problem, u, phi, u_hat, shift, symbol, out)
+        def slope(grid, symbol, gt_hat, d_hat):
+            metric = math.prod(grid.h) / _symbols(grid).scale
+            return optimize._slope(metric, symbol, gt_hat, d_hat)
+
+        def spy_tangent_gradient(problem, u, phi, u_hat, shift, symbol):
+            res = tangent_gradient(problem, u, phi, u_hat, shift, symbol)
             run = self.descents[-1]
+            if run.passes and run.passes[-1].u is u:
+                return res  # the H^1_0 check
             j = next(j for v, j in reversed(run.energies) if v is u)
-            metric = math.prod(problem.grid.h) / _symbols(problem.grid).scale
-            rate = metric * float(np.vdot(symbol * res[2], res[2]))
+            rate = slope(problem.grid, symbol, res[2], res[2])
             gt = physical(problem.grid, res[2])
             run.passes.append(Pass(u, j, shift, rate, gt, res[2].copy(), gt, rate))
             return res
@@ -261,10 +268,11 @@ class DescentSpy:
             cur.pairs = [tuple(pairs.ring[row].reshape(gt_hat.shape).copy()
                                for row in (2 * k, 2 * k + 1)) for k in pairs.order]
             cur.symbol = np.array(symbol)
-            tail = qn_direction(problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs)
-            if tail:
-                cur.direction, cur.slope = physical(problem.grid, tail[0]), tail[1]
-            return tail
+            d_hat = qn_direction(problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs)
+            if d_hat is not None:
+                cur.direction = physical(problem.grid, d_hat)
+                cur.slope = slope(problem.grid, symbol, gt_hat, d_hat)
+            return d_hat
 
         def spy_pairs(sigma):
             self.descents[-1].memories += 1

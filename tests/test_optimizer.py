@@ -211,32 +211,53 @@ def test_grad_norm_is_the_sobolev_norm_of_the_projected_gradient(dim, max_iterat
     assert res.grad_norm == pytest.approx(h1_tangent_norm(prob, res), rel=1e-10)
 
 
-@pytest.mark.parametrize("dim", [1, 3])
-def test_one_evaluation_per_trial_point(dim, bench65, monkeypatch):
+@pytest.mark.parametrize("case", [1, 3, "tail"])
+def test_one_evaluation_per_trial_point(case, bench65, monkeypatch):
     """Each trial point that retracts is evaluated once, with one potential
     solve and one forward DST-I of u, and each gradient pass reuses the
-    accepted point's coefficients, adding the transforms of w and q u.  An
-    Armijo constant of 0.9 makes the line search reject evaluated trials,
-    so the count tells a pass that transforms u again from one that reuses
-    the trial's coefficients."""
-    prob = bench65 if dim == 1 else ground_box_problem(17)
+    accepted point's coefficients, adding the transforms of w and q u; so
+    does each H^1_0 check, a second pass at the same iterate.  Each pass
+    that steps transforms its direction back once, whether it is the
+    gradient or the L-BFGS direction.  An Armijo constant of 0.9 makes the
+    line search reject evaluated trials, so the count tells a pass that
+    transforms u again from one that reuses the trial's coefficients.  The
+    cases are ground descents in 1d and 3d, which run at s = 0, and a
+    descent on the excited-search problem, which reaches the L-BFGS tail at
+    s > 0."""
+    prob = {1: bench65, 3: ground_box_problem(17),
+            "tail": oscillating_problem(65, alpha=0.35, kappa=20.0)}[case]
     monkeypatch.setattr(optimize, "_ARMIJO_C", 0.9)
-    calls = {"retract": 0, "phi_map": 0, "dst": 0}
+    calls = {"retract": 0, "phi_map": 0, "dst": 0, "inverse": 0, "qn": 0}
+    passes = []  # (u, shift) of each _tangent_gradient call
 
     def counting(name, fn):
         def wrapper(*args):
             out = fn(*args)
-            calls[name] += 1  # a retraction that raises is not counted
+            calls[name] += out is not None  # a raise or a None is not counted
             return out
         return wrapper
 
-    monkeypatch.setattr(optimize, "retract", counting("retract", optimize.retract))
-    monkeypatch.setattr(optimize, "phi_map", counting("phi_map", optimize.phi_map))
-    monkeypatch.setattr(optimize, "_dst_interior", counting("dst", optimize._dst_interior))
+    def tangent_gradient(problem, u, phi, u_hat, shift, symbol):
+        passes.append((u, shift))
+        return real_tangent_gradient(problem, u, phi, u_hat, shift, symbol)
+
+    real_tangent_gradient = optimize._tangent_gradient
+    for name, attr in [("retract", "retract"), ("phi_map", "phi_map"),
+                       ("dst", "_dst_interior"), ("inverse", "_from_dst_interior"),
+                       ("qn", "_quasi_newton_direction")]:
+        monkeypatch.setattr(optimize, attr, counting(name, getattr(optimize, attr)))
+    monkeypatch.setattr(optimize, "_tangent_gradient", tangent_gradient)
     res = minimize_on_M(prob, feasible_init(prob))
     assert res.converged and res.iterations > 5
+    new = [u is not prev for (u, _), (prev, _) in zip(passes, [(None, 0.0)] + passes)]
+    shifts = [shift for (_, shift), is_new in zip(passes, new) if is_new]
+    checks = len(passes) - len(shifts)
+    assert len(shifts) == res.iterations + 1
     assert calls["phi_map"] == calls["retract"] > res.iterations + 1
-    assert calls["dst"] == calls["phi_map"] + 2 * (res.iterations + 1)
+    assert calls["dst"] == calls["phi_map"] + 2 * (res.iterations + 1) + 2 * checks
+    assert calls["inverse"] == res.iterations
+    if case == "tail":
+        assert calls["qn"] > 0 and checks > 0 and min(shifts[1:]) > 0.0
     assert res.j == pytest.approx(eval_J(prob, res.u, res.phi), rel=1e-13)
 
 

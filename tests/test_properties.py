@@ -39,7 +39,7 @@ from sbpbox.manifold import (
     feasible_init,
     tangent_project,
 )
-from sbpbox.optimize import OptimizerOptions, _evaluate, _h1_projection, _tangent_gradient
+from sbpbox.optimize import OptimizerOptions, _evaluate, _h1_check, _tangent_gradient
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import (
     _dst_interior,
@@ -225,24 +225,21 @@ def check_descent_gradient(g, seed):
     by field, and is L2-orthogonal to u and q u; its coefficients (lam,
     beta) solve the projection's 2x2 system.  The two sides differ by
     rounding in the coefficients of the gradient, which the 2x2 solve
-    magnifies by up to the condition number of its matrix.  The direction
-    is written into the buffer passed in."""
+    magnifies by up to the condition number of its matrix."""
     rng = np.random.default_rng(seed)
     prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
                          h1=random_flux(g, rng), h2=random_flux(g, rng),
                          kappa=1.0, p=3.0)
     u = zero_boundary(g, rng.standard_normal(g.shape))
     phi = phi_map(prob, u)
-    gt = np.zeros(g.shape)
     try:
-        lam, beta, gt_hat, _, _ = _tangent_gradient(prob, u, phi, _dst_interior(g, u), 0.0,
-                                                    _symbols(g).dirichlet, gt)
+        lam, beta, gt_hat, _ = _tangent_gradient(prob, u, phi, _dst_interior(g, u), 0.0,
+                                                 _symbols(g).dirichlet)
     except ManifoldError as exc:
         if "Gram matrix" not in str(exc):
             raise
         return  # too few interior nodes for two independent constraints
     descent = _from_dst_interior(g, gt_hat, np.zeros(g.shape))
-    assert np.array_equal(gt, descent)
     g_h = u + solve_poisson_dirichlet(g, zeroth_order_grad(prob, u, phi))
     d = constraint_representers(prob, u)
     gram = np.array([[inner(g, r, dj) for dj in d] for r in (u, prob.q * u)])
@@ -295,9 +292,9 @@ def check_shifted_metric(g, seed):
     sigma_1, 1e3}, with sigma_1 the smallest eigenvalue of the stencil of
     -lap, the shifted tangent norm is at most the H^1_0 one: both are sups
     of <grad J, v> / |v| over the same tangent space, and |v| grows with s.
-    The H^1_0 projection that ``_h1_projection`` forms from a shifted
-    pass's coefficients is bitwise the unshifted pass.  At s = 0 the pass
-    keeps the coefficients of q u only when it writes no direction."""
+    The H^1_0 check ``_h1_check``, run after a shifted pass, is bitwise the
+    (lam, beta, norm) of the unshifted pass, which returns the coefficients
+    of q u."""
     rng = np.random.default_rng(seed)
     prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
                          h1=random_flux(g, rng), h2=random_flux(g, rng),
@@ -307,9 +304,8 @@ def check_shifted_metric(g, seed):
     u_hat = _dst_interior(g, u)
     sym = _symbols(g)
     sigma, metric = sym.dirichlet, np.prod(g.h) / sym.scale
-    gt = np.zeros(g.shape)
     try:
-        lam, beta, gt_hat, w_hat, qu_hat = _tangent_gradient(prob, u, phi, u_hat, 0.0, sigma, gt)
+        lam, beta, gt_hat, qu_hat = _tangent_gradient(prob, u, phi, u_hat, 0.0, sigma)
     except ManifoldError as exc:
         if "Gram matrix" not in str(exc):
             raise
@@ -317,24 +313,18 @@ def check_shifted_metric(g, seed):
     ref_lam, ref_beta, ref_hat = h1_tangent_gradient_reference(prob, u, phi, u_hat)
     assert (lam, beta) == (ref_lam, ref_beta)
     assert np.array_equal(gt_hat, ref_hat)
-    assert np.array_equal(gt, _from_dst_interior(g, ref_hat, np.zeros(g.shape)))
-    assert w_hat is None and qu_hat is None
-    # Without a buffer to write (an L-BFGS pass) the coefficients of q u are kept.
-    res = _tangent_gradient(prob, u, phi, u_hat, 0.0, sigma)
-    assert res[:2] == (lam, beta) and np.array_equal(res[2], gt_hat) and res[3] is None
-    assert np.array_equal(res[4], _dst_interior(g, prob.q * u))
+    assert np.array_equal(qu_hat, _dst_interior(g, prob.q * u))
     norm = np.sqrt(metric * float(np.vdot(sigma * gt_hat, gt_hat)))
+    # Where the tangent space is {0} (two interior nodes) both norms are
+    # rounding in the projection of the whole gradient u + S(w).
+    g_hat = u_hat + _dst_interior(g, zeroth_order_grad(prob, u, phi)) / sigma
+    floor = 1e-13 * np.sqrt(metric * float(np.vdot(sigma * g_hat, g_hat)))
     for s in (1.0, float(sigma.flat[0]), 1e3):
         symbol = sigma + s
-        _, _, gs_hat, w_hat, qu_hat = _tangent_gradient(prob, u, phi, u_hat, s, symbol,
-                                                        np.zeros(g.shape))
+        _, _, gs_hat, _ = _tangent_gradient(prob, u, phi, u_hat, s, symbol)
         shifted = np.sqrt(metric * float(np.vdot(symbol * gs_hat, gs_hat)))
-        # Where the tangent space is {0} (two interior nodes) both norms are
-        # rounding in the projection of the whole gradient u + S(w).
-        g_hat = u_hat + w_hat / sigma
-        floor = 1e-13 * np.sqrt(metric * float(np.vdot(sigma * g_hat, g_hat)))
         assert shifted <= norm * (1.0 + 1e-12) + floor
-        assert _h1_projection(prob, u_hat, w_hat, qu_hat) == (lam, beta, norm)
+        assert _h1_check(prob, u, phi, u_hat) == (lam, beta, norm)
 
 
 @PROPERTY
