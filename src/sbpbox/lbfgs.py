@@ -65,13 +65,12 @@ class _Pairs:
 def _quasi_newton_direction(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
                             gt_hat: np.ndarray, symbol: np.ndarray, shift: float,
                             pairs: _Pairs) -> np.ndarray | None:
-    """The L-BFGS direction at g = ``gt_hat``, or None, clearing the memory,
-    when the merit's slope along it, a positive multiple of sum(symbol
-    gt_hat d_hat), is not positive.  The two-loop recursion runs on d's
+    """The L-BFGS direction at g = ``gt_hat``, or None when the memory holds
+    no pair whose sy is positive.  The two-loop recursion runs on d's
     coefficients in the ring's rows, with the scale sy / yy of the newest
     pair, in the metric sigma + s, where a pair whose sy is not positive is
     left out.  d is projected with ``_project_dst``: the pairs were taken at
-    other iterates."""
+    other iterates.  The caller tests the merit's slope along d."""
     gram = (pairs.gram[0] + shift * pairs.gram[1]).tolist()
     prod = gram[-1]
     ys = [2 * k + 1 for k in pairs.order if gram[2 * k][2 * k + 1] > 0.0]  # y rows
@@ -98,8 +97,5 @@ def _quasi_newton_direction(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndar
                 acc += coef[ys[q] - 1] * gram[ys[q] - 1][j]
             coef[j - 1], coef[j] = alpha[p] - rho[p] * acc, -gamma * alpha[p]
         d_hat = (np.array(coef) @ pairs.ring).reshape(gt_hat.shape)
-        d_hat, _, _ = _project_dst(problem, u_hat, qu_hat, d_hat, symbol)
-        if float(np.vdot(symbol * gt_hat, d_hat)) > 0.0:
-            return d_hat
-    pairs.order.clear()
+        return _project_dst(problem, u_hat, qu_hat, d_hat, symbol)[0]
     return None

@@ -185,7 +185,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         d_hat, slope = gt_hat, _slope(metric, symbol, gt_hat, gt_hat)
         h1 = lam, beta, math.sqrt(slope)
         if shift and (h1[2] <= opts.grad_tol or it == opts.max_iterations):
-            h1 = _h1_check(problem, u, phi, u_hat)
+            h1 = _h1_check(problem, u, phi, u_hat, sigma, metric)
         converged = h1[2] <= opts.grad_tol
         if converged or it == opts.max_iterations:
             reason = "grad_tol" if converged else "max_iterations"
@@ -195,19 +195,24 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
 
         # The direction d_hat and the merit's slope along it: from pass
         # ``_QN_START`` on, the L-BFGS direction tried at t = 1 while its
-        # slope is positive; otherwise the tangent gradient with the short
-        # BB trial step sy / yy (the long step ss / sy overshoots here and
-        # takes about a quarter more iterations), or twice the accepted step.
-        # sy and yy are sums over modes in the current metric, formed in
-        # place in the buffers of the last pass; their factor metric cancels.
+        # slope is positive (else the memory is cleared); otherwise the
+        # tangent gradient with the short BB trial step sy / yy (the long
+        # step ss / sy overshoots here and takes about a quarter more
+        # iterations), or twice the accepted step.  sy and yy are sums over
+        # modes in the current metric, formed in place in the buffers of the
+        # last pass; their factor metric cancels.
         t = min(2.0 * step, _MAX_STEP)
         if it > 0 and it >= _QN_START:
             pairs = pairs or _Pairs(sigma)
             pairs.push(u_hat, gt_hat, prev_u_hat, prev_gt_hat, shift)
             qn_hat = _quasi_newton_direction(
                 problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs)
-            if qn_hat is not None:
-                d_hat, slope, t = qn_hat, _slope(metric, symbol, gt_hat, qn_hat), 1.0
+            qn_slope = 0.0 if qn_hat is None else _slope(metric, symbol, gt_hat, qn_hat)
+            if qn_slope > 0.0:
+                d_hat, slope, t = qn_hat, qn_slope, 1.0
+            else:
+                pairs.order.clear()
+            del qn_hat
         if it > 0 and d_hat is gt_hat:
             s_hat = np.subtract(u_hat, prev_u_hat, out=prev_u_hat)
             y_hat = np.subtract(gt_hat, prev_gt_hat, out=prev_gt_hat)
@@ -238,7 +243,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         else:
             reason = "line_search_stall"
             if shift:
-                h1 = _h1_check(problem, u, phi, prev_u_hat)
+                h1 = _h1_check(problem, u, phi, prev_u_hat, sigma, metric)
             break
 
     lam, beta, sob = h1
@@ -320,13 +325,12 @@ def _slope(metric: float, symbol: np.ndarray, gt_hat: np.ndarray,
     return metric * float(np.vdot(symbol * gt_hat, d_hat))
 
 
-def _h1_check(problem: Problem, u: np.ndarray, phi: np.ndarray,
-              u_hat: np.ndarray) -> tuple[float, float, float]:
-    """(lam, beta, norm) of the H^1_0 tangent gradient: the pass at s = 0."""
-    sym = _symbols(problem.grid)
-    lam, beta, gt_hat, _ = _tangent_gradient(problem, u, phi, u_hat, 0.0, sym.dirichlet)
-    metric = math.prod(problem.grid.h) / sym.scale
-    return lam, beta, math.sqrt(_slope(metric, sym.dirichlet, gt_hat, gt_hat))
+def _h1_check(problem: Problem, u: np.ndarray, phi: np.ndarray, u_hat: np.ndarray,
+              sigma: np.ndarray, metric: float) -> tuple[float, float, float]:
+    """(lam, beta, norm) of the H^1_0 tangent gradient: the pass at s = 0,
+    with the symbol ``sigma`` of -lap, and its norm (see ``_slope``)."""
+    lam, beta, gt_hat, _ = _tangent_gradient(problem, u, phi, u_hat, 0.0, sigma)
+    return lam, beta, math.sqrt(_slope(metric, sigma, gt_hat, gt_hat))
 
 
 def polish_positive(problem: Problem, result: SolveResult,

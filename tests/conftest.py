@@ -154,15 +154,15 @@ def two_bump_start(problem, region):
 @dataclass
 class Pass:
     """One pass of the descent loop, that is one ``_tangent_gradient`` call
-    at a new iterate: its iterate u, the energy J that ``_evaluate`` gave u,
-    the shift s, the Armijo decrease rate metric * sum((sigma + s) gt_hat^2)
-    of the tangent gradient gt (and its coefficients gt_hat), and the
-    direction the pass stepped along with the slope of the merit along it,
-    both slopes from ``optimize._slope``: gt and the rate for a
-    Barzilai-Borwein pass, the direction ``_quasi_newton_direction``
-    returned for an L-BFGS pass.  For every pass that called that helper,
-    ``pairs`` holds the (s_hat, y_hat) of the memory, oldest first, and
-    ``symbol`` the metric sigma + s, as the helper saw them."""
+    outside the H^1_0 check: its iterate u, the energy J that ``_evaluate``
+    gave u, the shift s, the Armijo decrease rate metric * sum((sigma + s)
+    gt_hat^2) of the tangent gradient gt (and its coefficients gt_hat), and
+    the direction the pass stepped along with the slope of the merit along
+    it: gt and the rate for a Barzilai-Borwein pass, the direction
+    ``_quasi_newton_direction`` returned and its slope from
+    ``optimize._slope`` for an L-BFGS pass.  For every pass that called
+    that helper, ``pairs`` holds the (s_hat, y_hat) of the memory, oldest
+    first, and ``symbol`` the metric sigma + s, as the helper saw them."""
 
     u: np.ndarray
     j: float
@@ -180,14 +180,16 @@ class Pass:
 class Descent:
     """What one call of ``optimize._minimize`` did: its ``result``, each
     ``retract`` call's (argument, result), with None for a retraction that
-    raised, each ``_evaluate`` call's (point, J), each ``Pass`` and the
-    number of L-BFGS memories (``_Pairs``) it allocated."""
+    raised, each ``_evaluate`` call's (point, J), each ``Pass``, the
+    number of L-BFGS memories (``_Pairs``) it allocated and the number of
+    H^1_0 checks (``_h1_check``) it ran."""
 
     result: object = None
     retractions: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     passes: list = field(default_factory=list)
     memories: int = 0
+    checks: int = 0
 
     @property
     def js(self):
@@ -213,18 +215,20 @@ class Descent:
 class DescentSpy:
     """Observes the descent through the functions it calls: wraps
     ``_minimize``, ``_evaluate``, ``_tangent_gradient``,
-    ``_quasi_newton_direction``, ``_Pairs`` and ``retract`` of
+    ``_quasi_newton_direction``, ``_Pairs``, ``_h1_check`` and ``retract`` of
     ``sbpbox.optimize`` with the monkeypatch ``mp`` and appends a
-    ``Descent`` to ``descents`` per call of ``_minimize``.  A pass for
-    which ``_quasi_newton_direction`` returns None steps along its
-    gradient, as the descent does.  A second ``_tangent_gradient`` call at
-    the iterate of the last pass is the descent's H^1_0 check, not a pass."""
+    ``Descent`` to ``descents`` per call of ``_minimize``.  A pass whose
+    L-BFGS direction is None or has no positive slope steps along its
+    gradient, as the descent does.  The ``_tangent_gradient`` call inside
+    ``_h1_check`` is the descent's H^1_0 check, not a pass."""
 
     def __init__(self, mp):
         self.descents = []
+        self.checking = False
         minimize, evaluate = optimize._minimize, optimize._evaluate
         tangent_gradient, retract = optimize._tangent_gradient, optimize.retract
         qn_direction, pairs_class = optimize._quasi_newton_direction, optimize._Pairs
+        h1_check = optimize._h1_check
 
         def spy_minimize(problem, u0, opts):
             self.descents.append(Descent())
@@ -247,17 +251,16 @@ class DescentSpy:
         def physical(grid, coef):
             return _from_dst_interior(grid, coef, np.zeros(grid.shape))
 
-        def slope(grid, symbol, gt_hat, d_hat):
-            metric = math.prod(grid.h) / _symbols(grid).scale
-            return optimize._slope(metric, symbol, gt_hat, d_hat)
+        def metric(grid):
+            return math.prod(grid.h) / _symbols(grid).scale
 
         def spy_tangent_gradient(problem, u, phi, u_hat, shift, symbol):
             res = tangent_gradient(problem, u, phi, u_hat, shift, symbol)
             run = self.descents[-1]
-            if run.passes and run.passes[-1].u is u:
-                return res  # the H^1_0 check
+            if self.checking:
+                return res
             j = next(j for v, j in reversed(run.energies) if v is u)
-            rate = slope(problem.grid, symbol, res[2], res[2])
+            rate = metric(problem.grid) * float(np.vdot(symbol * res[2], res[2]))
             gt = physical(problem.grid, res[2])
             run.passes.append(Pass(u, j, shift, rate, gt, res[2].copy(), gt, rate))
             return res
@@ -270,9 +273,18 @@ class DescentSpy:
             cur.symbol = np.array(symbol)
             d_hat = qn_direction(problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs)
             if d_hat is not None:
-                cur.direction = physical(problem.grid, d_hat)
-                cur.slope = slope(problem.grid, symbol, gt_hat, d_hat)
+                slope = optimize._slope(metric(problem.grid), symbol, gt_hat, d_hat)
+                if slope > 0.0:
+                    cur.direction, cur.slope = physical(problem.grid, d_hat), slope
             return d_hat
+
+        def spy_h1_check(*args):
+            self.descents[-1].checks += 1
+            self.checking = True
+            try:
+                return h1_check(*args)
+            finally:
+                self.checking = False
 
         def spy_pairs(sigma):
             self.descents[-1].memories += 1
@@ -284,6 +296,7 @@ class DescentSpy:
         mp.setattr(optimize, "_tangent_gradient", spy_tangent_gradient)
         mp.setattr(optimize, "_quasi_newton_direction", spy_qn_direction)
         mp.setattr(optimize, "_Pairs", spy_pairs)
+        mp.setattr(optimize, "_h1_check", spy_h1_check)
 
 
 @pytest.fixture

@@ -93,11 +93,11 @@ def slab_runs():
 def test_trace_obeys_zhang_hager_rule(slab_runs):
     """Each accepted energy satisfies the Armijo test, at the slope of the
     direction the pass before it stepped along (the rate of its gradient for
-    a Barzilai-Borwein pass, the slope ``_quasi_newton_direction`` returned
-    for an L-BFGS pass), against the reference value C rebuilt from the
-    energies of the passes; an L-BFGS step is 1 or a backtrack of it.  No
-    iterate rises above the start, and the energy does rise somewhere, so
-    the rule is really nonmonotone."""
+    a Barzilai-Borwein pass, the slope along the direction
+    ``_quasi_newton_direction`` returned for an L-BFGS pass), against the
+    reference value C rebuilt from the energies of the passes; an L-BFGS
+    step is 1 or a backtrack of it.  No iterate rises above the start, and
+    the energy does rise somewhere, so the rule is really nonmonotone."""
     rose = False
     for run in slab_runs:
         assert run.result.converged
@@ -141,9 +141,9 @@ def test_max_iterations_returns_unconverged(bench65, descent_spy):
     assert res.iterations == 2
     # The last pass tests the gradient at the returned iterate, as for a
     # converged run: one pass per step plus the last test.  On the
-    # benchmark every pass runs in the H^1_0 metric.
+    # benchmark every pass runs in the H^1_0 metric and needs no H^1_0 check.
     (run,) = descent_spy.descents
-    assert len(run.passes) == res.iterations + 1
+    assert len(run.passes) == res.iterations + 1 and run.checks == 0
     assert run.passes[-1].u is res.u
     assert run.passes[-1].shift == 0.0
     assert math.sqrt(run.passes[-1].rate) == res.grad_norm
@@ -216,7 +216,8 @@ def test_one_evaluation_per_trial_point(case, bench65, monkeypatch):
     """Each trial point that retracts is evaluated once, with one potential
     solve and one forward DST-I of u, and each gradient pass reuses the
     accepted point's coefficients, adding the transforms of w and q u; so
-    does each H^1_0 check, a second pass at the same iterate.  Each pass
+    does each H^1_0 check (``_h1_check``), a second pass at the same
+    iterate that only a shifted pass needs.  Each pass
     that steps transforms its direction back once, whether it is the
     gradient or the L-BFGS direction.  An Armijo constant of 0.9 makes the
     line search reject evaluated trials, so the count tells a pass that
@@ -227,8 +228,8 @@ def test_one_evaluation_per_trial_point(case, bench65, monkeypatch):
     prob = {1: bench65, 3: ground_box_problem(17),
             "tail": oscillating_problem(65, alpha=0.35, kappa=20.0)}[case]
     monkeypatch.setattr(optimize, "_ARMIJO_C", 0.9)
-    calls = {"retract": 0, "phi_map": 0, "dst": 0, "inverse": 0, "qn": 0}
-    passes = []  # (u, shift) of each _tangent_gradient call
+    calls = {"retract": 0, "phi_map": 0, "dst": 0, "inverse": 0, "qn": 0, "h1": 0}
+    shifts = []  # the shift of each _tangent_gradient call
 
     def counting(name, fn):
         def wrapper(*args):
@@ -238,26 +239,26 @@ def test_one_evaluation_per_trial_point(case, bench65, monkeypatch):
         return wrapper
 
     def tangent_gradient(problem, u, phi, u_hat, shift, symbol):
-        passes.append((u, shift))
+        shifts.append(shift)
         return real_tangent_gradient(problem, u, phi, u_hat, shift, symbol)
 
     real_tangent_gradient = optimize._tangent_gradient
     for name, attr in [("retract", "retract"), ("phi_map", "phi_map"),
                        ("dst", "_dst_interior"), ("inverse", "_from_dst_interior"),
-                       ("qn", "_quasi_newton_direction")]:
+                       ("qn", "_quasi_newton_direction"), ("h1", "_h1_check")]:
         monkeypatch.setattr(optimize, attr, counting(name, getattr(optimize, attr)))
     monkeypatch.setattr(optimize, "_tangent_gradient", tangent_gradient)
     res = minimize_on_M(prob, feasible_init(prob))
     assert res.converged and res.iterations > 5
-    new = [u is not prev for (u, _), (prev, _) in zip(passes, [(None, 0.0)] + passes)]
-    shifts = [shift for (_, shift), is_new in zip(passes, new) if is_new]
-    checks = len(passes) - len(shifts)
-    assert len(shifts) == res.iterations + 1
+    assert len(shifts) == res.iterations + 1 + calls["h1"]
     assert calls["phi_map"] == calls["retract"] > res.iterations + 1
-    assert calls["dst"] == calls["phi_map"] + 2 * (res.iterations + 1) + 2 * checks
+    assert calls["dst"] == calls["phi_map"] + 2 * (res.iterations + 1) + 2 * calls["h1"]
     assert calls["inverse"] == res.iterations
-    if case == "tail":
-        assert calls["qn"] > 0 and checks > 0 and min(shifts[1:]) > 0.0
+    if case == "tail":  # every pass after the first is shifted; the checks are not
+        assert calls["qn"] > 0 and calls["h1"] > 0
+        assert shifts.count(0.0) == 1 + calls["h1"]
+    else:  # every pass runs at s = 0 and needs no check
+        assert calls["h1"] == 0 and not any(shifts)
     assert res.j == pytest.approx(eval_J(prob, res.u, res.phi), rel=1e-13)
 
 
@@ -303,7 +304,8 @@ def test_shifted_descent_reports_the_h1_gradient_on_every_exit(exit_, monkeypatc
                                                                 descent_spy):
     """On the excited-search problem the metric is shifted from the second
     pass on.  Whichever way the run stops, it returns the iterate of its
-    last pass, ``grad_norm`` is the H^1_0 tangent norm there, and (omega,
+    last pass, ``grad_norm`` is the H^1_0 tangent norm there, which an
+    H^1_0 check gives, and (omega,
     mu) are the H^1_0 projection's multipliers there.  A stall is forced by
     failing every retraction after the twentieth."""
     prob = oscillating_problem(65, alpha=0.35, kappa=20.0)
@@ -322,7 +324,7 @@ def test_shifted_descent_reports_the_h1_gradient_on_every_exit(exit_, monkeypatc
     assert res.stop_reason == exit_
     assert res.iterations > 5
     (run,) = descent_spy.descents
-    assert len(run.passes) == res.iterations + 1
+    assert len(run.passes) == res.iterations + 1 and run.checks > 0
     assert run.passes[-1].u is res.u
     shifts = [p.shift for p in run.passes]
     assert shifts[0] == 0.0 and min(shifts[1:]) > 0.0

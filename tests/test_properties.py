@@ -292,9 +292,8 @@ def check_shifted_metric(g, seed):
     sigma_1, 1e3}, with sigma_1 the smallest eigenvalue of the stencil of
     -lap, the shifted tangent norm is at most the H^1_0 one: both are sups
     of <grad J, v> / |v| over the same tangent space, and |v| grows with s.
-    The H^1_0 check ``_h1_check``, run after a shifted pass, is bitwise the
-    (lam, beta, norm) of the unshifted pass, which returns the coefficients
-    of q u."""
+    The H^1_0 check ``_h1_check`` is bitwise the (lam, beta, norm) of the
+    unshifted pass, which returns the coefficients of q u."""
     rng = np.random.default_rng(seed)
     prob = build_problem(grid=g, coupling=1.0 + rng.random(g.shape),
                          h1=random_flux(g, rng), h2=random_flux(g, rng),
@@ -315,6 +314,7 @@ def check_shifted_metric(g, seed):
     assert np.array_equal(gt_hat, ref_hat)
     assert np.array_equal(qu_hat, _dst_interior(g, prob.q * u))
     norm = np.sqrt(metric * float(np.vdot(sigma * gt_hat, gt_hat)))
+    assert _h1_check(prob, u, phi, u_hat, sigma, metric) == (lam, beta, norm)
     # Where the tangent space is {0} (two interior nodes) both norms are
     # rounding in the projection of the whole gradient u + S(w).
     g_hat = u_hat + _dst_interior(g, zeroth_order_grad(prob, u, phi)) / sigma
@@ -324,7 +324,6 @@ def check_shifted_metric(g, seed):
         _, _, gs_hat, _ = _tangent_gradient(prob, u, phi, u_hat, s, symbol)
         shifted = np.sqrt(metric * float(np.vdot(symbol * gs_hat, gs_hat)))
         assert shifted <= norm * (1.0 + 1e-12) + floor
-        assert _h1_check(prob, u, phi, u_hat) == (lam, beta, norm)
 
 
 @PROPERTY
