@@ -31,7 +31,7 @@ problem = build_problem(
 )
 
 report = classify_alpha(problem)
-print(f"alpha = {problem.alpha:.6f}, q range = "
+print(f"alpha = {problem.alpha:.6f}, interior q range = "
       f"[{report.q_min:.3f}, {report.q_max:.3f}] -> {report.classification}")
 
 result = minimize_on_M(problem, feasible_init(problem), OptimizerOptions())

@@ -1,9 +1,10 @@
 """Batch front end: solve, check feasibility, verify, refine, run oracles.
 
-Exit codes: 0 on success, 2 when the compatibility value alpha fails the
-feasibility test (the report is printed and the optimizer never runs),
-1 on invalid input, I/O or solver failures and when no excited start
-converges, each reported as one ``error:`` line.  ``refine`` computes
+Exit codes: 0 on success, 2 when the compatibility value alpha is not
+strictly inside the range of q on the interior nodes (the report is
+printed, the optimizer never runs and nothing is written), 1 on invalid
+input, I/O or solver failures and when no excited start converges, each
+reported as one ``error:`` line.  ``refine`` computes
 ground states only.  A ground descent that stops short of ``grad_tol``
 still exits 0; its ``stop_reason`` in ``report.json`` says why.
 
@@ -11,7 +12,8 @@ All output files are written once, at the end of a successful run: a
 ``summary.csv`` table (one row per state or grid), per-state field dumps
 ``u_<i>.bin`` / ``phi_<i>.bin`` plus the shared ``chi.bin`` (binary float64
 behind a grid header, see ``grid.write_field``), and a ``report.json`` with
-the full residual and multiplier set.  An identical
+the full residual and multiplier set, in strict JSON (an observed order
+at the noise floor is ``null``).  An identical
 config produces byte-identical outputs; ``--seed`` only reaches the random
 test data of ``oracle``.
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -43,7 +46,7 @@ from .optimize import (
     minimize_on_M,
     polish_positive,
 )
-from .problem import Problem, classify_alpha
+from .problem import FeasibilityReport, Problem, classify_alpha
 from .reduction import phi_map
 from .verify import (
     ResidualReport,
@@ -55,7 +58,6 @@ from .verify import (
 
 __all__ = ["main", "RefinementStudy", "refinement_study"]
 
-_DEGENERATE_LEVEL_FRACTION = 0.01
 # Observed orders are nan where a value falls to this noise floor.
 _ORDER_FLOOR = 1e-12
 
@@ -65,27 +67,17 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
-def _gate_feasibility(problem: Problem, quiet: bool) -> int | None:
-    """Print the feasibility report; return exit code 2 when the manifold is
-    empty (infeasible alpha, or a degenerate edge touching a fat level set,
-    which covers constant coupling)."""
+def _gate_feasibility(problem: Problem, quiet: bool) -> FeasibilityReport | None:
+    """Classify alpha and print the report; return it, or None after the
+    refusal line when alpha fails the test."""
     report = classify_alpha(problem)
-    refuse = report.classification == "infeasible" or (
-        report.classification == "boundary_degenerate"
-        and report.level_set_fraction >= _DEGENERATE_LEVEL_FRACTION
-    )
-    if refuse:
+    if report.classification != "interior":
         print(report.describe())
-        print("alpha is not strictly inside the coupling range on a "
-              "non-degenerate level set; no state can satisfy both "
-              "constraints, refusing to optimize")
-        return 2
-    if report.classification == "boundary_degenerate":
-        _say(quiet, f"warning: {report.describe()}; the constraint manifold "
-                    "may be empty, attempting anyway")
-    else:
-        _say(quiet, report.describe())
-    return None
+        print("alpha is not strictly inside the range of q on the interior "
+              "nodes, so no seed satisfies both constraints; refusing to optimize")
+        return None
+    _say(quiet, report.describe())
+    return report
 
 
 def _converged(problem: Problem, res: SolveResult, rep: ResidualReport) -> bool:
@@ -120,16 +112,14 @@ def _state_entry(problem: Problem, index: int, res: SolveResult,
     }
 
 
-def _write_report(out: Path, cfg: RunConfig, problem: Problem,
+def _write_report(out: Path, cfg: RunConfig, feasibility: FeasibilityReport,
                   entries: list[dict], extra: dict | None = None) -> None:
-    report = classify_alpha(problem)
     payload = {
-        "alpha": problem.alpha,
+        "alpha": feasibility.alpha,
         "feasibility": {
-            "classification": report.classification,
-            "q_min": report.q_min,
-            "q_max": report.q_max,
-            "level_set_fraction": report.level_set_fraction,
+            "classification": feasibility.classification,
+            "q_min": feasibility.q_min,
+            "q_max": feasibility.q_max,
         },
         "config": cfg.values,
         "coupling_params": cfg.coupling_params,
@@ -139,7 +129,7 @@ def _write_report(out: Path, cfg: RunConfig, problem: Problem,
     if extra:
         payload.update(extra)
     with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -153,9 +143,9 @@ def _dump_state_fields(out: Path, problem: Problem, index: int,
 def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     t0 = time.perf_counter()
     problem = cfg.build_problem()
-    code = _gate_feasibility(problem, quiet)
-    if code is not None:
-        return code
+    feasibility = _gate_feasibility(problem, quiet)
+    if feasibility is None:
+        return 2
     opts = cfg.optimizer_options()
     if cfg.mode == "ground":
         _say(quiet, "minimizing from the tilted principal-mode start")
@@ -187,7 +177,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     write_summary(out / "summary.csv", reports)
     if cfg.get("output.dump_fields"):
         write_field(out / "chi.bin", problem.grid, problem.chi)
-    _write_report(out, cfg, problem, entries)
+    _write_report(out, cfg, feasibility, entries)
     _say(quiet, f"wrote {out}/summary.csv ({len(states)} states, "
                 f"{time.perf_counter() - t0:.1f}s)")
     return 0
@@ -311,18 +301,17 @@ def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if cfg.mode != "ground":
         raise ConfigError(f"key 'run.mode': refine computes ground states only, "
                           f"got {cfg.mode!r}")
-    problem = cfg.build_problem()
-    code = _gate_feasibility(problem, quiet)
-    if code is not None:
-        return code
-    opts = cfg.optimizer_options()
     grids = cfg.get("run.grids")
+    # The gate checks the first level, the one ``feasible_init`` seeds, and
+    # its problem serves that level.
+    first = cfg.build_problem(grids[0])
+    feasibility = _gate_feasibility(first, quiet)
+    if feasibility is None:
+        return 2
+    opts = cfg.optimizer_options()
     _say(quiet, f"refinement over node counts {list(grids)}")
-    # The gate's problem serves the level on its own grid.
     study = refinement_study(
-        lambda n: problem if problem.grid.n == (n,) * problem.grid.dim
-        else cfg.build_problem(n),
-        grids, opts)
+        lambda n: first if n == grids[0] else cfg.build_problem(n), grids, opts)
     out.mkdir(parents=True, exist_ok=True)
     write_summary(out / "summary.csv", study.reports)
     entries = []
@@ -331,10 +320,11 @@ def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
                                                "bc_res", "norm_res", "compat_res")}
         entries.append({"index": i, "n": list(rep.n), "J": rep.j, **values,
                         "iterations": res.iterations,
-                        "converged": _converged(problem, res, rep)})
-    extra = {k: list(getattr(study, k))
+                        "converged": _converged(first, res, rep)})
+    # Strict JSON has no nan: an order at the noise floor is written as null.
+    extra = {k: [None if math.isnan(v) else v for v in getattr(study, k)]
              for k in ("j_values", "j_diffs", "j_orders", "eq1_orders", "bc_orders")}
-    _write_report(out, cfg, problem, entries, extra=extra)
+    _write_report(out, cfg, feasibility, entries, extra=extra)
     _say(quiet, f"observed eq1 orders: {['%.2f' % o for o in study.eq1_orders]}")
     _say(quiet, f"observed J orders:   {['%.2f' % o for o in study.j_orders]}")
     _say(quiet, f"wrote {out}/summary.csv")

@@ -46,10 +46,6 @@ P_LOWER = 2.0
 P_UPPER = 10.0 / 3.0
 # ``solve_chi`` tolerance on the mean identity, relative to the data scale.
 _CHI_CHECK_TOL = 5e-8
-# ``classify_alpha`` bands, relative to q_max - q_min: the edge gap that
-# counts as degenerate, and the level-set half-width.
-_GAP_REL = 1e-9
-_LEVEL_REL = 1e-3
 # Parameters each coupling kind takes: (required, optional).
 COUPLING_PARAMS = {"affine": ((), ("a", "b")),
                    "radial_bump": (("radius",), ("base", "height", "center")),
@@ -117,27 +113,22 @@ class CouplingSpec:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the necessary-condition check on alpha.
+    """Outcome of the compatibility test on alpha.
 
-    classification is "interior" (strictly inside the range of q, up to
-    ``classify_alpha``'s gap_eps), "boundary_degenerate" (within gap_eps of
-    an endpoint), or "infeasible".  level_set_fraction is the fraction of
-    nodes with ``|q - alpha| <= level_eps``; a large fraction flags a flat
-    coupling whose level set {q = alpha} carries volume, which degrades the
-    constraint geometry even when alpha is interior.
+    q_min and q_max are the extremes of q over the interior nodes, where
+    every state lives; classification is "interior" when
+    q_min < alpha < q_max and "infeasible" otherwise.
     """
 
     alpha: float
     q_min: float
     q_max: float
     classification: str
-    level_set_fraction: float
 
     def describe(self) -> str:
         return (
-            f"alpha={self.alpha:.6g} against q range [{self.q_min:.6g}, "
-            f"{self.q_max:.6g}]: {self.classification} "
-            f"(level_set_fraction={self.level_set_fraction:.3g})"
+            f"alpha={self.alpha:.6g} against interior q range [{self.q_min:.6g}, "
+            f"{self.q_max:.6g}]: {self.classification}"
         )
 
 
@@ -157,10 +148,6 @@ class Problem:
     @cached_property
     def q_chi(self) -> np.ndarray:
         return self.q * self.chi
-
-    @cached_property
-    def q_range(self) -> tuple[float, float]:
-        return float(np.min(self.q)), float(np.max(self.q))
 
 
 def compute_alpha(grid: Grid, h1: BoundaryData, h2: BoundaryData) -> float:
@@ -218,25 +205,11 @@ def build_problem(grid: Grid,
 
 
 def classify_alpha(problem: Problem) -> FeasibilityReport:
-    """Check the necessary condition q_min < alpha < q_max on nodal values.
-
-    gap_eps = _GAP_REL * (q_max - q_min) separates "interior" from
-    "boundary_degenerate"; level_eps = _LEVEL_REL * (q_max - q_min) drives the
-    level-set fraction (for constant q both collapse to 0 and the comparison
-    is by equality).
-    """
-    q_min, q_max = problem.q_range
-    alpha = problem.alpha
-    spread = q_max - q_min
-    gap_eps = _GAP_REL * spread
-    level_eps = _LEVEL_REL * spread
-    if min(abs(alpha - q_min), abs(alpha - q_max)) <= gap_eps:
-        classification = "boundary_degenerate"
-    elif q_min < alpha < q_max:
-        classification = "interior"
-    else:
-        classification = "infeasible"
-    fraction = float(np.mean(np.abs(problem.q - alpha) <= level_eps))
-    return FeasibilityReport(alpha=alpha, q_min=q_min, q_max=q_max,
-                             classification=classification,
-                             level_set_fraction=fraction)
+    """The compatibility test: "interior" exactly when q strictly brackets
+    alpha on the interior nodes, the rule by which ``manifold.feasible_init``
+    seeds a region."""
+    q = problem.q[(slice(1, -1),) * problem.grid.dim]
+    q_min, q_max = float(q.min()), float(q.max())
+    return FeasibilityReport(
+        alpha=problem.alpha, q_min=q_min, q_max=q_max,
+        classification="interior" if q_min < problem.alpha < q_max else "infeasible")

@@ -160,6 +160,40 @@ def test_solve_refuses_infeasible_alpha(tmp_path):
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("n, alpha", [(65, 0.99), (129, 1.0)])
+def test_solve_refuses_alpha_outside_the_interior_range(tmp_path, capsys, n, alpha):
+    """q = x brackets alpha on the interior nodes h .. 1 - h only: at
+    alpha = 0.99 with n = 65, and at alpha = 1 with n = 129, ``feasibility``
+    and ``solve`` exit 2, and ``solve`` writes nothing."""
+    from sbpbox import cli
+
+    cfg = write_cfg(tmp_path, GROUND_CFG.replace("grid.n = 33", f"grid.n = {n}")
+                    .replace("boundary.h2.x1 = 0.5", f"boundary.h2.x1 = {alpha}"))
+    out = tmp_path / "out"
+    assert cli.main(["feasibility", "--config", cfg]) == 2
+    assert "infeasible" in capsys.readouterr().out
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "refusing to optimize" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_refine_gates_its_first_grid(tmp_path, capsys):
+    """alpha = 0.96 lies inside the interior range of q = x at grid.n = 65
+    but not at 17 nodes, the first of ``run.grids``: refine exits 2 before
+    any solve and writes nothing."""
+    from sbpbox import cli
+
+    cfg = write_cfg(tmp_path, GROUND_CFG.replace("grid.n = 33", "grid.n = 65")
+                    .replace("boundary.h2.x1 = 0.5", "boundary.h2.x1 = 0.96")
+                    + "run.grids = 17,33\n")
+    out = tmp_path / "out"
+    assert cli.main(["feasibility", "--config", cfg, "--quiet"]) == 0
+    capsys.readouterr()
+    assert cli.main(["refine", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "refusing to optimize" in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_solve_refuses_constant_coupling(tmp_path):
     cfg = write_cfg(tmp_path, CONSTANT_Q_CFG)
     out = tmp_path / "out"
@@ -212,10 +246,25 @@ def test_refine_reports_orders(tmp_path):
         assert len(list(csv.DictReader(fh))) == 3
 
 
+def test_refine_report_is_strict_json(tmp_path):
+    """Three equal grids give equal energies, so the J order sits at the
+    noise floor: report.json writes it as null, never as NaN."""
+    from sbpbox import cli
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    cfg = write_cfg(tmp_path, GROUND_CFG + "run.grids = 33,33,33\n")
+    out = tmp_path / "out"
+    assert cli.main(["refine", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["j_orders"] == [None]
+
+
 def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
     """Each refine entry carries its descent's iterations, which match the
-    ``iters`` column; the gate's problem serves the level on ``grid.n``, so
-    every grid is built once; the first level starts from ``feasible_init``
+    ``iters`` column; the gate checks the first level and its problem serves
+    that level, so every grid is built once, ``grid.n`` never; the first level starts from ``feasible_init``
     and each later one from the previous level's state, interpolated; a
     rerun writes the same bytes."""
     from sbpbox import cli
@@ -247,7 +296,7 @@ def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert cli.main(["refine", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert built == [None, 17, 65] * 2
+    assert built == [17, 33, 65] * 2
     report = json.loads((outs[0] / "report.json").read_text())
     with open(outs[0] / "summary.csv", newline="") as fh:
         iters = [int(row["iters"]) for row in csv.DictReader(fh)]

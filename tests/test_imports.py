@@ -1,6 +1,7 @@
 """Every name a source module imports is used in it or re-exported, every
-module-level private name is loaded somewhere in the package, and every
-exception class is raised somewhere in it and caught where it must be.
+module-level private name is loaded somewhere in the package, every public
+name has a user outside the tests, and every exception class is raised
+somewhere in the package and caught where it must be.
 
 No linter ships with the project, so these scans stand in for the
 unused-import and dead-code rules.  The first parses each module of
@@ -8,18 +9,23 @@ unused-import and dead-code rules.  The first parses each module of
 never loaded and not listed in ``__all__``.  The second collects the
 ``_private`` functions, classes and constants defined at module level that
 no module of the package loads, by name, attribute or ``from`` import.  The
-third collects the classes of ``errors.py`` that no ``raise`` statement of
+third collects the public top-level functions and classes and the public
+methods that no module of the package or of ``demos/`` loads in the same
+way and that are not a target of the benchmark tracer's ``LAYERS`` table:
+library surface that only tests use.  The dense oracle
+``verify.dense_kkt_polish`` is the one name allowed there.  The fourth
+collects the classes of ``errors.py`` that no ``raise`` statement of
 the package names; the base class ``SbpError`` is exempt.  With it goes the
 rule that a class exists only where a caller tells it apart: every class of
 ``errors.py`` besides ``SbpError`` and ``ConfigError`` (which the command
 line reports) must be named in an ``except`` clause of the package; any
-other failure is a plain ``SbpError``.  The fourth reads
+other failure is a plain ``SbpError``.  The fifth reads
 the ``LAYERS`` table of the benchmark's tracer and lists each traced
 ``module:function`` that no module of ``src/sbpbox`` defines at top level,
 then resolves each one as ``Tracer.install`` does, after ``import
 sbpbox.cli``, so a rename or deletion fails here and not only under
 ``perfbench/run.py --trace 1``.
-The fifth lists the ``np.sum`` calls of the descent modules: their
+The sixth lists the ``np.sum`` calls of the descent modules: their
 quadrature goes through the dot-product reductions of ``sbpbox.grid``, and
 the ``np.sum`` wrapper costs more per call than the arithmetic on the small
 grids where the descent loop spends its time.
@@ -33,6 +39,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sbpbox"
 TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
+DEMOS = SRC.parent.parent / "demos"
 
 
 def unused_imports(path):
@@ -56,9 +63,22 @@ def unused_imports(path):
                   if name not in used and name not in exported)
 
 
+def loaded_names(paths):
+    """Every name the files load, by name, attribute or ``from`` import."""
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded |= {alias.name for alias in node.names}
+    return loaded
+
+
 def unloaded_private_names(paths):
     defined = []
-    loaded = set()
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -68,16 +88,27 @@ def unloaded_private_names(paths):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(path.name, node.lineno, t.id)
                             for t in targets if isinstance(t, ast.Name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                loaded.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                loaded |= {alias.name for alias in node.names}
+    loaded = loaded_names(paths)
     return sorted((file, line, name) for file, line, name in defined
                   if name.startswith("_") and not name.startswith("__")
                   and name not in loaded)
+
+
+def unloaded_public_names(paths, users, traced=()):
+    """Public top-level functions and classes of ``paths``, and public
+    methods as ``Class.method``, that no file of ``users`` loads and that
+    ``traced`` does not name."""
+    defined = []
+    for path in paths:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.lineno, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, m.lineno, f"{node.name}.{m.name}", m.name)
+                            for m in node.body if isinstance(m, ast.FunctionDef)]
+    loaded = loaded_names(users) | set(traced)
+    return sorted((file, line, label) for file, line, label, name in defined
+                  if not name.startswith("_") and name not in loaded)
 
 
 def defined_classes(errors_path, exempt):
@@ -136,6 +167,29 @@ def test_scan_sees_an_unloaded_private_name(tmp_path):
     b.write_text("from a import _imported\nimport a\n\nprint(a._helper())\n")
     assert unloaded_private_names([a, b]) == [("a.py", 2, "_unused"),
                                                ("a.py", 7, "_Dead")]
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    """Only the dense oracle that tests check the descent against is
+    public surface without a user in the package, the demos or the tracer."""
+    paths = sorted(SRC.glob("*.py"))
+    traced = [spec.split(":")[1] for spec in traced_targets(TRACER)]
+    unloaded = unloaded_public_names(paths, paths + sorted(DEMOS.glob("*.py")), traced)
+    assert [(file, label) for file, _, label in unloaded] == [
+        ("verify.py", "dense_kkt_polish")]
+
+
+def test_scan_sees_an_unloaded_public_name(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used():\n    pass\n\ndef traced():\n    pass\n\n"
+                   "def only_tested():\n    pass\n\ndef _private():\n    pass\n\n"
+                   "class Report:\n    def describe(self):\n        pass\n\n"
+                   "    def unused(self):\n        pass\n\n"
+                   "    def __repr__(self):\n        pass\n")
+    demo = tmp_path / "demo.py"
+    demo.write_text("from lib import Report, used\n\nused()\nReport().describe()\n")
+    assert unloaded_public_names([lib], [lib, demo], ["traced"]) == [
+        ("lib.py", 7, "only_tested"), ("lib.py", 17, "Report.unused")]
 
 
 def test_every_exception_is_raised():

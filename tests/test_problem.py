@@ -106,7 +106,6 @@ def test_build_problem_validation():
 def test_problem_records_alpha_and_q_range():
     prob = line_problem(33, alpha=0.5)
     assert prob.alpha == pytest.approx(0.5, abs=1e-12)
-    assert prob.q_range == (0.0, 1.0)
     assert np.array_equal(prob.q_chi, prob.q * prob.chi)
 
 
@@ -179,11 +178,14 @@ def test_chi_native_residual_small():
 
 
 def test_classify_alpha_regimes():
+    """q = x brackets alpha on the interior nodes 1/32 .. 31/32 only, so an
+    alpha just below the largest nodal value of q is infeasible."""
     assert classify_alpha(line_problem(33, alpha=0.5)).classification == "interior"
     assert classify_alpha(line_problem(33, alpha=1.5)).classification == "infeasible"
     assert classify_alpha(line_problem(33, alpha=-0.2)).classification == "infeasible"
     rep = classify_alpha(line_problem(33, alpha=1.0 - 1e-12))
-    assert rep.classification == "boundary_degenerate"
+    assert rep.classification == "infeasible"
+    assert (rep.q_min, rep.q_max) == (1 / 32, 31 / 32)
 
 
 def test_classify_alpha_constant_coupling():
@@ -193,21 +195,8 @@ def test_classify_alpha_constant_coupling():
     prob = build_problem(grid=g, coupling=np.full(g.shape, 2.0),
                          h1=h1, h2=h2, kappa=1.0, p=3.0)
     rep = classify_alpha(prob)
-    # alpha == q everywhere: degenerate edge with a full level set.
-    assert rep.classification == "boundary_degenerate"
-    assert rep.level_set_fraction == pytest.approx(1.0)
-
-
-def test_classify_level_set_fraction_scales(monkeypatch):
-    """For affine q the measure of {|q - alpha| <= eps} grows linearly in
-    eps, so the reported fraction roughly doubles when _LEVEL_REL doubles."""
-    prob = line_problem(257, alpha=0.5)
-    monkeypatch.setattr(problem, "_LEVEL_REL", 1e-2)
-    f1 = classify_alpha(prob).level_set_fraction
-    monkeypatch.setattr(problem, "_LEVEL_REL", 2e-2)
-    f2 = classify_alpha(prob).level_set_fraction
-    assert 0.0 < f1 < f2 <= 1.0
-    assert f2 == pytest.approx(2.0 * f1, rel=0.35)
+    # alpha == q everywhere: q brackets alpha strictly nowhere.
+    assert rep.classification == "infeasible"
 
 
 def test_square_problem_assembles():
