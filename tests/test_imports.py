@@ -94,7 +94,7 @@ def unloaded_private_names(paths):
                   and name not in loaded)
 
 
-def unloaded_public_names(paths, users, traced=()):
+def unloaded_public_names(paths, users, traced):
     """Public top-level functions and classes of ``paths``, and public
     methods as ``Class.method``, that no file of ``users`` loads and that
     ``traced`` does not name."""
