@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, SbpError
+from .errors import SbpError
 from .grid import dirichlet_energy, read_field, write_field
 from .manifold import feasible_init
 from .optimize import (
@@ -184,10 +184,17 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_feasibility(cfg: RunConfig, quiet: bool) -> int:
-    problem = cfg.build_problem()
-    report = classify_alpha(problem)
-    print(report.describe())
-    return 0 if report.classification == "interior" else 2
+    # ``solve`` gates ``grid.n`` and ``refine`` the first of ``run.grids``,
+    # checked when the config sets that key; one line per distinct grid.
+    grid, levels = cfg.grid(), [None]
+    if "run.grids" in cfg.values and (cfg.get("run.grids")[0],) * grid.dim != grid.n:
+        levels.append(cfg.get("run.grids")[0])
+    reports = []
+    for n in levels:
+        problem = cfg.build_problem(n)
+        reports.append(classify_alpha(problem))
+        print(f"{'x'.join(map(str, problem.grid.n))} nodes: {reports[-1].describe()}")
+    return 0 if all(r.classification == "interior" for r in reports) else 2
 
 
 def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
@@ -299,8 +306,8 @@ def refinement_study(problem_factory: Callable[[int], Problem],
 
 def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if cfg.mode != "ground":
-        raise ConfigError(f"key 'run.mode': refine computes ground states only, "
-                          f"got {cfg.mode!r}")
+        raise ValueError(f"key 'run.mode': refine computes ground states only, "
+                         f"got {cfg.mode!r}")
     grids = cfg.get("run.grids")
     # The gate checks the first level, the one ``feasible_init`` seeds, and
     # its problem serves that level.
@@ -331,10 +338,9 @@ def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig, seed: int | None, quiet: bool) -> int:
+def cmd_oracle(cfg: RunConfig, seed: int, quiet: bool) -> int:
     problem = cfg.build_problem()
-    rep = dense_oracle_compare(
-        problem, seed=cfg.get("run.seed") if seed is None else seed)
+    rep = dense_oracle_compare(problem, seed=seed)
     for f in fields(rep):
         _say(quiet, f"{f.name:18s} {getattr(rep, f.name):.3e}")
     ok = rep.max_discrepancy() <= 1e-9 and rep.nullspace_sigma <= 1e-12
@@ -351,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("solve", "feasibility", "verify", "refine", "oracle"))
     parser.add_argument("--config", required=True, help="path to key=value config")
     parser.add_argument("--out", default=None, help="output directory (default: output.dir)")
-    parser.add_argument("--seed", type=int, default=None, help="override run.seed")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the oracle's random test data (default 0)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 

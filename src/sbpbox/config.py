@@ -4,8 +4,8 @@ Grammar: one `key = value` pair per line, `#` starts a comment, blank lines
 ignored.  Keys use section dots (`domain.dim`, `coupling.kind`,
 `boundary.h1.x0`, ...).  There is no expression language: the coupling comes
 from a builtin family or a tabulated field file, boundary data are constants
-or per-face tabulated files (`file:path`).  Unknown keys are errors so typos
-cannot silently fall back to defaults.
+or per-face tabulated files (`file:path`).  Unknown and repeated keys are
+errors, so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
 from .grid import FACE_NAMES, BoundaryData, Grid
 from .optimize import OptimizerOptions
 from .problem import COUPLING_PARAMS, CouplingSpec, Problem, build_problem
@@ -39,7 +38,6 @@ CONFIG_KEYS = {
     "optimizer.max_iterations": ("int", OptimizerOptions.max_iterations),
     "run.mode": ("str", "ground"),
     "run.k": ("int", 3),
-    "run.seed": ("int", 0),
     "run.grids": ("ints", (65, 129, 257)),
     "output.dir": ("str", "out"),
     "output.dump_fields": ("bool", True),
@@ -64,7 +62,7 @@ def _parse_scalar(kind: str, key: str, raw: str):
             return tuple(float(tok) for tok in raw.split(","))
         return raw
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from exc
+        raise ValueError(f"key {key!r}: cannot parse {raw!r} as {kind}") from exc
 
 
 @dataclass
@@ -81,14 +79,14 @@ class RunConfig:
             return self.values[key]
         kind, default = CONFIG_KEYS[key]
         if default is None:
-            raise ConfigError(f"missing required key {key!r} in {self.source}")
+            raise ValueError(f"missing required key {key!r} in {self.source}")
         return default
 
     @property
     def mode(self) -> str:
         mode = self.get("run.mode")
         if mode not in _MODES:
-            raise ConfigError(f"key 'run.mode': unknown mode {mode!r}")
+            raise ValueError(f"key 'run.mode': unknown mode {mode!r}")
         return mode
 
     def grid(self) -> Grid:
@@ -103,7 +101,7 @@ class RunConfig:
         if len(n) == 1 and dim > 1:
             n = n * dim
         if len(lengths) != dim or len(n) != dim:
-            raise ConfigError(
+            raise ValueError(
                 f"domain.lengths/grid.n must have {dim} entries, got "
                 f"{lengths} and {n}"
             )
@@ -125,7 +123,7 @@ class RunConfig:
                 face_vals = np.loadtxt(spec, comments="#", ndmin=1)
                 shape = grid.face_shape(axis)
                 if face_vals.size != int(np.prod(shape)):
-                    raise ConfigError(
+                    raise ValueError(
                         f"boundary.{which}.{face_name}: file {spec!r} has "
                         f"{face_vals.size} values, face needs {int(np.prod(shape))}"
                     )
@@ -133,7 +131,7 @@ class RunConfig:
         # Reject keys naming faces that do not exist in this dimension.
         for (w, face_name) in self.boundary:
             if w == which and face_name not in _face_names_for(grid.dim):
-                raise ConfigError(
+                raise ValueError(
                     f"boundary.{which}.{face_name}: no such face in "
                     f"{grid.dim}d"
                 )
@@ -163,26 +161,27 @@ def _face_names_for(dim: int) -> tuple[str, ...]:
 
 def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
     cfg = RunConfig(source=source)
+    seen = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key = value, got {raw_line!r}")
+            raise ValueError(f"{source}:{lineno}: expected key = value, got {raw_line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
         if not raw:
-            raise ConfigError(f"{source}:{lineno}: key {key!r} has empty value")
+            raise ValueError(f"{source}:{lineno}: key {key!r} has empty value")
+        if key in seen:
+            raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
         if key in CONFIG_KEYS:
-            kind, _ = CONFIG_KEYS[key]
-            if key in cfg.values:
-                raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-            cfg.values[key] = _parse_scalar(kind, key, raw)
+            cfg.values[key] = _parse_scalar(CONFIG_KEYS[key][0], key, raw)
         elif key.startswith("coupling."):
             param = key[len("coupling."):]
             if param not in _COUPLING_PARAM_KEYS:
-                raise ConfigError(f"{source}:{lineno}: unknown coupling parameter {key!r}")
+                raise ValueError(f"{source}:{lineno}: unknown coupling parameter {key!r}")
             if param == "file":
                 cfg.coupling_params[param] = raw
             elif param in ("center",):
@@ -192,13 +191,13 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
         elif key.startswith("boundary.h1.") or key.startswith("boundary.h2."):
             _, which, face_name = key.split(".", 2)
             if face_name not in FACE_NAMES:
-                raise ConfigError(f"{source}:{lineno}: unknown face in key {key!r}")
+                raise ValueError(f"{source}:{lineno}: unknown face in key {key!r}")
             if raw.startswith("file:"):
                 cfg.boundary[(which, face_name)] = raw[len("file:"):].strip()
             else:
                 cfg.boundary[(which, face_name)] = _parse_scalar("float", key, raw)
         else:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
     return cfg
 
 
@@ -207,5 +206,5 @@ def load_config(path) -> RunConfig:
         with open(path, "r") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config_text(text, source=str(path))

@@ -8,12 +8,12 @@ A class exists only where a caller tells it apart:
   ``feasible_init`` and tries another slab partition;
   ``optimize.excited_states`` catches it from ``genus_seeds`` and tries the
   next lower genus.
-- ``ConfigError``: a bad run configuration, reported by the command line.
 - ``SbpError``: the base class, which the command line prints as one
   ``error:`` line and ``excited_states`` catches per start.
 
 Every other package failure is a plain ``SbpError`` whose message says what
-went wrong; input validation raises ``ValueError``.
+went wrong; input validation, a bad run configuration among it, raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ class ManifoldError(SbpError):
 
 
 class InfeasibleRegion(SbpError):
-    """No seed exists in the requested region: q does not strictly bracket
-    alpha on its interior nodes, or the tilted seed is so concentrated that
-    its retraction fails; or no slab partition along axis 0 brackets
-    alpha."""
-
-
-class ConfigError(SbpError):
-    """A run configuration file is missing keys or has malformed values."""
+    """No seed exists in the requested slab along axis 0: q does not
+    strictly bracket alpha on its interior nodes, or the tilted seed is so
+    concentrated that its retraction fails; or no slab partition along
+    axis 0 brackets alpha."""

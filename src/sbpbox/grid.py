@@ -221,17 +221,15 @@ class BoundaryData:
 
     @classmethod
     def constant(cls, grid: Grid, value) -> "BoundaryData":
-        """Constant per face; ``value`` is a scalar or a {face: scalar} map.
-
-        Faces may be keyed by (axis, side) pairs or by the string aliases in
-        ``FACE_NAMES``; unspecified faces default to 0.
+        """Constant per face; ``value`` is a scalar or a {face: scalar} map
+        keyed by the names in ``FACE_NAMES``.  Unspecified faces are 0.
         """
         if np.isscalar(value):
             table = {face: float(value) for face in grid.faces()}
         else:
             table = {face: 0.0 for face in grid.faces()}
             for key, v in value.items():
-                face = FACE_NAMES.get(key) if isinstance(key, str) else key
+                face = FACE_NAMES.get(key)
                 if face not in table:
                     raise ValueError(f"unknown face {key} for dim={grid.dim}")
                 table[face] = float(v)

@@ -20,11 +20,11 @@ by the symbol, and the descent's metric -lap + s only shifts the symbol
 failure of the retraction, and a failed Gram test of the projection, is one
 ``ManifoldError``.
 
-Feasible starting points tilt the principal sine mode v of a box by
-e^(s (q - alpha)/2): the mass constraint is a normalization, and the
-coupling constraint is one strictly increasing scalar equation in s, so a
-seed exists exactly when q brackets alpha on the box's interior nodes and
-meets both constraints to rounding before its retraction.
+Feasible starting points tilt the principal sine mode v of a slab along
+axis 0 by e^(s (q - alpha)/2): the mass constraint is a normalization, and
+the coupling constraint is one strictly increasing scalar equation in s, so
+a seed exists exactly when q brackets alpha on the slab's interior nodes
+and meets both constraints to rounding before its retraction.
 """
 
 from __future__ import annotations
@@ -210,19 +210,13 @@ _TILT_MAX_STEPS = 100
 _GREEDY_MIN_SLAB_CELLS = 16
 
 
-def _region_box(grid: Grid, region) -> list[tuple[float, float]]:
-    if region is None:
-        return [(0.0, L) for L in grid.lengths]
-    box = [(float(lo), float(hi)) for lo, hi in region]
-    if len(box) != grid.dim:
-        raise ValueError(f"region must give (lo, hi) per axis, got {region}")
-    return box
-
-
-def _principal_mode(grid: Grid, box: list[tuple[float, float]]) -> np.ndarray:
+def _principal_mode(grid: Grid, i0: int, i1: int) -> np.ndarray:
     """prod_a sin(pi (x_a - lo_a) / (hi_a - lo_a)) on the interior nodes of
-    the open box, zero elsewhere: DST-I mode 1 of the box, positive exactly
-    on its interior nodes that are interior nodes of the grid."""
+    the slab (lo_0, hi_0) = (x[i0], x[i1]) along axis 0, (0, L_a) across it,
+    zero elsewhere: DST-I mode 1 of the slab, positive exactly on its
+    interior nodes that are interior nodes of the grid."""
+    x0 = grid.axes[0]
+    box = [(x0[i0], x0[i1])] + [(0.0, L) for L in grid.lengths[1:]]
     factors = []
     for x, (lo, hi) in zip(grid.axes, box):
         inside = (x > lo) & (x < hi)
@@ -272,29 +266,33 @@ def _tilt_root(rho: np.ndarray, d: np.ndarray) -> float:
     return s
 
 
-def feasible_init(problem: Problem, region=None) -> np.ndarray:
-    """The tilted principal mode of ``region``: a point of M that is
-    positive on the region's interior nodes and zero elsewhere.
+def feasible_init(problem: Problem, slab: tuple[int, int] | None = None) -> np.ndarray:
+    """The tilted principal mode of ``slab``: a point of M that is positive
+    on the slab's interior nodes and zero elsewhere.
 
+    ``slab = (i0, i1)`` names the face nodes of a slab along axis 0, which
+    spans the box across it; the default (0, n0 - 1) is the whole box.
     With v = ``_principal_mode`` and d = q - alpha, the seed is
     u = v e^(s d/2), normalized and retracted, where s is the root of the
     coupling constraint g(s) = sum w v^2 e^(s d) d over the support
     (``_tilt_root``).  Seeds of adjacent slabs vanish on their shared face
     nodes, so their supports are disjoint.
 
-    ``region`` is an optional list of per-axis (lo, hi) coordinate bounds,
-    by default the whole box.  Raises ``InfeasibleRegion`` exactly when q
-    does not strictly bracket alpha on the region's interior nodes, and
-    also when the tilt is so extreme that the seed fails its retraction.
+    Raises ``ValueError`` unless 0 <= i0 < i1 < n0, and
+    ``InfeasibleRegion`` exactly when q does not strictly bracket alpha on
+    the slab's interior nodes, and also when the tilt is so extreme that the
+    seed fails its retraction.
     """
     grid = problem.grid
-    box = _region_box(grid, region)
-    v = _principal_mode(grid, box)
+    i0, i1 = (0, grid.n[0] - 1) if slab is None else slab
+    if not 0 <= i0 < i1 < grid.n[0]:
+        raise ValueError(f"slab {slab} must satisfy 0 <= i0 < i1 < {grid.n[0]}")
+    v = _principal_mode(grid, i0, i1)
     support = v > 0.0
     d = problem.q[support] - problem.alpha
     if not (d.size and d.min() < 0.0 < d.max()):
         raise InfeasibleRegion(f"q does not bracket alpha={problem.alpha:.6g} "
-                               f"on the interior nodes of region {box}")
+                               f"on the interior nodes of slab {i0}..{i1}")
     rho = grid.weights[support] * v[support] ** 2
     t = _tilt_root(rho, d) * d
     u = np.zeros(grid.shape)
@@ -303,23 +301,16 @@ def feasible_init(problem: Problem, region=None) -> np.ndarray:
     try:
         return retract(problem, u)
     except ManifoldError as exc:
-        raise InfeasibleRegion(f"the tilted principal mode of region {box} "
+        raise InfeasibleRegion(f"the tilted principal mode of slab {i0}..{i1} "
                                f"fails its retraction: {exc}") from exc
-
-
-def _axis_slab_region(grid: Grid, i0: int, i1: int) -> list[tuple[float, float]]:
-    """Region covering node indices [i0, i1] along axis 0, full transversally."""
-    x = grid.axes[0]
-    box = [(float(x[i0]), float(x[i1]))]
-    box += [(0.0, L) for L in grid.lengths[1:]]
-    return box
 
 
 def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
     """k members of M with pairwise disjoint supports in slabs along axis 0.
 
-    Each seed is ``feasible_init`` of its slab.  Equal-width slabs are tried
-    first; if q fails to bracket alpha inside any of them, a greedy sweep
+    Each seed is ``feasible_init(problem, (i0, i1))`` of its slab between
+    nodes i0 and i1.  Equal-width slabs are tried first when k is below the
+    node count; if q fails to bracket alpha inside any of them, a greedy sweep
     re-partitions the axis from the left, each slab the shortest of at
     least ``_GREEDY_MIN_SLAB_CELLS`` cells that brackets alpha.  Raises
     ``InfeasibleRegion`` when no partition works: for k = 1 the one
@@ -329,17 +320,14 @@ def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
     """
     if k < 1:
         raise ValueError(f"need k >= 1 families, got {k}")
-    grid = problem.grid
-    n0 = grid.n[0]
+    n0 = problem.grid.n[0]
     edges = [round(j * (n0 - 1) / k) for j in range(k + 1)]
-    try:
-        return [
-            feasible_init(problem, _axis_slab_region(grid, edges[j], edges[j + 1]))
-            for j in range(k)
-        ]
-    except InfeasibleRegion:
-        if k == 1:
-            raise
+    if k < n0:  # else some equal slabs would be empty
+        try:
+            return [feasible_init(problem, (edges[j], edges[j + 1])) for j in range(k)]
+        except InfeasibleRegion:
+            if k == 1:
+                raise
 
     # Greedy fallback: cut the shortest slab from the left that brackets alpha.
     seeds: list[np.ndarray] = []
@@ -348,9 +336,7 @@ def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
         placed = False
         for i1 in range(min(i0 + _GREEDY_MIN_SLAB_CELLS, n0 - 1), n0):
             try:
-                seeds.append(
-                    feasible_init(problem, _axis_slab_region(grid, i0, i1))
-                )
+                seeds.append(feasible_init(problem, (i0, i1)))
             except InfeasibleRegion:
                 continue
             i0 = i1

@@ -106,6 +106,13 @@ def random_m_point(problem, rng, scale=1.0):
     return retract(problem, v)
 
 
+def axis_slab_region(grid, i0, i1):
+    """Per-axis (lo, hi) bounds of the slab between nodes i0 and i1 of axis
+    0, full across it: the box ``feasible_init(problem, (i0, i1))`` seeds."""
+    x = grid.axes[0]
+    return [(float(x[i0]), float(x[i1]))] + [(0.0, L) for L in grid.lengths[1:]]
+
+
 def two_bump_start(problem, region):
     """Reference start data: the two-bump point of M that ``feasible_init``
     built before it took the tilted principal mode.  The long-tail descent

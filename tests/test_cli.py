@@ -23,7 +23,6 @@ coupling.a = 0.0
 coupling.b = 1.0
 boundary.h2.x1 = 0.5
 run.mode = ground
-run.seed = 0
 """
 
 EXCITED_CFG = """
@@ -39,7 +38,6 @@ coupling.tilt = 0.1
 boundary.h2.x1 = 0.35
 run.mode = excited
 run.k = 2
-run.seed = 0
 optimizer.max_iterations = 8000
 """
 
@@ -179,16 +177,20 @@ def test_solve_refuses_alpha_outside_the_interior_range(tmp_path, capsys, n, alp
 
 def test_refine_gates_its_first_grid(tmp_path, capsys):
     """alpha = 0.96 lies inside the interior range of q = x at grid.n = 65
-    but not at 17 nodes, the first of ``run.grids``: refine exits 2 before
-    any solve and writes nothing."""
+    but not at 17 nodes, the first of ``run.grids``: feasibility checks
+    both grids and exits 2, and refine exits 2 before any solve and writes
+    nothing."""
     from sbpbox import cli
 
     cfg = write_cfg(tmp_path, GROUND_CFG.replace("grid.n = 33", "grid.n = 65")
                     .replace("boundary.h2.x1 = 0.5", "boundary.h2.x1 = 0.96")
                     + "run.grids = 17,33\n")
     out = tmp_path / "out"
-    assert cli.main(["feasibility", "--config", cfg, "--quiet"]) == 0
-    capsys.readouterr()
+    assert cli.main(["feasibility", "--config", cfg, "--quiet"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("65 nodes: ") and lines[0].endswith(": interior")
+    assert lines[1].startswith("17 nodes: ") and lines[1].endswith(": infeasible")
     assert cli.main(["refine", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert "refusing to optimize" in capsys.readouterr().out
     assert not out.exists()
@@ -343,7 +345,7 @@ def test_oracle_subcommand(tmp_path):
 
 
 def test_oracle_seed_override(tmp_path, monkeypatch, capsys):
-    """--seed reaches the oracle's random test data; without it run.seed does."""
+    """--seed reaches the oracle's random test data; without it the seed is 0."""
     from sbpbox import cli
 
     seen = []
@@ -392,13 +394,16 @@ def test_help_exits_zero(args):
 
 
 def test_seed_override_recorded(tmp_path):
-    """--seed changes only the run, never the echoed config."""
+    """--seed reaches only the oracle: the echoed config has no seed, and a
+    solve with --seed 5 writes the report of a solve without it."""
     cfg = write_cfg(tmp_path, EXCITED_CFG)
-    out = tmp_path / "a"
-    proc = run_cli("solve", "--config", cfg, "--out", str(out), "--seed", "5")
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads((out / "report.json").read_text())
-    assert report["config"]["run.seed"] == 0
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out, extra in zip(outs, (["--seed", "5"], [])):
+        proc = run_cli("solve", "--config", cfg, "--out", str(out), *extra)
+        assert proc.returncode == 0, proc.stderr
+    report = (outs[0] / "report.json").read_bytes()
+    assert "run.seed" not in json.loads(report)["config"]
+    assert report == (outs[1] / "report.json").read_bytes()
 
 
 @pytest.mark.parametrize("line, message", [

@@ -17,9 +17,8 @@ library surface that only tests use.  The dense oracle
 collects the classes of ``errors.py`` that no ``raise`` statement of
 the package names; the base class ``SbpError`` is exempt.  With it goes the
 rule that a class exists only where a caller tells it apart: every class of
-``errors.py`` besides ``SbpError`` and ``ConfigError`` (which the command
-line reports) must be named in an ``except`` clause of the package; any
-other failure is a plain ``SbpError``.  The fifth reads
+``errors.py`` besides ``SbpError`` must be named in an ``except`` clause of
+the package; any other failure is a plain ``SbpError``.  The fifth reads
 the ``LAYERS`` table of the benchmark's tracer and lists each traced
 ``module:function`` that no module of ``src/sbpbox`` defines at top level,
 then resolves each one as ``Tracer.install`` does, after ``import
@@ -132,7 +131,7 @@ def unraised_exceptions(errors_path, paths, exempt=("SbpError",)):
     return sorted((line, name) for line, name in defined if name not in raised)
 
 
-def uncaught_exceptions(errors_path, paths, exempt=("SbpError", "ConfigError")):
+def uncaught_exceptions(errors_path, paths, exempt=("SbpError",)):
     caught = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -217,7 +216,6 @@ def test_every_exception_is_caught():
 def test_scan_sees_an_uncaught_exception(tmp_path):
     errors = tmp_path / "errors.py"
     errors.write_text("class SbpError(Exception):\n    pass\n\n"
-                      "class ConfigError(SbpError):\n    pass\n\n"
                       "class Alone(SbpError):\n    pass\n\n"
                       "class InTuple(SbpError):\n    pass\n\n"
                       "class ByAttribute(SbpError):\n    pass\n\n"
@@ -228,7 +226,7 @@ def test_scan_sees_an_uncaught_exception(tmp_path):
                     "    except (ValueError, InTuple):\n        pass\n"
                     "    except errors.ByAttribute:\n        raise OnlyRaised('x')\n"
                     "    except:\n        pass\n")
-    assert uncaught_exceptions(errors, [errors, user]) == [(16, "OnlyRaised")]
+    assert uncaught_exceptions(errors, [errors, user]) == [(13, "OnlyRaised")]
 
 
 def traced_targets(tracer_path):

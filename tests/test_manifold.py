@@ -7,7 +7,6 @@ from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem
 from sbpbox.errors import InfeasibleRegion, ManifoldError
 from sbpbox.grid import inner
 from sbpbox.manifold import (
-    _axis_slab_region,
     _gram_det,
     _moments,
     constraint_values,
@@ -273,14 +272,19 @@ def test_feasible_init_on_manifold():
 
 def test_feasible_init_respects_region():
     prob = line_problem(129, alpha=0.3)
-    u0 = feasible_init(prob, region=[(0.0, 0.6)])
-    x = prob.grid.coords[0]
-    assert np.all(u0[x > 0.6] == 0.0)
+    u0 = feasible_init(prob, (0, 76))  # x[76] = 0.59375
+    assert np.all(u0[1:76] > 0.0)
+    assert np.all(u0[76:] == 0.0)
     c1, c2 = constraint_values(prob, u0)
     assert abs(c1) <= 1e-10 and abs(c2) <= 1e-8
-    # In the right half q = x > 0.3 on every node: q does not bracket alpha.
-    with pytest.raises(InfeasibleRegion, match="does not bracket"):
-        feasible_init(prob, region=[(0.62, 1.0)])
+    # Right of x[79] = 0.6171875, q = x > 0.3 on every node: q does not
+    # bracket alpha, and the message names the slab's nodes.
+    with pytest.raises(InfeasibleRegion, match=r"does not bracket .* slab 79\.\.128$"):
+        feasible_init(prob, (79, 128))
+    # A slab must run between two distinct nodes of axis 0, left to right.
+    for slab in ((5, 5), (10, 3), (-1, 10), (0, 129)):
+        with pytest.raises(ValueError, match="0 <= i0 < i1 < 129"):
+            feasible_init(prob, slab)
 
 
 def x_coupling_problem(dim, n, alpha):
@@ -292,19 +296,20 @@ def x_coupling_problem(dim, n, alpha):
                          h2=BoundaryData.constant(g, {"x1": alpha}), kappa=1.0, p=3.0)
 
 
-def inside(grid, region):
-    """Nodes strictly inside ``region`` that are interior nodes of the grid."""
-    mask = grid.interior_mask.copy()
-    for x, (lo, hi) in zip(grid.coords, region):
-        mask &= (x > lo) & (x < hi)
-    return mask
+def inside(grid, slab):
+    """Interior nodes of the grid strictly between the slab's face nodes
+    i0 and i1 on axis 0."""
+    i0, i1 = slab
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[i0 + 1:i1] = True
+    return mask & grid.interior_mask
 
 
-def assert_seed(prob, u, region):
+def assert_seed(prob, u, slab):
     c1, c2 = constraint_values(prob, u)
     assert abs(c1) <= 1e-12
     assert abs(c2) <= 1e-12 * (1.0 + abs(prob.alpha))
-    mask = inside(prob.grid, region)
+    mask = inside(prob.grid, slab)
     assert np.all(u[mask] > 0.0)
     assert np.all(u[~mask] == 0.0)
 
@@ -313,42 +318,37 @@ def assert_seed(prob, u, region):
 @pytest.mark.parametrize("dim,n", [(2, 33), (3, 17)])
 def test_feasible_init_is_a_positive_point_of_M_inside_its_region(dim, n, alpha):
     """With q = x the tilt reaches alpha near either face, where a pair of
-    disjoint bumps did not fit; the seed is positive on the region's
-    interior nodes and exactly zero elsewhere."""
+    disjoint bumps did not fit; the seed is positive on the slab's interior
+    nodes and exactly zero elsewhere, for the whole box and for the slab
+    of nodes nearest to x = alpha -+ 0.3."""
     prob = x_coupling_problem(dim, n, alpha)
-    whole = [(0.0, 1.0)] * dim
-    sub = [(max(0.0, alpha - 0.3), min(1.0, alpha + 0.3))] + [(0.2, 0.8)] * (dim - 1)
-    assert_seed(prob, feasible_init(prob), whole)
+    sub = (round(max(0.0, alpha - 0.3) * (n - 1)), round(min(1.0, alpha + 0.3) * (n - 1)))
+    assert_seed(prob, feasible_init(prob), (0, n - 1))
     assert_seed(prob, feasible_init(prob, sub), sub)
 
 
 def test_feasible_init_on_the_coarsest_ground_3d_grid():
     """The ground-3d problem at 13^3, where two disjoint bumps did not fit."""
     prob = x_coupling_problem(3, 13, 0.5)
-    assert_seed(prob, feasible_init(prob), [(0.0, 1.0)] * 3)
+    assert_seed(prob, feasible_init(prob), (0, 12))
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5])
 def test_feasible_init_raises_exactly_when_q_fails_to_bracket_alpha(alpha):
-    """Over every slab [x_i0, x_i1] of a 17-node line, and of a 17^2 square
-    with the full transverse range and with one that holds no node,
+    """Over every slab (i0, i1) of a 17-node line, and of a 17^2 square,
     ``feasible_init`` raises exactly when q does not strictly bracket alpha
     on the interior nodes.
     alpha = 0.25 and 0.5 are node values of q = x, so slabs that end with
     alpha as their largest or smallest interior value must raise."""
-    for prob, transverses in ((x_coupling_problem(1, 17, alpha), [[]]),
-                              (x_coupling_problem(2, 17, alpha), [[(0.0, 1.0)], [(0.5, 0.55)]])):
-        x = prob.grid.axes[0]
+    for prob in (x_coupling_problem(1, 17, alpha), x_coupling_problem(2, 17, alpha)):
         for i0 in range(17):
             for i1 in range(i0 + 1, 17):
-                for transverse in transverses:
-                    region = [(x[i0], x[i1])] + transverse
-                    d = prob.q[inside(prob.grid, region)] - prob.alpha
-                    if d.size and d.min() < 0.0 < d.max():
-                        assert_seed(prob, feasible_init(prob, region), region)
-                    else:
-                        with pytest.raises(InfeasibleRegion, match="does not bracket"):
-                            feasible_init(prob, region)
+                d = prob.q[inside(prob.grid, (i0, i1))] - prob.alpha
+                if d.size and d.min() < 0.0 < d.max():
+                    assert_seed(prob, feasible_init(prob, (i0, i1)), (i0, i1))
+                else:
+                    with pytest.raises(InfeasibleRegion, match="does not bracket"):
+                        feasible_init(prob, (i0, i1))
 
 
 def test_feasible_init_raises_when_the_tilt_is_extreme():
@@ -378,7 +378,7 @@ def test_genus_seeds_live_in_disjoint_slabs():
     # Equal halves fail on the one-well coupling, so k = 2 there runs the
     # greedy re-partition.
     with pytest.raises(InfeasibleRegion):
-        feasible_init(one_well, _axis_slab_region(one_well.grid, 0, 32))
+        feasible_init(one_well, (0, 32))
     osc = oscillating_problem(129)
     for prob, k in ((osc, 1), (osc, 2), (osc, 3), (one_well, 2)):
         seeds = genus_seeds(prob, k)
@@ -402,10 +402,14 @@ def test_genus_seeds_at_3d_25(k):
     assert len(seeds) == k
     edges = [round(j * 24 / k) for j in range(k + 1)]
     for j, s in enumerate(seeds):
-        assert_seed(prob, s, _axis_slab_region(prob.grid, edges[j], edges[j + 1]))
+        assert_seed(prob, s, (edges[j], edges[j + 1]))
 
 
 def test_genus_seeds_too_many_slabs():
     prob = oscillating_problem(65)
     with pytest.raises(InfeasibleRegion, match=r"only \d+ of 40 slabs"):
         genus_seeds(prob, 40)
+    # More slabs than cells: the first of 200 equal slabs would be empty,
+    # so only the greedy sweep runs.
+    with pytest.raises(InfeasibleRegion, match=r"only \d+ of 200 slabs"):
+        genus_seeds(prob, 200)

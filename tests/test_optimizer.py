@@ -14,7 +14,6 @@ from sbpbox.errors import InfeasibleRegion, SbpError
 from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
 from sbpbox.grid import dirichlet_energy, dirichlet_inner, inner
 from sbpbox.manifold import (
-    _axis_slab_region,
     constraint_values,
     feasible_init,
     genus_seeds,
@@ -32,7 +31,8 @@ from sbpbox.optimize import (
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import _dst_interior, _symbols, solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
-from conftest import DescentSpy, line_problem, oscillating_problem, two_bump_start
+from conftest import (DescentSpy, axis_slab_region, line_problem, oscillating_problem,
+                      two_bump_start)
 from dataclasses import replace as dc_replace
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -575,7 +575,7 @@ def test_merit_line_search_converges_past_the_rounding_floor_of_J():
     two-bump seed of that slab (``two_bump_start``), as the test was written
     for it."""
     prob = oscillating_problem(49, dim=2)
-    res = minimize_on_M(prob, two_bump_start(prob, _axis_slab_region(prob.grid, 16, 32)),
+    res = minimize_on_M(prob, two_bump_start(prob, axis_slab_region(prob.grid, 16, 32)),
                         OptimizerOptions(max_iterations=2000))
     assert res.converged
     assert res.j == pytest.approx(72.196185319, rel=1e-9)
@@ -589,7 +589,7 @@ def test_3d_excited_start_reaches_grad_tol():
     about 1,500 in the H^1_0 metric).  The start is the two-bump seed of the whole box
     (``two_bump_start``), the long tail the test was written for."""
     prob = oscillating_problem(25, dim=3)
-    res = minimize_on_M(prob, two_bump_start(prob, _axis_slab_region(prob.grid, 0, 24)),
+    res = minimize_on_M(prob, two_bump_start(prob, axis_slab_region(prob.grid, 0, 24)),
                         OptimizerOptions(max_iterations=4000))
     assert res.converged
     assert res.j == pytest.approx(49.752265733, rel=1e-9)
