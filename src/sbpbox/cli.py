@@ -80,6 +80,13 @@ def _gate_feasibility(problem: Problem, quiet: bool) -> FeasibilityReport | None
     return report
 
 
+def _say_sector(quiet: bool, results: Sequence[SolveResult]) -> None:
+    """One line naming the axes whose mirror sector the descents ran on."""
+    _say(quiet, "descent on " + "; ".join(
+        f"the mirror sector of axes {', '.join(map(str, axes))}" if axes else "the full box"
+        for axes in sorted({res.folded for res in results})))
+
+
 def _converged(problem: Problem, res: SolveResult, rep: ResidualReport) -> bool:
     """A state counts as converged when the optimizer converged and both
     constraints hold within the bounds of the acceptance tests."""
@@ -158,6 +165,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
         states = excited_states(problem, k, opts)
         if not states:
             raise SbpError("no start converged; nothing to report")
+    _say_sector(quiet, states)
 
     out.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -319,6 +327,7 @@ def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
     _say(quiet, f"refinement over node counts {list(grids)}")
     study = refinement_study(
         lambda n: first if n == grids[0] else cfg.build_problem(n), grids, opts)
+    _say_sector(quiet, study.results)
     out.mkdir(parents=True, exist_ok=True)
     write_summary(out / "summary.csv", study.reports)
     entries = []

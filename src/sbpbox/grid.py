@@ -16,6 +16,16 @@ The downstream energy identities (interaction energy, gradient consistency)
 rely on these exact relations, so any change here must preserve them.  Every
 reduction is one dot product of a weighted field, so the SBP and Gauss
 identities hold to rounding in the summation order of the dot, not bitwise.
+
+A grid may also be the mirror sector of a box: along each axis in
+``Grid.mirror`` the box has an odd node count 2m + 1 and the sector keeps
+its nodes 0..m, the last of them the mirror node m, for fields invariant
+under x -> L - x there (``Grid.sector``, ``Grid.fold``, ``Grid.unfold``).
+The sector's weights count each node as often as the box holds it: twice
+on nodes 0..m - 1 (the trapezoid weight doubled), once on node m, and its
+interior runs through node m.  Integrals, inner products, both stencils and
+``dirichlet_inner`` of symmetric fields then equal those on the whole box.
+Boundary data and field dumps live on the whole box only.
 """
 
 from __future__ import annotations
@@ -68,6 +78,11 @@ class Grid:
     n : tuple of int
         Nodes per axis, at least 3 each (the stencils need one interior node).
 
+    mirror : tuple of int
+        The axes along which this grid is the mirror sector of a box twice
+        as long, with 2 n_a - 1 nodes (see the module docstring); empty for
+        a whole box.
+
     Notes
     -----
     Node coordinates along axis ``a`` are ``np.linspace(0, L_a, n_a)`` and the
@@ -76,20 +91,25 @@ class Grid:
 
     lengths: tuple[float, ...]
     n: tuple[int, ...]
+    mirror: tuple[int, ...] = ()
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in np.atleast_1d(self.lengths))
         n = tuple(int(v) for v in np.atleast_1d(self.n))
+        mirror = tuple(sorted({int(a) for a in self.mirror}))
         if not 1 <= len(lengths) <= 3:
             raise ValueError(f"dimension must be 1, 2 or 3, got {len(lengths)}")
         if len(n) != len(lengths):
             raise ValueError("lengths and n must have the same number of axes")
         if any(L <= 0 or not np.isfinite(L) for L in lengths):
             raise ValueError(f"edge lengths must be positive finite, got {lengths}")
-        if any(m < 3 for m in n):
-            raise ValueError(f"need at least 3 nodes per axis, got {n}")
+        if any(not 0 <= a < len(n) for a in mirror):
+            raise ValueError(f"mirror axes {mirror} outside 0..{len(n) - 1}")
+        if any(m < (2 if a in mirror else 3) for a, m in enumerate(n)):
+            raise ValueError(f"need at least 3 nodes per axis of the box, got {n}")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mirror", mirror)
 
     @property
     def dim(self) -> int:
@@ -105,7 +125,13 @@ class Grid:
 
     @cached_property
     def volume(self) -> float:
-        return float(np.prod(self.lengths))
+        """Volume of the box, of the whole box for a mirror sector."""
+        return float(np.prod(self.lengths)) * 2 ** len(self.mirror)
+
+    @cached_property
+    def box_n(self) -> tuple[int, ...]:
+        """Nodes per axis of the box, 2 n_a - 1 along a mirrored axis."""
+        return tuple(2 * m - 1 if a in self.mirror else m for a, m in enumerate(self.n))
 
     @cached_property
     def node_count(self) -> int:
@@ -123,10 +149,12 @@ class Grid:
 
     @cached_property
     def axis_weights(self) -> tuple[np.ndarray, ...]:
-        """Per-axis composite trapezoid weights h*[1/2, 1, ..., 1, 1/2]."""
+        """Per-axis composite trapezoid weights h*[1/2, 1, ..., 1, 1/2];
+        h*[1, 2, ..., 2, 1] along a mirrored axis, whose last node is the
+        mirror node."""
         out = []
-        for h, m in zip(self.h, self.n):
-            w = np.full(m, h)
+        for a, (h, m) in enumerate(zip(self.h, self.n)):
+            w = np.full(m, 2.0 * h if a in self.mirror else h)
             w[0] *= 0.5
             w[-1] *= 0.5
             out.append(w)
@@ -144,20 +172,49 @@ class Grid:
         For axis ``a`` the array has shape ``n`` with ``n_a`` replaced by
         ``n_a - 1``: full spacing along the difference axis, trapezoid weights
         transversally.  With these weights the summation-by-parts identity
-        against ``laplacian_neumann`` is exact.
+        against ``laplacian_neumann`` is exact.  Along a mirrored axis each
+        cell stands for itself and its mirror image, so its weight doubles.
         """
         out = []
         for a in range(self.dim):
             vecs = list(self.axis_weights)
-            vecs[a] = np.full(self.n[a] - 1, self.h[a])
+            vecs[a] = np.full(self.n[a] - 1, 2.0 * self.h[a] if a in self.mirror
+                              else self.h[a])
             out.append(reduce(np.multiply.outer, vecs))
         return tuple(out)
 
     @cached_property
+    def interior(self) -> tuple[slice, ...]:
+        """Index of the interior nodes; along a mirrored axis it runs through
+        the mirror node."""
+        return tuple(slice(1, None) if a in self.mirror else slice(1, -1)
+                     for a in range(self.dim))
+
+    @cached_property
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.shape, dtype=bool)
-        mask[(slice(1, -1),) * self.dim] = True
+        mask[self.interior] = True
         return mask
+
+    def sector(self, axes: tuple[int, ...]) -> "Grid":
+        """The mirror sector of this box along ``axes``, each of odd node
+        count 2m + 1: its nodes 0..m there."""
+        if self.mirror or any(self.n[a] % 2 == 0 for a in axes):
+            raise ValueError(f"no mirror sector along axes {axes} of {self}")
+        return Grid(tuple(L / 2 if a in axes else L for a, L in enumerate(self.lengths)),
+                    tuple((m + 1) // 2 if a in axes else m for a, m in enumerate(self.n)),
+                    axes)
+
+    def fold(self, f: np.ndarray) -> np.ndarray:
+        """The values of a field of the box on the nodes of this sector."""
+        return np.ascontiguousarray(f[tuple(slice(0, m) for m in self.n)])
+
+    def unfold(self, f: np.ndarray) -> np.ndarray:
+        """The field of the box whose values on the sector are ``f`` and
+        which is invariant under every mirror of the sector."""
+        for a in self.mirror:
+            f = np.concatenate([f, f[_axis_slice(f.ndim, a, slice(-2, None, -1))]], axis=a)
+        return f
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
         return tuple(m for j, m in enumerate(self.n) if j != axis)
@@ -243,6 +300,11 @@ class BoundaryData:
     @cached_property
     def is_zero(self) -> bool:
         return all(not np.any(v) for v in self.values.values())
+
+    @cached_property
+    def integral(self) -> float:
+        """``boundary_integrate(self.grid, self)``, taken once per data set."""
+        return boundary_integrate(self.grid, self)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float:

@@ -177,11 +177,13 @@ def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
     ``tangent_project``; the descent also passes sigma + s, the metric of
     -lap + s.
 
-    The transform T is symmetric and T T = scale, and in this metric the
-    representers of (u, q u) have coefficients r_hat / symbol, so with the
-    interior weight prod h every entry is a sum over modes times prod h /
-    scale: inner(r_i, d_j) = sum r_i_hat r_j_hat / symbol and inner(r_i, g)
-    = sum r_i_hat g_hat.  The common factor cancels and the matrix is
+    Sums over modes are scale times sums over interior nodes, each node
+    counted as often as the box holds it (on a box T is symmetric and T T
+    = scale; see ``optimize._tangent_gradient`` for a mirror sector), and
+    in this metric the representers of (u, q u) have coefficients r_hat /
+    symbol, so with the interior weight prod h every entry is a sum over
+    modes times prod h / scale: inner(r_i, d_j) = sum r_i_hat r_j_hat /
+    symbol and inner(r_i, g) = sum r_i_hat g_hat.  The common factor cancels and the matrix is
     symmetric; ``_gram_det`` checks it and gives the determinant of
     Cramer's rule for (lam, beta).  The result is L2-orthogonal to u and
     q u, whatever the symbol: the tangent space is the same in every metric.

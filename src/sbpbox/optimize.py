@@ -45,6 +45,19 @@ below that level; the merit cancels the error to first order.  Every
 accepted merit lies at or below the C before it, and C never exceeds the
 starting merit.
 
+The descent runs on a mirror sector when it can.  Where q, chi and the
+start are invariant under a transverse reflection x_a -> L_a - x_a (a >=
+1), so are J and both constraints, and a critical point of J on the
+symmetric part of M is one on M (Palais, Comm. Math. Phys. 69, 1979).
+``_minimize`` folds the problem and the start onto the mirror sector of
+every such axis that has an odd node count 2m + 1 and the matrix
+transforms (``_fold_axes``): nodes 0..m, whose weights count nodes 0..m -
+1 twice (``grid``) and whose transforms keep the odd DST-I and the even
+DCT-I modes (``solvers``).  The loop below is unchanged there; every
+integral and sum over modes equals the box's, so J, the multipliers and
+the norms are the box's to rounding, and u and phi are unfolded at exit.
+A 1d box has no transverse axis and never folds.
+
 Convergence is declared on the H^1_0 tangent gradient norm.  For s >= 0 the
 shifted tangent norm, whose square is the Armijo decrease rate, is at most
 the H^1_0 norm: both are the sup of <grad J, v> / |v| over tangent v, and
@@ -63,7 +76,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +86,7 @@ from .lbfgs import _Pairs, _quasi_newton_direction
 from .manifold import _project_dst, genus_seeds, retract
 from .problem import Problem
 from .reduction import phi_map
-from .solvers import _dst_interior, _from_dst_interior, _symbols
+from .solvers import _MATRIX_MAX_NODES, _dst_interior, _from_dst_interior, _symbols
 
 __all__ = [
     "OptimizerOptions",
@@ -98,6 +111,9 @@ _POSITIVE_FLOOR = -1e-8
 # energy gap both fall below these.
 _DEDUPE_L2 = 1e-3
 _DEDUPE_J = 1e-6
+# A field is mirror-invariant along an axis when it differs from its mirror
+# image by at most this, relative to its largest magnitude.
+_MIRROR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,6 +145,7 @@ class SolveResult:
     stop_reason: str
     grad_norm: float
     phi: np.ndarray
+    folded: tuple[int, ...] = ()  # the axes of the mirror sector it ran on
 
     @property
     def converged(self) -> bool:
@@ -153,9 +170,42 @@ def minimize_on_M(problem: Problem,
     return _minimize(problem, u0, opts or OptimizerOptions())
 
 
+def _mirror_invariant(f: np.ndarray, axis: int) -> bool:
+    return bool(np.max(np.abs(f - np.flip(f, axis))) <= _MIRROR_TOL * np.max(np.abs(f)))
+
+
+def _fold_axes(problem: Problem, u0: np.ndarray) -> tuple[int, ...]:
+    """The axes a >= 1 whose mirror sector the descent from ``u0`` runs on:
+    those with an odd node count on the matrix path along which q, chi and
+    ``u0`` are mirror-invariant (``_MIRROR_TOL``).  The test of q and chi
+    is kept on the problem."""
+    axes = problem.__dict__.get("_mirror_axes")
+    if axes is None:
+        n = problem.grid.n
+        axes = problem.__dict__["_mirror_axes"] = tuple(
+            a for a in range(1, len(n))
+            if n[a] % 2 and n[a] <= _MATRIX_MAX_NODES
+            and _mirror_invariant(problem.q, a) and _mirror_invariant(problem.chi, a))
+    return tuple(a for a in axes if _mirror_invariant(u0, a))
+
+
+def _fold(problem: Problem, u0: np.ndarray) -> tuple[Problem, np.ndarray]:
+    """The problem and the start on the mirror sector of ``_fold_axes``, or
+    both as given when it names no axis.  The sector is built for each
+    descent and freed with it: kept on the problem, its fields and symbols
+    outlived the descent into the audit and raised peak memory."""
+    axes = _fold_axes(problem, u0)
+    if not axes:
+        return problem, u0
+    grid = problem.grid.sector(axes)
+    return (replace(problem, grid=grid, q=grid.fold(problem.q), chi=grid.fold(problem.chi)),
+            grid.fold(u0))
+
+
 def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> SolveResult:
+    problem, u0 = _fold(problem, require_zero_boundary(problem.grid, u0))
     grid = problem.grid
-    u = retract(problem, require_zero_boundary(grid, u0))
+    u = retract(problem, u0)
     phi, u_hat, j, dirichlet, c1, c2 = _evaluate(problem, u)
     step = _INITIAL_STEP
     sym = _symbols(grid)
@@ -248,9 +298,9 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
 
     lam, beta, sob = h1
     return SolveResult(
-        u=u, j=j, omega=lam, mu=-beta,
+        u=grid.unfold(u), j=j, omega=lam, mu=-beta,
         iterations=iterations, stop_reason=reason,
-        grad_norm=sob, phi=phi,
+        grad_norm=sob, phi=grid.unfold(phi), folded=grid.mirror,
     )
 
 
@@ -298,10 +348,14 @@ def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray,
     stencil of -lap exactly: ``tangent_project(problem, u, u + S(w))``.
     The gradient and the projection take the transforms of w and q u.  With
     the coefficients the descent forms its products as sums over modes: the
-    transform T is symmetric with T T = scale and diagonalizes the stencil
-    of -lap with symbol sigma, so for fields a, b that vanish on the
-    boundary dirichlet_inner(a, b) + s inner(a, b) = sum((sigma + s) a_hat
-    b_hat) * prod h / scale.
+    transform T diagonalizes the stencil of -lap with symbol sigma, and sum
+    a_hat b_hat = scale * sum(c a b) over the interior nodes, with c the
+    number of box nodes each one stands for: 1 on a box, where T is
+    symmetric with T T = scale, and on a mirror sector a factor 2 for each
+    mirrored axis whose mirror node it is not.  So for fields a, b that
+    vanish on the boundary dirichlet_inner(a, b) + s inner(a, b) =
+    sum((sigma + s) a_hat b_hat) * prod h / scale, on the box and on its
+    mirror sectors.
     """
     grid = problem.grid
     qu = problem.q * u  # shared by w and the projection

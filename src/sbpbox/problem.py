@@ -25,7 +25,6 @@ from .errors import SbpError
 from .grid import (
     BoundaryData,
     Grid,
-    boundary_integrate,
     integrate,
     norm_l2,
     read_field,
@@ -152,7 +151,7 @@ class Problem:
 
 def compute_alpha(grid: Grid, h1: BoundaryData, h2: BoundaryData) -> float:
     """Flux gap: surface integral of h2 minus surface integral of h1."""
-    return boundary_integrate(grid, h2) - boundary_integrate(grid, h1)
+    return h2.integral - h1.integral
 
 
 def solve_chi(grid: Grid,
@@ -168,9 +167,8 @@ def solve_chi(grid: Grid,
     alpha = compute_alpha(grid, h1, h2)
     source = np.full(grid.shape, alpha / grid.volume)
     theta = solve_helmholtz_neumann(grid, source, h2)
-    surf_h1 = boundary_integrate(grid, h1)
     scale = 1.0 + abs(alpha) + norm_l2(grid, theta)
-    defect = integrate(grid, theta) - surf_h1
+    defect = integrate(grid, theta) - h1.integral
     if abs(defect) > _CHI_CHECK_TOL * scale:
         raise SbpError(
             f"mean of theta differs from surface integral of h1 by {defect:.3e} "

@@ -20,6 +20,17 @@ mode for the zero-mean Poisson solve, the interior ``sigma`` for Dirichlet),
 the transform matrices and the normalization ``prod 2 (n - 1)`` depend only
 on the grid, so they are computed once per ``Grid`` and cached as read-only
 arrays.
+
+On the mirror sector of a box (``Grid.mirror``, axes of 2m + 1 nodes
+folded onto nodes 0..m), the fields are even about the mirror node, so
+along a mirrored axis only every other mode of the box is nonzero: the odd
+DST-I modes k = 1, 3, ..., 2m - 1 and the even DCT-I modes k = 0, 2, ...,
+2m.  The symbols are those subsets of the box's.  The transforms are the
+box's on those modes (``_sector_pair``): an m x m forward DST-I matrix and
+its inverse, and an (m + 1) x (m + 1) DCT-I pair whose inverse is the plain
+DCT-I of the m + 1 half-grid nodes and whose forward matrix is twice it.
+They keep the box's coefficients and its scale, so every sum over modes
+equals the box's.  A mirrored axis needs the matrix path.
 The descent gradient and its tangent projection work on the DST-I
 coefficients of interior values directly (``_dst_interior`` and its inverse
 ``_from_dst_interior``).
@@ -49,7 +60,6 @@ from .grid import (
     BoundaryData,
     Grid,
     _axis_slice,
-    boundary_integrate,
     integrate,
     neumann_flux_field,
     norm_l2,
@@ -87,6 +97,7 @@ def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
     return -np.fft.rfft(odd, axis=axis).imag[_axis_slice(x.ndim, axis, slice(1, -1))]
 
 
+@lru_cache(maxsize=16)  # a mirror sector shares the matrices of its box
 def _dct1_matrix(n: int) -> np.ndarray:
     """The matrix of ``_dct1`` on n nodes: 2 cos(pi j k / (n - 1)), with
     columns 0 and n - 1 halved."""
@@ -96,6 +107,7 @@ def _dct1_matrix(n: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=16)
 def _dst1_matrix(m: int) -> np.ndarray:
     """The matrix of ``_dst1`` on m nodes: 2 sin(pi j k / (m + 1)), j, k = 1..m."""
     jk = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * (m + 1))
@@ -123,21 +135,27 @@ def _transform(x: np.ndarray, mats: tuple[np.ndarray | None, ...],
 
 class _Symbols(NamedTuple):
     """Per-grid divisors and transform matrices of the spectral solves
-    (read-only arrays)."""
+    (read-only arrays).  The forward and inverse matrices of an axis are
+    one matrix unless the axis is mirrored."""
 
     helmholtz: np.ndarray   # 1 + sigma on the DCT-I modes
     zeromean: np.ndarray    # sigma on the DCT-I modes, inf at the constant mode
     dirichlet: np.ndarray   # sigma on the DST-I modes
-    dct: tuple[np.ndarray | None, ...]  # DCT-I matrix per axis, None: FFT
-    dst: tuple[np.ndarray | None, ...]  # DST-I matrix per axis, None: FFT
-    scale: float            # prod 2 (n - 1): a transform applied twice
+    dct: tuple[np.ndarray | None, ...]  # forward DCT-I matrix per axis, None: FFT
+    dst: tuple[np.ndarray | None, ...]  # forward DST-I matrix per axis, None: FFT
+    idct: tuple[np.ndarray | None, ...]  # inverse DCT-I matrix per axis
+    idst: tuple[np.ndarray | None, ...]  # inverse DST-I matrix per axis
+    scale: float            # prod 2 (n - 1) of the box: inverse after forward
 
 
 def _sigma(grid: Grid, dirichlet: bool) -> np.ndarray:
-    """Eigenvalues of -lap on the transform modes, summed over axes."""
+    """Eigenvalues of -lap on the transform modes, summed over axes; along a
+    mirrored axis the modes even about the mirror node, every other one."""
     total = np.zeros((1,) * grid.dim)
-    for a, (h, n) in enumerate(zip(grid.h, grid.n)):
+    for a, (h, n) in enumerate(zip(grid.h, grid.box_n)):
         k = np.arange(1, n - 1) if dirichlet else np.arange(n)
+        if a in grid.mirror:
+            k = k[::2]
         shape = [1] * grid.dim
         shape[a] = k.size
         lam = 4.0 / h**2 * np.sin(np.pi * k / (2 * (n - 1))) ** 2
@@ -146,11 +164,27 @@ def _sigma(grid: Grid, dirichlet: bool) -> np.ndarray:
 
 
 def _symbols(grid: Grid) -> _Symbols:
-    """Kept on the grid object: a lookup is one dict access, not a hash."""
+    """Kept on the grid object: a lookup is one dict access, not a hash.  A
+    mirror sector's symbols are kept there only, so that they are freed
+    with the sector."""
     sym = grid.__dict__.get("_symbols")
     if sym is None:
-        sym = grid.__dict__["_symbols"] = _build_symbols(grid)
+        build = _build_symbols.__wrapped__ if grid.mirror else _build_symbols
+        sym = grid.__dict__["_symbols"] = build(grid)
     return sym
+
+
+def _sector_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and inverse matrices of the box transform ``mat`` on the
+    mirror sector of its axis, for fields even about the mirror node.  The
+    box coefficients of such a field vanish on every other mode; the
+    forward matrix gives the others, from the sector's values, by summing
+    the columns of each node and its mirror image, and the inverse matrix
+    is the box's, on the sector's rows and those modes."""
+    keep, s = mat[::2], (mat.shape[1] + 1) // 2
+    forward = keep[:, :s] + keep[:, ::-1][:, :s]
+    forward[:, -1] *= 0.5  # the mirror node is its own image
+    return forward, np.ascontiguousarray(mat[:s, ::2])
 
 
 @lru_cache(maxsize=8)  # equal Grid objects share one build
@@ -159,15 +193,22 @@ def _build_symbols(grid: Grid) -> _Symbols:
     zeromean = sigma.copy()
     zeromean[(0,) * grid.dim] = np.inf  # drop the constant mode
     arrays = (1.0 + sigma, zeromean, _sigma(grid, True))
-    sizes = {n for n in grid.n if n <= _MATRIX_MAX_NODES}
+    sizes = {n for n in grid.box_n if n <= _MATRIX_MAX_NODES}
     dct = {n: _dct1_matrix(n) for n in sizes}
     dst = {n: _dst1_matrix(n - 2) for n in sizes}
-    for arr in (*arrays, *dct.values(), *dst.values()):
-        arr.flags.writeable = False
-    return _Symbols(*arrays,
-                    dct=tuple(dct.get(n) for n in grid.n),
-                    dst=tuple(dst.get(n) for n in grid.n),
-                    scale=float(np.prod([2.0 * (n - 1) for n in grid.n])))
+    dct, dst = [dct.get(n) for n in grid.box_n], [dst.get(n) for n in grid.box_n]
+    idct, idst = list(dct), list(dst)
+    for a in grid.mirror:
+        if dct[a] is None:
+            raise ValueError(f"mirrored axis {a} of {grid} is longer than "
+                             f"{_MATRIX_MAX_NODES} nodes")
+        (dct[a], idct[a]), (dst[a], idst[a]) = _sector_pair(dct[a]), _sector_pair(dst[a])
+    for arr in (*arrays, *dct, *dst, *idct, *idst):
+        if arr is not None:
+            arr.flags.writeable = False
+    return _Symbols(*arrays, dct=tuple(dct), dst=tuple(dst), idct=tuple(idct),
+                    idst=tuple(idst),
+                    scale=float(np.prod([2.0 * (n - 1) for n in grid.box_n])))
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
@@ -176,10 +217,10 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _spectral_solve(rhs: np.ndarray, mats: tuple[np.ndarray | None, ...],
-                    fft: Callable[[np.ndarray, int], np.ndarray],
-                    symbol: np.ndarray, scale: float) -> np.ndarray:
-    return _finite(_transform(_transform(rhs, mats, fft) / symbol, mats, fft) / scale)
+def _spectral_solve(rhs: np.ndarray, sym: _Symbols, symbol: np.ndarray) -> np.ndarray:
+    """The DCT-I solve: forward transform, division by ``symbol``, inverse."""
+    return _finite(_transform(_transform(rhs, sym.dct, _dct1) / symbol, sym.idct, _dct1)
+                   / sym.scale)
 
 
 def solve_fourth_order_split(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -199,7 +240,7 @@ def solve_fourth_order_split(grid: Grid, f: np.ndarray) -> np.ndarray:
     # In place: this solve sets the descent's peak memory.
     f_hat /= sym.helmholtz
     f_hat /= sym.zeromean
-    phi = _transform(f_hat, sym.dct, _dct1)
+    phi = _transform(f_hat, sym.idct, _dct1)
     phi /= sym.scale
     return _finite(phi)
 
@@ -218,7 +259,7 @@ def solve_helmholtz_neumann(grid: Grid,
     if flux is not None and not flux.is_zero:
         rhs = rhs + neumann_flux_field(grid, flux)
     sym = _symbols(grid)
-    return _spectral_solve(rhs, sym.dct, _dct1, sym.helmholtz, sym.scale)
+    return _spectral_solve(rhs, sym, sym.helmholtz)
 
 
 def solve_poisson_neumann_zeromean(grid: Grid,
@@ -234,7 +275,7 @@ def solve_poisson_neumann_zeromean(grid: Grid,
     non-finite data, which are stopped before the check and any transform.
     """
     f = np.asarray(f, dtype=float)
-    surf = 0.0 if flux is None else boundary_integrate(grid, flux)
+    surf = 0.0 if flux is None else flux.integral
     imbalance = integrate(grid, f) - surf
     scale = norm_l2(grid, f)
     if flux is not None:
@@ -254,22 +295,21 @@ def solve_poisson_neumann_zeromean(grid: Grid,
     if flux is not None and not flux.is_zero:
         rhs = f - neumann_flux_field(grid, flux)
     sym = _symbols(grid)
-    return _spectral_solve(-rhs, sym.dct, _dct1, sym.zeromean, sym.scale)
+    return _spectral_solve(-rhs, sym, sym.zeromean)
 
 
 def _dst_interior(grid: Grid, f: np.ndarray) -> np.ndarray:
     """DST-I coefficients of the interior values of ``f``."""
-    interior = (slice(1, -1),) * grid.dim
-    return _transform(np.asarray(f, dtype=float)[interior], _symbols(grid).dst, _dst1)
+    return _transform(np.asarray(f, dtype=float)[grid.interior], _symbols(grid).dst, _dst1)
 
 
 def _from_dst_interior(grid: Grid, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the field with DST-I coefficients ``coef`` into the interior of
     ``out`` and return ``out``; its boundary values are left as they are."""
     sym = _symbols(grid)
-    values = _transform(coef, sym.dst, _dst1)
+    values = _transform(coef, sym.idst, _dst1)
     values /= sym.scale
-    out[(slice(1, -1),) * grid.dim] = _finite(values)
+    out[grid.interior] = _finite(values)
     return out
 
 

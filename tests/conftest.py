@@ -158,6 +158,15 @@ def two_bump_start(problem, region):
     raise AssertionError(f"no two-bump start in region {region}")
 
 
+def descent_view(problem, res):
+    """The problem that the descent behind ``res`` ran on, with u and phi
+    there: the problem on the mirror sector of ``res.folded``, built again
+    as the descent built it (``optimize._fold``), or ``problem`` itself."""
+    sector, u = optimize._fold(problem, res.u)
+    assert sector.grid.mirror == res.folded
+    return sector, u, sector.grid.fold(res.phi)
+
+
 @dataclass
 class Pass:
     """One pass of the descent loop, that is one ``_tangent_gradient`` call
@@ -185,13 +194,16 @@ class Pass:
 
 @dataclass
 class Descent:
-    """What one call of ``optimize._minimize`` did: its ``result``, each
-    ``retract`` call's (argument, result), with None for a retraction that
-    raised, each ``_evaluate`` call's (point, J), each ``Pass``, the
+    """What one call of ``optimize._minimize`` did: its ``result``, the
+    ``problem`` it ran on (the mirror sector's, when the descent folded),
+    each ``retract`` call's (argument, result), with None for a retraction
+    that raised, each ``_evaluate`` call's (point, J), each ``Pass``, the
     number of L-BFGS memories (``_Pairs``) it allocated and the number of
-    H^1_0 checks (``_h1_check``) it ran."""
+    H^1_0 checks (``_h1_check``) it ran.  Fields of a pass live on the
+    grid of ``problem``."""
 
     result: object = None
+    problem: object = None
     retractions: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     passes: list = field(default_factory=list)
@@ -252,6 +264,7 @@ class DescentSpy:
 
         def spy_evaluate(problem, u):
             out = evaluate(problem, u)
+            self.descents[-1].problem = problem
             self.descents[-1].energies.append((u, out[2]))
             return out
 

@@ -459,3 +459,25 @@ def test_ground_stall_is_reported(tmp_path, monkeypatch):
     assert state["stop_reason"] == "line_search_stall"
     assert state["optimizer_converged"] is False
     assert state["converged"] is False
+
+
+def test_progress_names_the_folded_axes(tmp_path, capsys):
+    """``solve`` and ``refine`` say in one line whether the descent ran on
+    a mirror sector and along which axes; report.json gets no key for it."""
+    from sbpbox import cli
+
+    square = GROUND_CFG.replace("domain.dim = 1", "domain.dim = 2")
+    keys = []
+    for command, text, line in [
+            ("solve", GROUND_CFG, "descent on the full box"),
+            ("solve", square, "descent on the mirror sector of axes 1"),
+            ("refine", square + "run.grids = 9,17\n", "descent on the mirror sector of axes 1"),
+            ("solve", EXCITED_CFG, "descent on the full box")]:
+        out = tmp_path / f"out{len(keys)}"
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [s for s in lines if s.startswith("descent on")] == [line]
+        report = json.loads((out / "report.json").read_text())
+        keys.append((sorted(report), sorted(report["states"][0])))
+    assert keys[0] == keys[1] == keys[3]

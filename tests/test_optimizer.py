@@ -31,8 +31,8 @@ from sbpbox.optimize import (
 from sbpbox.reduction import phi_map
 from sbpbox.solvers import _dst_interior, _symbols, solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
-from conftest import (DescentSpy, axis_slab_region, line_problem, oscillating_problem,
-                      two_bump_start)
+from conftest import (DescentSpy, axis_slab_region, descent_view, line_problem,
+                      oscillating_problem, two_bump_start)
 from dataclasses import replace as dc_replace
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -264,9 +264,10 @@ def test_one_evaluation_per_trial_point(case, bench65, monkeypatch):
 
 def assert_multipliers_at_iterate(problem, res):
     """(omega, mu) are the coefficients (lam, -beta) of the tangent
-    projection at the returned iterate."""
-    u_hat = _dst_interior(problem.grid, res.u)
-    lam, beta, *_ = _tangent_gradient(problem, res.u, res.phi, u_hat, 0.0,
+    projection at the returned iterate, on the problem the descent ran on."""
+    problem, u, phi = descent_view(problem, res)
+    u_hat = _dst_interior(problem.grid, u)
+    lam, beta, *_ = _tangent_gradient(problem, u, phi, u_hat, 0.0,
                                       _symbols(problem.grid).dirichlet)
     assert (res.omega, res.mu) == (lam, -beta)
 
@@ -422,20 +423,23 @@ def test_both_metrics_give_the_same_multipliers_at_a_converged_state(n, dim):
     """At a critical point grad J = lam u + beta q u, so the projection
     gives the same (lam, beta) in every metric; at a state converged to
     ``grad_tol`` they agree to 1e-6 relative, for the shift the descent
-    takes there (lam - |grad u|^2, when positive) and for 1 and 1e3."""
+    takes there (lam - |grad u|^2, when positive) and for 1 and 1e3.  Both
+    are taken on the problem the descent ran on, the mirror sector's in 2d
+    and 3d."""
     prob = oscillating_problem(n, dim=dim)
     res = minimize_on_M(prob, feasible_init(prob), OptimizerOptions(max_iterations=8000))
-    assert res.converged
+    assert res.converged and len(res.folded) == dim - 1
+    prob, u, phi = descent_view(prob, res)
     g = prob.grid
     sigma = _symbols(g).dirichlet
-    u_hat = _dst_interior(g, res.u)
-    lam, beta, *_ = _tangent_gradient(prob, res.u, res.phi, u_hat, 0.0, sigma)
+    u_hat = _dst_interior(g, u)
+    lam, beta, *_ = _tangent_gradient(prob, u, phi, u_hat, 0.0, sigma)
     assert (lam, -beta) == (res.omega, res.mu)
     shifts = [1.0, 1e3]
-    if lam > dirichlet_energy(g, res.u):
-        shifts.append(lam - dirichlet_energy(g, res.u))
+    if lam > dirichlet_energy(g, u):
+        shifts.append(lam - dirichlet_energy(g, u))
     for shift in shifts:
-        lam_s, beta_s, *_ = _tangent_gradient(prob, res.u, res.phi, u_hat, shift,
+        lam_s, beta_s, *_ = _tangent_gradient(prob, u, phi, u_hat, shift,
                                               sigma + shift)
         assert lam_s == pytest.approx(lam, rel=1e-6)
         assert beta_s == pytest.approx(beta, rel=1e-6)

@@ -50,7 +50,7 @@ from sbpbox.solvers import (
     solve_poisson_dirichlet,
     solve_poisson_neumann_zeromean,
 )
-from conftest import DescentSpy
+from conftest import DescentSpy, oscillating_problem
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=20)
@@ -352,14 +352,22 @@ def check_tail_directions(g, seed):
                          h2=BoundaryData.constant(g, {"x1": 1.5 / math.prod(g.lengths[1:])}),
                          kappa=1.0, p=3.0)
     assert prob.alpha == pytest.approx(1.5)
+    check_tail_run(prob)
+
+
+def check_tail_run(prob):
+    """The checks of ``check_tail_directions`` on the descent from
+    ``feasible_init(prob)``, on the problem it ran on; returns its
+    ``Descent``, or None when it has no start."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "_QN_START", 1)
         spy = DescentSpy(mp)
         try:
             optimize.minimize_on_M(prob, feasible_init(prob), OptimizerOptions(max_iterations=15))
         except (InfeasibleRegion, ManifoldError):
-            return  # q does not bracket alpha, or too few interior nodes
+            return None  # q does not bracket alpha, or too few interior nodes
     (run,) = spy.descents
+    prob, g = run.problem, run.problem.grid  # the mirror sector's, when folded
     sym = _symbols(g)
     metric = math.prod(g.h) / sym.scale
     for prev, cur in zip(run.passes, run.passes[1:]):
@@ -384,12 +392,22 @@ def check_tail_directions(g, seed):
         assert cur.slope > 0.0
         assert cur.slope == pytest.approx(
             metric * float(np.vdot(cur.symbol * cur.gt_hat, d_hat)), abs=1e-12 * norms)
+    return run
 
 
 @PROPERTY
 @given(grids(), SEEDS)
 def test_tail_directions_are_tangent_descent_directions(g, seed):
     check_tail_directions(g, seed)
+
+
+@pytest.mark.parametrize("n, dim", [(17, 2), (13, 3)], ids=["2d", "3d"])
+def test_tail_directions_on_a_mirror_sector(n, dim):
+    """The same on the excited-search problem, whose descent runs on the
+    mirror sector of every transverse axis."""
+    run = check_tail_run(oscillating_problem(n, dim=dim))
+    assert run.problem.grid.mirror == tuple(range(1, dim))
+    assert any(p.direction is not p.gt for p in run.tail)
 
 
 def check_trial_evaluation(g, seed):
