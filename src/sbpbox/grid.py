@@ -26,6 +26,10 @@ on nodes 0..m - 1 (the trapezoid weight doubled), once on node m, and its
 interior runs through node m.  Integrals, inner products, both stencils and
 ``dirichlet_inner`` of symmetric fields then equal those on the whole box.
 Boundary data and field dumps live on the whole box only.
+
+A grid keeps only its quadrature weights: ``dirichlet_inner`` builds its cell
+weights per call, the package evaluates on the broadcast ``axes``, never on
+the coordinate fields ``coords``, and a stencil needs one scratch field.
 """
 
 from __future__ import annotations
@@ -77,7 +81,6 @@ class Grid:
         Edge lengths, all positive.  One to three axes.
     n : tuple of int
         Nodes per axis, at least 3 each (the stencils need one interior node).
-
     mirror : tuple of int
         The axes along which this grid is the mirror sector of a box twice
         as long, with 2 n_a - 1 nodes (see the module docstring); empty for
@@ -107,9 +110,8 @@ class Grid:
             raise ValueError(f"mirror axes {mirror} outside 0..{len(n) - 1}")
         if any(m < (2 if a in mirror else 3) for a, m in enumerate(n)):
             raise ValueError(f"need at least 3 nodes per axis of the box, got {n}")
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mirror", mirror)
+        for name, value in (("lengths", lengths), ("n", n), ("mirror", mirror)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -144,7 +146,7 @@ class Grid:
 
     @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
-        """Coordinate fields, each of shape ``grid.shape``."""
+        """Coordinate fields of shape ``grid.shape``; the package uses ``axes``."""
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     @cached_property
@@ -166,29 +168,17 @@ class Grid:
         return reduce(np.multiply.outer, self.axis_weights)
 
     @cached_property
-    def cell_weights(self) -> tuple[np.ndarray, ...]:
-        """Weights for the per-axis difference quotients in ``dirichlet_inner``.
-
-        For axis ``a`` the array has shape ``n`` with ``n_a`` replaced by
-        ``n_a - 1``: full spacing along the difference axis, trapezoid weights
-        transversally.  With these weights the summation-by-parts identity
-        against ``laplacian_neumann`` is exact.  Along a mirrored axis each
-        cell stands for itself and its mirror image, so its weight doubles.
-        """
-        out = []
-        for a in range(self.dim):
-            vecs = list(self.axis_weights)
-            vecs[a] = np.full(self.n[a] - 1, 2.0 * self.h[a] if a in self.mirror
-                              else self.h[a])
-            out.append(reduce(np.multiply.outer, vecs))
-        return tuple(out)
-
-    @cached_property
     def interior(self) -> tuple[slice, ...]:
         """Index of the interior nodes; along a mirrored axis it runs through
         the mirror node."""
         return tuple(slice(1, None) if a in self.mirror else slice(1, -1)
                      for a in range(self.dim))
+
+    @cached_property
+    def boundary(self) -> tuple[tuple, ...]:
+        """Index tuples of the boundary faces: all but a sector's mirror nodes."""
+        return tuple(self.face_index(a, s) for a, s in self.faces()
+                     if not (s and a in self.mirror))
 
     @cached_property
     def interior_mask(self) -> np.ndarray:
@@ -221,9 +211,7 @@ class Grid:
 
     def face_index(self, axis: int, side: int) -> tuple:
         """Index tuple selecting the nodes of one face."""
-        idx: list = [slice(None)] * self.dim
-        idx[axis] = 0 if side == 0 else -1
-        return tuple(idx)
+        return _axis_slice(self.dim, axis, -side)
 
     @cached_property
     def face_weights(self) -> tuple[np.ndarray, ...]:
@@ -239,9 +227,7 @@ class Grid:
         return tuple(out)
 
     def faces(self):
-        for a in range(self.dim):
-            for s in (0, 1):
-                yield (a, s)
+        return ((a, s) for a in range(self.dim) for s in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -263,10 +249,8 @@ class BoundaryData:
                 raise ValueError(f"missing boundary face {face}")
             arr = np.asarray(self.values[face], dtype=float)
             if arr.shape != self.grid.face_shape(face[0]):
-                raise ValueError(
-                    f"face {face}: expected shape {self.grid.face_shape(face[0])}, "
-                    f"got {arr.shape}"
-                )
+                raise ValueError(f"face {face}: expected shape "
+                                 f"{self.grid.face_shape(face[0])}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"face {face}: boundary data must be finite")
             vals[face] = arr
@@ -290,9 +274,8 @@ class BoundaryData:
                 if face not in table:
                     raise ValueError(f"unknown face {key} for dim={grid.dim}")
                 table[face] = float(v)
-        return cls(grid, {
-            face: np.full(grid.face_shape(face[0]), c) for face, c in table.items()
-        })
+        return cls(grid, {face: np.full(grid.face_shape(face[0]), c)
+                          for face, c in table.items()})
 
     def face(self, axis: int, side: int) -> np.ndarray:
         return self.values[(axis, side)]
@@ -346,29 +329,37 @@ def _axis_slice(ndim: int, axis: int, s) -> tuple:
 def zero_boundary(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Copy of ``f`` with boundary nodes set exactly to zero."""
     out = np.array(f, dtype=float)
-    out[~grid.interior_mask] = 0.0
+    for idx in grid.boundary:
+        out[idx] = 0.0
     return out
 
 
-def require_zero_boundary(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """``zero_boundary(grid, f)``, or ``SbpError`` when ``f`` exceeds
-    ``1e-12 * (1 + max|f|)`` on a boundary node, the maximum taken over the
-    finite values, or is not finite there."""
+def _boundary_magnitude(grid: Grid, f: np.ndarray) -> float:
+    """max |f| over the boundary faces; ``SbpError`` when it exceeds ``1e-12 *
+    (1 + max|f|)``, max over the finite values, or is not finite."""
     f = np.asarray(f, dtype=float)
-    worst = float(np.max(np.abs(f[~grid.interior_mask])))
+    worst = float(np.max([np.max(np.abs(f[idx])) for idx in grid.boundary]))
     limit = 1e-12 * (1.0 + float(np.max(np.abs(f), where=np.isfinite(f), initial=0.0)))
     if not worst <= limit:
-        raise SbpError(f"field has boundary magnitude {worst:.3e} "
-                       f"(limit {limit:.3e})")
+        raise SbpError(f"field has boundary magnitude {worst:.3e} (limit {limit:.3e})")
+    return worst
+
+
+def require_zero_boundary(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """``zero_boundary(grid, f)`` after ``_boundary_magnitude``'s check."""
+    _boundary_magnitude(grid, f)
     return zero_boundary(grid, f)
 
 
 def laplacian_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order Laplacian of a field vanishing on the boundary
     (``require_zero_boundary``): the interior rows of ``laplacian_neumann``,
-    and zero on boundary nodes."""
-    out = laplacian_neumann(grid, require_zero_boundary(grid, f))
-    out[~grid.interior_mask] = 0.0
+    and zero on boundary nodes.  A boundary of signed zeros is read in place:
+    a term it turns into -0.0 adds to +0.0, so every row is bitwise the same."""
+    out = laplacian_neumann(
+        grid, f if _boundary_magnitude(grid, f) == 0.0 else zero_boundary(grid, f))
+    for idx in grid.boundary:
+        out[idx] = 0.0
     return out
 
 
@@ -383,19 +374,23 @@ def laplacian_neumann(grid: Grid, f: np.ndarray,
     """
     f = np.asarray(f, dtype=float)
     out = np.zeros_like(f)
+    scratch = np.empty(f.size)  # the one field beside ``out``
     nd = grid.dim
     for a in range(nd):
         h2 = grid.h[a] ** 2
         lo = _axis_slice(nd, a, slice(0, -2))
         mid = _axis_slice(nd, a, slice(1, -1))
         hi = _axis_slice(nd, a, slice(2, None))
-        out[mid] += (f[lo] - 2.0 * f[mid] + f[hi]) / h2
-        first = _axis_slice(nd, a, 0)
-        second = _axis_slice(nd, a, 1)
-        last = _axis_slice(nd, a, -1)
-        seclast = _axis_slice(nd, a, -2)
-        out[first] += 2.0 * (f[second] - f[first]) / h2
-        out[last] += 2.0 * (f[seclast] - f[last]) / h2
+        # (f[lo] - 2 f[mid] + f[hi]) / h2, in that order, in the scratch.
+        s = scratch[:f[mid].size].reshape(f[mid].shape)
+        np.subtract(f[lo], np.multiply(f[mid], 2.0, out=s), out=s)
+        s += f[hi]
+        s /= h2
+        out[mid] += s
+        for face, near in ((0, 1), (-1, -2)):  # the rows of the ghost nodes
+            face, near = _axis_slice(nd, a, face), _axis_slice(nd, a, near)
+            out[face] += 2.0 * (f[near] - f[face]) / h2
+    del s, scratch  # the flux field takes its place
     if flux is not None and not flux.is_zero:
         out += neumann_flux_field(grid, flux)
     return out
@@ -418,7 +413,9 @@ def dirichlet_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     """Discrete integral of grad(f) . grad(g) by forward differences.
 
     Per axis, difference quotients live at cell midpoints and are weighted by
-    the full spacing along that axis and trapezoid weights transversally.
+    the full spacing along that axis (doubled along a mirrored one, where a
+    cell stands for its image too) and trapezoid weights transversally; these
+    cell weights are built per call.
     This specific quadrature satisfies, to rounding,
 
         dirichlet_inner(grid, f, g) == -inner(grid, laplacian_neumann(grid, f), g)
@@ -432,10 +429,13 @@ def dirichlet_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     total = 0.0
-    for a, (h, weights) in enumerate(zip(grid.h, grid.cell_weights)):
+    for a, h in enumerate(grid.h):
+        vecs = list(grid.axis_weights)
+        vecs[a] = np.full(grid.n[a] - 1, 2.0 * h if a in grid.mirror else h)
+        wdf = reduce(np.multiply.outer, vecs)
         df = np.diff(f, axis=a)
-        dg = df if g is f else np.diff(g, axis=a)
-        total += float(np.vdot(weights * df, dg)) / (h * h)
+        wdf *= df
+        total += float(np.vdot(wdf, df if g is f else np.diff(g, axis=a))) / (h * h)
     return total
 
 

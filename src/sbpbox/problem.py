@@ -83,23 +83,23 @@ class CouplingSpec:
         for key in p:
             if key not in required + optional:
                 raise ValueError(f"coupling kind {self.kind!r} takes no parameter {key!r}")
+        x = np.ix_(*grid.axes)  # broadcast axes: only q itself is a full field
         if self.kind == "affine":
-            q = float(p.get("a", 0.0)) + float(p.get("b", 0.0)) * grid.coords[0]
+            q = float(p.get("a", 0.0)) + float(p.get("b", 0.0)) * x[0]
         elif self.kind == "radial_bump":
             center = np.atleast_1d(np.asarray(p.get("center", [L / 2 for L in grid.lengths]), dtype=float))
             if center.shape != (grid.dim,):
                 raise ValueError(f"coupling parameter 'center' needs {grid.dim} entries")
             radius = float(p["radius"])
-            r2 = sum((c - ci) ** 2 for c, ci in zip(grid.coords, center))
+            r2 = sum((c - ci) ** 2 for c, ci in zip(x, center))
             q = float(p.get("base", 0.0)) + float(p.get("height", 1.0)) * np.clip(
                 1.0 - r2 / radius**2, 0.0, None
             ) ** 2
         elif self.kind == "oscillating":
-            x = grid.coords[0] / grid.lengths[0]
-            q = (float(p.get("base", 0.0))
-                 + float(p.get("amplitude", 1.0))
-                 * np.sin(2.0 * math.pi * float(p.get("cycles", 3)) * x)
-                 + float(p.get("tilt", 0.0)) * x)
+            s = x[0] / grid.lengths[0]
+            q = (float(p.get("base", 0.0)) + float(p.get("amplitude", 1.0))
+                 * np.sin(2.0 * math.pi * float(p.get("cycles", 3)) * s)
+                 + float(p.get("tilt", 0.0)) * s)
         else:
             tab_grid, values = read_field(p["file"])
             if tab_grid != grid:
@@ -107,7 +107,7 @@ class CouplingSpec:
                     f"tabulated coupling grid {tab_grid} does not match {grid}"
                 )
             q = values
-        return np.asarray(q, dtype=float) + np.zeros(grid.shape)
+        return np.add(q, 0.0, out=np.empty(grid.shape))  # -0.0 becomes 0.0
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,22 @@
 
 A converged reduced state (u, omega, mu) is certified by reconstructing the
 full potential phi = phi_u + chi + mu and measuring, with discretizations
-that are independent of the ones used during optimization where possible:
+that are independent of the ones used during optimization where possible,
+in this order:
 
-  * the single-particle equation through a wide fourth-order Laplacian
-    stencil on the deep interior (independent of the optimizer's three-point
-    stencil, so agreement is evidence rather than tautology);
+  * both flux conditions through one-sided second-order boundary derivatives
+    of phi and z = lap phi, which are then freed;
   * the fourth-order potential equation through the native factored stencils
     (this one certifies the splitting plumbing and the exact solves);
-  * both flux conditions through one-sided second-order boundary derivatives;
+  * the single-particle equation through a wide fourth-order Laplacian
+    stencil on the deep interior (independent of the optimizer's three-point
+    stencil, so agreement is evidence rather than tautology), then through
+    the three-point stencil, both from the shared term (q phi - omega) u;
   * the two constraint integrals.
+
+The audit holds one residual field at a time: each is reduced to its norm
+and freed before the next, and each stencil works in one scratch field, so
+it holds at most four fields beyond its inputs (and NumPy's buffers).
 
 ``dense_oracle_compare`` cross-checks every spectral solve against LU
 factorizations of explicitly assembled matrices; ``dense_kkt_polish`` runs a
@@ -79,51 +86,43 @@ _KKT_MAX_NEWTON = 40
 
 def reconstruct_phi(problem: Problem, phi: np.ndarray, mu: float) -> np.ndarray:
     """Full potential: state-dependent part plus boundary lift plus gauge."""
-    return phi + problem.chi + mu
+    out = phi + problem.chi
+    out += mu
+    return out
 
 
-def _laplacian4(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fourth-order five-point-per-axis Laplacian on the deep interior.
-
-    Returns (field, mask); the field is zero outside the mask, which holds
-    the nodes at least two cells from every face.
-    """
+def _laplacian4(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Fourth-order five-point-per-axis Laplacian on the deep interior (two
+    cells from every face), zero elsewhere.  Each axis's term is formed in two
+    buffers over half the deep rows along axis 0 at a time: one field in all."""
     lap = np.zeros_like(f)
-    mask = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        h2 = grid.h[a] ** 2
-        sl = [slice(None)] * grid.dim
+    n0, rows = f.shape[0], max((f.shape[0] - 3) // 2, 1)
+    bufs = np.empty([2, rows] + [max(m - 4, 0) for m in f.shape[1:]])
+    for r in range(2, n0 - 2, rows):
+        part = [slice(r, min(r + rows, n0 - 2))] + [slice(2, m - 2) for m in f.shape[1:]]
+        s, t = bufs[:, :part[0].stop - r]
+        for a in range(grid.dim):
+            def at(k: int) -> np.ndarray:
+                idx = list(part)
+                idx[a] = slice(part[a].start + k, part[a].stop + k)
+                return f[tuple(idx)]
 
-        def at(k: int) -> np.ndarray:
-            s = list(sl)
-            s[a] = slice(2 + k, f.shape[a] - 2 + k if k != 2 else None)
-            return f[tuple(s)]
-
-        core = (-at(-2) + 16.0 * at(-1) - 30.0 * at(0)
-                + 16.0 * at(1) - at(2)) / (12.0 * h2)
-        dest = list(sl)
-        dest[a] = slice(2, -2)
-        lap[tuple(dest)] += core
-        edge = list(sl)
-        for cut in (slice(0, 2), slice(-2, None)):
-            edge[a] = cut
-            mask[tuple(edge)] = False
-    lap[~mask] = 0.0
-    return lap, mask
+            # (-at(-2) + 16 at(-1) - 30 at(0) + 16 at(1) - at(2)) / (12 h^2) in order
+            np.subtract(np.multiply(at(-1), 16.0, out=s), at(-2), out=s)
+            s -= np.multiply(at(0), 30.0, out=t)
+            s += np.multiply(at(1), 16.0, out=t)
+            s -= at(2)
+            s /= 12.0 * grid.h[a] ** 2
+            lap[tuple(part)] += s
+    return lap
 
 
 def _one_sided_normal_derivative(grid: Grid, f: np.ndarray,
                                  axis: int, side: int) -> np.ndarray:
-    """Outward normal derivative on a face, one-sided second order."""
-    h = grid.h[axis]
-
-    def layer(k: int) -> np.ndarray:
-        sl = [slice(None)] * grid.dim
-        sl[axis] = (-1 - k) if side == 1 else k
-        return f[tuple(sl)]
-
-    # (3 f0 - 4 f1 + f2) / (2 h) along the outward direction.
-    return (3.0 * layer(0) - 4.0 * layer(1) + layer(2)) / (2.0 * h)
+    """Outward normal derivative on a face, one-sided second order:
+    (3 f0 - 4 f1 + f2) / (2 h) along the outward direction."""
+    f0, f1, f2 = (np.take(f, -1 - k if side else k, axis=axis) for k in range(3))
+    return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * grid.h[axis])
 
 
 @dataclass(frozen=True)
@@ -150,12 +149,8 @@ class ResidualReport:
         return {"n": "x".join(str(m) for m in self.n), **row, "iters": str(self.iters)}
 
 
-def residual_original_system(problem: Problem,
-                             u: np.ndarray,
-                             phi: np.ndarray,
-                             omega: float,
-                             mu: float,
-                             j: float | None = None,
+def residual_original_system(problem: Problem, u: np.ndarray, phi: np.ndarray,
+                             omega: float, mu: float, j: float | None = None,
                              iterations: int = 0) -> ResidualReport:
     """Measure (u, omega, mu) against the strong equations and side conditions.
 
@@ -166,34 +161,44 @@ def residual_original_system(problem: Problem,
     the optimizer's stopping tolerance.  eq2_res applies the two factored
     native stencils to the reconstructed potential.  bc_res is the worst
     absolute flux mismatch over all faces for the potential itself,
-    bc_res_second the same for its Laplacian field.
+    bc_res_second the same for its Laplacian field.  The fields are formed
+    in the order of the module docstring, each freed after its last use.
     """
-    grid = problem.grid
-    q = problem.q
+    grid, q = problem.grid, problem.q
     phi_full = reconstruct_phi(problem, phi, mu)
-    nonlin = problem.kappa * np.abs(u) ** (problem.p - 2.0) * u
-
-    lap4, mask = _laplacian4(grid, u)
-    eq1_field = -lap4 + (q * phi_full - omega) * u - nonlin
-    eq1_field[~mask] = 0.0
-    eq1 = norm_l2(grid, eq1_field)
-
-    native_field = -laplacian_dirichlet(grid, u) + (q * phi_full - omega) * u - nonlin
-    native_field[~grid.interior_mask] = 0.0
-    eq1_native = norm_l2(grid, native_field)
-
+    shared = np.multiply(q, phi_full)  # (q phi_full - omega) u
+    shared -= omega
+    shared *= u
     z = laplacian_neumann(grid, phi_full, problem.h1)
-    eq2_field = laplacian_neumann(grid, z, problem.h2) - z - q * u * u
-    eq2 = norm_l2(grid, eq2_field)
-
-    bc1 = 0.0
-    bc2 = 0.0
+    bc1 = bc2 = 0.0
     for axis, side in grid.faces():
         d_phi = _one_sided_normal_derivative(grid, phi_full, axis, side)
         d_z = _one_sided_normal_derivative(grid, z, axis, side)
         bc1 = max(bc1, float(np.max(np.abs(d_phi - problem.h1.face(axis, side)))))
         bc2 = max(bc2, float(np.max(np.abs(d_z - problem.h2.face(axis, side)))))
+    del phi_full
+    field = laplacian_neumann(grid, z, problem.h2)  # - z - q u u
+    field -= z
+    field -= np.multiply(np.multiply(q, u, out=z), u, out=z)  # q u u in z
+    del z
+    eq2 = norm_l2(grid, field)
+    del field
+    nonlin = np.abs(u)  # kappa |u|^(p - 2) u
+    nonlin **= problem.p - 2.0
+    nonlin *= problem.kappa
+    nonlin *= u
 
+    def eq1_norm(field: np.ndarray, rows: tuple) -> float:
+        # -lap u + shared - nonlin, formed in field = lap u on its rows
+        part = field[rows]
+        np.negative(part, out=part)
+        part += shared[rows]
+        part -= nonlin[rows]
+        return norm_l2(grid, field)
+
+    eq1 = eq1_norm(_laplacian4(grid, u), (slice(2, -2),) * grid.dim)
+    eq1_native = eq1_norm(laplacian_dirichlet(grid, u), grid.interior)
+    del shared, nonlin
     c1, c2 = constraint_values(problem, u)
     if j is None:
         j = eval_J(problem, u, phi)
@@ -256,20 +261,15 @@ def dense_oracle_compare(problem: Problem, seed: int = 0) -> DenseOracleReport:
     f = rng.standard_normal(grid.shape)
     zero = BoundaryData.zero(grid)
 
-    v_it = solve_helmholtz_neumann(grid, f, zero)
-    v_ds = solve_helmholtz_dense(grid, -f)
-    helm = _rel(v_it, v_ds)
+    helm = _rel(solve_helmholtz_neumann(grid, f, zero), solve_helmholtz_dense(grid, -f))
 
     f0 = f - mean(grid, f)
-    w_it = solve_poisson_neumann_zeromean(grid, f0, zero)
-    w_ds = solve_poisson_neumann_dense(grid, f0)
-    pois_n = _rel(w_it, w_ds)
+    pois_n = _rel(solve_poisson_neumann_zeromean(grid, f0, zero),
+                  solve_poisson_neumann_dense(grid, f0))
 
     fd = rng.standard_normal(grid.shape)
     fd[~grid.interior_mask] = 0.0
-    d_it = solve_poisson_dirichlet(grid, fd)
-    d_ds = solve_poisson_dirichlet_dense(grid, fd)
-    pois_d = _rel(d_it, d_ds)
+    pois_d = _rel(solve_poisson_dirichlet(grid, fd), solve_poisson_dirichlet_dense(grid, fd))
 
     fs = rng.standard_normal(grid.shape)
     split_phi = _rel(solve_fourth_order_split(grid, fs),

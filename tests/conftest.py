@@ -10,6 +10,7 @@ import faulthandler
 import math
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from sbpbox import (
     build_problem,
     optimize,
 )
-from sbpbox.grid import dirichlet_energy, inner, integrate, laplacian_neumann, norm_l2
+from sbpbox.grid import (dirichlet_energy, inner, integrate, laplacian_neumann,
+                         neumann_flux_field, norm_l2, require_zero_boundary)
 from sbpbox.manifold import feasible_init, retract
 from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
 from sbpbox.solvers import _from_dst_interior, _symbols
@@ -342,6 +344,46 @@ def eval_F(problem, u, phi):
     value -= 0.25 * dirichlet_energy(g, phi)
     value -= 0.5 * problem.alpha / g.volume * integrate(g, phi)
     return value
+
+
+def cell_weights(grid):
+    """Per axis, the weights of the difference quotients of
+    ``sbpbox.grid.dirichlet_inner``, which builds them per call: a field of
+    shape n with n_a - 1 along the axis, the full spacing there (doubled
+    along a mirrored axis) and trapezoid weights across it."""
+    out = []
+    for a, h in enumerate(grid.h):
+        vecs = list(grid.axis_weights)
+        vecs[a] = np.full(grid.n[a] - 1, 2.0 * h if a in grid.mirror else h)
+        out.append(reduce(np.multiply.outer, vecs))
+    return tuple(out)
+
+
+def reference_laplacian_neumann(grid, f, flux=None):
+    """``laplacian_neumann`` as it stood with whole-field temporaries."""
+    out = np.zeros_like(f)
+    for a in range(grid.dim):
+        h2 = grid.h[a] ** 2
+        lo, mid, hi = (tuple(slice(k, k - 2 or None) if b == a else slice(None)
+                             for b in range(grid.dim)) for k in range(3))
+        out[mid] += (f[lo] - 2.0 * f[mid] + f[hi]) / h2
+        for face, near in ((0, 1), (-1, -2)):
+            face, near = (tuple(k if b == a else slice(None) for b in range(grid.dim))
+                          for k in (face, near))
+            out[face] += 2.0 * (f[near] - f[face]) / h2
+    if flux is not None and not flux.is_zero:
+        out += neumann_flux_field(grid, flux)
+    return out
+
+
+def reference_laplacian_dirichlet(grid, f):
+    """``laplacian_dirichlet`` as it stood: the check, then a zeroed copy."""
+    require_zero_boundary(grid, f)
+    g = f.copy()
+    g[~grid.interior_mask] = 0.0
+    out = reference_laplacian_neumann(grid, g)
+    out[~grid.interior_mask] = 0.0
+    return out
 
 
 def fourth_order_chi_residual(grid, chi, h1, h2, alpha):

@@ -25,6 +25,7 @@ from sbpbox.grid import (
     require_zero_boundary,
     zero_boundary,
 )
+from conftest import cell_weights, reference_laplacian_dirichlet, reference_laplacian_neumann
 
 
 def boundary_from_callable(grid, fn):
@@ -251,3 +252,44 @@ def test_read_field_rejects_malformed_files(tmp_path, content, reason):
     with pytest.raises(ValueError, match=reason) as info:
         read_field(path)
     assert str(path) in str(info.value)
+
+
+# -- the stencils against the whole-field forms they replaced ----------------
+
+
+STENCIL_GRIDS = [Grid((1.3,), (11,)), Grid((1.0, 0.7), (9, 6)),
+                 Grid((0.9, 1.1, 0.6), (7, 5, 6)), Grid((0.5, 0.8), (9, 5), (1,))]
+
+
+@pytest.mark.parametrize("g", STENCIL_GRIDS, ids=["1d", "2d", "3d", "2d-sector"])
+def test_stencils_are_bitwise_the_whole_field_forms(g):
+    """Bitwise, signed zeros included: with inhomogeneous flux data, and
+    for the Dirichlet stencil with a boundary of +0.0, of -0.0 and of
+    values within its rounding limit."""
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(g.shape)
+    f[tuple(rng.integers(0, m, 4) for m in g.shape)] = 0.0
+    flux = boundary_from_callable(g, lambda *x: 1.0 + x[0] - 0.5 * x[-1])
+    for data in (None, flux):
+        assert (laplacian_neumann(g, f, data).tobytes()
+                == reference_laplacian_neumann(g, f, data).tobytes())
+    vanishing = zero_boundary(g, f)
+    for edge in (0.0, -0.0, 3e-13):
+        u = vanishing + 0.0
+        u[~g.interior_mask] = edge
+        u[~g.interior_mask & (rng.random(g.shape) < 0.5)] *= -1.0
+        assert (laplacian_dirichlet(g, u).tobytes()
+                == reference_laplacian_dirichlet(g, u).tobytes())
+
+
+@pytest.mark.parametrize("g", STENCIL_GRIDS, ids=["1d", "2d", "3d", "2d-sector"])
+def test_dirichlet_inner_equals_the_form_with_cached_weights(g):
+    rng = np.random.default_rng(4)
+    f, k = rng.standard_normal((2,) + g.shape)
+    for a, b in ((f, k), (f, f)):
+        cached = 0.0
+        for axis, (h, w) in enumerate(zip(g.h, cell_weights(g))):
+            da = np.diff(a, axis=axis)
+            db = da if b is a else np.diff(b, axis=axis)
+            cached += float(np.vdot(w * da, db)) / (h * h)
+        assert dirichlet_inner(g, a, b) == cached

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, write_field
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, read_field, write_field
 from sbpbox import problem
 from sbpbox.errors import SbpError
 from sbpbox.grid import boundary_integrate, integrate, mean
@@ -204,3 +204,45 @@ def test_square_problem_assembles():
     assert prob.grid.dim == 2
     assert prob.alpha == pytest.approx(0.0, abs=1e-12)
     assert classify_alpha(prob).classification == "infeasible"
+
+
+def dense_coupling(spec, grid):
+    """``CouplingSpec.evaluate`` as it stood, on the coordinate fields."""
+    p, x = spec.params, grid.coords
+    if spec.kind == "affine":
+        q = float(p.get("a", 0.0)) + float(p.get("b", 0.0)) * x[0]
+    elif spec.kind == "radial_bump":
+        center = np.atleast_1d(np.asarray(p.get("center", [L / 2 for L in grid.lengths]),
+                                          dtype=float))
+        r2 = sum((c - ci) ** 2 for c, ci in zip(x, center))
+        q = float(p.get("base", 0.0)) + float(p.get("height", 1.0)) * np.clip(
+            1.0 - r2 / float(p["radius"]) ** 2, 0.0, None) ** 2
+    elif spec.kind == "oscillating":
+        s = x[0] / grid.lengths[0]
+        q = (float(p.get("base", 0.0)) + float(p.get("amplitude", 1.0))
+             * np.sin(2.0 * math.pi * float(p.get("cycles", 3)) * s)
+             + float(p.get("tilt", 0.0)) * s)
+    else:
+        q = read_field(p["file"])[1]
+    return np.asarray(q, dtype=float) + np.zeros(grid.shape)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coupling_on_broadcast_axes_is_the_dense_evaluation(dim, tmp_path):
+    """Bitwise, for every kind, an off-centre bump among them."""
+    g = Grid(lengths=(1.0, 0.8, 1.3)[:dim], n=(13, 9, 11)[:dim])
+    path = tmp_path / "q.bin"
+    values = np.random.default_rng(dim).standard_normal(g.shape)
+    values.flat[::5] = -0.0
+    write_field(path, g, values)
+    specs = [CouplingSpec("affine", {"a": -0.25, "b": 1.5}),
+             CouplingSpec("radial_bump", {"radius": 0.6}),
+             CouplingSpec("radial_bump", {"radius": 0.45, "base": 0.1, "height": -2.0,
+                                          "center": [0.3, 0.2, 0.9][:dim]}),
+             CouplingSpec("oscillating", {"base": 1.0, "amplitude": 0.9, "cycles": 3,
+                                          "tilt": 0.1}),
+             CouplingSpec("tabulated", {"file": str(path)})]
+    for spec in specs:
+        q = spec.evaluate(g)
+        assert q.shape == g.shape and q.flags.writeable
+        assert q.tobytes() == dense_coupling(spec, g).tobytes(), spec.kind

@@ -50,7 +50,7 @@ from sbpbox.solvers import (
     solve_poisson_dirichlet,
     solve_poisson_neumann_zeromean,
 )
-from conftest import DescentSpy, oscillating_problem
+from conftest import DescentSpy, cell_weights, oscillating_problem
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=20)
@@ -153,7 +153,7 @@ def check_reductions_against_sums(g, seed):
     assert agree(integrate(g, f), w * f)
     assert agree(inner(g, f, k), w * f * k)
     grad_terms = [cw * (np.diff(f, axis=a) / h) * (np.diff(k, axis=a) / h)
-                  for a, (h, cw) in enumerate(zip(g.h, g.cell_weights))]
+                  for a, (h, cw) in enumerate(zip(g.h, cell_weights(g)))]
     assert agree(dirichlet_inner(g, f, k),
                  np.concatenate([t.ravel() for t in grad_terms]))
     for power, m in enumerate(_moments(prob, f)):

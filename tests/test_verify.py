@@ -5,22 +5,28 @@ import csv
 import numpy as np
 import pytest
 
-from sbpbox import Grid
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem
 from sbpbox.cli import _interpolate, refinement_study
+from sbpbox.config import parse_config_text
 from sbpbox.dense import MAX_ORACLE_NODES, check_size
 from sbpbox.errors import SbpError
-from sbpbox.manifold import feasible_init
+from sbpbox.functional import eval_J
+from sbpbox.grid import norm_l2
+from sbpbox.manifold import constraint_values, feasible_init
 from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
 from sbpbox.reduction import phi_map
 from sbpbox.verify import (
     SUMMARY_COLUMNS,
+    ResidualReport,
+    _laplacian4,
     dense_kkt_polish,
     dense_oracle_compare,
     reconstruct_phi,
     residual_original_system,
     write_summary,
 )
-from conftest import line_problem, random_m_point, square_problem
+from conftest import (line_problem, random_m_point, reference_laplacian_dirichlet,
+                      reference_laplacian_neumann, square_problem)
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +217,116 @@ def test_dense_kkt_polish_certifies_benchmark_state(n, request):
     u2, o2, m2, j2 = dense_kkt_polish(prob, u1, o1, m1)
     assert np.array_equal(u2, u1)
     assert (o2, m2, j2) == (o1, m1, j1)
+
+
+# -- the audit against its whole-field formulas ------------------------------
+
+
+def reference_laplacian4(grid, f):
+    """``verify._laplacian4`` as it stood: (field, deep-interior mask)."""
+    lap = np.zeros_like(f)
+    mask = np.ones(grid.shape, dtype=bool)
+    for a in range(grid.dim):
+        sl = [slice(None)] * grid.dim
+
+        def at(k):
+            s = list(sl)
+            s[a] = slice(2 + k, f.shape[a] - 2 + k if k != 2 else None)
+            return f[tuple(s)]
+
+        core = (-at(-2) + 16.0 * at(-1) - 30.0 * at(0)
+                + 16.0 * at(1) - at(2)) / (12.0 * grid.h[a] ** 2)
+        dest = list(sl)
+        dest[a] = slice(2, -2)
+        lap[tuple(dest)] += core
+        for cut in (slice(0, 2), slice(-2, None)):
+            edge = list(sl)
+            edge[a] = cut
+            mask[tuple(edge)] = False
+    lap[~mask] = 0.0
+    return lap, mask
+
+
+def reference_report(problem, u, phi, omega, mu, j, iterations):
+    """``residual_original_system`` as it stood, every field held whole."""
+    grid, q = problem.grid, problem.q
+    phi_full = phi + problem.chi + mu
+    nonlin = problem.kappa * np.abs(u) ** (problem.p - 2.0) * u
+    lap4, mask = reference_laplacian4(grid, u)
+    eq1_field = -lap4 + (q * phi_full - omega) * u - nonlin
+    eq1_field[~mask] = 0.0
+    native_field = -reference_laplacian_dirichlet(grid, u) + (q * phi_full - omega) * u - nonlin
+    native_field[~grid.interior_mask] = 0.0
+    z = reference_laplacian_neumann(grid, phi_full, problem.h1)
+    eq2_field = reference_laplacian_neumann(grid, z, problem.h2) - z - q * u * u
+
+    def normal_derivative(f, axis, side):
+        layer = [f[tuple((-1 - k if side else k) if b == axis else slice(None)
+                         for b in range(grid.dim))] for k in range(3)]
+        return (3.0 * layer[0] - 4.0 * layer[1] + layer[2]) / (2.0 * grid.h[axis])
+
+    bc1 = bc2 = 0.0
+    for axis, side in grid.faces():
+        d_phi = normal_derivative(phi_full, axis, side)
+        d_z = normal_derivative(z, axis, side)
+        bc1 = max(bc1, float(np.max(np.abs(d_phi - problem.h1.face(axis, side)))))
+        bc2 = max(bc2, float(np.max(np.abs(d_z - problem.h2.face(axis, side)))))
+    c1, c2 = constraint_values(problem, u)
+    return ResidualReport(
+        n=grid.n, h=float(max(grid.h)), j=float(eval_J(problem, u, phi) if j is None else j),
+        omega=float(omega), mu=float(mu), eq1_res=norm_l2(grid, eq1_field),
+        eq1_res_native=norm_l2(grid, native_field), eq2_res=norm_l2(grid, eq2_field),
+        bc_res=bc1, bc_res_second=bc2, norm_res=abs(c1), compat_res=abs(c2),
+        iters=iterations)
+
+
+def ground_state(dim, n):
+    """The ground state of the benchmark's ground config, on its sector."""
+    prob = parse_config_text(f"domain.dim = {dim}\ngrid.n = {n}\nphysics.kappa = 1.0\n"
+                             "physics.p = 3.0\ncoupling.kind = affine\ncoupling.a = 0.0\n"
+                             "coupling.b = 1.0\nboundary.h2.x1 = 0.5\n").build_problem()
+    res = polish_positive(prob, minimize_on_M(prob, feasible_init(prob)))
+    assert res.folded == tuple(range(1, dim))
+    return prob, res.u, res.phi, res.omega, res.mu, res.j, res.iterations
+
+
+def manifold_state(prob, seed=0):
+    """A point of M with its potential and made-up multipliers."""
+    u = random_m_point(prob, np.random.default_rng(seed))
+    return prob, u, phi_map(prob, u), 1.3, -0.2, None, 0
+
+
+def asymmetric_box_state():
+    g = Grid(lengths=(1.0, 0.7, 1.3), n=(9, 11, 8))
+    return manifold_state(build_problem(
+        grid=g, coupling=CouplingSpec("affine", {"a": 0.0, "b": 1.0}),
+        h1=BoundaryData.zero(g), h2=BoundaryData.constant(g, {"x1": 0.5 / 0.91}),
+        kappa=1.0, p=3.0))
+
+
+def two_face_h1_state():
+    """Inhomogeneous h1 on the faces x0 and y1."""
+    g = Grid(lengths=(1.0, 1.2), n=(13, 11))
+    h1 = BoundaryData(g, {(0, 0): 0.3 * np.cos(g.axes[1]), (0, 1): np.zeros(11),
+                          (1, 0): np.zeros(13), (1, 1): -0.2 + 0.5 * g.axes[0]})
+    return manifold_state(build_problem(
+        grid=g, coupling=CouplingSpec("affine", {"a": 1.0, "b": 0.5}),
+        h1=h1, h2=BoundaryData.constant(g, {"x1": 1.3}), kappa=1.0, p=2.5))
+
+
+STATES = {
+    "1d": lambda: manifold_state(line_problem(33)),
+    "2d-sector": lambda: ground_state(2, 17),
+    "3d-sector": lambda: ground_state(3, 13),
+    "3d-box": asymmetric_box_state,
+    "kappa-0": lambda: manifold_state(square_problem(9, alpha=1.2, kappa=0.0)),
+    "h1-two-faces": two_face_h1_state,
+}
+
+
+@pytest.mark.parametrize("name", STATES)
+def test_audit_is_bitwise_the_whole_field_formulas(name):
+    args = STATES[name]()
+    assert residual_original_system(*args) == reference_report(*args)
+    grid, u = args[0].grid, args[1]
+    assert _laplacian4(grid, u).tobytes() == reference_laplacian4(grid, u)[0].tobytes()
