@@ -13,7 +13,7 @@ import numpy as np
 
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, write_field
 from sbpbox.manifold import feasible_init
-from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
+from sbpbox.optimize import OptimizerOptions, minimize_on_M
 from sbpbox.problem import classify_alpha
 from sbpbox.verify import reconstruct_phi, residual_original_system
 
@@ -35,13 +35,12 @@ print(f"alpha = {problem.alpha:.6f}, interior q range = "
       f"[{report.q_min:.3f}, {report.q_max:.3f}] -> {report.classification}")
 
 result = minimize_on_M(problem, feasible_init(problem), OptimizerOptions())
-result = polish_positive(problem, result)
 
 print(f"converged: {result.converged} in {result.iterations} iterations")
 print(f"J     = {result.j:.12f}")
 print(f"omega = {result.omega:.12f}")
 print(f"mu    = {result.mu:.12f}")
-print(f"min u = {result.u.min():.3e}  (nonnegative representative)")
+print(f"min u = {result.u.min():.3e}")
 
 res = residual_original_system(problem, result.u, result.phi,
                                result.omega, result.mu, j=result.j)

@@ -13,9 +13,12 @@ All output files are written once, at the end of a successful run: a
 ``u_<i>.bin`` / ``phi_<i>.bin`` plus the shared ``chi.bin`` (binary float64
 behind a grid header, see ``grid.write_field``), and a ``report.json`` with
 the full residual and multiplier set, in strict JSON (an observed order
-at the noise floor is ``null``).  An identical
-config produces byte-identical outputs; ``--seed`` only reaches the random
-test data of ``oracle``.
+at the noise floor is ``null``).  An identical config produces
+byte-identical outputs at a fixed BLAS thread count only: the thread count
+changes the summation order of BLAS dots and products on large fields, so
+ground-3d's ``eq1_res`` reads 0.04331184830765819 with
+``OPENBLAS_NUM_THREADS=1`` and 0.0433118483076582 with 2.  ``--seed`` only
+reaches the random test data of ``oracle``.
 
 ``refinement_study`` does the work of ``refine``: it solves on a sequence
 of grids, each level starting from the previous level's state interpolated
@@ -44,7 +47,7 @@ from .optimize import (
     SolveResult,
     excited_states,
     minimize_on_M,
-    polish_positive,
+    mirror_sector,
 )
 from .problem import FeasibilityReport, Problem, classify_alpha
 from .reduction import phi_map
@@ -60,6 +63,9 @@ __all__ = ["main", "RefinementStudy", "refinement_study"]
 
 # Observed orders are nan where a value falls to this noise floor.
 _ORDER_FLOOR = 1e-12
+# A ground state whose minimum lies below this may change sign; it gets a
+# progress line, and the exit code stays 0.
+_MIN_U_FLOOR = -1e-8
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -85,6 +91,24 @@ def _say_sector(quiet: bool, results: Sequence[SolveResult]) -> None:
     _say(quiet, "descent on " + "; ".join(
         f"the mirror sector of axes {', '.join(map(str, axes))}" if axes else "the full box"
         for axes in sorted({res.folded for res in results})))
+
+
+def _say_negative(quiet: bool, results: Sequence[SolveResult]) -> None:
+    """One line per ground state whose minimum lies below ``_MIN_U_FLOOR``."""
+    for i, res in enumerate(results):
+        if float(res.u.min()) < _MIN_U_FLOOR:
+            _say(quiet, f"state {i}: min u = {float(res.u.min()):.3e} lies below "
+                        f"{_MIN_U_FLOOR:g}; it may change sign")
+
+
+def _ground_descent(problem: Problem, opts: OptimizerOptions,
+                    start: np.ndarray | None = None) -> SolveResult:
+    """The descent on ``mirror_sector(problem)`` from its ``feasible_init``,
+    or from the box field ``start`` folded onto the sector.  The sector
+    lives as long as the descent only."""
+    sector = mirror_sector(problem)
+    u0 = feasible_init(sector) if start is None else sector.grid.fold(start)
+    return minimize_on_M(sector, u0, opts)
 
 
 def _converged(problem: Problem, res: SolveResult, rep: ResidualReport) -> bool:
@@ -156,9 +180,8 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.optimizer_options()
     if cfg.mode == "ground":
         _say(quiet, "minimizing from the tilted principal-mode start")
-        res = minimize_on_M(problem, feasible_init(problem), opts)
-        res = polish_positive(problem, res, opts)
-        states = [res]
+        states = [_ground_descent(problem, opts)]
+        _say_negative(quiet, states)
     else:
         k = cfg.get("run.k")
         _say(quiet, f"search for {k} states from the slab seeds of genus {k}")
@@ -281,20 +304,18 @@ def refinement_study(problem_factory: Callable[[int], Problem],
     previous level's state interpolated onto its grid (``_interpolate``),
     which the descent retracts onto the constraint manifold.  Observed
     orders are reported as plain log2 ratios, so the counts should double
-    the resolution each step.  Each state is the descent result folded to a
-    nonnegative one by ``polish_positive``.  Energies are compared through
-    consecutive differences (no exact value is available), the residuals
-    directly.
+    the resolution each step.  Each level descends on its own mirror sector
+    (``_ground_descent``); ``_interpolate`` keeps a mirror-invariant state
+    exactly invariant.  Energies are compared through consecutive
+    differences (no exact value is available), the residuals directly.
     """
     opts = opts or OptimizerOptions()
     reports: list[ResidualReport] = []
     results: list[SolveResult] = []
     for n in node_counts:
         prob = problem_factory(int(n))
-        u0 = (_interpolate(results[-1].u, prob.grid.shape) if results
-              else feasible_init(prob))
-        res = minimize_on_M(prob, u0, opts)
-        res = polish_positive(prob, res, opts)
+        res = _ground_descent(
+            prob, opts, _interpolate(results[-1].u, prob.grid.shape) if results else None)
         reports.append(residual_original_system(
             prob, res.u, res.phi, res.omega, res.mu,
             j=res.j, iterations=res.iterations))
@@ -328,6 +349,7 @@ def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
     study = refinement_study(
         lambda n: first if n == grids[0] else cfg.build_problem(n), grids, opts)
     _say_sector(quiet, study.results)
+    _say_negative(quiet, study.results)
     out.mkdir(parents=True, exist_ok=True)
     write_summary(out / "summary.csv", study.reports)
     entries = []

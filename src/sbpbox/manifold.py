@@ -24,7 +24,8 @@ Feasible starting points tilt the principal sine mode v of a slab along
 axis 0 by e^(s (q - alpha)/2): the mass constraint is a normalization, and
 the coupling constraint is one strictly increasing scalar equation in s, so
 a seed exists exactly when q brackets alpha on the slab's interior nodes
-and meets both constraints to rounding before its retraction.
+and meets both constraints to rounding before its retraction.  On a mirror
+sector the seed is built on the sector's nodes (``feasible_init``).
 """
 
 from __future__ import annotations
@@ -214,15 +215,17 @@ _GREEDY_MIN_SLAB_CELLS = 16
 
 def _principal_mode(grid: Grid, i0: int, i1: int) -> np.ndarray:
     """prod_a sin(pi (x_a - lo_a) / (hi_a - lo_a)) on the interior nodes of
-    the slab (lo_0, hi_0) = (x[i0], x[i1]) along axis 0, (0, L_a) across it,
-    zero elsewhere: DST-I mode 1 of the slab, positive exactly on its
-    interior nodes that are interior nodes of the grid."""
+    the slab (lo_0, hi_0) = (x[i0], x[i1]) along axis 0, the box (0, L_a)
+    across it, zero elsewhere: DST-I mode 1 of the slab, positive exactly on
+    its interior nodes that are interior nodes of the grid.  Across a
+    mirrored axis the box is (0, 2 L_a), so the factor is nonzero at the
+    mirror node and the mode is the box's on the sector's nodes."""
     x0 = grid.axes[0]
-    box = [(x0[i0], x0[i1])] + [(0.0, L) for L in grid.lengths[1:]]
+    box = [(x0[i0], x0[i1])] + [(0.0, 2.0 * L if a in grid.mirror else L)
+                                for a, L in enumerate(grid.lengths) if a]
     factors = []
-    for x, (lo, hi) in zip(grid.axes, box):
+    for x, (lo, hi) in zip(grid.axes, box):  # a boundary node fails lo < x < hi
         inside = (x > lo) & (x < hi)
-        inside[[0, -1]] = False
         factors.append(np.where(inside, np.sin(np.pi * (x - lo) / (hi - lo)), 0.0))
     return reduce(np.multiply.outer, factors)
 
@@ -278,7 +281,9 @@ def feasible_init(problem: Problem, slab: tuple[int, int] | None = None) -> np.n
     u = v e^(s d/2), normalized and retracted, where s is the root of the
     coupling constraint g(s) = sum w v^2 e^(s d) d over the support
     (``_tilt_root``).  Seeds of adjacent slabs vanish on their shared face
-    nodes, so their supports are disjoint.
+    nodes, so their supports are disjoint.  On a mirror sector v and q are
+    the box's on its nodes and its sums equal the box's, so the seed is the
+    box seed's restriction, to rounding, built on the sector's nodes alone.
 
     Raises ``ValueError`` unless 0 <= i0 < i1 < n0, and
     ``InfeasibleRegion`` exactly when q does not strictly bracket alpha on
@@ -308,7 +313,8 @@ def feasible_init(problem: Problem, slab: tuple[int, int] | None = None) -> np.n
 
 
 def genus_seeds(problem: Problem, k: int) -> list[np.ndarray]:
-    """k members of M with pairwise disjoint supports in slabs along axis 0.
+    """k members of M, on the problem's grid, with pairwise disjoint
+    supports in slabs along axis 0.
 
     Each seed is ``feasible_init(problem, (i0, i1))`` of its slab between
     nodes i0 and i1.  Equal-width slabs are tried first when k is below the

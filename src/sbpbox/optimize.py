@@ -45,18 +45,18 @@ below that level; the merit cancels the error to first order.  Every
 accepted merit lies at or below the C before it, and C never exceeds the
 starting merit.
 
-The descent runs on a mirror sector when it can.  Where q, chi and the
-start are invariant under a transverse reflection x_a -> L_a - x_a (a >=
-1), so are J and both constraints, and a critical point of J on the
+The descent runs on the problem it is given, which may be a mirror sector.
+Where q and chi are invariant under a transverse reflection x_a -> L_a - x_a
+(a >= 1), so are J and both constraints, and a critical point of J on the
 symmetric part of M is one on M (Palais, Comm. Math. Phys. 69, 1979).
-``_minimize`` folds the problem and the start onto the mirror sector of
-every such axis that has an odd node count 2m + 1 and the matrix
-transforms (``_fold_axes``): nodes 0..m, whose weights count nodes 0..m -
-1 twice (``grid``) and whose transforms keep the odd DST-I and the even
-DCT-I modes (``solvers``).  The loop below is unchanged there; every
-integral and sum over modes equals the box's, so J, the multipliers and
-the norms are the box's to rounding, and u and phi are unfolded at exit.
-A 1d box has no transverse axis and never folds.
+``mirror_sector`` decides once per problem, from q and chi alone, to fold
+every such axis with an odd node count 2m + 1 and the matrix transforms onto
+nodes 0..m, whose weights count nodes 0..m - 1 twice (``grid``) and whose
+transforms keep the odd DST-I and the even DCT-I modes (``solvers``).  The
+loop below is unchanged there; every integral and sum over modes equals the
+box's, so J, the multipliers and the norms are the box's to rounding, and u
+and phi are unfolded at exit.  A start without the symmetry descends on the
+box problem.
 
 Convergence is declared on the H^1_0 tangent gradient norm.  For s >= 0 the
 shifted tangent norm, whose square is the Armijo decrease rate, is at most
@@ -92,7 +92,7 @@ __all__ = [
     "OptimizerOptions",
     "SolveResult",
     "minimize_on_M",
-    "polish_positive",
+    "mirror_sector",
     "excited_states",
 ]
 
@@ -105,8 +105,6 @@ _MIN_STEP = 1e-14
 _MAX_STEP = 1e3
 # The first pass of the L-BFGS tail (``lbfgs``).
 _QN_START = 8
-# ``polish_positive`` folds a state whose minimum lies below this.
-_POSITIVE_FLOOR = -1e-8
 # Two states are duplicates when their sign-aligned L2 distance and their
 # energy gap both fall below these.
 _DEDUPE_L2 = 1e-3
@@ -161,7 +159,9 @@ def minimize_on_M(problem: Problem,
     ``u0`` until the H^1_0 tangent gradient norm drops below
     ``opts.grad_tol``.  The merit never rises above that of the retracted
     start.  ``omega`` and ``mu`` are the multipliers of the H^1_0 tangent
-    projection at the returned iterate.
+    projection at the returned iterate.  The descent runs on ``problem`` as
+    given, with ``u0`` on its grid; on a mirror sector (``mirror_sector``)
+    the returned u and phi are unfolded onto the box.
 
     Hitting ``max_iterations``, or backtracking below ``_MIN_STEP`` without an
     acceptable decrease, returns the current iterate and its gradient norm
@@ -174,38 +174,25 @@ def _mirror_invariant(f: np.ndarray, axis: int) -> bool:
     return bool(np.max(np.abs(f - np.flip(f, axis))) <= _MIRROR_TOL * np.max(np.abs(f)))
 
 
-def _fold_axes(problem: Problem, u0: np.ndarray) -> tuple[int, ...]:
-    """The axes a >= 1 whose mirror sector the descent from ``u0`` runs on:
-    those with an odd node count on the matrix path along which q, chi and
-    ``u0`` are mirror-invariant (``_MIRROR_TOL``).  The test of q and chi
-    is kept on the problem."""
-    axes = problem.__dict__.get("_mirror_axes")
-    if axes is None:
-        n = problem.grid.n
-        axes = problem.__dict__["_mirror_axes"] = tuple(
-            a for a in range(1, len(n))
-            if n[a] % 2 and n[a] <= _MATRIX_MAX_NODES
-            and _mirror_invariant(problem.q, a) and _mirror_invariant(problem.chi, a))
-    return tuple(a for a in axes if _mirror_invariant(u0, a))
-
-
-def _fold(problem: Problem, u0: np.ndarray) -> tuple[Problem, np.ndarray]:
-    """The problem and the start on the mirror sector of ``_fold_axes``, or
-    both as given when it names no axis.  The sector is built for each
-    descent and freed with it: kept on the problem, its fields and symbols
-    outlived the descent into the audit and raised peak memory."""
-    axes = _fold_axes(problem, u0)
+def mirror_sector(problem: Problem) -> Problem:
+    """``problem`` on the mirror sector of every axis a >= 1 that has an odd
+    node count on the matrix path and along which q and chi are
+    mirror-invariant (``_MIRROR_TOL``), or ``problem`` itself when no axis
+    qualifies, as in 1d.  A search builds it once and drops it with its
+    descents: kept into the audit, its fields and symbols raise the peak."""
+    n = problem.grid.n
+    axes = tuple(a for a in range(1, len(n))
+                 if n[a] % 2 and n[a] <= _MATRIX_MAX_NODES
+                 and _mirror_invariant(problem.q, a) and _mirror_invariant(problem.chi, a))
     if not axes:
-        return problem, u0
+        return problem
     grid = problem.grid.sector(axes)
-    return (replace(problem, grid=grid, q=grid.fold(problem.q), chi=grid.fold(problem.chi)),
-            grid.fold(u0))
+    return replace(problem, grid=grid, q=grid.fold(problem.q), chi=grid.fold(problem.chi))
 
 
 def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> SolveResult:
-    problem, u0 = _fold(problem, require_zero_boundary(problem.grid, u0))
     grid = problem.grid
-    u = retract(problem, u0)
+    u = retract(problem, require_zero_boundary(grid, u0))
     phi, u_hat, j, dirichlet, c1, c2 = _evaluate(problem, u)
     step = _INITIAL_STEP
     sym = _symbols(grid)
@@ -387,28 +374,6 @@ def _h1_check(problem: Problem, u: np.ndarray, phi: np.ndarray, u_hat: np.ndarra
     return lam, beta, math.sqrt(_slope(metric, sigma, gt_hat, gt_hat))
 
 
-def polish_positive(problem: Problem, result: SolveResult,
-                    opts: OptimizerOptions | None = None) -> SolveResult:
-    """Replace a converged state by a nonnegative one of no larger energy.
-
-    A state whose minimum is at least ``_POSITIVE_FLOOR`` is returned as is.
-    Otherwise one descent runs from |u|, and its result is returned.  |u|
-    leaves both constraint integrals and every term of the reduced energy
-    unchanged except the Dirichlet term, which cannot increase on the grid
-    (the slopes of |u| are dominated nodewise).  The descent from the folded
-    state therefore lands at an energy no larger than the input's, up to
-    rounding: the line search is nonmonotone, but each accepted merit m_k
-    lies at or below the reference value C_{k-1}, a weighted mean of
-    m_0..m_{k-1}, so by induction every m_k <= C_{k-1} <= m_0, and the merit
-    differs from J only by the multipliers times constraint residuals at
-    rounding level.  The descent is not repeated: a result that still dips
-    below the floor shows in ``min_u`` of the command line's report.
-    """
-    if float(result.u.min()) >= _POSITIVE_FLOOR:
-        return result
-    return _minimize(problem, np.abs(result.u), opts or OptimizerOptions())
-
-
 def _l2_sign_distance(grid, a: np.ndarray, b: np.ndarray) -> float:
     return min(norm_l2(grid, a - b), norm_l2(grid, a + b))
 
@@ -434,8 +399,9 @@ def excited_states(problem: Problem, k: int,
                    opts: OptimizerOptions | None = None) -> list[SolveResult]:
     """Distinct converged states from one descent per slab seed, sorted by J.
 
-    The starts are the k slab seeds of ``genus_seeds(problem, k)``, whose
-    disjoint supports span a set of genus k; k < 1 raises ``ValueError``.
+    The starts are the k slab seeds of ``genus_seeds``, whose disjoint
+    supports span a set of genus k, built on ``mirror_sector(problem)``, on
+    which every descent runs; k < 1 raises ``ValueError``.
     When no partition into k slabs has q bracketing alpha in every slab
     (``InfeasibleRegion``), the search warns once and takes the largest
     genus g < k that has seeds; at g = 1 the error propagates.  Runs that do
@@ -447,10 +413,11 @@ def excited_states(problem: Problem, k: int,
     if k < 1:
         raise ValueError(f"excited_states needs k >= 1, got {k}")
     opts = opts or OptimizerOptions()
+    sector = mirror_sector(problem)
     reason = None
     for genus in range(k, 0, -1):
         try:
-            starts = genus_seeds(problem, genus)
+            starts = genus_seeds(sector, genus)
             break
         except InfeasibleRegion as exc:
             if genus == 1:
@@ -464,7 +431,7 @@ def excited_states(problem: Problem, k: int,
     failures: list[str] = []
     for u0 in starts:
         try:
-            res = _minimize(problem, u0, opts)
+            res = _minimize(sector, u0, opts)
         except SbpError as exc:
             failures.append(f"{type(exc).__name__}: {exc}")
             continue

@@ -26,10 +26,10 @@ from sbpbox import (
 from sbpbox.grid import (dirichlet_energy, inner, integrate, laplacian_neumann,
                          neumann_flux_field, norm_l2, require_zero_boundary)
 from sbpbox.manifold import feasible_init, retract
-from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
+from sbpbox.optimize import OptimizerOptions, minimize_on_M
 from sbpbox.solvers import _from_dst_interior, _symbols
 
-# The command-line tests run ``python -m sbpbox`` in a subprocess; it imports
+# The entry-point test runs ``python -m sbpbox`` in a subprocess; it imports
 # the package from this checkout, as the test process does through the
 # ``pythonpath`` setting in pyproject.toml.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -162,11 +162,11 @@ def two_bump_start(problem, region):
 
 def descent_view(problem, res):
     """The problem that the descent behind ``res`` ran on, with u and phi
-    there: the problem on the mirror sector of ``res.folded``, built again
-    as the descent built it (``optimize._fold``), or ``problem`` itself."""
-    sector, u = optimize._fold(problem, res.u)
+    there: ``optimize.mirror_sector(problem)`` when the descent ran on a
+    mirror sector, else the box ``problem`` itself."""
+    sector = optimize.mirror_sector(problem) if res.folded else problem
     assert sector.grid.mirror == res.folded
-    return sector, u, sector.grid.fold(res.phi)
+    return sector, sector.grid.fold(res.u), sector.grid.fold(res.phi)
 
 
 @dataclass
@@ -405,13 +405,9 @@ def bench129():
 
 @pytest.fixture(scope="session")
 def bench65_state(bench65):
-    res = minimize_on_M(bench65, feasible_init(bench65),
-                        OptimizerOptions())
-    return polish_positive(bench65, res)
+    return minimize_on_M(bench65, feasible_init(bench65), OptimizerOptions())
 
 
 @pytest.fixture(scope="session")
 def bench129_state(bench129):
-    res = minimize_on_M(bench129, feasible_init(bench129),
-                        OptimizerOptions())
-    return polish_positive(bench129, res)
+    return minimize_on_M(bench129, feasible_init(bench129), OptimizerOptions())

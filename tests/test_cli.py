@@ -1,14 +1,19 @@
-"""End-to-end runs of the command line front end, in a subprocess or, where
-a test patches the program, in process through ``cli.main``."""
+"""End-to-end runs of the command line front end, in process through
+``cli.main``; one test runs the ``python -m sbpbox`` entry point in a
+subprocess."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from sbpbox import cli
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -56,8 +61,12 @@ run.mode = ground
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "sbpbox", *args],
-                          capture_output=True, text=True, timeout=600)
+    """``sbpbox *args`` in process: the exit code of ``cli.main`` and what it
+    printed, as ``subprocess.run`` returns them."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -92,6 +101,29 @@ def test_solve_ground_artifacts(solved_dir):
     assert state["converged"] is True
     assert state["min_u"] >= -1e-8
     assert "minimizing" in proc.stdout
+
+
+def test_entry_point_exit_codes(tmp_path, solved_dir):
+    """``python -m sbpbox`` in a fresh process exits 0 on a solve and writes
+    the bytes of the in-process solve, exits 2 on infeasible alpha, and
+    exits 1 on a usage error."""
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "sbpbox", *args],
+                              capture_output=True, text=True, timeout=600)
+
+    cfg, out, _ = solved_dir
+    fresh = tmp_path / "fresh"
+    proc = run("solve", "--config", cfg, "--out", str(fresh))
+    assert proc.returncode == 0, proc.stderr
+    assert "minimizing" in proc.stdout
+    for name in ("summary.csv", "u_0.bin", "phi_0.bin", "chi.bin", "report.json"):
+        assert (fresh / name).read_bytes() == (out / name).read_bytes(), name
+    proc = run("feasibility", "--config", write_cfg(tmp_path, INFEASIBLE_CFG, "bad.cfg"))
+    assert proc.returncode == 2
+    assert "infeasible" in proc.stdout
+    proc = run("solve")
+    assert proc.returncode == 1
+    assert "usage: sbpbox" in proc.stderr
 
 
 def test_solve_deterministic_outputs(tmp_path, solved_dir):
@@ -163,8 +195,6 @@ def test_solve_refuses_alpha_outside_the_interior_range(tmp_path, capsys, n, alp
     """q = x brackets alpha on the interior nodes h .. 1 - h only: at
     alpha = 0.99 with n = 65, and at alpha = 1 with n = 129, ``feasibility``
     and ``solve`` exit 2, and ``solve`` writes nothing."""
-    from sbpbox import cli
-
     cfg = write_cfg(tmp_path, GROUND_CFG.replace("grid.n = 33", f"grid.n = {n}")
                     .replace("boundary.h2.x1 = 0.5", f"boundary.h2.x1 = {alpha}"))
     out = tmp_path / "out"
@@ -180,8 +210,6 @@ def test_refine_gates_its_first_grid(tmp_path, capsys):
     but not at 17 nodes, the first of ``run.grids``: feasibility checks
     both grids and exits 2, and refine exits 2 before any solve and writes
     nothing."""
-    from sbpbox import cli
-
     cfg = write_cfg(tmp_path, GROUND_CFG.replace("grid.n = 33", "grid.n = 65")
                     .replace("boundary.h2.x1 = 0.5", "boundary.h2.x1 = 0.96")
                     + "run.grids = 17,33\n")
@@ -251,8 +279,6 @@ def test_refine_reports_orders(tmp_path):
 def test_refine_report_is_strict_json(tmp_path):
     """Three equal grids give equal energies, so the J order sits at the
     noise floor: report.json writes it as null, never as NaN."""
-    from sbpbox import cli
-
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
@@ -269,7 +295,6 @@ def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
     that level, so every grid is built once, ``grid.n`` never; the first level starts from ``feasible_init``
     and each later one from the previous level's state, interpolated; a
     rerun writes the same bytes."""
-    from sbpbox import cli
     from sbpbox.config import RunConfig
     from sbpbox.manifold import feasible_init
 
@@ -281,19 +306,15 @@ def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
         return build(self, n_override)
 
     starts, states = [], []
-    minimize, polish = cli.minimize_on_M, cli.polish_positive
+    minimize = cli.minimize_on_M
 
     def spying_minimize(problem, u0, opts):
         starts.append((problem, u0))
-        return minimize(problem, u0, opts)
-
-    def spying_polish(problem, res, opts):
-        states.append(polish(problem, res, opts))
+        states.append(minimize(problem, u0, opts))
         return states[-1]
 
     monkeypatch.setattr(RunConfig, "build_problem", counting_build)
     monkeypatch.setattr(cli, "minimize_on_M", spying_minimize)
-    monkeypatch.setattr(cli, "polish_positive", spying_polish)
     cfg = write_cfg(tmp_path, GROUND_CFG + "run.grids = 17,33,65\n")
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -306,7 +327,8 @@ def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
     assert len(starts) == len(states) == 6
     for i, (problem, u0) in enumerate(starts):
         expected = (feasible_init(problem) if i % 3 == 0
-                    else cli._interpolate(states[i - 1].u, problem.grid.shape))
+                    else problem.grid.fold(
+                        cli._interpolate(states[i - 1].u, problem.grid.box_n)))
         assert np.array_equal(u0, expected), i
     for name in ("report.json", "summary.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
@@ -316,8 +338,6 @@ def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
 def test_refine_accepts_ground_mode_only(tmp_path, capsys, monkeypatch, mode):
     """refine computes ground states only: any other run.mode is one
     ``error:`` line and exit 1 before any solve, with no output directory."""
-    from sbpbox import cli
-
     def no_solve(*args, **kwargs):
         raise AssertionError("refine solved before checking run.mode")
 
@@ -346,8 +366,6 @@ def test_oracle_subcommand(tmp_path):
 
 def test_oracle_seed_override(tmp_path, monkeypatch, capsys):
     """--seed reaches the oracle's random test data; without it the seed is 0."""
-    from sbpbox import cli
-
     seen = []
     real = cli.dense_oracle_compare
 
@@ -417,8 +435,6 @@ def test_seed_override_recorded(tmp_path):
 def test_invalid_input_is_one_error_line(tmp_path, capsys, line, message):
     """Out-of-range values exit 1 with an ``error:`` line, not a traceback,
     and write nothing."""
-    from sbpbox import cli
-
     key = line.split(" = ")[0]
     text = "".join(f"{ln}\n" for ln in GROUND_CFG.splitlines()
                    if not ln.startswith(key + " ")) + line + "\n"
@@ -434,8 +450,6 @@ def test_invalid_input_is_one_error_line(tmp_path, capsys, line, message):
 def test_excited_search_without_states_is_an_error(tmp_path, capsys, monkeypatch):
     """An excited search in which no start converges exits 1 with one
     ``error:`` line and writes nothing."""
-    from sbpbox import cli
-
     monkeypatch.setattr(cli, "excited_states", lambda problem, k, opts: [])
     cfg = write_cfg(tmp_path, EXCITED_CFG)
     out = tmp_path / "out"
@@ -448,7 +462,7 @@ def test_excited_search_without_states_is_an_error(tmp_path, capsys, monkeypatch
 def test_ground_stall_is_reported(tmp_path, monkeypatch):
     """A ground descent whose line search stalls still writes its state,
     with the stop reason in report.json."""
-    from sbpbox import cli, optimize
+    from sbpbox import optimize
 
     monkeypatch.setattr(optimize, "_INITIAL_STEP", 1e-16)
     out = tmp_path / "out"
@@ -464,8 +478,6 @@ def test_ground_stall_is_reported(tmp_path, monkeypatch):
 def test_progress_names_the_folded_axes(tmp_path, capsys):
     """``solve`` and ``refine`` say in one line whether the descent ran on
     a mirror sector and along which axes; report.json gets no key for it."""
-    from sbpbox import cli
-
     square = GROUND_CFG.replace("domain.dim = 1", "domain.dim = 2")
     keys = []
     for command, text, line in [
@@ -481,3 +493,26 @@ def test_progress_names_the_folded_axes(tmp_path, capsys):
         report = json.loads((out / "report.json").read_text())
         keys.append((sorted(report), sorted(report["states"][0])))
     assert keys[0] == keys[1] == keys[3]
+
+
+def test_sign_changing_ground_state_gets_one_line(tmp_path, capsys, monkeypatch):
+    """A ground state whose minimum lies below -1e-8 is reported, not
+    re-descended: ``solve`` and each ``refine`` level print one line naming
+    it, exit 0 and write its ``min_u``."""
+    from dataclasses import replace
+
+    def negated(problem, u0, opts):
+        res = minimize(problem, u0, opts)
+        return replace(res, u=-np.abs(res.u))
+
+    minimize = cli.minimize_on_M
+    monkeypatch.setattr(cli, "minimize_on_M", negated)
+    for command, text, count in [("solve", GROUND_CFG, 1),
+                                 ("refine", GROUND_CFG + "run.grids = 17,33\n", 2)]:
+        out = tmp_path / command
+        assert cli.main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        lines = [s for s in capsys.readouterr().out.splitlines() if "min u = " in s]
+        assert len(lines) == count
+        assert all(s.startswith(f"state {i}: ") for i, s in enumerate(lines))
+    report = json.loads((tmp_path / "solve" / "report.json").read_text())
+    assert report["states"][0]["min_u"] < -1e-8

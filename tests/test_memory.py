@@ -13,7 +13,7 @@ import pytest
 from sbpbox import cli, config, solvers
 from sbpbox.config import parse_config_text
 from sbpbox.manifold import feasible_init
-from sbpbox.optimize import minimize_on_M, polish_positive
+from sbpbox.optimize import minimize_on_M, mirror_sector
 from sbpbox.verify import residual_original_system
 
 # ``WORKLOADS["ground-3d"].config`` of perfbench/run.py.
@@ -54,7 +54,8 @@ def test_audit_holds_at_most_six_fields_above_its_inputs():
     next is formed; with every field held whole to the end the audit took
     about 10 fields."""
     prob = parse_config_text(GROUND_3D).build_problem()
-    res = polish_positive(prob, minimize_on_M(prob, feasible_init(prob)))
+    sector = mirror_sector(prob)
+    res = minimize_on_M(sector, feasible_init(sector))
     args = (prob, res.u, res.phi, res.omega, res.mu)
     first = residual_original_system(*args)  # builds what the grid caches
     with traced_peak() as peak:

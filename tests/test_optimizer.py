@@ -17,7 +17,6 @@ from sbpbox.manifold import (
     constraint_values,
     feasible_init,
     genus_seeds,
-    retract,
     tangent_project,
 )
 from sbpbox.optimize import (
@@ -26,9 +25,8 @@ from sbpbox.optimize import (
     _tangent_gradient,
     excited_states,
     minimize_on_M,
-    polish_positive,
+    mirror_sector,
 )
-from sbpbox.reduction import phi_map
 from sbpbox.solvers import _dst_interior, _symbols, solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
 from conftest import (DescentSpy, axis_slab_region, descent_view, line_problem,
@@ -169,8 +167,9 @@ def test_short_descents_never_reach_the_tail(dim, bench65, descent_spy):
     """The ground descents of the benchmark (n = 65) and of the 3d ground
     workload (25^3) converge before pass ``_QN_START``: they never call the
     L-BFGS direction and allocate no pair memory, so they run the same
-    arithmetic as Barzilai-Borwein steps throughout."""
-    prob = bench65 if dim == 1 else ground_box_problem(25)
+    arithmetic as Barzilai-Borwein steps throughout.  Each runs on its
+    mirror sector, as the workload does."""
+    prob = mirror_sector(bench65 if dim == 1 else ground_box_problem(25))
     res = minimize_on_M(prob, feasible_init(prob))
     (run,) = descent_spy.descents
     assert res.converged and res.iterations < optimize._QN_START
@@ -203,9 +202,10 @@ def test_grad_norm_is_the_sobolev_norm_of_the_projected_gradient(dim, max_iterat
     """``grad_norm`` (and the ``grad_norm`` of report.json) is the H^1_0 norm
     sqrt(dirichlet_inner(gt, gt)) of the tangent projection gt of
     u + S(w) at the returned iterate, formed field by field; the descent
-    takes it as a sum over DST-I modes."""
+    takes it as a sum over DST-I modes, on the mirror sector in 3d."""
     prob = line_problem(65) if dim == 1 else ground_box_problem(17)
-    res = minimize_on_M(prob, feasible_init(prob),
+    sector = mirror_sector(prob)
+    res = minimize_on_M(sector, feasible_init(sector),
                         OptimizerOptions(max_iterations=max_iterations))
     assert res.converged == (max_iterations > 3)
     assert res.grad_norm == pytest.approx(h1_tangent_norm(prob, res), rel=1e-10)
@@ -224,7 +224,7 @@ def test_one_evaluation_per_trial_point(case, bench65, monkeypatch):
     transforms u again from one that reuses the trial's coefficients.  The
     cases are ground descents in 1d and 3d, which run at s = 0, and a
     descent on the excited-search problem, which reaches the L-BFGS tail at
-    s > 0."""
+    s > 0; the 3d descent runs on its mirror sector."""
     prob = {1: bench65, 3: ground_box_problem(17),
             "tail": oscillating_problem(65, alpha=0.35, kappa=20.0)}[case]
     monkeypatch.setattr(optimize, "_ARMIJO_C", 0.9)
@@ -248,7 +248,8 @@ def test_one_evaluation_per_trial_point(case, bench65, monkeypatch):
                        ("qn", "_quasi_newton_direction"), ("h1", "_h1_check")]:
         monkeypatch.setattr(optimize, attr, counting(name, getattr(optimize, attr)))
     monkeypatch.setattr(optimize, "_tangent_gradient", tangent_gradient)
-    res = minimize_on_M(prob, feasible_init(prob))
+    sector = mirror_sector(prob)
+    res = minimize_on_M(sector, feasible_init(sector))
     assert res.converged and res.iterations > 5
     assert len(shifts) == res.iterations + 1 + calls["h1"]
     assert calls["phi_map"] == calls["retract"] > res.iterations + 1
@@ -427,7 +428,8 @@ def test_both_metrics_give_the_same_multipliers_at_a_converged_state(n, dim):
     are taken on the problem the descent ran on, the mirror sector's in 2d
     and 3d."""
     prob = oscillating_problem(n, dim=dim)
-    res = minimize_on_M(prob, feasible_init(prob), OptimizerOptions(max_iterations=8000))
+    sector = mirror_sector(prob)
+    res = minimize_on_M(sector, feasible_init(sector), OptimizerOptions(max_iterations=8000))
     assert res.converged and len(res.folded) == dim - 1
     prob, u, phi = descent_view(prob, res)
     g = prob.grid
@@ -482,46 +484,6 @@ def test_multiplier_recovery_matches_result(bench65, bench65_state):
     omega, minus_mu = np.linalg.solve(gram, [inner(g, grad, a) for a in basis])
     assert res.omega == pytest.approx(omega, rel=1e-10)
     assert res.mu == pytest.approx(-minus_mu, rel=1e-8)
-
-
-def test_polish_positive_properties(bench129):
-    res = minimize_on_M(bench129, feasible_init(bench129),
-                        OptimizerOptions())
-    # A point of M with a negative lobe (min u about -0.057, J about 10.5)
-    # makes polish_positive fold and re-minimize.
-    x = bench129.grid.coords[0]
-    lobed = retract(bench129, res.u - 0.6 * np.sin(3.0 * np.pi * x))
-    assert float(lobed.min()) < -0.05
-    lobed_j = eval_J(bench129, lobed, phi_map(bench129, lobed))
-    for start in (res, dc_replace(res, u=lobed, j=lobed_j)):
-        polished = polish_positive(bench129, start)
-        assert float(polished.u.min()) >= -1e-8
-        assert polished.j <= start.j + 1e-10 * (1.0 + abs(start.j))
-        c1, c2 = constraint_values(bench129, polished.u)
-        assert abs(c1) <= 1e-10
-        assert abs(c2) <= 1e-8 * (1.0 + abs(bench129.alpha))
-    # The folded run lands on the frozen benchmark state.
-    assert polished.j == pytest.approx(4.53376773961271, rel=1e-8)
-
-
-def test_polish_positive_runs_at_most_one_descent(bench129, bench129_state, monkeypatch):
-    """A nonnegative state is returned as the same object without a descent;
-    a sign-changing one takes exactly one descent, from |u|."""
-    starts = []
-
-    def counting(problem, u0, opts):
-        starts.append(u0)
-        return minimize(problem, u0, opts)
-
-    minimize = optimize._minimize
-    monkeypatch.setattr(optimize, "_minimize", counting)
-    assert polish_positive(bench129, bench129_state) is bench129_state
-    assert starts == []
-    x = bench129.grid.coords[0]
-    lobed = retract(bench129, bench129_state.u - 0.6 * np.sin(3.0 * np.pi * x))
-    polish_positive(bench129, dc_replace(bench129_state, u=lobed))
-    assert len(starts) == 1
-    assert np.array_equal(starts[0], np.abs(lobed))
 
 
 def test_dedupe_identifies_sign_flips(bench65, bench65_state):
@@ -705,14 +667,15 @@ def test_excited_states_propagates_infeasible_region_at_genus_one():
 def test_excited_states_matches_the_nested_genus_start_set(n, alpha, dim):
     """Reference check: descending from every slab seed of genus 1..k, the
     start set the search once used, finds the same states as the genus-k
-    seeds alone."""
+    seeds alone.  Both run on the mirror sector in 2d."""
     prob = oscillating_problem(n, alpha=alpha, dim=dim)
     opts = OptimizerOptions(max_iterations=8000)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         states = excited_states(prob, 3, opts)
-    nested = [minimize_on_M(prob, u0, opts)
-              for genus in (1, 2, 3) for u0 in genus_seeds(prob, genus)]
+    sector = mirror_sector(prob)
+    nested = [minimize_on_M(sector, u0, opts)
+              for genus in (1, 2, 3) for u0 in genus_seeds(sector, genus)]
     reference = _dedupe(prob.grid, [r for r in nested if r.converged])
     assert len(states) == len(reference)
     for s, r in zip(states, reference):

@@ -367,7 +367,7 @@ def check_tail_run(prob):
         except (InfeasibleRegion, ManifoldError):
             return None  # q does not bracket alpha, or too few interior nodes
     (run,) = spy.descents
-    prob, g = run.problem, run.problem.grid  # the mirror sector's, when folded
+    prob, g = run.problem, run.problem.grid
     sym = _symbols(g)
     metric = math.prod(g.h) / sym.scale
     for prev, cur in zip(run.passes, run.passes[1:]):
@@ -403,9 +403,9 @@ def test_tail_directions_are_tangent_descent_directions(g, seed):
 
 @pytest.mark.parametrize("n, dim", [(17, 2), (13, 3)], ids=["2d", "3d"])
 def test_tail_directions_on_a_mirror_sector(n, dim):
-    """The same on the excited-search problem, whose descent runs on the
-    mirror sector of every transverse axis."""
-    run = check_tail_run(oscillating_problem(n, dim=dim))
+    """The same on the excited-search problem on the mirror sector of every
+    transverse axis, where its search descends."""
+    run = check_tail_run(optimize.mirror_sector(oscillating_problem(n, dim=dim)))
     assert run.problem.grid.mirror == tuple(range(1, dim))
     assert any(p.direction is not p.gt for p in run.tail)
 

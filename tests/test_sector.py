@@ -1,5 +1,6 @@
-"""The mirror sector: its discrete identities, the descent on it against
-the descent on the whole box, and the rule for when the box is kept."""
+"""The mirror sector: its discrete identities, the seeds built on it, the
+descent on it against the descent on the whole box, and the rule for when
+the box is kept."""
 
 import math
 
@@ -9,8 +10,8 @@ import pytest
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, optimize
 from sbpbox.config import parse_config_text
 from sbpbox.grid import dirichlet_inner, inner, integrate, laplacian_neumann, zero_boundary
-from sbpbox.manifold import feasible_init
-from sbpbox.optimize import OptimizerOptions, excited_states, minimize_on_M, polish_positive
+from sbpbox.manifold import feasible_init, genus_seeds
+from sbpbox.optimize import OptimizerOptions, excited_states, minimize_on_M, mirror_sector
 from sbpbox.solvers import (
     _MATRIX_MAX_NODES,
     _dct1,
@@ -170,39 +171,87 @@ def box_problem(n, coupling=CouplingSpec("affine", {"b": 1.0})):
 
 
 def test_fold_rule_keeps_the_box():
-    """``_fold_axes`` names the transverse axes of odd node count on the
-    matrix path along which q, chi and the start are mirror-invariant, and
-    no other: never in 1d, not along an even count or an FFT axis, not for
-    an off-centre bump coupling, not for a start without the symmetry."""
-    fold = optimize._fold_axes
-    prob = ground_problem(1, 65)
-    assert fold(prob, feasible_init(prob)) == ()
-    prob = ground_problem(3, 9)
-    assert fold(prob, feasible_init(prob)) == (1, 2)
-    prob = box_problem((9, 8))
-    assert fold(prob, feasible_init(prob)) == ()
-    prob = box_problem((9, 9, 8))
-    assert fold(prob, feasible_init(prob)) == (1,)
-    prob = box_problem((5, _MATRIX_MAX_NODES + 4))
-    assert fold(prob, feasible_init(prob)) == ()
+    """``mirror_sector`` folds the transverse axes of odd node count on the
+    matrix path along which q and chi are mirror-invariant, and no other:
+    never in 1d, not along an even count or an FFT axis, not for an
+    off-centre bump coupling.  Where no axis qualifies it returns the
+    problem itself."""
+    def axes(prob):
+        sector = mirror_sector(prob)
+        assert (sector is prob) == (not sector.grid.mirror)
+        return sector.grid.mirror
+
+    assert axes(ground_problem(1, 65)) == ()
+    assert axes(ground_problem(3, 9)) == (1, 2)
+    assert axes(box_problem((9, 8))) == ()
+    assert axes(box_problem((9, 9, 8))) == (1,)
+    assert axes(box_problem((5, _MATRIX_MAX_NODES + 4))) == ()
     bump = box_problem((17, 17), CouplingSpec("radial_bump",
                                               {"radius": 0.4, "center": (0.5, 0.4)}))
     assert not optimize._mirror_invariant(bump.q, 1)
-    assert fold(bump, feasible_init(bump)) == ()
-    centred = box_problem((17, 17), CouplingSpec("radial_bump", {"radius": 0.4}))
-    assert fold(centred, feasible_init(centred)) == (1,)
+    assert axes(bump) == ()
+    assert axes(box_problem((17, 17), CouplingSpec("radial_bump", {"radius": 0.4}))) == (1,)
+
+
+def test_sector_folds_q_and_chi_and_keeps_the_rest():
+    """The sector problem's q and chi are the box's on its nodes, and its
+    data (alpha, kappa, p and the boundary data) are the box problem's."""
+    prob = ground_problem(3, 9)
+    sector = mirror_sector(prob)
+    assert sector.grid == prob.grid.sector((1, 2))
+    assert np.array_equal(sector.q, prob.q[:, :5, :5])
+    assert np.array_equal(sector.chi, prob.chi[:, :5, :5])
+    assert (sector.alpha, sector.kappa, sector.p, sector.h1, sector.h2) == (
+        prob.alpha, prob.kappa, prob.p, prob.h1, prob.h2)
 
 
 def test_descent_keeps_the_box_for_an_asymmetric_start():
-    """A start that lacks the mirror symmetry of the problem is descended on
-    the whole box."""
+    """The descent runs on the problem it is given: the symmetric seed on
+    the sector, and a start without the mirror symmetry on the box problem,
+    which keeps its asymmetry."""
     prob = ground_problem(2, 17)
-    u0 = feasible_init(prob)
-    assert optimize._fold_axes(prob, u0) == (1,)
-    assert minimize_on_M(prob, u0, OptimizerOptions(max_iterations=2)).folded == (1,)
-    tilted = u0 * (1.0 + 0.1 * prob.grid.coords[1])
-    assert optimize._fold_axes(prob, tilted) == ()
-    assert minimize_on_M(prob, tilted, OptimizerOptions(max_iterations=2)).folded == ()
+    sector = mirror_sector(prob)
+    assert sector.grid.mirror == (1,)
+    opts = OptimizerOptions(max_iterations=2)
+    assert minimize_on_M(sector, feasible_init(sector), opts).folded == (1,)
+    tilted = feasible_init(prob) * (1.0 + 0.1 * prob.grid.coords[1])
+    res = minimize_on_M(prob, tilted, opts)
+    assert res.folded == ()
+    assert not optimize._mirror_invariant(res.u, 1)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 17), (3, 25), (3, 33)], ids=["2d", "3d", "3d-33"])
+def test_seeds_on_the_sector_are_the_folded_box_seeds(dim, n):
+    """``feasible_init`` and ``genus_seeds`` built on the sector equal the
+    box's seeds on the sector's nodes to 1e-13 relative, nonzero at the
+    mirror node, for the ground and the excited problem."""
+    for prob, k in ((ground_problem(dim, n), 1), (oscillating_problem(n, dim=dim), 3)):
+        sector = mirror_sector(prob)
+        assert sector.grid.mirror == tuple(range(1, dim))
+        pairs = [(feasible_init(sector), feasible_init(prob))]
+        pairs += zip(genus_seeds(sector, k), genus_seeds(prob, k))
+        for on_sector, box in pairs:
+            assert on_sector.shape == sector.grid.shape
+            assert rel_err(on_sector, sector.grid.fold(box)) <= 1e-13
+        mirror_node = (slice(None),) + (-1,) * (dim - 1)
+        assert np.any(on_sector[mirror_node] > 0.0)
+
+
+def test_3d_excited_search_builds_one_sector(monkeypatch):
+    """The search decides the sector once: one ``Grid.sector`` call for its
+    three descents on the 25^3 box."""
+    prob = oscillating_problem(25, dim=3)
+    calls = []
+    real = Grid.sector
+
+    def counting(self, axes):
+        calls.append(axes)
+        return real(self, axes)
+
+    monkeypatch.setattr(Grid, "sector", counting)
+    states = excited_states(prob, 3, OptimizerOptions(max_iterations=8000))
+    assert len(states) == 3 and all(s.folded == (1, 2) for s in states)
+    assert calls == [(1, 2)]
 
 
 # -- the descent on the sector against the descent on the box ----------------
@@ -212,7 +261,7 @@ def solve_both(monkeypatch, solve):
     """``solve()`` on the mirror sector, then with the fold turned off."""
     folded = solve()
     with monkeypatch.context() as mp:
-        mp.setattr(optimize, "_fold_axes", lambda problem, u0: ())
+        mp.setattr(optimize, "mirror_sector", lambda problem: problem)
         whole = solve()
     return folded, whole
 
@@ -233,8 +282,8 @@ def test_ground_state_on_the_sector_is_the_box_ground_state(dim, n, monkeypatch)
     prob = ground_problem(dim, n)
 
     def solve():
-        res = minimize_on_M(prob, feasible_init(prob))
-        return [polish_positive(prob, res)]
+        sector = optimize.mirror_sector(prob)
+        return [minimize_on_M(sector, feasible_init(sector))]
 
     folded, whole = solve_both(monkeypatch, solve)
     assert_same_states(prob.grid, folded, whole, tuple(range(1, dim)))

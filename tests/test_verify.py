@@ -13,7 +13,7 @@ from sbpbox.errors import SbpError
 from sbpbox.functional import eval_J
 from sbpbox.grid import norm_l2
 from sbpbox.manifold import constraint_values, feasible_init
-from sbpbox.optimize import OptimizerOptions, minimize_on_M, polish_positive
+from sbpbox.optimize import OptimizerOptions, minimize_on_M, mirror_sector
 from sbpbox.reduction import phi_map
 from sbpbox.verify import (
     SUMMARY_COLUMNS,
@@ -100,8 +100,8 @@ def test_refinement_study_warm_starts_match_cold_solves(make, counts):
     study = refinement_study(make, counts, opts)
     for level, (n, res) in enumerate(zip(counts, study.results)):
         prob = make(n)
-        cold = polish_positive(prob, minimize_on_M(prob, feasible_init(prob), opts),
-                               opts)
+        sector = mirror_sector(prob)
+        cold = minimize_on_M(sector, feasible_init(sector), opts)
         assert res.u.shape == prob.grid.shape
         assert abs(res.j - cold.j) <= 1e-9 * abs(cold.j)
         if level == 0:
@@ -285,7 +285,8 @@ def ground_state(dim, n):
     prob = parse_config_text(f"domain.dim = {dim}\ngrid.n = {n}\nphysics.kappa = 1.0\n"
                              "physics.p = 3.0\ncoupling.kind = affine\ncoupling.a = 0.0\n"
                              "coupling.b = 1.0\nboundary.h2.x1 = 0.5\n").build_problem()
-    res = polish_positive(prob, minimize_on_M(prob, feasible_init(prob)))
+    sector = mirror_sector(prob)
+    res = minimize_on_M(sector, feasible_init(sector))
     assert res.folded == tuple(range(1, dim))
     return prob, res.u, res.phi, res.omega, res.mu, res.j, res.iterations
 
