@@ -16,8 +16,8 @@ the full residual and multiplier set, in strict JSON (an observed order
 at the noise floor is ``null``).  An identical config produces
 byte-identical outputs at a fixed BLAS thread count only: the thread count
 changes the summation order of BLAS dots and products on large fields, so
-ground-3d's ``eq1_res`` reads 0.04331184830765819 with
-``OPENBLAS_NUM_THREADS=1`` and 0.0433118483076582 with 2.  ``--seed`` only
+ground-3d's ``eq1_res`` reads 0.043311848307765674 with
+``OPENBLAS_NUM_THREADS=1`` and 0.04331184830776568 with 2.  ``--seed`` only
 reaches the random test data of ``oracle``.
 
 ``refinement_study`` does the work of ``refine``: it solves on a sequence
@@ -28,6 +28,7 @@ onto the new grid, and reports observed convergence orders.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -104,8 +105,8 @@ def _say_negative(quiet: bool, results: Sequence[SolveResult]) -> None:
 def _ground_descent(problem: Problem, opts: OptimizerOptions,
                     start: np.ndarray | None = None) -> SolveResult:
     """The descent on ``mirror_sector(problem)`` from its ``feasible_init``,
-    or from the box field ``start`` folded onto the sector.  The sector
-    lives as long as the descent only."""
+    or from the box field ``start`` folded onto the sector.  The folded
+    fields live as long as the descent only."""
     sector = mirror_sector(problem)
     u0 = feasible_init(sector) if start is None else sector.grid.fold(start)
     return minimize_on_M(sector, u0, opts)
@@ -395,6 +396,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Frozen, the objects made before the run are not scanned again by a
+    # collection inside it.
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help

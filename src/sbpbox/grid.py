@@ -25,7 +25,8 @@ The sector's weights count each node as often as the box holds it: twice
 on nodes 0..m - 1 (the trapezoid weight doubled), once on node m, and its
 interior runs through node m.  Integrals, inner products, both stencils and
 ``dirichlet_inner`` of symmetric fields then equal those on the whole box.
-Boundary data and field dumps live on the whole box only.
+Boundary data and field dumps live on the whole box only;
+``neumann_flux_field`` folds symmetric data onto a sector.
 
 A grid keeps only its quadrature weights: ``dirichlet_inner`` builds its cell
 weights per call, the package evaluates on the broadcast ``axes``, never on
@@ -281,8 +282,13 @@ class BoundaryData:
         return self.values[(axis, side)]
 
     @cached_property
+    def live(self) -> tuple[tuple[int, int], ...]:
+        """The faces whose data are not all zero."""
+        return tuple(face for face, v in self.values.items() if np.count_nonzero(v))
+
+    @property
     def is_zero(self) -> bool:
-        return all(not np.any(v) for v in self.values.values())
+        return not self.live
 
     @cached_property
     def integral(self) -> float:
@@ -401,11 +407,15 @@ def neumann_flux_field(grid: Grid, flux: BoundaryData) -> np.ndarray:
 
     Adds ``2 * flux / h`` on each face (contributions accumulate on edges and
     corners).  ``laplacian_neumann(grid, f, flux)`` equals
-    ``laplacian_neumann(grid, f) + neumann_flux_field(grid, flux)``.
+    ``laplacian_neumann(grid, f) + neumann_flux_field(grid, flux)``.  On a
+    mirror sector of ``flux.grid`` it is the box's field on the sector's
+    nodes, for data invariant under the sector's mirrors.
     """
     out = np.zeros(grid.shape)
     for axis, side in grid.faces():
-        out[grid.face_index(axis, side)] += 2.0 * flux.face(axis, side) / grid.h[axis]
+        if not (side and axis in grid.mirror):  # that face lies past the mirror node
+            part = tuple(slice(0, m) for j, m in enumerate(grid.n) if j != axis)
+            out[grid.face_index(axis, side)] += 2.0 * flux.face(axis, side)[part] / grid.h[axis]
     return out
 
 

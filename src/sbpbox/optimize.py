@@ -49,10 +49,11 @@ The descent runs on the problem it is given, which may be a mirror sector.
 Where q and chi are invariant under a transverse reflection x_a -> L_a - x_a
 (a >= 1), so are J and both constraints, and a critical point of J on the
 symmetric part of M is one on M (Palais, Comm. Math. Phys. 69, 1979).
-``mirror_sector`` decides once per problem, from q and chi alone, to fold
-every such axis with an odd node count 2m + 1 and the matrix transforms onto
-nodes 0..m, whose weights count nodes 0..m - 1 twice (``grid``) and whose
-transforms keep the odd DST-I and the even DCT-I modes (``solvers``).  The
+``build_problem`` decides once per problem, from q and the flux data, to
+fold every such axis with an odd node count 2m + 1 and the matrix
+transforms onto nodes 0..m, whose weights count nodes 0..m - 1 twice
+(``grid``) and whose transforms keep the odd DST-I and the even DCT-I modes
+(``solvers``); ``mirror_sector`` folds q and chi onto that sector.  The
 loop below is unchanged there; every integral and sum over modes equals the
 box's, so J, the multipliers and the norms are the box's to rounding, and u
 and phi are unfolded at exit.  A start without the symmetry descends on the
@@ -86,7 +87,7 @@ from .lbfgs import _Pairs, _quasi_newton_direction
 from .manifold import _project_dst, genus_seeds, retract
 from .problem import Problem
 from .reduction import phi_map
-from .solvers import _MATRIX_MAX_NODES, _dst_interior, _from_dst_interior, _symbols
+from .solvers import _dst_interior, _from_dst_interior, _symbols
 
 __all__ = [
     "OptimizerOptions",
@@ -109,9 +110,6 @@ _QN_START = 8
 # energy gap both fall below these.
 _DEDUPE_L2 = 1e-3
 _DEDUPE_J = 1e-6
-# A field is mirror-invariant along an axis when it differs from its mirror
-# image by at most this, relative to its largest magnitude.
-_MIRROR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -170,23 +168,15 @@ def minimize_on_M(problem: Problem,
     return _minimize(problem, u0, opts or OptimizerOptions())
 
 
-def _mirror_invariant(f: np.ndarray, axis: int) -> bool:
-    return bool(np.max(np.abs(f - np.flip(f, axis))) <= _MIRROR_TOL * np.max(np.abs(f)))
-
-
 def mirror_sector(problem: Problem) -> Problem:
-    """``problem`` on the mirror sector of every axis a >= 1 that has an odd
-    node count on the matrix path and along which q and chi are
-    mirror-invariant (``_MIRROR_TOL``), or ``problem`` itself when no axis
-    qualifies, as in 1d.  A search builds it once and drops it with its
-    descents: kept into the audit, its fields and symbols raise the peak."""
-    n = problem.grid.n
-    axes = tuple(a for a in range(1, len(n))
-                 if n[a] % 2 and n[a] <= _MATRIX_MAX_NODES
-                 and _mirror_invariant(problem.q, a) and _mirror_invariant(problem.chi, a))
-    if not axes:
+    """``problem`` on its mirror sector ``problem.sector``, decided by
+    ``build_problem``, with q and chi folded onto it; ``problem`` itself
+    where the sector is the box, as in 1d.  A search folds once and drops
+    the folded fields with its descents: kept into the audit, they raise
+    the peak."""
+    grid = problem.sector
+    if grid is problem.grid:
         return problem
-    grid = problem.grid.sector(axes)
     return replace(problem, grid=grid, q=grid.fold(problem.q), chi=grid.fold(problem.chi))
 
 

@@ -11,6 +11,13 @@ and the auxiliary potential chi obtained from the two-step solve
 Integrating the theta equation gives ``integrate(theta) == surface(h1)``
 identically, which is both the compatibility condition for the chi solve and
 a free end-to-end check on the construction; it is verified on every build.
+
+The build also decides the mirror sector (``Grid.sector``) of every
+descent of the problem: the axes along which q and both flux data sets are
+invariant under x_a -> L_a - x_a (``_mirror_axes``).  Then so are theta and
+chi, so both are solved on the sector, whose transforms and integrals are
+the box's for such fields (``solvers``), and chi is unfolded onto the box;
+the box's symbols are never built.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .grid import (
     norm_l2,
     read_field,
 )
-from .solvers import solve_helmholtz_neumann, solve_poisson_neumann_zeromean
+from .solvers import _MATRIX_MAX_NODES, solve_helmholtz_neumann, solve_poisson_neumann_zeromean
 
 __all__ = [
     "CouplingSpec",
@@ -45,6 +52,9 @@ P_LOWER = 2.0
 P_UPPER = 10.0 / 3.0
 # ``solve_chi`` tolerance on the mean identity, relative to the data scale.
 _CHI_CHECK_TOL = 5e-8
+# A field is mirror-invariant along an axis when it differs from its mirror
+# image by at most this, relative to its largest magnitude.
+_MIRROR_TOL = 1e-12
 # Parameters each coupling kind takes: (required, optional).
 COUPLING_PARAMS = {"affine": ((), ("a", "b")),
                    "radial_bump": (("radius",), ("base", "height", "center")),
@@ -143,6 +153,7 @@ class Problem:
     kappa: float
     p: float
     chi: np.ndarray
+    sector: Grid  # the grid of its descents: a mirror sector of grid, or grid
 
     @cached_property
     def q_chi(self) -> np.ndarray:
@@ -157,7 +168,8 @@ def compute_alpha(grid: Grid, h1: BoundaryData, h2: BoundaryData) -> float:
 def solve_chi(grid: Grid,
               h1: BoundaryData,
               h2: BoundaryData) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two-step construction of the auxiliary potential.
+    """Two-step construction of the auxiliary potential on ``grid``: the
+    box of the data, or a sector of it along ``_mirror_axes``.
 
     Returns (chi, theta, alpha).  Raises ``SbpError`` when the
     mean identity ``integrate(theta) == surface(h1)`` fails beyond
@@ -184,7 +196,8 @@ def build_problem(grid: Grid,
                   h2: BoundaryData,
                   kappa: float,
                   p: float) -> Problem:
-    """Assemble a ``Problem``: evaluate q, solve for chi, record alpha.
+    """Assemble a ``Problem``: evaluate q, decide its mirror sector, solve
+    for chi there, record alpha.
 
     Feasibility of alpha is *not* enforced here; call ``classify_alpha`` (the
     solve entry points do) so that infeasible setups can still be inspected.
@@ -197,9 +210,33 @@ def build_problem(grid: Grid,
         np.asarray(coupling, dtype=float).reshape(grid.shape)
     if not np.all(np.isfinite(q)):
         raise ValueError("coupling field has non-finite values")
-    chi, _, alpha = solve_chi(grid, h1, h2)
+    axes = _mirror_axes(grid, q, h1, h2)
+    sector = grid.sector(axes) if axes else grid
+    chi, _, alpha = solve_chi(sector, h1, h2)
     return Problem(grid=grid, q=q, h1=h1, h2=h2, alpha=alpha, kappa=float(kappa),
-                   p=float(p), chi=chi)
+                   p=float(p), chi=sector.unfold(chi), sector=sector)
+
+
+def _mirror_invariant(f: np.ndarray, axis: int) -> bool:
+    """Whether ``f`` is its mirror image along ``axis``: its first half
+    against the mirror image of its last half, to ``_MIRROR_TOL``."""
+    half, pre = f.shape[axis] // 2, (slice(None),) * axis
+    lo, hi = f[pre + (slice(half),)], f[pre + (slice(-1, -half - 1, -1),)]
+    return bool(abs(lo - hi).max() <= _MIRROR_TOL * abs(lo).max())
+
+
+def _mirror_axes(grid: Grid, q: np.ndarray, h1: BoundaryData,
+                 h2: BoundaryData) -> tuple[int, ...]:
+    """The axes a >= 1 of odd node count on the matrix path along which q
+    and both data sets are mirror-invariant: equal data on the two faces
+    across a, and the data of every other face invariant along a."""
+    live = [(d, b, s) for d in (h1, h2) for b, s in d.live]
+    return tuple(
+        a for a in range(1, grid.dim)
+        if grid.n[a] % 2 and grid.n[a] <= _MATRIX_MAX_NODES
+        and all(_mirror_invariant(np.stack((d.face(a, 0), d.face(a, 1))), 0) if b == a
+                else _mirror_invariant(d.face(b, s), a - (a > b)) for d, b, s in live)
+        and _mirror_invariant(q, a))
 
 
 def classify_alpha(problem: Problem) -> FeasibilityReport:

@@ -164,13 +164,13 @@ def _sigma(grid: Grid, dirichlet: bool) -> np.ndarray:
 
 
 def _symbols(grid: Grid) -> _Symbols:
-    """Kept on the grid object: a lookup is one dict access, not a hash.  A
-    mirror sector's symbols are kept there only, so that they are freed
-    with the sector."""
+    """Kept on the grid object: a lookup is one dict access, not a hash.
+    Every grid, a box or a mirror sector, goes through the one cache of
+    ``_build_symbols``: a problem's build and its descents share one
+    sector build, and a folded problem never builds the box's."""
     sym = grid.__dict__.get("_symbols")
     if sym is None:
-        build = _build_symbols.__wrapped__ if grid.mirror else _build_symbols
-        sym = grid.__dict__["_symbols"] = build(grid)
+        sym = grid.__dict__["_symbols"] = _build_symbols(grid)
     return sym
 
 

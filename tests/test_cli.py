@@ -3,8 +3,10 @@
 subprocess."""
 
 import csv
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -44,6 +46,19 @@ boundary.h2.x1 = 0.35
 run.mode = excited
 run.k = 2
 optimizer.max_iterations = 8000
+"""
+
+# The ground-3d workload of perfbench/run.py, which folds axes 1 and 2.
+GROUND_3D_CFG = """
+domain.dim = 3
+grid.n = 25
+physics.kappa = 1.0
+physics.p = 3.0
+coupling.kind = affine
+coupling.a = 0.0
+coupling.b = 1.0
+boundary.h2.x1 = 0.5
+run.mode = ground
 """
 
 INFEASIBLE_CFG = GROUND_CFG.replace("boundary.h2.x1 = 0.5",
@@ -134,6 +149,45 @@ def test_solve_deterministic_outputs(tmp_path, solved_dir):
     for name in ("summary.csv", "u_0.bin", "phi_0.bin", "chi.bin",
                  "report.json"):
         assert (rerun / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_main_freezes_the_objects_made_before_the_run(tmp_path, solved_dir, monkeypatch):
+    """``cli.main`` runs between ``gc.freeze`` and ``gc.unfreeze``, so a
+    collection inside the run scans only the run's objects; nothing stays
+    frozen after it, on success or on a usage error, and the outputs are
+    those of a run without the freeze, byte for byte."""
+    cfg, _, _ = solved_dir
+    frozen = []
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config",
+                        lambda path: frozen.append(gc.get_freeze_count()) or load(path))
+    assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "frozen")).returncode == 0
+    assert frozen[0] > 0 and gc.get_freeze_count() == 0
+    assert run_cli("solve").returncode == 1 and gc.get_freeze_count() == 0
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "thawed")).returncode == 0
+    for name in ("summary.csv", "u_0.bin", "phi_0.bin", "chi.bin", "report.json"):
+        assert ((tmp_path / "frozen" / name).read_bytes()
+                == (tmp_path / "thawed" / name).read_bytes()), name
+
+
+def test_folded_3d_solve_agrees_across_blas_thread_counts(tmp_path):
+    """A folded 3d ground solve in fresh processes with one and with two
+    BLAS and OpenMP threads: the same iterations, and J within 1e-12
+    relative."""
+    cfg = write_cfg(tmp_path, GROUND_3D_CFG)
+    states = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "sbpbox", "solve", "--config", cfg,
+                               "--out", str(out), "--quiet"],
+                              capture_output=True, text=True, timeout=600, env=env)
+        assert proc.returncode == 0, proc.stderr
+        states.append(json.loads((out / "report.json").read_text())["states"][0])
+    one, two = states
+    assert one["iterations"] == two["iterations"]
+    assert two["J"] == pytest.approx(one["J"], rel=1e-12, abs=0.0)
 
 
 def test_solve_quiet_suppresses_progress(tmp_path):

@@ -64,6 +64,18 @@ def test_audit_holds_at_most_six_fields_above_its_inputs():
     assert peak[0] <= 6 * res.u.nbytes
 
 
+def test_ground_3d_build_holds_at_most_six_fields():
+    """The build solves theta and chi on the 25 x 13 x 13 sector with that
+    sector's symbols, and unfolds chi onto the box; on the whole box, with
+    the box's symbols, it peaked at 1,289 KB, above ten fields."""
+    cfg = parse_config_text(GROUND_3D)
+    solvers._build_symbols.cache_clear()
+    with traced_peak() as peak:
+        prob = cfg.build_problem()
+    assert prob.sector.mirror == (1, 2)
+    assert peak[0] <= 6 * prob.q.nbytes
+
+
 @pytest.fixture(scope="module")
 def ground_3d_run(tmp_path_factory):
     """The traced peak of an in-process ``sbpbox solve`` of the ground-3d

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, optimize
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, cli, optimize, solvers
 from sbpbox.config import parse_config_text
 from sbpbox.grid import dirichlet_inner, inner, integrate, laplacian_neumann, zero_boundary
 from sbpbox.manifold import feasible_init, genus_seeds
 from sbpbox.optimize import OptimizerOptions, excited_states, minimize_on_M, mirror_sector
+from sbpbox.problem import _mirror_invariant, solve_chi
 from sbpbox.solvers import (
     _MATRIX_MAX_NODES,
     _dct1,
@@ -171,11 +172,11 @@ def box_problem(n, coupling=CouplingSpec("affine", {"b": 1.0})):
 
 
 def test_fold_rule_keeps_the_box():
-    """``mirror_sector`` folds the transverse axes of odd node count on the
-    matrix path along which q and chi are mirror-invariant, and no other:
-    never in 1d, not along an even count or an FFT axis, not for an
-    off-centre bump coupling.  Where no axis qualifies it returns the
-    problem itself."""
+    """The build picks, and ``mirror_sector`` folds, the transverse axes of
+    odd node count on the matrix path along which q and the flux data are
+    mirror-invariant, and no other: never in 1d, not along an even count
+    or an FFT axis, not for an off-centre bump coupling.  Where no axis
+    qualifies it returns the problem itself."""
     def axes(prob):
         sector = mirror_sector(prob)
         assert (sector is prob) == (not sector.grid.mirror)
@@ -188,7 +189,7 @@ def test_fold_rule_keeps_the_box():
     assert axes(box_problem((5, _MATRIX_MAX_NODES + 4))) == ()
     bump = box_problem((17, 17), CouplingSpec("radial_bump",
                                               {"radius": 0.4, "center": (0.5, 0.4)}))
-    assert not optimize._mirror_invariant(bump.q, 1)
+    assert not _mirror_invariant(bump.q, 1)
     assert axes(bump) == ()
     assert axes(box_problem((17, 17), CouplingSpec("radial_bump", {"radius": 0.4}))) == (1,)
 
@@ -217,7 +218,7 @@ def test_descent_keeps_the_box_for_an_asymmetric_start():
     tilted = feasible_init(prob) * (1.0 + 0.1 * prob.grid.coords[1])
     res = minimize_on_M(prob, tilted, opts)
     assert res.folded == ()
-    assert not optimize._mirror_invariant(res.u, 1)
+    assert not _mirror_invariant(res.u, 1)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 17), (3, 25), (3, 33)], ids=["2d", "3d", "3d-33"])
@@ -238,9 +239,8 @@ def test_seeds_on_the_sector_are_the_folded_box_seeds(dim, n):
 
 
 def test_3d_excited_search_builds_one_sector(monkeypatch):
-    """The search decides the sector once: one ``Grid.sector`` call for its
-    three descents on the 25^3 box."""
-    prob = oscillating_problem(25, dim=3)
+    """The build decides the sector once: one ``Grid.sector`` call for the
+    potential and the search's three descents on the 25^3 box."""
     calls = []
     real = Grid.sector
 
@@ -249,9 +249,72 @@ def test_3d_excited_search_builds_one_sector(monkeypatch):
         return real(self, axes)
 
     monkeypatch.setattr(Grid, "sector", counting)
+    prob = oscillating_problem(25, dim=3)
     states = excited_states(prob, 3, OptimizerOptions(max_iterations=8000))
     assert len(states) == 3 and all(s.folded == (1, 2) for s in states)
     assert calls == [(1, 2)]
+
+
+# -- the potential solved on the sector -------------------------------------
+
+
+def face_file(tmp_path, name, values):
+    path = tmp_path / name
+    np.savetxt(path, np.ravel(values))
+    return f"file:{path}"
+
+
+def symmetric_face_cfg(tmp_path):
+    """A 3d config whose h1 data on face x0 come from a file, mirror-invariant
+    along both transverse axes, with equal constant data on y0 and y1."""
+    y, z = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 11)
+    face = 0.2 + np.outer(y * (1.0 - y), 1.0 + np.cos(2.0 * np.pi * z))
+    face = face + face[::-1]
+    face = 0.25 * (face + face[:, ::-1])
+    return (GROUND_CFG.format(dim=3, n="7,9,11")
+            + f"boundary.h1.x0 = {face_file(tmp_path, 'x0.txt', face)}\n"
+            + "boundary.h2.y0 = 0.3\nboundary.h2.y1 = 0.3\n")
+
+
+@pytest.mark.parametrize("case, axes", [("2d", (1,)), ("3d", (1, 2)), ("file", (1, 2))])
+def test_chi_on_the_sector_is_the_box_chi(case, axes, tmp_path):
+    """The build solves theta and chi on the sector of the axes it folds,
+    and chi unfolded onto the box is ``solve_chi`` on the box to 1e-13
+    relative; the folded problem's chi is that chi on the sector."""
+    prob = (parse_config_text(symmetric_face_cfg(tmp_path)).build_problem()
+            if case == "file" else ground_problem(int(case[0]), 17))
+    assert prob.sector.mirror == axes
+    box_chi, _, alpha = solve_chi(prob.grid, prob.h1, prob.h2)
+    assert prob.alpha == alpha
+    assert rel_err(prob.chi, box_chi) <= 1e-13
+    assert np.array_equal(mirror_sector(prob).chi, prob.sector.fold(prob.chi))
+
+
+def test_asymmetric_data_keep_their_axis(tmp_path):
+    """Flux data on one face across an axis, or face data that vary
+    asymmetrically along it, keep that axis unfolded; the other axis still
+    folds, and chi is the box's."""
+    base = GROUND_CFG.format(dim=3, n=9)
+    z = np.linspace(0.0, 1.0, 9)
+    tilted = face_file(tmp_path, "x0.txt", np.outer(np.ones(9), 1.0 + z))
+    for extra, axes in (("boundary.h2.y1 = 0.3", (2,)),
+                        (f"boundary.h1.x0 = {tilted}", (1,))):
+        prob = parse_config_text(f"{base}{extra}\n").build_problem()
+        assert prob.sector.mirror == axes
+        assert rel_err(prob.chi, solve_chi(prob.grid, prob.h1, prob.h2)[0]) <= 1e-13
+
+
+def test_folded_problem_never_builds_the_box_symbols(monkeypatch):
+    """The build, the ground descent and the excited search of a folded
+    problem build the symbols of its sector only."""
+    grids = []
+    real = solvers._build_symbols
+    monkeypatch.setattr(solvers, "_build_symbols", lambda grid: grids.append(grid) or real(grid))
+    ground = ground_problem(3, 9)
+    assert cli._ground_descent(ground, OptimizerOptions()).converged
+    excited = oscillating_problem(17, dim=2)
+    assert excited_states(excited, 2, OptimizerOptions(max_iterations=8000))
+    assert {g.mirror for g in grids} == {(1,), (1, 2)}
 
 
 # -- the descent on the sector against the descent on the box ----------------
