@@ -29,7 +29,7 @@ problem = build_problem(
 states = excited_states(problem, 3,
                         OptimizerOptions(max_iterations=8000))
 
-x = grid.coords[0]
+x = grid.axes[0]
 print(f"{len(states)} distinct states (energy-ordered):")
 print(f"{'J':>16} {'dirichlet':>12} {'omega':>12} {'center':>8}")
 for s in states:

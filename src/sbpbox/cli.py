@@ -215,7 +215,7 @@ def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
     return 0
 
 
-def cmd_feasibility(cfg: RunConfig, quiet: bool) -> int:
+def cmd_feasibility(cfg: RunConfig) -> int:
     # ``solve`` gates ``grid.n`` and ``refine`` the first of ``run.grids``,
     # checked when the config sets that key; one line per distinct grid.
     grid, levels = cfg.grid(), [None]
@@ -416,7 +416,7 @@ def _run(argv) -> int:
         if args.command == "solve":
             return cmd_solve(cfg, out, args.quiet)
         if args.command == "feasibility":
-            return cmd_feasibility(cfg, args.quiet)
+            return cmd_feasibility(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, out, args.quiet)
         if args.command == "refine":

@@ -163,15 +163,20 @@ def solve_fourth_order_dense(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Direct solve of the split system for homogeneous boundary data.
 
     Returns phi with the source projected to zero mean, matching the
-    spectral path semantics; psi stays inside the bordered system.
+    spectral path semantics; psi stays inside the bordered system.  ``f``
+    is one source of shape ``grid.shape``, or k raveled sources as the
+    columns of an (m, k) array, whose potentials are the columns of the
+    result: ``np.eye(m)`` gives the dense source-to-potential matrix.
     """
     check_size(grid)
     m = grid.node_count
     w = weight_vector(grid)
-    fvec = np.asarray(f, dtype=float).ravel()
+    f = np.asarray(f, dtype=float)
+    single = f.shape == grid.shape
+    fvec = f.ravel() if single else f.reshape(m, -1)
     fvec = fvec - np.dot(w, fvec) / grid.volume
     big = fourth_order_matrix_dense(grid)
-    b = np.zeros(2 * m + 1)
+    b = np.zeros((2 * m + 1,) + fvec.shape[1:])
     b[:m] = fvec
-    sol = np.linalg.solve(big, b)
-    return sol[m:2 * m].reshape(grid.shape)
+    sol = np.linalg.solve(big, b)[m:2 * m]
+    return sol.reshape(grid.shape) if single else sol

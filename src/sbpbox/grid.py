@@ -29,8 +29,8 @@ Boundary data and field dumps live on the whole box only;
 ``neumann_flux_field`` folds symmetric data onto a sector.
 
 A grid keeps only its quadrature weights: ``dirichlet_inner`` builds its cell
-weights per call, the package evaluates on the broadcast ``axes``, never on
-the coordinate fields ``coords``, and a stencil needs one scratch field.
+weights per call, fields are evaluated on the broadcast per-axis coordinates
+``axes``, and a stencil needs one scratch field.
 """
 
 from __future__ import annotations
@@ -144,11 +144,6 @@ class Grid:
     def axes(self) -> tuple[np.ndarray, ...]:
         """Per-axis node coordinates (1d arrays)."""
         return tuple(np.linspace(0.0, L, m) for L, m in zip(self.lengths, self.n))
-
-    @cached_property
-    def coords(self) -> tuple[np.ndarray, ...]:
-        """Coordinate fields of shape ``grid.shape``; the package uses ``axes``."""
-        return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     @cached_property
     def axis_weights(self) -> tuple[np.ndarray, ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .manifold import _project_dst
-from .problem import Problem
 
 _QN_MEMORY = 5
 
@@ -62,8 +61,8 @@ class _Pairs:
         gram[:, -1] = now
 
 
-def _quasi_newton_direction(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
-                            gt_hat: np.ndarray, symbol: np.ndarray, shift: float,
+def _quasi_newton_direction(u_hat: np.ndarray, qu_hat: np.ndarray, gt_hat: np.ndarray,
+                            symbol: np.ndarray, shift: float,
                             pairs: _Pairs) -> np.ndarray | None:
     """The L-BFGS direction at g = ``gt_hat``, or None when the memory holds
     no pair whose sy is positive.  The two-loop recursion runs on d's
@@ -97,5 +96,5 @@ def _quasi_newton_direction(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndar
                 acc += coef[ys[q] - 1] * gram[ys[q] - 1][j]
             coef[j - 1], coef[j] = alpha[p] - rho[p] * acc, -gamma * alpha[p]
         d_hat = (np.array(coef) @ pairs.ring).reshape(gt_hat.shape)
-        return _project_dst(problem, u_hat, qu_hat, d_hat, symbol)[0]
+        return _project_dst(u_hat, qu_hat, d_hat, symbol)[0]
     return None

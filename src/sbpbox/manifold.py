@@ -160,15 +160,13 @@ def tangent_project(problem: Problem, u: np.ndarray, g: np.ndarray) -> np.ndarra
     grid = problem.grid
     u = np.asarray(u, dtype=float)
     g = np.array(g, dtype=float)  # a copy: boundary values pass through
-    coef, _, _ = _project_dst(problem, _dst_interior(grid, u),
-                              _dst_interior(grid, problem.q * u), _dst_interior(grid, g),
-                              _symbols(grid).dirichlet)
+    coef, _, _ = _project_dst(_dst_interior(grid, u), _dst_interior(grid, problem.q * u),
+                              _dst_interior(grid, g), _symbols(grid).dirichlet)
     return _from_dst_interior(grid, coef, g)
 
 
-def _project_dst(problem: Problem, u_hat: np.ndarray, qu_hat: np.ndarray,
-                 g_hat: np.ndarray, symbol: np.ndarray
-                 ) -> tuple[np.ndarray, float, float]:
+def _project_dst(u_hat: np.ndarray, qu_hat: np.ndarray, g_hat: np.ndarray,
+                 symbol: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The projection of ``tangent_project`` on DST-I coefficients, in the
     metric sum(symbol a_hat b_hat) * prod h / scale: from the coefficients
     of u, q u and g, returns g_hat - lam u_hat / symbol - beta qu_hat /

@@ -30,8 +30,10 @@ Barzilai-Borwein step sy / yy (Barzilai & Borwein, IMA J. Numer. Anal. 8,
 1988), whose tail converges only linearly; later ones the L-BFGS direction
 (Liu & Nocedal, Math. Program. 45, 1989) in the pass's metric, projected
 as in Riemannian L-BFGS (Huang, Gallivan & Absil, SIAM J. Optim. 25(3),
-2015; ``lbfgs``).  The switch is a pass count: the ground solves end
-before it, and L-BFGS from the first pass loses a genus-2 state.  A
+2015; ``lbfgs``).  The switch is a pass count: L-BFGS from the first pass
+loses a genus-2 state.  The benchmark's ground solves end before it, after
+6 passes, while ground descents on the oscillating coupling of
+``demos/configs/excited.cfg`` take 59-80 (alpha 0.2 to 1.8).  A
 nonmonotone Armijo line search safeguards both at the merit's slope: a
 trial is tested against the Zhang-Hager reference value C, a weighted mean
 of the merits accepted so far.
@@ -232,8 +234,7 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
         if it > 0 and it >= _QN_START:
             pairs = pairs or _Pairs(sigma)
             pairs.push(u_hat, gt_hat, prev_u_hat, prev_gt_hat, shift)
-            qn_hat = _quasi_newton_direction(
-                problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs)
+            qn_hat = _quasi_newton_direction(u_hat, qu_hat, gt_hat, symbol, shift, pairs)
             qn_slope = 0.0 if qn_hat is None else _slope(metric, symbol, gt_hat, qn_hat)
             if qn_slope > 0.0:
                 d_hat, slope, t = qn_hat, qn_slope, 1.0
@@ -344,7 +345,7 @@ def _tangent_gradient(problem: Problem, u: np.ndarray, phi: np.ndarray,
     g_hat /= symbol
     g_hat += u_hat
     qu_hat = _dst_interior(grid, qu)
-    gt_hat, lam, beta = _project_dst(problem, u_hat, qu_hat, g_hat, symbol)
+    gt_hat, lam, beta = _project_dst(u_hat, qu_hat, g_hat, symbol)
     return lam, beta, gt_hat, qu_hat
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "Problem",
     "FeasibilityReport",
     "build_problem",
-    "compute_alpha",
     "solve_chi",
     "classify_alpha",
 ]
@@ -160,11 +159,6 @@ class Problem:
         return self.q * self.chi
 
 
-def compute_alpha(grid: Grid, h1: BoundaryData, h2: BoundaryData) -> float:
-    """Flux gap: surface integral of h2 minus surface integral of h1."""
-    return h2.integral - h1.integral
-
-
 def solve_chi(grid: Grid,
               h1: BoundaryData,
               h2: BoundaryData) -> tuple[np.ndarray, np.ndarray, float]:
@@ -176,7 +170,7 @@ def solve_chi(grid: Grid,
     ``_CHI_CHECK_TOL`` times the data scale, which would indicate a broken
     solver rather than bad data (the identity holds by construction).
     """
-    alpha = compute_alpha(grid, h1, h2)
+    alpha = h2.integral - h1.integral  # the flux gap
     source = np.full(grid.shape, alpha / grid.volume)
     theta = solve_helmholtz_neumann(grid, source, h2)
     scale = 1.0 + abs(alpha) + norm_l2(grid, theta)

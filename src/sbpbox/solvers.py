@@ -97,7 +97,6 @@ def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
     return -np.fft.rfft(odd, axis=axis).imag[_axis_slice(x.ndim, axis, slice(1, -1))]
 
 
-@lru_cache(maxsize=16)  # a mirror sector shares the matrices of its box
 def _dct1_matrix(n: int) -> np.ndarray:
     """The matrix of ``_dct1`` on n nodes: 2 cos(pi j k / (n - 1)), with
     columns 0 and n - 1 halved."""
@@ -107,7 +106,6 @@ def _dct1_matrix(n: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=16)
 def _dst1_matrix(m: int) -> np.ndarray:
     """The matrix of ``_dst1`` on m nodes: 2 sin(pi j k / (m + 1)), j, k = 1..m."""
     jk = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * (m + 1))

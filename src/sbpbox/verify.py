@@ -36,7 +36,6 @@ import numpy as np
 from .dense import (
     check_size,
     dirichlet_laplacian_matrix,
-    fourth_order_matrix_dense,
     neumann_laplacian_matrix,
     solve_fourth_order_dense,
     solve_helmholtz_dense,
@@ -294,23 +293,6 @@ def dense_oracle_compare(problem: Problem, seed: int = 0) -> DenseOracleReport:
     )
 
 
-def _potential_operator_matrix(grid: Grid) -> np.ndarray:
-    """Dense matrix of source -> potential for the factored fourth-order solve.
-
-    Column j is the potential generated by the (mean-projected) nodal source
-    e_j with homogeneous fluxes.  Assembled from the bordered block system in
-    one multi-RHS solve; only for oracle-sized grids.
-    """
-    check_size(grid)
-    m = grid.node_count
-    w_vec = weight_vector(grid)
-    big = fourth_order_matrix_dense(grid)
-    rhs = np.zeros((2 * m + 1, m))
-    rhs[:m, :] = np.eye(m) - np.outer(np.ones(m), w_vec) / grid.volume
-    sol = np.linalg.solve(big, rhs)
-    return sol[m:2 * m, :]
-
-
 def dense_kkt_polish(problem: Problem,
                      u0: np.ndarray,
                      omega0: float,
@@ -332,7 +314,7 @@ def dense_kkt_polish(problem: Problem,
     chi = problem.chi.ravel()
     w_vec = weight_vector(grid)
     a_dir = -dirichlet_laplacian_matrix(grid)
-    lmat = _potential_operator_matrix(grid)
+    lmat = solve_fourth_order_dense(grid, np.eye(grid.node_count))
     interior = grid.interior_mask.ravel()
     idx = np.flatnonzero(interior)
     ni = idx.size

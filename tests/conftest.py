@@ -102,7 +102,7 @@ def random_m_point(problem, rng, scale=1.0):
     g = problem.grid
     v = rng.standard_normal(g.shape) * scale
     window = np.ones(g.shape)
-    for c, length in zip(g.coords, g.lengths):
+    for c, length in zip(coords(g), g.lengths):
         window *= np.sin(np.pi * c / length)
     v = v * window + 2.0 * window
     return retract(problem, v)
@@ -131,12 +131,13 @@ def two_bump_start(problem, region):
     hmax = max(grid.h)
     margin = 1.5 * hmax
     reach = np.full(grid.shape, np.inf)
-    for x, (lo, hi) in zip(grid.coords, region):
+    fields = coords(grid)
+    for x, (lo, hi) in zip(fields, region):
         reach = np.minimum(reach, np.minimum(x - lo, hi - x))
 
     def unit_bump(idx, r):
         center = [axis[i] for axis, i in zip(grid.axes, idx)]
-        r2 = sum((c - ci) ** 2 for c, ci in zip(grid.coords, center))
+        r2 = sum((c - ci) ** 2 for c, ci in zip(fields, center))
         w = np.clip(1.0 - r2 / r**2, 0.0, None) ** 2
         w[~grid.interior_mask] = 0.0
         w = w / norm_l2(grid, w)
@@ -287,17 +288,18 @@ class DescentSpy:
             run.passes.append(Pass(u, j, shift, rate, gt, res[2].copy(), gt, rate))
             return res
 
-        def spy_qn_direction(problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs):
+        def spy_qn_direction(u_hat, qu_hat, gt_hat, symbol, shift, pairs):
+            grid = self.descents[-1].problem.grid
             cur = self.descents[-1].passes[-1]
             # Slot k of the memory holds s in row 2 k and y in row 2 k + 1.
             cur.pairs = [tuple(pairs.ring[row].reshape(gt_hat.shape).copy()
                                for row in (2 * k, 2 * k + 1)) for k in pairs.order]
             cur.symbol = np.array(symbol)
-            d_hat = qn_direction(problem, u_hat, qu_hat, gt_hat, symbol, shift, pairs)
+            d_hat = qn_direction(u_hat, qu_hat, gt_hat, symbol, shift, pairs)
             if d_hat is not None:
-                slope = optimize._slope(metric(problem.grid), symbol, gt_hat, d_hat)
+                slope = optimize._slope(metric(grid), symbol, gt_hat, d_hat)
                 if slope > 0.0:
-                    cur.direction, cur.slope = physical(problem.grid, d_hat), slope
+                    cur.direction, cur.slope = physical(grid, d_hat), slope
             return d_hat
 
         def spy_h1_check(*args):
@@ -344,6 +346,12 @@ def eval_F(problem, u, phi):
     value -= 0.25 * dirichlet_energy(g, phi)
     value -= 0.5 * problem.alpha / g.volume * integrate(g, phi)
     return value
+
+
+def coords(grid):
+    """Coordinate fields of shape ``grid.shape``, one per axis, from the
+    per-axis node coordinates ``grid.axes``."""
+    return tuple(np.meshgrid(*grid.axes, indexing="ij"))
 
 
 def cell_weights(grid):

@@ -39,7 +39,7 @@ from sbpbox.verify import (
     dense_oracle_compare,
     residual_original_system,
 )
-from conftest import line_problem, oscillating_problem, random_m_point, square_problem
+from conftest import coords, line_problem, oscillating_problem, random_m_point, square_problem
 from test_problem import manufactured_chi
 
 _cache = {}
@@ -93,7 +93,7 @@ def test_02_potential_map_eigenfunction_and_linearity():
     errs = []
     for n in (33, 65, 129, 257):
         g = Grid(lengths=(1.0,), n=(n,))
-        f = np.cos(np.pi * g.coords[0])
+        f = np.cos(np.pi * coords(g)[0])
         phi = solve_fourth_order_split(g, f)
         errs.append(np.abs(phi - lam * f).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -123,7 +123,7 @@ def test_03_auxiliary_potential_construction():
         surf = boundary_integrate(g, h1)
         scale = 1.0 + abs(alpha) + norm_l2(g, theta)
         assert abs(integrate(g, theta) - surf) <= 5e-8 * scale
-        target = chi_exact(g.coords[0])
+        target = chi_exact(coords(g)[0])
         target -= mean(g, target)
         errs.append(np.abs(chi - target).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

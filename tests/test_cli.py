@@ -570,3 +570,20 @@ def test_sign_changing_ground_state_gets_one_line(tmp_path, capsys, monkeypatch)
         assert all(s.startswith(f"state {i}: ") for i, s in enumerate(lines))
     report = json.loads((tmp_path / "solve" / "report.json").read_text())
     assert report["states"][0]["min_u"] < -1e-8
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: the Gram matrix of (v, q v) is not centred, so the "
+    "offset coupling q = 1000 + x reads as singular at the first retraction"))
+def test_offset_affine_coupling_solves(tmp_path, capsys):
+    """q = 1000 + x with alpha = 1000.5 is the constraint set of q = x with
+    alpha = 0.5, which solves: the ansatz (a + b q) v and both constraints
+    are invariant under a constant shift of q."""
+    text = GROUND_CFG.replace("grid.n = 33", "grid.n = 65").replace(
+        "coupling.a = 0.0", "coupling.a = 1000.0").replace(
+        "boundary.h2.x1 = 0.5", "boundary.h2.x1 = 1000.5")
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                   "--quiet"])
+    assert rc == 0, capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["states"][0]["converged"] is True

@@ -10,6 +10,7 @@ import pytest
 from sbpbox import Grid, write_field
 from sbpbox.config import CONFIG_KEYS, RunConfig, load_config, parse_config_text
 from sbpbox.optimize import OptimizerOptions
+from conftest import coords
 
 GROUND = """
 # benchmark setup
@@ -165,7 +166,7 @@ def test_coupling_assembly(tmp_path):
 
     g = Grid(lengths=(1.0,), n=(17,))
     path = tmp_path / "q.bin"
-    write_field(path, g, np.full(g.shape, 1.5) + g.coords[0])
+    write_field(path, g, np.full(g.shape, 1.5) + coords(g)[0])
     cfg2 = parse_config_text(
         f"domain.dim = 1\ngrid.n = 17\ncoupling.kind = tabulated\n"
         f"coupling.file = {path}\n")

@@ -27,7 +27,9 @@ sbpbox.cli``, so a rename or deletion fails here and not only under
 The sixth lists the ``np.sum`` calls of the descent modules: their
 quadrature goes through the dot-product reductions of ``sbpbox.grid``, and
 the ``np.sum`` wrapper costs more per call than the arithmetic on the small
-grids where the descent loop spends its time.
+grids where the descent loop spends its time.  The seventh lists every
+parameter of a function, method or lambda of the package that its body
+never reads; ``self`` and ``cls`` are exempt, and nothing else is.
 """
 
 import ast
@@ -301,3 +303,46 @@ def test_scan_sees_a_numpy_sum_call(tmp_path):
                    "def f(x):\n    a = np.sum(x)\n    b = x.sum()\n"
                    "    return a + b + numpy.sum(x * x) + np.vdot(x, x)\n")
     assert numpy_sum_calls(mod) == [5, 7]
+
+
+def unread_parameters(path):
+    """``module.qualname.parameter`` for each parameter that the body of
+    its function (nested functions included) never loads by name."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+                args = child.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if a is not None]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{name}.{p}" for p in params
+                             if p not in ("self", "cls") and p not in read)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_every_parameter_is_read():
+    assert [name for path in sorted(SRC.glob("*.py"))
+            for name in unread_parameters(path)] == []
+
+
+def test_scan_sees_an_unread_parameter(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(a, b, *args, c=1, **kw):\n    return a + c\n\n"
+                   "class K:\n    def m(self, x):\n        def inner(y):\n"
+                   "            return x\n        return inner\n\n"
+                   "    @classmethod\n    def make(cls, z):\n        return cls()\n\n"
+                   "g = lambda u, v: u\n")
+    assert unread_parameters(mod) == ["mod.f.b", "mod.f.args", "mod.f.kw",
+                                      "mod.K.m.inner.y", "mod.K.make.z", "mod.<lambda>.v"]

@@ -8,9 +8,7 @@ tracemalloc``).  A field of the 25^3 box is 125,000 bytes.
 import tracemalloc
 from contextlib import contextmanager
 
-import pytest
-
-from sbpbox import cli, config, solvers
+from sbpbox import cli, solvers
 from sbpbox.config import parse_config_text
 from sbpbox.manifold import feasible_init
 from sbpbox.optimize import minimize_on_M, mirror_sector
@@ -76,38 +74,16 @@ def test_ground_3d_build_holds_at_most_six_fields():
     assert peak[0] <= 6 * prob.q.nbytes
 
 
-@pytest.fixture(scope="module")
-def ground_3d_run(tmp_path_factory):
-    """The traced peak of an in-process ``sbpbox solve`` of the ground-3d
-    workload, with the symbols of its grid built afresh, and its problems."""
-    tmp = tmp_path_factory.mktemp("ground3d")
-    cfg = tmp / "ground.cfg"
+def test_ground_3d_solve_peaks_below_2000_kb(tmp_path):
+    """An in-process ``sbpbox solve`` of the ground-3d workload, with the
+    symbols of its grid built afresh.  With the audit holding its fields
+    whole and the grid caching its coordinate and cell-weight fields, this
+    run peaked near 2,600 KB."""
+    cfg = tmp_path / "ground.cfg"
     cfg.write_text(GROUND_3D)
-    problems = []
-
-    def build_problem(*args, **kwargs):
-        problems.append(build(*args, **kwargs))
-        return problems[-1]
-
-    build = config.build_problem
     solvers._build_symbols.cache_clear()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(config, "build_problem", build_problem)
-        with traced_peak() as peak:
-            rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp / "out"),
-                           "--quiet"])
+    with traced_peak() as peak:
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                       "--quiet"])
     assert rc == 0
-    return peak[0], problems
-
-
-def test_ground_3d_solve_peaks_below_2000_kb(ground_3d_run):
-    """With the audit holding its fields whole and the grid caching its
-    coordinate and cell-weight fields, this run peaked near 2,600 KB."""
-    peak, _ = ground_3d_run
-    assert peak <= 2000 * 1024
-
-
-def test_ground_3d_solve_builds_no_coordinate_fields(ground_3d_run):
-    _, problems = ground_3d_run
-    assert len(problems) == 1
-    assert "coords" not in vars(problems[0].grid)
+    assert peak[0] <= 2000 * 1024

@@ -8,7 +8,7 @@ from sbpbox.grid import dirichlet_energy, inner, laplacian_neumann, mean
 from sbpbox.reduction import interaction_energy, phi_map
 from sbpbox.solvers import solve_fourth_order_split
 from sbpbox.dense import solve_fourth_order_dense
-from conftest import line_problem, random_m_point, square_problem
+from conftest import coords, line_problem, random_m_point, square_problem
 
 
 def test_split_solution_properties():
@@ -50,7 +50,7 @@ def test_split_eigenfunction_second_order():
     errs = []
     for n in (33, 65, 129, 257):
         g = Grid(lengths=(1.0,), n=(n,))
-        f = np.cos(np.pi * g.coords[0])
+        f = np.cos(np.pi * coords(g)[0])
         phi = solve_fourth_order_split(g, f)
         errs.append(np.abs(phi - lam * f).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

@@ -23,7 +23,7 @@ from sbpbox.solvers import (
     _transform,
     solve_fourth_order_split,
 )
-from conftest import oscillating_problem
+from conftest import coords, oscillating_problem
 
 # The ground workloads of the benchmark: q = x, alpha = 0.5 from the flux on
 # face x1, kappa = 1, p = 3.
@@ -215,7 +215,7 @@ def test_descent_keeps_the_box_for_an_asymmetric_start():
     assert sector.grid.mirror == (1,)
     opts = OptimizerOptions(max_iterations=2)
     assert minimize_on_M(sector, feasible_init(sector), opts).folded == (1,)
-    tilted = feasible_init(prob) * (1.0 + 0.1 * prob.grid.coords[1])
+    tilted = feasible_init(prob) * (1.0 + 0.1 * coords(prob.grid)[1])
     res = minimize_on_M(prob, tilted, opts)
     assert res.folded == ()
     assert not _mirror_invariant(res.u, 1)

@@ -8,7 +8,8 @@ import pytest
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem
 from sbpbox.cli import _interpolate, refinement_study
 from sbpbox.config import parse_config_text
-from sbpbox.dense import MAX_ORACLE_NODES, check_size
+from sbpbox.dense import (MAX_ORACLE_NODES, check_size, fourth_order_matrix_dense,
+                          solve_fourth_order_dense, weight_vector)
 from sbpbox.errors import SbpError
 from sbpbox.functional import eval_J
 from sbpbox.grid import norm_l2
@@ -202,6 +203,36 @@ def test_dense_kkt_polish_stationarity():
     assert np.abs(u2 - u1).max() <= 1e-11
     assert abs(o2 - o1) <= 1e-11 * (1.0 + abs(o1))
     assert abs(j2 - j1) <= 1e-12 * (1.0 + abs(j1))
+
+
+ORACLE_GRIDS = [Grid(lengths=(1.0,), n=(17,)), Grid(lengths=(1.0, 1.5), n=(7, 9)),
+                Grid(lengths=(1.0, 1.0, 1.0), n=(5, 5, 5))]
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d", "3d"])
+def test_stacked_dense_solve_is_the_single_solves(grid):
+    """Each column of a stacked solve is the potential of that source.  The
+    multi-RHS LU solve rounds its triangular solves unlike k single ones,
+    so the columns agree to rounding, not bitwise."""
+    m = grid.node_count
+    sources = np.random.default_rng(5).standard_normal((m, 4))
+    stacked = solve_fourth_order_dense(grid, sources)
+    assert stacked.shape == (m, 4)
+    singles = np.stack([solve_fourth_order_dense(grid, f.reshape(grid.shape)).ravel()
+                        for f in sources.T], axis=1)
+    assert np.abs(stacked - singles).max() <= 1e-14 * np.abs(singles).max()
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["1d", "2d", "3d"])
+def test_dense_potential_matrix_is_one_bordered_solve(grid):
+    """The source-to-potential matrix of ``dense_kkt_polish`` is bitwise the
+    bordered system solved once for the mean-projected unit sources, the
+    matrix it assembled before the stacked solve."""
+    m = grid.node_count
+    rhs = np.zeros((2 * m + 1, m))
+    rhs[:m] = np.eye(m) - np.outer(np.ones(m), weight_vector(grid)) / grid.volume
+    expect = np.linalg.solve(fourth_order_matrix_dense(grid), rhs)[m:2 * m]
+    assert np.array_equal(solve_fourth_order_dense(grid, np.eye(m)), expect)
 
 
 @pytest.mark.parametrize("n", [65, 129])
