@@ -20,9 +20,14 @@ ground-3d's ``eq1_res`` reads 0.043311848307765674 with
 ``OPENBLAS_NUM_THREADS=1`` and 0.04331184830776568 with 2.  ``--seed`` only
 reaches the random test data of ``oracle``.
 
-``refinement_study`` does the work of ``refine``: it solves on a sequence
-of grids, each level starting from the previous level's state interpolated
-onto the new grid, and reports observed convergence orders.
+``solve`` and ``refine`` run one loop over grid levels (``_levels``).
+Level 0 runs the search: the ground descent from ``feasible_init``, or the
+excited multi-start search.  Each later level carries every state of the
+level before, interpolated onto its grid, by one ground descent on its
+mirror sector.  Every state is audited against the strong form as its
+level ends.  ``solve`` runs the loop over ``grid.n`` alone and ``refine``
+over ``run.grids``, adding observed convergence orders over the levels;
+``refinement_study`` runs it on problems built by the caller.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,6 +70,9 @@ __all__ = ["main", "RefinementStudy", "refinement_study"]
 
 # Observed orders are nan where a value falls to this noise floor.
 _ORDER_FLOOR = 1e-12
+# The keys of a ``refine`` entry, besides ``n``; ``solve`` writes every key.
+_REFINE_KEYS = ("index", "J", "omega", "mu", "eq1_res", "eq2_res", "bc_res",
+                "norm_res", "compat_res", "iterations", "converged")
 # A ground state whose minimum lies below this may change sign; it gets a
 # progress line, and the exit code stays 0.
 _MIN_U_FLOOR = -1e-8
@@ -72,34 +81,6 @@ _MIN_U_FLOOR = -1e-8
 def _say(quiet: bool, *parts) -> None:
     if not quiet:
         print(*parts)
-
-
-def _gate_feasibility(problem: Problem, quiet: bool) -> FeasibilityReport | None:
-    """Classify alpha and print the report; return it, or None after the
-    refusal line when alpha fails the test."""
-    report = classify_alpha(problem)
-    if report.classification != "interior":
-        print(report.describe())
-        print("alpha is not strictly inside the range of q on the interior "
-              "nodes, so no seed satisfies both constraints; refusing to optimize")
-        return None
-    _say(quiet, report.describe())
-    return report
-
-
-def _say_sector(quiet: bool, results: Sequence[SolveResult]) -> None:
-    """One line naming the axes whose mirror sector the descents ran on."""
-    _say(quiet, "descent on " + "; ".join(
-        f"the mirror sector of axes {', '.join(map(str, axes))}" if axes else "the full box"
-        for axes in sorted({res.folded for res in results})))
-
-
-def _say_negative(quiet: bool, results: Sequence[SolveResult]) -> None:
-    """One line per ground state whose minimum lies below ``_MIN_U_FLOOR``."""
-    for i, res in enumerate(results):
-        if float(res.u.min()) < _MIN_U_FLOOR:
-            _say(quiet, f"state {i}: min u = {float(res.u.min()):.3e} lies below "
-                        f"{_MIN_U_FLOOR:g}; it may change sign")
 
 
 def _ground_descent(problem: Problem, opts: OptimizerOptions,
@@ -112,23 +93,46 @@ def _ground_descent(problem: Problem, opts: OptimizerOptions,
     return minimize_on_M(sector, u0, opts)
 
 
-def _converged(problem: Problem, res: SolveResult, rep: ResidualReport) -> bool:
-    """A state counts as converged when the optimizer converged and both
-    constraints hold within the bounds of the acceptance tests."""
-    return bool(res.converged
-                and rep.norm_res <= 1e-10
-                and rep.compat_res <= 1e-8 * (1.0 + abs(problem.alpha)))
+def _interpolate(u: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Multilinear interpolation of a nodal field onto the same box with
+    ``shape`` nodes, one axis at a time.
+
+    Node j of an axis with m nodes sits at t = j (n - 1) / (m - 1) in the
+    index units of the n source nodes.  On nested grids (m = 2(n - 1) + 1)
+    t is exact, so shared nodes are copied and midpoints are the average of
+    their two neighbours; boundary values are copied.
+    """
+    for axis, m in enumerate(shape):
+        n = u.shape[axis]
+        t = np.arange(m) * (n - 1) / (m - 1)
+        i = np.minimum(t.astype(int), n - 2)
+        w = (t - i).reshape((m,) + (1,) * (u.ndim - axis - 1))
+        u = (1.0 - w) * np.take(u, i, axis) + w * np.take(u, i + 1, axis)
+    return u
 
 
-def _state_entry(problem: Problem, index: int, res: SolveResult,
-                 rep: ResidualReport) -> dict:
-    return {
+def _audit(problem: Problem, index: int, res: SolveResult,
+           dump: Path | None = None) -> tuple[ResidualReport, dict]:
+    """The strong-form audit of state ``index`` and its ``report.json``
+    entry; with ``dump``, its field dumps are written there.  The state
+    counts as converged when the optimizer converged and both constraints
+    of its own level's problem hold within the bounds of the acceptance
+    tests."""
+    rep = residual_original_system(problem, res.u, res.phi, res.omega, res.mu,
+                                   j=res.j, iterations=res.iterations)
+    if dump is not None:
+        dump.mkdir(parents=True, exist_ok=True)
+        write_field(dump / f"u_{index}.bin", problem.grid, res.u)
+        write_field(dump / f"phi_{index}.bin", problem.grid,
+                    reconstruct_phi(problem, res.phi, res.mu))
+    return rep, {
         "index": index,
         "J": rep.j,
         "omega": rep.omega,
         "mu": rep.mu,
         "iterations": res.iterations,
-        "converged": _converged(problem, res, rep),
+        "converged": bool(res.converged and rep.norm_res <= 1e-10
+                          and rep.compat_res <= 1e-8 * (1.0 + abs(problem.alpha))),
         "optimizer_converged": res.converged,
         "stop_reason": res.stop_reason,
         "grad_norm": res.grad_norm,
@@ -142,6 +146,35 @@ def _state_entry(problem: Problem, index: int, res: SolveResult,
         "dirichlet_energy": 0.5 * dirichlet_energy(problem.grid, res.u),
         "min_u": float(res.u.min()),
     }
+
+
+def _levels(problems: Iterable[Problem], opts: OptimizerOptions, k: int | None = None,
+            dump: Path | None = None) -> tuple[list[SolveResult], list[ResidualReport], list]:
+    """Descend on each level's problem in turn and ``_audit`` every state.
+
+    Level 0 runs the search: the ground descent from ``feasible_init`` when
+    ``k`` is None, else ``excited_states`` for ``k`` states.  Each later
+    level carries every state of the level before: ``_interpolate`` onto
+    its grid, then one ``_ground_descent`` on its sector, which retracts
+    the start onto the constraint manifold.  Returns the states of all
+    levels in order, their audits and their ``report.json`` entries.
+    """
+    results, reports, entries = [], [], []
+    states = None
+    for problem in problems:
+        if states is not None:
+            states = [_ground_descent(problem, opts, _interpolate(res.u, problem.grid.shape))
+                      for res in states]
+        elif k is None:
+            states = [_ground_descent(problem, opts)]
+        else:
+            states = excited_states(problem, k, opts)
+        for res in states:
+            rep, entry = _audit(problem, len(results), res, dump)
+            results.append(res)
+            reports.append(rep)
+            entries.append(entry)
+    return results, reports, entries
 
 
 def _write_report(out: Path, cfg: RunConfig, feasibility: FeasibilityReport,
@@ -163,56 +196,6 @@ def _write_report(out: Path, cfg: RunConfig, feasibility: FeasibilityReport,
     with open(out / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _dump_state_fields(out: Path, problem: Problem, index: int,
-                       res: SolveResult) -> None:
-    write_field(out / f"u_{index}.bin", problem.grid, res.u)
-    phi_full = reconstruct_phi(problem, res.phi, res.mu)
-    write_field(out / f"phi_{index}.bin", problem.grid, phi_full)
-
-
-def cmd_solve(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    t0 = time.perf_counter()
-    problem = cfg.build_problem()
-    feasibility = _gate_feasibility(problem, quiet)
-    if feasibility is None:
-        return 2
-    opts = cfg.optimizer_options()
-    if cfg.mode == "ground":
-        _say(quiet, "minimizing from the tilted principal-mode start")
-        states = [_ground_descent(problem, opts)]
-        _say_negative(quiet, states)
-    else:
-        k = cfg.get("run.k")
-        _say(quiet, f"search for {k} states from the slab seeds of genus {k}")
-        states = excited_states(problem, k, opts)
-        if not states:
-            raise SbpError("no start converged; nothing to report")
-    _say_sector(quiet, states)
-
-    out.mkdir(parents=True, exist_ok=True)
-    reports = []
-    entries = []
-    for i, res in enumerate(states):
-        rep = residual_original_system(
-            problem, res.u, res.phi, res.omega, res.mu,
-            j=res.j, iterations=res.iterations)
-        reports.append(rep)
-        entries.append(_state_entry(problem, i, res, rep))
-        if cfg.get("output.dump_fields"):
-            _dump_state_fields(out, problem, i, res)
-        _say(quiet,
-             f"state {i}: J={rep.j:.10g} omega={rep.omega:.10g} "
-             f"mu={rep.mu:.6g} grad={res.grad_norm:.2e} "
-             f"iters={res.iterations} converged={res.converged}")
-    write_summary(out / "summary.csv", reports)
-    if cfg.get("output.dump_fields"):
-        write_field(out / "chi.bin", problem.grid, problem.chi)
-    _write_report(out, cfg, feasibility, entries)
-    _say(quiet, f"wrote {out}/summary.csv ({len(states)} states, "
-                f"{time.perf_counter() - t0:.1f}s)")
-    return 0
 
 
 def cmd_feasibility(cfg: RunConfig) -> int:
@@ -268,31 +251,31 @@ def _orders(values: Sequence[float]) -> list[float]:
 
 @dataclass(frozen=True)
 class RefinementStudy:
-    reports: tuple[ResidualReport, ...]
+    """The state of each level of a ground refinement and its audit, with
+    the observed orders over the levels."""
+
     results: tuple[SolveResult, ...]
-    j_values: tuple[float, ...]
-    j_diffs: tuple[float, ...]
-    j_orders: tuple[float, ...]
-    eq1_orders: tuple[float, ...]
-    bc_orders: tuple[float, ...]
+    reports: tuple[ResidualReport, ...]
 
+    @property
+    def j_values(self) -> tuple[float, ...]:
+        return tuple(rep.j for rep in self.reports)
 
-def _interpolate(u: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Multilinear interpolation of a nodal field onto the same box with
-    ``shape`` nodes, one axis at a time.
+    @property
+    def j_diffs(self) -> tuple[float, ...]:
+        return tuple(abs(a - b) for a, b in zip(self.j_values, self.j_values[1:]))
 
-    Node j of an axis with m nodes sits at t = j (n - 1) / (m - 1) in the
-    index units of the n source nodes.  On nested grids (m = 2(n - 1) + 1)
-    t is exact, so shared nodes are copied and midpoints are the average of
-    their two neighbours; boundary values are copied.
-    """
-    for axis, m in enumerate(shape):
-        n = u.shape[axis]
-        t = np.arange(m) * (n - 1) / (m - 1)
-        i = np.minimum(t.astype(int), n - 2)
-        w = (t - i).reshape((m,) + (1,) * (u.ndim - axis - 1))
-        u = (1.0 - w) * np.take(u, i, axis) + w * np.take(u, i + 1, axis)
-    return u
+    @property
+    def j_orders(self) -> tuple[float, ...]:
+        return tuple(_orders(self.j_diffs))
+
+    @property
+    def eq1_orders(self) -> tuple[float, ...]:
+        return tuple(_orders([rep.eq1_res for rep in self.reports]))
+
+    @property
+    def bc_orders(self) -> tuple[float, ...]:
+        return tuple(_orders([rep.bc_res for rep in self.reports]))
 
 
 def refinement_study(problem_factory: Callable[[int], Problem],
@@ -300,70 +283,77 @@ def refinement_study(problem_factory: Callable[[int], Problem],
                      opts: OptimizerOptions | None = None) -> RefinementStudy:
     """Solve the same continuum problem over a sequence of grids.
 
-    ``problem_factory`` maps a per-axis node count to a Problem.  The first
-    level starts from ``feasible_init``; each later level starts from the
-    previous level's state interpolated onto its grid (``_interpolate``),
-    which the descent retracts onto the constraint manifold.  Observed
-    orders are reported as plain log2 ratios, so the counts should double
-    the resolution each step.  Each level descends on its own mirror sector
-    (``_ground_descent``); ``_interpolate`` keeps a mirror-invariant state
-    exactly invariant.  Energies are compared through consecutive
-    differences (no exact value is available), the residuals directly.
+    The ground run of ``_levels`` over ``problem_factory(n)`` for each
+    per-axis node count n, each level audited.  Observed orders are plain
+    log2 ratios, so the counts should double the resolution each step.
+    Each level descends on its own mirror sector; ``_interpolate`` keeps a
+    mirror-invariant state exactly invariant.  Energies are compared
+    through consecutive differences (no exact value is available), the
+    residuals directly.
     """
-    opts = opts or OptimizerOptions()
-    reports: list[ResidualReport] = []
-    results: list[SolveResult] = []
-    for n in node_counts:
-        prob = problem_factory(int(n))
-        res = _ground_descent(
-            prob, opts, _interpolate(results[-1].u, prob.grid.shape) if results else None)
-        reports.append(residual_original_system(
-            prob, res.u, res.phi, res.omega, res.mu,
-            j=res.j, iterations=res.iterations))
-        results.append(res)
-    j_values = [rep.j for rep in reports]
-    j_diffs = [abs(a - b) for a, b in zip(j_values, j_values[1:])]
-    return RefinementStudy(
-        reports=tuple(reports),
-        results=tuple(results),
-        j_values=tuple(j_values),
-        j_diffs=tuple(j_diffs),
-        j_orders=tuple(_orders(j_diffs)),
-        eq1_orders=tuple(_orders([rep.eq1_res for rep in reports])),
-        bc_orders=tuple(_orders([rep.bc_res for rep in reports])),
-    )
+    results, reports, _ = _levels(map(problem_factory, map(int, node_counts)),
+                                  opts or OptimizerOptions())
+    return RefinementStudy(tuple(results), tuple(reports))
 
 
-def cmd_refine(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    if cfg.mode != "ground":
+def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
+    """``solve`` runs ``_levels`` over ``grid.n`` alone and ``refine`` over
+    ``run.grids``.  The progress lines follow the loop, as the first names
+    the sectors of all levels."""
+    t0 = time.perf_counter()
+    if refine and cfg.mode != "ground":
         raise ValueError(f"key 'run.mode': refine computes ground states only, "
                          f"got {cfg.mode!r}")
-    grids = cfg.get("run.grids")
-    # The gate checks the first level, the one ``feasible_init`` seeds, and
-    # its problem serves that level.
+    grids = cfg.get("run.grids") if refine else (None,)
+    # The gate checks the first level, the one the search seeds, and its
+    # problem serves that level.
     first = cfg.build_problem(grids[0])
-    feasibility = _gate_feasibility(first, quiet)
-    if feasibility is None:
+    feasibility = classify_alpha(first)
+    if feasibility.classification != "interior":
+        print(feasibility.describe())
+        print("alpha is not strictly inside the range of q on the interior "
+              "nodes, so no seed satisfies both constraints; refusing to optimize")
         return 2
+    _say(quiet, feasibility.describe())
     opts = cfg.optimizer_options()
-    _say(quiet, f"refinement over node counts {list(grids)}")
-    study = refinement_study(
-        lambda n: first if n == grids[0] else cfg.build_problem(n), grids, opts)
-    _say_sector(quiet, study.results)
-    _say_negative(quiet, study.results)
+    k = None if cfg.mode == "ground" else cfg.get("run.k")
+    _say(quiet, f"refinement over node counts {list(grids)}" if refine
+         else "minimizing from the tilted principal-mode start" if k is None
+         else f"search for {k} states from the slab seeds of genus {k}")
+    dump = out if cfg.get("output.dump_fields") and not refine else None
+    results, reports, entries = _levels(
+        chain([first], map(cfg.build_problem, grids[1:])), opts, k, dump)
+    if not results:
+        raise SbpError("no start converged; nothing to report")
+    # One line naming the axes whose mirror sector the descents ran on.
+    _say(quiet, "descent on " + "; ".join(
+        f"the mirror sector of axes {', '.join(map(str, axes))}" if axes else "the full box"
+        for axes in sorted({res.folded for res in results})))
+    for i, (res, rep) in enumerate(zip(results, reports)):
+        if not refine:
+            _say(quiet, f"state {i}: J={rep.j:.10g} omega={rep.omega:.10g} "
+                        f"mu={rep.mu:.6g} grad={res.grad_norm:.2e} "
+                        f"iters={res.iterations} converged={res.converged}")
+        if k is None and float(res.u.min()) < _MIN_U_FLOOR:
+            _say(quiet, f"state {i}: min u = {float(res.u.min()):.3e} lies below "
+                        f"{_MIN_U_FLOOR:g}; it may change sign")
+    orders = None
+    if refine:
+        study = RefinementStudy(tuple(results), tuple(reports))
+        entries = [{"n": list(rep.n), **{key: entry[key] for key in _REFINE_KEYS}}
+                   for rep, entry in zip(reports, entries)]
+        # Strict JSON has no nan: an order at the noise floor is written as null.
+        orders = {key: [None if math.isnan(v) else v for v in getattr(study, key)]
+                  for key in ("j_values", "j_diffs", "j_orders", "eq1_orders", "bc_orders")}
     out.mkdir(parents=True, exist_ok=True)
-    write_summary(out / "summary.csv", study.reports)
-    entries = []
-    for i, (res, rep) in enumerate(zip(study.results, study.reports)):
-        values = {k: getattr(rep, k) for k in ("omega", "mu", "eq1_res", "eq2_res",
-                                               "bc_res", "norm_res", "compat_res")}
-        entries.append({"index": i, "n": list(rep.n), "J": rep.j, **values,
-                        "iterations": res.iterations,
-                        "converged": _converged(first, res, rep)})
-    # Strict JSON has no nan: an order at the noise floor is written as null.
-    extra = {k: [None if math.isnan(v) else v for v in getattr(study, k)]
-             for k in ("j_values", "j_diffs", "j_orders", "eq1_orders", "bc_orders")}
-    _write_report(out, cfg, feasibility, entries, extra=extra)
+    write_summary(out / "summary.csv", reports)
+    if dump is not None:
+        write_field(out / "chi.bin", first.grid, first.chi)
+    _write_report(out, cfg, feasibility, entries, orders)
+    if not refine:
+        _say(quiet, f"wrote {out}/summary.csv ({len(results)} states, "
+                    f"{time.perf_counter() - t0:.1f}s)")
+        return 0
     _say(quiet, f"observed eq1 orders: {['%.2f' % o for o in study.eq1_orders]}")
     _say(quiet, f"observed J orders:   {['%.2f' % o for o in study.j_orders]}")
     _say(quiet, f"wrote {out}/summary.csv")
@@ -413,14 +403,12 @@ def _run(argv) -> int:
     try:
         cfg = load_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.get("output.dir"))
-        if args.command == "solve":
-            return cmd_solve(cfg, out, args.quiet)
+        if args.command in ("solve", "refine"):
+            return cmd_levels(cfg, out, args.quiet, args.command == "refine")
         if args.command == "feasibility":
             return cmd_feasibility(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, out, args.quiet)
-        if args.command == "refine":
-            return cmd_refine(cfg, out, args.quiet)
         if args.command == "oracle":
             return cmd_oracle(cfg, args.seed, args.quiet)
         raise AssertionError(args.command)

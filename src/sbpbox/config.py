@@ -89,7 +89,8 @@ class RunConfig:
             raise ValueError(f"key 'run.mode': unknown mode {mode!r}")
         return mode
 
-    def grid(self) -> Grid:
+    def grid(self, n_override=None) -> Grid:
+        """The config's grid, or its box with ``n_override`` nodes per axis."""
         dim = self.get("domain.dim")
         if "domain.lengths" in self.values:
             lengths = self.values["domain.lengths"]
@@ -105,6 +106,8 @@ class RunConfig:
                 f"domain.lengths/grid.n must have {dim} entries, got "
                 f"{lengths} and {n}"
             )
+        if n_override is not None:
+            n = (int(n_override),) * dim
         return Grid(lengths=tuple(lengths), n=tuple(n))
 
     def coupling(self) -> CouplingSpec:
@@ -144,9 +147,7 @@ class RunConfig:
         )
 
     def build_problem(self, n_override=None) -> Problem:
-        grid = self.grid()
-        if n_override is not None:
-            grid = Grid(lengths=grid.lengths, n=(int(n_override),) * grid.dim)
+        grid = self.grid(n_override)
         h1 = self.boundary_data("h1", grid)
         h2 = self.boundary_data("h2", grid)
         return build_problem(

@@ -98,14 +98,15 @@ class Grid:
     mirror: tuple[int, ...] = ()
 
     def __post_init__(self):
-        lengths = tuple(float(v) for v in np.atleast_1d(self.lengths))
-        n = tuple(int(v) for v in np.atleast_1d(self.n))
+        lengths = tuple(map(float, self.lengths if np.iterable(self.lengths)
+                            else [self.lengths]))
+        n = tuple(map(int, self.n if np.iterable(self.n) else [self.n]))
         mirror = tuple(sorted({int(a) for a in self.mirror}))
         if not 1 <= len(lengths) <= 3:
             raise ValueError(f"dimension must be 1, 2 or 3, got {len(lengths)}")
         if len(n) != len(lengths):
             raise ValueError("lengths and n must have the same number of axes")
-        if any(L <= 0 or not np.isfinite(L) for L in lengths):
+        if any(L <= 0 or not math.isfinite(L) for L in lengths):
             raise ValueError(f"edge lengths must be positive finite, got {lengths}")
         if any(not 0 <= a < len(n) for a in mirror):
             raise ValueError(f"mirror axes {mirror} outside 0..{len(n) - 1}")

@@ -388,6 +388,57 @@ def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("dim, n", [(1, 33), (2, 17)], ids=["1d", "2d-folded"])
+def test_one_level_refine_is_the_solve(tmp_path, dim, n):
+    """``solve`` at ``grid.n = n`` and ``refine`` over the one level n run the
+    same level loop, so they write the same state bit for bit."""
+    text = GROUND_CFG.replace("domain.dim = 1", f"domain.dim = {dim}").replace(
+        "grid.n = 33", f"grid.n = {n}")
+    states = []
+    for command, extra in (("solve", ""), ("refine", f"run.grids = {n}\n")):
+        out = tmp_path / command
+        cfg = write_cfg(tmp_path, text + extra)
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        states += json.loads((out / "report.json").read_text())["states"]
+    solved, refined = states
+    assert refined["n"] == [n] * dim
+    for key in ("J", "omega", "mu", "iterations", "eq1_res"):
+        assert solved[key] == refined[key], key
+
+
+REPORT_KEYS = {"alpha", "config", "coupling_params", "feasibility", "mode", "states"}
+ORDER_KEYS = {"j_values", "j_diffs", "j_orders", "eq1_orders", "bc_orders"}
+REFINE_STATE_KEYS = {"index", "n", "J", "omega", "mu", "eq1_res", "eq2_res", "bc_res",
+                     "norm_res", "compat_res", "iterations", "converged"}
+SOLVE_STATE_KEYS = REFINE_STATE_KEYS - {"n"} | {
+    "optimizer_converged", "stop_reason", "grad_norm", "eq1_res_native",
+    "bc_res_second", "dirichlet_energy", "min_u"}
+
+
+@pytest.mark.parametrize("command, text, report_keys, state_keys, count", [
+    ("solve", GROUND_CFG, REPORT_KEYS, SOLVE_STATE_KEYS, 1),
+    ("solve", EXCITED_CFG, REPORT_KEYS, SOLVE_STATE_KEYS, 2),
+    ("refine", GROUND_CFG + "run.grids = 17,33\n", REPORT_KEYS | ORDER_KEYS,
+     REFINE_STATE_KEYS, 2),
+], ids=["ground-solve", "excited-solve", "refine"])
+def test_report_keys_and_output_files(tmp_path, command, text, report_keys, state_keys,
+                                      count):
+    """The exact key sets of ``report.json``, at top level and per state,
+    and the exact files of each run: ``solve`` dumps each state's fields
+    and ``chi``, ``refine`` writes ``summary.csv`` and ``report.json`` only."""
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_cfg(tmp_path, text), "--out", str(out),
+                     "--quiet"]) == 0
+    files = {"summary.csv", "report.json"}
+    if command == "solve":
+        files |= {"chi.bin"} | {f"{name}_{i}.bin" for name in ("u", "phi") for i in range(count)}
+    assert {path.name for path in out.iterdir()} == files
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == report_keys
+    assert len(report["states"]) == count
+    assert all(set(state) == state_keys for state in report["states"])
+
+
 @pytest.mark.parametrize("mode", ["excited", "polish"])
 def test_refine_accepts_ground_mode_only(tmp_path, capsys, monkeypatch, mode):
     """refine computes ground states only: any other run.mode is one

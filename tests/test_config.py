@@ -187,6 +187,26 @@ def test_build_problem_from_config():
         CONFIG_KEYS["optimizer.max_iterations"][1])
 
 
+@pytest.mark.parametrize("dim, grids", [(1, 1), (2, 2)], ids=["1d-box", "2d-folded"])
+@pytest.mark.parametrize("n_override", [None, 17])
+def test_build_problem_makes_each_grid_once(monkeypatch, dim, grids, n_override):
+    """A build constructs its grid once, with or without ``n_override``, and
+    a folded box one more grid, its sector."""
+    made = []
+    post_init = Grid.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Grid, "__post_init__", counting)
+    prob = parse_config_text(GROUND.replace("domain.dim = 1", f"domain.dim = {dim}")
+                             ).build_problem(n_override)
+    assert prob.grid.n == ((n_override or 33),) * dim
+    assert len(made) == grids
+    assert made[0] == prob.grid and made[-1] == prob.sector
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(GROUND)

@@ -67,6 +67,27 @@ def test_grid_validation():
         Grid(lengths=(1.0, 1.0), n=(9,))
 
 
+@pytest.mark.parametrize("lengths, n", [
+    (1.0, 9), ([1.0], [9]), (np.array([1.0]), np.array([9])),
+    (np.float64(1.0), np.int64(9)), (np.array(1.0), np.array(9)),
+], ids=["scalars", "lists", "arrays", "numpy-scalars", "0d-arrays"])
+def test_grid_reads_scalars_as_one_axis(lengths, n):
+    assert Grid(lengths, n) == Grid((1.0,), (9,))
+
+
+@pytest.mark.parametrize("lengths, n, message", [
+    ((1.0,) * 4, (9,) * 4, "dimension must be 1, 2 or 3, got 4"),
+    ((1.0, 1.0), (9,), "lengths and n must have the same number of axes"),
+    ((0.0,), (9,), r"edge lengths must be positive finite, got \(0.0,\)"),
+    ((float("nan"),), (9,), r"edge lengths must be positive finite, got \(nan,\)"),
+    ((float("inf"),), (9,), r"edge lengths must be positive finite, got \(inf,\)"),
+    ((1.0,), (2,), r"need at least 3 nodes per axis of the box, got \(2,\)"),
+])
+def test_grid_validation_messages(lengths, n, message):
+    with pytest.raises(ValueError, match=message):
+        Grid(lengths, n)
+
+
 @pytest.mark.parametrize("g", grids(), ids=lambda g: f"{g.dim}d")
 def test_trapezoid_integrates_constants_exactly(g):
     ones = np.ones(g.shape)
