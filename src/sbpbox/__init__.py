@@ -15,9 +15,9 @@ summation-by-parts pairing makes the discrete energy identities exact;
 assembled-matrix oracles; ``problem`` the coupling families, feasibility
 classification, and chi; ``reduction`` the potential map; ``functional`` the
 reduced energy and its gradient; ``manifold`` constraints, retraction, and
-seed construction; ``optimize`` the descent loop and multi-start driver;
-``verify`` residuals against the original strong system; ``config``/``cli``
-the batch front end.
+seed construction; ``optimize`` the descent loop, its L-BFGS tail, and the
+multi-start search; ``verify`` residuals against the original strong
+system; ``config``/``cli`` the batch front end.
 """
 
 from .grid import BoundaryData, Grid, read_field, write_field

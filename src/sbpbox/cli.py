@@ -11,9 +11,12 @@ still exits 0; its ``stop_reason`` in ``report.json`` says why.
 All output files are written once, at the end of a successful run: a
 ``summary.csv`` table (one row per state or grid), per-state field dumps
 ``u_<i>.bin`` / ``phi_<i>.bin`` plus the shared ``chi.bin`` (binary float64
-behind a grid header, see ``grid.write_field``), and a ``report.json`` with
-the full residual and multiplier set, in strict JSON (an observed order
-at the noise floor is ``null``).  An identical config produces
+behind a grid header, see ``grid.write_field``), and a ``report.json``, in
+strict JSON (an observed order at the noise floor is ``null``).  The
+report holds ``RunConfig.values`` whole as ``config``, from which
+``verify`` rebuilds the run's problem, and one entry per state, the same
+for ``solve`` and ``refine``: its grid, the full residual and multiplier
+set, and how its descent stopped.  An identical config produces
 byte-identical outputs at a fixed BLAS thread count only: the thread count
 changes the summation order of BLAS dots and products on large fields, so
 ground-3d's ``eq1_res`` reads 0.043311848307765674 with
@@ -45,7 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_config_text
 from .errors import SbpError
 from .grid import dirichlet_energy, read_field, write_field
 from .manifold import feasible_init
@@ -70,9 +73,6 @@ __all__ = ["main", "RefinementStudy", "refinement_study"]
 
 # Observed orders are nan where a value falls to this noise floor.
 _ORDER_FLOOR = 1e-12
-# The keys of a ``refine`` entry, besides ``n``; ``solve`` writes every key.
-_REFINE_KEYS = ("index", "J", "omega", "mu", "eq1_res", "eq2_res", "bc_res",
-                "norm_res", "compat_res", "iterations", "converged")
 # A ground state whose minimum lies below this may change sign; it gets a
 # progress line, and the exit code stays 0.
 _MIN_U_FLOOR = -1e-8
@@ -127,6 +127,7 @@ def _audit(problem: Problem, index: int, res: SolveResult,
                     reconstruct_phi(problem, res.phi, res.mu))
     return rep, {
         "index": index,
+        "n": list(rep.n),
         "J": rep.j,
         "omega": rep.omega,
         "mu": rep.mu,
@@ -187,7 +188,6 @@ def _write_report(out: Path, cfg: RunConfig, feasibility: FeasibilityReport,
             "q_max": feasibility.q_max,
         },
         "config": cfg.values,
-        "coupling_params": cfg.coupling_params,
         "mode": cfg.mode,
         "states": entries,
     }
@@ -213,24 +213,48 @@ def cmd_feasibility(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
+    """Recompute the residuals of the states that a ``solve`` under ``out``
+    dumped, on the problem of ``cfg``, which must be the problem that the
+    report's ``config`` builds."""
     report_path = out / "report.json"
     if not report_path.exists():
         raise SbpError(f"no report.json under {out}; run solve first")
     with open(report_path) as fh:
         prior = json.load(fh)
     problem = cfg.build_problem()
-    reports = []
+    states = []
     for entry in prior["states"]:
-        i = entry["index"]
-        grid_read, u = read_field(out / f"u_{i}.bin")
+        path = out / f"u_{entry['index']}.bin"
+        if not path.exists():
+            cause = ("refine writes none" if "j_orders" in prior
+                     else "the run set output.dump_fields = false"
+                     if prior["config"].get("output.dump_fields") is False
+                     else "it was removed after the run")
+            raise SbpError(f"no field dump {path.name} under {out} to verify: {cause}")
+        grid_read, u = read_field(path)
         if grid_read != problem.grid:
-            raise SbpError(f"{out / f'u_{i}.bin'} grid does not match the config grid")
+            raise SbpError(f"{path} grid does not match the config grid")
+        states.append((entry, u))
+    # The report's config, read back as key = value lines, rebuilds the run's
+    # problem; the fields verify only against that problem.
+    run = parse_config_text("".join(
+        f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+        for key, value in prior["config"].items()), f"{report_path} config").build_problem()
+    differ = [name for name, same in (
+        ("grid", run.grid == problem.grid), ("q", np.array_equal(run.q, problem.q)),
+        ("chi", np.array_equal(run.chi, problem.chi)), ("alpha", run.alpha == problem.alpha),
+        ("kappa", run.kappa == problem.kappa), ("p", run.p == problem.p)) if not same]
+    if differ:
+        raise SbpError(f"{cfg.source} and the config of {report_path} build problems "
+                       f"that differ in {', '.join(differ)}")
+    reports = []
+    for entry, u in states:
         rep = residual_original_system(
             problem, u, phi_map(problem, u), entry["omega"], entry["mu"],
             iterations=entry.get("iterations", 0))
         reports.append(rep)
         _say(quiet,
-             f"state {i}: eq1={rep.eq1_res:.3e} eq2={rep.eq2_res:.3e} "
+             f"state {entry['index']}: eq1={rep.eq1_res:.3e} eq2={rep.eq2_res:.3e} "
              f"bc={rep.bc_res:.3e} norm={rep.norm_res:.3e} "
              f"compat={rep.compat_res:.3e}")
     write_summary(out / "residuals.csv", reports)
@@ -340,8 +364,6 @@ def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
     orders = None
     if refine:
         study = RefinementStudy(tuple(results), tuple(reports))
-        entries = [{"n": list(rep.n), **{key: entry[key] for key in _REFINE_KEYS}}
-                   for rep, entry in zip(reports, entries)]
         # Strict JSON has no nan: an order at the noise floor is written as null.
         orders = {key: [None if math.isnan(v) else v for v in getattr(study, key)]
                   for key in ("j_values", "j_diffs", "j_orders", "eq1_orders", "bc_orders")}

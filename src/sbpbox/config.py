@@ -22,8 +22,9 @@ __all__ = ["RunConfig", "load_config", "parse_config_text", "CONFIG_KEYS"]
 
 _MODES = ("ground", "excited")
 _FACE_OF = {face: name for name, face in FACE_NAMES.items()}
-_COUPLING_PARAM_KEYS = {key for required, optional in COUPLING_PARAMS.values()
-                        for key in required + optional}
+# ``coupling.<param>`` -> param, for the parameters of every coupling kind.
+_COUPLING_KEYS = {f"coupling.{param}": param for required, optional in COUPLING_PARAMS.values()
+                  for param in required + optional}
 
 # key -> (parser, default); None default means "required" for the few keys
 # that have no sensible fallback.
@@ -67,11 +68,12 @@ def _parse_scalar(kind: str, key: str, raw: str):
 
 @dataclass
 class RunConfig:
-    """Parsed configuration; ``build_problem`` assembles the Problem lazily."""
+    """Parsed configuration: ``values`` maps every key the text set to its
+    parsed value (a ``file:`` face keeps its ``file:PATH`` text), and
+    ``report.json`` writes it whole.  ``build_problem`` assembles the
+    Problem lazily."""
 
     values: dict = field(default_factory=dict)
-    coupling_params: dict = field(default_factory=dict)
-    boundary: dict = field(default_factory=dict)
     source: str = "<memory>"
 
     def get(self, key: str):
@@ -111,33 +113,34 @@ class RunConfig:
         return Grid(lengths=tuple(lengths), n=tuple(n))
 
     def coupling(self) -> CouplingSpec:
-        return CouplingSpec(self.get("coupling.kind"), dict(self.coupling_params))
+        params = {param: self.values[key] for key, param in _COUPLING_KEYS.items()
+                  if key in self.values}
+        return CouplingSpec(self.get("coupling.kind"), params)
 
     def boundary_data(self, which: str, grid: Grid) -> BoundaryData:
+        prefix = f"boundary.{which}."
         values = {}
         for (axis, side) in grid.faces():
             face_name = _FACE_OF[(axis, side)]
-            spec = self.boundary.get((which, face_name))
+            spec = self.values.get(prefix + face_name)
             if spec is None:
                 values[(axis, side)] = np.zeros(grid.face_shape(axis))
             elif isinstance(spec, float):
                 values[(axis, side)] = np.full(grid.face_shape(axis), spec)
             else:
-                face_vals = np.loadtxt(spec, comments="#", ndmin=1)
+                path = spec[len("file:"):].strip()
+                face_vals = np.loadtxt(path, comments="#", ndmin=1)
                 shape = grid.face_shape(axis)
                 if face_vals.size != int(np.prod(shape)):
                     raise ValueError(
-                        f"boundary.{which}.{face_name}: file {spec!r} has "
+                        f"{prefix}{face_name}: file {path!r} has "
                         f"{face_vals.size} values, face needs {int(np.prod(shape))}"
                     )
                 values[(axis, side)] = face_vals.reshape(shape)
         # Reject keys naming faces that do not exist in this dimension.
-        for (w, face_name) in self.boundary:
-            if w == which and face_name not in _face_names_for(grid.dim):
-                raise ValueError(
-                    f"boundary.{which}.{face_name}: no such face in "
-                    f"{grid.dim}d"
-                )
+        for face_name, (axis, _) in FACE_NAMES.items():
+            if axis >= grid.dim and prefix + face_name in self.values:
+                raise ValueError(f"{prefix}{face_name}: no such face in {grid.dim}d")
         return BoundaryData(grid=grid, values=values)
 
     def optimizer_options(self) -> OptimizerOptions:
@@ -156,13 +159,8 @@ class RunConfig:
         )
 
 
-def _face_names_for(dim: int) -> tuple[str, ...]:
-    return tuple(name for name, (a, _) in FACE_NAMES.items() if a < dim)
-
-
 def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
     cfg = RunConfig(source=source)
-    seen = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -174,31 +172,22 @@ def parse_config_text(text: str, source: str = "<memory>") -> RunConfig:
         raw = raw.strip()
         if not raw:
             raise ValueError(f"{source}:{lineno}: key {key!r} has empty value")
-        if key in seen:
+        if key in cfg.values:
             raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
         if key in CONFIG_KEYS:
-            cfg.values[key] = _parse_scalar(CONFIG_KEYS[key][0], key, raw)
+            kind = CONFIG_KEYS[key][0]
         elif key.startswith("coupling."):
-            param = key[len("coupling."):]
-            if param not in _COUPLING_PARAM_KEYS:
+            if key not in _COUPLING_KEYS:
                 raise ValueError(f"{source}:{lineno}: unknown coupling parameter {key!r}")
-            if param == "file":
-                cfg.coupling_params[param] = raw
-            elif param in ("center",):
-                cfg.coupling_params[param] = _parse_scalar("floats", key, raw)
-            else:
-                cfg.coupling_params[param] = _parse_scalar("float", key, raw)
+            kind = ("str" if key == "coupling.file" else "floats" if key == "coupling.center"
+                    else "float")
         elif key.startswith("boundary.h1.") or key.startswith("boundary.h2."):
-            _, which, face_name = key.split(".", 2)
-            if face_name not in FACE_NAMES:
+            if key.split(".", 2)[2] not in FACE_NAMES:
                 raise ValueError(f"{source}:{lineno}: unknown face in key {key!r}")
-            if raw.startswith("file:"):
-                cfg.boundary[(which, face_name)] = raw[len("file:"):].strip()
-            else:
-                cfg.boundary[(which, face_name)] = _parse_scalar("float", key, raw)
+            kind = "str" if raw.startswith("file:") else "float"
         else:
             raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
+        cfg.values[key] = _parse_scalar(kind, key, raw)
     return cfg
 
 

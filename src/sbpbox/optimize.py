@@ -30,13 +30,15 @@ Barzilai-Borwein step sy / yy (Barzilai & Borwein, IMA J. Numer. Anal. 8,
 1988), whose tail converges only linearly; later ones the L-BFGS direction
 (Liu & Nocedal, Math. Program. 45, 1989) in the pass's metric, projected
 as in Riemannian L-BFGS (Huang, Gallivan & Absil, SIAM J. Optim. 25(3),
-2015; ``lbfgs``).  The switch is a pass count: L-BFGS from the first pass
-loses a genus-2 state.  The benchmark's ground solves end before it, after
-6 passes, while ground descents on the oscillating coupling of
-``demos/configs/excited.cfg`` take 59-80 (alpha 0.2 to 1.8).  A
-nonmonotone Armijo line search safeguards both at the merit's slope: a
-trial is tested against the Zhang-Hager reference value C, a weighted mean
-of the merits accepted so far.
+2015): the memory ``_Pairs`` and the two-loop ``_quasi_newton_direction``
+form its products as sums over the DST-I modes of the metric sigma + s.
+The switch is a pass count: L-BFGS from the first pass loses a genus-2
+state.  The benchmark's ground solves end before it, after 6 passes, while
+ground descents on the oscillating coupling of ``demos/configs/excited.cfg``
+take 59-80 (alpha 0.2 to 1.8).  A nonmonotone Armijo line search
+safeguards both at the merit's slope: a trial is tested against the
+Zhang-Hager reference value C, a weighted mean of the merits accepted so
+far.
 
 The merit is the Lagrangian m = J - (lam c1 + beta c2) / 2, with (c1, c2)
 the constraint residuals of the trial and (lam, beta) the coefficients of
@@ -85,7 +87,6 @@ import numpy as np
 
 from .errors import InfeasibleRegion, ManifoldError, SbpError
 from .grid import norm_l2, require_zero_boundary
-from .lbfgs import _Pairs, _quasi_newton_direction
 from .manifold import _project_dst, genus_seeds, retract
 from .problem import Problem
 from .reduction import phi_map
@@ -106,8 +107,9 @@ _BACKTRACK = 0.5
 _INITIAL_STEP = 1.0
 _MIN_STEP = 1e-14
 _MAX_STEP = 1e3
-# The first pass of the L-BFGS tail (``lbfgs``).
+# The first pass of the L-BFGS tail, and the number of pairs it keeps.
 _QN_START = 8
+_QN_MEMORY = 5
 # Two states are duplicates when their sign-aligned L2 distance and their
 # energy gap both fall below these.
 _DEDUPE_L2 = 1e-3
@@ -363,6 +365,91 @@ def _h1_check(problem: Problem, u: np.ndarray, phi: np.ndarray, u_hat: np.ndarra
     with the symbol ``sigma`` of -lap, and its norm (see ``_slope``)."""
     lam, beta, gt_hat, _ = _tangent_gradient(problem, u, phi, u_hat, 0.0, sigma)
     return lam, beta, math.sqrt(_slope(metric, sigma, gt_hat, gt_hat))
+
+
+class _Pairs:
+    """The L-BFGS memory: the newest ``_QN_MEMORY`` pairs (s, y) of DST-I
+    coefficients, slot k in rows 2 k and 2 k + 1 of ``ring``, whose last
+    row is the pass's gradient g; the slots take pairs in turn, one more
+    than the memory keeps, so that the next pair never overwrites one kept.
+    ``gram`` keeps the rows' products as sums over modes of sigma a b and of
+    a b: the metric sigma + s reads G_sigma + s G_1.  As y is the change of
+    g, its products with older rows are the change of theirs with g since
+    the last pass; the recursion reads <s_i, y_j> and <y_i, y_j> only with j
+    at least as new as i."""
+
+    def __init__(self, sigma: np.ndarray):
+        self.m, rows = _QN_MEMORY, 2 * _QN_MEMORY + 3
+        self.sigma = sigma.ravel()
+        self.ring = np.zeros((rows, sigma.size))
+        self.gram = np.zeros((2, rows, rows))  # G_sigma, G_1
+        self.own, self.now = np.empty((2, 2)), np.empty((2, rows))  # (sy, yy); ring g
+        self.order: list[int] = []  # the slots in use, oldest first
+        self.stored = 0
+
+    def push(self, u_hat: np.ndarray, gt_hat: np.ndarray, prev_u_hat: np.ndarray,
+             prev_gt_hat: np.ndarray, shift: float) -> None:
+        """Store the pair (u_hat - prev_u_hat, gt_hat - prev_gt_hat) unless
+        its sy in the metric sigma + s is not positive, and take the ring's
+        products with g = ``gt_hat``."""
+        ring, gram, sigma, own, now = self.ring, self.gram, self.sigma, self.own, self.now
+        k = self.stored % (self.m + 1)
+        pair = ring[2 * k:2 * k + 2]
+        np.subtract(u_hat.ravel(), prev_u_hat.ravel(), out=pair[0])
+        y = np.subtract(gt_hat.ravel(), prev_gt_hat.ravel(), out=pair[1])
+        np.dot(pair, sigma * y, out=own[0])
+        np.dot(pair, y, out=own[1])
+        g = ring[-1]
+        g[:] = gt_hat.ravel()
+        np.dot(ring, sigma * g, out=now[0])
+        np.dot(ring, g, out=now[1])
+        if own[0, 0] + shift * own[1, 0] > 0.0:
+            self.order.append(k)
+            del self.order[:-self.m]
+            self.stored += 1
+            delta = now - gram[:, -1]
+            delta[:, 2 * k:2 * k + 2] = own
+            gram[:, :, 2 * k + 1] = gram[:, 2 * k + 1] = delta
+        gram[:, -1] = now
+
+
+def _quasi_newton_direction(u_hat: np.ndarray, qu_hat: np.ndarray, gt_hat: np.ndarray,
+                            symbol: np.ndarray, shift: float,
+                            pairs: _Pairs) -> np.ndarray | None:
+    """The L-BFGS direction at g = ``gt_hat``, or None when the memory holds
+    no pair whose sy is positive.  The two-loop recursion runs on d's
+    coefficients in the ring's rows, with the scale sy / yy of the newest
+    pair, in the metric sigma + s, where a pair whose sy is not positive is
+    left out.  d is projected with ``_project_dst``: the pairs were taken at
+    other iterates.  The caller tests the merit's slope along d."""
+    gram = (pairs.gram[0] + shift * pairs.gram[1]).tolist()
+    prod = gram[-1]
+    ys = [2 * k + 1 for k in pairs.order if gram[2 * k][2 * k + 1] > 0.0]  # y rows
+    if ys:
+        n = len(ys)
+        rho = [1.0 / gram[j - 1][j] for j in ys]
+        alpha = [0.0] * n
+        for p in range(n - 1, -1, -1):
+            row, acc = gram[ys[p] - 1], prod[ys[p] - 1]
+            for q in range(p + 1, n):
+                acc -= alpha[q] * row[ys[q]]
+            alpha[p] = rho[p] * acc
+        j = ys[-1]
+        gamma = gram[j - 1][j] / gram[j][j]
+        coef = [0.0] * len(prod)
+        coef[-1] = gamma
+        for p in range(n):
+            j = ys[p]
+            row, acc = gram[j], prod[j]
+            for q in range(n):
+                acc -= alpha[q] * row[ys[q]]
+            acc *= gamma
+            for q in range(p):
+                acc += coef[ys[q] - 1] * gram[ys[q] - 1][j]
+            coef[j - 1], coef[j] = alpha[p] - rho[p] * acc, -gamma * alpha[p]
+        d_hat = (np.array(coef) @ pairs.ring).reshape(gt_hat.shape)
+        return _project_dst(u_hat, qu_hat, d_hat, symbol)[0]
+    return None
 
 
 def _l2_sign_distance(grid, a: np.ndarray, b: np.ndarray) -> float:

@@ -7,8 +7,10 @@ import gc
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from sbpbox import cli
+from sbpbox.config import load_config
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -227,6 +230,106 @@ def test_verify_needs_prior_solve(tmp_path):
     assert "report.json" in proc.stderr
 
 
+@pytest.mark.parametrize("old, new, differ", [
+    ("physics.kappa = 1.0", "physics.kappa = 2.0", "kappa"),
+    ("physics.p = 3.0", "physics.p = 2.5", "p"),
+    ("coupling.b = 1.0", "coupling.b = 1.1", "q"),
+    ("boundary.h2.x1 = 0.5", "boundary.h2.x1 = 0.4", "chi, alpha"),
+    ("domain.lengths = 1.0\n", "", None),
+], ids=["kappa", "p", "q", "h2", "same-problem"])
+def test_verify_needs_the_problem_of_the_run(tmp_path, solved_dir, capsys, old, new,
+                                              differ):
+    """verify rebuilds the run's problem from the report's ``config``: a
+    config that builds another problem on the same grid exits 1 with one
+    ``error:`` line naming what differs, and a config that builds the same
+    problem verifies."""
+    _, out, _ = solved_dir
+    cfg = write_cfg(tmp_path, GROUND_CFG.replace(old, new))
+    code = cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    if differ is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.rstrip().endswith(f"differ in {differ}")
+
+
+@pytest.mark.parametrize("command, extra, cause", [
+    ("refine", "run.grids = 17,33\n", "refine writes none"),
+    ("solve", "output.dump_fields = false\n", "the run set output.dump_fields = false"),
+], ids=["refine", "no-dumps"])
+def test_verify_names_why_there_are_no_dumps(tmp_path, capsys, command, extra, cause):
+    """verify on the output of a run that wrote no field dumps exits 1 with
+    one ``error:`` line that says why, not with a missing-file error."""
+    cfg = write_cfg(tmp_path, GROUND_CFG + extra)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "u_0.bin" in err and err.rstrip().endswith(cause)
+    assert not (out / "residuals.csv").exists()
+
+
+RADIAL_2D_CFG = """
+domain.dim = 2
+domain.lengths = 1.0,1.0
+grid.n = 17
+coupling.kind = radial_bump
+coupling.base = 0.5
+coupling.height = 2.0
+coupling.center = 0.5,0.5
+coupling.radius = 0.4
+boundary.h2.x1 = 0.8
+boundary.h1.y0 = file:{face}
+output.dump_fields = false
+"""
+
+
+@pytest.mark.parametrize("text", [GROUND_CFG, RADIAL_2D_CFG], ids=["1d-affine", "2d-radial"])
+def test_report_config_rebuilds_the_run(tmp_path, text):
+    """``report.json``'s ``config`` holds every key of the run, the coupling
+    parameters and both boundary data sets included: written back as
+    ``key = value`` lines, lists comma-joined, it loads as a config that
+    builds the run's q, chi and alpha."""
+    face = tmp_path / "face.txt"
+    np.savetxt(face, np.linspace(0.0, 0.2, 17))
+    cfg = write_cfg(tmp_path, text.format(face=face))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    replay = write_cfg(tmp_path, "".join(
+        f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+        for key, value in config.items()), "replay.cfg")
+    run, rebuilt = (load_config(path).build_problem() for path in (cfg, replay))
+    assert np.array_equal(rebuilt.q, run.q)
+    assert np.array_equal(rebuilt.chi, run.chi)
+    assert rebuilt.alpha == run.alpha
+
+
+# The workloads and the correctness gate of the benchmark, whose module runs
+# without its ``__main__`` block.
+PERFBENCH = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "run.py"))
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH["WORKLOADS"]))
+def test_benchmark_workload_passes_its_gate(tmp_path, name):
+    """Each workload of the benchmark, run in process with its config, its
+    seed and ``--quiet``, writes a ``report.json`` that the benchmark's
+    correctness gate ``check_report`` passes."""
+    wl = PERFBENCH["WORKLOADS"][name]
+    cfg = write_cfg(tmp_path, wl.config)
+    out = tmp_path / "out"
+    seed = 1 if wl.cli_seed is None else wl.cli_seed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main([wl.command, "--config", cfg, "--out", str(out),
+                         "--seed", str(seed), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert PERFBENCH["check_report"](wl, report) == []
+
+
 def test_feasibility_exit_codes(tmp_path):
     ok = write_cfg(tmp_path, GROUND_CFG, "ok.cfg")
     assert run_cli("feasibility", "--config", ok).returncode == 0
@@ -391,7 +494,7 @@ def test_refine_report_iterations_and_one_build_per_grid(tmp_path, monkeypatch):
 @pytest.mark.parametrize("dim, n", [(1, 33), (2, 17)], ids=["1d", "2d-folded"])
 def test_one_level_refine_is_the_solve(tmp_path, dim, n):
     """``solve`` at ``grid.n = n`` and ``refine`` over the one level n run the
-    same level loop, so they write the same state bit for bit."""
+    same level loop, so they write the same state entry bit for bit."""
     text = GROUND_CFG.replace("domain.dim = 1", f"domain.dim = {dim}").replace(
         "grid.n = 33", f"grid.n = {n}")
     states = []
@@ -402,30 +505,27 @@ def test_one_level_refine_is_the_solve(tmp_path, dim, n):
         states += json.loads((out / "report.json").read_text())["states"]
     solved, refined = states
     assert refined["n"] == [n] * dim
-    for key in ("J", "omega", "mu", "iterations", "eq1_res"):
-        assert solved[key] == refined[key], key
+    assert solved == refined
 
 
-REPORT_KEYS = {"alpha", "config", "coupling_params", "feasibility", "mode", "states"}
+REPORT_KEYS = {"alpha", "config", "feasibility", "mode", "states"}
 ORDER_KEYS = {"j_values", "j_diffs", "j_orders", "eq1_orders", "bc_orders"}
-REFINE_STATE_KEYS = {"index", "n", "J", "omega", "mu", "eq1_res", "eq2_res", "bc_res",
-                     "norm_res", "compat_res", "iterations", "converged"}
-SOLVE_STATE_KEYS = REFINE_STATE_KEYS - {"n"} | {
-    "optimizer_converged", "stop_reason", "grad_norm", "eq1_res_native",
-    "bc_res_second", "dirichlet_energy", "min_u"}
+STATE_KEYS = {"index", "n", "J", "omega", "mu", "iterations", "converged",
+              "optimizer_converged", "stop_reason", "grad_norm", "eq1_res",
+              "eq1_res_native", "eq2_res", "bc_res", "bc_res_second", "norm_res",
+              "compat_res", "dirichlet_energy", "min_u"}
 
 
-@pytest.mark.parametrize("command, text, report_keys, state_keys, count", [
-    ("solve", GROUND_CFG, REPORT_KEYS, SOLVE_STATE_KEYS, 1),
-    ("solve", EXCITED_CFG, REPORT_KEYS, SOLVE_STATE_KEYS, 2),
-    ("refine", GROUND_CFG + "run.grids = 17,33\n", REPORT_KEYS | ORDER_KEYS,
-     REFINE_STATE_KEYS, 2),
+@pytest.mark.parametrize("command, text, report_keys, count", [
+    ("solve", GROUND_CFG, REPORT_KEYS, 1),
+    ("solve", EXCITED_CFG, REPORT_KEYS, 2),
+    ("refine", GROUND_CFG + "run.grids = 17,33\n", REPORT_KEYS | ORDER_KEYS, 2),
 ], ids=["ground-solve", "excited-solve", "refine"])
-def test_report_keys_and_output_files(tmp_path, command, text, report_keys, state_keys,
-                                      count):
+def test_report_keys_and_output_files(tmp_path, command, text, report_keys, count):
     """The exact key sets of ``report.json``, at top level and per state,
-    and the exact files of each run: ``solve`` dumps each state's fields
-    and ``chi``, ``refine`` writes ``summary.csv`` and ``report.json`` only."""
+    where ``solve`` and ``refine`` write the same entry, and the exact files
+    of each run: ``solve`` dumps each state's fields and ``chi``, ``refine``
+    writes ``summary.csv`` and ``report.json`` only."""
     out = tmp_path / "out"
     assert cli.main([command, "--config", write_cfg(tmp_path, text), "--out", str(out),
                      "--quiet"]) == 0
@@ -436,7 +536,7 @@ def test_report_keys_and_output_files(tmp_path, command, text, report_keys, stat
     report = json.loads((out / "report.json").read_text())
     assert set(report) == report_keys
     assert len(report["states"]) == count
-    assert all(set(state) == state_keys for state in report["states"])
+    assert all(set(state) == STATE_KEYS for state in report["states"])
 
 
 @pytest.mark.parametrize("mode", ["excited", "polish"])

@@ -276,7 +276,7 @@ def test_scan_sees_an_unresolved_traced_name(tmp_path):
     assert unresolved_traced_names(tracer) == ["sbpbox.grid:gone", "sbpbox.nope:f"]
 
 
-DESCENT_MODULES = ("optimize.py", "lbfgs.py", "manifold.py", "functional.py", "reduction.py")
+DESCENT_MODULES = ("optimize.py", "manifold.py", "functional.py", "reduction.py")
 
 
 def numpy_sum_calls(path):

@@ -9,7 +9,6 @@ import pytest
 
 from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, optimize
 from sbpbox.config import load_config
-from sbpbox.lbfgs import _QN_MEMORY, _Pairs
 from sbpbox.errors import InfeasibleRegion, SbpError
 from sbpbox.functional import eval_J, grad_J, zeroth_order_grad
 from sbpbox.grid import dirichlet_energy, dirichlet_inner, inner
@@ -21,6 +20,8 @@ from sbpbox.manifold import (
 )
 from sbpbox.optimize import (
     OptimizerOptions,
+    _Pairs,
+    _QN_MEMORY,
     _dedupe,
     _tangent_gradient,
     excited_states,
@@ -395,7 +396,7 @@ def test_excited_cfg_finds_the_same_states_across_alpha(alpha, js, monkeypatch):
     starts took 1,343 iterations with BB steps throughout, and take about
     310 with the L-BFGS tail."""
     cfg = load_config(DEMO_CONFIGS / "excited.cfg")
-    cfg.boundary[("h2", "x1")] = alpha
+    cfg.values["boundary.h2.x1"] = alpha
     iterations = descent_iterations(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
