@@ -18,9 +18,11 @@ report holds ``RunConfig.values`` whole as ``config``, from which
 for ``solve`` and ``refine``: its grid, the full residual and multiplier
 set, and how its descent stopped.  An identical config produces
 byte-identical outputs at a fixed BLAS thread count only: the thread count
-changes the summation order of BLAS dots and products on large fields, so
-ground-3d's ``eq1_res`` reads 0.043311848307765674 with
-``OPENBLAS_NUM_THREADS=1`` and 0.04331184830776568 with 2.  ``--seed`` only
+changes the summation order of BLAS dots and products on large fields.
+``verify``'s audit of the ground-3d state on the whole 25^3 box reads
+``eq1_res`` 0.043311848307765674 with ``OPENBLAS_NUM_THREADS=1`` and
+0.04331184830776568 with 2, while the solve, which audits on the
+4,225-node sector, writes the same bytes with either.  ``--seed`` only
 reaches the random test data of ``oracle``.
 
 ``solve`` and ``refine`` run one loop over grid levels (``_levels``).
@@ -28,9 +30,13 @@ Level 0 runs the search: the ground descent from ``feasible_init``, or the
 excited multi-start search.  Each later level carries every state of the
 level before, interpolated onto its grid, by one ground descent on its
 mirror sector.  Every state is audited against the strong form as its
-level ends.  ``solve`` runs the loop over ``grid.n`` alone and ``refine``
-over ``run.grids``, adding observed convergence orders over the levels;
-``refinement_study`` runs it on problems built by the caller.
+level ends (``_audit``), on the mirror sector it descended on, with u and
+phi folded back onto it; the dumps are written on the whole box, where
+``verify`` audits them.  ``solve`` runs the loop over ``grid.n`` alone and
+``refine`` over ``run.grids``, adding observed convergence orders over the
+levels and writing one report entry per state (``_entry``);
+``refinement_study`` runs it on problems built by the caller and keeps
+only the audits.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import time
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,15 +117,24 @@ def _interpolate(u: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return u
 
 
-def _audit(problem: Problem, index: int, res: SolveResult,
+def _audit(problem: Problem, res: SolveResult) -> tuple[Problem, np.ndarray, ResidualReport]:
+    """The strong-form audit of ``res`` on the grid its descent ran on:
+    ``mirror_sector(problem)`` with u and phi folded onto it after a folded
+    descent, else ``problem`` and the state's own arrays.  Returns that
+    problem, u on its grid and the audit."""
+    view = mirror_sector(problem) if res.folded else problem
+    u = view.grid.fold(res.u)
+    return view, u, residual_original_system(view, u, view.grid.fold(res.phi), res.omega,
+                                             res.mu, j=res.j, iterations=res.iterations)
+
+
+def _entry(problem: Problem, index: int, res: SolveResult,
            dump: Path | None = None) -> tuple[ResidualReport, dict]:
-    """The strong-form audit of state ``index`` and its ``report.json``
-    entry; with ``dump``, its field dumps are written there.  The state
-    counts as converged when the optimizer converged and both constraints
-    of its own level's problem hold within the bounds of the acceptance
-    tests."""
-    rep = residual_original_system(problem, res.u, res.phi, res.omega, res.mu,
-                                   j=res.j, iterations=res.iterations)
+    """The ``_audit`` of state ``index`` and its ``report.json`` entry;
+    with ``dump``, its field dumps are written there.  The state counts as
+    converged when the optimizer converged and both constraints of its own
+    level's problem hold within the bounds of the acceptance tests."""
+    view, u, rep = _audit(problem, res)
     if dump is not None:
         dump.mkdir(parents=True, exist_ok=True)
         write_field(dump / f"u_{index}.bin", problem.grid, res.u)
@@ -144,23 +159,22 @@ def _audit(problem: Problem, index: int, res: SolveResult,
         "bc_res_second": rep.bc_res_second,
         "norm_res": rep.norm_res,
         "compat_res": rep.compat_res,
-        "dirichlet_energy": 0.5 * dirichlet_energy(problem.grid, res.u),
-        "min_u": float(res.u.min()),
+        "dirichlet_energy": 0.5 * dirichlet_energy(view.grid, u),
+        "min_u": float(u.min()),
     }
 
 
-def _levels(problems: Iterable[Problem], opts: OptimizerOptions, k: int | None = None,
-            dump: Path | None = None) -> tuple[list[SolveResult], list[ResidualReport], list]:
-    """Descend on each level's problem in turn and ``_audit`` every state.
+def _levels(problems: Iterable[Problem], opts: OptimizerOptions,
+            k: int | None = None) -> Iterator[tuple[Problem, SolveResult]]:
+    """Descend on each level's problem in turn, and yield every state with
+    that problem as its level ends, for the caller to audit.
 
     Level 0 runs the search: the ground descent from ``feasible_init`` when
     ``k`` is None, else ``excited_states`` for ``k`` states.  Each later
     level carries every state of the level before: ``_interpolate`` onto
     its grid, then one ``_ground_descent`` on its sector, which retracts
-    the start onto the constraint manifold.  Returns the states of all
-    levels in order, their audits and their ``report.json`` entries.
+    the start onto the constraint manifold.
     """
-    results, reports, entries = [], [], []
     states = None
     for problem in problems:
         if states is not None:
@@ -171,11 +185,7 @@ def _levels(problems: Iterable[Problem], opts: OptimizerOptions, k: int | None =
         else:
             states = excited_states(problem, k, opts)
         for res in states:
-            rep, entry = _audit(problem, len(results), res, dump)
-            results.append(res)
-            reports.append(rep)
-            entries.append(entry)
-    return results, reports, entries
+            yield problem, res
 
 
 def _write_report(out: Path, cfg: RunConfig, feasibility: FeasibilityReport,
@@ -315,8 +325,11 @@ def refinement_study(problem_factory: Callable[[int], Problem],
     through consecutive differences (no exact value is available), the
     residuals directly.
     """
-    results, reports, _ = _levels(map(problem_factory, map(int, node_counts)),
-                                  opts or OptimizerOptions())
+    results, reports = [], []
+    for problem, res in _levels(map(problem_factory, map(int, node_counts)),
+                                opts or OptimizerOptions()):
+        results.append(res)
+        reports.append(_audit(problem, res)[2])
     return RefinementStudy(tuple(results), tuple(reports))
 
 
@@ -345,21 +358,25 @@ def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
          else "minimizing from the tilted principal-mode start" if k is None
          else f"search for {k} states from the slab seeds of genus {k}")
     dump = out if cfg.get("output.dump_fields") and not refine else None
-    results, reports, entries = _levels(
-        chain([first], map(cfg.build_problem, grids[1:])), opts, k, dump)
+    results, reports, entries = [], [], []
+    for problem, res in _levels(chain([first], map(cfg.build_problem, grids[1:])), opts, k):
+        rep, entry = _entry(problem, len(results), res, dump)
+        results.append(res)
+        reports.append(rep)
+        entries.append(entry)
     if not results:
         raise SbpError("no start converged; nothing to report")
     # One line naming the axes whose mirror sector the descents ran on.
     _say(quiet, "descent on " + "; ".join(
         f"the mirror sector of axes {', '.join(map(str, axes))}" if axes else "the full box"
         for axes in sorted({res.folded for res in results})))
-    for i, (res, rep) in enumerate(zip(results, reports)):
+    for i, (res, rep, entry) in enumerate(zip(results, reports, entries)):
         if not refine:
             _say(quiet, f"state {i}: J={rep.j:.10g} omega={rep.omega:.10g} "
                         f"mu={rep.mu:.6g} grad={res.grad_norm:.2e} "
                         f"iters={res.iterations} converged={res.converged}")
-        if k is None and float(res.u.min()) < _MIN_U_FLOOR:
-            _say(quiet, f"state {i}: min u = {float(res.u.min()):.3e} lies below "
+        if k is None and entry["min_u"] < _MIN_U_FLOOR:
+            _say(quiet, f"state {i}: min u = {entry['min_u']:.3e} lies below "
                         f"{_MIN_U_FLOOR:g}; it may change sign")
     orders = None
     if refine:

@@ -176,8 +176,8 @@ def mirror_sector(problem: Problem) -> Problem:
     """``problem`` on its mirror sector ``problem.sector``, decided by
     ``build_problem``, with q and chi folded onto it; ``problem`` itself
     where the sector is the box, as in 1d.  A search folds once and drops
-    the folded fields with its descents: kept into the audit, they raise
-    the peak."""
+    the folded fields with its descents; the audit of each state folds
+    them again (``cli._audit``)."""
     grid = problem.sector
     if grid is problem.grid:
         return problem

@@ -19,6 +19,16 @@ The audit holds one residual field at a time: each is reduced to its norm
 and freed before the next, and each stencil works in one scratch field, so
 it holds at most four fields beyond its inputs (and NumPy's buffers).
 
+The audit runs on the grid of the problem it is given: the box, or the
+mirror sector a descent ran on (``optimize.mirror_sector``), with u and phi
+folded onto it.  There it applies the box's discretizations: it skips each
+face past a mirror node, the image of the face at x_a = 0, compares every
+other face with the sector's part of its data (as
+``grid.neumann_flux_field`` does), and the wide stencil reads the two planes
+past a mirror node from their images.  Its node values are the box's on the
+sector's nodes to rounding and its sums take them in another order, so its
+residuals are the box audit's to rounding; ``n`` is the box's node counts.
+
 ``dense_oracle_compare`` cross-checks every spectral solve against LU
 factorizations of explicitly assembled matrices; ``dense_kkt_polish`` runs a
 dense Newton iteration on the full stationarity system, giving an
@@ -93,8 +103,12 @@ def reconstruct_phi(problem: Problem, phi: np.ndarray, mu: float) -> np.ndarray:
 def _laplacian4(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Fourth-order five-point-per-axis Laplacian on the deep interior (two
     cells from every face), zero elsewhere.  Each axis's term is formed in two
-    buffers over half the deep rows along axis 0 at a time: one field in all."""
+    buffers over half the deep rows along axis 0 at a time: one field in all.
+    On a mirror sector the rows run through the mirror node, which reads the
+    two planes past it from their mirror images, the box's rows there."""
     lap = np.zeros_like(f)
+    if grid.mirror:
+        f = np.pad(f, [(0, 2 * (a in grid.mirror)) for a in range(grid.dim)], mode="reflect")
     n0, rows = f.shape[0], max((f.shape[0] - 3) // 2, 1)
     bufs = np.empty([2, rows] + [max(m - 4, 0) for m in f.shape[1:]])
     for r in range(2, n0 - 2, rows):
@@ -171,10 +185,14 @@ def residual_original_system(problem: Problem, u: np.ndarray, phi: np.ndarray,
     z = laplacian_neumann(grid, phi_full, problem.h1)
     bc1 = bc2 = 0.0
     for axis, side in grid.faces():
+        if side and axis in grid.mirror:
+            continue  # the mirror image of the face at x_axis = 0
+        # The sector's part of the face's data, as in ``neumann_flux_field``.
+        cut = tuple(slice(0, m) for j, m in enumerate(grid.n) if j != axis)
         d_phi = _one_sided_normal_derivative(grid, phi_full, axis, side)
         d_z = _one_sided_normal_derivative(grid, z, axis, side)
-        bc1 = max(bc1, float(np.max(np.abs(d_phi - problem.h1.face(axis, side)))))
-        bc2 = max(bc2, float(np.max(np.abs(d_z - problem.h2.face(axis, side)))))
+        bc1 = max(bc1, float(np.max(np.abs(d_phi - problem.h1.face(axis, side)[cut]))))
+        bc2 = max(bc2, float(np.max(np.abs(d_z - problem.h2.face(axis, side)[cut]))))
     del phi_full
     field = laplacian_neumann(grid, z, problem.h2)  # - z - q u u
     field -= z
@@ -195,14 +213,15 @@ def residual_original_system(problem: Problem, u: np.ndarray, phi: np.ndarray,
         part -= nonlin[rows]
         return norm_l2(grid, field)
 
-    eq1 = eq1_norm(_laplacian4(grid, u), (slice(2, -2),) * grid.dim)
+    deep = tuple(slice(2, None if a in grid.mirror else -2) for a in range(grid.dim))
+    eq1 = eq1_norm(_laplacian4(grid, u), deep)
     eq1_native = eq1_norm(laplacian_dirichlet(grid, u), grid.interior)
     del shared, nonlin
     c1, c2 = constraint_values(problem, u)
     if j is None:
         j = eval_J(problem, u, phi)
     return ResidualReport(
-        n=grid.n, h=float(max(grid.h)), j=float(j), omega=float(omega),
+        n=grid.box_n, h=float(max(grid.h)), j=float(j), omega=float(omega),
         mu=float(mu), eq1_res=float(eq1), eq1_res_native=float(eq1_native),
         eq2_res=float(eq2), bc_res=float(bc1), bc_res_second=float(bc2),
         norm_res=abs(c1), compat_res=abs(c2),

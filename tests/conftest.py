@@ -60,6 +60,39 @@ def _time_bound(request):
     faulthandler.cancel_dump_traceback_later()
 
 
+# The ground workloads of the benchmark: q = x, alpha = 0.5 from the flux on
+# face x1, kappa = 1, p = 3.
+GROUND_CFG = """\
+domain.dim = {dim}
+grid.n = {n}
+physics.kappa = 1.0
+physics.p = 3.0
+coupling.kind = affine
+coupling.a = 0.0
+coupling.b = 1.0
+boundary.h2.x1 = 0.5
+run.mode = ground
+"""
+
+
+def face_file(tmp_path, name, values):
+    path = tmp_path / name
+    np.savetxt(path, np.ravel(values))
+    return f"file:{path}"
+
+
+def symmetric_face_cfg(tmp_path):
+    """A 3d config whose h1 data on face x0 come from a file, mirror-invariant
+    along both transverse axes, with equal constant data on y0 and y1."""
+    y, z = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 11)
+    face = 0.2 + np.outer(y * (1.0 - y), 1.0 + np.cos(2.0 * np.pi * z))
+    face = face + face[::-1]
+    face = 0.25 * (face + face[:, ::-1])
+    return (GROUND_CFG.format(dim=3, n="7,9,11")
+            + f"boundary.h1.x0 = {face_file(tmp_path, 'x0.txt', face)}\n"
+            + "boundary.h2.y0 = 0.3\nboundary.h2.y1 = 0.3\n")
+
+
 def line_problem(n, alpha=0.5, kappa=1.0, p=3.0, coupling=None):
     """Unit-interval problem with flux-generated alpha on the right face."""
     g = Grid(lengths=(1.0,), n=(n,))

@@ -211,6 +211,28 @@ def test_verify_recomputes_residuals(solved_dir):
     assert float(rows[0]["eq2_res"]) <= 1e-6
 
 
+def test_verify_reproduces_a_folded_solve(tmp_path):
+    """``verify`` audits the dumps of a folded ground-3d solve on the whole
+    box and reproduces the entry of the solve's audit on the mirror sector,
+    within the bounds of ``test_verify.py::test_sector_audit_is_the_box_audit``.
+    verify solves the potential again on the box and takes J from
+    ``eval_J``, so J and bc_res agree to rounding, not bit for bit."""
+    cfg = write_cfg(tmp_path, GROUND_3D_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    entry = json.loads((out / "report.json").read_text())["states"][0]
+    with open(out / "residuals.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["n"] == "x".join(map(str, entry["n"])) == "25x25x25"
+    assert (float(row["omega"]), float(row["mu"]), int(row["iters"])) == (
+        entry["omega"], entry["mu"], entry["iterations"])
+    for key, rel, abs_ in (("J", 1e-12, 0.0), ("eq1_res", 1e-12, 0.0), ("eq2_res", 0.0, 1e-12),
+                           ("bc_res", 0.0, 1e-12), ("norm_res", 0.0, 1e-15),
+                           ("compat_res", 0.0, 1e-15)):
+        assert float(row[key]) == pytest.approx(entry[key], rel=rel, abs=abs_), key
+
+
 def test_verify_rejects_other_grid(tmp_path, solved_dir):
     """verify on an n = 33 solve with an n = 17 config exits 1 and names
     the dump whose grid disagrees."""

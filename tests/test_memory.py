@@ -2,7 +2,8 @@
 
 Every bound is taken against the traced memory at the start of the measured
 call, so the tests hold when tracing is already on (``python -X
-tracemalloc``).  A field of the 25^3 box is 125,000 bytes.
+tracemalloc``).  A field of the 25^3 box is 125,000 bytes, one of its
+25 x 13 x 13 mirror sector 33,800 bytes.
 """
 
 import tracemalloc
@@ -74,11 +75,9 @@ def test_ground_3d_build_holds_at_most_six_fields():
     assert peak[0] <= 6 * prob.q.nbytes
 
 
-def test_ground_3d_solve_peaks_below_2000_kb(tmp_path):
-    """An in-process ``sbpbox solve`` of the ground-3d workload, with the
-    symbols of its grid built afresh.  With the audit holding its fields
-    whole and the grid caching its coordinate and cell-weight fields, this
-    run peaked near 2,600 KB."""
+def ground_3d_solve_peak(tmp_path):
+    """The traced peak of an in-process ``sbpbox solve`` of the ground-3d
+    workload, with the symbols of its grid built afresh."""
     cfg = tmp_path / "ground.cfg"
     cfg.write_text(GROUND_3D)
     solvers._build_symbols.cache_clear()
@@ -86,4 +85,33 @@ def test_ground_3d_solve_peaks_below_2000_kb(tmp_path):
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
                        "--quiet"])
     assert rc == 0
-    assert peak[0] <= 2000 * 1024
+    return peak[0]
+
+
+def test_ground_3d_solve_peaks_below_2000_kb(tmp_path):
+    """With the audit holding its fields whole and the grid caching its
+    coordinate and cell-weight fields, this run peaked near 2,600 KB."""
+    assert ground_3d_solve_peak(tmp_path) <= 2000 * 1024
+
+
+def test_folded_audit_holds_at_most_six_sector_fields():
+    """The audit as ``cli._audit`` calls it on a folded ground-3d state: on
+    the 25 x 13 x 13 sector, with u and phi folded onto it.  On the box the
+    audit held about 5.2 box fields, 19 sector fields."""
+    prob = parse_config_text(GROUND_3D).build_problem()
+    sector = mirror_sector(prob)
+    res = minimize_on_M(sector, feasible_init(sector))
+    u = sector.grid.fold(res.u)
+    args = (sector, u, sector.grid.fold(res.phi), res.omega, res.mu)
+    first = residual_original_system(*args)  # builds what the sector grid caches
+    with traced_peak() as peak:
+        again = residual_original_system(*args)
+    assert again == first and again.n == (25, 25, 25)
+    assert u.shape == (25, 13, 13)
+    assert peak[0] <= 6 * u.nbytes
+
+
+def test_ground_3d_solve_peaks_below_1450_kb(tmp_path):
+    """The audit runs on the mirror sector of the descent; on the whole box
+    it set this run's peak at 1,644 KB."""
+    assert ground_3d_solve_peak(tmp_path) <= 1450 * 1024

@@ -23,21 +23,8 @@ from sbpbox.solvers import (
     _transform,
     solve_fourth_order_split,
 )
-from conftest import coords, oscillating_problem
+from conftest import GROUND_CFG, coords, face_file, oscillating_problem, symmetric_face_cfg
 
-# The ground workloads of the benchmark: q = x, alpha = 0.5 from the flux on
-# face x1, kappa = 1, p = 3.
-GROUND_CFG = """\
-domain.dim = {dim}
-grid.n = {n}
-physics.kappa = 1.0
-physics.p = 3.0
-coupling.kind = affine
-coupling.a = 0.0
-coupling.b = 1.0
-boundary.h2.x1 = 0.5
-run.mode = ground
-"""
 
 # Boxes with their mirrored axes; axis 0 is mirrored too where the grid
 # allows it, though the descent never folds it.
@@ -256,24 +243,6 @@ def test_3d_excited_search_builds_one_sector(monkeypatch):
 
 
 # -- the potential solved on the sector -------------------------------------
-
-
-def face_file(tmp_path, name, values):
-    path = tmp_path / name
-    np.savetxt(path, np.ravel(values))
-    return f"file:{path}"
-
-
-def symmetric_face_cfg(tmp_path):
-    """A 3d config whose h1 data on face x0 come from a file, mirror-invariant
-    along both transverse axes, with equal constant data on y0 and y1."""
-    y, z = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 11)
-    face = 0.2 + np.outer(y * (1.0 - y), 1.0 + np.cos(2.0 * np.pi * z))
-    face = face + face[::-1]
-    face = 0.25 * (face + face[:, ::-1])
-    return (GROUND_CFG.format(dim=3, n="7,9,11")
-            + f"boundary.h1.x0 = {face_file(tmp_path, 'x0.txt', face)}\n"
-            + "boundary.h2.y0 = 0.3\nboundary.h2.y1 = 0.3\n")
 
 
 @pytest.mark.parametrize("case, axes", [("2d", (1,)), ("3d", (1, 2)), ("file", (1, 2))])

@@ -26,8 +26,8 @@ from sbpbox.verify import (
     residual_original_system,
     write_summary,
 )
-from conftest import (line_problem, random_m_point, reference_laplacian_dirichlet,
-                      reference_laplacian_neumann, square_problem)
+from conftest import (GROUND_CFG, line_problem, random_m_point, reference_laplacian_dirichlet,
+                      reference_laplacian_neumann, square_problem, symmetric_face_cfg)
 
 
 @pytest.fixture(scope="module")
@@ -311,15 +311,21 @@ def reference_report(problem, u, phi, omega, mu, j, iterations):
         iters=iterations)
 
 
-def ground_state(dim, n):
-    """The ground state of the benchmark's ground config, on its sector."""
-    prob = parse_config_text(f"domain.dim = {dim}\ngrid.n = {n}\nphysics.kappa = 1.0\n"
-                             "physics.p = 3.0\ncoupling.kind = affine\ncoupling.a = 0.0\n"
-                             "coupling.b = 1.0\nboundary.h2.x1 = 0.5\n").build_problem()
+def folded_state(text):
+    """The ground state of the problem of config ``text``, descended on its
+    mirror sector: the box problem, the unfolded fields and the scalars."""
+    prob = parse_config_text(text).build_problem()
     sector = mirror_sector(prob)
     res = minimize_on_M(sector, feasible_init(sector))
-    assert res.folded == tuple(range(1, dim))
+    assert res.folded == prob.sector.mirror != ()
     return prob, res.u, res.phi, res.omega, res.mu, res.j, res.iterations
+
+
+def ground_state(dim, n):
+    """The ground state of the benchmark's ground config, on its sector."""
+    args = folded_state(GROUND_CFG.format(dim=dim, n=n))
+    assert args[0].sector.mirror == tuple(range(1, dim))
+    return args
 
 
 def manifold_state(prob, seed=0):
@@ -362,3 +368,30 @@ def test_audit_is_bitwise_the_whole_field_formulas(name):
     assert residual_original_system(*args) == reference_report(*args)
     grid, u = args[0].grid, args[1]
     assert _laplacian4(grid, u).tobytes() == reference_laplacian4(grid, u)[0].tobytes()
+
+
+@pytest.mark.parametrize("case", ["2d", "3d", "file-face"])
+def test_sector_audit_is_the_box_audit(case, tmp_path):
+    """The audit of a folded state on its mirror sector, as ``cli._audit``
+    runs it, against the audit of the unfolded fields on the box.  The
+    sector's node values are the box's on its nodes to rounding, and the
+    reductions sum them in another order: eq1_res agrees to 1e-12 relative,
+    eq1_res_native and eq2_res (at the optimizer tolerance and the rounding
+    floor) to 1e-12 absolute, and the two constraint residuals, sums near 1
+    and alpha, to a few units in their last place."""
+    args = folded_state(symmetric_face_cfg(tmp_path)) if case == "file-face" else \
+        ground_state(int(case[0]), {"2d": 17, "3d": 13}[case])
+    prob, u, phi = args[:3]
+    sector = mirror_sector(prob)
+    on_box = residual_original_system(*args)
+    on_sector = residual_original_system(sector, sector.grid.fold(u), sector.grid.fold(phi),
+                                         *args[3:])
+    for name in ("j", "omega", "mu", "n", "h", "bc_res", "bc_res_second", "iters"):
+        assert getattr(on_sector, name) == getattr(on_box, name), name
+    assert on_sector.eq1_res == pytest.approx(on_box.eq1_res, rel=1e-12, abs=0.0)
+    for name in ("eq1_res_native", "eq2_res"):
+        assert getattr(on_sector, name) == pytest.approx(getattr(on_box, name), rel=0.0,
+                                                         abs=1e-12), name
+    for name in ("norm_res", "compat_res"):
+        assert getattr(on_sector, name) == pytest.approx(getattr(on_box, name), rel=0.0,
+                                                         abs=1e-15), name
