@@ -30,11 +30,11 @@ Level 0 runs the search: the ground descent from ``feasible_init``, or the
 excited multi-start search.  Each later level carries every state of the
 level before, interpolated onto its grid, by one ground descent on its
 mirror sector.  Every state is audited against the strong form as its
-level ends (``_audit``), on the mirror sector it descended on, with u and
-phi folded back onto it; the dumps are written on the whole box, where
-``verify`` audits them.  ``solve`` runs the loop over ``grid.n`` alone and
-``refine`` over ``run.grids``, adding observed convergence orders over the
-levels and writing one report entry per state (``_entry``);
+level ends (``_audit``), on the mirror sector it descended on, where its u
+and phi live; the dumps unfold them onto the whole box, where ``verify``
+audits them.  ``solve`` runs the loop over ``grid.n`` alone and ``refine``
+over ``run.grids``, adding observed convergence orders over the levels and
+writing one report entry per state (``_entry``);
 ``refinement_study`` runs it on problems built by the caller and keeps
 only the audits.
 """
@@ -92,8 +92,8 @@ def _say(quiet: bool, *parts) -> None:
 def _ground_descent(problem: Problem, opts: OptimizerOptions,
                     start: np.ndarray | None = None) -> SolveResult:
     """The descent on ``mirror_sector(problem)`` from its ``feasible_init``,
-    or from the box field ``start`` folded onto the sector.  The folded
-    fields live as long as the descent only."""
+    or from the box field ``start`` folded onto the sector; its state lives
+    on the sector."""
     sector = mirror_sector(problem)
     u0 = feasible_init(sector) if start is None else sector.grid.fold(start)
     return minimize_on_M(sector, u0, opts)
@@ -117,29 +117,19 @@ def _interpolate(u: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return u
 
 
-def _audit(problem: Problem, res: SolveResult) -> tuple[Problem, np.ndarray, ResidualReport]:
-    """The strong-form audit of ``res`` on the grid its descent ran on:
-    ``mirror_sector(problem)`` with u and phi folded onto it after a folded
-    descent, else ``problem`` and the state's own arrays.  Returns that
-    problem, u on its grid and the audit."""
-    view = mirror_sector(problem) if res.folded else problem
-    u = view.grid.fold(res.u)
-    return view, u, residual_original_system(view, u, view.grid.fold(res.phi), res.omega,
-                                             res.mu, j=res.j, iterations=res.iterations)
+def _audit(res: SolveResult) -> ResidualReport:
+    """The strong-form audit of ``res`` on the problem its descent ran on,
+    with the state's own u and phi."""
+    return residual_original_system(res.problem, res.u, res.phi, res.omega, res.mu,
+                                    j=res.j, iterations=res.iterations)
 
 
-def _entry(problem: Problem, index: int, res: SolveResult,
-           dump: Path | None = None) -> tuple[ResidualReport, dict]:
-    """The ``_audit`` of state ``index`` and its ``report.json`` entry;
-    with ``dump``, its field dumps are written there.  The state counts as
-    converged when the optimizer converged and both constraints of its own
-    level's problem hold within the bounds of the acceptance tests."""
-    view, u, rep = _audit(problem, res)
-    if dump is not None:
-        dump.mkdir(parents=True, exist_ok=True)
-        write_field(dump / f"u_{index}.bin", problem.grid, res.u)
-        write_field(dump / f"phi_{index}.bin", problem.grid,
-                    reconstruct_phi(problem, res.phi, res.mu))
+def _entry(index: int, res: SolveResult) -> tuple[ResidualReport, dict]:
+    """The ``_audit`` of state ``index`` and its ``report.json`` entry.  The
+    state counts as converged when the optimizer converged and both
+    constraints of its own level's problem hold within the bounds of the
+    acceptance tests."""
+    rep = _audit(res)
     return rep, {
         "index": index,
         "n": list(rep.n),
@@ -148,7 +138,7 @@ def _entry(problem: Problem, index: int, res: SolveResult,
         "mu": rep.mu,
         "iterations": res.iterations,
         "converged": bool(res.converged and rep.norm_res <= 1e-10
-                          and rep.compat_res <= 1e-8 * (1.0 + abs(problem.alpha))),
+                          and rep.compat_res <= 1e-8 * (1.0 + abs(res.problem.alpha))),
         "optimizer_converged": res.converged,
         "stop_reason": res.stop_reason,
         "grad_norm": res.grad_norm,
@@ -159,33 +149,32 @@ def _entry(problem: Problem, index: int, res: SolveResult,
         "bc_res_second": rep.bc_res_second,
         "norm_res": rep.norm_res,
         "compat_res": rep.compat_res,
-        "dirichlet_energy": 0.5 * dirichlet_energy(view.grid, u),
-        "min_u": float(u.min()),
+        "dirichlet_energy": 0.5 * dirichlet_energy(res.problem.grid, res.u),
+        "min_u": float(res.u.min()),
     }
 
 
 def _levels(problems: Iterable[Problem], opts: OptimizerOptions,
-            k: int | None = None) -> Iterator[tuple[Problem, SolveResult]]:
-    """Descend on each level's problem in turn, and yield every state with
-    that problem as its level ends, for the caller to audit.
+            k: int | None = None) -> Iterator[SolveResult]:
+    """Descend on each level's problem in turn, and yield every state as
+    its level ends, for the caller to audit.
 
     Level 0 runs the search: the ground descent from ``feasible_init`` when
     ``k`` is None, else ``excited_states`` for ``k`` states.  Each later
-    level carries every state of the level before: ``_interpolate`` onto
-    its grid, then one ``_ground_descent`` on its sector, which retracts
-    the start onto the constraint manifold.
+    level carries every state of the level before: unfolded, then
+    ``_interpolate`` onto its grid, then one ``_ground_descent`` on its
+    sector, which retracts the start onto the constraint manifold.
     """
     states = None
     for problem in problems:
         if states is not None:
-            states = [_ground_descent(problem, opts, _interpolate(res.u, problem.grid.shape))
-                      for res in states]
+            states = [_ground_descent(problem, opts, _interpolate(
+                res.problem.grid.unfold(res.u), problem.grid.shape)) for res in states]
         elif k is None:
             states = [_ground_descent(problem, opts)]
         else:
             states = excited_states(problem, k, opts)
-        for res in states:
-            yield problem, res
+        yield from states
 
 
 def _write_report(out: Path, cfg: RunConfig, feasibility: FeasibilityReport,
@@ -231,6 +220,15 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
         raise SbpError(f"no report.json under {out}; run solve first")
     with open(report_path) as fh:
         prior = json.load(fh)
+    # What verify reads: a config object and states that carry index, omega and mu.
+    top = prior if isinstance(prior, dict) else {}
+    lacks = [key for key, kind in (("config", dict), ("states", list))
+             if not isinstance(top.get(key), kind)]
+    lacks = lacks or [f"states[{i}].{key}" for i, entry in enumerate(prior["states"])
+                      for key in ("index", "omega", "mu") if not isinstance(entry, dict)
+                      or not isinstance(entry.get(key), (int, float))]
+    if lacks:
+        raise SbpError(f"{report_path} lacks a usable {', '.join(lacks)}")
     problem = cfg.build_problem()
     states = []
     for entry in prior["states"]:
@@ -325,12 +323,9 @@ def refinement_study(problem_factory: Callable[[int], Problem],
     through consecutive differences (no exact value is available), the
     residuals directly.
     """
-    results, reports = [], []
-    for problem, res in _levels(map(problem_factory, map(int, node_counts)),
-                                opts or OptimizerOptions()):
-        results.append(res)
-        reports.append(_audit(problem, res)[2])
-    return RefinementStudy(tuple(results), tuple(reports))
+    results = tuple(_levels(map(problem_factory, map(int, node_counts)),
+                            opts or OptimizerOptions()))
+    return RefinementStudy(results, tuple(map(_audit, results)))
 
 
 def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
@@ -357,10 +352,9 @@ def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
     _say(quiet, f"refinement over node counts {list(grids)}" if refine
          else "minimizing from the tilted principal-mode start" if k is None
          else f"search for {k} states from the slab seeds of genus {k}")
-    dump = out if cfg.get("output.dump_fields") and not refine else None
     results, reports, entries = [], [], []
-    for problem, res in _levels(chain([first], map(cfg.build_problem, grids[1:])), opts, k):
-        rep, entry = _entry(problem, len(results), res, dump)
+    for res in _levels(chain([first], map(cfg.build_problem, grids[1:])), opts, k):
+        rep, entry = _entry(len(results), res)
         results.append(res)
         reports.append(rep)
         entries.append(entry)
@@ -369,7 +363,7 @@ def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
     # One line naming the axes whose mirror sector the descents ran on.
     _say(quiet, "descent on " + "; ".join(
         f"the mirror sector of axes {', '.join(map(str, axes))}" if axes else "the full box"
-        for axes in sorted({res.folded for res in results})))
+        for axes in sorted({res.problem.grid.mirror for res in results})))
     for i, (res, rep, entry) in enumerate(zip(results, reports, entries)):
         if not refine:
             _say(quiet, f"state {i}: J={rep.j:.10g} omega={rep.omega:.10g} "
@@ -386,7 +380,13 @@ def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
                   for key in ("j_values", "j_diffs", "j_orders", "eq1_orders", "bc_orders")}
     out.mkdir(parents=True, exist_ok=True)
     write_summary(out / "summary.csv", reports)
-    if dump is not None:
+    if cfg.get("output.dump_fields") and not refine:
+        # A solve's one level: each state unfolded onto the box of ``first``.
+        for i, res in enumerate(results):
+            unfold = res.problem.grid.unfold
+            write_field(out / f"u_{i}.bin", first.grid, unfold(res.u))
+            write_field(out / f"phi_{i}.bin", first.grid,
+                        reconstruct_phi(first, unfold(res.phi), res.mu))
         write_field(out / "chi.bin", first.grid, first.chi)
     _write_report(out, cfg, feasibility, entries, orders)
     if not refine:

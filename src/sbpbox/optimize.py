@@ -59,9 +59,9 @@ transforms onto nodes 0..m, whose weights count nodes 0..m - 1 twice
 (``grid``) and whose transforms keep the odd DST-I and the even DCT-I modes
 (``solvers``); ``mirror_sector`` folds q and chi onto that sector.  The
 loop below is unchanged there; every integral and sum over modes equals the
-box's, so J, the multipliers and the norms are the box's to rounding, and u
-and phi are unfolded at exit.  A start without the symmetry descends on the
-box problem.
+box's, so J, the multipliers and the norms are the box's to rounding; u and
+phi stay there (``SolveResult.problem``).  A start without the symmetry
+descends on the box problem.
 
 Convergence is declared on the H^1_0 tangent gradient norm.  For s >= 0 the
 shifted tangent norm, whose square is the Armijo decrease rate, is at most
@@ -145,7 +145,7 @@ class SolveResult:
     stop_reason: str
     grad_norm: float
     phi: np.ndarray
-    folded: tuple[int, ...] = ()  # the axes of the mirror sector it ran on
+    problem: Problem  # the problem it descended on, on whose grid u and phi live
 
     @property
     def converged(self) -> bool:
@@ -162,8 +162,8 @@ def minimize_on_M(problem: Problem,
     ``opts.grad_tol``.  The merit never rises above that of the retracted
     start.  ``omega`` and ``mu`` are the multipliers of the H^1_0 tangent
     projection at the returned iterate.  The descent runs on ``problem`` as
-    given, with ``u0`` on its grid; on a mirror sector (``mirror_sector``)
-    the returned u and phi are unfolded onto the box.
+    given, which may be a mirror sector (``mirror_sector``), with ``u0`` on
+    its grid; the returned u and phi live on that grid too.
 
     Hitting ``max_iterations``, or backtracking below ``_MIN_STEP`` without an
     acceptable decrease, returns the current iterate and its gradient norm
@@ -175,9 +175,8 @@ def minimize_on_M(problem: Problem,
 def mirror_sector(problem: Problem) -> Problem:
     """``problem`` on its mirror sector ``problem.sector``, decided by
     ``build_problem``, with q and chi folded onto it; ``problem`` itself
-    where the sector is the box, as in 1d.  A search folds once and drops
-    the folded fields with its descents; the audit of each state folds
-    them again (``cli._audit``)."""
+    where the sector is the box, as in 1d.  A search folds once, and its
+    states and their audits live on the sector."""
     grid = problem.sector
     if grid is problem.grid:
         return problem
@@ -278,9 +277,9 @@ def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> Solve
 
     lam, beta, sob = h1
     return SolveResult(
-        u=grid.unfold(u), j=j, omega=lam, mu=-beta,
+        u=u, j=j, omega=lam, mu=-beta,
         iterations=iterations, stop_reason=reason,
-        grad_norm=sob, phi=grid.unfold(phi), folded=grid.mirror,
+        grad_norm=sob, phi=phi, problem=problem,
     )
 
 
@@ -486,7 +485,7 @@ def excited_states(problem: Problem, k: int,
     not converge, or raise an ``SbpError``, are dropped; one warning gives
     the outcome of each.
     Survivors are deduplicated up to sign by their L2 distance and energy
-    gap.
+    gap, on the sector, where their u lives.
     """
     if k < 1:
         raise ValueError(f"excited_states needs k >= 1, got {k}")
@@ -526,7 +525,7 @@ def excited_states(problem: Problem, k: int,
             + "; ".join(failures),
             stacklevel=2,
         )
-    kept = _dedupe(problem.grid, results)
+    kept = _dedupe(sector.grid, results)
     if len(kept) < k:
         warnings.warn(
             f"found {len(kept)} distinct states of {k} sought from the slab "

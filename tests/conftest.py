@@ -194,13 +194,16 @@ def two_bump_start(problem, region):
     raise AssertionError(f"no two-bump start in region {region}")
 
 
-def descent_view(problem, res):
+def descent_view(res):
     """The problem that the descent behind ``res`` ran on, with u and phi
-    there: ``optimize.mirror_sector(problem)`` when the descent ran on a
-    mirror sector, else the box ``problem`` itself."""
-    sector = optimize.mirror_sector(problem) if res.folded else problem
-    assert sector.grid.mirror == res.folded
-    return sector, sector.grid.fold(res.u), sector.grid.fold(res.phi)
+    there: the mirror sector's after a folded descent, else the box's."""
+    return res.problem, res.u, res.phi
+
+
+def box_fields(res):
+    """u and phi of ``res`` unfolded onto the whole box."""
+    unfold = res.problem.grid.unfold
+    return unfold(res.u), unfold(res.phi)
 
 
 @dataclass

@@ -294,6 +294,40 @@ def test_verify_names_why_there_are_no_dumps(tmp_path, capsys, command, extra, c
     assert not (out / "residuals.csv").exists()
 
 
+def drop(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("malform, names", [
+    (lambda r: [], "config, states"),
+    (lambda r: drop(r, "config"), "config"),
+    (lambda r: {**r, "config": []}, "config"),
+    (lambda r: {**r, "states": {"0": r["states"][0]}}, "states"),
+    (lambda r: {**r, "states": [0]}, "states[0].index, states[0].omega, states[0].mu"),
+    (lambda r: {**r, "states": [drop(r["states"][0], "mu")]}, "states[0].mu"),
+    (lambda r: {**r, "states": [{**r["states"][0], "omega": None}]}, "states[0].omega"),
+], ids=["list", "no-config", "config-list", "states-object", "state-number", "no-mu",
+        "omega-null"])
+def test_verify_names_what_a_malformed_report_lacks(tmp_path, solved_dir, capsys, malform,
+                                                     names):
+    """verify on the dumps of a solve whose report.json lacks what verify
+    reads, a ``config`` object and a ``states`` list whose entries carry
+    numbers ``index``, ``omega`` and ``mu``, exits 1 with one ``error:``
+    line that names what is missing, not with a traceback."""
+    cfg, solved, _ = solved_dir
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in solved.glob("*.bin"):
+        (out / path.name).write_bytes(path.read_bytes())
+    report = json.loads((solved / "report.json").read_text())
+    (out / "report.json").write_text(json.dumps(malform(report)))
+    assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(f"report.json lacks a usable {names}")
+    assert not (out / "residuals.csv").exists()
+
+
 RADIAL_2D_CFG = """
 domain.dim = 2
 domain.lengths = 1.0,1.0

@@ -29,7 +29,12 @@ quadrature goes through the dot-product reductions of ``sbpbox.grid``, and
 the ``np.sum`` wrapper costs more per call than the arithmetic on the small
 grids where the descent loop spends its time.  The seventh lists every
 parameter of a function, method or lambda of the package that its body
-never reads; ``self`` and ``cls`` are exempt, and nothing else is.
+never reads; ``self`` and ``cls`` are exempt, and nothing else is.  The
+eighth lists every reference to an attribute ``unfold``, called or bound,
+outside ``cli.py`` and ``problem.py``: a state lives on the grid it
+descended on, and only the field dumps and the interpolation between
+``refine`` levels (``cli``) and chi's build (``problem``) unfold a field
+onto the whole box.
 """
 
 import ast
@@ -346,3 +351,25 @@ def test_scan_sees_an_unread_parameter(tmp_path):
                    "g = lambda u, v: u\n")
     assert unread_parameters(mod) == ["mod.f.b", "mod.f.args", "mod.f.kw",
                                       "mod.K.m.inner.y", "mod.K.make.z", "mod.<lambda>.v"]
+
+
+UNFOLDING_MODULES = ("cli.py", "problem.py")
+
+
+def unfold_references(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "unfold")
+
+
+def test_only_the_dumps_the_levels_and_chi_unfold():
+    assert {path.name: unfold_references(path) for path in sorted(SRC.glob("*.py"))
+            if path.name not in UNFOLDING_MODULES and unfold_references(path)} == {}
+
+
+def test_scan_sees_an_unfold_reference(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def unfold(f):\n    return f\n\n"
+                   "def g(grid, u):\n    back = grid.unfold\n"
+                   "    return grid.unfold(u) + back(u) + unfold(u)\n")
+    assert unfold_references(mod) == [5, 6]

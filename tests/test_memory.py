@@ -8,12 +8,14 @@ tracemalloc``).  A field of the 25^3 box is 125,000 bytes, one of its
 
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 from sbpbox import cli, solvers
 from sbpbox.config import parse_config_text
 from sbpbox.manifold import feasible_init
 from sbpbox.optimize import minimize_on_M, mirror_sector
 from sbpbox.verify import residual_original_system
+from conftest import box_fields
 
 # ``WORKLOADS["ground-3d"].config`` of perfbench/run.py.
 GROUND_3D = """\
@@ -55,12 +57,13 @@ def test_audit_holds_at_most_six_fields_above_its_inputs():
     prob = parse_config_text(GROUND_3D).build_problem()
     sector = mirror_sector(prob)
     res = minimize_on_M(sector, feasible_init(sector))
-    args = (prob, res.u, res.phi, res.omega, res.mu)
+    u, phi = box_fields(res)
+    args = (prob, u, phi, res.omega, res.mu)
     first = residual_original_system(*args)  # builds what the grid caches
     with traced_peak() as peak:
         again = residual_original_system(*args)
     assert again == first
-    assert peak[0] <= 6 * res.u.nbytes
+    assert peak[0] <= 6 * u.nbytes
 
 
 def test_ground_3d_build_holds_at_most_six_fields():
@@ -75,17 +78,22 @@ def test_ground_3d_build_holds_at_most_six_fields():
     assert peak[0] <= 6 * prob.q.nbytes
 
 
-def ground_3d_solve_peak(tmp_path):
-    """The traced peak of an in-process ``sbpbox solve`` of the ground-3d
-    workload, with the symbols of its grid built afresh."""
-    cfg = tmp_path / "ground.cfg"
-    cfg.write_text(GROUND_3D)
+def solve_peak(tmp_path, text):
+    """The traced peak of an in-process ``sbpbox solve`` of config
+    ``text``, with the symbols of its grid built afresh."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
     solvers._build_symbols.cache_clear()
     with traced_peak() as peak:
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
                        "--quiet"])
     assert rc == 0
     return peak[0]
+
+
+def ground_3d_solve_peak(tmp_path):
+    """``solve_peak`` of the ground-3d workload."""
+    return solve_peak(tmp_path, GROUND_3D)
 
 
 def test_ground_3d_solve_peaks_below_2000_kb(tmp_path):
@@ -95,23 +103,32 @@ def test_ground_3d_solve_peaks_below_2000_kb(tmp_path):
 
 
 def test_folded_audit_holds_at_most_six_sector_fields():
-    """The audit as ``cli._audit`` calls it on a folded ground-3d state: on
-    the 25 x 13 x 13 sector, with u and phi folded onto it.  On the box the
-    audit held about 5.2 box fields, 19 sector fields."""
+    """``cli._audit`` of a folded ground-3d state: on the 25 x 13 x 13
+    sector it descended on, where its u and phi live.  On the box the audit
+    held about 5.2 box fields, 19 sector fields."""
     prob = parse_config_text(GROUND_3D).build_problem()
     sector = mirror_sector(prob)
     res = minimize_on_M(sector, feasible_init(sector))
-    u = sector.grid.fold(res.u)
-    args = (sector, u, sector.grid.fold(res.phi), res.omega, res.mu)
-    first = residual_original_system(*args)  # builds what the sector grid caches
+    first = cli._audit(res)  # builds what the sector grid caches
     with traced_peak() as peak:
-        again = residual_original_system(*args)
+        again = cli._audit(res)
     assert again == first and again.n == (25, 25, 25)
-    assert u.shape == (25, 13, 13)
-    assert peak[0] <= 6 * u.nbytes
+    assert res.u.shape == (25, 13, 13)
+    assert peak[0] <= 6 * res.u.nbytes
 
 
 def test_ground_3d_solve_peaks_below_1450_kb(tmp_path):
     """The audit runs on the mirror sector of the descent; on the whole box
     it set this run's peak at 1,644 KB."""
     assert ground_3d_solve_peak(tmp_path) <= 1450 * 1024
+
+
+def test_3d_excited_solve_peaks_below_2000_kb(tmp_path):
+    """``demos/configs/excited.cfg`` on the 25^3 box: the three states of
+    the search live on their 25 x 13 x 13 mirror sector, and only the dumps
+    unfold them.  With every state unfolded onto the box at the descent's
+    exit this run peaked near 2,240 KB."""
+    text = (Path(__file__).resolve().parent.parent / "demos" / "configs" / "excited.cfg"
+            ).read_text()
+    text = text.replace("domain.dim = 1", "domain.dim = 3").replace("grid.n = 257", "grid.n = 25")
+    assert solve_peak(tmp_path, text) <= 2000 * 1024

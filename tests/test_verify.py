@@ -26,8 +26,9 @@ from sbpbox.verify import (
     residual_original_system,
     write_summary,
 )
-from conftest import (GROUND_CFG, line_problem, random_m_point, reference_laplacian_dirichlet,
-                      reference_laplacian_neumann, square_problem, symmetric_face_cfg)
+from conftest import (GROUND_CFG, box_fields, line_problem, random_m_point,
+                      reference_laplacian_dirichlet, reference_laplacian_neumann, square_problem,
+                      symmetric_face_cfg)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,7 @@ def test_refinement_study_warm_starts_match_cold_solves(make, counts):
         prob = make(n)
         sector = mirror_sector(prob)
         cold = minimize_on_M(sector, feasible_init(sector), opts)
-        assert res.u.shape == prob.grid.shape
+        assert res.problem.grid == sector.grid and res.u.shape == sector.grid.shape
         assert abs(res.j - cold.j) <= 1e-9 * abs(cold.j)
         if level == 0:
             assert res.iterations == cold.iterations
@@ -317,8 +318,8 @@ def folded_state(text):
     prob = parse_config_text(text).build_problem()
     sector = mirror_sector(prob)
     res = minimize_on_M(sector, feasible_init(sector))
-    assert res.folded == prob.sector.mirror != ()
-    return prob, res.u, res.phi, res.omega, res.mu, res.j, res.iterations
+    assert res.problem.grid.mirror == prob.sector.mirror != ()
+    return (prob, *box_fields(res), res.omega, res.mu, res.j, res.iterations)
 
 
 def ground_state(dim, n):
