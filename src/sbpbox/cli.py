@@ -25,18 +25,19 @@ changes the summation order of BLAS dots and products on large fields.
 4,225-node sector, writes the same bytes with either.  ``--seed`` only
 reaches the random test data of ``oracle``.
 
-``solve`` and ``refine`` run one loop over grid levels (``_levels``).
-Level 0 runs the search: the ground descent from ``feasible_init``, or the
-excited multi-start search.  Each later level carries every state of the
-level before, interpolated onto its grid, by one ground descent on its
-mirror sector.  Every state is audited against the strong form as its
-level ends (``_audit``), on the mirror sector it descended on, where its u
-and phi live; the dumps unfold them onto the whole box, where ``verify``
-audits them.  ``solve`` runs the loop over ``grid.n`` alone and ``refine``
-over ``run.grids``, adding observed convergence orders over the levels and
-writing one report entry per state (``_entry``);
-``refinement_study`` runs it on problems built by the caller and keeps
-only the audits.
+``solve`` and ``refine`` run one loop over grid levels (``_levels``), each
+on the problem that ``build_problem`` returns, on a mirror sector where it
+folds.  Level 0 runs the search: the ground descent from ``feasible_init``,
+or the excited multi-start search.  Each later level carries every state
+of the level before, interpolated on the box, by one ground descent.
+Every state is audited against the strong form as its level ends
+(``_audit``), on the grid it descended on.  Only the dumps, the
+interpolation, ``verify`` and ``oracle`` unfold: the dense oracle and
+``verify``'s audit of the dumps run on the box (``box_problem``).
+``solve`` runs the loop over ``grid.n`` alone and ``refine`` over
+``run.grids``, adding observed convergence orders over the levels and
+writing one report entry per state (``_entry``); ``refinement_study`` runs
+it on problems built by the caller and keeps only the audits.
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ from .optimize import (
     SolveResult,
     excited_states,
     minimize_on_M,
-    mirror_sector,
 )
-from .problem import FeasibilityReport, Problem, classify_alpha
+from .problem import FeasibilityReport, Problem, box_problem, classify_alpha
 from .reduction import phi_map
 from .verify import (
     ResidualReport,
@@ -79,24 +79,14 @@ __all__ = ["main", "RefinementStudy", "refinement_study"]
 
 # Observed orders are nan where a value falls to this noise floor.
 _ORDER_FLOOR = 1e-12
-# A ground state whose minimum lies below this may change sign; it gets a
-# progress line, and the exit code stays 0.
-_MIN_U_FLOOR = -1e-8
+# A ground state that takes both signs beyond this times max |u| changes
+# sign; it gets a progress line, and the exit code stays 0.
+_SIGN_FLOOR = 1e-8
 
 
 def _say(quiet: bool, *parts) -> None:
     if not quiet:
         print(*parts)
-
-
-def _ground_descent(problem: Problem, opts: OptimizerOptions,
-                    start: np.ndarray | None = None) -> SolveResult:
-    """The descent on ``mirror_sector(problem)`` from its ``feasible_init``,
-    or from the box field ``start`` folded onto the sector; its state lives
-    on the sector."""
-    sector = mirror_sector(problem)
-    u0 = feasible_init(sector) if start is None else sector.grid.fold(start)
-    return minimize_on_M(sector, u0, opts)
 
 
 def _interpolate(u: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -162,16 +152,18 @@ def _levels(problems: Iterable[Problem], opts: OptimizerOptions,
     Level 0 runs the search: the ground descent from ``feasible_init`` when
     ``k`` is None, else ``excited_states`` for ``k`` states.  Each later
     level carries every state of the level before: unfolded, then
-    ``_interpolate`` onto its grid, then one ``_ground_descent`` on its
-    sector, which retracts the start onto the constraint manifold.
+    ``_interpolate`` onto its box, then folded onto its grid, then one
+    ground descent, which retracts the start onto the constraint manifold.
+    Every descent runs on the level's problem, where its state lives.
     """
     states = None
     for problem in problems:
         if states is not None:
-            states = [_ground_descent(problem, opts, _interpolate(
-                res.problem.grid.unfold(res.u), problem.grid.shape)) for res in states]
+            grid = problem.grid
+            states = [minimize_on_M(problem, grid.fold(_interpolate(
+                res.problem.grid.unfold(res.u), grid.box_n)), opts) for res in states]
         elif k is None:
-            states = [_ground_descent(problem, opts)]
+            states = [minimize_on_M(problem, feasible_init(problem), opts)]
         else:
             states = excited_states(problem, k, opts)
         yield from states
@@ -207,14 +199,15 @@ def cmd_feasibility(cfg: RunConfig) -> int:
     for n in levels:
         problem = cfg.build_problem(n)
         reports.append(classify_alpha(problem))
-        print(f"{'x'.join(map(str, problem.grid.n))} nodes: {reports[-1].describe()}")
+        print(f"{'x'.join(map(str, problem.grid.box_n))} nodes: {reports[-1].describe()}")
     return 0 if all(r.classification == "interior" for r in reports) else 2
 
 
 def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     """Recompute the residuals of the states that a ``solve`` under ``out``
     dumped, on the problem of ``cfg``, which must be the problem that the
-    report's ``config`` builds."""
+    report's ``config`` builds.  The dumps are audited on the whole box, on
+    that problem unfolded (``box_problem``), independently of the fold."""
     report_path = out / "report.json"
     if not report_path.exists():
         raise SbpError(f"no report.json under {out}; run solve first")
@@ -240,7 +233,7 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
                      else "it was removed after the run")
             raise SbpError(f"no field dump {path.name} under {out} to verify: {cause}")
         grid_read, u = read_field(path)
-        if grid_read != problem.grid:
+        if grid_read != problem.grid.box:
             raise SbpError(f"{path} grid does not match the config grid")
         states.append((entry, u))
     # The report's config, read back as key = value lines, rebuilds the run's
@@ -255,6 +248,7 @@ def cmd_verify(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if differ:
         raise SbpError(f"{cfg.source} and the config of {report_path} build problems "
                        f"that differ in {', '.join(differ)}")
+    problem = box_problem(problem)
     reports = []
     for entry, u in states:
         rep = residual_original_system(
@@ -369,9 +363,11 @@ def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
             _say(quiet, f"state {i}: J={rep.j:.10g} omega={rep.omega:.10g} "
                         f"mu={rep.mu:.6g} grad={res.grad_norm:.2e} "
                         f"iters={res.iterations} converged={res.converged}")
-        if k is None and entry["min_u"] < _MIN_U_FLOOR:
-            _say(quiet, f"state {i}: min u = {entry['min_u']:.3e} lies below "
-                        f"{_MIN_U_FLOOR:g}; it may change sign")
+        top = float(res.u.max())
+        floor = _SIGN_FLOOR * max(top, -entry["min_u"])  # relative to max |u|
+        if k is None and entry["min_u"] < -floor and top > floor:
+            _say(quiet, f"state {i}: min u = {entry['min_u']:.3e} and max u = "
+                        f"{top:.3e}; it changes sign")
     orders = None
     if refine:
         study = RefinementStudy(tuple(results), tuple(reports))
@@ -381,13 +377,14 @@ def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_summary(out / "summary.csv", reports)
     if cfg.get("output.dump_fields") and not refine:
-        # A solve's one level: each state unfolded onto the box of ``first``.
+        # A solve's one level, on the grid of ``first``: each field unfolded
+        # onto its box as it is written.
+        grid = first.grid
         for i, res in enumerate(results):
-            unfold = res.problem.grid.unfold
-            write_field(out / f"u_{i}.bin", first.grid, unfold(res.u))
-            write_field(out / f"phi_{i}.bin", first.grid,
-                        reconstruct_phi(first, unfold(res.phi), res.mu))
-        write_field(out / "chi.bin", first.grid, first.chi)
+            write_field(out / f"u_{i}.bin", grid.box, grid.unfold(res.u))
+            write_field(out / f"phi_{i}.bin", grid.box,
+                        grid.unfold(reconstruct_phi(first, res.phi, res.mu)))
+        write_field(out / "chi.bin", grid.box, grid.unfold(first.chi))
     _write_report(out, cfg, feasibility, entries, orders)
     if not refine:
         _say(quiet, f"wrote {out}/summary.csv ({len(results)} states, "
@@ -400,8 +397,7 @@ def cmd_levels(cfg: RunConfig, out: Path, quiet: bool, refine: bool) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, seed: int, quiet: bool) -> int:
-    problem = cfg.build_problem()
-    rep = dense_oracle_compare(problem, seed=seed)
+    rep = dense_oracle_compare(box_problem(cfg.build_problem()), seed=seed)
     for f in fields(rep):
         _say(quiet, f"{f.name:18s} {getattr(rep, f.name):.3e}")
     ok = rep.max_discrepancy() <= 1e-9 and rep.nullspace_sigma <= 1e-12

@@ -20,13 +20,13 @@ identities hold to rounding in the summation order of the dot, not bitwise.
 A grid may also be the mirror sector of a box: along each axis in
 ``Grid.mirror`` the box has an odd node count 2m + 1 and the sector keeps
 its nodes 0..m, the last of them the mirror node m, for fields invariant
-under x -> L - x there (``Grid.sector``, ``Grid.fold``, ``Grid.unfold``).
-The sector's weights count each node as often as the box holds it: twice
-on nodes 0..m - 1 (the trapezoid weight doubled), once on node m, and its
-interior runs through node m.  Integrals, inner products, both stencils and
-``dirichlet_inner`` of symmetric fields then equal those on the whole box.
-Boundary data and field dumps live on the whole box only;
-``neumann_flux_field`` folds symmetric data onto a sector.
+under x -> L - x there (``Grid.sector``, ``Grid.fold``, ``Grid.unfold``,
+``Grid.box``).  The sector's weights count each node as often as the box
+holds it: twice on nodes 0..m - 1 (the trapezoid weight doubled), once on
+node m, and its interior runs through node m.  Integrals, inner products,
+both stencils and ``dirichlet_inner`` of symmetric fields then equal those
+on the whole box.  Boundary data and field dumps live on the whole box
+only; ``neumann_flux_field`` folds symmetric data onto a sector.
 
 A grid keeps only its quadrature weights: ``dirichlet_inner`` builds its cell
 weights per call, fields are evaluated on the broadcast per-axis coordinates
@@ -136,6 +136,12 @@ class Grid:
     def box_n(self) -> tuple[int, ...]:
         """Nodes per axis of the box, 2 n_a - 1 along a mirrored axis."""
         return tuple(2 * m - 1 if a in self.mirror else m for a, m in enumerate(self.n))
+
+    @cached_property
+    def box(self) -> "Grid":
+        """The whole box of a mirror sector, twice as long along ``mirror``."""
+        return Grid(tuple(2 * L if a in self.mirror else L for a, L in enumerate(self.lengths)),
+                    self.box_n)
 
     @cached_property
     def node_count(self) -> int:

@@ -49,19 +49,18 @@ below that level; the merit cancels the error to first order.  Every
 accepted merit lies at or below the C before it, and C never exceeds the
 starting merit.
 
-The descent runs on the problem it is given, which may be a mirror sector.
-Where q and chi are invariant under a transverse reflection x_a -> L_a - x_a
-(a >= 1), so are J and both constraints, and a critical point of J on the
-symmetric part of M is one on M (Palais, Comm. Math. Phys. 69, 1979).
+The descent runs on the problem it is given, which may live on a mirror
+sector.  Where q and chi are invariant under a transverse reflection x_a ->
+L_a - x_a (a >= 1), so are J and both constraints, and a critical point of J
+on the symmetric part of M is one on M (Palais, Comm. Math. Phys. 69, 1979).
 ``build_problem`` decides once per problem, from q and the flux data, to
 fold every such axis with an odd node count 2m + 1 and the matrix
 transforms onto nodes 0..m, whose weights count nodes 0..m - 1 twice
 (``grid``) and whose transforms keep the odd DST-I and the even DCT-I modes
-(``solvers``); ``mirror_sector`` folds q and chi onto that sector.  The
-loop below is unchanged there; every integral and sum over modes equals the
-box's, so J, the multipliers and the norms are the box's to rounding; u and
-phi stay there (``SolveResult.problem``).  A start without the symmetry
-descends on the box problem.
+(``solvers``), and returns the problem on that sector.  The loop below is
+unchanged there; every integral and sum over modes equals the box's, so J,
+the multipliers and the norms are the box's to rounding; u and phi stay
+there (``SolveResult.problem``).
 
 Convergence is declared on the H^1_0 tangent gradient norm.  For s >= 0 the
 shifted tangent norm, whose square is the Armijo decrease rate, is at most
@@ -81,7 +80,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +95,6 @@ __all__ = [
     "OptimizerOptions",
     "SolveResult",
     "minimize_on_M",
-    "mirror_sector",
     "excited_states",
 ]
 
@@ -162,25 +160,14 @@ def minimize_on_M(problem: Problem,
     ``opts.grad_tol``.  The merit never rises above that of the retracted
     start.  ``omega`` and ``mu`` are the multipliers of the H^1_0 tangent
     projection at the returned iterate.  The descent runs on ``problem`` as
-    given, which may be a mirror sector (``mirror_sector``), with ``u0`` on
-    its grid; the returned u and phi live on that grid too.
+    given, which may live on a mirror sector (``build_problem``), with ``u0``
+    on its grid; the returned u and phi live on that grid too.
 
     Hitting ``max_iterations``, or backtracking below ``_MIN_STEP`` without an
     acceptable decrease, returns the current iterate and its gradient norm
     flagged ``converged=False``; ``stop_reason`` says which.
     """
     return _minimize(problem, u0, opts or OptimizerOptions())
-
-
-def mirror_sector(problem: Problem) -> Problem:
-    """``problem`` on its mirror sector ``problem.sector``, decided by
-    ``build_problem``, with q and chi folded onto it; ``problem`` itself
-    where the sector is the box, as in 1d.  A search folds once, and its
-    states and their audits live on the sector."""
-    grid = problem.sector
-    if grid is problem.grid:
-        return problem
-    return replace(problem, grid=grid, q=grid.fold(problem.q), chi=grid.fold(problem.chi))
 
 
 def _minimize(problem: Problem, u0: np.ndarray, opts: OptimizerOptions) -> SolveResult:
@@ -477,24 +464,23 @@ def excited_states(problem: Problem, k: int,
     """Distinct converged states from one descent per slab seed, sorted by J.
 
     The starts are the k slab seeds of ``genus_seeds``, whose disjoint
-    supports span a set of genus k, built on ``mirror_sector(problem)``, on
-    which every descent runs; k < 1 raises ``ValueError``.
+    supports span a set of genus k, built on ``problem``, on whose grid every
+    descent runs; k < 1 raises ``ValueError``.
     When no partition into k slabs has q bracketing alpha in every slab
     (``InfeasibleRegion``), the search warns once and takes the largest
     genus g < k that has seeds; at g = 1 the error propagates.  Runs that do
     not converge, or raise an ``SbpError``, are dropped; one warning gives
     the outcome of each.
     Survivors are deduplicated up to sign by their L2 distance and energy
-    gap, on the sector, where their u lives.
+    gap, on that grid, where their u lives.
     """
     if k < 1:
         raise ValueError(f"excited_states needs k >= 1, got {k}")
     opts = opts or OptimizerOptions()
-    sector = mirror_sector(problem)
     reason = None
     for genus in range(k, 0, -1):
         try:
-            starts = genus_seeds(sector, genus)
+            starts = genus_seeds(problem, genus)
             break
         except InfeasibleRegion as exc:
             if genus == 1:
@@ -508,7 +494,7 @@ def excited_states(problem: Problem, k: int,
     failures: list[str] = []
     for u0 in starts:
         try:
-            res = _minimize(sector, u0, opts)
+            res = _minimize(problem, u0, opts)
         except SbpError as exc:
             failures.append(f"{type(exc).__name__}: {exc}")
             continue
@@ -525,7 +511,7 @@ def excited_states(problem: Problem, k: int,
             + "; ".join(failures),
             stacklevel=2,
         )
-    kept = _dedupe(sector.grid, results)
+    kept = _dedupe(problem.grid, results)
     if len(kept) < k:
         warnings.warn(
             f"found {len(kept)} distinct states of {k} sought from the slab "

@@ -12,18 +12,18 @@ Integrating the theta equation gives ``integrate(theta) == surface(h1)``
 identically, which is both the compatibility condition for the chi solve and
 a free end-to-end check on the construction; it is verified on every build.
 
-The build also decides the mirror sector (``Grid.sector``) of every
-descent of the problem: the axes along which q and both flux data sets are
-invariant under x_a -> L_a - x_a (``_mirror_axes``).  Then so are theta and
-chi, so both are solved on the sector, whose transforms and integrals are
-the box's for such fields (``solvers``), and chi is unfolded onto the box;
-the box's symbols are never built.
+The build also decides the mirror sector (``Grid.sector``) of the problem:
+the axes along which q and both flux data sets are invariant under x_a ->
+L_a - x_a (``_mirror_axes``).  Then so are theta and chi, and the problem
+lives on the sector, whose transforms and integrals are the box's for such
+fields (``solvers``): q is folded once and chi solved there, and the box's
+symbols are never built.  ``box_problem`` unfolds it onto the whole box.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "Problem",
     "FeasibilityReport",
     "build_problem",
+    "box_problem",
     "solve_chi",
     "classify_alpha",
 ]
@@ -152,7 +153,6 @@ class Problem:
     kappa: float
     p: float
     chi: np.ndarray
-    sector: Grid  # the grid of its descents: a mirror sector of grid, or grid
 
     @cached_property
     def q_chi(self) -> np.ndarray:
@@ -190,8 +190,9 @@ def build_problem(grid: Grid,
                   h2: BoundaryData,
                   kappa: float,
                   p: float) -> Problem:
-    """Assemble a ``Problem``: evaluate q, decide its mirror sector, solve
-    for chi there, record alpha.
+    """Assemble a ``Problem``: evaluate q on ``grid``, decide its mirror
+    sector, fold q onto it, solve for chi there, record alpha.  The problem
+    lives on the sector (on ``grid`` itself where no axis folds, as in 1d).
 
     Feasibility of alpha is *not* enforced here; call ``classify_alpha`` (the
     solve entry points do) so that infeasible setups can still be inspected.
@@ -205,10 +206,20 @@ def build_problem(grid: Grid,
     if not np.all(np.isfinite(q)):
         raise ValueError("coupling field has non-finite values")
     axes = _mirror_axes(grid, q, h1, h2)
-    sector = grid.sector(axes) if axes else grid
-    chi, _, alpha = solve_chi(sector, h1, h2)
+    if axes:  # the box's q is dropped here
+        grid = grid.sector(axes)
+        q = grid.fold(q)
+    chi, _, alpha = solve_chi(grid, h1, h2)
     return Problem(grid=grid, q=q, h1=h1, h2=h2, alpha=alpha, kappa=float(kappa),
-                   p=float(p), chi=sector.unfold(chi), sector=sector)
+                   p=float(p), chi=chi)
+
+
+def box_problem(problem: Problem) -> Problem:
+    """``problem`` on the whole box of its grid, with q and chi unfolded: the
+    inverse of the fold in ``build_problem``."""
+    grid = problem.grid
+    return replace(problem, grid=grid.box, q=grid.unfold(problem.q),
+                   chi=grid.unfold(problem.chi))
 
 
 def _mirror_invariant(f: np.ndarray, axis: int) -> bool:
@@ -236,8 +247,8 @@ def _mirror_axes(grid: Grid, q: np.ndarray, h1: BoundaryData,
 def classify_alpha(problem: Problem) -> FeasibilityReport:
     """The compatibility test: "interior" exactly when q strictly brackets
     alpha on the interior nodes, the rule by which ``manifold.feasible_init``
-    seeds a region."""
-    q = problem.q[(slice(1, -1),) * problem.grid.dim]
+    seeds a region; a sector's interior runs through the mirror node."""
+    q = problem.q[problem.grid.interior]
     q_min, q_max = float(q.min()), float(q.max())
     return FeasibilityReport(
         alpha=problem.alpha, q_min=q_min, q_max=q_max,

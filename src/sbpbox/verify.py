@@ -20,14 +20,14 @@ and freed before the next, and each stencil works in one scratch field, so
 it holds at most four fields beyond its inputs (and NumPy's buffers).
 
 The audit runs on the grid of the problem it is given: the box, or the
-mirror sector a descent ran on (``optimize.mirror_sector``), where the
-state's u and phi live.  There it applies the box's discretizations: it
-skips each face past a mirror node, the image of the face at x_a = 0,
-compares every other face with the sector's part of its data (as
-``grid.neumann_flux_field`` does), and the wide stencil reads the two planes
-past a mirror node from their images.  Its node values are the box's on the
-sector's nodes to rounding and its sums take them in another order, so its
-residuals are the box audit's to rounding; ``n`` is the box's node counts.
+mirror sector that ``build_problem`` chose, where a descent left u and phi.
+There it applies the box's discretizations: it skips each face past a
+mirror node, the image of the face at x_a = 0, compares every other face
+with the sector's part of its data (as ``grid.neumann_flux_field`` does),
+and the wide stencil reads the two planes past a mirror node from their
+images.  Its node values are the box's on the sector's nodes to rounding
+and its sums take them in another order, so its residuals are the box
+audit's to rounding; ``n`` is the box's node counts.
 
 ``dense_oracle_compare`` cross-checks every spectral solve against LU
 factorizations of explicitly assembled matrices; ``dense_kkt_polish`` runs a

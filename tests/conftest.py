@@ -27,6 +27,7 @@ from sbpbox.grid import (dirichlet_energy, inner, integrate, laplacian_neumann,
                          neumann_flux_field, norm_l2, require_zero_boundary)
 from sbpbox.manifold import feasible_init, retract
 from sbpbox.optimize import OptimizerOptions, minimize_on_M
+from sbpbox.problem import box_problem
 from sbpbox.solvers import _from_dst_interior, _symbols
 
 # The entry-point test runs ``python -m sbpbox`` in a subprocess; it imports
@@ -200,10 +201,11 @@ def descent_view(res):
     return res.problem, res.u, res.phi
 
 
-def box_fields(res):
-    """u and phi of ``res`` unfolded onto the whole box."""
+def box_view(res):
+    """The problem that the descent behind ``res`` ran on, unfolded onto the
+    whole box, with u and phi unfolded there."""
     unfold = res.problem.grid.unfold
-    return unfold(res.u), unfold(res.phi)
+    return box_problem(res.problem), unfold(res.u), unfold(res.phi)
 
 
 @dataclass

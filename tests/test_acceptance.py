@@ -24,7 +24,7 @@ from sbpbox.grid import (
     norm_l2,
     zero_boundary,
 )
-from sbpbox.problem import solve_chi
+from sbpbox.problem import box_problem, solve_chi
 from sbpbox.reduction import interaction_energy, phi_map
 from sbpbox.solvers import solve_fourth_order_split
 from sbpbox.manifold import constraint_values, feasible_init, retract
@@ -71,7 +71,7 @@ def test_01_interaction_energy_identity():
     integrate(q u^2 phi_u) to 1e-7 relative, lap the Neumann stencil, for
     50 random states on the 1d n=129 and 2d 33x33 problems, under 30 s."""
     t0 = time.perf_counter()
-    cases = [(line_problem(129), 50), (square_problem(33), 50)]
+    cases = [(line_problem(129), 50), (box_problem(square_problem(33)), 50)]
     rng = np.random.default_rng(0)
     for prob, count in cases:
         for _ in range(count):
@@ -150,7 +150,7 @@ def test_05_dense_oracle_equivalence():
     """All linear solves match dense LU to 1e-9 on n=17 and 9x9; the
     kappa=0 constrained state matches the dense KKT Newton to 1e-6 in J,
     omega, and mu."""
-    for prob in (line_problem(17), square_problem(9)):
+    for prob in (line_problem(17), box_problem(square_problem(9))):
         rep = dense_oracle_compare(prob)
         assert rep.max_discrepancy() <= 1e-9
         assert rep.nullspace_sigma <= 1e-12

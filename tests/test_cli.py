@@ -757,17 +757,20 @@ def test_progress_names_the_folded_axes(tmp_path, capsys):
 
 
 def test_sign_changing_ground_state_gets_one_line(tmp_path, capsys, monkeypatch):
-    """A ground state whose minimum lies below -1e-8 is reported, not
-    re-descended: ``solve`` and each ``refine`` level print one line naming
-    it, exit 0 and write its ``min_u``."""
+    """A ground state that takes both signs beyond 1e-8 max |u| is
+    reported, not re-descended: ``solve`` and each ``refine`` level print
+    one line naming it, exit 0 and write its ``min_u``."""
     from dataclasses import replace
 
-    def negated(problem, u0, opts):
+    def sign_changing(problem, u0, opts):
         res = minimize(problem, u0, opts)
-        return replace(res, u=-np.abs(res.u))
+        u = res.u.copy()
+        peak = np.unravel_index(np.argmax(abs(u)), u.shape)
+        u[peak] = -u[peak]  # the node of largest |u| takes the other sign
+        return replace(res, u=u)
 
     minimize = cli.minimize_on_M
-    monkeypatch.setattr(cli, "minimize_on_M", negated)
+    monkeypatch.setattr(cli, "minimize_on_M", sign_changing)
     for command, text, count in [("solve", GROUND_CFG, 1),
                                  ("refine", GROUND_CFG + "run.grids = 17,33\n", 2)]:
         out = tmp_path / command
@@ -777,6 +780,49 @@ def test_sign_changing_ground_state_gets_one_line(tmp_path, capsys, monkeypatch)
         assert all(s.startswith(f"state {i}: ") for i, s in enumerate(lines))
     report = json.loads((tmp_path / "solve" / "report.json").read_text())
     assert report["states"][0]["min_u"] < -1e-8
+
+
+def test_one_signed_negative_ground_state_gets_no_sign_line(tmp_path, capsys):
+    """``demos/configs/excited.cfg`` as a 3d ground run on 17^3 at alpha =
+    1.9 returns -u of a positive state: min u -23.33, max u -0.0.  It takes
+    one sign, so no line says it changes sign; ``min_u`` is written as it
+    is."""
+    text = (DEMO_CONFIGS / "excited.cfg").read_text()
+    for old, new in (("domain.dim = 1", "domain.dim = 3"), ("grid.n = 257", "grid.n = 17"),
+                     ("run.mode = excited", "run.mode = ground"),
+                     ("boundary.h2.x1 = 0.35", "boundary.h2.x1 = 1.9")):
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert "min u = " not in capsys.readouterr().out
+    state = json.loads((out / "report.json").read_text())["states"][0]
+    assert (state["J"], state["iterations"]) == (pytest.approx(91.47937752, rel=1e-9), 106)
+    assert state["min_u"] == pytest.approx(-23.33, abs=5e-3)
+
+
+def test_feasibility_prints_the_box_of_a_folded_problem(tmp_path, capsys):
+    """The ground-3d problem lives on its 25 x 13 x 13 mirror sector, and
+    ``feasibility`` names the box's nodes: one line, as it printed when the
+    problem lived on the box."""
+    assert cli.main(["feasibility", "--config", write_cfg(tmp_path, GROUND_3D_CFG)]) == 0
+    assert capsys.readouterr().out == (
+        "25x25x25 nodes: alpha=0.5 against interior q range [0.0416667, 0.958333]: "
+        "interior\n")
+
+
+def test_oracle_runs_on_the_box_of_a_folded_problem(tmp_path, monkeypatch, capsys):
+    """The dense oracle works on whole boxes: on a folded 2d 17^2 config
+    ``oracle`` compares on the 17 x 17 box and agrees."""
+    grids = []
+    real = cli.dense_oracle_compare
+    monkeypatch.setattr(cli, "dense_oracle_compare",
+                        lambda problem, seed=0: grids.append(problem.grid) or real(problem, seed))
+    text = GROUND_CFG.replace("domain.dim = 1", "domain.dim = 2").replace(
+        "grid.n = 33", "grid.n = 17")
+    assert cli.main(["oracle", "--config", write_cfg(tmp_path, text)]) == 0
+    assert "oracle agreement OK" in capsys.readouterr().out
+    assert load_config(tmp_path / "run.cfg").build_problem().grid.mirror == (1,)
+    assert [(g.n, g.mirror) for g in grids] == [((17, 17), ())]
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -191,7 +191,7 @@ def test_build_problem_from_config():
 @pytest.mark.parametrize("n_override", [None, 17])
 def test_build_problem_makes_each_grid_once(monkeypatch, dim, grids, n_override):
     """A build constructs its grid once, with or without ``n_override``, and
-    a folded box one more grid, its sector."""
+    a folded box one more grid, its sector, on which the problem lives."""
     made = []
     post_init = Grid.__post_init__
 
@@ -202,9 +202,10 @@ def test_build_problem_makes_each_grid_once(monkeypatch, dim, grids, n_override)
     monkeypatch.setattr(Grid, "__post_init__", counting)
     prob = parse_config_text(GROUND.replace("domain.dim = 1", f"domain.dim = {dim}")
                              ).build_problem(n_override)
-    assert prob.grid.n == ((n_override or 33),) * dim
+    assert prob.grid.box_n == ((n_override or 33),) * dim
     assert len(made) == grids
-    assert made[0] == prob.grid and made[-1] == prob.sector
+    assert made[-1] is prob.grid
+    assert made[0] == prob.grid.box
 
 
 def test_load_config_roundtrip(tmp_path):

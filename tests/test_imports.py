@@ -33,8 +33,12 @@ never reads; ``self`` and ``cls`` are exempt, and nothing else is.  The
 eighth lists every reference to an attribute ``unfold``, called or bound,
 outside ``cli.py`` and ``problem.py``: a state lives on the grid it
 descended on, and only the field dumps and the interpolation between
-``refine`` levels (``cli``) and chi's build (``problem``) unfold a field
-onto the whole box.
+``refine`` levels (``cli``) and ``box_problem`` (``problem``), which
+``verify`` and ``oracle`` call, unfold a field onto the whole box.  The
+ninth lists every reference to an attribute ``fold`` outside the same two
+modules: a problem is folded once, in its build (``problem``), and only
+the interpolated starts of ``refine`` levels (``cli``) fold a box field
+onto a sector.
 """
 
 import ast
@@ -353,18 +357,27 @@ def test_scan_sees_an_unread_parameter(tmp_path):
                                       "mod.K.m.inner.y", "mod.K.make.z", "mod.<lambda>.v"]
 
 
-UNFOLDING_MODULES = ("cli.py", "problem.py")
+# The modules that fold or unfold a field: the CLI and the build.
+FOLDING_MODULES = ("cli.py", "problem.py")
 
 
-def unfold_references(path):
+def attribute_references(path, attr):
     tree = ast.parse(path.read_text(), filename=str(path))
     return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "unfold")
+                  if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def references_outside(attr):
+    return {path.name: attribute_references(path, attr) for path in sorted(SRC.glob("*.py"))
+            if path.name not in FOLDING_MODULES and attribute_references(path, attr)}
 
 
 def test_only_the_dumps_the_levels_and_chi_unfold():
-    assert {path.name: unfold_references(path) for path in sorted(SRC.glob("*.py"))
-            if path.name not in UNFOLDING_MODULES and unfold_references(path)} == {}
+    assert references_outside("unfold") == {}
+
+
+def test_only_the_build_and_the_levels_fold():
+    assert references_outside("fold") == {}
 
 
 def test_scan_sees_an_unfold_reference(tmp_path):
@@ -372,4 +385,12 @@ def test_scan_sees_an_unfold_reference(tmp_path):
     mod.write_text("def unfold(f):\n    return f\n\n"
                    "def g(grid, u):\n    back = grid.unfold\n"
                    "    return grid.unfold(u) + back(u) + unfold(u)\n")
-    assert unfold_references(mod) == [5, 6]
+    assert attribute_references(mod, "unfold") == [5, 6]
+
+
+def test_scan_sees_a_fold_reference(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def fold(f):\n    return f\n\n"
+                   "def g(grid, u):\n    back = grid.fold\n"
+                   "    return grid.fold(u) + back(u) + fold(u) + grid.unfold(u)\n")
+    assert attribute_references(mod, "fold") == [5, 6]

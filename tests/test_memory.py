@@ -13,9 +13,9 @@ from pathlib import Path
 from sbpbox import cli, solvers
 from sbpbox.config import parse_config_text
 from sbpbox.manifold import feasible_init
-from sbpbox.optimize import minimize_on_M, mirror_sector
+from sbpbox.optimize import minimize_on_M
 from sbpbox.verify import residual_original_system
-from conftest import box_fields
+from conftest import box_view
 
 # ``WORKLOADS["ground-3d"].config`` of perfbench/run.py.
 GROUND_3D = """\
@@ -55,27 +55,27 @@ def test_audit_holds_at_most_six_fields_above_its_inputs():
     next is formed; with every field held whole to the end the audit took
     about 10 fields."""
     prob = parse_config_text(GROUND_3D).build_problem()
-    sector = mirror_sector(prob)
-    res = minimize_on_M(sector, feasible_init(sector))
-    u, phi = box_fields(res)
-    args = (prob, u, phi, res.omega, res.mu)
+    res = minimize_on_M(prob, feasible_init(prob))
+    args = (*box_view(res), res.omega, res.mu)
     first = residual_original_system(*args)  # builds what the grid caches
     with traced_peak() as peak:
         again = residual_original_system(*args)
     assert again == first
-    assert peak[0] <= 6 * u.nbytes
+    assert peak[0] <= 6 * args[1].nbytes
 
 
-def test_ground_3d_build_holds_at_most_six_fields():
-    """The build solves theta and chi on the 25 x 13 x 13 sector with that
-    sector's symbols, and unfolds chi onto the box; on the whole box, with
-    the box's symbols, it peaked at 1,289 KB, above ten fields."""
+def test_ground_3d_build_holds_at_most_four_box_fields():
+    """The build evaluates q on the box, folds it onto the 25 x 13 x 13
+    sector, drops the box's q, and solves theta and chi on the sector with
+    that sector's symbols.  Unfolding chi onto the box and keeping q there,
+    it peaked near 620,000 B; on the whole box, with the box's symbols, at
+    1,289 KB, above ten box fields."""
     cfg = parse_config_text(GROUND_3D)
     solvers._build_symbols.cache_clear()
     with traced_peak() as peak:
         prob = cfg.build_problem()
-    assert prob.sector.mirror == (1, 2)
-    assert peak[0] <= 6 * prob.q.nbytes
+    assert prob.grid.mirror == (1, 2)
+    assert peak[0] <= 4 * 125_000
 
 
 def solve_peak(tmp_path, text):
@@ -107,8 +107,7 @@ def test_folded_audit_holds_at_most_six_sector_fields():
     sector it descended on, where its u and phi live.  On the box the audit
     held about 5.2 box fields, 19 sector fields."""
     prob = parse_config_text(GROUND_3D).build_problem()
-    sector = mirror_sector(prob)
-    res = minimize_on_M(sector, feasible_init(sector))
+    res = minimize_on_M(prob, feasible_init(prob))
     first = cli._audit(res)  # builds what the sector grid caches
     with traced_peak() as peak:
         again = cli._audit(res)
@@ -121,6 +120,19 @@ def test_ground_3d_solve_peaks_below_1450_kb(tmp_path):
     """The audit runs on the mirror sector of the descent; on the whole box
     it set this run's peak at 1,644 KB."""
     assert ground_3d_solve_peak(tmp_path) <= 1450 * 1024
+
+
+def test_ground_3d_solve_peaks_below_850_kb(tmp_path):
+    """The problem lives on its mirror sector: with the box problem's q and
+    chi held for the whole run this run peaked at 997 KB."""
+    assert ground_3d_solve_peak(tmp_path) <= 850 * 1024
+
+
+def test_ground_3d_65_solve_peaks_below_13000_kb(tmp_path):
+    """The ground-3d config on the 65^3 box, whose q and chi hold 4,291 KB
+    on the box: held for the whole run, they set its peak near 15,760 KB."""
+    assert solve_peak(tmp_path, GROUND_3D.replace("grid.n = 25", "grid.n = 65")) \
+        <= 13000 * 1024
 
 
 def test_3d_excited_solve_peaks_below_2000_kb(tmp_path):

@@ -26,11 +26,10 @@ from sbpbox.optimize import (
     _tangent_gradient,
     excited_states,
     minimize_on_M,
-    mirror_sector,
 )
 from sbpbox.solvers import _dst_interior, _symbols, solve_poisson_dirichlet
 from sbpbox.verify import dense_kkt_polish
-from conftest import (DescentSpy, axis_slab_region, box_fields, descent_view, line_problem,
+from conftest import (DescentSpy, axis_slab_region, box_view, descent_view, line_problem,
                       oscillating_problem, two_bump_start)
 from dataclasses import replace as dc_replace
 
@@ -170,7 +169,7 @@ def test_short_descents_never_reach_the_tail(dim, bench65, descent_spy):
     L-BFGS direction and allocate no pair memory, so they run the same
     arithmetic as Barzilai-Borwein steps throughout.  Each runs on its
     mirror sector, as the workload does."""
-    prob = mirror_sector(bench65 if dim == 1 else ground_box_problem(25))
+    prob = bench65 if dim == 1 else ground_box_problem(25)
     res = minimize_on_M(prob, feasible_init(prob))
     (run,) = descent_spy.descents
     assert res.converged and res.iterations < optimize._QN_START
@@ -205,11 +204,10 @@ def test_grad_norm_is_the_sobolev_norm_of_the_projected_gradient(dim, max_iterat
     u + S(w) at the returned iterate, formed field by field; the descent
     takes it as a sum over DST-I modes, on the mirror sector in 3d."""
     prob = line_problem(65) if dim == 1 else ground_box_problem(17)
-    sector = mirror_sector(prob)
-    res = minimize_on_M(sector, feasible_init(sector),
+    res = minimize_on_M(prob, feasible_init(prob),
                         OptimizerOptions(max_iterations=max_iterations))
     assert res.converged == (max_iterations > 3)
-    assert res.grad_norm == pytest.approx(h1_tangent_norm(prob, *box_fields(res)), rel=1e-10)
+    assert res.grad_norm == pytest.approx(h1_tangent_norm(*box_view(res)), rel=1e-10)
 
 
 @pytest.mark.parametrize("case", [1, 3, "tail"])
@@ -249,8 +247,7 @@ def test_one_evaluation_per_trial_point(case, bench65, monkeypatch):
                        ("qn", "_quasi_newton_direction"), ("h1", "_h1_check")]:
         monkeypatch.setattr(optimize, attr, counting(name, getattr(optimize, attr)))
     monkeypatch.setattr(optimize, "_tangent_gradient", tangent_gradient)
-    sector = mirror_sector(prob)
-    res = minimize_on_M(sector, feasible_init(sector))
+    res = minimize_on_M(prob, feasible_init(prob))
     assert res.converged and res.iterations > 5
     assert len(shifts) == res.iterations + 1 + calls["h1"]
     assert calls["phi_map"] == calls["retract"] > res.iterations + 1
@@ -261,7 +258,7 @@ def test_one_evaluation_per_trial_point(case, bench65, monkeypatch):
         assert shifts.count(0.0) == 1 + calls["h1"]
     else:  # every pass runs at s = 0 and needs no check
         assert calls["h1"] == 0 and not any(shifts)
-    assert res.j == pytest.approx(eval_J(prob, *box_fields(res)), rel=1e-13)
+    assert res.j == pytest.approx(eval_J(*box_view(res)), rel=1e-13)
 
 
 def assert_multipliers_at_iterate(res):
@@ -332,7 +329,7 @@ def test_shifted_descent_reports_the_h1_gradient_on_every_exit(exit_, monkeypatc
     assert run.passes[-1].u is res.u
     shifts = [p.shift for p in run.passes]
     assert shifts[0] == 0.0 and min(shifts[1:]) > 0.0
-    assert res.grad_norm == pytest.approx(h1_tangent_norm(prob, *box_fields(res)), rel=1e-10)
+    assert res.grad_norm == pytest.approx(h1_tangent_norm(*box_view(res)), rel=1e-10)
     assert_multipliers_at_iterate(res)
 
 
@@ -430,8 +427,7 @@ def test_both_metrics_give_the_same_multipliers_at_a_converged_state(n, dim):
     are taken on the problem the descent ran on, the mirror sector's in 2d
     and 3d."""
     prob = oscillating_problem(n, dim=dim)
-    sector = mirror_sector(prob)
-    res = minimize_on_M(sector, feasible_init(sector), OptimizerOptions(max_iterations=8000))
+    res = minimize_on_M(prob, feasible_init(prob), OptimizerOptions(max_iterations=8000))
     assert res.converged and len(res.problem.grid.mirror) == dim - 1
     prob, u, phi = descent_view(res)
     g = prob.grid
@@ -675,10 +671,9 @@ def test_excited_states_matches_the_nested_genus_start_set(n, alpha, dim):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         states = excited_states(prob, 3, opts)
-    sector = mirror_sector(prob)
-    nested = [minimize_on_M(sector, u0, opts)
-              for genus in (1, 2, 3) for u0 in genus_seeds(sector, genus)]
-    reference = _dedupe(sector.grid, [r for r in nested if r.converged])
+    nested = [minimize_on_M(prob, u0, opts)
+              for genus in (1, 2, 3) for u0 in genus_seeds(prob, genus)]
+    reference = _dedupe(prob.grid, [r for r in nested if r.converged])
     assert len(states) == len(reference)
     for s, r in zip(states, reference):
         assert abs(s.j - r.j) <= 1e-9 * abs(r.j)

@@ -188,6 +188,19 @@ def test_classify_alpha_regimes():
     assert (rep.q_min, rep.q_max) == (1 / 32, 31 / 32)
 
 
+def test_classify_alpha_reads_the_mirror_node():
+    """A centred bump peaks at the centre node of the 25^3 box, the mirror
+    node of the sector the problem lives on: the interior range runs
+    through it, so q_max is the box's 1.0."""
+    g = Grid(lengths=(1.0,) * 3, n=(25,) * 3)
+    prob = build_problem(grid=g, coupling=CouplingSpec("radial_bump", {"radius": 0.4}),
+                         h1=BoundaryData.zero(g), h2=BoundaryData.constant(g, {"x1": 0.5}),
+                         kappa=1.0, p=3.0)
+    assert prob.grid.mirror == (1, 2)
+    rep = classify_alpha(prob)
+    assert (rep.q_min, rep.q_max) == (0.0, 1.0)
+
+
 def test_classify_alpha_constant_coupling():
     g = Grid(lengths=(1.0,), n=(33,))
     h1 = BoundaryData.zero(g)

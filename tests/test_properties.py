@@ -405,7 +405,7 @@ def test_tail_directions_are_tangent_descent_directions(g, seed):
 def test_tail_directions_on_a_mirror_sector(n, dim):
     """The same on the excited-search problem on the mirror sector of every
     transverse axis, where its search descends."""
-    run = check_tail_run(optimize.mirror_sector(oscillating_problem(n, dim=dim)))
+    run = check_tail_run(oscillating_problem(n, dim=dim))
     assert run.problem.grid.mirror == tuple(range(1, dim))
     assert any(p.direction is not p.gt for p in run.tail)
 

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, cli, optimize, solvers
+from sbpbox import BoundaryData, CouplingSpec, Grid, build_problem, optimize, solvers
 from sbpbox.config import parse_config_text
 from sbpbox.grid import dirichlet_inner, inner, integrate, laplacian_neumann, zero_boundary
 from sbpbox.manifold import feasible_init, genus_seeds
-from sbpbox.optimize import OptimizerOptions, excited_states, minimize_on_M, mirror_sector
-from sbpbox.problem import _mirror_invariant, solve_chi
+from sbpbox.optimize import OptimizerOptions, excited_states, minimize_on_M
+from sbpbox.problem import _mirror_invariant, box_problem, solve_chi
 from sbpbox.solvers import (
     _MATRIX_MAX_NODES,
     _dct1,
@@ -96,9 +96,10 @@ def test_sector_transforms_are_the_box_transforms_on_their_modes(lengths, n, axe
 def test_sector_weights_stencils_and_potential_are_the_box_ones(lengths, n, axes):
     """On mirror-invariant fields the sector's quadrature, inner product,
     Neumann stencil, ``dirichlet_inner`` and fourth-order solve give the
-    box's values, and unfold inverts fold."""
+    box's values, unfold inverts fold, and ``Grid.box`` is the box."""
     box = Grid(lengths, n)
     sector = box.sector(axes)
+    assert sector.box == box and box.box == box
     rng = np.random.default_rng(5)
     f, g = (symmetric_field(box, axes, rng) for _ in range(2))
     assert np.array_equal(sector.unfold(sector.fold(f)), f)
@@ -151,7 +152,7 @@ def ground_problem(dim, n):
     return parse_config_text(GROUND_CFG.format(dim=dim, n=n)).build_problem()
 
 
-def box_problem(n, coupling=CouplingSpec("affine", {"b": 1.0})):
+def unit_box_problem(n, coupling=CouplingSpec("affine", {"b": 1.0})):
     """The ground problem on the unit box with ``n`` nodes and ``coupling``."""
     grid = Grid((1.0,) * len(n), n)
     return build_problem(grid, coupling, BoundaryData.zero(grid),
@@ -159,37 +160,40 @@ def box_problem(n, coupling=CouplingSpec("affine", {"b": 1.0})):
 
 
 def test_fold_rule_keeps_the_box():
-    """The build picks, and ``mirror_sector`` folds, the transverse axes of
-    odd node count on the matrix path along which q and the flux data are
-    mirror-invariant, and no other: never in 1d, not along an even count
-    or an FFT axis, not for an off-centre bump coupling.  Where no axis
-    qualifies it returns the problem itself."""
+    """The build folds the transverse axes of odd node count on the matrix
+    path along which q and the flux data are mirror-invariant, and no
+    other: never in 1d, not along an even count or an FFT axis, not for an
+    off-centre bump coupling.  Where no axis qualifies the problem lives on
+    the box, and ``box_problem`` keeps its grid."""
     def axes(prob):
-        sector = mirror_sector(prob)
-        assert (sector is prob) == (not sector.grid.mirror)
-        return sector.grid.mirror
+        assert (box_problem(prob).grid == prob.grid) == (not prob.grid.mirror)
+        return prob.grid.mirror
 
     assert axes(ground_problem(1, 65)) == ()
     assert axes(ground_problem(3, 9)) == (1, 2)
-    assert axes(box_problem((9, 8))) == ()
-    assert axes(box_problem((9, 9, 8))) == (1,)
-    assert axes(box_problem((5, _MATRIX_MAX_NODES + 4))) == ()
-    bump = box_problem((17, 17), CouplingSpec("radial_bump",
-                                              {"radius": 0.4, "center": (0.5, 0.4)}))
+    assert axes(unit_box_problem((9, 8))) == ()
+    assert axes(unit_box_problem((9, 9, 8))) == (1,)
+    assert axes(unit_box_problem((5, _MATRIX_MAX_NODES + 4))) == ()
+    bump = unit_box_problem((17, 17), CouplingSpec("radial_bump",
+                                                   {"radius": 0.4, "center": (0.5, 0.4)}))
     assert not _mirror_invariant(bump.q, 1)
     assert axes(bump) == ()
-    assert axes(box_problem((17, 17), CouplingSpec("radial_bump", {"radius": 0.4}))) == (1,)
+    assert axes(unit_box_problem((17, 17), CouplingSpec("radial_bump", {"radius": 0.4}))) == (1,)
 
 
 def test_sector_folds_q_and_chi_and_keeps_the_rest():
-    """The sector problem's q and chi are the box's on its nodes, and its
-    data (alpha, kappa, p and the boundary data) are the box problem's."""
+    """The sector problem's q is the box's q on its nodes, and its chi
+    unfolded is the box's chi; ``box_problem`` unfolds both and keeps the
+    data (alpha, kappa, p and the boundary data)."""
     prob = ground_problem(3, 9)
-    sector = mirror_sector(prob)
-    assert sector.grid == prob.grid.sector((1, 2))
-    assert np.array_equal(sector.q, prob.q[:, :5, :5])
-    assert np.array_equal(sector.chi, prob.chi[:, :5, :5])
-    assert (sector.alpha, sector.kappa, sector.p, sector.h1, sector.h2) == (
+    box = box_problem(prob)
+    assert prob.grid == box.grid.sector((1, 2)) and prob.grid.box == box.grid
+    evaluated = parse_config_text(GROUND_CFG.format(dim=3, n=9)).coupling().evaluate(box.grid)
+    assert np.array_equal(prob.q, evaluated[:, :5, :5])
+    assert np.array_equal(box.q, evaluated)
+    assert np.array_equal(box.chi[:, :5, :5], prob.chi)
+    assert rel_err(box.chi, solve_chi(box.grid, prob.h1, prob.h2)[0]) <= 1e-13
+    assert (box.alpha, box.kappa, box.p, box.h1, box.h2) == (
         prob.alpha, prob.kappa, prob.p, prob.h1, prob.h2)
 
 
@@ -198,13 +202,13 @@ def test_descent_keeps_the_box_for_an_asymmetric_start():
     the sector, and a start without the mirror symmetry on the box problem,
     which keeps its asymmetry."""
     prob = ground_problem(2, 17)
-    sector = mirror_sector(prob)
-    assert sector.grid.mirror == (1,)
+    assert prob.grid.mirror == (1,)
     opts = OptimizerOptions(max_iterations=2)
-    assert minimize_on_M(sector, feasible_init(sector), opts).problem is sector
-    tilted = feasible_init(prob) * (1.0 + 0.1 * coords(prob.grid)[1])
-    res = minimize_on_M(prob, tilted, opts)
-    assert res.problem is prob
+    assert minimize_on_M(prob, feasible_init(prob), opts).problem is prob
+    box = box_problem(prob)
+    tilted = feasible_init(box) * (1.0 + 0.1 * coords(box.grid)[1])
+    res = minimize_on_M(box, tilted, opts)
+    assert res.problem is box
     assert not _mirror_invariant(res.u, 1)
 
 
@@ -213,8 +217,8 @@ def test_seeds_on_the_sector_are_the_folded_box_seeds(dim, n):
     """``feasible_init`` and ``genus_seeds`` built on the sector equal the
     box's seeds on the sector's nodes to 1e-13 relative, nonzero at the
     mirror node, for the ground and the excited problem."""
-    for prob, k in ((ground_problem(dim, n), 1), (oscillating_problem(n, dim=dim), 3)):
-        sector = mirror_sector(prob)
+    for sector, k in ((ground_problem(dim, n), 1), (oscillating_problem(n, dim=dim), 3)):
+        prob = box_problem(sector)
         assert sector.grid.mirror == tuple(range(1, dim))
         pairs = [(feasible_init(sector), feasible_init(prob))]
         pairs += zip(genus_seeds(sector, k), genus_seeds(prob, k))
@@ -249,14 +253,13 @@ def test_3d_excited_search_builds_one_sector(monkeypatch):
 def test_chi_on_the_sector_is_the_box_chi(case, axes, tmp_path):
     """The build solves theta and chi on the sector of the axes it folds,
     and chi unfolded onto the box is ``solve_chi`` on the box to 1e-13
-    relative; the folded problem's chi is that chi on the sector."""
+    relative."""
     prob = (parse_config_text(symmetric_face_cfg(tmp_path)).build_problem()
             if case == "file" else ground_problem(int(case[0]), 17))
-    assert prob.sector.mirror == axes
-    box_chi, _, alpha = solve_chi(prob.grid, prob.h1, prob.h2)
+    assert prob.grid.mirror == axes
+    box_chi, _, alpha = solve_chi(prob.grid.box, prob.h1, prob.h2)
     assert prob.alpha == alpha
-    assert rel_err(prob.chi, box_chi) <= 1e-13
-    assert np.array_equal(mirror_sector(prob).chi, prob.sector.fold(prob.chi))
+    assert rel_err(prob.grid.unfold(prob.chi), box_chi) <= 1e-13
 
 
 def test_asymmetric_data_keep_their_axis(tmp_path):
@@ -269,8 +272,9 @@ def test_asymmetric_data_keep_their_axis(tmp_path):
     for extra, axes in (("boundary.h2.y1 = 0.3", (2,)),
                         (f"boundary.h1.x0 = {tilted}", (1,))):
         prob = parse_config_text(f"{base}{extra}\n").build_problem()
-        assert prob.sector.mirror == axes
-        assert rel_err(prob.chi, solve_chi(prob.grid, prob.h1, prob.h2)[0]) <= 1e-13
+        assert prob.grid.mirror == axes
+        assert rel_err(prob.grid.unfold(prob.chi),
+                       solve_chi(prob.grid.box, prob.h1, prob.h2)[0]) <= 1e-13
 
 
 def test_folded_problem_never_builds_the_box_symbols(monkeypatch):
@@ -280,22 +284,13 @@ def test_folded_problem_never_builds_the_box_symbols(monkeypatch):
     real = solvers._build_symbols
     monkeypatch.setattr(solvers, "_build_symbols", lambda grid: grids.append(grid) or real(grid))
     ground = ground_problem(3, 9)
-    assert cli._ground_descent(ground, OptimizerOptions()).converged
+    assert minimize_on_M(ground, feasible_init(ground)).converged
     excited = oscillating_problem(17, dim=2)
     assert excited_states(excited, 2, OptimizerOptions(max_iterations=8000))
     assert {g.mirror for g in grids} == {(1,), (1, 2)}
 
 
 # -- the descent on the sector against the descent on the box ----------------
-
-
-def solve_both(monkeypatch, solve):
-    """``solve()`` on the mirror sector, then with the fold turned off."""
-    folded = solve()
-    with monkeypatch.context() as mp:
-        mp.setattr(optimize, "mirror_sector", lambda problem: problem)
-        whole = solve()
-    return folded, whole
 
 
 def assert_same_states(grid, folded, whole, axes):
@@ -310,20 +305,15 @@ def assert_same_states(grid, folded, whole, axes):
 
 
 @pytest.mark.parametrize("dim, n", [(3, 25), (2, 33)], ids=["ground-3d", "refine-2d-33"])
-def test_ground_state_on_the_sector_is_the_box_ground_state(dim, n, monkeypatch):
+def test_ground_state_on_the_sector_is_the_box_ground_state(dim, n):
     prob = ground_problem(dim, n)
-
-    def solve():
-        sector = optimize.mirror_sector(prob)
-        return [minimize_on_M(sector, feasible_init(sector))]
-
-    folded, whole = solve_both(monkeypatch, solve)
-    assert_same_states(prob.grid, folded, whole, tuple(range(1, dim)))
+    folded, whole = ([minimize_on_M(p, feasible_init(p))] for p in (prob, box_problem(prob)))
+    assert_same_states(prob.grid.box, folded, whole, tuple(range(1, dim)))
 
 
-def test_3d_excited_states_on_the_sector_are_the_box_states(monkeypatch):
+def test_3d_excited_states_on_the_sector_are_the_box_states():
     prob = oscillating_problem(25, dim=3)
     opts = OptimizerOptions(max_iterations=8000)
-    folded, whole = solve_both(monkeypatch, lambda: excited_states(prob, 3, opts))
+    folded, whole = (excited_states(p, 3, opts) for p in (prob, box_problem(prob)))
     assert len(folded) == 3
-    assert_same_states(prob.grid, folded, whole, (1, 2))
+    assert_same_states(prob.grid.box, folded, whole, (1, 2))

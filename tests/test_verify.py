@@ -14,7 +14,8 @@ from sbpbox.errors import SbpError
 from sbpbox.functional import eval_J
 from sbpbox.grid import norm_l2
 from sbpbox.manifold import constraint_values, feasible_init
-from sbpbox.optimize import OptimizerOptions, minimize_on_M, mirror_sector
+from sbpbox.optimize import OptimizerOptions, minimize_on_M
+from sbpbox.problem import box_problem
 from sbpbox.reduction import phi_map
 from sbpbox.verify import (
     SUMMARY_COLUMNS,
@@ -26,7 +27,7 @@ from sbpbox.verify import (
     residual_original_system,
     write_summary,
 )
-from conftest import (GROUND_CFG, box_fields, line_problem, random_m_point,
+from conftest import (GROUND_CFG, box_view, line_problem, random_m_point,
                       reference_laplacian_dirichlet, reference_laplacian_neumann, square_problem,
                       symmetric_face_cfg)
 
@@ -102,9 +103,8 @@ def test_refinement_study_warm_starts_match_cold_solves(make, counts):
     study = refinement_study(make, counts, opts)
     for level, (n, res) in enumerate(zip(counts, study.results)):
         prob = make(n)
-        sector = mirror_sector(prob)
-        cold = minimize_on_M(sector, feasible_init(sector), opts)
-        assert res.problem.grid == sector.grid and res.u.shape == sector.grid.shape
+        cold = minimize_on_M(prob, feasible_init(prob), opts)
+        assert res.problem.grid == prob.grid and res.u.shape == prob.grid.shape
         assert abs(res.j - cold.j) <= 1e-9 * abs(cold.j)
         if level == 0:
             assert res.iterations == cold.iterations
@@ -152,7 +152,7 @@ def test_interpolate_reproduces_multilinear_fields(src, dst):
 
 def test_interpolate_keeps_boundary_zeros():
     prob = square_problem(17, alpha=1.25)
-    u = feasible_init(prob)
+    u = prob.grid.unfold(feasible_init(prob))  # a box field, as ``_levels`` interpolates
     fine = _interpolate(u, (25, 33))
     for axis in range(2):
         for face in (0, -1):
@@ -312,21 +312,28 @@ def reference_report(problem, u, phi, omega, mu, j, iterations):
         iters=iterations)
 
 
-def folded_state(text):
+def folded_state(text, axes):
     """The ground state of the problem of config ``text``, descended on its
-    mirror sector: the box problem, the unfolded fields and the scalars."""
+    mirror sector, that of ``axes``."""
     prob = parse_config_text(text).build_problem()
-    sector = mirror_sector(prob)
-    res = minimize_on_M(sector, feasible_init(sector))
-    assert res.problem.grid.mirror == prob.sector.mirror != ()
-    return (prob, *box_fields(res), res.omega, res.mu, res.j, res.iterations)
+    assert prob.grid.mirror == axes
+    return minimize_on_M(prob, feasible_init(prob))
+
+
+def box_state(res):
+    """The audit's arguments for ``res`` on the whole box: the box problem,
+    the unfolded fields and the scalars."""
+    return (*box_view(res), res.omega, res.mu, res.j, res.iterations)
+
+
+def folded_ground_state(dim, n):
+    """The ground state of the benchmark's ground config, on its sector."""
+    return folded_state(GROUND_CFG.format(dim=dim, n=n), tuple(range(1, dim)))
 
 
 def ground_state(dim, n):
-    """The ground state of the benchmark's ground config, on its sector."""
-    args = folded_state(GROUND_CFG.format(dim=dim, n=n))
-    assert args[0].sector.mirror == tuple(range(1, dim))
-    return args
+    """``folded_ground_state`` unfolded onto the box."""
+    return box_state(folded_ground_state(dim, n))
 
 
 def manifold_state(prob, seed=0):
@@ -336,11 +343,12 @@ def manifold_state(prob, seed=0):
 
 
 def asymmetric_box_state():
+    """On the box, though the build folds axis 1."""
     g = Grid(lengths=(1.0, 0.7, 1.3), n=(9, 11, 8))
-    return manifold_state(build_problem(
+    return manifold_state(box_problem(build_problem(
         grid=g, coupling=CouplingSpec("affine", {"a": 0.0, "b": 1.0}),
         h1=BoundaryData.zero(g), h2=BoundaryData.constant(g, {"x1": 0.5 / 0.91}),
-        kappa=1.0, p=3.0))
+        kappa=1.0, p=3.0)))
 
 
 def two_face_h1_state():
@@ -358,7 +366,7 @@ STATES = {
     "2d-sector": lambda: ground_state(2, 17),
     "3d-sector": lambda: ground_state(3, 13),
     "3d-box": asymmetric_box_state,
-    "kappa-0": lambda: manifold_state(square_problem(9, alpha=1.2, kappa=0.0)),
+    "kappa-0": lambda: manifold_state(box_problem(square_problem(9, alpha=1.2, kappa=0.0))),
     "h1-two-faces": two_face_h1_state,
 }
 
@@ -380,13 +388,11 @@ def test_sector_audit_is_the_box_audit(case, tmp_path):
     eq1_res_native and eq2_res (at the optimizer tolerance and the rounding
     floor) to 1e-12 absolute, and the two constraint residuals, sums near 1
     and alpha, to a few units in their last place."""
-    args = folded_state(symmetric_face_cfg(tmp_path)) if case == "file-face" else \
-        ground_state(int(case[0]), {"2d": 17, "3d": 13}[case])
-    prob, u, phi = args[:3]
-    sector = mirror_sector(prob)
+    res = folded_state(symmetric_face_cfg(tmp_path), (1, 2)) if case == "file-face" else \
+        folded_ground_state(int(case[0]), {"2d": 17, "3d": 13}[case])
+    args = box_state(res)
     on_box = residual_original_system(*args)
-    on_sector = residual_original_system(sector, sector.grid.fold(u), sector.grid.fold(phi),
-                                         *args[3:])
+    on_sector = residual_original_system(res.problem, res.u, res.phi, *args[3:])
     for name in ("j", "omega", "mu", "n", "h", "bc_res", "bc_res_second", "iters"):
         assert getattr(on_sector, name) == getattr(on_box, name), name
     assert on_sector.eq1_res == pytest.approx(on_box.eq1_res, rel=1e-12, abs=0.0)
